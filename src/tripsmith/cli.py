@@ -276,6 +276,16 @@ def cmd_milp(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripsmith",
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="sample and certify benchmark queries")
     gen.add_argument("--db", required=True, help="city data root directory")
     gen.add_argument("--difficulty", choices=("easy", "medium"), default="easy")
-    gen.add_argument("--count", type=int, default=10)
+    gen.add_argument("--count", type=_positive_int, default=10)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--origin", default=None)
     gen.add_argument("--target", default=None)
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--ranker", choices=("heuristic", "llm", "replay"),
                       default="heuristic")
     plan.add_argument("--budget-secs", type=float, default=300.0)
-    plan.add_argument("--jobs", type=int, default=1)
+    plan.add_argument("--jobs", type=_positive_int, default=1)
     plan.add_argument("--seed", type=int, default=0)
     plan.add_argument("--llm-url", default="http://localhost:8000/v1/chat/completions")
     plan.add_argument("--llm-model", default="default")

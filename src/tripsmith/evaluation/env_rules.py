@@ -120,18 +120,15 @@ class _Check:
         if self.dataset is None or not route_id:
             return None
         for city in self.dataset.city_names:
-            for route in self.dataset[city].intercity_routes:
-                if route.id == route_id:
-                    return route
+            route = self.dataset[city].routes_by_id.get(route_id)
+            if route is not None:
+                return route
         return None
 
     def lookup(self, table: str, name: str):
         if self.target_db is None or not name:
             return None
-        for row in self.target_db.table(table):
-            if row["name"] == name:
-                return row
-        return None
+        return self.target_db.rows_by_name[table].get(name)
 
     # -- cross-city transportation ---------------------------------------
 

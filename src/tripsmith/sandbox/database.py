@@ -9,10 +9,28 @@ Layout on disk, one directory per city::
     <root>/<city>/poi.csv
     <root>/fares.cfg            (optional, shared tariffs)
 
-Column headers are matched case-insensitively. Every loaded table is indexed
-by name; the coordinate map covers all POIs plus stations. Databases are
-immutable after load and safe to share between threads; query sessions are
-single-owner.
+Column headers are matched case-insensitively; the coordinate map covers all
+POIs plus stations.
+
+Indexed at load, as a by-product of the validation pass: every POI table by
+name (`record`, `is_open` and the environment check look rows up there), the
+intercity routes by id, and the routes of each (from city, to city) pair
+sorted by (departure minutes, id), which `intercity_select` only filters.
+
+Memoised on first use, per database: `nearby` answers, keyed on (table,
+point, topk, dist), and the quantised distance of each ordered pair of
+positions, which `goto` and the planner's mode choice share. Nothing is
+filled eagerly: every pair and every neighbour list of a 3-city synthetic set
+with 300 POIs per table is ~630 k haversine calls, over a second of load
+time, and a search asks for a small share of them. The planner asks `nearby`
+only at known positions, with the radius and top-k of its configuration, so
+both memos are bounded by the city's names (positions, and pairs of
+positions), not by how long a process runs.
+
+Databases are immutable after load and safe to share between threads; a
+memo write is one dict assignment of a value that only depends on the
+immutable tables, so two threads racing on one key at worst compute the same
+answer twice. Query sessions are single-owner.
 """
 
 from __future__ import annotations
@@ -97,6 +115,16 @@ class CityDatabase:
     intercity_routes: list[IntercityRoute]
     poi_coordinates: dict[str, tuple[Decimal, Decimal]]
     fares: FareConfig = field(default_factory=FareConfig)
+    # load-time indexes (see load_city_data)
+    rows_by_name: dict[str, dict[str, dict]] = field(default_factory=dict, repr=False)
+    routes_by_id: dict[str, IntercityRoute] = field(default_factory=dict, repr=False)
+    routes_by_pair: dict[tuple[str, str], list[tuple[int, IntercityRoute]]] = field(
+        default_factory=dict, repr=False)
+    # first-use memos (see the module docstring)
+    _nearby_memo: dict[tuple, tuple[dict, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _distance_memo: dict[tuple[str, str], Decimal] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def table(self, name: str) -> list[dict]:
         if name not in POI_TABLES:
@@ -104,18 +132,11 @@ class CityDatabase:
         return getattr(self, name)
 
     def record(self, table: str, name: str) -> dict:
-        for row in self.table(table):
-            if row["name"] == name:
-                return row
-        raise NotFoundError(f"no {table[:-1]} named {name!r} in {self.city_name}")
-
-    def find_poi(self, name: str) -> dict | None:
-        """Look a name up across all three POI tables; None when absent."""
-        for table in POI_TABLES:
-            for row in getattr(self, table):
-                if row["name"] == name:
-                    return row
-        return None
+        try:
+            return self.rows_by_name[table][name]
+        except KeyError:
+            self.table(table)   # raises on an unknown table
+            raise NotFoundError(f"no {table[:-1]} named {name!r} in {self.city_name}") from None
 
     def coordinates(self, name: str) -> tuple[Decimal, Decimal]:
         try:
@@ -123,14 +144,16 @@ class CityDatabase:
         except KeyError:
             raise NotFoundError(f"unknown position {name!r} in {self.city_name}") from None
 
-    def stations(self, kind: str | None = None) -> list[str]:
-        """Names of intercity departure stations in this city."""
-        names = []
-        for route in self.intercity_routes:
-            if route.from_city == self.city_name and (kind is None or route.kind == kind):
-                if route.from_station not in names:
-                    names.append(route.from_station)
-        return names
+    def distance(self, start: str, end: str) -> Decimal:
+        """Quantised great-circle km from one known position to another."""
+        key = (start, end)
+        dist = self._distance_memo.get(key)
+        if dist is None:
+            lat1, lon1 = self.coordinates(start)
+            lat2, lon2 = self.coordinates(end)
+            dist = distance_km(float(lat1), float(lon1), float(lat2), float(lon2))
+            self._distance_memo[key] = dist
+        return dist
 
 
 def _convert(column: str, raw: str, where: str):
@@ -184,15 +207,16 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         raise LoadError(f"no data directory for city {city!r} under {root}")
 
     tables = {}
+    rows_by_name: dict[str, dict[str, dict]] = {}
     coords: dict[str, tuple[Decimal, Decimal]] = {}
     for table, required in _TABLE_COLUMNS.items():
         rows = _read_csv(city_dir / f"{table}.csv", required, table)
-        seen = set()
+        by_name = rows_by_name[table] = {}
         for row in rows:
             name = row["name"]
-            if name in seen:
+            if name in by_name:
                 raise IntegrityError(f"duplicate {table[:-1]} name {name!r} in {city}")
-            seen.add(name)
+            by_name[name] = row
             if "opentime" in row and "endtime" in row:
                 if to_minutes(row["opentime"]) > to_minutes(row["endtime"]):
                     raise IntegrityError(
@@ -239,6 +263,15 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
             )
         )
 
+    routes_by_id: dict[str, IntercityRoute] = {}
+    routes_by_pair: dict[tuple[str, str], list[tuple[int, IntercityRoute]]] = {}
+    for route in routes:
+        routes_by_id.setdefault(route.id, route)
+        routes_by_pair.setdefault((route.from_city, route.to_city), []).append(
+            (to_minutes(route.begin), route))
+    for pair_routes in routes_by_pair.values():
+        pair_routes.sort(key=lambda item: (item[0], item[1].id))
+
     fare_path = root / "fares.cfg"
     fares = load_fare_config(fare_path) if fare_path.exists() else FareConfig()
 
@@ -250,6 +283,9 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         intercity_routes=routes,
         poi_coordinates=coords,
         fares=fares,
+        rows_by_name=rows_by_name,
+        routes_by_id=routes_by_id,
+        routes_by_pair=routes_by_pair,
     )
 
 
@@ -289,13 +325,18 @@ def nearby(db: CityDatabase, table: str, point: tuple, topk: int, dist) -> list[
     if dist <= 0:
         raise NotFoundError(f"dist must be > 0, got {dist}")
     lat, lon = (Decimal(str(point[0])), Decimal(str(point[1])))
-    scored = []
-    for row in db.table(table):
-        d = distance_km(float(lat), float(lon), float(row["latitude"]), float(row["longitude"]))
-        if d <= dist:
-            scored.append((d, row["name"], row))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [row for _, _, row in scored[:topk]]
+    key = (table, lat, lon, topk, dist)
+    found = db._nearby_memo.get(key)
+    if found is None:
+        scored = []
+        for row in db.table(table):
+            d = distance_km(float(lat), float(lon),
+                            float(row["latitude"]), float(row["longitude"]))
+            if d <= dist:
+                scored.append((d, row["name"], row))
+        scored.sort(key=lambda item: (item[0], item[1]))
+        found = db._nearby_memo[key] = tuple(row for _, _, row in scored[:topk])
+    return list(found)
 
 
 def is_open(db: CityDatabase, table: str, poi_id: str, time: str) -> bool:
@@ -323,13 +364,8 @@ def intercity_select(
         except KeyError:
             raise NotFoundError(f"city {from_city!r} is not loaded") from None
     earliest = to_minutes(earliest_leave)
-    found = [
+    return [
         route
-        for route in source.intercity_routes
-        if route.from_city == from_city
-        and route.to_city == to_city
-        and (kind is None or route.kind == kind)
-        and to_minutes(route.begin) >= earliest
+        for begin, route in source.routes_by_pair.get((from_city, to_city), ())
+        if begin >= earliest and (kind is None or route.kind == kind)
     ]
-    found.sort(key=lambda r: (to_minutes(r.begin), r.id))
-    return found

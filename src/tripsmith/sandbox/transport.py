@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from ..errors import NotFoundError
-from ..geo import distance_km
 from ..timeutil import to_hhmm, to_minutes
 from .database import CityDatabase
 
@@ -89,9 +88,7 @@ def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> 
     """One transport option from `start` to `end` leaving at `start_time`."""
     if mode not in MODES:
         raise NotFoundError(f"unknown transport mode {mode!r}; expected one of {MODES}")
-    lat1, lon1 = db.coordinates(start)
-    lat2, lon2 = db.coordinates(end)
-    dist = distance_km(float(lat1), float(lon1), float(lat2), float(lon2))
+    dist = db.distance(start, end)
     t0 = to_minutes(start_time)
     fares = db.fares
 

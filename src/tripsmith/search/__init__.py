@@ -1,6 +1,6 @@
 """Depth-first greedy itinerary search with pluggable candidate ranking."""
 
-from .context import QueryContext, context_from_sources
+from .context import QueryContext
 from .dfs import (
     EMPTY,
     ENV_ONLY_BEST,
@@ -34,7 +34,6 @@ __all__ = [
     "SearchConfig",
     "SearchOutcome",
     "SearchState",
-    "context_from_sources",
     "dfs_search",
     "enumerate_complete_plans",
     "initial_state",

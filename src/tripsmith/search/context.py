@@ -2,18 +2,14 @@
 
 The planner and the rankers never re-parse constraint programs during search;
 everything they may exploit (required cuisine/type/feature terms, a budget
-bound, a forced transport mode) is collected here once. Contexts normally come
-straight from a query skeleton; `context_from_sources` is a best-effort
-fallback that mines the same hints out of bare DSL text.
+bound, a forced transport mode) is collected here once, from the query
+skeleton (`genquery.certify.context_from_skeleton`).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-
-from ..sandbox import Dataset
 
 
 @dataclass
@@ -41,46 +37,3 @@ class QueryContext:
             + self.required_pois
         )
 
-
-_BUDGET_RE = re.compile(r"<=\s*(\d+(?:\.\d+)?)")
-_STRING_RE = re.compile(r"""["']([^"']+)["']""")
-
-
-def context_from_sources(
-    sources: list[str],
-    dataset: Dataset,
-    origin: str,
-    target: str,
-    days: int,
-    people: int,
-) -> QueryContext:
-    """Mine ranking hints from constraint text; unknown literals are ignored."""
-    ctx = QueryContext(origin=origin, target=target, days=days, people=people,
-                       raw_text="\n".join(sources))
-    db = dataset[target] if target in dataset else None
-    cuisines = {row["cuisinetype"] for row in db.restaurants} if db else set()
-    attr_types = {row["type"] for row in db.attractions} if db else set()
-    features = {row["featurehoteltype"] for row in db.hotels} if db else set()
-    poi_names = set(db.poi_coordinates) if db else set()
-
-    for source in sources:
-        if "activity_cost" in source:
-            match = _BUDGET_RE.search(source)
-            if match:
-                bound = Decimal(match.group(1))
-                if ctx.budget_limit is None or bound < ctx.budget_limit:
-                    ctx.budget_limit = bound
-        for literal in _STRING_RE.findall(source):
-            if literal in ("train", "airplane") and "intercity_transport_type" in source:
-                ctx.required_intercity_kind = literal
-            elif literal in ("walk", "metro", "taxi") and "innercity_transport_type" in source:
-                ctx.required_innercity_mode = literal
-            elif literal in cuisines and literal not in ctx.required_cuisines:
-                ctx.required_cuisines.append(literal)
-            elif literal in attr_types and literal not in ctx.required_attraction_types:
-                ctx.required_attraction_types.append(literal)
-            elif literal in features and literal not in ctx.required_hotel_features:
-                ctx.required_hotel_features.append(literal)
-            elif literal in poi_names and literal not in ctx.required_pois:
-                ctx.required_pois.append(literal)
-    return ctx

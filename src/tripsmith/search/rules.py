@@ -9,7 +9,7 @@ open, and otherwise keep sightseeing.
 from __future__ import annotations
 
 from ..sandbox import CityDatabase, intercity_select, nearby
-from ..timeutil import to_hhmm, to_minutes
+from ..timeutil import to_minutes
 from .context import QueryContext
 from .state import SearchConfig, SearchState
 
@@ -88,7 +88,3 @@ def next_activity_type(
         return RETURN if last_day else ACCOMMODATION
 
     return ATTRACTION
-
-
-def describe_clock(state: SearchState) -> str:
-    return f"day {state.day} {to_hhmm(state.clock)} at {state.position or '<origin>'}"

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InputError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
 from ..sandbox import CityDatabase, IntercityRoute, goto
@@ -90,11 +90,19 @@ def initial_state() -> SearchState:
 
 def transport_legs(
     db: CityDatabase, start: str, end: str, start_minutes: int, mode: str, people: int
-) -> tuple[list[dict], int, Decimal]:
-    """Plan-ready legs from one goto option: (legs, arrival minutes, total cost)."""
+) -> tuple[list[dict], int, Decimal] | None:
+    """Plan-ready legs from one goto option: (legs, arrival minutes, total cost).
+
+    None when the transfer would arrive after 23:59, which no clock time can
+    express.
+    """
     if start == end:
         return [], start_minutes, Decimal("0")
-    option = goto(db, start, end, to_hhmm(start_minutes), mode)
+    depart = to_hhmm(start_minutes)
+    try:
+        option = goto(db, start, end, depart, mode)
+    except InputError:
+        return None
     legs = []
     total = Decimal("0")
     for leg in option.legs:
@@ -125,8 +133,7 @@ def pick_mode(db: CityDatabase, start: str, end: str, ctx: QueryContext) -> str:
         return ctx.required_innercity_mode
     if start == end:
         return "walk"
-    option = goto(db, start, end, "00:00", "walk")
-    return "walk" if option.distance < Decimal("1") else "metro"
+    return "walk" if db.distance(start, end) < Decimal("1") else "metro"
 
 
 def schedule_visit(
@@ -140,9 +147,10 @@ def schedule_visit(
     """Attraction or meal extension; None when the POI cannot be visited now."""
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
-    legs, arrival, leg_cost = transport_legs(
-        db, state.position, name, state.clock, mode, ctx.people
-    )
+    transfer = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
+    if transfer is None:
+        return None
+    legs, arrival, leg_cost = transfer
     open_at = to_minutes(row["opentime"])
     close_at = to_minutes(row["endtime"])
     if arrival < open_at or arrival > close_at:
@@ -193,9 +201,10 @@ def schedule_hotel(
     """Check in for the night and roll the clock to next morning."""
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
-    legs, arrival, leg_cost = transport_legs(
-        db, state.position, name, state.clock, mode, ctx.people
-    )
+    transfer = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
+    if transfer is None:
+        return None
+    legs, arrival, leg_cost = transfer
     day_end = to_minutes("23:59")
     if arrival >= day_end:
         return None
@@ -255,9 +264,12 @@ def schedule_return(
 ) -> SearchState | None:
     """Last activity: ride home; rejected when the departure cannot be caught."""
     mode = pick_mode(db, state.position, route.from_station, ctx)
-    legs, arrival, leg_cost = transport_legs(
+    transfer = transport_legs(
         db, state.position, route.from_station, state.clock, mode, ctx.people
     )
+    if transfer is None:
+        return None
+    legs, arrival, leg_cost = transfer
     if arrival > to_minutes(route.begin):
         return None
     cost = route.cost * ctx.people

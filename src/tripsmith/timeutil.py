@@ -6,6 +6,7 @@ are only a wire format. Overnight spans are not representable on purpose.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import InputError
@@ -15,7 +16,17 @@ _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
 
 def to_minutes(text: str) -> int:
     """Parse "HH:MM" into minutes since midnight."""
-    m = _TIME_RE.match(text.strip()) if isinstance(text, str) else None
+    if not isinstance(text, str):
+        raise InputError(f"invalid clock time: {text!r}")
+    return _parse_clock(text)
+
+
+# A day has 1,440 clock times; the bound also covers padded spellings. Only
+# ints are cached (a failed parse raises and stores nothing), so no caller can
+# alter a cached value.
+@functools.lru_cache(maxsize=4096)
+def _parse_clock(text: str) -> int:
+    m = _TIME_RE.match(text.strip())
     if not m:
         raise InputError(f"invalid clock time: {text!r}")
     hours, minutes = int(m.group(1)), int(m.group(2))
@@ -32,7 +43,8 @@ def to_hhmm(minutes: int) -> str:
 
 
 def is_hhmm(text) -> bool:
-    if not isinstance(text, str):
+    try:
+        to_minutes(text)
+    except InputError:
         return False
-    m = _TIME_RE.match(text.strip())
-    return bool(m) and int(m.group(1)) <= 23 and int(m.group(2)) <= 59
+    return True

@@ -160,6 +160,22 @@ def test_milp_invalid_slots_is_usage_error(tmp_path, bench):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_plan_jobs_below_one_is_usage_error(tmp_path, bench, jobs):
+    out = tmp_path / "plans.jsonl"
+    code = run("plan", "--benchmark", str(bench), "--db", MICRO,
+               "--jobs", jobs, "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_count_below_one_is_usage_error(tmp_path, count):
+    out = tmp_path / "bench.jsonl"
+    assert run("generate", "--db", MICRO, "--count", count, "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_usage_error_on_unknown_command():
     assert run("frobnicate") == 2
 

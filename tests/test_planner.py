@@ -1,10 +1,13 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripsmith.errors import ConfigError
 from tripsmith.evaluation import evaluate_plan, validate_env
-from tripsmith.sandbox import IntercityRoute
+from tripsmith.sandbox import IntercityRoute, intercity_select
+from tripsmith.sandbox.transport import travel_minutes
 from tripsmith.search import (
     EMPTY,
     ENV_ONLY_BEST,
@@ -18,10 +21,12 @@ from tripsmith.search import (
 from tripsmith.search.rules import ACCOMMODATION, ATTRACTION, FINISH, OUTBOUND, RETURN
 from tripsmith.search.state import (
     initial_state,
+    schedule_hotel,
     schedule_outbound,
+    schedule_return,
     schedule_visit,
 )
-from tripsmith.timeutil import to_minutes
+from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
 
 from .conftest import micro_context
 
@@ -268,3 +273,88 @@ def test_full_pass_plans_revalidate(micro_dataset):
     assert outcome.status == FULL_PASS
     report = evaluate_plan(outcome.plan, [BUDGET], micro_dataset)
     assert report.env.overall and all(report.logical)
+
+
+# -- late clocks ------------------------------------------------------------------
+#
+# A transfer that would arrive after 23:59 has no clock time; the schedule
+# helpers reject such an extension instead of raising.
+
+LAST_MINUTE = to_minutes("23:59")
+
+
+def _walk_minutes(db, start, end):
+    return travel_minutes(db.distance(start, end), db.fares.walk_speed_kmh)
+
+
+def _late_walk_state(dataset, clock, position):
+    state, ctx = state_at(dataset, clock, position=position, days=2)
+    ctx.required_innercity_mode = "walk"
+    return state, ctx
+
+
+def test_late_hotel_transfer_is_rejected_not_raised(mini_dataset):
+    db = mini_dataset["Beta"]
+    hotel = db.record("hotels", "Harbor Hotel")
+    farthest = max(db.attractions,
+                   key=lambda row: db.distance(row["name"], hotel["name"]))["name"]
+    for clock, position in (("23:45", farthest), ("22:30", "Beta Airport")):
+        state, ctx = _late_walk_state(mini_dataset, clock, position)
+        assert to_minutes(clock) + _walk_minutes(db, position, hotel["name"]) > LAST_MINUTE
+        assert schedule_hotel(state, hotel, cfg(), db, ctx) is None
+
+
+def test_late_visit_and_return_transfers_are_rejected(mini_dataset):
+    db = mini_dataset["Beta"]
+    state, ctx = _late_walk_state(mini_dataset, "22:30", "Beta Airport")
+    for row, act_type in ((db.attractions[0], "attraction"), (db.restaurants[0], "dinner")):
+        assert schedule_visit(state, row, act_type, cfg(), db, ctx) is None
+    route = intercity_select(mini_dataset.cities, "Beta", "Alpha", "train")[-1]
+    assert schedule_return(state, route, cfg(), db, ctx) is None
+
+
+def test_hotel_transfer_ending_on_time_is_unchanged(mini_dataset):
+    db = mini_dataset["Beta"]
+    hotel = db.record("hotels", "Harbor Hotel")
+    state, ctx = _late_walk_state(mini_dataset, "22:30", "Old Town Wall")
+    child = schedule_hotel(state, hotel, cfg(), db, ctx)
+    act = child.days[0][-1]
+    arrival = 22 * 60 + 30 + _walk_minutes(db, "Old Town Wall", "Harbor Hotel")
+    assert act["start_time"] == to_hhmm(arrival)
+    assert act["transports"][-1]["end_time"] == act["start_time"]
+
+
+@given(
+    clock=st.integers(min_value=to_minutes("20:00"), max_value=LAST_MINUTE),
+    where=st.integers(min_value=0, max_value=100),
+    mode=st.sampled_from((None, "walk", "metro", "taxi")),
+    helper=st.sampled_from(("attraction", "dinner", "hotel", "return")),
+    pick=st.integers(min_value=0, max_value=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_schedule_helpers_never_raise_on_late_clocks(
+    mini_dataset, clock, where, mode, helper, pick
+):
+    db = mini_dataset["Beta"]
+    positions = sorted(db.poi_coordinates)
+    state, ctx = state_at(mini_dataset, "09:00", position=positions[where % len(positions)],
+                          days=2)
+    object.__setattr__(state, "clock", clock)
+    ctx.required_innercity_mode = mode
+    if helper == "hotel":
+        child = schedule_hotel(state, db.hotels[pick % len(db.hotels)], cfg(), db, ctx)
+    elif helper == "return":
+        routes = intercity_select(mini_dataset.cities, "Beta", "Alpha")
+        child = schedule_return(state, routes[pick % len(routes)], cfg(), db, ctx)
+    else:
+        rows = db.attractions if helper == "attraction" else db.restaurants
+        child = schedule_visit(state, rows[pick % len(rows)], helper, cfg(), db, ctx)
+    if child is None:
+        return
+    act = child.days[state.day - 1][-1]
+    legs = act.get("transports", [])
+    stamps = [act["start_time"], act["end_time"]]
+    stamps += [t for leg in legs for t in (leg["start_time"], leg["end_time"])]
+    assert all(is_hhmm(t) for t in stamps)
+    if legs:
+        assert legs[0]["start_time"] == to_hhmm(clock)
