@@ -210,6 +210,8 @@ def cmd_milp(args) -> int:
         raise InputError(f"{args.benchmark}: benchmark carries no queries")
     if args.slots_per_day <= 0:
         raise InputError("--slots-per-day must be positive")
+    if min(args.hotels, args.attractions, args.restaurants) < 0:
+        raise InputError("--hotels, --attractions and --restaurants must be >= 0")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -223,27 +225,18 @@ def cmd_milp(args) -> int:
     for record in bench_records:
         query = CertifiedQuery.from_dict(record)
         sk = query.skeleton
-        db = dataset[sk.target]
-        from .sandbox import intercity_select
-
-        go = intercity_select(dataset.cities, sk.origin, sk.target)
-        back = intercity_select(dataset.cities, sk.target, sk.origin)
-        stations = []
-        for route in go + back:
-            for name in (route.to_station, route.from_station):
-                if name in db.poi_coordinates and name not in stations:
-                    stations.append(name)
+        slice_ = slice_from_dataset(dataset, sk.origin, sk.target,
+                                    args.hotels, args.attractions, args.restaurants)
         params = MilpParams(
-            hotel_num=min(len(db.hotels), args.hotels),
-            attr_num=min(len(db.attractions), args.attractions),
-            rest_num=min(len(db.restaurants), args.restaurants),
-            station_num=len(stations),
-            go_num=len(go),
-            back_num=len(back),
+            hotel_num=len(slice_.hotels),
+            attr_num=len(slice_.attractions),
+            rest_num=len(slice_.restaurants),
+            station_num=len(slice_.stations),
+            go_num=len(slice_.go_routes),
+            back_num=len(slice_.back_routes),
             time_step=args.slots_per_day * sk.days,
             days=sk.days,
         )
-        slice_ = slice_from_dataset(dataset, sk.origin, sk.target, params)
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
         model = build_model(slice_, params, {"budget": budget} if budget else None)
         lp_path = out_dir / f"{query.uid}.lp"

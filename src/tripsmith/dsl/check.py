@@ -181,8 +181,7 @@ def check_syntax(source: str) -> list[Diagnostic]:
     try:
         program = S.parse(source)
     except DslSyntaxError as exc:
-        return [Diagnostic("error", exc.line, exc.col,
-                           str(exc).split(": ", 1)[-1],
+        return [Diagnostic("error", exc.line, exc.col, str(exc),
                            hint="fix the syntax before anything else is checked")]
     return check_program(program)
 

@@ -154,7 +154,7 @@ class _Interpreter:
         try:
             return concept(node.func, args, self.ctx)
         except DslEvalError as exc:
-            raise DslEvalError(str(exc).split(": ", 1)[-1], node.line, node.col) from None
+            raise DslEvalError(str(exc), node.line, node.col) from None
 
     def builtin(self, node: S.Call, args: list):
         if node.func == "list":
@@ -275,12 +275,8 @@ def run_constraint(source: str, plan: Plan, db=None) -> ConstraintOutcome:
     try:
         value = evaluate_source(source, plan, db)
     except DslEvalError as exc:
-        parts = str(exc).split(":", 2)
-        line = int(parts[0]) if parts[0].isdigit() else 1
-        col = int(parts[1]) if len(parts) > 2 and parts[1].isdigit() else 1
-        message = parts[-1].strip()
         return ConstraintOutcome(False, None,
-                                 [Diagnostic("error", line, col, message)])
+                                 [Diagnostic("error", exc.line, exc.col, str(exc))])
     if not isinstance(value, bool):
         warning = Diagnostic(
             "warning", 1, 1,

@@ -41,7 +41,7 @@ class DslSyntaxError(DslError):
     """Source text could not be parsed into a program."""
 
     def __init__(self, message, line=1, col=1):
-        super().__init__(f"{line}:{col}: {message}")
+        super().__init__(message)
         self.line = line
         self.col = col
 
@@ -50,7 +50,7 @@ class DslEvalError(DslError):
     """A program failed while being evaluated."""
 
     def __init__(self, message, line=1, col=1):
-        super().__init__(f"{line}:{col}: {message}")
+        super().__init__(message)
         self.line = line
         self.col = col
 

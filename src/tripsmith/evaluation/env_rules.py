@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
+from ..errors import InputError
 from ..plan.model import INTERCITY_TYPES, MEAL_TYPES, Plan
 from ..sandbox import Dataset, goto
-from ..timeutil import is_hhmm, to_minutes
+from ..timeutil import is_hhmm, to_hhmm, to_minutes
 
 MEAL_WINDOWS = {
     "breakfast": (to_minutes("06:00"), to_minutes("09:00")),
@@ -217,8 +218,13 @@ class _Check:
                 continue
 
             mode = legs[1]["mode"] if len(legs) == 3 else legs[0]["mode"]
-            option = goto(self.target_db, legs[0]["start"], legs[-1]["end"],
-                          legs[0]["start_time"], mode)
+            try:
+                option = goto(self.target_db, legs[0]["start"], legs[-1]["end"],
+                              legs[0]["start_time"], mode)
+            except InputError:
+                self.fail("env.inner_city.info",
+                          f"a {mode} leaving {legs[0]['start_time']} arrives after 23:59")
+                continue
             for leg, ref in zip(legs, option.legs):
                 same = (
                     leg.get("distance", Decimal(0)) == ref.distance
@@ -317,7 +323,7 @@ class _Check:
                         and to_minutes(act["end_time"]) <= hi):
                     self.fail("env.restaurants.meal_window",
                               f"{kind} must be served between "
-                              f"{to_minutes_str(lo)} and {to_minutes_str(hi)}")
+                              f"{to_hhmm(lo)} and {to_hhmm(hi)}")
 
     def check_accommodation(self) -> None:
         self.check_poi_group(
@@ -383,10 +389,6 @@ class _Check:
         self.check_time()
         self.check_space()
         return EnvReport(self.results, self.notes)
-
-
-def to_minutes_str(minutes: int) -> str:
-    return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
 def validate_env(plan: Plan, dataset: Dataset | None) -> EnvReport:

@@ -12,14 +12,11 @@ from .endpoint import (
     prompt_hash,
 )
 from .rank import (
-    VALID_TYPE_HINTS,
     DegradationEvent,
     LlmRanker,
     load_prompt,
     merge_ranked_names,
-    next_type_hint,
     parse_name_list,
-    parse_type_hint,
 )
 from .translate import (
     DEFAULT_MAX_ROUNDS,
@@ -42,12 +39,9 @@ __all__ = [
     "TransportError",
     "TranslationRound",
     "TranslationSession",
-    "VALID_TYPE_HINTS",
     "load_prompt",
     "merge_ranked_names",
-    "next_type_hint",
     "nl2dsl",
     "parse_name_list",
-    "parse_type_hint",
     "prompt_hash",
 ]

@@ -1,6 +1,6 @@
 """Model-guided candidate ranking with a deterministic safety net.
 
-Replies are parsed line-anchored (`Thought:` / `Type:` / `...NameList:`).
+The ranked names are read from the reply's `...NameList:` line.
 Whatever goes wrong - transport failure, malformed reply, hallucinated names -
 the pipeline never stops: the heuristic ranker takes over and a degradation
 event is recorded, one per failed call.
@@ -16,12 +16,9 @@ from importlib import resources
 from ..search.context import QueryContext
 from ..search.ranking import HeuristicRanker
 from ..search.state import SearchState
-from ..timeutil import to_hhmm
 from .endpoint import Transport, TransportError
 
 logger = logging.getLogger("tripsmith.llm")
-
-VALID_TYPE_HINTS = ("breakfast", "lunch", "dinner", "attraction", "accommodation")
 
 
 @dataclass
@@ -49,15 +46,6 @@ def parse_name_list(reply: str) -> list[str] | None:
         if isinstance(names, list) and all(isinstance(n, str) for n in names):
             return names
         return None
-    return None
-
-
-def parse_type_hint(reply: str) -> str | None:
-    for line in reply.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("Type:"):
-            hint = stripped[len("Type:"):].strip().strip("[]").strip()
-            return hint if hint in VALID_TYPE_HINTS else None
     return None
 
 
@@ -99,10 +87,9 @@ def _rows_summary(candidates: list) -> str:
 class LlmRanker:
     """Ranker that asks the model for an order and falls back to heuristics."""
 
-    def __init__(self, transport: Transport, context_text: str = ""):
+    def __init__(self, transport: Transport):
         self.transport = transport
         self.fallback = HeuristicRanker()
-        self.context_text = context_text
         self.degradation_events: list[DegradationEvent] = []
 
     def _degrade(self, operation: str, reason: str) -> None:
@@ -121,7 +108,7 @@ class LlmRanker:
             return self.fallback.rank(candidates, state, context)
 
         prompt = template.format(**{
-            "user_requirements": self.context_text or context.raw_text,
+            "user_requirements": context.raw_text,
             info_key: _rows_summary(candidates),
             "past_cost": str(state.total_cost),
             "days": context.days,
@@ -136,28 +123,3 @@ class LlmRanker:
             self._degrade(op, "unparseable reply")
             return self.fallback.rank(candidates, state, context)
         return merge_ranked_names(candidates, names)
-
-
-def next_type_hint(
-    transport: Transport,
-    state: SearchState,
-    context: QueryContext,
-    events: list[DegradationEvent] | None = None,
-) -> str | None:
-    """Ask the model for the next activity type; None defers to the rules."""
-    prompt = load_prompt("next_type").format(
-        user_requirements=context.raw_text,
-        current_plan=f"{state.activity_count} activities so far",
-        day=state.day,
-        current_time=to_hhmm(state.clock),
-        current_location=state.position or "<origin>",
-        poi_type_list=list(VALID_TYPE_HINTS),
-    )
-    try:
-        reply = transport.complete(prompt)
-    except TransportError as exc:
-        if events is not None:
-            events.append(DegradationEvent("next_type_hint", str(exc)))
-        logger.warning("llm degradation: next_type_hint: %s", exc)
-        return None
-    return parse_type_hint(reply)

@@ -31,10 +31,6 @@ class TranslationSession:
     error: str = ""
 
     @property
-    def final_source(self) -> str:
-        return self.rounds[-1].source if self.rounds else ""
-
-    @property
     def final_diagnostics(self) -> list[Diagnostic]:
         return self.rounds[-1].diagnostics if self.rounds else []
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from ..errors import BuildError
+from ..evaluation.env_rules import MEAL_WINDOWS
+from ..plan.model import MEAL_TYPES
 from ..timeutil import to_minutes
-from .params import MilpParams, MilpSlice
-
-MEAL_WINDOW_HOURS = {0: (6, 9), 1: (11, 14), 2: (17, 20)}   # breakfast, lunch, dinner
+from .params import DAY_MINUTES, MilpParams, MilpSlice
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +108,6 @@ class _Builder:
 
     def rest_idx(self, r: int) -> int:
         return self.p.hotel_num + self.p.attr_num + r
-
-    def station_idx(self, s: int) -> int:
-        return self.p.loc_num + s
 
     def mode_idx(self, k: int) -> int:
         return self.p.total_num + k
@@ -242,10 +239,10 @@ class _Builder:
 
     def meal_slots(self, m: int) -> tuple[int, int]:
         day, kind = divmod(m, 3)
-        lo_h, hi_h = MEAL_WINDOW_HOURS[kind]
+        lo_m, hi_m = MEAL_WINDOWS[MEAL_TYPES[kind]]
         spd = self.p.slots_per_day
-        lo = day * spd + lo_h * spd // 24
-        hi = day * spd + hi_h * spd // 24 - 1
+        lo = day * spd + lo_m * spd // DAY_MINUTES
+        hi = day * spd + hi_m * spd // DAY_MINUTES - 1
         return lo, min(hi, self.p.time_step - 1)
 
     def restaurant_rows(self) -> None:

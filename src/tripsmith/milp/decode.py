@@ -7,6 +7,7 @@ evaluator can score. Costs use the slice prices for one ticket per traveler.
 
 from __future__ import annotations
 
+from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
 from ..timeutil import to_hhmm
 from .build import MilpModel
@@ -53,16 +54,8 @@ def decode_assignment(
 
     go = next((g for g in range(params.go_num) if assignment.get(f"intergo_{g}", 0)), None)
     if go is not None:
-        route = slice_.go_routes[go]
-        days[0].activities.append({
-            "type": route.kind,
-            "start": route.from_station, "end": route.to_station,
-            "TrainID" if route.kind == "train" else "FlightID": route.id,
-            "start_time": route.begin, "end_time": route.end,
-            "price": route.cost, "tickets": people, "cost": route.cost * people,
-        })
+        days[0].activities.append(slice_.go_routes[go].activity(people))
 
-    meal_names = ("breakfast", "lunch", "dinner")
     t = 0
     while t < params.time_step:
         idx = occupied[t]
@@ -75,8 +68,12 @@ def decode_assignment(
         kind, row = kinds[idx]
         day = min(t // params.slots_per_day, params.days - 1)
         if kind == "meal":
-            hour = (t % params.slots_per_day) * params.slot_minutes // 60
-            kind = meal_names[0 if hour < 11 else 1 if hour < 17 else 2]
+            # the latest meal whose service has opened by the slot's start
+            begin = (t % params.slots_per_day) * params.slot_minutes
+            kind = "breakfast"
+            for meal, (opens, _) in MEAL_WINDOWS.items():
+                if opens <= begin:
+                    kind = meal
         activity = {
             "type": kind,
             "position": row["name"],
@@ -96,14 +93,7 @@ def decode_assignment(
 
     back = next((b for b in range(params.back_num) if assignment.get(f"interback_{b}", 0)), None)
     if back is not None:
-        route = slice_.back_routes[back]
-        days[-1].activities.append({
-            "type": route.kind,
-            "start": route.from_station, "end": route.to_station,
-            "TrainID" if route.kind == "train" else "FlightID": route.id,
-            "start_time": route.begin, "end_time": route.end,
-            "price": route.cost, "tickets": people, "cost": route.cost * people,
-        })
+        days[-1].activities.append(slice_.back_routes[back].activity(people))
 
     return Plan(people_number=people, start_city=origin, target_city=target,
                 itinerary=days)

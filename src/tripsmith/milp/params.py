@@ -155,26 +155,26 @@ def synthetic_slice(params: MilpParams, seed: int = 0) -> MilpSlice:
 
 
 def slice_from_dataset(
-    dataset: Dataset, origin: str, target: str, params: MilpParams
+    dataset: Dataset, origin: str, target: str,
+    hotel_cap: int, attr_cap: int, rest_cap: int,
 ) -> MilpSlice:
-    """Down-sample a loaded city to the slice sizes, keeping table order."""
+    """Down-sample a loaded city, keeping table order.
+
+    The first `*_cap` rows of each POI table, every route between the two
+    cities, and the target-side stations of those routes that have coordinates.
+    """
     db = dataset[target]
     go = intercity_select(dataset.cities, origin, target)
     back = intercity_select(dataset.cities, target, origin)
     stations = []
-    for route in go:
-        if route.to_station not in stations:
-            stations.append(route.to_station)
-    for route in back:
-        if route.from_station not in stations:
-            stations.append(route.from_station)
-    slice_ = MilpSlice(
-        hotels=db.hotels[: params.hotel_num],
-        attractions=db.attractions[: params.attr_num],
-        restaurants=db.restaurants[: params.rest_num],
-        stations=stations[: params.station_num],
-        go_routes=go[: params.go_num],
-        back_routes=back[: params.back_num],
+    for name in [route.to_station for route in go] + [route.from_station for route in back]:
+        if name in db.poi_coordinates and name not in stations:
+            stations.append(name)
+    return MilpSlice(
+        hotels=db.hotels[:hotel_cap],
+        attractions=db.attractions[:attr_cap],
+        restaurants=db.restaurants[:rest_cap],
+        stations=stations,
+        go_routes=go,
+        back_routes=back,
     )
-    slice_.check_against(params)
-    return slice_

@@ -13,7 +13,7 @@ from decimal import Decimal
 from typing import Callable
 
 from ..errors import DslEvalError, NotFoundError
-from ..sandbox import Dataset, goto
+from ..sandbox import Dataset
 from ..timeutil import is_hhmm, to_minutes
 from .model import Plan
 
@@ -172,30 +172,27 @@ def intercity_transport_destination(ctx, activity):
 
 # -- sandbox-backed lookups --------------------------------------------------
 
+def _row(db, table, name):
+    """The sandbox row called `name`, or None (also when `name` is not text)."""
+    return db.rows_by_name[table].get(name) if isinstance(name, str) else None
+
+
 def poi_recommend_time(ctx, city, poi):
-    db = ctx.city(str(city))
-    for row in db.attractions:
-        if row["name"] == poi:
-            return _num(row["recommendmintime"]) * 60
-    return MINUS_ONE
+    row = _row(ctx.city(str(city)), "attractions", poi)
+    return MINUS_ONE if row is None else _num(row["recommendmintime"]) * 60
 
 
 def poi_distance(ctx, city, poi1, poi2):
     db = ctx.city(str(city))
     try:
-        option = goto(db, str(poi1), str(poi2), "00:00", "walk")
+        return db.distance(str(poi1), str(poi2))
     except NotFoundError as exc:
         raise DslEvalError(str(exc)) from None
-    return option.distance
 
 
 def _poi_attribute(ctx, activity, city, table, column):
-    db = ctx.city(str(city))
-    position = _record_of(activity).get("position", "")
-    for row in db.table(table):
-        if row["name"] == position:
-            return row[column]
-    return ""
+    row = _row(ctx.city(str(city)), table, _record_of(activity).get("position", ""))
+    return "" if row is None else row[column]
 
 
 def restaurant_type(ctx, activity, city):

@@ -23,9 +23,9 @@ positions, which `goto` and the planner's mode choice share. Nothing is
 filled eagerly: every pair and every neighbour list of a 3-city synthetic set
 with 300 POIs per table is ~630 k haversine calls, over a second of load
 time, and a search asks for a small share of them. The planner asks `nearby`
-only at known positions, with the radius and top-k of its configuration, so
-both memos are bounded by the city's names (positions, and pairs of
-positions), not by how long a process runs.
+only at known positions, with one fixed radius and top-k, so both memos are
+bounded by the city's names (positions, and pairs of positions), not by how
+long a process runs.
 
 Databases are immutable after load and safe to share between threads; a
 memo write is one dict assignment of a value that only depends on the
@@ -86,6 +86,20 @@ class IntercityRoute:
     end: str                 # HH:MM
     duration: int            # minutes
     cost: Decimal            # per ticket
+
+    def activity(self, people: int) -> dict:
+        """The plan record of this ride, one ticket per traveller."""
+        return {
+            "type": self.kind,
+            "start": self.from_station,
+            "end": self.to_station,
+            "FlightID" if self.kind == "airplane" else "TrainID": self.id,
+            "start_time": self.begin,
+            "end_time": self.end,
+            "price": self.cost,
+            "tickets": people,
+            "cost": self.cost * people,
+        }
 
 
 @dataclass

@@ -35,17 +35,6 @@ class TransportLeg:
     distance: Decimal     # km
     price: Decimal        # per ticket (metro/walk) or per car (taxi)
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "start": self.start,
-            "end": self.end,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "distance": str(self.distance),
-            "price": str(self.price),
-        }
-
 
 @dataclass(frozen=True)
 class TransportOption:

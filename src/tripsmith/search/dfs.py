@@ -14,6 +14,7 @@ the result on desk-scale instances.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -49,6 +50,8 @@ ENV_ONLY_BEST = "env_only_best"
 PARTIAL = "partial"
 EMPTY = "empty"
 
+MAX_BRANCHING = 10            # ranked candidates tried per expansion
+
 
 @dataclass
 class SearchOutcome:
@@ -64,11 +67,12 @@ class _TimeUp(Exception):
 
 
 class _Search:
-    def __init__(self, programs, dataset, ranker, cfg, ctx, prune_budget, trace=None):
+    def __init__(self, programs, dataset, ranker, budget_seconds, ctx, prune_budget,
+                 trace=None):
         self.programs = programs
         self.dataset = dataset
         self.ranker = ranker
-        self.cfg = cfg
+        self.budget_seconds = budget_seconds
         self.ctx = ctx
         self.prune_budget = prune_budget
         self.trace = trace
@@ -115,10 +119,10 @@ class _Search:
         if act_type == OUTBOUND:
             return schedule_outbound(state, candidate, self.ctx)
         if act_type == RETURN:
-            return schedule_return(state, candidate, self.cfg, self.db, self.ctx)
+            return schedule_return(state, candidate, self.db, self.ctx)
         if act_type == ACCOMMODATION:
-            return schedule_hotel(state, candidate, self.cfg, self.db, self.ctx)
-        return schedule_visit(state, candidate, act_type, self.cfg, self.db, self.ctx)
+            return schedule_hotel(state, candidate, self.db, self.ctx)
+        return schedule_visit(state, candidate, act_type, self.db, self.ctx)
 
     def note_partial(self, state: SearchState) -> None:
         if self.best_partial is None or state.activity_count > self.best_partial.activity_count:
@@ -140,7 +144,7 @@ class _Search:
         return None
 
     def dfs(self, state: SearchState):
-        if self.elapsed() > self.cfg.budget_seconds:
+        if self.elapsed() > self.budget_seconds:
             raise _TimeUp
         self.nodes += 1
         if (
@@ -149,7 +153,7 @@ class _Search:
             and state.total_cost > self.ctx.budget_limit
         ):
             return None
-        act_type = next_activity_type(state, self.cfg, self.dataset, self.ctx)
+        act_type = next_activity_type(state, self.dataset, self.ctx)
         if self.trace is not None:
             self.trace({
                 "node": self.nodes,
@@ -162,7 +166,7 @@ class _Search:
             return self.finish_plan(state)
         self.note_partial(state)
         ranked = self.ranker.rank(self.candidates(act_type, state), state, self.ctx)
-        for candidate in ranked[: self.cfg.max_branching]:
+        for candidate in ranked[:MAX_BRANCHING]:
             child = self.extend(act_type, state, candidate)
             if child is None:
                 continue
@@ -208,8 +212,8 @@ def dfs_search(
                 + "; ".join(d.render() for d in diagnostics)
             )
     programs = [parse(source) for source in constraint_sources]
-    search = _Search(programs, dataset, ranker or HeuristicRanker(), cfg, ctx,
-                     prune_budget, trace)
+    search = _Search(programs, dataset, ranker or HeuristicRanker(), cfg.budget_seconds,
+                     ctx, prune_budget, trace)
     try:
         found = search.dfs(initial_state())
     except _TimeUp:
@@ -217,24 +221,19 @@ def dfs_search(
     return search.outcome(found)
 
 
-def enumerate_complete_plans(
-    dataset,
-    cfg: SearchConfig,
-    ctx: QueryContext,
-    limit: int = 100000,
-) -> list[Plan]:
+def enumerate_complete_plans(dataset, ctx: QueryContext, limit: int = 100000) -> list[Plan]:
     """Every complete plan reachable by the extension rules, in tree order.
 
     Exhaustive counterpart of dfs_search used by tests and certification
     audits: no ranking, no branching cap, no deadline, no pruning.
     """
     plans: list[Plan] = []
-    search = _Search([], dataset, HeuristicRanker(), cfg, ctx, prune_budget=False)
+    search = _Search([], dataset, HeuristicRanker(), math.inf, ctx, prune_budget=False)
 
     def walk(state: SearchState) -> None:
         if len(plans) >= limit:
             return
-        act_type = next_activity_type(state, cfg, dataset, ctx)
+        act_type = next_activity_type(state, dataset, ctx)
         if act_type == FINISH:
             plans.append(state.to_plan(ctx))
             return

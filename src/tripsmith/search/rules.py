@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..sandbox import CityDatabase, intercity_select, nearby
 from ..timeutil import to_minutes
 from .context import QueryContext
-from .state import SearchConfig, SearchState
+from .state import DEFAULT_DURATION, SearchState
 
 FINISH = "finish"
 OUTBOUND = "intercity_outbound"
@@ -19,7 +19,16 @@ RETURN = "intercity_return"
 ACCOMMODATION = "accommodation"
 ATTRACTION = "attraction"
 
-_MEAL_TRIGGERS = ("breakfast", "lunch", "dinner")
+# a meal not yet served today is tried whenever the clock is inside its window
+MEAL_TRIGGERS = {
+    "breakfast": (to_minutes("06:30"), to_minutes("08:30")),
+    "lunch": (to_minutes("10:30"), to_minutes("12:30")),
+    "dinner": (to_minutes("17:00"), to_minutes("19:00")),
+}
+HOTEL_CUTOFF = to_minutes("22:00")
+TRANSFER_ALLOWANCE = 30       # slack when deciding to head home
+NEARBY_RADIUS_KM = 10.0
+NEARBY_TOPK = 10
 
 
 def return_routes(dataset, ctx: QueryContext):
@@ -34,11 +43,11 @@ def outbound_routes(dataset, ctx: QueryContext):
     )
 
 
-def _no_open_attraction(state: SearchState, db: CityDatabase, cfg: SearchConfig) -> bool:
+def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:
     if not state.position:
         return False
     point = db.coordinates(state.position)
-    rows = nearby(db, "attractions", point, cfg.nearby_topk, cfg.nearby_radius_km)
+    rows = nearby(db, "attractions", point, NEARBY_TOPK, NEARBY_RADIUS_KM)
     now = state.clock
     for row in rows:
         if row["name"] in state.visited_attractions:
@@ -48,7 +57,7 @@ def _no_open_attraction(state: SearchState, db: CityDatabase, cfg: SearchConfig)
     return True
 
 
-def _must_head_home(state: SearchState, dataset, cfg: SearchConfig, ctx: QueryContext) -> bool:
+def _must_head_home(state: SearchState, dataset, ctx: QueryContext) -> bool:
     """True when one more default activity would forfeit every return ride."""
     latest = None
     for route in return_routes(dataset, ctx):
@@ -57,15 +66,10 @@ def _must_head_home(state: SearchState, dataset, cfg: SearchConfig, ctx: QueryCo
             latest = begin
     if latest is None:
         return True
-    return state.clock + cfg.default_duration + cfg.transfer_allowance > latest
+    return state.clock + DEFAULT_DURATION + TRANSFER_ALLOWANCE > latest
 
 
-def next_activity_type(
-    state: SearchState,
-    cfg: SearchConfig,
-    dataset,
-    ctx: QueryContext,
-) -> str:
+def next_activity_type(state: SearchState, dataset, ctx: QueryContext) -> str:
     """One of: finish, intercity_outbound, intercity_return, breakfast, lunch,
     dinner, accommodation, attraction."""
     if state.finished:
@@ -76,15 +80,14 @@ def next_activity_type(
     db = dataset[ctx.target]
     last_day = state.day >= ctx.days
 
-    if last_day and _must_head_home(state, dataset, cfg, ctx):
+    if last_day and _must_head_home(state, dataset, ctx):
         return RETURN
 
-    for meal in _MEAL_TRIGGERS:
-        lo, hi = getattr(cfg, f"{meal}_window")
+    for meal, (lo, hi) in MEAL_TRIGGERS.items():
         if lo <= state.clock <= hi and meal not in state.meals_today:
             return meal
 
-    if state.clock >= cfg.hotel_cutoff or _no_open_attraction(state, db, cfg):
+    if state.clock >= HOTEL_CUTOFF or _no_open_attraction(state, db):
         return RETURN if last_day else ACCOMMODATION
 
     return ATTRACTION

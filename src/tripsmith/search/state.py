@@ -19,28 +19,17 @@ from ..sandbox import CityDatabase, IntercityRoute, goto
 from ..timeutil import to_hhmm, to_minutes
 from .context import QueryContext
 
+DEFAULT_DURATION = 90                     # minutes per visit or meal
+DAY_START = to_minutes("08:00")           # clock after a night at the hotel
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     budget_seconds: float = 300.0
-    default_duration: int = 90            # minutes per visit or meal
-    lunch_window: tuple[int, int] = (to_minutes("10:30"), to_minutes("12:30"))
-    breakfast_window: tuple[int, int] = (to_minutes("06:30"), to_minutes("08:30"))
-    dinner_window: tuple[int, int] = (to_minutes("17:00"), to_minutes("19:00"))
-    hotel_cutoff: int = to_minutes("22:00")
-    day_start: int = to_minutes("08:00")
-    max_branching: int = 10
-    transfer_allowance: int = 30          # slack when deciding to head home
-    nearby_radius_km: float = 10.0
-    nearby_topk: int = 10
 
     def validate(self) -> None:
         if self.budget_seconds <= 0:
             raise ConfigError("search budget must be positive")
-        if self.default_duration <= 0:
-            raise ConfigError("default activity duration must be positive")
-        if self.max_branching < 1:
-            raise ConfigError("max branching must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -59,12 +48,6 @@ class SearchState:
     @property
     def activity_count(self) -> int:
         return sum(len(day) for day in self.days)
-
-    def last_activity(self) -> dict | None:
-        for day in reversed(self.days):
-            if day:
-                return day[-1]
-        return None
 
     def with_activity(self, activity: dict, cost: Decimal, **changes) -> "SearchState":
         days = list(self.days)
@@ -140,7 +123,6 @@ def schedule_visit(
     state: SearchState,
     row: dict,
     act_type: str,
-    cfg: SearchConfig,
     db: CityDatabase,
     ctx: QueryContext,
 ) -> SearchState | None:
@@ -164,7 +146,7 @@ def schedule_visit(
             return None
         start = max(arrival, win_lo)   # wait for the service window to open
         close_cap = min(close_cap, win_hi)
-    duration = min(cfg.default_duration, close_cap - start)
+    duration = min(DEFAULT_DURATION, close_cap - start)
     if duration <= 0:
         return None
 
@@ -194,7 +176,6 @@ def schedule_visit(
 def schedule_hotel(
     state: SearchState,
     row: dict,
-    cfg: SearchConfig,
     db: CityDatabase,
     ctx: QueryContext,
 ) -> SearchState | None:
@@ -228,7 +209,7 @@ def schedule_hotel(
         state,
         days=state.days + ((),),
         day=state.day + 1,
-        clock=cfg.day_start,
+        clock=DAY_START,
         position=name,
         meals_today=frozenset(),
     )
@@ -238,27 +219,15 @@ def schedule_outbound(
     state: SearchState, route: IntercityRoute, ctx: QueryContext
 ) -> SearchState | None:
     """First activity of the trip: the cross-city transport to the target."""
-    cost = route.cost * ctx.people
-    activity = {
-        "type": route.kind,
-        "start": route.from_station,
-        "end": route.to_station,
-        "start_time": route.begin,
-        "end_time": route.end,
-        "price": route.cost,
-        "tickets": ctx.people,
-        "cost": cost,
-    }
-    activity["FlightID" if route.kind == "airplane" else "TrainID"] = route.id
+    activity = route.activity(ctx.people)
     return state.with_activity(
-        activity, cost, clock=to_minutes(route.end), position=route.to_station
+        activity, activity["cost"], clock=to_minutes(route.end), position=route.to_station
     )
 
 
 def schedule_return(
     state: SearchState,
     route: IntercityRoute,
-    cfg: SearchConfig,
     db: CityDatabase,
     ctx: QueryContext,
 ) -> SearchState | None:
@@ -272,21 +241,10 @@ def schedule_return(
     legs, arrival, leg_cost = transfer
     if arrival > to_minutes(route.begin):
         return None
-    cost = route.cost * ctx.people
-    activity = {
-        "type": route.kind,
-        "start": route.from_station,
-        "end": route.to_station,
-        "start_time": route.begin,
-        "end_time": route.end,
-        "price": route.cost,
-        "tickets": ctx.people,
-        "cost": cost,
-    }
-    activity["FlightID" if route.kind == "airplane" else "TrainID"] = route.id
+    activity = route.activity(ctx.people)
     if legs:
         activity["transports"] = legs
     return state.with_activity(
-        activity, cost + leg_cost,
+        activity, activity["cost"] + leg_cost,
         clock=to_minutes(route.end), position=route.to_station, finished=True,
     )

@@ -150,7 +150,7 @@ def test_criterion_05_planner_complete_at_desk_scale(micro_dataset):
         key = (ctx.days, ctx.people, ctx.required_intercity_kind,
                ctx.required_innercity_mode)
         if key not in enum_cache:
-            enum_cache[key] = enumerate_complete_plans(micro_dataset, cfg, ctx)
+            enum_cache[key] = enumerate_complete_plans(micro_dataset, ctx)
         return enum_cache[key]
 
     for query in certified:
@@ -181,25 +181,24 @@ def test_criterion_05_planner_complete_at_desk_scale(micro_dataset):
 def test_criterion_06_planner_rules(micro_dataset):
     """Lunch fires across [10:30, 12:30]; late nights head to the hotel;
     visits truncate at closing time."""
-    cfg = SearchConfig(budget_seconds=10)
     for clock in ("10:30", "11:11", "12:30"):
         state, ctx = state_at(micro_dataset, clock, days=2)
-        assert next_activity_type(state, cfg, micro_dataset, ctx) == "lunch"
+        assert next_activity_type(state, micro_dataset, ctx) == "lunch"
     state, ctx = state_at(micro_dataset, "22:30", days=2)
-    assert next_activity_type(state, cfg, micro_dataset, ctx) == "accommodation"
+    assert next_activity_type(state, micro_dataset, ctx) == "accommodation"
     state, ctx = state_at(micro_dataset, "15:00", days=2,
                           visited=("Harbor Park", "Stone Bridge"))
-    assert next_activity_type(state, cfg, micro_dataset, ctx) == "accommodation"
+    assert next_activity_type(state, micro_dataset, ctx) == "accommodation"
 
     db = micro_dataset["Beta"]
     row = dict(db.attractions[0])
     row["opentime"], row["endtime"] = "07:00", "17:30"
     state, ctx = state_at(micro_dataset, "16:45", position=row["name"])
-    child = schedule_visit(state, row, "attraction", cfg, db, ctx)
+    child = schedule_visit(state, row, "attraction", db, ctx)
     act = child.days[0][-1]
     assert (act["start_time"], act["end_time"]) == ("16:45", "17:30")
     state, ctx = state_at(micro_dataset, "17:31", position=row["name"])
-    assert schedule_visit(state, row, "attraction", cfg, db, ctx) is None
+    assert schedule_visit(state, row, "attraction", db, ctx) is None
 
 
 def test_criterion_07_milp_sizes():

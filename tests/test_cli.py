@@ -160,6 +160,13 @@ def test_milp_invalid_slots_is_usage_error(tmp_path, bench):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--hotels", "--attractions", "--restaurants"])
+def test_milp_negative_cap_is_usage_error(tmp_path, bench, flag):
+    code = run("milp", "--benchmark", str(bench), "--db", MICRO,
+               flag, "-1", "--out", str(tmp_path / "m"))
+    assert code == 2
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
 def test_plan_jobs_below_one_is_usage_error(tmp_path, bench, jobs):
     out = tmp_path / "plans.jsonl"

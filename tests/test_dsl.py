@@ -183,6 +183,20 @@ def test_constraint_eval_error_records_false(mini_dataset):
     assert outcome.diagnostics and outcome.diagnostics[0].severity == "error"
 
 
+@pytest.mark.parametrize("source, where, message", [
+    ("x = 1\nreturn 1 / 0 == 1", (2, 10), "division by zero"),
+    ('x = 2\nreturn poi_distance("Beta", "Nope", "City Museum") > 0', (2, 8),
+     "unknown position 'Nope' in Beta"),
+    ("return activity_cost(1) > 0", (1, 8), "expected an activity record as argument"),
+    ("x = 1\nreturn x +", (2, 11), "expected an expression, found 'NEWLINE'"),
+])
+def test_constraint_error_diagnostic_position_and_message(mini_dataset, source, where,
+                                                          message):
+    outcome = run_constraint(source, parse_plan(MINIMAL), mini_dataset)
+    [diag] = outcome.diagnostics
+    assert (diag.severity, diag.line, diag.col, diag.message) == ("error", *where, message)
+
+
 def test_non_boolean_return_coerces_false_with_warning(mini_dataset):
     plan = parse_plan(MINIMAL)
     outcome = run_constraint("return 5", plan, mini_dataset)

@@ -21,7 +21,7 @@ from tripsmith.evaluation.env_rules import EnvReport
 
 from . import golden_programs as G
 from . import oracles
-from .conftest import build_base_plan, corrupt_plan
+from .conftest import PEOPLE, build_base_plan, corrupt_plan
 
 
 def test_rule_inventory_is_25():
@@ -198,6 +198,22 @@ def test_evaluate_plan_full(mini_dataset):
     assert report.env.overall
     assert report.logical == [True, False]
     assert report.preference_values["attractions"] == Decimal(4)
+
+
+def test_transfer_past_midnight_fails_info_rule_without_raising(mini_dataset):
+    # the sandbox walk from Beta Airport leaving 23:50 would arrive at 26:52
+    plan = build_base_plan(mini_dataset)
+    hotel = plan.itinerary[0].activities[7]
+    hotel["transports"] = [{
+        "mode": "walk", "start": "Beta Airport", "end": "Harbor Hotel",
+        "start_time": "23:50", "end_time": "23:59", "distance": Decimal("1.000"),
+        "price": Decimal("0"), "tickets": PEOPLE, "cost": Decimal("0"),
+    }]
+    report = validate_env(plan, mini_dataset)
+    assert report.results["env.inner_city.info"] is False
+    assert report.notes["env.inner_city.info"] == "a walk leaving 23:50 arrives after 23:59"
+    scored = evaluate_plan(plan, [G.BUDGET], mini_dataset)
+    assert scored.delivered and not scored.env.overall
 
 
 def test_evaluate_plan_undelivered(mini_dataset):

@@ -13,10 +13,8 @@ from tripsmith.llm import (
     RecordingTransport,
     ReplayTransport,
     TransportError,
-    next_type_hint,
     nl2dsl,
     parse_name_list,
-    parse_type_hint,
     prompt_hash,
 )
 from tripsmith.search import HeuristicRanker, initial_state
@@ -42,12 +40,6 @@ def test_reply_parsing_name_list():
     assert parse_name_list(reply) == ["Noodle Corner", "Tea Pavilion"]
     assert parse_name_list("Thought: no list here") is None
     assert parse_name_list("RestaurantNameList: [not python") is None
-
-
-def test_reply_parsing_type_hint():
-    assert parse_type_hint("Thought: midday\nType: lunch\n") == "lunch"
-    assert parse_type_hint("Type: spaceship") is None
-    assert parse_type_hint("nothing") is None
 
 
 def test_partial_reply_appends_missing_in_order():
@@ -101,21 +93,6 @@ def test_one_degradation_event_per_injected_fault():
         ranker.rank(RESTAURANTS, initial_state(), micro_context())
     assert transport.faults == 7
     assert len(ranker.degradation_events) == 7
-
-
-def test_next_type_hint_paths():
-    assert next_type_hint(CallableTransport(lambda p: "Type: lunch"),
-                          initial_state(), micro_context()) == "lunch"
-    assert next_type_hint(CallableTransport(lambda p: "Type: spaceship"),
-                          initial_state(), micro_context()) is None
-    events = []
-
-    def boom(prompt):
-        raise TransportError("down")
-
-    assert next_type_hint(CallableTransport(boom), initial_state(),
-                          micro_context(), events) is None
-    assert len(events) == 1
 
 
 # -- nl2dsl -----------------------------------------------------------------------

@@ -143,6 +143,7 @@ def test_poi_lookup_types_empty_when_absent(mini_dataset):
     stay = {"position": "Harbor Hotel"}
     assert concept("accommodation_type", [stay, "Beta"], context) == "Pool"
     assert concept("accommodation_type", [meal, "Beta"], context) == ""
+    assert concept("restaurant_type", [{"position": ["Hotpot Palace"]}, "Beta"], context) == ""
 
 
 def test_poi_recommend_time(mini_dataset):
@@ -152,6 +153,9 @@ def test_poi_recommend_time(mini_dataset):
     assert minutes == Decimal(60)
     absent = concept("poi_recommend_time", ["Beta", "Nope"], ctx(plan, mini_dataset))
     assert absent == Decimal(-1)
+    for not_a_name in (Decimal(3), [], {"position": "Lakeview Tower"}):
+        got = concept("poi_recommend_time", ["Beta", not_a_name], ctx(plan, mini_dataset))
+        assert got == Decimal(-1)
 
 
 def test_poi_distance_matches_haversine(mini_dataset):

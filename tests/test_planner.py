@@ -31,9 +31,8 @@ from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
 from .conftest import micro_context
 
 
-def cfg(**kwargs) -> SearchConfig:
-    kwargs.setdefault("budget_seconds", 10)
-    return SearchConfig(**kwargs)
+def cfg() -> SearchConfig:
+    return SearchConfig(budget_seconds=10)
 
 
 def state_at(micro_dataset, clock: str, *, day=1, days=1,
@@ -54,44 +53,44 @@ def state_at(micro_dataset, clock: str, *, day=1, days=1,
 def test_cascade_lunch_throughout_window(micro_dataset):
     for clock in ("10:30", "11:00", "11:45", "12:30"):
         state, ctx = state_at(micro_dataset, clock, days=2)
-        assert next_activity_type(state, cfg(), micro_dataset, ctx) == "lunch"
+        assert next_activity_type(state, micro_dataset, ctx) == "lunch"
 
 
 def test_cascade_lunch_already_scheduled(micro_dataset):
     state, ctx = state_at(micro_dataset, "11:00", days=2, meals=("lunch",))
-    assert next_activity_type(state, cfg(), micro_dataset, ctx) == ATTRACTION
+    assert next_activity_type(state, micro_dataset, ctx) == ATTRACTION
 
 
 def test_cascade_hotel_after_cutoff(micro_dataset):
     state, ctx = state_at(micro_dataset, "22:30", days=2)
-    assert next_activity_type(state, cfg(), micro_dataset, ctx) == ACCOMMODATION
+    assert next_activity_type(state, micro_dataset, ctx) == ACCOMMODATION
 
 
 def test_cascade_hotel_when_nothing_open(micro_dataset):
     # both micro attractions already visited; nothing nearby is schedulable
     state, ctx = state_at(micro_dataset, "15:00", days=2,
                           visited=("Harbor Park", "Stone Bridge"))
-    assert next_activity_type(state, cfg(), micro_dataset, ctx) == ACCOMMODATION
+    assert next_activity_type(state, micro_dataset, ctx) == ACCOMMODATION
 
 
 def test_cascade_return_on_last_day_when_nothing_open(micro_dataset):
     state, ctx = state_at(micro_dataset, "15:00", days=1,
                           visited=("Harbor Park", "Stone Bridge"))
-    assert next_activity_type(state, cfg(), micro_dataset, ctx) == RETURN
+    assert next_activity_type(state, micro_dataset, ctx) == RETURN
 
 
 def test_cascade_outbound_first_and_finish_last(micro_dataset):
     ctx = micro_context()
-    assert next_activity_type(initial_state(), cfg(), micro_dataset, ctx) == OUTBOUND
+    assert next_activity_type(initial_state(), micro_dataset, ctx) == OUTBOUND
     state, ctx = state_at(micro_dataset, "21:00")
     object.__setattr__(state, "finished", True)
-    assert next_activity_type(state, cfg(), micro_dataset, ctx) == FINISH
+    assert next_activity_type(state, micro_dataset, ctx) == FINISH
 
 
 def test_cascade_return_when_rides_would_be_lost(micro_dataset):
     # latest ride home leaves 21:50; with 90 min + 30 min slack, 20:00 is too late
     state, ctx = state_at(micro_dataset, "20:00", days=1)
-    assert next_activity_type(state, cfg(), micro_dataset, ctx) == RETURN
+    assert next_activity_type(state, micro_dataset, ctx) == RETURN
 
 
 def test_schedule_truncates_at_closing(micro_dataset):
@@ -100,7 +99,7 @@ def test_schedule_truncates_at_closing(micro_dataset):
     row = dict(db.attractions[0])
     row["opentime"], row["endtime"] = "07:00", "17:30"
     state, ctx = state_at(micro_dataset, "16:45", position=row["name"])
-    child = schedule_visit(state, row, "attraction", cfg(), db, ctx)
+    child = schedule_visit(state, row, "attraction", db, ctx)
     act = child.days[0][-1]
     assert act["start_time"] == "16:45"
     assert act["end_time"] == "17:30"
@@ -111,14 +110,14 @@ def test_schedule_rejects_after_closing(micro_dataset):
     row = dict(db.attractions[0])
     row["opentime"], row["endtime"] = "07:00", "17:30"
     state, ctx = state_at(micro_dataset, "17:31", position=row["name"])
-    assert schedule_visit(state, row, "attraction", cfg(), db, ctx) is None
+    assert schedule_visit(state, row, "attraction", db, ctx) is None
 
 
 def test_schedule_same_position_has_no_legs(micro_dataset):
     db = micro_dataset["Beta"]
     row = db.attractions[0]
     state, ctx = state_at(micro_dataset, "09:00", position=row["name"])
-    child = schedule_visit(state, row, "attraction", cfg(), db, ctx)
+    child = schedule_visit(state, row, "attraction", db, ctx)
     assert "transports" not in child.days[0][-1]
 
 
@@ -126,7 +125,7 @@ def test_backtracking_leaves_parent_untouched(micro_dataset):
     db = micro_dataset["Beta"]
     state, ctx = state_at(micro_dataset, "09:00")
     before = state
-    child = schedule_visit(state, db.attractions[0], "attraction", cfg(), db, ctx)
+    child = schedule_visit(state, db.attractions[0], "attraction", db, ctx)
     assert child is not None and child is not state
     assert state == before
     assert state.activity_count + 1 == child.activity_count
@@ -218,7 +217,7 @@ def test_search_matches_enumeration_on_micro(micro_dataset):
     ]
     for days in (1, 2):
         ctx = micro_context(days=days)
-        plans = enumerate_complete_plans(micro_dataset, cfg(), ctx)
+        plans = enumerate_complete_plans(micro_dataset, ctx)
         assert 0 < len(plans) <= 200
         for source in constraints:
             feasible = any(
@@ -301,23 +300,23 @@ def test_late_hotel_transfer_is_rejected_not_raised(mini_dataset):
     for clock, position in (("23:45", farthest), ("22:30", "Beta Airport")):
         state, ctx = _late_walk_state(mini_dataset, clock, position)
         assert to_minutes(clock) + _walk_minutes(db, position, hotel["name"]) > LAST_MINUTE
-        assert schedule_hotel(state, hotel, cfg(), db, ctx) is None
+        assert schedule_hotel(state, hotel, db, ctx) is None
 
 
 def test_late_visit_and_return_transfers_are_rejected(mini_dataset):
     db = mini_dataset["Beta"]
     state, ctx = _late_walk_state(mini_dataset, "22:30", "Beta Airport")
     for row, act_type in ((db.attractions[0], "attraction"), (db.restaurants[0], "dinner")):
-        assert schedule_visit(state, row, act_type, cfg(), db, ctx) is None
+        assert schedule_visit(state, row, act_type, db, ctx) is None
     route = intercity_select(mini_dataset.cities, "Beta", "Alpha", "train")[-1]
-    assert schedule_return(state, route, cfg(), db, ctx) is None
+    assert schedule_return(state, route, db, ctx) is None
 
 
 def test_hotel_transfer_ending_on_time_is_unchanged(mini_dataset):
     db = mini_dataset["Beta"]
     hotel = db.record("hotels", "Harbor Hotel")
     state, ctx = _late_walk_state(mini_dataset, "22:30", "Old Town Wall")
-    child = schedule_hotel(state, hotel, cfg(), db, ctx)
+    child = schedule_hotel(state, hotel, db, ctx)
     act = child.days[0][-1]
     arrival = 22 * 60 + 30 + _walk_minutes(db, "Old Town Wall", "Harbor Hotel")
     assert act["start_time"] == to_hhmm(arrival)
@@ -342,13 +341,13 @@ def test_schedule_helpers_never_raise_on_late_clocks(
     object.__setattr__(state, "clock", clock)
     ctx.required_innercity_mode = mode
     if helper == "hotel":
-        child = schedule_hotel(state, db.hotels[pick % len(db.hotels)], cfg(), db, ctx)
+        child = schedule_hotel(state, db.hotels[pick % len(db.hotels)], db, ctx)
     elif helper == "return":
         routes = intercity_select(mini_dataset.cities, "Beta", "Alpha")
-        child = schedule_return(state, routes[pick % len(routes)], cfg(), db, ctx)
+        child = schedule_return(state, routes[pick % len(routes)], db, ctx)
     else:
         rows = db.attractions if helper == "attraction" else db.restaurants
-        child = schedule_visit(state, rows[pick % len(rows)], helper, cfg(), db, ctx)
+        child = schedule_visit(state, rows[pick % len(rows)], helper, db, ctx)
     if child is None:
         return
     act = child.days[state.day - 1][-1]
