@@ -77,6 +77,18 @@ def cmd_generate(args) -> int:
     return 0 if len(queries) >= args.count else 1
 
 
+def _read_queries(path, dataset) -> tuple[dict, list[CertifiedQuery]]:
+    """Header and queries of a benchmark file whose every city `dataset` loads."""
+    header, records = read_jsonl(path, "benchmark")
+    queries = [CertifiedQuery.from_dict(record) for record in records]
+    for query in queries:
+        for city in (query.skeleton.origin, query.skeleton.target):
+            if city not in dataset:
+                raise InputError(f"{path}: query {query.uid} names city {city!r}, "
+                                 "which --db does not load")
+    return header, queries
+
+
 def _make_ranker(args):
     if args.ranker == "heuristic":
         return HeuristicRanker()
@@ -91,18 +103,17 @@ def _make_ranker(args):
 
 def cmd_plan(args, ranker_factory=None) -> int:
     dataset = load_dataset(args.db)
-    bench_header, records = read_jsonl(args.benchmark, "benchmark")
-    if not records:
+    bench_header, queries = _read_queries(args.benchmark, dataset)
+    if not queries:
         raise InputError(f"{args.benchmark}: benchmark carries no queries")
     cfg = SearchConfig(budget_seconds=args.budget_secs)
-    factory = ranker_factory or (lambda record: _make_ranker(args))
+    factory = ranker_factory or (lambda query: _make_ranker(args))
 
     tracing = getattr(args, "trace", None)
 
-    def run_one(record: dict) -> tuple[dict, list[dict]]:
-        query = CertifiedQuery.from_dict(record)
+    def run_one(query: CertifiedQuery) -> tuple[dict, list[dict]]:
         ctx = context_from_skeleton(query.skeleton)
-        ranker = factory(record)
+        ranker = factory(query)
         trace_rows: list[dict] = []
         trace = trace_rows.append if tracing else None
         outcome = dfs_search(query.dsl_sources, dataset, ranker, cfg, ctx, trace=trace)
@@ -121,9 +132,9 @@ def cmd_plan(args, ranker_factory=None) -> int:
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(run_one, records))
+            pairs = list(pool.map(run_one, queries))
     else:
-        pairs = [run_one(record) for record in records]
+        pairs = [run_one(query) for query in queries]
     results = [result for result, _ in pairs]
     if tracing:
         with open(tracing, "w", encoding="utf-8") as fh:
@@ -151,7 +162,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
 
 def cmd_eval(args) -> int:
     dataset = load_dataset(args.db)
-    bench_header, bench_records = read_jsonl(args.benchmark, "benchmark")
+    bench_header, queries = _read_queries(args.benchmark, dataset)
     plans_header, plan_records = read_jsonl(args.plans, "plans")
     if not plan_records:
         raise InputError(f"{args.plans}: plans file carries no results")
@@ -161,8 +172,7 @@ def cmd_eval(args) -> int:
     by_uid = {record["uid"]: record for record in plan_records}
     reports = []
     per_plan = []
-    for record in bench_records:
-        query = CertifiedQuery.from_dict(record)
+    for query in queries:
         planned = by_uid.get(query.uid)
         plan = None
         if planned and planned.get("plan") is not None:
@@ -205,8 +215,8 @@ def cmd_eval(args) -> int:
 
 def cmd_milp(args) -> int:
     dataset = load_dataset(args.db)
-    bench_header, bench_records = read_jsonl(args.benchmark, "benchmark")
-    if not bench_records:
+    bench_header, queries = _read_queries(args.benchmark, dataset)
+    if not queries:
         raise InputError(f"{args.benchmark}: benchmark carries no queries")
     if args.slots_per_day <= 0:
         raise InputError("--slots-per-day must be positive")
@@ -222,8 +232,7 @@ def cmd_milp(args) -> int:
         paths={"benchmark": str(args.benchmark), "db": str(args.db)},
     )
     summaries = []
-    for record in bench_records:
-        query = CertifiedQuery.from_dict(record)
+    for query in queries:
         sk = query.skeleton
         slice_ = slice_from_dataset(dataset, sk.origin, sk.target,
                                     args.hotels, args.attractions, args.restaurants)

@@ -4,6 +4,7 @@ from .check import (
     BUILTIN_FUNCTIONS,
     Diagnostic,
     check_program,
+    check_source,
     check_syntax,
     is_clean,
 )
@@ -12,8 +13,8 @@ from .interp import (
     EvalStats,
     evaluate,
     evaluate_source,
-    extract_constraints,
     run_constraint,
+    run_program,
 )
 from .syntax import Program, parse, pretty
 
@@ -24,12 +25,13 @@ __all__ = [
     "EvalStats",
     "Program",
     "check_program",
+    "check_source",
     "check_syntax",
     "evaluate",
     "evaluate_source",
-    "extract_constraints",
     "is_clean",
     "parse",
     "pretty",
     "run_constraint",
+    "run_program",
 ]

@@ -8,7 +8,9 @@
 * variables used before any assignment,
 * programs that can finish without reaching a `return`.
 
-An empty result is the precondition for evaluation.
+Each program is checked once: `check_source` parses it and returns the
+Program only when no diagnostic is an error, the precondition for evaluation;
+callers run that Program as often as they need without parsing it again.
 """
 
 from __future__ import annotations
@@ -176,14 +178,20 @@ def check_program(program: S.Program) -> list[Diagnostic]:
     return checker.diagnostics
 
 
-def check_syntax(source: str) -> list[Diagnostic]:
-    """All diagnostics for one source text; empty means clean."""
+def check_source(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
+    """(program, diagnostics) of one source; the program is None unless clean."""
     try:
         program = S.parse(source)
     except DslSyntaxError as exc:
-        return [Diagnostic("error", exc.line, exc.col, str(exc),
-                           hint="fix the syntax before anything else is checked")]
-    return check_program(program)
+        return None, [Diagnostic("error", exc.line, exc.col, str(exc),
+                                 hint="fix the syntax before anything else is checked")]
+    diagnostics = check_program(program)
+    return (program if is_clean(diagnostics) else None), diagnostics
+
+
+def check_syntax(source: str) -> list[Diagnostic]:
+    """All diagnostics for one source text; empty means clean."""
+    return check_source(source)[1]
 
 
 def is_clean(diagnostics: list[Diagnostic]) -> bool:

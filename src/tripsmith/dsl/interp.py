@@ -4,6 +4,10 @@ Programs are never handed to a general-purpose compiler: evaluation happens
 entirely inside this module, with strict typing (numbers are not truthy,
 division by zero is an error) and deterministic results. Numbers are Decimals;
 division rounds to 6 fractional digits, all other arithmetic is exact.
+
+Each program is checked once (`check_source`); `run_program` then decides
+pass/fail for the search and the evaluator alike: only a boolean True passes,
+and a runtime error or a non-boolean result fails the plan, not the run.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from ..errors import DslEvalError
 from ..plan.concepts import ConceptContext, concept
 from ..plan.model import Plan
 from . import syntax as S
-from .check import BUILTIN_FUNCTIONS, Diagnostic, check_syntax, is_clean
+from .check import BUILTIN_FUNCTIONS, Diagnostic, check_source
 
 DIV_SCALE = Decimal("0.000001")
 
@@ -267,13 +271,10 @@ class ConstraintOutcome:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def run_constraint(source: str, plan: Plan, db=None) -> ConstraintOutcome:
-    """Evaluate one constraint; failures count against the plan, not the run."""
-    diagnostics = check_syntax(source)
-    if not is_clean(diagnostics):
-        return ConstraintOutcome(False, None, diagnostics)
+def run_program(program: S.Program, plan: Plan, db=None) -> ConstraintOutcome:
+    """Run one checked constraint; failures count against the plan, not the run."""
     try:
-        value = evaluate_source(source, plan, db)
+        value = evaluate(program, plan, db)
     except DslEvalError as exc:
         return ConstraintOutcome(False, None,
                                  [Diagnostic("error", exc.line, exc.col, str(exc))])
@@ -287,6 +288,9 @@ def run_constraint(source: str, plan: Plan, db=None) -> ConstraintOutcome:
     return ConstraintOutcome(value, value, [])
 
 
-def extract_constraints(sources: list[str], plan: Plan, db=None) -> list[bool]:
-    """One pass/fail per constraint source, never raising."""
-    return [run_constraint(src, plan, db).passed for src in sources]
+def run_constraint(source: str, plan: Plan, db=None) -> ConstraintOutcome:
+    """Check and run one constraint source; an unclean source fails the plan."""
+    program, diagnostics = check_source(source)
+    if program is None:
+        return ConstraintOutcome(False, None, diagnostics)
+    return run_program(program, plan, db)

@@ -11,13 +11,12 @@ Violations are report entries, never exceptions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
 from ..errors import InputError
 from ..plan.model import INTERCITY_TYPES, MEAL_TYPES, Plan
-from ..sandbox import Dataset, goto
+from ..sandbox import Dataset, cars_for, goto
 from ..timeutil import is_hhmm, to_hhmm, to_minutes
 
 MEAL_WINDOWS = {
@@ -166,8 +165,8 @@ class _Check:
                 continue
             if (
                 act.get("price") != route.cost
-                or act.get("start_time") != route.begin
-                or act.get("end_time") != route.end
+                or act.get("start_time") != to_hhmm(route.begin)
+                or act.get("end_time") != to_hhmm(route.end)
             ):
                 self.fail("env.cross_city.price_duration",
                           f"price/schedule of {route_id} does not match the sandbox")
@@ -243,7 +242,7 @@ class _Check:
                 mode = leg.get("mode", "")
                 if mode == "taxi":
                     cars = leg.get("cars", 0)
-                    if cars != math.ceil(people / 4) or leg.get("cost") != leg.get("price", Decimal(0)) * cars:
+                    if cars != cars_for(people) or leg.get("cost") != leg.get("price", Decimal(0)) * cars:
                         self.fail("env.inner_city.cost",
                                   "taxi needs ceil(people/4) cars and cost = price x cars")
                 elif mode == "metro":

@@ -12,16 +12,20 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
+from ..dsl import check_source, evaluate
 from ..errors import InputError
-from ..dsl import evaluate_source
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 
 
 def preference_value(plan, preference_source: str, db=None) -> Decimal:
-    """Run one preference program against a plan; numeric result expected."""
-    value = evaluate_source(preference_source, plan, db)
+    """Check and run one preference program against a plan; numeric result expected."""
+    program, diagnostics = check_source(preference_source)
+    if program is None:
+        raise InputError("preference program does not check clean: "
+                         + "; ".join(d.render() for d in diagnostics))
+    value = evaluate(program, plan, db)
     if isinstance(value, bool) or not isinstance(value, Decimal):
         raise InputError("preference programs must return a number")
     return value

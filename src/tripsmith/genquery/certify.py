@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
+from ..errors import InputError
 from ..evaluation import evaluate_plan
 from ..plan.model import Plan, plan_from_obj, serialize_plan
 from ..sandbox import Dataset
@@ -40,13 +41,19 @@ class CertifiedQuery:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CertifiedQuery":
-        return cls(
-            uid=raw["uid"],
-            skeleton=QuerySkeleton.from_dict(raw["skeleton"]),
-            dsl_sources=list(raw["dsl"]),
-            witness=plan_from_obj(raw["witness"]),
-            text=raw.get("text", ""),
-        )
+        if not isinstance(raw, dict):
+            raise InputError("benchmark record is not a JSON object")
+        try:
+            return cls(
+                uid=raw["uid"],
+                skeleton=QuerySkeleton.from_dict(raw["skeleton"]),
+                dsl_sources=list(raw["dsl"]),
+                witness=plan_from_obj(raw["witness"]),
+                text=raw.get("text", ""),
+            )
+        except KeyError as exc:
+            raise InputError(f"benchmark record {raw.get('uid', '?')!r} "
+                             f"misses field {exc.args[0]!r}") from None
 
 
 def context_from_skeleton(skeleton: QuerySkeleton) -> QueryContext:

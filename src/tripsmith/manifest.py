@@ -65,15 +65,22 @@ def read_jsonl(path: Path | str, expected_kind: str) -> tuple[dict, list[dict]]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
-    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    if not lines:
+    objects = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            objects.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{number}: not valid JSON: {exc.msg} "
+                             f"(column {exc.colno})") from None
+    if not objects:
         raise InputError(f"{path}: empty artifact file")
-    header = json.loads(lines[0])
-    if header.get("kind") != expected_kind:
-        raise InputError(
-            f"{path}: expected a {expected_kind!r} file, found {header.get('kind')!r}"
-        )
-    return header, [json.loads(line) for line in lines[1:]]
+    header = objects[0]
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind != expected_kind:
+        raise InputError(f"{path}: expected a {expected_kind!r} file, found {kind!r}")
+    return header, objects[1:]
 
 
 def write_jsonl(path: Path | str, header: dict, records: list[dict]) -> None:

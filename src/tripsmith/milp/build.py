@@ -120,8 +120,8 @@ class _Builder:
         spd = self.p.slots_per_day
         return range(d * spd, (d + 1) * spd)
 
-    def slot_of(self, clock: str, day: int = 0) -> int:
-        slot = day * self.p.slots_per_day + to_minutes(clock) // self.p.slot_minutes
+    def slot_of(self, minutes: int, day: int = 0) -> int:
+        slot = day * self.p.slots_per_day + minutes // self.p.slot_minutes
         return max(0, min(self.p.time_step - 1, slot))
 
     def open_in_slot(self, row: dict, t: int) -> bool:

@@ -105,11 +105,11 @@ class MilpSlice:
 
 def _route(route_id: str, kind: str, frm: str, to: str, begin: str, end: str,
            cost: str) -> IntercityRoute:
+    begin_at, end_at = to_minutes(begin), to_minutes(end)
     return IntercityRoute(
         id=route_id, kind=kind, from_station=frm, to_station=to,
         from_city=frm.split(" ")[0], to_city=to.split(" ")[0],
-        begin=begin, end=end,
-        duration=to_minutes(end) - to_minutes(begin), cost=Decimal(cost),
+        begin=begin_at, end=end_at, duration=end_at - begin_at, cost=Decimal(cost),
     )
 
 

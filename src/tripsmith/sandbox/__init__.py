@@ -15,7 +15,7 @@ from .database import (
     select,
 )
 from .fares import FareConfig, load_fare_config
-from .transport import MODES, TransportLeg, TransportOption, goto
+from .transport import MODES, TransportLeg, TransportOption, cars_for, goto
 
 
 class Dataset:
@@ -55,6 +55,7 @@ __all__ = [
     "QuerySession",
     "TransportLeg",
     "TransportOption",
+    "cars_for",
     "goto",
     "intercity_select",
     "is_open",

@@ -14,8 +14,15 @@ POIs plus stations.
 
 Indexed at load, as a by-product of the validation pass: every POI table by
 name (`record`, `is_open` and the environment check look rows up there), the
-intercity routes by id, and the routes of each (from city, to city) pair
-sorted by (departure minutes, id), which `intercity_select` only filters.
+intercity routes by id (the first route of a repeated id wins), and the routes
+of each (from city, to city) pair sorted by (departure, id), which
+`intercity_select` only filters.
+
+Route departure and arrival become int minutes here, once; the plan record
+and the environment check format them with `to_hhmm`, so a non-padded "7:05"
+in the file reads "07:05" in a plan. POI opening hours stay the file's
+"HH:MM" text, because the benchmark's own tests compare that text, and the
+clock memo in `timeutil` keeps parsing it cheap.
 
 Memoised on first use, per database: `nearby` answers, keyed on (table,
 point, topk, dist), and the quantised distance of each ordered pair of
@@ -43,7 +50,7 @@ from pathlib import Path
 
 from ..errors import IntegrityError, LoadError, NotFoundError, StateError
 from ..geo import distance_km
-from ..timeutil import is_hhmm, to_minutes
+from ..timeutil import is_hhmm, to_hhmm, to_minutes
 from .fares import FareConfig, load_fare_config
 
 PAGE_SIZE = 10
@@ -82,8 +89,8 @@ class IntercityRoute:
     to_station: str
     from_city: str
     to_city: str
-    begin: str               # HH:MM
-    end: str                 # HH:MM
+    begin: int               # minutes since midnight
+    end: int                 # minutes since midnight
     duration: int            # minutes
     cost: Decimal            # per ticket
 
@@ -94,8 +101,8 @@ class IntercityRoute:
             "start": self.from_station,
             "end": self.to_station,
             "FlightID" if self.kind == "airplane" else "TrainID": self.id,
-            "start_time": self.begin,
-            "end_time": self.end,
+            "start_time": to_hhmm(self.begin),
+            "end_time": to_hhmm(self.end),
             "price": self.cost,
             "tickets": people,
             "cost": self.cost * people,
@@ -132,7 +139,7 @@ class CityDatabase:
     # load-time indexes (see load_city_data)
     rows_by_name: dict[str, dict[str, dict]] = field(default_factory=dict, repr=False)
     routes_by_id: dict[str, IntercityRoute] = field(default_factory=dict, repr=False)
-    routes_by_pair: dict[tuple[str, str], list[tuple[int, IntercityRoute]]] = field(
+    routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = field(
         default_factory=dict, repr=False)
     # first-use memos (see the module docstring)
     _nearby_memo: dict[tuple, tuple[dict, ...]] = field(
@@ -182,7 +189,7 @@ def _convert(column: str, raw: str, where: str):
             return int(raw)
         except ValueError:
             raise LoadError(f"{where}: bad integer {raw!r} in column {column!r}") from None
-    if column in _TIME_COLUMNS or (column == "endtime" and raw):
+    if column in _TIME_COLUMNS:
         if not is_hhmm(raw):
             raise LoadError(f"{where}: bad clock time {raw!r} in column {column!r}")
         return raw
@@ -258,7 +265,8 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
             raise IntegrityError(
                 f"{city}/intercity: id {row['id']!r} prefix does not match kind {kind!r}"
             )
-        if to_minutes(row["endtime"]) <= to_minutes(row["begintime"]):
+        begin, end = to_minutes(row["begintime"]), to_minutes(row["endtime"])
+        if end <= begin:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} must end after it begins")
         if row["cost"] <= 0:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} has non-positive cost")
@@ -270,21 +278,20 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
                 to_station=row["to"],
                 from_city=row.get("fromcity", "") or _city_of_station(row["from"], city),
                 to_city=row.get("tocity", "") or _city_of_station(row["to"], city),
-                begin=row["begintime"],
-                end=row["endtime"],
+                begin=begin,
+                end=end,
                 duration=row["duration"],
                 cost=row["cost"],
             )
         )
 
     routes_by_id: dict[str, IntercityRoute] = {}
-    routes_by_pair: dict[tuple[str, str], list[tuple[int, IntercityRoute]]] = {}
+    routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = {}
     for route in routes:
         routes_by_id.setdefault(route.id, route)
-        routes_by_pair.setdefault((route.from_city, route.to_city), []).append(
-            (to_minutes(route.begin), route))
+        routes_by_pair.setdefault((route.from_city, route.to_city), []).append(route)
     for pair_routes in routes_by_pair.values():
-        pair_routes.sort(key=lambda item: (item[0], item[1].id))
+        pair_routes.sort(key=lambda route: (route.begin, route.id))
 
     fare_path = root / "fares.cfg"
     fares = load_fare_config(fare_path) if fare_path.exists() else FareConfig()
@@ -380,6 +387,6 @@ def intercity_select(
     earliest = to_minutes(earliest_leave)
     return [
         route
-        for begin, route in source.routes_by_pair.get((from_city, to_city), ())
-        if begin >= earliest and (kind is None or route.kind == kind)
+        for route in source.routes_by_pair.get((from_city, to_city), ())
+        if route.begin >= earliest and (kind is None or route.kind == kind)
     ]

@@ -6,7 +6,7 @@
 * metro - three legs (walk in, ride, walk out); the access walks take a fixed
           number of minutes each, the ride covers the whole distance; fare is
           flat per started distance band, per ticket.
-* taxi  - one leg; fare is base + per-km, per car.
+* taxi  - one leg; fare is base + per-km, per car of TAXI_SEATS seats.
 
 All times are whole minutes (durations rounded up), distances and prices are
 Decimals, so repeated calls are bit-identical.
@@ -23,6 +23,7 @@ from ..timeutil import to_hhmm, to_minutes
 from .database import CityDatabase
 
 MODES = ("walk", "metro", "taxi")
+TAXI_SEATS = 4
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,10 @@ class TransportOption:
     time_minutes: int
     price: Decimal        # per unit, total over legs
 
-    @property
-    def start_time(self) -> str:
-        return self.legs[0].start_time
 
-    @property
-    def end_time(self) -> str:
-        return self.legs[-1].end_time
+def cars_for(people: int) -> int:
+    """Cars a party needs: a taxi seats TAXI_SEATS travellers."""
+    return math.ceil(people / TAXI_SEATS)
 
 
 def travel_minutes(distance: Decimal, speed_kmh: Decimal) -> int:

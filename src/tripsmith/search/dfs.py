@@ -18,8 +18,8 @@ import math
 import time
 from dataclasses import dataclass
 
-from ..dsl import check_syntax, evaluate, is_clean, parse
-from ..errors import DslEvalError, InputError
+from ..dsl import check_source, run_program
+from ..errors import InputError
 from ..evaluation import validate_env
 from ..plan.model import Plan
 from ..timeutil import to_hhmm
@@ -87,14 +87,7 @@ class _Search:
         return time.monotonic() - self.start
 
     def constraint_passes(self, plan: Plan) -> list[bool]:
-        outcomes = []
-        for program in self.programs:
-            try:
-                value = evaluate(program, plan, self.dataset)
-            except DslEvalError:
-                value = False
-            outcomes.append(value is True)
-        return outcomes
+        return [run_program(program, plan, self.dataset).passed for program in self.programs]
 
     def candidates(self, act_type: str, state: SearchState) -> list:
         if act_type == OUTBOUND:
@@ -204,14 +197,15 @@ def dfs_search(
     chosen action, day, clock, position).
     """
     cfg.validate()
+    programs = []
     for source in constraint_sources:
-        diagnostics = check_syntax(source)
-        if not is_clean(diagnostics):
+        program, diagnostics = check_source(source)
+        if program is None:
             raise InputError(
                 "constraint does not check clean: "
                 + "; ".join(d.render() for d in diagnostics)
             )
-    programs = [parse(source) for source in constraint_sources]
+        programs.append(program)
     search = _Search(programs, dataset, ranker or HeuristicRanker(), cfg.budget_seconds,
                      ctx, prune_budget, trace)
     try:

@@ -59,11 +59,7 @@ def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:
 
 def _must_head_home(state: SearchState, dataset, ctx: QueryContext) -> bool:
     """True when one more default activity would forfeit every return ride."""
-    latest = None
-    for route in return_routes(dataset, ctx):
-        begin = to_minutes(route.begin)
-        if latest is None or begin > latest:
-            latest = begin
+    latest = max((route.begin for route in return_routes(dataset, ctx)), default=None)
     if latest is None:
         return True
     return state.clock + DEFAULT_DURATION + TRANSFER_ALLOWANCE > latest

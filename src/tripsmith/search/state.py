@@ -15,7 +15,7 @@ from decimal import Decimal
 from ..errors import ConfigError, InputError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
-from ..sandbox import CityDatabase, IntercityRoute, goto
+from ..sandbox import CityDatabase, IntercityRoute, cars_for, goto
 from ..timeutil import to_hhmm, to_minutes
 from .context import QueryContext
 
@@ -99,7 +99,7 @@ def transport_legs(
             "price": leg.price,
         }
         if leg.mode == "taxi":
-            cars = math.ceil(people / 4)
+            cars = cars_for(people)
             entry["cars"] = cars
             entry["cost"] = leg.price * cars
         else:
@@ -107,7 +107,7 @@ def transport_legs(
             entry["cost"] = leg.price * people
         total += entry["cost"]
         legs.append(entry)
-    return legs, to_minutes(option.end_time), total
+    return legs, start_minutes + option.time_minutes, total
 
 
 def pick_mode(db: CityDatabase, start: str, end: str, ctx: QueryContext) -> str:
@@ -221,7 +221,7 @@ def schedule_outbound(
     """First activity of the trip: the cross-city transport to the target."""
     activity = route.activity(ctx.people)
     return state.with_activity(
-        activity, activity["cost"], clock=to_minutes(route.end), position=route.to_station
+        activity, activity["cost"], clock=route.end, position=route.to_station
     )
 
 
@@ -239,12 +239,12 @@ def schedule_return(
     if transfer is None:
         return None
     legs, arrival, leg_cost = transfer
-    if arrival > to_minutes(route.begin):
+    if arrival > route.begin:
         return None
     activity = route.activity(ctx.people)
     if legs:
         activity["transports"] = legs
     return state.with_activity(
         activity, activity["cost"] + leg_cost,
-        clock=to_minutes(route.end), position=route.to_station, finished=True,
+        clock=route.end, position=route.to_station, finished=True,
     )

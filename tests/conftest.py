@@ -1,4 +1,5 @@
 import copy
+import shutil
 from decimal import Decimal
 from pathlib import Path
 
@@ -67,6 +68,15 @@ def beta(mini_dataset):
 
 def micro_context(days=1, people=2, **kwargs) -> QueryContext:
     return QueryContext(origin="Alpha", target="Beta", days=days, people=people, **kwargs)
+
+
+def micro_with_routes(tmp_path, *rows: str) -> Path:
+    """A copy of the micro fixture whose Alpha -> Beta routes are `rows` (CSV lines)."""
+    root = tmp_path / "micro"
+    shutil.copytree(FIXTURES / "micro", root)
+    header = "ID,Kind,From,To,BeginTime,EndTime,Duration,Cost\n"
+    (root / "Alpha" / "intercity.csv").write_text(header + "".join(f"{row}\n" for row in rows))
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -197,3 +198,56 @@ def test_plan_trace_records(tmp_path, bench):
     assert rows
     for row in rows:
         assert {"uid", "node", "action", "day", "clock", "position"} <= set(row)
+
+
+def run_on_benchmark(command, benchmark, tmp_path, db=MICRO) -> int:
+    """Exit code of one plan, eval or milp run over `benchmark`."""
+    out = str(tmp_path / f"{command}.out")
+    if command == "eval":
+        return run("eval", "--benchmark", str(benchmark), "--plans",
+                   str(tmp_path / "good-plans.jsonl"), "--db", db, "--out", out)
+    return run(command, "--benchmark", str(benchmark), "--db", db, "--out", out)
+
+
+@pytest.fixture()
+def good_plans(tmp_path, bench):
+    assert run("plan", "--benchmark", str(bench), "--db", MICRO,
+               "--out", str(tmp_path / "good-plans.jsonl")) == 0
+
+
+@pytest.mark.parametrize("command", ["plan", "eval"])
+def test_bad_json_line_is_usage_error(tmp_path, bench, good_plans, capsys, command):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(bench.read_text().splitlines()[0] + "\n{bad\n")
+    capsys.readouterr()
+    assert run_on_benchmark(command, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: not valid JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["plan", "eval"])
+def test_record_missing_a_field_is_usage_error(tmp_path, bench, good_plans, capsys, command):
+    header, *lines = bench.read_text().splitlines()
+    record = json.loads(lines[0])
+    del record["skeleton"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([header, json.dumps(record), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert run_on_benchmark(command, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert repr(record["uid"]) in err and "'skeleton'" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "eval", "milp"])
+def test_query_city_missing_from_db_is_usage_error(tmp_path, bench, good_plans, capsys,
+                                                    command):
+    other = tmp_path / "other"
+    other.mkdir()
+    for old, new in (("Alpha", "Gamma"), ("Beta", "Delta")):
+        shutil.copytree(Path(MICRO) / old, other / new)
+    capsys.readouterr()
+    assert run_on_benchmark(command, bench, tmp_path, db=str(other)) == 2
+    err = capsys.readouterr().err
+    assert "which --db does not load" in err
+    assert not (tmp_path / f"{command}.out").exists()

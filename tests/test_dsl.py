@@ -6,18 +6,19 @@ import pytest
 from tripsmith.dsl import (
     check_syntax,
     evaluate_source,
-    extract_constraints,
     parse,
     pretty,
     run_constraint,
 )
 from tripsmith.dsl.interp import EvalStats, evaluate
+from tripsmith.search import SearchConfig, dfs_search
 from tripsmith.errors import DslEvalError
 from tripsmith.plan import parse_plan
 from tripsmith.dsl import syntax as S
 
 from . import golden_programs as G
 from . import oracles
+from .conftest import micro_context
 from .test_plan_model import MINIMAL, random_plan
 
 DINING = """\
@@ -167,13 +168,41 @@ def test_set_operations(mini_dataset):
     assert evaluate_source(source, plan, mini_dataset) is True
 
 
-def test_extract_constraints_mixed(mini_dataset):
+def test_run_constraint_mixed(mini_dataset):
     plan = parse_plan(MINIMAL)
-    outcomes = extract_constraints(
-        [G.BUDGET, "return 1 == 2", "return 5"], plan, mini_dataset
-    )
+    outcomes = [run_constraint(source, plan, mini_dataset).passed
+                for source in (G.BUDGET, "return 1 == 2", "return 5")]
     assert outcomes == [True, False, False]
-    assert extract_constraints([], plan, mini_dataset) == []
+
+
+TOKENIZE_SOURCES = ["return True", "return 1 == 1", G.BUDGET]
+
+
+@pytest.fixture()
+def tokenized(monkeypatch):
+    """Every source text handed to the tokenizer, in call order."""
+    seen = []
+    real = S.tokenize
+
+    def counting(source):
+        seen.append(source)
+        return real(source)
+
+    monkeypatch.setattr(S, "tokenize", counting)
+    return seen
+
+
+def test_dfs_search_tokenizes_each_source_once(tokenized, micro_dataset):
+    dfs_search(TOKENIZE_SOURCES, micro_dataset, None, SearchConfig(budget_seconds=10),
+               micro_context())
+    assert tokenized == TOKENIZE_SOURCES
+
+
+def test_run_constraint_tokenizes_its_source_once(tokenized, mini_dataset):
+    plan = parse_plan(MINIMAL)
+    for source in TOKENIZE_SOURCES:
+        run_constraint(source, plan, mini_dataset)
+    assert tokenized == TOKENIZE_SOURCES
 
 
 def test_constraint_eval_error_records_false(mini_dataset):

@@ -239,6 +239,18 @@ def test_preference_value_accommodation_cost(mini_dataset):
     assert preference_value(no_hotel, G.ACCOMMODATION_COST, mini_dataset) == Decimal(0)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("return activty_cost(plan)", "unknown concept function"),
+    ("return count", "used before assignment"),
+    ("return (", "expected an expression"),
+])
+def test_preference_value_refuses_an_unclean_program(mini_dataset, source, message):
+    plan = build_base_plan(mini_dataset)
+    with pytest.raises(InputError, match="does not check clean") as info:
+        preference_value(plan, source, mini_dataset)
+    assert message in str(info.value)
+
+
 def test_preference_minus_one_sentinel(mini_dataset):
     from tripsmith.plan import parse_plan
 

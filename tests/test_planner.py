@@ -1,3 +1,4 @@
+import json
 from decimal import Decimal
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from tripsmith.errors import ConfigError
 from tripsmith.evaluation import evaluate_plan, validate_env
-from tripsmith.sandbox import IntercityRoute, intercity_select
+from tripsmith.plan import serialize_plan
+from tripsmith.sandbox import IntercityRoute, intercity_select, load_dataset
 from tripsmith.sandbox.transport import travel_minutes
 from tripsmith.search import (
     EMPTY,
@@ -28,7 +30,7 @@ from tripsmith.search.state import (
 )
 from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
 
-from .conftest import micro_context
+from .conftest import micro_context, micro_with_routes
 
 
 def cfg() -> SearchConfig:
@@ -40,7 +42,7 @@ def state_at(micro_dataset, clock: str, *, day=1, days=1,
     ctx = micro_context(days=days)
     state = initial_state()
     route = IntercityRoute("G11", "train", "Alpha Station", "Beta Station",
-                          "Alpha", "Beta", "06:40", "08:20", 100, Decimal(120))
+                          "Alpha", "Beta", 400, 500, 100, Decimal(120))
     state = schedule_outbound(state, route, ctx)
     object.__setattr__(state, "clock", to_minutes(clock))
     object.__setattr__(state, "day", day)
@@ -191,6 +193,19 @@ def test_search_rejects_bad_budget(micro_dataset):
     with pytest.raises(ConfigError):
         dfs_search(["return True"], micro_dataset, None,
                    SearchConfig(budget_seconds=0), micro_context())
+
+
+def test_non_padded_route_clock_plans_padded(tmp_path):
+    root = micro_with_routes(tmp_path,
+                             "G11,train,Alpha Station,Beta Station,7:05,8:45,100,120.00")
+    dataset = load_dataset(root)
+    route = dataset["Alpha"].routes_by_id["G11"]
+    assert (route.begin, route.end) == (425, 525)
+    outcome = dfs_search(["return True"], dataset, None, cfg(), micro_context())
+    assert outcome.status == FULL_PASS        # the env check accepts the padded text
+    record = json.loads(serialize_plan(outcome.plan))["itinerary"][0]["activities"][0]
+    assert (record["TrainID"], record["start_time"], record["end_time"]) == (
+        "G11", "07:05", "08:45")
 
 
 def test_search_checks_constraints_first(micro_dataset):

@@ -5,6 +5,7 @@ linear scan over a table, a fresh haversine per call, a filtered and sorted
 route list, a regex parse per clock string.
 """
 
+import csv
 import itertools
 import re
 import sys
@@ -26,7 +27,7 @@ from tripsmith.sandbox import (
 from tripsmith.sandbox.database import POI_TABLES
 from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, micro_with_routes
 
 FIXTURE_SETS = ("micro", "mini")
 TOPKS = (1, 2, 3, 10)
@@ -69,9 +70,9 @@ def intercity_scan(source, from_city, to_city, kind, earliest_leave):
         route for route in source.intercity_routes
         if route.from_city == from_city and route.to_city == to_city
         and (kind is None or route.kind == kind)
-        and clock_reference(route.begin) >= earliest
+        and route.begin >= earliest
     ]
-    found.sort(key=lambda r: (clock_reference(r.begin), r.id))
+    found.sort(key=lambda r: (r.begin, r.id))
     return found
 
 
@@ -188,6 +189,26 @@ def test_routes_by_id_is_first_match(cities):
         for route in db.intercity_routes:
             first = next(r for r in db.intercity_routes if r.id == route.id)
             assert db.routes_by_id[route.id] is first
+
+
+def test_routes_by_id_keeps_the_first_of_a_repeated_id(tmp_path):
+    root = micro_with_routes(tmp_path,
+                             "G11,train,Alpha Station,Beta Station,06:40,08:20,100,120.00",
+                             "G11,train,Alpha Station,Beta Station,07:40,09:20,100,118.00")
+    db = load_city_data(root, "Alpha")
+    assert [r.cost for r in db.intercity_routes] == [Decimal("120.00"), Decimal("118.00")]
+    assert db.routes_by_id["G11"] is db.intercity_routes[0]
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_SETS)
+def test_route_clocks_equal_a_parse_of_the_csv_text(fixture):
+    for city, db in _fresh(fixture).items():
+        with (FIXTURES / fixture / city / "intercity.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        want = [(row["ID"], clock_reference(row["BeginTime"]), clock_reference(row["EndTime"]))
+                for row in rows]
+        assert rows and all(None not in clocks for clocks in want)
+        assert [(r.id, r.begin, r.end) for r in db.intercity_routes] == want
 
 
 def test_record_matches_scan(cities):
