@@ -27,8 +27,9 @@ from .errors import ConfigError, InputError, MetricError, TripsmithError
 from .evaluation import evaluate_plan, score
 from .genquery import CertifiedQuery, certify, context_from_skeleton, sample_skeleton
 from .llm import HttpTransport, LlmEndpoint, LlmRanker, ReplayTransport
-from .manifest import RunManifest, file_header, read_jsonl, write_jsonl
+from .manifest import RunManifest, file_header, read_jsonl, record_line, write_jsonl
 from .milp import MilpParams, build_model, count_sizes, emit_lp, slice_from_dataset
+from .milp.params import DAY_MINUTES
 from .plan import plan_from_obj, serialize_plan
 from .sandbox import load_dataset
 from .search import FULL_PASS, HeuristicRanker, SearchConfig, dfs_search
@@ -169,6 +170,10 @@ def cmd_eval(args) -> int:
     if plans_header.get("benchmark_hash") != bench_header.get("manifest_hash"):
         raise InputError("plans file was produced from a different benchmark "
                          "(manifest hashes do not match)")
+    for index, record in enumerate(plan_records):
+        if not isinstance(record, dict) or not isinstance(record.get("uid"), str):
+            raise InputError(f"{args.plans}:{record_line(args.plans, index)}: "
+                             "plans record carries no string 'uid'")
     by_uid = {record["uid"]: record for record in plan_records}
     reports = []
     per_plan = []
@@ -218,8 +223,9 @@ def cmd_milp(args) -> int:
     bench_header, queries = _read_queries(args.benchmark, dataset)
     if not queries:
         raise InputError(f"{args.benchmark}: benchmark carries no queries")
-    if args.slots_per_day <= 0:
-        raise InputError("--slots-per-day must be positive")
+    if not 1 <= args.slots_per_day <= DAY_MINUTES:
+        raise InputError(f"--slots-per-day must be between 1 and {DAY_MINUTES}, "
+                         f"got {args.slots_per_day}")
     if min(args.hotels, args.attractions, args.restaurants) < 0:
         raise InputError("--hotels, --attractions and --restaurants must be >= 0")
     out_dir = Path(args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from ..errors import InputError
+from ..errors import InputError, PlanParseError, SchemaError
 from ..evaluation import evaluate_plan
 from ..plan.model import Plan, plan_from_obj, serialize_plan
 from ..sandbox import Dataset
@@ -54,6 +54,8 @@ class CertifiedQuery:
         except KeyError as exc:
             raise InputError(f"benchmark record {raw.get('uid', '?')!r} "
                              f"misses field {exc.args[0]!r}") from None
+        except (ValueError, TypeError, SchemaError, PlanParseError) as exc:
+            raise InputError(f"benchmark record {raw.get('uid', '?')!r}: {exc}") from None
 
 
 def context_from_skeleton(skeleton: QuerySkeleton) -> QueryContext:

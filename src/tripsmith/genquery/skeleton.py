@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from ..errors import InputError
 from ..sandbox import Dataset, intercity_select
@@ -44,7 +44,10 @@ class ConstraintSpec:
     def from_dict(cls, raw: dict) -> "ConstraintSpec":
         value = raw["value"]
         if raw["kind"] == "budget":
-            value = Decimal(str(value))
+            try:
+                value = Decimal(str(value))
+            except InvalidOperation:
+                raise ValueError(f"budget {value!r} is not a number") from None
         elif raw["kind"] == "rooms":
             value = int(value)
         extra = {k: int(v) if k == "room_type" else v

@@ -13,6 +13,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -81,6 +82,13 @@ def read_jsonl(path: Path | str, expected_kind: str) -> tuple[dict, list[dict]]:
     if kind != expected_kind:
         raise InputError(f"{path}: expected a {expected_kind!r} file, found {kind!r}")
     return header, objects[1:]
+
+
+def record_line(path: Path | str, index: int) -> int:
+    """Line number of record `index` of a file `read_jsonl` read (blank lines skipped)."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = (number for number, line in enumerate(text.splitlines(), 1) if line.strip())
+    return next(islice(lines, index + 1, None))
 
 
 def write_jsonl(path: Path | str, header: dict, records: list[dict]) -> None:

@@ -13,12 +13,18 @@ Constraint rows carry a category label and a deterministic name, and for
 fixed parameters the number of rows per category is a closed form of the
 parameters alone (see sizes.count_sizes) - the model and the formula are
 tested against each other.
+
+A model has hundreds of thousands of rows over a few tens of thousands of
+variables, so each variable name is spelled once per model, in a table
+indexed like the variable, and each (+1, name) and (-1, name) term is one
+shared tuple that every row referencing it reuses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 from ..errors import BuildError
 from ..evaluation.env_rules import MEAL_WINDOWS
@@ -27,8 +33,9 @@ from ..timeutil import to_minutes
 from .params import DAY_MINUTES, MilpParams, MilpSlice
 
 
-@dataclass(frozen=True, slots=True)
-class Row:
+class Row(NamedTuple):
+    """One constraint row: immutable, and a tuple, so cheap to make and unpack."""
+
     name: str
     terms: tuple            # ((coef, var), ...)
     sense: str              # "<=", ">=", "="
@@ -72,6 +79,31 @@ class MilpModel:
                     raise BuildError(f"row {row.name} references undeclared {var}")
 
 
+class _Family:
+    """One variable family: its names, nested by index, and their ±1 terms."""
+
+    __slots__ = ("names", "plus", "minus")
+
+    def __init__(self, names: list):
+        self.names = names
+        self.plus = _signed(1, names)
+        self.minus = _signed(-1, names)
+
+
+def _signed(coef: int, names: list) -> list:
+    """(coef, name) for every name, nested as `names` is."""
+    return [_signed(coef, item) if isinstance(item, list) else (coef, item)
+            for item in names]
+
+
+def _flat(names: list):
+    for item in names:
+        if isinstance(item, list):
+            yield from _flat(item)
+        else:
+            yield item
+
+
 class _Builder:
     def __init__(self, slice_: MilpSlice, params: MilpParams, query: dict | None):
         params.validate()
@@ -83,18 +115,19 @@ class _Builder:
         self.rows: list[Row] = []
         self.check: dict[str, bool] = {}
         # index layout: hotels, attractions, restaurants, stations, transit modes
-        self.loc_names = slice_.location_names()
         self.n_positions = params.total_num + params.trans_num
 
     # -- declarations -----------------------------------------------------
 
-    def binary(self, name: str, category: str) -> str:
-        self.vars[name] = VarInfo(name, "binary", 0, 1, category)
-        return name
+    def binaries(self, names: list, category: str) -> _Family:
+        for name in _flat(names):
+            self.vars[name] = VarInfo(name, "binary", 0, 1, category)
+        return _Family(names)
 
-    def integer(self, name: str, hi: int, category: str) -> str:
-        self.vars[name] = VarInfo(name, "integer", 0, hi, category)
-        return name
+    def integers(self, names: list, hi: int, category: str) -> _Family:
+        for name in _flat(names):
+            self.vars[name] = VarInfo(name, "integer", 0, hi, category)
+        return _Family(names)
 
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
         self.rows.append(Row(name, tuple(terms), sense, rhs, category))
@@ -111,10 +144,6 @@ class _Builder:
 
     def mode_idx(self, k: int) -> int:
         return self.p.total_num + k
-
-    @staticmethod
-    def u(i: int, t: int) -> str:
-        return f"u_{i}_{t}"
 
     def day_slots(self, d: int) -> range:
         spd = self.p.slots_per_day
@@ -134,108 +163,102 @@ class _Builder:
     # -- variables ----------------------------------------------------------
 
     def declare_variables(self) -> None:
+        """Declare every family in LP order and keep its name and term tables."""
         p = self.p
         T = p.time_step
-        for i in range(self.n_positions):
-            for t in range(T):
-                self.binary(self.u(i, t), "u")
-        for i in range(self.n_positions):
-            for t in range(T - 1):
-                self.binary(f"delta_{i}_{t}", "delta")
-        for t in range(T):
-            self.binary(f"event_{t}", "event")
-        for h in range(p.hotel_num):
-            for d in range(p.days):
-                self.integer(f"hotel_{h}_{d}", p.slots_per_day, "hotel")
-        for h in range(p.hotel_num):
-            for t in range(T):
-                self.binary(f"zhotel_{h}_{t}", "zhotel")
-        for a in range(p.attr_num):
-            self.integer(f"attr_{a}", T, "attr")
-        for a in range(p.attr_num):
-            for t in range(T):
-                self.binary(f"zattr_{a}_{t}", "zattr")
-        for r in range(p.rest_num):
-            for m in range(3 * p.days):
-                self.integer(f"rest_{r}_{m}", T, "rest")
-        for r in range(p.rest_num):
-            for t in range(T):
-                self.binary(f"zrest_{r}_{t}", "zrest")
-        for i in range(p.total_num):
-            for j in range(p.total_num):
-                for k in range(p.trans_num):
-                    for t in range(T):
-                        self.binary(f"y_{i}_{j}_{k}_{t}", "y")
-        for m in range(3 * p.days):
-            self.binary(f"needeat_{m}", "needeat")
-        for g in range(p.go_num):
-            self.binary(f"intergo_{g}", "intergo")
-        for b in range(p.back_num):
-            self.binary(f"interback_{b}", "interback")
+        P, L, K = self.n_positions, p.total_num, p.trans_num
+        self.u = self.binaries(
+            [[f"u_{i}_{t}" for t in range(T)] for i in range(P)], "u")
+        self.delta = self.binaries(
+            [[f"delta_{i}_{t}" for t in range(T - 1)] for i in range(P)], "delta")
+        self.event = self.binaries([f"event_{t}" for t in range(T)], "event")
+        self.hotel = self.integers(
+            [[f"hotel_{h}_{d}" for d in range(p.days)] for h in range(p.hotel_num)],
+            p.slots_per_day, "hotel")
+        self.zhotel = self.binaries(
+            [[f"zhotel_{h}_{t}" for t in range(T)] for h in range(p.hotel_num)], "zhotel")
+        self.attr = self.integers([f"attr_{a}" for a in range(p.attr_num)], T, "attr")
+        self.zattr = self.binaries(
+            [[f"zattr_{a}_{t}" for t in range(T)] for a in range(p.attr_num)], "zattr")
+        self.rest = self.integers(
+            [[f"rest_{r}_{m}" for m in range(3 * p.days)] for r in range(p.rest_num)],
+            T, "rest")
+        self.zrest = self.binaries(
+            [[f"zrest_{r}_{t}" for t in range(T)] for r in range(p.rest_num)], "zrest")
+        self.y = self.binaries(
+            [[[[f"y_{i}_{j}_{k}_{t}" for t in range(T)] for k in range(K)]
+              for j in range(L)] for i in range(L)], "y")
+        self.needeat = self.binaries([f"needeat_{m}" for m in range(3 * p.days)], "needeat")
+        self.intergo = self.binaries([f"intergo_{g}" for g in range(p.go_num)], "intergo")
+        self.interback = self.binaries(
+            [f"interback_{b}" for b in range(p.back_num)], "interback")
 
     # -- constraint groups ---------------------------------------------------
 
     def occupancy_rows(self) -> None:
         """One place at a time; changes only on events; events move exactly 2."""
         T = self.p.time_step
+        u_pos, u_neg = self.u.plus, self.u.minus
+        ev_neg = self.event.minus
         for i in range(self.n_positions):
             for t in range(T - 1):
-                up, ut, ut1 = f"delta_{i}_{t}", self.u(i, t), self.u(i, t + 1)
-                self.row(f"occ_dup_{i}_{t}", ((1, up), (1, ut), (-1, ut1)), ">=", 0, "occupancy")
-                self.row(f"occ_ddn_{i}_{t}", ((1, up), (-1, ut), (1, ut1)), ">=", 0, "occupancy")
-                ev = f"event_{t}"
-                self.row(f"occ_evup_{i}_{t}", ((1, ut1), (-1, ut), (-1, ev)), "<=", 0, "occupancy")
-                self.row(f"occ_evdn_{i}_{t}", ((1, ut), (-1, ut1), (-1, ev)), "<=", 0, "occupancy")
+                up = self.delta.plus[i][t]
+                ut, ut1 = u_pos[i][t], u_pos[i][t + 1]
+                nut, nut1 = u_neg[i][t], u_neg[i][t + 1]
+                self.row(f"occ_dup_{i}_{t}", (up, ut, nut1), ">=", 0, "occupancy")
+                self.row(f"occ_ddn_{i}_{t}", (up, nut, ut1), ">=", 0, "occupancy")
+                self.row(f"occ_evup_{i}_{t}", (ut1, nut, ev_neg[t]), "<=", 0, "occupancy")
+                self.row(f"occ_evdn_{i}_{t}", (ut, nut1, ev_neg[t]), "<=", 0, "occupancy")
         for t in range(T - 1):
-            terms = [(1, f"delta_{i}_{t}") for i in range(self.n_positions)]
-            terms.append((-2, f"event_{t}"))
+            terms = [self.delta.plus[i][t] for i in range(self.n_positions)]
+            terms.append((-2, self.event.names[t]))
             self.row(f"occ_change_{t}", terms, "=", 0, "occupancy")
         for t in range(T):
-            terms = [(1, self.u(i, t)) for i in range(self.n_positions)]
+            terms = [u_pos[i][t] for i in range(self.n_positions)]
             self.row(f"occ_one_{t}", terms, "=", 1, "occupancy")
 
-    def conjunction(self, z: str, a: str, b: str, prefix: str, category: str) -> None:
-        """z = a AND b via three rows (big-M = 1, all binary)."""
-        self.row(f"{prefix}_le1", ((1, z), (-1, a)), "<=", 0, category)
-        self.row(f"{prefix}_le2", ((1, z), (-1, b)), "<=", 0, category)
-        self.row(f"{prefix}_ge", ((1, z), (-1, a), (-1, b)), ">=", -1, category)
+    def conjunction(self, z: tuple, a: tuple, b: tuple, prefix: str, category: str) -> None:
+        """z = a AND b via three rows (big-M = 1, all binary); z is a +1 term, a and b -1."""
+        self.row(f"{prefix}_le1", (z, a), "<=", 0, category)
+        self.row(f"{prefix}_le2", (z, b), "<=", 0, category)
+        self.row(f"{prefix}_ge", (z, a, b), ">=", -1, category)
 
     def hotel_rows(self) -> None:
         p = self.p
+        ev_neg = self.event.minus
         for h in range(p.hotel_num):
-            idx = self.hotel_idx(h)
+            u_neg = self.u.minus[self.hotel_idx(h)]
             for t in range(p.time_step):
-                self.conjunction(f"zhotel_{h}_{t}", self.u(idx, t), f"event_{t}",
+                self.conjunction(self.zhotel.plus[h][t], u_neg[t], ev_neg[t],
                                  f"hot_z_{h}_{t}", "hotel")
         for h in range(p.hotel_num):
             for d in range(p.days):
-                terms = [(1, f"hotel_{h}_{d}")]
-                terms += [(-1, f"zhotel_{h}_{t}") for t in self.day_slots(d)]
+                terms = [self.hotel.plus[h][d]]
+                terms += [self.zhotel.minus[h][t] for t in self.day_slots(d)]
                 self.row(f"hot_def_{h}_{d}", terms, "=", 0, "hotel")
         for d in range(p.days):
-            terms = [(1, f"hotel_{h}_{d}") for h in range(p.hotel_num)]
+            terms = [self.hotel.plus[h][d] for h in range(p.hotel_num)]
             if terms:
                 self.row(f"hot_one_{d}", terms, "=", 1, "hotel")
 
     def attraction_rows(self) -> None:
         p = self.p
+        ev_neg = self.event.minus
         for a, poi in enumerate(self.s.attractions):
             idx = self.attr_idx(a)
             for t in range(p.time_step):
-                self.conjunction(f"zattr_{a}_{t}", self.u(idx, t), f"event_{t}",
+                self.conjunction(self.zattr.plus[a][t], self.u.minus[idx][t], ev_neg[t],
                                  f"att_z_{a}_{t}", "attraction")
                 open_now = self.open_in_slot(poi, t)
-                self.check[self.u(idx, t)] = open_now
-                self.row(f"att_check_{a}_{t}", ((1, self.u(idx, t)),), "<=",
+                self.check[self.u.names[idx][t]] = open_now
+                self.row(f"att_check_{a}_{t}", (self.u.plus[idx][t],), "<=",
                          int(open_now), "attraction")
         for a in range(p.attr_num):
-            terms = [(1, f"attr_{a}")]
-            terms += [(-1, f"zattr_{a}_{t}") for t in range(p.time_step)]
+            terms = [self.attr.plus[a]] + self.zattr.minus[a]
             self.row(f"att_def_{a}", terms, "=", 0, "attraction")
         if p.attr_num:
             min_attr = int(self.query.get("min_attr", 1))
-            terms = [(1, f"attr_{a}") for a in range(p.attr_num)]
-            self.row("att_min", terms, ">=", min_attr * p.days, "attraction")
+            self.row("att_min", self.attr.plus, ">=", min_attr * p.days, "attraction")
 
     def meal_slots(self, m: int) -> tuple[int, int]:
         day, kind = divmod(m, 3)
@@ -247,40 +270,40 @@ class _Builder:
 
     def restaurant_rows(self) -> None:
         p = self.p
+        ev_neg = self.event.minus
         for r, poi in enumerate(self.s.restaurants):
             idx = self.rest_idx(r)
             for t in range(p.time_step):
-                self.conjunction(f"zrest_{r}_{t}", self.u(idx, t), f"event_{t}",
+                self.conjunction(self.zrest.plus[r][t], self.u.minus[idx][t], ev_neg[t],
                                  f"res_z_{r}_{t}", "restaurant")
                 open_now = self.open_in_slot(poi, t)
-                self.check[self.u(idx, t)] = open_now
-                self.row(f"res_check_{r}_{t}", ((1, self.u(idx, t)),), "<=",
+                self.check[self.u.names[idx][t]] = open_now
+                self.row(f"res_check_{r}_{t}", (self.u.plus[idx][t],), "<=",
                          int(open_now), "restaurant")
         for r in range(p.rest_num):
             for m in range(3 * p.days):
                 lo, hi = self.meal_slots(m)
-                terms = [(1, f"rest_{r}_{m}")]
-                terms += [(-1, f"zrest_{r}_{t}") for t in range(lo, hi + 1)]
+                terms = [self.rest.plus[r][m]] + self.zrest.minus[r][lo:hi + 1]
                 self.row(f"res_def_{r}_{m}", terms, "=", 0, "restaurant")
         if p.rest_num:
             for m in range(3 * p.days):
-                terms = [(1, f"rest_{r}_{m}") for r in range(p.rest_num)]
-                terms.append((-1, f"needeat_{m}"))
+                terms = [self.rest.plus[r][m] for r in range(p.rest_num)]
+                terms.append(self.needeat.minus[m])
                 self.row(f"res_need_{m}", terms, "<=", 0, "restaurant")
 
     def meal_rows(self) -> None:
         """A meal is only needed when the traveler is in town for its window."""
         p = self.p
         big_m = p.time_step + 1
-        dep_terms = [(-self.route_slot(b, go=False), f"interback_{b}")
-                     for b in range(p.back_num)]
-        arr_terms = [(self.route_slot(g, go=True), f"intergo_{g}")
-                     for g in range(p.go_num)]
-        for m in range(3 * p.days):
+        dep_terms = [(-self.route_slot(b, go=False), name)
+                     for b, name in enumerate(self.interback.names)]
+        arr_terms = [(self.route_slot(g, go=True), name)
+                     for g, name in enumerate(self.intergo.names)]
+        for m, need in enumerate(self.needeat.names):
             a_m, b_m = self.meal_slots(m)
-            terms = [(big_m, f"needeat_{m}")] + dep_terms
+            terms = [(big_m, need)] + dep_terms
             self.row(f"meal_dep_{m}", terms, "<=", big_m - a_m - 1, "meal")
-            terms = [(big_m, f"needeat_{m}")] + arr_terms
+            terms = [(big_m, need)] + arr_terms
             self.row(f"meal_arr_{m}", terms, "<=", big_m + b_m - 1, "meal")
 
     def route_slot(self, index: int, go: bool) -> int:
@@ -298,89 +321,88 @@ class _Builder:
             raise BuildError(f"route {route.id} uses unknown station {name!r}") from None
 
     def urban_rows(self) -> None:
-        """Transition choice y[(i, j, mode, t)] linked to occupancy and events."""
+        """Transition choice y[(i, j, mode, t)] linked to occupancy and events.
+
+        The hot loop of the build: nearly every row of a model is made here,
+        so it appends `Row`s directly and names each row by the suffix
+        "_{i}_{j}_{k}_{t}" of its y variable.
+        """
         p = self.p
         T = p.time_step
         L, K = p.total_num, p.trans_num
+        u_neg, ev_neg = self.u.minus, self.event.minus
+        append = self.rows.append
+        link_names = [f"urb_l{n}" for n in range(6)]
         for i in range(L):
             for j in range(L):
                 for k in range(K):
-                    mode = self.mode_idx(k)
+                    mode = u_neg[self.mode_idx(k)]
+                    y_names, y_pos = self.y.names[i][j][k], self.y.plus[i][j][k]
                     for t in range(T):
-                        y = f"y_{i}_{j}_{k}_{t}"
+                        y, tag = y_pos[t], y_names[t][1:]
                         t1 = min(t + 1, T - 1)
                         t2 = min(t + 2, T - 1)
-                        six = (
-                            self.u(i, t), f"event_{t}", self.u(mode, t1),
-                            self.u(mode, t1), f"event_{t1}", self.u(j, t2),
-                        )
-                        for n, ref in enumerate(six):
-                            self.row(f"urb_l{n}_{i}_{j}_{k}_{t}",
-                                     ((1, y), (-1, ref)), "<=", 0, "urban")
-                        terms = [(1, y)] + [(-1, ref) for ref in six]
-                        self.row(f"urb_ge_{i}_{j}_{k}_{t}", terms, ">=", -5, "urban")
+                        six = (u_neg[i][t], ev_neg[t], mode[t1],
+                               mode[t1], ev_neg[t1], u_neg[j][t2])
+                        for link, ref in zip(link_names, six):
+                            append(Row(link + tag, (y, ref), "<=", 0, "urban"))
+                        append(Row("urb_ge" + tag, (y, *six), ">=", -5, "urban"))
+        y_pos = self.y.plus
         for i in range(L):
             for t in range(T):
-                out_terms = [(1, f"y_{i}_{j}_{k}_{t}")
-                             for j in range(L) for k in range(K)]
-                in_terms = [(1, f"y_{j}_{i}_{k}_{t}")
-                            for j in range(L) for k in range(K)]
+                out_terms = tuple(y_pos[i][j][k][t] for j in range(L) for k in range(K))
+                in_terms = tuple(y_pos[j][i][k][t] for j in range(L) for k in range(K))
                 t1 = min(t + 1, T - 1)
                 t2 = min(t + 2, T - 1)
-                self.row(f"urb_outu_{i}_{t}", out_terms + [(-1, self.u(i, t))],
-                         "<=", 0, "urban")
-                self.row(f"urb_oute_{i}_{t}", out_terms + [(-1, f"event_{t}")],
-                         "<=", 0, "urban")
-                self.row(f"urb_inu_{i}_{t}", in_terms + [(-1, self.u(i, t2))],
-                         "<=", 0, "urban")
-                self.row(f"urb_ine_{i}_{t}", in_terms + [(-1, f"event_{t1}")],
-                         "<=", 0, "urban")
+                self.row(f"urb_outu_{i}_{t}", (*out_terms, u_neg[i][t]), "<=", 0, "urban")
+                self.row(f"urb_oute_{i}_{t}", (*out_terms, ev_neg[t]), "<=", 0, "urban")
+                self.row(f"urb_inu_{i}_{t}", (*in_terms, u_neg[i][t2]), "<=", 0, "urban")
+                self.row(f"urb_ine_{i}_{t}", (*in_terms, ev_neg[t1]), "<=", 0, "urban")
 
     def transit_rows(self) -> None:
         """Aggregated mode-occupancy coupling for departures and arrivals."""
         p = self.p
-        for i in range(p.total_num):
+        L = p.total_num
+        y_pos = self.y.plus
+        for i in range(L):
             for k in range(p.trans_num):
-                mode = self.mode_idx(k)
+                mode = self.u.minus[self.mode_idx(k)]
                 for t in range(p.time_step):
                     t1 = min(t + 1, p.time_step - 1)
-                    dep = [(1, f"y_{i}_{j}_{k}_{t}") for j in range(p.total_num)]
-                    arr = [(1, f"y_{j}_{i}_{k}_{t}") for j in range(p.total_num)]
-                    self.row(f"trn_dep_{i}_{k}_{t}", dep + [(-1, self.u(mode, t1))],
-                             "<=", 0, "transit")
-                    self.row(f"trn_arr_{i}_{k}_{t}", arr + [(-1, self.u(mode, t1))],
-                             "<=", 0, "transit")
+                    dep = [y_pos[i][j][k][t] for j in range(L)]
+                    arr = [y_pos[j][i][k][t] for j in range(L)]
+                    self.row(f"trn_dep_{i}_{k}_{t}", dep + [mode[t1]], "<=", 0, "transit")
+                    self.row(f"trn_arr_{i}_{k}_{t}", arr + [mode[t1]], "<=", 0, "transit")
 
     def intercity_rows(self) -> None:
         """Exactly one ride each way; station presence tied to the chosen ride."""
         p = self.p
-        poi_range = range(p.loc_num)
+        u_pos = self.u.plus
+        go, back = self.intergo, self.interback
         if p.go_num:
-            self.row("int_go_one", [(1, f"intergo_{g}") for g in range(p.go_num)],
-                     "=", 1, "intercity")
+            self.row("int_go_one", go.plus, "=", 1, "intercity")
         if p.back_num:
-            self.row("int_back_one", [(1, f"interback_{b}") for b in range(p.back_num)],
-                     "=", 1, "intercity")
+            self.row("int_back_one", back.plus, "=", 1, "intercity")
 
         for g, route in enumerate(self.s.go_routes):
             arr = self.route_slot(g, go=True)
             station = self.route_station_idx(route, go=True)
-            self.row(f"int_gopin_{g}", ((1, self.u(station, arr)), (-1, f"intergo_{g}")),
+            self.row(f"int_gopin_{g}", (u_pos[station][arr], go.minus[g]),
                      ">=", 0, "intercity")
             for t in range(p.time_step):
                 before = 1 if t < arr else 0
-                terms = [(1, self.u(i, t)) for i in poi_range]
-                terms.append((before, f"intergo_{g}"))
+                terms = [u_pos[i][t] for i in range(p.loc_num)]
+                terms.append((before, go.names[g]))
                 self.row(f"int_goex_{g}_{t}", terms, "<=", 1, "intercity")
         for b, route in enumerate(self.s.back_routes):
             dep = self.route_slot(b, go=False)
             station = self.route_station_idx(route, go=False)
-            self.row(f"int_backpin_{b}", ((1, self.u(station, dep)), (-1, f"interback_{b}")),
+            self.row(f"int_backpin_{b}", (u_pos[station][dep], back.minus[b]),
                      ">=", 0, "intercity")
             for t in range(p.time_step):
                 after = 1 if t > dep else 0
-                terms = [(1, self.u(i, t)) for i in poi_range]
-                terms.append((after, f"interback_{b}"))
+                terms = [u_pos[i][t] for i in range(p.loc_num)]
+                terms.append((after, back.names[b]))
                 self.row(f"int_backex_{b}_{t}", terms, "<=", 1, "intercity")
 
     def query_rows(self) -> None:
@@ -391,20 +413,17 @@ class _Builder:
         self.row("qry_budget", terms, "<=", Decimal(str(budget)), "query")
 
     def cost_terms(self) -> list:
-        p = self.p
         terms = []
-        for g, route in enumerate(self.s.go_routes):
-            terms.append((route.cost, f"intergo_{g}"))
-        for b, route in enumerate(self.s.back_routes):
-            terms.append((route.cost, f"interback_{b}"))
-        for a, poi in enumerate(self.s.attractions):
-            terms.append((poi["price"], f"attr_{a}"))
-        for r, poi in enumerate(self.s.restaurants):
-            for m in range(3 * p.days):
-                terms.append((poi["price"], f"rest_{r}_{m}"))
-        for h, poi in enumerate(self.s.hotels):
-            for d in range(p.days):
-                terms.append((poi["price"], f"hotel_{h}_{d}"))
+        for route, name in zip(self.s.go_routes, self.intergo.names):
+            terms.append((route.cost, name))
+        for route, name in zip(self.s.back_routes, self.interback.names):
+            terms.append((route.cost, name))
+        for poi, name in zip(self.s.attractions, self.attr.names):
+            terms.append((poi["price"], name))
+        for poi, names in zip(self.s.restaurants, self.rest.names):
+            terms += [(poi["price"], name) for name in names]
+        for poi, names in zip(self.s.hotels, self.hotel.names):
+            terms += [(poi["price"], name) for name in names]
         return terms
 
     def build(self) -> MilpModel:

@@ -59,6 +59,9 @@ class MilpParams:
             raise InputError(f"time_step must be >= 2, got {self.time_step}")
         if self.time_step % self.days != 0:
             raise InputError("time_step must divide evenly into days")
+        if self.slots_per_day > DAY_MINUTES:
+            raise InputError(f"slots_per_day must be <= {DAY_MINUTES} (one-minute slots), "
+                             f"got {self.slots_per_day}")
         if self.station_num < 1 and (self.go_num or self.back_num):
             raise InputError("routes need at least one station")
 

@@ -161,6 +161,17 @@ def test_milp_invalid_slots_is_usage_error(tmp_path, bench):
     assert code == 2
 
 
+@pytest.mark.parametrize("slots", ["1441", "2000"])
+def test_milp_slots_beyond_one_minute_is_usage_error(tmp_path, bench, capsys, slots):
+    capsys.readouterr()
+    code = run("milp", "--benchmark", str(bench), "--db", MICRO,
+               "--slots-per-day", slots, "--out", str(tmp_path / "m"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --slots-per-day must be between 1 and 1440, got {slots}\n"
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("flag", ["--hotels", "--attractions", "--restaurants"])
 def test_milp_negative_cap_is_usage_error(tmp_path, bench, flag):
     code = run("milp", "--benchmark", str(bench), "--db", MICRO,
@@ -251,3 +262,46 @@ def test_query_city_missing_from_db_is_usage_error(tmp_path, bench, good_plans, 
     err = capsys.readouterr().err
     assert "which --db does not load" in err
     assert not (tmp_path / f"{command}.out").exists()
+
+
+@pytest.mark.parametrize("record", [{"status": "full_pass", "plan": None}, ["q0000"], {"uid": 7}],
+                         ids=["no-uid", "list", "int-uid"])
+def test_plans_record_without_uid_is_usage_error(tmp_path, bench, good_plans, capsys, record):
+    plans = tmp_path / "good-plans.jsonl"
+    header, *lines = plans.read_text().splitlines()
+    plans.write_text("\n".join([header, lines[0], "", json.dumps(record), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert run_on_benchmark("eval", bench, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{plans}:4: plans record carries no string 'uid'" in err
+    assert "Traceback" not in err
+
+
+def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
+    header, *lines = bench.read_text().splitlines()
+    record = json.loads(lines[0])
+    edit(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([header, json.dumps(record), *lines[1:]]) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda r: r["skeleton"].update(days="two"), "invalid literal for int()"),
+    (lambda r: r["skeleton"].update(people=None), "int() argument"),
+    (lambda r: r["skeleton"]["specs"].append({"kind": "budget", "value": "lots"}),
+     "budget 'lots' is not a number"),
+    (lambda r: r["witness"].pop("itinerary"), "missing mandatory field 'itinerary'"),
+    (lambda r: r.update(witness=[]), "plan document must be a JSON object"),
+], ids=["days-text", "people-null", "budget-text", "witness-no-itinerary", "witness-list"])
+@pytest.mark.parametrize("command", ["plan", "eval", "milp"])
+def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, capsys,
+                                                  command, edit, detail):
+    bad = _edit_first_query(bench, tmp_path, edit)
+    uid = json.loads(bench.read_text().splitlines()[1])["uid"]
+    capsys.readouterr()
+    assert run_on_benchmark(command, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: benchmark record {uid!r}: ")
+    assert detail in err
+    assert "Traceback" not in err

@@ -45,6 +45,9 @@ def test_params_validation():
         MilpParams(1, 1, 1, 1, 1, 1, time_step=5, days=2).validate()
     with pytest.raises(InputError):
         MilpParams(-1, 1, 1, 1, 1, 1, time_step=4).validate()
+    with pytest.raises(InputError, match="slots_per_day must be <= 1440"):
+        MilpParams(1, 1, 1, 1, 1, 1, time_step=2 * 2000, days=2).validate()
+    MilpParams(1, 1, 1, 1, 1, 1, time_step=1440).validate()
 
 
 def test_slice_mismatch_is_build_error():
@@ -104,6 +107,32 @@ def test_zero_poi_categories_have_zero_counts():
     model = build_model(synthetic_slice(params), params)
     categories = model.row_count_by_category()
     assert "hotel" not in categories and "attraction" not in categories
+
+
+def test_undeclared_reference_is_build_error_naming_row_and_variable():
+    model = MilpModel(
+        variables={"x": VarInfo("x", "binary")},
+        rows=[Row("ok", ((1, "x"),), "<=", 1, "query"),
+              Row("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query")],
+    )
+    with pytest.raises(BuildError, match="row bad references undeclared ghost"):
+        model.validate_references()
+
+
+def test_rows_are_immutable():
+    params = MilpParams(1, 1, 1, 1, 1, 1, 4)
+    row = build_model(synthetic_slice(params), params).rows[0]
+    for field in ("name", "terms", "sense", "rhs", "category"):
+        with pytest.raises(AttributeError):
+            setattr(row, field, None)
+
+
+def test_every_build_validates_references(monkeypatch):
+    checked = []
+    monkeypatch.setattr(MilpModel, "validate_references", lambda model: checked.append(model))
+    params = MilpParams(1, 1, 1, 1, 1, 1, 4)
+    model = build_model(synthetic_slice(params), params)
+    assert checked == [model]
 
 
 def test_lp_row_count_equals_size_total(tmp_path):
