@@ -23,7 +23,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .errors import ConfigError, InputError, MetricError, TripsmithError
+from .errors import (
+    ConfigError,
+    InputError,
+    MetricError,
+    PlanParseError,
+    SchemaError,
+    TripsmithError,
+)
 from .evaluation import evaluate_plan, score
 from .genquery import CertifiedQuery, certify, context_from_skeleton, sample_skeleton
 from .llm import HttpTransport, LlmEndpoint, LlmRanker, ReplayTransport
@@ -174,14 +181,19 @@ def cmd_eval(args) -> int:
         if not isinstance(record, dict) or not isinstance(record.get("uid"), str):
             raise InputError(f"{args.plans}:{record_line(args.plans, index)}: "
                              "plans record carries no string 'uid'")
-    by_uid = {record["uid"]: record for record in plan_records}
+    by_uid = {record["uid"]: index for index, record in enumerate(plan_records)}
     reports = []
     per_plan = []
     for query in queries:
-        planned = by_uid.get(query.uid)
+        index = by_uid.get(query.uid)
+        planned = plan_records[index] if index is not None else {}
         plan = None
-        if planned and planned.get("plan") is not None:
-            plan = plan_from_obj(planned["plan"])
+        if planned.get("plan") is not None:
+            try:
+                plan = plan_from_obj(planned["plan"])
+            except (ValueError, TypeError, SchemaError, PlanParseError) as exc:
+                raise InputError(f"{args.plans}:{record_line(args.plans, index)}: "
+                                 f"plans record {query.uid!r}: {exc}") from None
         report = evaluate_plan(plan, query.dsl_sources, dataset,
                                notes="" if plan else "no plan delivered")
         reports.append(report)

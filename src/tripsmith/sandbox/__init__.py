@@ -15,7 +15,7 @@ from .database import (
     select,
 )
 from .fares import FareConfig, load_fare_config
-from .transport import MODES, TransportLeg, TransportOption, cars_for, goto
+from .transport import MODES, TransportLeg, TransportOption, cars_for, goto, option_minutes
 
 
 class Dataset:
@@ -64,5 +64,6 @@ __all__ = [
     "load_fare_config",
     "nearby",
     "next_page",
+    "option_minutes",
     "select",
 ]

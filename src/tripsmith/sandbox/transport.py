@@ -71,29 +71,43 @@ def taxi_fare(distance: Decimal, fares) -> Decimal:
     return (fares.taxi_base_fare + fares.taxi_per_km * distance).quantize(Decimal("0.01"))
 
 
-def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> TransportOption:
-    """One transport option from `start` to `end` leaving at `start_time`."""
+def option_minutes(db: CityDatabase, start: str, end: str, mode: str) -> int:
+    """Door-to-door minutes of the `mode` option from `start` to `end`.
+
+    `goto` builds its legs around this figure; the planner decides on it
+    alone, before any leg is built.
+    """
     if mode not in MODES:
         raise NotFoundError(f"unknown transport mode {mode!r}; expected one of {MODES}")
+    dist = db.distance(start, end)
+    fares = db.fares
+    if mode == "walk":
+        return travel_minutes(dist, fares.walk_speed_kmh)
+    if mode == "taxi":
+        return travel_minutes(dist, fares.taxi_speed_kmh)
+    return travel_minutes(dist, fares.metro_speed_kmh) + 2 * fares.metro_access_minutes
+
+
+def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> TransportOption:
+    """One transport option from `start` to `end` leaving at `start_time`."""
+    minutes = option_minutes(db, start, end, mode)
     dist = db.distance(start, end)
     t0 = to_minutes(start_time)
     fares = db.fares
 
     if mode == "walk":
-        minutes = travel_minutes(dist, fares.walk_speed_kmh)
         leg = TransportLeg("walk", start, end, to_hhmm(t0), to_hhmm(t0 + minutes),
                            dist, Decimal("0"))
         return TransportOption("walk", (leg,), dist, minutes, Decimal("0"))
 
     if mode == "taxi":
-        minutes = travel_minutes(dist, fares.taxi_speed_kmh)
         price = taxi_fare(dist, fares)
         leg = TransportLeg("taxi", start, end, to_hhmm(t0), to_hhmm(t0 + minutes),
                            dist, price)
         return TransportOption("taxi", (leg,), dist, minutes, price)
 
     access = fares.metro_access_minutes
-    ride = travel_minutes(dist, fares.metro_speed_kmh)
+    ride = minutes - 2 * access
     fare = metro_fare(dist, fares)
     zero = Decimal("0.000")
     legs = (
@@ -104,4 +118,4 @@ def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> 
         TransportLeg("walk", end, end, to_hhmm(t0 + access + ride),
                      to_hhmm(t0 + access + ride + access), zero, Decimal("0")),
     )
-    return TransportOption("metro", legs, dist, ride + 2 * access, fare)
+    return TransportOption("metro", legs, dist, minutes, fare)

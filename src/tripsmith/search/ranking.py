@@ -3,8 +3,9 @@
 A ranker permutes (never filters) the candidate list for one expansion step.
 The built-in heuristic mirrors how a frugal traveller would choose: anything
 matching a term the query asked for comes first, and when a budget is in play
-cheaper options are tried before expensive ones. All sorts are stable, so a
-run is reproducible from (query, database) alone.
+cheaper options are tried before expensive ones, a match breaking ties of
+price. All sorts are stable, so a run is reproducible from (query, database)
+alone.
 """
 
 from __future__ import annotations
@@ -39,21 +40,35 @@ def _candidate_price(candidate) -> Decimal:
 
 
 class HeuristicRanker:
-    """Filter by required query terms, then price-ascending under a budget."""
+    """Permute by a key computed once per row per search.
+
+    The key is (price, misses every required term) under a budget, else
+    whether the row misses every required term. One stable sort by it gives
+    the order of a stable split into matching rows and the rest, followed
+    by a stable price sort. Keys live for one `QueryContext` (the same
+    object, terms and budget use) and are held by `id()` together with
+    their row, so no id is reused. The memo is swapped as one tuple, so a
+    ranker shared by threads stays correct.
+    """
+
+    def __init__(self):
+        self._memo = (None, (), False, {}, [])
 
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
-        required = context.required_terms()
-        if required:
-            matching, rest = [], []
-            for candidate in candidates:
-                terms = _candidate_terms(candidate)
-                if any(req in term for req in required for term in terms):
-                    matching.append(candidate)
-                else:
-                    rest.append(candidate)
-            ordered = matching + rest
-        else:
-            ordered = list(candidates)
-        if context.budget_limit is not None:
-            ordered = sorted(ordered, key=_candidate_price)
-        return ordered
+        required = tuple(context.required_terms())
+        budgeted = context.budget_limit is not None
+        owner, owner_required, owner_budgeted, keys, pins = self._memo
+        if owner is not context or owner_required != required or owner_budgeted != budgeted:
+            keys, pins = {}, []
+            self._memo = (context, required, budgeted, keys, pins)
+        ranks = list(map(keys.get, map(id, candidates)))
+        if None in ranks:
+            for index, candidate in enumerate(candidates):
+                if ranks[index] is None:
+                    terms = _candidate_terms(candidate)
+                    miss = not any(req in term for req in required for term in terms)
+                    rank = (_candidate_price(candidate), miss) if budgeted else miss
+                    keys[id(candidate)] = ranks[index] = rank
+                    pins.append(candidate)
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        return list(map(candidates.__getitem__, order))

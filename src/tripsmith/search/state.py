@@ -4,6 +4,13 @@ States are immutable snapshots; every extension returns a fresh state, so
 backtracking is simply dropping a child. A state is only ever created through
 `schedule_*` helpers, which refuse extensions that would break an
 environmental rule - the partial plan is valid by construction.
+
+Each helper decides an extension on the arrival minute alone (`arrival_minute`:
+the clock plus the chosen mode's door-to-door minutes) and builds the
+transfer legs, with their clock texts and fares, only for an extension it
+accepts. Most extensions a search tries are refused on that minute. An
+arrival past 23:59 needs no case of its own: no POI, hotel check-in or
+route departure is later than 23:59, so the arrival test refuses it.
 """
 
 from __future__ import annotations
@@ -15,12 +22,13 @@ from decimal import Decimal
 from ..errors import ConfigError, InputError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
-from ..sandbox import CityDatabase, IntercityRoute, cars_for, goto
+from ..sandbox import CityDatabase, IntercityRoute, cars_for, goto, option_minutes
 from ..timeutil import to_hhmm, to_minutes
 from .context import QueryContext
 
 DEFAULT_DURATION = 90                     # minutes per visit or meal
 DAY_START = to_minutes("08:00")           # clock after a night at the hotel
+DAY_END = to_minutes("23:59")             # latest clock a plan can express
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,17 @@ def transport_legs(
     return legs, start_minutes + option.time_minutes, total
 
 
+def arrival_minute(db: CityDatabase, start: str, end: str, start_minutes: int, mode: str) -> int:
+    """Minute a transfer leaving at `start_minutes` arrives; may pass 23:59.
+
+    The arrival `transport_legs` reports for the same transfer, without
+    building its legs.
+    """
+    if start == end:
+        return start_minutes
+    return start_minutes + option_minutes(db, start, end, mode)
+
+
 def pick_mode(db: CityDatabase, start: str, end: str, ctx: QueryContext) -> str:
     """Required mode if the query names one, walk under 1 km, metro otherwise."""
     if ctx.required_innercity_mode:
@@ -129,10 +148,7 @@ def schedule_visit(
     """Attraction or meal extension; None when the POI cannot be visited now."""
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
-    transfer = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
-    if transfer is None:
-        return None
-    legs, arrival, leg_cost = transfer
+    arrival = arrival_minute(db, state.position, name, state.clock, mode)
     open_at = to_minutes(row["opentime"])
     close_at = to_minutes(row["endtime"])
     if arrival < open_at or arrival > close_at:
@@ -150,6 +166,7 @@ def schedule_visit(
     if duration <= 0:
         return None
 
+    legs, _, leg_cost = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
     price = row["price"]
     cost = price * ctx.people
     activity = {
@@ -182,13 +199,10 @@ def schedule_hotel(
     """Check in for the night and roll the clock to next morning."""
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
-    transfer = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
-    if transfer is None:
+    arrival = arrival_minute(db, state.position, name, state.clock, mode)
+    if arrival >= DAY_END:
         return None
-    legs, arrival, leg_cost = transfer
-    day_end = to_minutes("23:59")
-    if arrival >= day_end:
-        return None
+    legs, _, leg_cost = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
     rooms = ctx.required_rooms or math.ceil(ctx.people / row["numbed"])
     price = row["price"]
     cost = price * rooms
@@ -196,7 +210,7 @@ def schedule_hotel(
         "type": "accommodation",
         "position": name,
         "start_time": to_hhmm(arrival),
-        "end_time": to_hhmm(day_end),
+        "end_time": to_hhmm(DAY_END),
         "price": price,
         "rooms": rooms,
         "room_type": row["numbed"],
@@ -233,14 +247,11 @@ def schedule_return(
 ) -> SearchState | None:
     """Last activity: ride home; rejected when the departure cannot be caught."""
     mode = pick_mode(db, state.position, route.from_station, ctx)
-    transfer = transport_legs(
+    if arrival_minute(db, state.position, route.from_station, state.clock, mode) > route.begin:
+        return None
+    legs, _, leg_cost = transport_legs(
         db, state.position, route.from_station, state.clock, mode, ctx.people
     )
-    if transfer is None:
-        return None
-    legs, arrival, leg_cost = transfer
-    if arrival > route.begin:
-        return None
     activity = route.activity(ctx.people)
     if legs:
         activity["transports"] = legs

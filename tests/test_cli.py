@@ -277,6 +277,32 @@ def test_plans_record_without_uid_is_usage_error(tmp_path, bench, good_plans, ca
     assert "Traceback" not in err
 
 
+def _day_as_text(plan: dict) -> dict:
+    plan["itinerary"][0]["day"] = "one"
+    return plan
+
+
+@pytest.mark.parametrize("spoil, detail", [
+    (lambda plan: {k: v for k, v in plan.items() if k != "itinerary"},
+     "missing mandatory field 'itinerary'"),
+    (_day_as_text, "invalid literal for int()"),
+    (lambda plan: [], "plan document must be a JSON object"),
+], ids=["no-itinerary", "day-text", "plan-list"])
+def test_plans_record_with_a_bad_plan_is_usage_error(tmp_path, bench, good_plans, capsys,
+                                                     spoil, detail):
+    plans = tmp_path / "good-plans.jsonl"
+    header, *lines = plans.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["plan"] = spoil(record["plan"])
+    plans.write_text("\n".join([header, lines[0], "", json.dumps(record), *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert run_on_benchmark("eval", bench, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{plans}:4: plans record {record['uid']!r}: " in err
+    assert detail in err
+    assert "internal error" not in err and "Traceback" not in err
+
+
 def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
     header, *lines = bench.read_text().splitlines()
     record = json.loads(lines[0])

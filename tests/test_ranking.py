@@ -1,0 +1,161 @@
+"""The heuristic ranker's per-search key memo.
+
+`HeuristicRanker` sorts once by a key it remembers per row for one query.
+The reference below is the partition-then-sort it replaced: a stable split
+into rows that hit a required term and the rest, then, under a budget, a
+stable sort by price. Every order must match it, also when one ranker is
+reused across queries and across separately loaded datasets.
+"""
+
+from __future__ import annotations
+
+import gc
+from decimal import Decimal
+
+import pytest
+
+from tripsmith.sandbox import IntercityRoute, load_dataset
+from tripsmith.search import HeuristicRanker, initial_state
+from tripsmith.search.context import QueryContext
+from tripsmith.search.rules import outbound_routes, return_routes
+
+from .conftest import FIXTURES
+
+
+def _terms(candidate) -> list[str]:
+    if isinstance(candidate, IntercityRoute):
+        return [candidate.id, candidate.kind]
+    return [candidate.get("name", "")] + [
+        str(candidate[key])
+        for key in ("cuisinetype", "type", "featurehoteltype", "recommendedfood")
+        if key in candidate
+    ]
+
+
+def _price(candidate) -> Decimal:
+    if isinstance(candidate, IntercityRoute):
+        return candidate.cost
+    return candidate.get("price", Decimal("0"))
+
+
+def reference_rank(candidates: list, context: QueryContext) -> list:
+    required = context.required_terms()
+    ordered = list(candidates)
+    if required:
+        matching, rest = [], []
+        for candidate in candidates:
+            hit = any(req in term for req in required for term in _terms(candidate))
+            (matching if hit else rest).append(candidate)
+        ordered = matching + rest
+    if context.budget_limit is not None:
+        ordered = sorted(ordered, key=_price)
+    return ordered
+
+
+def _ids(ranker, candidates: list, context: QueryContext) -> tuple[list, list]:
+    """Object ids in the ranker's order and in the reference order."""
+    ranked = ranker.rank(candidates, initial_state(), context)
+    return list(map(id, ranked)), list(map(id, reference_rank(candidates, context)))
+
+
+def _tables(dataset, origin="Alpha", target="Beta") -> dict[str, list]:
+    ctx = QueryContext(origin, target, 1, 2)
+    db = dataset[target]
+    return {
+        "attractions": list(db.attractions),
+        "restaurants": list(db.restaurants),
+        "hotels": list(db.hotels),
+        "outbound": list(outbound_routes(dataset, ctx)),
+        "return": list(return_routes(dataset, ctx)),
+    }
+
+
+def _contexts(dataset) -> dict[str, QueryContext]:
+    """No terms, terms only, budget only and both; the terms hit every table."""
+    db = dataset["Beta"]
+    ctx = QueryContext("Alpha", "Beta", 1, 2)
+    routes = (return_routes(dataset, ctx)[-1], outbound_routes(dataset, ctx)[-1])
+    terms = {
+        "required_cuisines": [db.restaurants[-1]["cuisinetype"]],
+        "required_attraction_types": [db.attractions[-1]["type"]],
+        "required_hotel_features": [db.hotels[-1]["featurehoteltype"]],
+        "required_pois": [route.id for route in routes],
+    }
+    budget = {"budget_limit": Decimal("5000")}
+    return {
+        "none": QueryContext("Alpha", "Beta", 1, 2),
+        "terms": QueryContext("Alpha", "Beta", 1, 2, **terms),
+        "budget": QueryContext("Alpha", "Beta", 1, 2, **budget),
+        "both": QueryContext("Alpha", "Beta", 1, 2, **terms, **budget),
+    }
+
+
+@pytest.mark.parametrize("kind", ["none", "terms", "budget", "both"])
+@pytest.mark.parametrize("fixture", ["micro", "mini"])
+def test_rank_matches_partition_then_sort(kind, fixture):
+    dataset = load_dataset(FIXTURES / fixture)
+    ctx = _contexts(dataset)[kind]
+    ranker = HeuristicRanker()
+    for _ in range(2):      # the second pass reads every key from the memo
+        for table, rows in _tables(dataset).items():
+            # reversed as well, so the stable tie order is checked both ways
+            for candidates in (rows, rows[::-1]):
+                got, want = _ids(ranker, candidates, ctx)
+                assert got == want, table
+
+
+@pytest.mark.parametrize("fixture", ["micro", "mini"])
+def test_the_terms_hit_rows_of_every_table(fixture):
+    dataset = load_dataset(FIXTURES / fixture)
+    required = _contexts(dataset)["terms"].required_terms()
+    for table, rows in _tables(dataset).items():
+        assert any(req in term for row in rows for req in required for term in _terms(row)), \
+            table
+
+
+def test_one_ranker_follows_each_query():
+    dataset = load_dataset(FIXTURES / "mini")
+    contexts = list(_contexts(dataset).values())
+    ranker = HeuristicRanker()
+    rows = _tables(dataset)["restaurants"]
+    for ctx in contexts + contexts[::-1]:
+        got, want = _ids(ranker, rows, ctx)
+        assert got == want
+    # the same context object, given a new term and a budget between two calls
+    ctx = QueryContext("Alpha", "Beta", 1, 2)
+    for change in ({}, {"required_cuisines": [rows[-1]["cuisinetype"]]},
+                   {"budget_limit": Decimal("100")}):
+        for field, value in change.items():
+            setattr(ctx, field, value)
+        got, want = _ids(ranker, rows, ctx)
+        assert got == want, change
+
+
+def test_one_ranker_across_separately_loaded_datasets():
+    """One context for every load, so the memo is kept while the rows change."""
+    contexts = _contexts(load_dataset(FIXTURES / "mini"))
+    ranker = HeuristicRanker()
+    for fixture in ("mini", "micro", "mini", "micro"):
+        tables = _tables(load_dataset(FIXTURES / fixture))
+        for table, rows in tables.items():
+            for ctx in (contexts["both"], contexts["terms"]):
+                got, want = _ids(ranker, rows, ctx)
+                assert got == want, (fixture, table)
+        del tables, rows
+        gc.collect()
+
+
+def test_a_freed_row_never_lends_its_key_to_a_new_one():
+    """Rows built afresh for each call, under one context: were a key kept by
+    `id()` without its row, a new row at a freed address would take it."""
+    base = _tables(load_dataset(FIXTURES / "mini"))["restaurants"]
+    ctx = QueryContext("Alpha", "Beta", 1, 2, budget_limit=Decimal("100"),
+                       required_cuisines=[base[0]["cuisinetype"]])
+    ranker = HeuristicRanker()
+    for turn in range(20):
+        rows = [dict(row, price=Decimal((index * 7 + turn * 3) % 5))
+                for index, row in enumerate(base)]
+        got, want = _ids(ranker, rows, ctx)
+        assert got == want
+        del rows
+        gc.collect()
