@@ -1,11 +1,24 @@
 """Depth-first greedy search over itinerary extensions.
 
 Children are explored in ranker order; a branch dies when no candidate can be
-scheduled. Completing a plan means placing the return transport, at which
-point the full environmental check and every constraint program run; the first
-all-green plan is returned immediately. On exhaustion or deadline expiry the
-best intermediate wins: an environment-passing plan with the most satisfied
-constraints, else the longest partial prefix, else nothing.
+scheduled. Completing a plan means placing the return transport; the first
+plan that passes the environmental check and every constraint program is
+returned immediately. On exhaustion or deadline expiry the best intermediate
+wins: an environment-passing plan with the most satisfied constraints (the
+first found among equals), else the longest partial prefix, else nothing.
+
+A completed plan (a leaf) runs only the tests that can still change that
+result: the constraint programs first, then the environmental check. Once an
+environment-passing plan exists, a leaf that has failed too many programs to
+pass them all, or to beat the best count so far, can change neither the full
+pass nor the best intermediate; it is dropped before the remaining programs
+and the environmental check run. Until then every leaf runs every program and
+the check, so the longest-prefix fallback still sees each leaf that fails the
+check. Programs run in fail-first order: the one that last dropped a leaf
+moves to the front. A pass count does not depend on that order, and
+`run_program` folds every evaluation error into a failure, so the order
+changes only what a leaf costs, never its verdict; it follows from the
+search's own history, so runs stay deterministic.
 
 The wall-clock budget is tested at node-expansion boundaries only, so the
 explored prefix is reproducible; elapsed time is reported but never affects
@@ -70,6 +83,7 @@ class _Search:
     def __init__(self, programs, dataset, ranker, budget_seconds, ctx, prune_budget,
                  trace=None):
         self.programs = programs
+        self.order = list(programs)     # fail-first: the last program to drop a leaf leads
         self.dataset = dataset
         self.ranker = ranker
         self.budget_seconds = budget_seconds
@@ -85,9 +99,6 @@ class _Search:
 
     def elapsed(self) -> float:
         return time.monotonic() - self.start
-
-    def constraint_passes(self, plan: Plan) -> list[bool]:
-        return [run_program(program, plan, self.dataset).passed for program in self.programs]
 
     def candidates(self, act_type: str, state: SearchState) -> list:
         if act_type == OUTBOUND:
@@ -122,18 +133,35 @@ class _Search:
             self.best_partial = state
 
     def finish_plan(self, state: SearchState):
-        """Validate a completed plan; a full pass short-circuits the search."""
+        """Decide a completed plan; a full pass short-circuits the search.
+
+        The plan can change the outcome only by passing every program and the
+        environmental check, or by passing the check with more programs than
+        `best_env_passed`. Past `allowed` failures it can do neither, so it is
+        dropped before the remaining programs and the check run. While no
+        environment-passing plan exists `allowed` is the program count, and
+        every leaf is decided in full.
+        """
         plan = state.to_plan(self.ctx)
-        env = validate_env(plan, self.dataset)
-        if not env.overall:
+        order = self.order
+        allowed = len(order) - self.best_env_passed - 1
+        failures = 0
+        for index, program in enumerate(order):
+            if run_program(program, plan, self.dataset).passed:
+                continue
+            failures += 1
+            if failures > allowed:
+                del order[index]
+                order.insert(0, program)
+                return None
+        if not validate_env(plan, self.dataset).overall:
             self.note_partial(state)
             return None
-        passes = self.constraint_passes(plan)
-        if all(passes):
+        if not failures:
             return plan
-        if sum(passes) > self.best_env_passed:
-            self.best_env_passed = sum(passes)
-            self.best_env_plan = plan
+        # at most `allowed` failures: strictly more passes than best_env_passed
+        self.best_env_passed = len(order) - failures
+        self.best_env_plan = plan
         return None
 
     def dfs(self, state: SearchState):

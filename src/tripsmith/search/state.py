@@ -36,7 +36,9 @@ class SearchConfig:
     budget_seconds: float = 300.0
 
     def validate(self) -> None:
-        if self.budget_seconds <= 0:
+        # written so that NaN, which no deadline test would ever exceed, fails;
+        # inf stays valid as an explicit "no deadline"
+        if not self.budget_seconds > 0:
             raise ConfigError("search budget must be positive")
 
 

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import shutil
 from decimal import Decimal
 from pathlib import Path
@@ -49,6 +50,7 @@ from tripsmith.search.state import transport_legs
 from tripsmith.timeutil import to_minutes
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SYNTH = Path(__file__).resolve().parents[1] / "bench" / "synth.py"
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +61,15 @@ def mini_dataset():
 @pytest.fixture(scope="session")
 def micro_dataset():
     return load_dataset(FIXTURES / "micro")
+
+
+@pytest.fixture(scope="session")
+def synth_dataset(tmp_path_factory):
+    """The benchmark's synthetic city set (bench/synth.py, seed 0)."""
+    spec = importlib.util.spec_from_file_location("tripsmith_bench_synth", SYNTH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return load_dataset(module.generate(tmp_path_factory.mktemp("synth"), seed=0))
 
 
 @pytest.fixture(scope="session")

@@ -11,16 +11,12 @@ reaches 23:59.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
-
-import pytest
 
 from tripsmith.evaluation.env_rules import MEAL_WINDOWS
-from tripsmith.sandbox import MODES, load_dataset
+from tripsmith.sandbox import MODES
 from tripsmith.search.context import QueryContext
 from tripsmith.search.rules import return_routes
 from tripsmith.search.state import (
@@ -35,8 +31,6 @@ from tripsmith.search.state import (
     transport_legs,
 )
 from tripsmith.timeutil import to_hhmm, to_minutes
-
-SYNTH = Path(__file__).resolve().parents[1] / "bench" / "synth.py"
 
 # every 97 minutes from midnight, then closer towards 23:59 and each of its
 # last five minutes
@@ -139,18 +133,6 @@ def _reference_return(state, route, db, ctx):
 
 
 # -- the case grid ----------------------------------------------------------------
-
-
-def _load_synth(root: Path):
-    spec = importlib.util.spec_from_file_location("tripsmith_bench_synth", SYNTH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return load_dataset(module.generate(root, seed=0))
-
-
-@pytest.fixture(scope="module")
-def synth_dataset(tmp_path_factory):
-    return _load_synth(tmp_path_factory.mktemp("synth"))
 
 
 def _every(rows, step):

@@ -195,6 +195,33 @@ def test_generate_count_below_one_is_usage_error(tmp_path, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["generate", "plan"])
+def test_budget_secs_not_positive_is_usage_error(tmp_path, bench, capsys, command, budget):
+    out = tmp_path / "out.jsonl"
+    source = ["--db", MICRO] if command == "generate" else ["--benchmark", str(bench),
+                                                            "--db", MICRO]
+    capsys.readouterr()
+    assert run(command, *source, "--budget-secs", budget, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: search budget must be positive\n"
+    assert not out.exists()
+
+
+def test_budget_secs_inf_means_no_deadline(tmp_path, bench):
+    out = tmp_path / "inf.jsonl"
+    assert run("generate", "--db", MICRO, "--count", "2", "--seed", "11",
+               "--budget-secs", "inf", "--out", str(out)) == 0
+    assert len(read_jsonl(out, "benchmark")[1]) == 2
+    plans = {}
+    for budget in ("inf", "10"):
+        plans[budget] = tmp_path / f"plans-{budget}.jsonl"
+        assert run("plan", "--benchmark", str(bench), "--db", MICRO,
+                   "--budget-secs", budget, "--out", str(plans[budget])) == 0
+    records = {budget: read_jsonl(path, "plans")[1] for budget, path in plans.items()}
+    assert records["inf"] == records["10"]
+    assert all(record["status"] == "full_pass" for record in records["inf"])
+
+
 def test_usage_error_on_unknown_command():
     assert run("frobnicate") == 2
 
