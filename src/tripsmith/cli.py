@@ -11,7 +11,7 @@ Every command writes a `<out>.manifest.json` sidecar and embeds the manifest
 hash in its output header; eval refuses plans built from a different
 benchmark. With a fixed seed and the heuristic ranker the whole pipeline is
 byte-deterministic (sidecar timestamps aside). Exit codes: 0 ok, 1 internal
-error, 2 usage error.
+error, 2 usage error (bad arguments, inputs or data root).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -26,6 +27,8 @@ from pathlib import Path
 from .errors import (
     ConfigError,
     InputError,
+    IntegrityError,
+    LoadError,
     MetricError,
     PlanParseError,
     SchemaError,
@@ -44,6 +47,11 @@ from .search import FULL_PASS, HeuristicRanker, SearchConfig, dfs_search
 logger = logging.getLogger("tripsmith.cli")
 
 GENERATE_ATTEMPT_FACTOR = 50
+
+
+def _budget_value(seconds: float):
+    """A search budget as a JSON value; no deadline (inf) is the string "inf"."""
+    return "inf" if seconds == math.inf else seconds
 
 
 def _plan_record(plan) -> dict | None:
@@ -71,7 +79,7 @@ def cmd_generate(args) -> int:
         command="generate",
         inputs={"db": Path(args.db).name},
         config={"difficulty": args.difficulty, "count": args.count,
-                "budget_secs": args.budget_secs,
+                "budget_secs": _budget_value(args.budget_secs),
                 "origin": args.origin, "target": args.target},
         seed=args.seed,
         paths={"db": str(args.db)},
@@ -155,7 +163,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
         inputs={"benchmark": bench_header["manifest_hash"], "db": Path(args.db).name},
         # jobs is an execution detail: results are merged in input order,
         # so the artifact is the same regardless of parallelism
-        config={"ranker": args.ranker, "budget_secs": args.budget_secs},
+        config={"ranker": args.ranker, "budget_secs": _budget_value(args.budget_secs)},
         seed=args.seed,
         paths={"benchmark": str(args.benchmark), "db": str(args.db)},
     )
@@ -373,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ConfigError) as exc:
+    except (InputError, ConfigError, LoadError, IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TripsmithError as exc:

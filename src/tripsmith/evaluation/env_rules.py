@@ -16,7 +16,7 @@ from decimal import Decimal
 
 from ..errors import InputError
 from ..plan.model import INTERCITY_TYPES, MEAL_TYPES, Plan
-from ..sandbox import Dataset, cars_for, goto
+from ..sandbox import Dataset, cars_for, goto, transfer_mode
 from ..timeutil import is_hhmm, to_hhmm, to_minutes
 
 MEAL_WINDOWS = {
@@ -216,20 +216,20 @@ class _Check:
                           "walk-metro-walk triple between known positions")
                 continue
 
-            mode = legs[1]["mode"] if len(legs) == 3 else legs[0]["mode"]
+            mode = transfer_mode(legs)
             try:
-                option = goto(self.target_db, legs[0]["start"], legs[-1]["end"],
-                              legs[0]["start_time"], mode)
+                sandbox_legs = goto(self.target_db, legs[0]["start"], legs[-1]["end"],
+                                    legs[0]["start_time"], mode)
             except InputError:
                 self.fail("env.inner_city.info",
                           f"a {mode} leaving {legs[0]['start_time']} arrives after 23:59")
                 continue
-            for leg, ref in zip(legs, option.legs):
+            for leg, ref in zip(legs, sandbox_legs):
                 same = (
-                    leg.get("distance", Decimal(0)) == ref.distance
-                    and leg.get("price", Decimal(0)) == ref.price
-                    and leg.get("start_time") == ref.start_time
-                    and leg.get("end_time") == ref.end_time
+                    leg.get("distance", Decimal(0)) == ref["distance"]
+                    and leg.get("price", Decimal(0)) == ref["price"]
+                    and leg.get("start_time") == ref["start_time"]
+                    and leg.get("end_time") == ref["end_time"]
                 )
                 if not same:
                     self.fail("env.inner_city.info",

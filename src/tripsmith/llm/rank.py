@@ -9,6 +9,7 @@ event is recorded, one per failed call.
 from __future__ import annotations
 
 import ast
+import functools
 import logging
 from dataclasses import dataclass
 from importlib import resources
@@ -27,7 +28,9 @@ class DegradationEvent:
     reason: str
 
 
+@functools.cache
 def load_prompt(name: str) -> str:
+    """Text of the packaged prompt `name`, read once per process."""
     return resources.files("tripsmith.llm").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 
 

@@ -4,7 +4,8 @@ Every command records what it ran with; downstream commands verify they are
 fed matching artifacts. The manifest hash covers only reproducible fields
 (command, inputs, config, seed, package version) - wall-clock timestamps live
 in the sidecar for humans but never enter the hash, so re-running a seeded
-command reproduces identical output bytes.
+command reproduces identical output bytes. Both are strict JSON: a
+non-finite number raises instead of being written as `Infinity` or `NaN`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class RunManifest:
 
     @property
     def hash(self) -> str:
-        blob = json.dumps(self.stable_fields(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.stable_fields(), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def write_sidecar(self, out_path: Path | str) -> Path:
@@ -50,7 +52,7 @@ class RunManifest:
         record["hash"] = self.hash
         record["paths"] = self.paths
         record["created"] = self.created or time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        sidecar.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
+        sidecar.write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n",
                            encoding="utf-8")
         return sidecar
 

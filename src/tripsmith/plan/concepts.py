@@ -13,7 +13,7 @@ from decimal import Decimal
 from typing import Callable
 
 from ..errors import DslEvalError, NotFoundError
-from ..sandbox import Dataset
+from ..sandbox import Dataset, transfer_mode
 from ..timeutil import is_hhmm, to_minutes
 from .model import Plan
 
@@ -244,12 +244,7 @@ def innercity_transport_time(ctx, transports):
 
 
 def innercity_transport_type(ctx, transports):
-    legs = _legs_of(transports)
-    if len(legs) == 3:
-        return legs[1].get("mode", "")
-    if len(legs) == 1:
-        return legs[0].get("mode", "")
-    return ""
+    return transfer_mode(_legs_of(transports))
 
 
 def innercity_transport_start_time(ctx, transports):

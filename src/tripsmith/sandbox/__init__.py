@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+from ..errors import LoadError
 from .database import (
     PAGE_SIZE,
     CityDatabase,
@@ -15,7 +16,7 @@ from .database import (
     select,
 )
 from .fares import FareConfig, load_fare_config
-from .transport import MODES, TransportLeg, TransportOption, cars_for, goto, option_minutes
+from .transport import MODES, cars_for, goto, option_minutes, transfer_mode
 
 
 class Dataset:
@@ -38,6 +39,8 @@ class Dataset:
 def load_dataset(root_path) -> Dataset:
     """Load every city directory found under the root."""
     root = Path(root_path)
+    if not root.is_dir():
+        raise LoadError(f"data root is not a directory: {root}")
     cities = {}
     for entry in sorted(root.iterdir()):
         if entry.is_dir():
@@ -53,8 +56,6 @@ __all__ = [
     "FareConfig",
     "IntercityRoute",
     "QuerySession",
-    "TransportLeg",
-    "TransportOption",
     "cars_for",
     "goto",
     "intercity_select",
@@ -66,4 +67,5 @@ __all__ = [
     "next_page",
     "option_minutes",
     "select",
+    "transfer_mode",
 ]

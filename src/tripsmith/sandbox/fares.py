@@ -8,7 +8,7 @@ defaults below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from ..errors import LoadError
@@ -38,7 +38,7 @@ class FareConfig:
 
 
 def load_fare_config(path: Path | str) -> FareConfig:
-    """Read a key=value fare file; unknown keys are rejected."""
+    """Read a key=value fare file; unknown keys and bad numbers are rejected."""
     path = Path(path)
     if not path.exists():
         raise LoadError(f"fare config not found: {path}")
@@ -52,9 +52,13 @@ def load_fare_config(path: Path | str) -> FareConfig:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key in _DECIMAL_KEYS:
-            values[key] = Decimal(val)
+            parse = Decimal
         elif key in _INT_KEYS:
-            values[key] = int(val)
+            parse = int
         else:
             raise LoadError(f"{path}:{lineno}: unknown fare key {key!r}")
+        try:
+            values[key] = parse(val)
+        except (InvalidOperation, ValueError):
+            raise LoadError(f"{path}:{lineno}: bad number {val!r} for {key!r}") from None
     return FareConfig(**values)

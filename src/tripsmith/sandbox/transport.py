@@ -1,6 +1,7 @@
 """Inner-city transport simulation.
 
-`goto` produces exactly one deterministic option per mode:
+`goto` returns the legs of one transfer in a given mode, as the plan stores
+them:
 
 * walk  - one leg at walking speed, free.
 * metro - three legs (walk in, ride, walk out); the access walks take a fixed
@@ -15,7 +16,6 @@ Decimals, so repeated calls are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 
 from ..errors import NotFoundError
@@ -24,26 +24,6 @@ from .database import CityDatabase
 
 MODES = ("walk", "metro", "taxi")
 TAXI_SEATS = 4
-
-
-@dataclass(frozen=True)
-class TransportLeg:
-    mode: str
-    start: str
-    end: str
-    start_time: str
-    end_time: str
-    distance: Decimal     # km
-    price: Decimal        # per ticket (metro/walk) or per car (taxi)
-
-
-@dataclass(frozen=True)
-class TransportOption:
-    mode: str
-    legs: tuple[TransportLeg, ...]
-    distance: Decimal     # km, total
-    time_minutes: int
-    price: Decimal        # per unit, total over legs
 
 
 def cars_for(people: int) -> int:
@@ -88,34 +68,45 @@ def option_minutes(db: CityDatabase, start: str, end: str, mode: str) -> int:
     return travel_minutes(dist, fares.metro_speed_kmh) + 2 * fares.metro_access_minutes
 
 
-def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> TransportOption:
-    """One transport option from `start` to `end` leaving at `start_time`."""
+def transfer_mode(legs: list) -> str:
+    """Mode of a transfer's legs: the ride of a walk-metro-walk triple, else
+    the single leg's mode; "" for any other number of legs."""
+    if len(legs) == 3:
+        return legs[1].get("mode", "")
+    if len(legs) == 1:
+        return legs[0].get("mode", "")
+    return ""
+
+
+def _leg(mode: str, start: str, end: str, t0: int, t1: int,
+         distance: Decimal, price: Decimal) -> dict:
+    return {"mode": mode, "start": start, "end": end, "start_time": to_hhmm(t0),
+            "end_time": to_hhmm(t1), "distance": distance, "price": price}
+
+
+def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> list[dict]:
+    """The legs of one `mode` transfer from `start` to `end` leaving at `start_time`.
+
+    Each leg is a fresh plan-leg dict (mode, start, end, start_time,
+    end_time, distance in km, price per ticket or per car); the caller may
+    add its party fields to it. Raises InputError when the transfer would
+    arrive after 23:59.
+    """
     minutes = option_minutes(db, start, end, mode)
     dist = db.distance(start, end)
     t0 = to_minutes(start_time)
     fares = db.fares
 
     if mode == "walk":
-        leg = TransportLeg("walk", start, end, to_hhmm(t0), to_hhmm(t0 + minutes),
-                           dist, Decimal("0"))
-        return TransportOption("walk", (leg,), dist, minutes, Decimal("0"))
-
+        return [_leg("walk", start, end, t0, t0 + minutes, dist, Decimal("0"))]
     if mode == "taxi":
-        price = taxi_fare(dist, fares)
-        leg = TransportLeg("taxi", start, end, to_hhmm(t0), to_hhmm(t0 + minutes),
-                           dist, price)
-        return TransportOption("taxi", (leg,), dist, minutes, price)
+        return [_leg("taxi", start, end, t0, t0 + minutes, dist, taxi_fare(dist, fares))]
 
     access = fares.metro_access_minutes
-    ride = minutes - 2 * access
-    fare = metro_fare(dist, fares)
+    ride_end = t0 + minutes - access
     zero = Decimal("0.000")
-    legs = (
-        TransportLeg("walk", start, start, to_hhmm(t0), to_hhmm(t0 + access),
-                     zero, Decimal("0")),
-        TransportLeg("metro", start, end, to_hhmm(t0 + access), to_hhmm(t0 + access + ride),
-                     dist, fare),
-        TransportLeg("walk", end, end, to_hhmm(t0 + access + ride),
-                     to_hhmm(t0 + access + ride + access), zero, Decimal("0")),
-    )
-    return TransportOption("metro", legs, dist, minutes, fare)
+    return [
+        _leg("walk", start, start, t0, t0 + access, zero, Decimal("0")),
+        _leg("metro", start, end, t0 + access, ride_end, dist, metro_fare(dist, fares)),
+        _leg("walk", end, end, ride_end, ride_end + access, zero, Decimal("0")),
+    ]

@@ -6,9 +6,9 @@ backtracking is simply dropping a child. A state is only ever created through
 environmental rule - the partial plan is valid by construction.
 
 Each helper decides an extension on the arrival minute alone (`arrival_minute`:
-the clock plus the chosen mode's door-to-door minutes) and builds the
-transfer legs, with their clock texts and fares, only for an extension it
-accepts. Most extensions a search tries are refused on that minute. An
+the clock plus the chosen mode's door-to-door minutes) and asks `goto` for
+the transfer legs, which the plan stores as they are plus the party's tickets
+or cars and cost, only for an extension it accepts. Most extensions a search tries are refused on that minute. An
 arrival past 23:59 needs no case of its own: no POI, hotel check-in or
 route departure is later than 23:59, so the arrival test refuses it.
 """
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from ..errors import ConfigError, InputError
+from ..errors import ConfigError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
 from ..sandbox import CityDatabase, IntercityRoute, cars_for, goto, option_minutes
@@ -83,48 +83,30 @@ def initial_state() -> SearchState:
 
 def transport_legs(
     db: CityDatabase, start: str, end: str, start_minutes: int, mode: str, people: int
-) -> tuple[list[dict], int, Decimal] | None:
-    """Plan-ready legs from one goto option: (legs, arrival minutes, total cost).
+) -> tuple[list[dict], Decimal]:
+    """goto's legs with the party's tickets or cars and their cost: (legs, total cost).
 
-    None when the transfer would arrive after 23:59, which no clock time can
-    express.
+    Callers refuse a transfer whose `arrival_minute` is past 23:59 first.
     """
     if start == end:
-        return [], start_minutes, Decimal("0")
-    depart = to_hhmm(start_minutes)
-    try:
-        option = goto(db, start, end, depart, mode)
-    except InputError:
-        return None
-    legs = []
+        return [], Decimal("0")
+    legs = goto(db, start, end, to_hhmm(start_minutes), mode)
     total = Decimal("0")
-    for leg in option.legs:
-        entry = {
-            "mode": leg.mode,
-            "start": leg.start,
-            "end": leg.end,
-            "start_time": leg.start_time,
-            "end_time": leg.end_time,
-            "distance": leg.distance,
-            "price": leg.price,
-        }
-        if leg.mode == "taxi":
-            cars = cars_for(people)
-            entry["cars"] = cars
-            entry["cost"] = leg.price * cars
+    for leg in legs:
+        if leg["mode"] == "taxi":
+            leg["cars"] = cars_for(people)
+            leg["cost"] = leg["price"] * leg["cars"]
         else:
-            entry["tickets"] = people
-            entry["cost"] = leg.price * people
-        total += entry["cost"]
-        legs.append(entry)
-    return legs, start_minutes + option.time_minutes, total
+            leg["tickets"] = people
+            leg["cost"] = leg["price"] * people
+        total += leg["cost"]
+    return legs, total
 
 
 def arrival_minute(db: CityDatabase, start: str, end: str, start_minutes: int, mode: str) -> int:
     """Minute a transfer leaving at `start_minutes` arrives; may pass 23:59.
 
-    The arrival `transport_legs` reports for the same transfer, without
-    building its legs.
+    The end time of the last leg `goto` would build, without building it.
     """
     if start == end:
         return start_minutes
@@ -168,7 +150,7 @@ def schedule_visit(
     if duration <= 0:
         return None
 
-    legs, _, leg_cost = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
+    legs, leg_cost = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
     price = row["price"]
     cost = price * ctx.people
     activity = {
@@ -204,7 +186,7 @@ def schedule_hotel(
     arrival = arrival_minute(db, state.position, name, state.clock, mode)
     if arrival >= DAY_END:
         return None
-    legs, _, leg_cost = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
+    legs, leg_cost = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
     rooms = ctx.required_rooms or math.ceil(ctx.people / row["numbed"])
     price = row["price"]
     cost = price * rooms
@@ -251,7 +233,7 @@ def schedule_return(
     mode = pick_mode(db, state.position, route.from_station, ctx)
     if arrival_minute(db, state.position, route.from_station, state.clock, mode) > route.begin:
         return None
-    legs, _, leg_cost = transport_legs(
+    legs, leg_cost = transport_legs(
         db, state.position, route.from_station, state.clock, mode, ctx.people
     )
     activity = route.activity(ctx.people)

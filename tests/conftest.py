@@ -46,7 +46,7 @@ def pytest_terminal_summary(terminalreporter):
 from tripsmith.plan.model import DayPlan, Plan
 from tripsmith.sandbox import load_dataset
 from tripsmith.search.context import QueryContext
-from tripsmith.search.state import transport_legs
+from tripsmith.search.state import arrival_minute, transport_legs
 from tripsmith.timeutil import to_minutes
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,8 +122,9 @@ def legs_for(db, start, end, depart, people=PEOPLE, mode=None):
         from tripsmith.search.state import pick_mode
 
         mode = pick_mode(db, start, end, QueryContext("Alpha", "Beta", 1, people))
-    legs, arrival, _ = transport_legs(db, start, end, to_minutes(depart), mode, people)
-    return legs, arrival
+    clock = to_minutes(depart)
+    legs, _ = transport_legs(db, start, end, clock, mode, people)
+    return legs, arrival_minute(db, start, end, clock, mode)
 
 
 def _visit(db, kind, position, prev_pos, depart, start, end, price):

@@ -185,7 +185,8 @@ def average_poi_distance_reference(plan, dataset, target_poi):
     total = Decimal(0)
     count = 0
     for poi in pois:
-        total += goto(db, target_poi, poi, "00:00", "walk").distance
+        [walk] = goto(db, target_poi, poi, "00:00", "walk")
+        total += walk["distance"]
         count += 1
     if count > 0:
         return _div6(total, Decimal(count))

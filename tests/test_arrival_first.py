@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 
+from tripsmith.errors import InputError
 from tripsmith.evaluation.env_rules import MEAL_WINDOWS
-from tripsmith.sandbox import MODES
+from tripsmith.sandbox import MODES, cars_for, goto
 from tripsmith.search.context import QueryContext
 from tripsmith.search.rules import return_routes
 from tripsmith.search.state import (
@@ -28,7 +30,6 @@ from tripsmith.search.state import (
     schedule_hotel,
     schedule_return,
     schedule_visit,
-    transport_legs,
 )
 from tripsmith.timeutil import to_hhmm, to_minutes
 
@@ -42,10 +43,30 @@ CONTEXT_MODES = (None, *MODES)     # None: walk under 1 km, metro otherwise
 # -- the leg-first reference ------------------------------------------------------
 
 
+def _reference_transfer(db, start, end, clock, mode, people):
+    """(legs, arrival minute, cost) of one transfer built by `goto`, or None when
+    it would arrive after 23:59."""
+    if start == end:
+        return [], clock, Decimal("0")
+    try:
+        sandbox_legs = goto(db, start, end, to_hhmm(clock), mode)
+    except InputError:
+        return None
+    legs = []
+    for leg in sandbox_legs:
+        if leg["mode"] == "taxi":
+            party = {"cars": cars_for(people), "cost": leg["price"] * cars_for(people)}
+        else:
+            party = {"tickets": people, "cost": leg["price"] * people}
+        legs.append({**leg, **party})
+    cost = sum((leg["cost"] for leg in legs), Decimal("0"))
+    return legs, to_minutes(legs[-1]["end_time"]), cost
+
+
 def _reference_visit(state, row, act_type, db, ctx):
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
-    transfer = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
+    transfer = _reference_transfer(db, state.position, name, state.clock, mode, ctx.people)
     if transfer is None:
         return None
     legs, arrival, leg_cost = transfer
@@ -89,7 +110,7 @@ def _reference_visit(state, row, act_type, db, ctx):
 def _reference_hotel(state, row, db, ctx):
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
-    transfer = transport_legs(db, state.position, name, state.clock, mode, ctx.people)
+    transfer = _reference_transfer(db, state.position, name, state.clock, mode, ctx.people)
     if transfer is None:
         return None
     legs, arrival, leg_cost = transfer
@@ -118,8 +139,8 @@ def _reference_hotel(state, row, db, ctx):
 
 def _reference_return(state, route, db, ctx):
     mode = pick_mode(db, state.position, route.from_station, ctx)
-    transfer = transport_legs(db, state.position, route.from_station, state.clock, mode,
-                              ctx.people)
+    transfer = _reference_transfer(db, state.position, route.from_station, state.clock,
+                                   mode, ctx.people)
     if transfer is None:
         return None
     legs, arrival, leg_cost = transfer
@@ -182,7 +203,7 @@ def _check_grid(dataset, origin, target, step, people) -> Counter:
                     end = candidate.from_station if kind == "return" else candidate["name"]
                     mode = pick_mode(db, position, end, ctx)
                     arrival = arrival_minute(db, position, end, clock, mode)
-                    transfer = transport_legs(db, position, end, clock, mode, people)
+                    transfer = _reference_transfer(db, position, end, clock, mode, people)
                     if transfer is None:
                         seen["late"] += 1
                         assert arrival > to_minutes("23:59")

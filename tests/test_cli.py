@@ -6,7 +6,7 @@ import pytest
 
 from tripsmith.cli import main
 from tripsmith.llm import FaultInjectingTransport, LlmRanker
-from tripsmith.manifest import read_jsonl
+from tripsmith.manifest import RunManifest, read_jsonl
 
 from .conftest import FIXTURES
 
@@ -358,3 +358,69 @@ def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, c
     assert err.startswith(f"error: benchmark record {uid!r}: ")
     assert detail in err
     assert "Traceback" not in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_budget_secs_inf_sidecars_are_strict_json(tmp_path, bench):
+    generated, plans = tmp_path / "inf.jsonl", tmp_path / "plans-inf.jsonl"
+    assert run("generate", "--db", MICRO, "--count", "2", "--seed", "11",
+               "--budget-secs", "inf", "--out", str(generated)) == 0
+    assert run("plan", "--benchmark", str(bench), "--db", MICRO,
+               "--budget-secs", "inf", "--out", str(plans)) == 0
+    for out in (generated, plans):
+        text = Path(str(out) + ".manifest.json").read_text()
+        record = json.loads(text, parse_constant=_reject_constant)
+        assert record["config"]["budget_secs"] == "inf"
+
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_manifest_refuses_a_non_finite_value(tmp_path, value):
+    manifest = RunManifest(command="plan", inputs={}, config={"budget_secs": value})
+    with pytest.raises(ValueError):
+        manifest.hash
+    with pytest.raises(ValueError):
+        manifest.write_sidecar(tmp_path / "out.jsonl")
+    assert not (tmp_path / "out.jsonl.manifest.json").exists()
+
+def _spoiled_root(tmp_path, relative, old, new) -> Path:
+    root = tmp_path / "db"
+    shutil.copytree(MICRO, root)
+    path = root / relative
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    return root
+
+
+@pytest.mark.parametrize("relative, old, new, detail", [
+    ("fares.cfg", "taxi_per_km = 2.5", "taxi_per_km = abc",
+     "fares.cfg:9: bad number 'abc' for 'taxi_per_km'"),
+    ("fares.cfg", "metro_access_minutes = 2", "metro_access_minutes = 2.5",
+     "fares.cfg:6: bad number '2.5' for 'metro_access_minutes'"),
+    ("Beta/attractions.csv", ",40.00,", ",abc,", "attractions.csv:2: bad number 'abc'"),
+    ("Beta/attractions.csv", "Stone Bridge,", "Harbor Park,", "duplicate attraction name"),
+], ids=["fare-decimal", "fare-int", "csv-number", "csv-duplicate"])
+@pytest.mark.parametrize("command", ["generate", "plan"])
+def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative, old, new,
+                                      detail):
+    root = str(_spoiled_root(tmp_path, relative, old, new))
+    out = tmp_path / "out.jsonl"
+    source = ["--db", root] if command == "generate" else ["--benchmark", str(bench),
+                                                           "--db", root]
+    capsys.readouterr()
+    assert run(command, *source, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert detail in err
+    assert not out.exists()
+
+
+def test_missing_data_root_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-root"
+    capsys.readouterr()
+    assert run("generate", "--db", str(missing), "--out", str(tmp_path / "out.jsonl")) == 2
+    assert capsys.readouterr().err == f"error: data root is not a directory: {missing}\n"

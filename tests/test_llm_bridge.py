@@ -1,6 +1,7 @@
 import json
 import random
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,6 +94,29 @@ def test_one_degradation_event_per_injected_fault():
         ranker.rank(RESTAURANTS, initial_state(), micro_context())
     assert transport.faults == 7
     assert len(ranker.degradation_events) == 7
+
+
+def test_rank_reads_each_prompt_once(monkeypatch):
+    from tripsmith.llm import rank as rank_module
+
+    reads = []
+    real_files = rank_module.resources.files
+
+    def counting_files(package):
+        reads.append(package)
+        return real_files(package)
+
+    monkeypatch.setattr(rank_module, "resources", SimpleNamespace(files=counting_files))
+    rank_module.load_prompt.cache_clear()
+    prompts = []
+    ranker = LlmRanker(CallableTransport(lambda prompt: prompts.append(prompt) or "no list"))
+    attractions = [{"name": "Tower", "recommendmintime": 1, "price": Decimal(10)}]
+    for _ in range(5):
+        ranker.rank(RESTAURANTS, initial_state(), micro_context())
+        ranker.rank(attractions, initial_state(), micro_context())
+    assert len(prompts) == 10
+    assert prompts[0] != prompts[1]
+    assert reads == ["tripsmith.llm", "tripsmith.llm"]    # one read per prompt file
 
 
 # -- nl2dsl -----------------------------------------------------------------------

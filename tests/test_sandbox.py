@@ -15,7 +15,9 @@ from tripsmith.sandbox import (
     nearby,
     next_page,
     select,
+    transfer_mode,
 )
+from tripsmith.timeutil import to_minutes
 
 from .conftest import FIXTURES
 from .oracles import haversine_reference, nearby_reference
@@ -170,23 +172,31 @@ def test_is_open_unknown_poi(beta):
         is_open(beta, "attractions", "Ghost Tower", "09:00")
 
 
+def _minutes(legs) -> int:
+    return to_minutes(legs[-1]["end_time"]) - to_minutes(legs[0]["start_time"])
+
+
+def _price(legs) -> Decimal:
+    return sum((leg["price"] for leg in legs), Decimal(0))
+
+
 def test_goto_identity(beta):
-    option = goto(beta, "Beta Station", "Beta Station", "09:00", "walk")
-    assert option.distance == Decimal("0.000")
-    assert option.time_minutes == 0
-    assert option.price == 0
-    assert len(option.legs) == 1
+    legs = goto(beta, "Beta Station", "Beta Station", "09:00", "walk")
+    assert len(legs) == 1
+    assert legs[0]["distance"] == Decimal("0.000")
+    assert _minutes(legs) == 0
+    assert _price(legs) == 0
 
 
 def test_goto_walk_time_matches_haversine(beta):
     lat1, lon1 = beta.coordinates("Beta Station")
     lat2, lon2 = beta.coordinates("Old Town Wall")
     km = haversine_reference(float(lat1), float(lon1), float(lat2), float(lon2))
-    option = goto(beta, "Beta Station", "Old Town Wall", "09:00", "walk")
-    assert abs(float(option.distance) - km) < 1e-3
+    [leg] = goto(beta, "Beta Station", "Old Town Wall", "09:00", "walk")
+    assert abs(float(leg["distance"]) - km) < 1e-3
     # 5 km/h, whole minutes rounded up
     import math
-    assert option.time_minutes == math.ceil(float(option.distance) * 12)
+    assert _minutes([leg]) == math.ceil(float(leg["distance"]) * 12)
 
 
 def test_goto_two_km_walk_is_24_minutes(tmp_path):
@@ -204,25 +214,28 @@ def test_goto_two_km_walk_is_24_minutes(tmp_path):
     (city / "intercity.csv").write_text("ID,Kind,From,To,BeginTime,EndTime,Duration,Cost\n")
     (city / "poi.csv").write_text("Name,Latitude,Longitude\n")
     db = load_city_data(tmp_path, "Flat")
-    option = goto(db, "A", "B", "09:00", "walk")
-    assert option.distance == Decimal("2.000")
-    assert option.time_minutes == 24
-    assert option.legs[0].end_time == "09:24"
+    legs = goto(db, "A", "B", "09:00", "walk")
+    assert legs[0]["distance"] == Decimal("2.000")
+    assert _minutes(legs) == 24
+    assert legs[0]["end_time"] == "09:24"
 
 
 def test_goto_metro_has_three_legs(beta):
-    option = goto(beta, "Beta Station", "Old Town Wall", "09:00", "metro")
-    assert option.mode == "metro"
-    assert [leg.mode for leg in option.legs] == ["walk", "metro", "walk"]
-    for earlier, later in zip(option.legs, option.legs[1:]):
-        assert earlier.end_time == later.start_time
-    assert option.price == Decimal("3.00")   # one 6 km band
+    legs = goto(beta, "Beta Station", "Old Town Wall", "09:00", "metro")
+    assert transfer_mode(legs) == "metro"
+    assert [leg["mode"] for leg in legs] == ["walk", "metro", "walk"]
+    assert (legs[0]["start"], legs[-1]["end"]) == ("Beta Station", "Old Town Wall")
+    for earlier, later in zip(legs, legs[1:]):
+        assert earlier["end_time"] == later["start_time"]
+        assert earlier["end"] == later["start"]
+    assert _price(legs) == Decimal("3.00")   # one 6 km band
 
 
 def test_goto_deterministic(beta):
     first = goto(beta, "Beta Station", "City Museum", "10:15", "taxi")
     second = goto(beta, "Beta Station", "City Museum", "10:15", "taxi")
     assert first == second
+    assert first[0] is not second[0]     # fresh dicts: a caller may extend its own
 
 
 def test_goto_unknown_position(beta):

@@ -156,7 +156,7 @@ def test_distance_and_goto_match_recompute(cities):
                 db._distance_memo.clear()
                 cold = goto(db, start, end, clock, mode)
                 assert warm == cold
-                assert warm.legs[-1 if mode != "metro" else 1].distance == want
+                assert warm[-1 if mode != "metro" else 1]["distance"] == want
 
 
 def test_distance_unknown_position_is_not_cached(cities):
