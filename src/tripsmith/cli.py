@@ -17,6 +17,7 @@ error, 2 usage error (bad arguments, inputs or data root).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -273,19 +274,13 @@ def cmd_milp(args) -> int:
             days=sk.days,
         )
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
-        model = build_model(slice_, params, {"budget": budget} if budget else None)
+        model = build_model(slice_, params, budget or None)
         lp_path = out_dir / f"{query.uid}.lp"
         emit_lp(model, lp_path, name=query.uid)
         sizes = count_sizes(params)
         entry = {
             "uid": query.uid,
-            "params": {
-                "hotel_num": params.hotel_num, "attr_num": params.attr_num,
-                "rest_num": params.rest_num, "station_num": params.station_num,
-                "go_num": params.go_num, "back_num": params.back_num,
-                "time_step": params.time_step, "days": params.days,
-                "trans_num": params.trans_num,
-            },
+            "params": dataclasses.asdict(params),
             "sizes": sizes.as_dict(),
             "emitted_rows": len(model.rows),
             "query_rows": model.row_count_by_category().get("query", 0),

@@ -1,7 +1,6 @@
 """Constraint DSL: parser, static checker and interpreter."""
 
 from .check import (
-    BUILTIN_FUNCTIONS,
     Diagnostic,
     check_program,
     check_source,
@@ -10,7 +9,6 @@ from .check import (
 )
 from .interp import (
     ConstraintOutcome,
-    EvalStats,
     evaluate,
     evaluate_source,
     run_constraint,
@@ -19,10 +17,8 @@ from .interp import (
 from .syntax import Program, parse, pretty
 
 __all__ = [
-    "BUILTIN_FUNCTIONS",
     "ConstraintOutcome",
     "Diagnostic",
-    "EvalStats",
     "Program",
     "check_program",
     "check_source",

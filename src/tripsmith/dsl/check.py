@@ -4,7 +4,7 @@
 
 * lexical / syntactic errors (including constructs outside the language),
 * calls to unknown functions (with a nearest-name suggestion),
-* arity mismatches against the concept registry,
+* arity mismatches against the function table (`plan.concepts.FUNCTIONS`),
 * variables used before any assignment,
 * programs that can finish without reaching a `return`.
 
@@ -19,16 +19,8 @@ import difflib
 from dataclasses import dataclass
 
 from ..errors import DslSyntaxError
-from ..plan.concepts import CONCEPT_ALIASES, CONCEPT_REGISTRY
+from ..plan.concepts import FUNCTIONS
 from . import syntax as S
-
-# non-concept builtins available to programs: name -> (min arity, max arity)
-BUILTIN_FUNCTIONS = {
-    "list": (0, 0),
-    "uni": (2, 2),
-    "inter": (2, 2),
-    "diff": (2, 2),
-}
 
 # names bound by the runtime before the first statement executes
 PREBOUND_NAMES = ("plan",)
@@ -47,18 +39,6 @@ class Diagnostic:
         if self.hint:
             text += f" ({self.hint})"
         return text
-
-
-def _known_callables() -> list[str]:
-    return sorted(set(CONCEPT_REGISTRY) | set(CONCEPT_ALIASES) | set(BUILTIN_FUNCTIONS))
-
-
-def _call_arity(name: str):
-    if name in BUILTIN_FUNCTIONS:
-        return BUILTIN_FUNCTIONS[name]
-    canonical = CONCEPT_ALIASES.get(name, name)
-    entry = CONCEPT_REGISTRY.get(canonical)
-    return (entry[1], entry[2]) if entry else None
 
 
 class _Checker:
@@ -85,13 +65,13 @@ class _Checker:
                 self.expr(item, assigned)
             return
         if isinstance(node, S.Call):
-            arity = _call_arity(node.func)
-            if arity is None:
-                close = difflib.get_close_matches(node.func, _known_callables(), n=1)
+            entry = FUNCTIONS.get(node.func)
+            if entry is None:
+                close = difflib.get_close_matches(node.func, FUNCTIONS, n=1)
                 hint = f"did you mean {close[0]!r}?" if close else "see the concept-function list"
                 self.error(node, f"unknown concept function {node.func!r}", hint)
             else:
-                lo, hi = arity
+                _, lo, hi = entry
                 if not lo <= len(node.args) <= hi:
                     expected = str(lo) if lo == hi else f"{lo} to {hi}"
                     self.error(node, f"{node.func} expects {expected} argument(s), "

@@ -3,7 +3,8 @@
 Programs are never handed to a general-purpose compiler: evaluation happens
 entirely inside this module, with strict typing (numbers are not truthy,
 division by zero is an error) and deterministic results. Numbers are Decimals;
-division rounds to 6 fractional digits, all other arithmetic is exact.
+division rounds to 6 fractional digits, all other arithmetic is exact. Every
+call, builtin or concept, is resolved and arity-checked by `concept()`.
 
 Each program is checked once (`check_source`); `run_program` then decides
 pass/fail for the search and the evaluator alike: only a boolean True passes,
@@ -16,22 +17,12 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from ..errors import DslEvalError
-from ..plan.concepts import ConceptContext, concept
+from ..plan.concepts import ConceptContext, concept, type_name
 from ..plan.model import Plan
 from . import syntax as S
-from .check import BUILTIN_FUNCTIONS, Diagnostic, check_source
+from .check import Diagnostic, check_source
 
 DIV_SCALE = Decimal("0.000001")
-
-_SCALAR_TYPES = (Decimal, str, bool)
-
-
-@dataclass
-class EvalStats:
-    """Optional instrumentation for property tests."""
-
-    concept_calls: int = 0
-    warnings: list[Diagnostic] = field(default_factory=list)
 
 
 class _Returned(Exception):
@@ -39,30 +30,16 @@ class _Returned(Exception):
         self.value = value
 
 
-def _type_name(value) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, Decimal):
-        return "number"
-    if isinstance(value, str):
-        return "text"
-    if isinstance(value, list):
-        return "list"
-    if isinstance(value, frozenset):
-        return "set"
-    return "record"
-
-
 def _require_bool(value, node, what: str) -> bool:
     if not isinstance(value, bool):
-        raise DslEvalError(f"{what} must be a boolean, got {_type_name(value)}",
+        raise DslEvalError(f"{what} must be a boolean, got {type_name(value)}",
                            node.line, node.col)
     return value
 
 
 def _require_number(value, node, op: str) -> Decimal:
     if isinstance(value, bool) or not isinstance(value, Decimal):
-        raise DslEvalError(f"operator {op!r} needs numbers, got {_type_name(value)}",
+        raise DslEvalError(f"operator {op!r} needs numbers, got {type_name(value)}",
                            node.line, node.col)
     return value
 
@@ -80,7 +57,7 @@ def _as_collection(value, node, what: str) -> list:
         return value
     if isinstance(value, frozenset):
         return sorted(value, key=_scalar_key)
-    raise DslEvalError(f"{what} must be a list or set, got {_type_name(value)}",
+    raise DslEvalError(f"{what} must be a list or set, got {type_name(value)}",
                        node.line, node.col)
 
 
@@ -95,10 +72,9 @@ def _equal(a, b) -> bool:
 
 
 class _Interpreter:
-    def __init__(self, plan: Plan, dataset, stats: EvalStats | None):
+    def __init__(self, plan: Plan, dataset):
         self.env: dict = {"plan": plan}
         self.ctx = ConceptContext(plan, dataset)
-        self.stats = stats
 
     def run(self, program: S.Program):
         try:
@@ -123,7 +99,7 @@ class _Interpreter:
         elif isinstance(stmt, S.Append):
             target = self.lookup(stmt.target, stmt)
             if not isinstance(target, list):
-                raise DslEvalError(f"append target must be a list, got {_type_name(target)}",
+                raise DslEvalError(f"append target must be a list, got {type_name(target)}",
                                    stmt.line, stmt.col)
             target.append(self.eval(stmt.value))
         elif isinstance(stmt, S.Return):
@@ -151,35 +127,10 @@ class _Interpreter:
 
     def call(self, node: S.Call):
         args = [self.eval(arg) for arg in node.args]
-        if node.func in BUILTIN_FUNCTIONS:
-            return self.builtin(node, args)
-        if self.stats is not None:
-            self.stats.concept_calls += 1
         try:
             return concept(node.func, args, self.ctx)
         except DslEvalError as exc:
             raise DslEvalError(str(exc), node.line, node.col) from None
-
-    def builtin(self, node: S.Call, args: list):
-        if node.func == "list":
-            return []
-        left = frozenset(self.scalar_set(args[0], node))
-        right = frozenset(self.scalar_set(args[1], node))
-        if node.func == "uni":
-            return left | right
-        if node.func == "inter":
-            return left & right
-        return left - right
-
-    def scalar_set(self, value, node) -> frozenset:
-        items = _as_collection(value, node, "set operand")
-        for item in items:
-            if not isinstance(item, _SCALAR_TYPES):
-                raise DslEvalError(
-                    f"set elements must be scalars, got {_type_name(item)}",
-                    node.line, node.col,
-                )
-        return frozenset(items)
 
     def eval(self, node):
         if isinstance(node, S.Num):
@@ -243,7 +194,7 @@ class _Interpreter:
         both_text = isinstance(left, str) and isinstance(right, str)
         if not (both_numbers or both_text):
             raise DslEvalError(
-                f"cannot order {_type_name(left)} and {_type_name(right)} with {node.op!r}",
+                f"cannot order {type_name(left)} and {type_name(right)} with {node.op!r}",
                 node.line, node.col,
             )
         if node.op == "<":
@@ -255,13 +206,13 @@ class _Interpreter:
         return left >= right
 
 
-def evaluate(program: S.Program, plan: Plan, db=None, stats: EvalStats | None = None):
+def evaluate(program: S.Program, plan: Plan, db=None):
     """Evaluate a checked program against (plan, dataset); returns its value."""
-    return _Interpreter(plan, db, stats).run(program)
+    return _Interpreter(plan, db).run(program)
 
 
-def evaluate_source(source: str, plan: Plan, db=None, stats: EvalStats | None = None):
-    return evaluate(S.parse(source), plan, db, stats)
+def evaluate_source(source: str, plan: Plan, db=None):
+    return evaluate(S.parse(source), plan, db)
 
 
 @dataclass
@@ -281,7 +232,7 @@ def run_program(program: S.Program, plan: Plan, db=None) -> ConstraintOutcome:
     if not isinstance(value, bool):
         warning = Diagnostic(
             "warning", 1, 1,
-            f"constraint returned {_type_name(value)}, coercing to false",
+            f"constraint returned {type_name(value)}, coercing to false",
             hint="constraints must return a boolean",
         )
         return ConstraintOutcome(False, value, [warning])

@@ -114,12 +114,11 @@ def render_query_text(skeleton: QuerySkeleton, transport=None) -> str:
 def certify(
     skeleton: QuerySkeleton,
     dataset: Dataset,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
     uid: str = "q0",
     ranker=None,
 ) -> CertifiedQuery | None:
     """CertifiedQuery with a double-checked witness, or None (rejection)."""
-    cfg = cfg or SearchConfig(budget_seconds=10.0)
     sources = skeleton_to_dsl(skeleton)
     ctx = context_from_skeleton(skeleton)
     outcome = dfs_search(sources, dataset, ranker or HeuristicRanker(), cfg, ctx)

@@ -121,19 +121,11 @@ class CallableTransport:
 
 
 class FaultInjectingTransport:
-    """Fail a configurable subset of calls; used to exercise degradation."""
+    """Fail every call, counting faults; used to exercise degradation."""
 
-    def __init__(self, inner: Transport | None = None, fail_every: int = 1):
-        self.inner = inner
-        self.fail_every = fail_every
-        self.calls = 0
+    def __init__(self):
         self.faults = 0
 
     def complete(self, prompt: str) -> str:
-        self.calls += 1
-        if self.fail_every and self.calls % self.fail_every == 0:
-            self.faults += 1
-            raise TransportError("injected fault")
-        if self.inner is None:
-            raise TransportError("no inner transport")
-        return self.inner.complete(prompt)
+        self.faults += 1
+        raise TransportError("injected fault")

@@ -2,7 +2,7 @@
 
 Each round sends the query plus the previous attempt and its checker
 diagnostics back to the model; the loop stops at the first clean program or
-after `max_rounds` attempts (five by default). The caller sees every round and
+after `DEFAULT_MAX_ROUNDS` (five) attempts. The caller sees every round and
 decides what to do with a still-dirty final program.
 """
 
@@ -27,7 +27,6 @@ class TranslationRound:
 class TranslationSession:
     query: str
     rounds: list[TranslationRound] = field(default_factory=list)
-    max_rounds: int = DEFAULT_MAX_ROUNDS
     error: str = ""
 
     @property
@@ -44,18 +43,13 @@ def _strip_fences(reply: str) -> str:
     return "\n".join(lines).strip() + "\n"
 
 
-def nl2dsl(
-    query: str,
-    transport: Transport,
-    checker=check_syntax,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-) -> TranslationSession:
+def nl2dsl(query: str, transport: Transport) -> TranslationSession:
     """Translate a query into a constraint program, retrying on diagnostics."""
-    session = TranslationSession(query=query, max_rounds=max_rounds)
+    session = TranslationSession(query=query)
     template = load_prompt("nl2dsl")
     previous_source = ""
     previous_diags: list[Diagnostic] = []
-    for _ in range(max_rounds):
+    for _ in range(DEFAULT_MAX_ROUNDS):
         prompt = template.format(
             query=query,
             previous_source=previous_source,
@@ -67,7 +61,7 @@ def nl2dsl(
             session.error = str(exc)
             break
         source = _strip_fences(reply)
-        diagnostics = checker(source)
+        diagnostics = check_syntax(source)
         session.rounds.append(TranslationRound(source, diagnostics))
         if is_clean(diagnostics):
             break

@@ -32,6 +32,8 @@ from ..plan.model import MEAL_TYPES
 from ..timeutil import to_minutes
 from .params import DAY_MINUTES, MilpParams, MilpSlice
 
+MIN_ATTRACTIONS_PER_DAY = 1
+
 
 class Row(NamedTuple):
     """One constraint row: immutable, and a tuple, so cheap to make and unpack."""
@@ -105,12 +107,12 @@ def _flat(names: list):
 
 
 class _Builder:
-    def __init__(self, slice_: MilpSlice, params: MilpParams, query: dict | None):
+    def __init__(self, slice_: MilpSlice, params: MilpParams, budget):
         params.validate()
         slice_.check_against(params)
         self.s = slice_
         self.p = params
-        self.query = query or {}
+        self.budget = budget
         self.vars: dict[str, VarInfo] = {}
         self.rows: list[Row] = []
         self.check: dict[str, bool] = {}
@@ -257,8 +259,8 @@ class _Builder:
             terms = [self.attr.plus[a]] + self.zattr.minus[a]
             self.row(f"att_def_{a}", terms, "=", 0, "attraction")
         if p.attr_num:
-            min_attr = int(self.query.get("min_attr", 1))
-            self.row("att_min", self.attr.plus, ">=", min_attr * p.days, "attraction")
+            self.row("att_min", self.attr.plus, ">=", MIN_ATTRACTIONS_PER_DAY * p.days,
+                     "attraction")
 
     def meal_slots(self, m: int) -> tuple[int, int]:
         day, kind = divmod(m, 3)
@@ -406,11 +408,10 @@ class _Builder:
                 self.row(f"int_backex_{b}_{t}", terms, "<=", 1, "intercity")
 
     def query_rows(self) -> None:
-        budget = self.query.get("budget")
-        if budget is None:
+        if self.budget is None:
             return
         terms = self.cost_terms()
-        self.row("qry_budget", terms, "<=", Decimal(str(budget)), "query")
+        self.row("qry_budget", terms, "<=", Decimal(str(self.budget)), "query")
 
     def cost_terms(self) -> list:
         terms = []
@@ -448,6 +449,6 @@ class _Builder:
         return model
 
 
-def build_model(db_slice: MilpSlice, params: MilpParams, query: dict | None = None) -> MilpModel:
-    """Instantiate the full model for one trip slice."""
-    return _Builder(db_slice, params, query).build()
+def build_model(db_slice: MilpSlice, params: MilpParams, budget=None) -> MilpModel:
+    """Instantiate the full model for one trip slice; a budget adds one cost row."""
+    return _Builder(db_slice, params, budget).build()

@@ -3,9 +3,9 @@
 from .concepts import (
     CONCEPT_ALIASES,
     CONCEPT_REGISTRY,
+    FUNCTIONS,
     ConceptContext,
     concept,
-    resolve_concept,
 )
 from .model import (
     ACTIVITY_TYPES,
@@ -24,12 +24,12 @@ __all__ = [
     "CONCEPT_REGISTRY",
     "ConceptContext",
     "DayPlan",
+    "FUNCTIONS",
     "INTERCITY_TYPES",
     "MEAL_TYPES",
     "Plan",
     "concept",
     "parse_plan",
     "plan_from_obj",
-    "resolve_concept",
     "serialize_plan",
 ]

@@ -1,8 +1,10 @@
-"""Built-in concept functions over plans and sandbox data.
+"""The functions constraint programs may call: concepts and set builtins.
 
-These are the only primitives constraint programs may call. They are total:
+`FUNCTIONS` is the only list of callables; the checker and `concept()` read
+names and arities from it. Concepts over plans and sandbox data are total:
 absent optional fields fall back to 0, "", [] or -1 instead of raising, so a
-malformed plan yields a failed comparison rather than a crashed validator.
+malformed plan yields a failed comparison rather than a crashed validator. The
+set builtins `list`, `uni`, `inter` and `diff` raise on a bad operand.
 
 Numbers are Decimals throughout; times are "HH:MM" strings.
 """
@@ -314,21 +316,68 @@ CONCEPT_REGISTRY: dict[str, tuple[Callable, int, int]] = {
 CONCEPT_ALIASES = {"all_activities": "allactivities"}
 
 
-def resolve_concept(name: str):
-    """Return (canonical name, impl, min arity, max arity) or None."""
-    canonical = CONCEPT_ALIASES.get(name, name)
-    entry = CONCEPT_REGISTRY.get(canonical)
-    if entry is None:
-        return None
-    return (canonical, *entry)
+# -- set builtins ------------------------------------------------------------
+
+_SCALAR_TYPES = (Decimal, str, bool)
+
+
+def type_name(value) -> str:
+    """The DSL's name for the type of a runtime value, as messages print it."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, Decimal):
+        return "number"
+    if isinstance(value, str):
+        return "text"
+    if isinstance(value, list):
+        return "list"
+    if isinstance(value, frozenset):
+        return "set"
+    return "record"
+
+
+def _set_operand(value) -> frozenset:
+    if not isinstance(value, (list, frozenset)):
+        raise DslEvalError(f"set operand must be a list or set, got {type_name(value)}")
+    for item in value:
+        if not isinstance(item, _SCALAR_TYPES):
+            raise DslEvalError(f"set elements must be scalars, got {type_name(item)}")
+    return frozenset(value)
+
+
+def new_list(ctx):
+    return []
+
+
+def uni(ctx, left, right):
+    return _set_operand(left) | _set_operand(right)
+
+
+def inter(ctx, left, right):
+    return _set_operand(left) & _set_operand(right)
+
+
+def diff(ctx, left, right):
+    return _set_operand(left) - _set_operand(right)
+
+
+# every name a program may call -> (implementation, min arity, max arity)
+FUNCTIONS: dict[str, tuple[Callable, int, int]] = {
+    **CONCEPT_REGISTRY,
+    **{alias: CONCEPT_REGISTRY[name] for alias, name in CONCEPT_ALIASES.items()},
+    "list": (new_list, 0, 0),
+    "uni": (uni, 2, 2),
+    "inter": (inter, 2, 2),
+    "diff": (diff, 2, 2),
+}
 
 
 def concept(name: str, args: list, ctx: ConceptContext):
-    """Dispatch one concept call; unknown names and bad arity raise."""
-    resolved = resolve_concept(name)
-    if resolved is None:
+    """Dispatch one call through `FUNCTIONS`; unknown names and bad arity raise."""
+    entry = FUNCTIONS.get(name)
+    if entry is None:
         raise DslEvalError(f"unknown concept function {name!r}")
-    _, impl, lo, hi = resolved
+    impl, lo, hi = entry
     if not lo <= len(args) <= hi:
         expected = str(lo) if lo == hi else f"{lo}..{hi}"
         raise DslEvalError(f"{name} expects {expected} arguments, got {len(args)}")

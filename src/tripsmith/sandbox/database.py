@@ -370,20 +370,17 @@ def is_open(db: CityDatabase, table: str, poi_id: str, time: str) -> bool:
 
 
 def intercity_select(
-    dbs: dict[str, CityDatabase] | CityDatabase,
+    dbs: dict[str, CityDatabase],
     from_city: str,
     to_city: str,
     kind: str | None = None,
     earliest_leave: str = "00:00",
 ) -> list[IntercityRoute]:
     """Routes from one city to another departing at or after `earliest_leave`."""
-    if isinstance(dbs, CityDatabase):
-        source = dbs
-    else:
-        try:
-            source = dbs[from_city]
-        except KeyError:
-            raise NotFoundError(f"city {from_city!r} is not loaded") from None
+    try:
+        source = dbs[from_city]
+    except KeyError:
+        raise NotFoundError(f"city {from_city!r} is not loaded") from None
     earliest = to_minutes(earliest_leave)
     return [
         route

@@ -13,16 +13,23 @@ from pathlib import Path
 
 from ..errors import LoadError
 
-_DECIMAL_KEYS = {
-    "walk_speed_kmh",
-    "metro_speed_kmh",
-    "metro_fare_per_band",
-    "metro_band_km",
-    "taxi_speed_kmh",
-    "taxi_base_fare",
-    "taxi_per_km",
+# rule -> test; is_finite() comes first because comparing a Decimal NaN raises
+_RULES = {
+    "positive and finite": lambda value: value.is_finite() and value > 0,
+    "non-negative and finite": lambda value: value.is_finite() and value >= 0,
+    "non-negative": lambda value: value >= 0,
 }
-_INT_KEYS = {"metro_access_minutes"}
+# key -> (parser, rule its value must meet)
+_KEYS = {
+    "walk_speed_kmh": (Decimal, "positive and finite"),
+    "metro_speed_kmh": (Decimal, "positive and finite"),
+    "metro_fare_per_band": (Decimal, "non-negative and finite"),
+    "metro_band_km": (Decimal, "positive and finite"),
+    "metro_access_minutes": (int, "non-negative"),
+    "taxi_speed_kmh": (Decimal, "positive and finite"),
+    "taxi_base_fare": (Decimal, "non-negative and finite"),
+    "taxi_per_km": (Decimal, "non-negative and finite"),
+}
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class FareConfig:
 
 
 def load_fare_config(path: Path | str) -> FareConfig:
-    """Read a key=value fare file; unknown keys and bad numbers are rejected."""
+    """Read a key=value fare file; unknown keys, bad numbers and out-of-range values raise."""
     path = Path(path)
     if not path.exists():
         raise LoadError(f"fare config not found: {path}")
@@ -51,14 +58,13 @@ def load_fare_config(path: Path | str) -> FareConfig:
             raise LoadError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _DECIMAL_KEYS:
-            parse = Decimal
-        elif key in _INT_KEYS:
-            parse = int
-        else:
+        if key not in _KEYS:
             raise LoadError(f"{path}:{lineno}: unknown fare key {key!r}")
+        parse, rule = _KEYS[key]
         try:
             values[key] = parse(val)
         except (InvalidOperation, ValueError):
             raise LoadError(f"{path}:{lineno}: bad number {val!r} for {key!r}") from None
+        if not _RULES[rule](values[key]):
+            raise LoadError(f"{path}:{lineno}: {key} must be {rule}, got {val!r}")
     return FareConfig(**values)

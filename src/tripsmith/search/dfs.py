@@ -64,6 +64,7 @@ PARTIAL = "partial"
 EMPTY = "empty"
 
 MAX_BRANCHING = 10            # ranked candidates tried per expansion
+ENUMERATION_LIMIT = 100000    # most plans enumerate_complete_plans returns
 
 
 @dataclass
@@ -243,7 +244,7 @@ def dfs_search(
     return search.outcome(found)
 
 
-def enumerate_complete_plans(dataset, ctx: QueryContext, limit: int = 100000) -> list[Plan]:
+def enumerate_complete_plans(dataset, ctx: QueryContext) -> list[Plan]:
     """Every complete plan reachable by the extension rules, in tree order.
 
     Exhaustive counterpart of dfs_search used by tests and certification
@@ -253,7 +254,7 @@ def enumerate_complete_plans(dataset, ctx: QueryContext, limit: int = 100000) ->
     search = _Search([], dataset, HeuristicRanker(), math.inf, ctx, prune_budget=False)
 
     def walk(state: SearchState) -> None:
-        if len(plans) >= limit:
+        if len(plans) >= ENUMERATION_LIMIT:
             return
         act_type = next_activity_type(state, dataset, ctx)
         if act_type == FINISH:

@@ -312,7 +312,7 @@ def test_criterion_11_llm_degradation_never_crashes(tmp_path):
     transports = []
 
     def factory(record):
-        transport = FaultInjectingTransport(fail_every=1)
+        transport = FaultInjectingTransport()
         transports.append(transport)
         return LlmRanker(transport)
 

@@ -119,7 +119,7 @@ def test_fault_injection_logs_one_event_per_fault(tmp_path, bench):
     transports = []
 
     def factory(record):
-        transport = FaultInjectingTransport(fail_every=1)
+        transport = FaultInjectingTransport()
         transports.append(transport)
         return LlmRanker(transport)
 
@@ -401,9 +401,20 @@ def _spoiled_root(tmp_path, relative, old, new) -> Path:
      "fares.cfg:9: bad number 'abc' for 'taxi_per_km'"),
     ("fares.cfg", "metro_access_minutes = 2", "metro_access_minutes = 2.5",
      "fares.cfg:6: bad number '2.5' for 'metro_access_minutes'"),
+    ("fares.cfg", "walk_speed_kmh = 5", "walk_speed_kmh = 0",
+     "fares.cfg:2: walk_speed_kmh must be positive and finite, got '0'"),
+    ("fares.cfg", "metro_band_km = 6", "metro_band_km = NaN",
+     "fares.cfg:5: metro_band_km must be positive and finite, got 'NaN'"),
+    ("fares.cfg", "taxi_speed_kmh = 40", "taxi_speed_kmh = -5",
+     "fares.cfg:7: taxi_speed_kmh must be positive and finite, got '-5'"),
+    ("fares.cfg", "metro_access_minutes = 2", "metro_access_minutes = -3",
+     "fares.cfg:6: metro_access_minutes must be non-negative, got '-3'"),
+    ("fares.cfg", "taxi_per_km = 2.5", "taxi_per_km = Infinity",
+     "fares.cfg:9: taxi_per_km must be non-negative and finite, got 'Infinity'"),
     ("Beta/attractions.csv", ",40.00,", ",abc,", "attractions.csv:2: bad number 'abc'"),
     ("Beta/attractions.csv", "Stone Bridge,", "Harbor Park,", "duplicate attraction name"),
-], ids=["fare-decimal", "fare-int", "csv-number", "csv-duplicate"])
+], ids=["fare-decimal", "fare-int", "fare-zero-speed", "fare-nan-band", "fare-negative-speed",
+        "fare-negative-access", "fare-infinite-fare", "csv-number", "csv-duplicate"])
 @pytest.mark.parametrize("command", ["generate", "plan"])
 def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative, old, new,
                                       detail):

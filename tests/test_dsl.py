@@ -10,10 +10,18 @@ from tripsmith.dsl import (
     pretty,
     run_constraint,
 )
-from tripsmith.dsl.interp import EvalStats, evaluate
+from tripsmith.dsl import interp
+from tripsmith.dsl.interp import evaluate
 from tripsmith.search import SearchConfig, dfs_search
 from tripsmith.errors import DslEvalError
-from tripsmith.plan import parse_plan
+from tripsmith.plan import (
+    CONCEPT_ALIASES,
+    CONCEPT_REGISTRY,
+    FUNCTIONS,
+    ConceptContext,
+    concept,
+    parse_plan,
+)
 from tripsmith.dsl import syntax as S
 
 from . import golden_programs as G
@@ -218,12 +226,51 @@ def test_constraint_eval_error_records_false(mini_dataset):
      "unknown position 'Nope' in Beta"),
     ("return activity_cost(1) > 0", (1, 8), "expected an activity record as argument"),
     ("x = 1\nreturn x +", (2, 11), "expected an expression, found 'NEWLINE'"),
+    ("x = 1\nreturn uni(x, list())", (2, 8), "set operand must be a list or set, got number"),
+    ("return uni(allactivities(plan), list())", (1, 8),
+     "set elements must be scalars, got record"),
 ])
 def test_constraint_error_diagnostic_position_and_message(mini_dataset, source, where,
                                                           message):
     outcome = run_constraint(source, parse_plan(MINIMAL), mini_dataset)
     [diag] = outcome.diagnostics
     assert (diag.severity, diag.line, diag.col, diag.message) == ("error", *where, message)
+
+
+@pytest.mark.parametrize("source", [
+    "return uni(list())",
+    "return list(1)",
+    "return diff(list(), list(), list())",
+])
+def test_unchecked_builtin_arity_is_eval_error(mini_dataset, source):
+    with pytest.raises(DslEvalError, match="expects") as raised:
+        evaluate_source(source, parse_plan(MINIMAL), mini_dataset)
+    assert (raised.value.line, raised.value.col) == (1, 8)
+
+
+def _arity_errors(source):
+    return [d for d in check_syntax(source) if "argument" in d.message]
+
+
+def test_function_table_and_checker_agree_on_every_name():
+    assert len(FUNCTIONS) == len(CONCEPT_REGISTRY) + len(CONCEPT_ALIASES) + 4
+    context = ConceptContext(parse_plan(MINIMAL), None)
+
+    def call(name, count):
+        return f"return {name}({', '.join(['plan'] * count)})"
+
+    for name, (_, lo, hi) in FUNCTIONS.items():
+        assert _arity_errors(call(name, lo)) == [], name
+        bad_counts = [hi + 1] + ([lo - 1] if lo > 0 else [])
+        for count in bad_counts:
+            [diag] = _arity_errors(call(name, count))
+            assert diag.severity == "error" and name in diag.message
+            with pytest.raises(DslEvalError, match=f"{name} expects"):
+                concept(name, [Decimal(1)] * count, context)
+    [diag] = check_syntax("return no_such_function(plan)")
+    assert "unknown concept function" in diag.message
+    with pytest.raises(DslEvalError, match="unknown concept function"):
+        concept("no_such_function", [], context)
 
 
 def test_non_boolean_return_coerces_false_with_warning(mini_dataset):
@@ -240,15 +287,23 @@ def test_evaluation_is_pure(mini_dataset):
     assert len(values) == 1
 
 
-def test_concept_call_budget_is_quadratic(mini_dataset):
+def test_concept_call_budget_is_quadratic(mini_dataset, monkeypatch):
+    calls = []
+    real = interp.concept
+
+    def counting(name, args, ctx):
+        calls.append(name)
+        return real(name, args, ctx)
+
+    monkeypatch.setattr(interp, "concept", counting)
     rng = random.Random(11)
     for _ in range(10):
         plan = random_plan(mini_dataset, rng)
         activity_count = sum(len(day.activities) for day in plan.itinerary)
-        stats = EvalStats()
-        evaluate(parse(G.AVERAGE_TRANSPORT_TIME), plan, mini_dataset, stats)
+        calls.clear()
+        evaluate(parse(G.AVERAGE_TRANSPORT_TIME), plan, mini_dataset)
         bound = max(activity_count * activity_count, 3 * activity_count + 3)
-        assert stats.concept_calls <= bound
+        assert 0 < len(calls) <= bound
 
 
 GOLDEN_ORACLES = {

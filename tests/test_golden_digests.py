@@ -2,8 +2,11 @@
 
 `generate --count 4 --seed 7`, then `plan --trace`, then `eval`, on the micro
 and mini fixtures at both difficulties, must write exactly the bytes whose
-sha256 is pinned below. The `.manifest.json` sidecars are left out: they hold
-absolute paths and a creation time. A change that alters any output on
+sha256 is pinned below. On micro, `milp` with default flags also compiles each
+query; its LP files and `sizes.json` are pinned too (every micro benchmark
+carries a budget row, so the budget constraint is covered). The
+`.manifest.json` sidecars are left out: they hold absolute paths and a
+creation time. A change that alters any output on
 purpose updates these pins and says why; a refactor must leave them alone.
 """
 
@@ -21,12 +24,22 @@ PINS = {
     ("micro", "easy"): {
         "bench.jsonl": "62b5940d321a4db9c658598121d199c6b77c9528ec29202f64057288d7268421",
         "eval.json": "6079f65772361ce21335af82135e4371a2d4acdbfac50cfd53812b7223cd1427",
+        "milp/q0000.lp": "64ab1b9a6d56e4080b6bfc1e24c162ee42f444ad7e451b507aeb1a26e81de5d2",
+        "milp/q0001.lp": "e5191ced12f5a630572073b254b879d6d8340ad9a731503e2655371770a2560b",
+        "milp/q0002.lp": "c8f099fde0ad0eef8b8bfb593b9459722dfb880bc1175e93357f8ec0b1dd3eaa",
+        "milp/q0003.lp": "04cf2a0f7f6fc1ba272ad48ea628ac36cbcb464366177d3a14a4eee5fdf5ad99",
+        "milp/sizes.json": "ac160d48820985cda0feb3b6863afe8f7c1862e0c6a76f2dbcc0a0bcd3d894d5",
         "plans.jsonl": "67609a88856497ee91a4706dc2886d7828efd9a51950492896abb7b8b1acf70b",
         "trace.jsonl": "6c662396bae0d66a9c4f386ef03abb2f8c6bd514cde282dc2708f6f9fa96c67c",
     },
     ("micro", "medium"): {
         "bench.jsonl": "3aaf48031e49e8bd2c0af45321d13994026b346d8e2735b2696946427899d91d",
         "eval.json": "7bbed17a0cfbd6e9f288dc2ef4260ca345b9075df81ebcdb282bbac1e22ffcd2",
+        "milp/q0000.lp": "c5ad0f2dff28c17c6acc13eeffacaa20fed74f450486c5678753e12d3a686f4d",
+        "milp/q0001.lp": "7a08082b72db7e80b4c7dbb4b27433151a27f64481fcc6ce7ba4c84197e1e3d2",
+        "milp/q0002.lp": "bbb7f283ad90de9efbeb65a1c54ca6150ab7488d15bdf6c99ff1d84ea8a480f7",
+        "milp/q0003.lp": "04cf2a0f7f6fc1ba272ad48ea628ac36cbcb464366177d3a14a4eee5fdf5ad99",
+        "milp/sizes.json": "ae642266c3d8674aef19c3d4f8c2e97aa78d04ef28eb5d59b4c4441534bd91b4",
         "plans.jsonl": "316efa67be4b8d5a300937c4f2871497ee715e1b1d2c6f43bf93ae7f80463144",
         "trace.jsonl": "5485414bd6ead57e924f70eda4375d373d33e5388aeb08b898de7a8188ca6bcb",
     },
@@ -55,9 +68,12 @@ def test_pipeline_artifacts_match_their_pins(tmp_path, fixture, difficulty):
                  "--trace", str(tmp_path / "trace.jsonl"), "--out", plans]) == 0
     assert main(["eval", "--benchmark", bench, "--plans", plans, "--db", db,
                  "--out", str(tmp_path / "eval.json")]) == 0
+    if fixture == "micro":
+        assert main(["milp", "--benchmark", bench, "--db", db,
+                     "--out", str(tmp_path / "milp")]) == 0
     digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.iterdir()
-        if not path.name.endswith(".manifest.json")
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file() and not path.name.endswith(".manifest.json")
     }
     assert digests == PINS[fixture, difficulty]

@@ -88,7 +88,7 @@ def test_unparseable_reply_falls_back():
 
 
 def test_one_degradation_event_per_injected_fault():
-    transport = FaultInjectingTransport(fail_every=1)
+    transport = FaultInjectingTransport()
     ranker = LlmRanker(transport)
     for _ in range(7):
         ranker.rank(RESTAURANTS, initial_state(), micro_context())

@@ -100,7 +100,7 @@ def _dataset_model(dataset, days: int, slots_per_day: int, budget) -> MilpModel:
         go_num=len(slice_.go_routes), back_num=len(slice_.back_routes),
         time_step=slots_per_day * days, days=days,
     )
-    return build_model(slice_, params, {"budget": budget})
+    return build_model(slice_, params, budget)
 
 
 def _hand_model(objective, rows) -> MilpModel:

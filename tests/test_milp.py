@@ -265,7 +265,7 @@ def test_decoded_assignment_parses_as_plan():
 
 def test_budget_query_constraint_row():
     params = MilpParams(1, 1, 1, 1, 1, 1, 6)
-    model = build_model(synthetic_slice(params), params, {"budget": 800})
+    model = build_model(synthetic_slice(params), params, 800)
     query_rows = [row for row in model.rows if row.category == "query"]
     assert len(query_rows) == 1
     assert query_rows[0].sense == "<="

@@ -180,8 +180,6 @@ def test_intercity_select_matches_scan(cities):
                 want = intercity_scan(cities[from_city], from_city, to_city, kind, clock)
                 got = intercity_select(cities, from_city, to_city, kind, clock)
                 assert got == want
-                assert intercity_select(cities[from_city], from_city, to_city,
-                                        kind, clock) == want
 
 
 def test_routes_by_id_is_first_match(cities):
