@@ -274,7 +274,7 @@ def cmd_milp(args) -> int:
             days=sk.days,
         )
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
-        model = build_model(slice_, params, budget or None)
+        model = build_model(slice_, params, budget)
         lp_path = out_dir / f"{query.uid}.lp"
         emit_lp(model, lp_path, name=query.uid)
         sizes = count_sizes(params)

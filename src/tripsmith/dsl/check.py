@@ -19,7 +19,7 @@ import difflib
 from dataclasses import dataclass
 
 from ..errors import DslSyntaxError
-from ..plan.concepts import FUNCTIONS
+from ..plan.concepts import FUNCTIONS, arity_message
 from . import syntax as S
 
 # names bound by the runtime before the first statement executes
@@ -73,9 +73,7 @@ class _Checker:
             else:
                 _, lo, hi = entry
                 if not lo <= len(node.args) <= hi:
-                    expected = str(lo) if lo == hi else f"{lo} to {hi}"
-                    self.error(node, f"{node.func} expects {expected} argument(s), "
-                                     f"got {len(node.args)}")
+                    self.error(node, arity_message(node.func, len(node.args)))
             for arg in node.args:
                 self.expr(arg, assigned)
             return

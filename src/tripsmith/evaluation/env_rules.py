@@ -128,7 +128,7 @@ class _Check:
     def lookup(self, table: str, name: str):
         if self.target_db is None or not name:
             return None
-        return self.target_db.rows_by_name[table].get(name)
+        return self.target_db.find(table, name)
 
     # -- cross-city transportation ---------------------------------------
 

@@ -176,7 +176,7 @@ def intercity_transport_destination(ctx, activity):
 
 def _row(db, table, name):
     """The sandbox row called `name`, or None (also when `name` is not text)."""
-    return db.rows_by_name[table].get(name) if isinstance(name, str) else None
+    return db.find(table, name) if isinstance(name, str) else None
 
 
 def poi_recommend_time(ctx, city, poi):
@@ -372,6 +372,17 @@ FUNCTIONS: dict[str, tuple[Callable, int, int]] = {
 }
 
 
+def arity_message(name: str, count: int) -> str:
+    """How a call of `FUNCTIONS[name]` with `count` arguments misses its arity.
+
+    The checker's diagnostic and `concept()`'s runtime error both read this
+    text; the checker's reaches `nl2dsl` repair prompts.
+    """
+    _, lo, hi = FUNCTIONS[name]
+    expected = str(lo) if lo == hi else f"{lo} to {hi}"
+    return f"{name} expects {expected} argument(s), got {count}"
+
+
 def concept(name: str, args: list, ctx: ConceptContext):
     """Dispatch one call through `FUNCTIONS`; unknown names and bad arity raise."""
     entry = FUNCTIONS.get(name)
@@ -379,6 +390,5 @@ def concept(name: str, args: list, ctx: ConceptContext):
         raise DslEvalError(f"unknown concept function {name!r}")
     impl, lo, hi = entry
     if not lo <= len(args) <= hi:
-        expected = str(lo) if lo == hi else f"{lo}..{hi}"
-        raise DslEvalError(f"{name} expects {expected} arguments, got {len(args)}")
+        raise DslEvalError(arity_message(name, len(args)))
     return impl(ctx, *args)

@@ -15,8 +15,8 @@ from .database import (
     next_page,
     select,
 )
-from .fares import FareConfig, load_fare_config
-from .transport import MODES, cars_for, goto, option_minutes, transfer_mode
+from .fares import MODES, FareConfig, load_fare_config
+from .transport import cars_for, goto, option_minutes, transfer_mode
 
 
 class Dataset:

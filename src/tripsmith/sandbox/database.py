@@ -13,10 +13,11 @@ Column headers are matched case-insensitively; the coordinate map covers all
 POIs plus stations.
 
 Indexed at load, as a by-product of the validation pass: every POI table by
-name (`record`, `is_open` and the environment check look rows up there), the
-intercity routes by id (the first route of a repeated id wins), and the routes
-of each (from city, to city) pair sorted by (departure, id), which
-`intercity_select` only filters.
+name, as the row's position in its table (`record`, `find`, `is_open` and
+the environment check look rows up there; the planner drops visited rows from
+a copy of a table by these positions), the intercity routes by id (the first
+route of a repeated id wins), and the routes of each (from city, to city)
+pair sorted by (departure, id), which `intercity_select` only filters.
 
 Route departure and arrival become int minutes here, once; the plan record
 and the environment check format them with `to_hhmm`, so a non-padded "7:05"
@@ -25,19 +26,21 @@ in the file reads "07:05" in a plan. POI opening hours stay the file's
 clock memo in `timeutil` keeps parsing it cheap.
 
 Memoised on first use, per database: `nearby` answers, keyed on (table,
-point, topk, dist), and the quantised distance of each ordered pair of
-positions, which `goto` and the planner's mode choice share. Nothing is
-filled eagerly: every pair and every neighbour list of a 3-city synthetic set
-with 300 POIs per table is ~630 k haversine calls, over a second of load
+point, topk, dist); the quantised distance of each ordered pair of
+positions; and the door-to-door minutes of each (start, end, mode) transfer,
+which `goto`, `option_minutes` and the planner's arrival test share. Nothing
+is filled eagerly: every pair and every neighbour list of a 3-city synthetic
+set with 300 POIs per table is ~630 k haversine calls, over a second of load
 time, and a search asks for a small share of them. The planner asks `nearby`
-only at known positions, with one fixed radius and top-k, so both memos are
-bounded by the city's names (positions, and pairs of positions), not by how
-long a process runs.
+only at known positions, with one fixed radius and top-k, so every memo is
+bounded by the city's names (positions for `nearby`, positions squared for
+distances, positions squared times the 3 modes for transfers), not by how
+long a process runs. An unknown position or mode raises and stores nothing.
 
-Databases are immutable after load and safe to share between threads; a
-memo write is one dict assignment of a value that only depends on the
-immutable tables, so two threads racing on one key at worst compute the same
-answer twice. Query sessions are single-owner.
+Databases are immutable after load and safe to share between threads, as
+`plan --jobs` does; a memo write is one dict assignment of a value that only
+depends on the immutable tables and tariffs, so two threads racing on one key
+at worst compute the same answer twice. Query sessions are single-owner.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from pathlib import Path
 from ..errors import IntegrityError, LoadError, NotFoundError, StateError
 from ..geo import distance_km
 from ..timeutil import is_hhmm, to_hhmm, to_minutes
-from .fares import FareConfig, load_fare_config
+from .fares import MODES, FareConfig, load_fare_config, travel_minutes
 
 PAGE_SIZE = 10
 
@@ -136,8 +139,8 @@ class CityDatabase:
     intercity_routes: list[IntercityRoute]
     poi_coordinates: dict[str, tuple[Decimal, Decimal]]
     fares: FareConfig = field(default_factory=FareConfig)
-    # load-time indexes (see load_city_data)
-    rows_by_name: dict[str, dict[str, dict]] = field(default_factory=dict, repr=False)
+    # load-time indexes (see load_city_data); table -> name -> position in the table
+    positions_by_name: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
     routes_by_id: dict[str, IntercityRoute] = field(default_factory=dict, repr=False)
     routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = field(
         default_factory=dict, repr=False)
@@ -145,6 +148,8 @@ class CityDatabase:
     _nearby_memo: dict[tuple, tuple[dict, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _distance_memo: dict[tuple[str, str], Decimal] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _transfer_memo: dict[tuple[str, str, str], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def table(self, name: str) -> list[dict]:
@@ -154,10 +159,14 @@ class CityDatabase:
 
     def record(self, table: str, name: str) -> dict:
         try:
-            return self.rows_by_name[table][name]
+            return self.table(table)[self.positions_by_name[table][name]]
         except KeyError:
-            self.table(table)   # raises on an unknown table
             raise NotFoundError(f"no {table[:-1]} named {name!r} in {self.city_name}") from None
+
+    def find(self, table: str, name: str) -> dict | None:
+        """The row called `name` in a POI table, or None."""
+        position = self.positions_by_name[table].get(name)
+        return None if position is None else getattr(self, table)[position]
 
     def coordinates(self, name: str) -> tuple[Decimal, Decimal]:
         try:
@@ -175,6 +184,25 @@ class CityDatabase:
             dist = distance_km(float(lat1), float(lon1), float(lat2), float(lon2))
             self._distance_memo[key] = dist
         return dist
+
+    def transfer_minutes(self, start: str, end: str, mode: str) -> int:
+        """Door-to-door minutes of one `mode` transfer from a known position to another."""
+        key = (start, end, mode)
+        minutes = self._transfer_memo.get(key)
+        if minutes is None:
+            if mode not in MODES:
+                raise NotFoundError(f"unknown transport mode {mode!r}; expected one of {MODES}")
+            dist = self.distance(start, end)
+            fares = self.fares
+            if mode == "walk":
+                minutes = travel_minutes(dist, fares.walk_speed_kmh)
+            elif mode == "taxi":
+                minutes = travel_minutes(dist, fares.taxi_speed_kmh)
+            else:
+                minutes = (travel_minutes(dist, fares.metro_speed_kmh)
+                           + 2 * fares.metro_access_minutes)
+            self._transfer_memo[key] = minutes
+        return minutes
 
 
 def _convert(column: str, raw: str, where: str):
@@ -228,16 +256,16 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         raise LoadError(f"no data directory for city {city!r} under {root}")
 
     tables = {}
-    rows_by_name: dict[str, dict[str, dict]] = {}
+    positions_by_name: dict[str, dict[str, int]] = {}
     coords: dict[str, tuple[Decimal, Decimal]] = {}
     for table, required in _TABLE_COLUMNS.items():
         rows = _read_csv(city_dir / f"{table}.csv", required, table)
-        by_name = rows_by_name[table] = {}
-        for row in rows:
+        by_name = positions_by_name[table] = {}
+        for position, row in enumerate(rows):
             name = row["name"]
             if name in by_name:
                 raise IntegrityError(f"duplicate {table[:-1]} name {name!r} in {city}")
-            by_name[name] = row
+            by_name[name] = position
             if "opentime" in row and "endtime" in row:
                 if to_minutes(row["opentime"]) > to_minutes(row["endtime"]):
                     raise IntegrityError(
@@ -304,7 +332,7 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         intercity_routes=routes,
         poi_coordinates=coords,
         fares=fares,
-        rows_by_name=rows_by_name,
+        positions_by_name=positions_by_name,
         routes_by_id=routes_by_id,
         routes_by_pair=routes_by_pair,
     )

@@ -2,16 +2,21 @@
 
 The sandbox keeps all tariffs in one config object so fixtures can pin them;
 a `fares.cfg` file at the data root (simple `key = value` lines) overrides the
-defaults below.
+defaults below. `travel_minutes` turns a distance into minutes at a speed;
+`CityDatabase.transfer_minutes` memoises a transfer's minutes per (start,
+end, mode).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from ..errors import LoadError
+
+MODES = ("walk", "metro", "taxi")
 
 # rule -> test; is_finite() comes first because comparing a Decimal NaN raises
 _RULES = {
@@ -68,3 +73,10 @@ def load_fare_config(path: Path | str) -> FareConfig:
         if not _RULES[rule](values[key]):
             raise LoadError(f"{path}:{lineno}: {key} must be {rule}, got {val!r}")
     return FareConfig(**values)
+
+
+def travel_minutes(distance: Decimal, speed_kmh: Decimal) -> int:
+    """Whole minutes to cover `distance` at `speed_kmh`, rounded up."""
+    if distance <= 0:
+        return 0
+    return int(math.ceil(distance * 60 / speed_kmh))

@@ -10,7 +10,9 @@ them:
 * taxi  - one leg; fare is base + per-km, per car of TAXI_SEATS seats.
 
 All times are whole minutes (durations rounded up), distances and prices are
-Decimals, so repeated calls are bit-identical.
+Decimals, so repeated calls are bit-identical. The minutes of each (start,
+end, mode) come from `CityDatabase.transfer_minutes`, memoised per database;
+an unknown mode raises NotFoundError there.
 """
 
 from __future__ import annotations
@@ -18,24 +20,15 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 
-from ..errors import NotFoundError
 from ..timeutil import to_hhmm, to_minutes
 from .database import CityDatabase
 
-MODES = ("walk", "metro", "taxi")
 TAXI_SEATS = 4
 
 
 def cars_for(people: int) -> int:
     """Cars a party needs: a taxi seats TAXI_SEATS travellers."""
     return math.ceil(people / TAXI_SEATS)
-
-
-def travel_minutes(distance: Decimal, speed_kmh: Decimal) -> int:
-    """Whole minutes to cover `distance` at `speed_kmh`, rounded up."""
-    if distance <= 0:
-        return 0
-    return int(math.ceil(distance * 60 / speed_kmh))
 
 
 def metro_fare(distance: Decimal, fares) -> Decimal:
@@ -55,17 +48,9 @@ def option_minutes(db: CityDatabase, start: str, end: str, mode: str) -> int:
     """Door-to-door minutes of the `mode` option from `start` to `end`.
 
     `goto` builds its legs around this figure; the planner decides on it
-    alone, before any leg is built.
+    alone, before any leg is built. Both read the database's transfer memo.
     """
-    if mode not in MODES:
-        raise NotFoundError(f"unknown transport mode {mode!r}; expected one of {MODES}")
-    dist = db.distance(start, end)
-    fares = db.fares
-    if mode == "walk":
-        return travel_minutes(dist, fares.walk_speed_kmh)
-    if mode == "taxi":
-        return travel_minutes(dist, fares.taxi_speed_kmh)
-    return travel_minutes(dist, fares.metro_speed_kmh) + 2 * fares.metro_access_minutes
+    return db.transfer_minutes(start, end, mode)
 
 
 def transfer_mode(legs: list) -> str:
@@ -92,7 +77,7 @@ def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> 
     add its party fields to it. Raises InputError when the transfer would
     arrive after 23:59.
     """
-    minutes = option_minutes(db, start, end, mode)
+    minutes = db.transfer_minutes(start, end, mode)
     dist = db.distance(start, end)
     t0 = to_minutes(start_time)
     fares = db.fares

@@ -20,6 +20,15 @@ moves to the front. A pass count does not depend on that order, and
 changes only what a leaf costs, never its verdict; it follows from the
 search's own history, so runs stay deterministic.
 
+Each search computes once what no state changes: the outbound and return
+route lists, the latest return departure (which `next_activity_type` gets as
+its fourth argument instead of selecting the return routes at every node) and
+the hotels of the required room type. An attraction or restaurant candidate
+list is a copy of the table with the visited rows deleted by their load-time
+positions. Every candidate list is a fresh list holding the same rows in the
+same order as a filter over the table would, so a ranker's input, and an LLM
+ranker's prompt, do not depend on how it was built.
+
 The wall-clock budget is tested at node-expansion boundaries only, so the
 explored prefix is reproducible; elapsed time is reported but never affects
 the result on desk-scale instances.
@@ -44,6 +53,7 @@ from .rules import (
     FINISH,
     OUTBOUND,
     RETURN,
+    latest_return,
     next_activity_type,
     outbound_routes,
     return_routes,
@@ -92,6 +102,12 @@ class _Search:
         self.prune_budget = prune_budget
         self.trace = trace
         self.db = dataset[ctx.target]
+        # what no state changes, computed once per search
+        self.outbound = outbound_routes(dataset, ctx)
+        self.returns = return_routes(dataset, ctx)
+        self.latest = latest_return(self.returns)
+        room = ctx.required_room_type
+        self.hotels = [row for row in self.db.hotels if room is None or row["numbed"] == room]
         self.nodes = 0
         self.start = time.monotonic()
         self.best_env_plan: Plan | None = None
@@ -102,23 +118,28 @@ class _Search:
         return time.monotonic() - self.start
 
     def candidates(self, act_type: str, state: SearchState) -> list:
+        """A fresh list of the candidates for `act_type`, in table order."""
         if act_type == OUTBOUND:
-            return list(outbound_routes(self.dataset, self.ctx))
+            return list(self.outbound)
         if act_type == RETURN:
-            return list(return_routes(self.dataset, self.ctx))
+            return list(self.returns)
         if act_type == ATTRACTION:
-            return [row for row in self.db.attractions
-                    if row["name"] not in state.visited_attractions]
+            return self.unvisited("attractions", state.visited_attractions)
         if act_type == ACCOMMODATION:
             if state.hotel_name:
                 return [self.db.record("hotels", state.hotel_name)]
-            rows = self.db.hotels
-            if self.ctx.required_room_type is not None:
-                rows = [row for row in rows if row["numbed"] == self.ctx.required_room_type]
-            return list(rows)
+            return list(self.hotels)
         # meals
-        return [row for row in self.db.restaurants
-                if row["name"] not in state.visited_restaurants]
+        return self.unvisited("restaurants", state.visited_restaurants)
+
+    def unvisited(self, table: str, visited: frozenset) -> list:
+        """A copy of the table without the visited rows, which it deletes by position."""
+        rows = getattr(self.db, table).copy()
+        positions = self.db.positions_by_name[table]
+        for position in sorted([positions[name] for name in visited if name in positions],
+                               reverse=True):
+            del rows[position]
+        return rows
 
     def extend(self, act_type: str, state: SearchState, candidate):
         if act_type == OUTBOUND:
@@ -175,7 +196,7 @@ class _Search:
             and state.total_cost > self.ctx.budget_limit
         ):
             return None
-        act_type = next_activity_type(state, self.dataset, self.ctx)
+        act_type = next_activity_type(state, self.dataset, self.ctx, self.latest)
         if self.trace is not None:
             self.trace({
                 "node": self.nodes,
@@ -256,7 +277,7 @@ def enumerate_complete_plans(dataset, ctx: QueryContext) -> list[Plan]:
     def walk(state: SearchState) -> None:
         if len(plans) >= ENUMERATION_LIMIT:
             return
-        act_type = next_activity_type(state, dataset, ctx)
+        act_type = next_activity_type(state, dataset, ctx, search.latest)
         if act_type == FINISH:
             plans.append(state.to_plan(ctx))
             return

@@ -57,17 +57,20 @@ def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:
     return True
 
 
-def _must_head_home(state: SearchState, dataset, ctx: QueryContext) -> bool:
-    """True when one more default activity would forfeit every return ride."""
-    latest = max((route.begin for route in return_routes(dataset, ctx)), default=None)
-    if latest is None:
-        return True
-    return state.clock + DEFAULT_DURATION + TRANSFER_ALLOWANCE > latest
+def latest_return(routes) -> int:
+    """Departure minute of the last of the return `routes`; -1 when there is none,
+    so that every clock must head home at once."""
+    return max((route.begin for route in routes), default=-1)
 
 
-def next_activity_type(state: SearchState, dataset, ctx: QueryContext) -> str:
+def next_activity_type(state: SearchState, dataset, ctx: QueryContext,
+                       latest: int | None = None) -> str:
     """One of: finish, intercity_outbound, intercity_return, breakfast, lunch,
-    dinner, accommodation, attraction."""
+    dinner, accommodation, attraction.
+
+    `latest` is `latest_return(return_routes(dataset, ctx))`, which a search
+    computes once; left out, it is computed here when the last day needs it.
+    """
     if state.finished:
         return FINISH
     if state.activity_count == 0:
@@ -76,8 +79,12 @@ def next_activity_type(state: SearchState, dataset, ctx: QueryContext) -> str:
     db = dataset[ctx.target]
     last_day = state.day >= ctx.days
 
-    if last_day and _must_head_home(state, dataset, ctx):
-        return RETURN
+    if last_day:
+        if latest is None:
+            latest = latest_return(return_routes(dataset, ctx))
+        # one more default activity would forfeit every return ride
+        if state.clock + DEFAULT_DURATION + TRANSFER_ALLOWANCE > latest:
+            return RETURN
 
     for meal, (lo, hi) in MEAL_TRIGGERS.items():
         if lo <= state.clock <= hi and meal not in state.meals_today:

@@ -16,7 +16,7 @@ route departure is later than 23:59, so the arrival test refuses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 
 from ..errors import ConfigError
@@ -64,7 +64,18 @@ class SearchState:
         while len(days) < self.day:
             days.append(())
         days[self.day - 1] = days[self.day - 1] + (activity,)
-        return replace(self, days=tuple(days), total_cost=self.total_cost + cost, **changes)
+        return self.evolve(days=tuple(days), total_cost=self.total_cost + cost, **changes)
+
+    def evolve(self, **changes) -> "SearchState":
+        """A copy with `changes` (field name -> value) over this state's fields.
+
+        `dataclasses.replace` without its per-field work: a search makes one
+        child per accepted extension, and a frozen dataclass's `__init__`
+        costs more than the copy of its field dict.
+        """
+        child = object.__new__(SearchState)
+        child.__dict__.update(self.__dict__, **changes)
+        return child
 
     def to_plan(self, ctx: QueryContext) -> Plan:
         itinerary = [DayPlan(day=i + 1, activities=list(acts))
@@ -203,8 +214,7 @@ def schedule_hotel(
     if legs:
         activity["transports"] = legs
     state = state.with_activity(activity, cost + leg_cost, hotel_name=name)
-    return replace(
-        state,
+    return state.evolve(
         days=state.days + ((),),
         day=state.day + 1,
         clock=DAY_START,

@@ -35,11 +35,15 @@ def _parse_clock(text: str) -> int:
     return hours * 60 + minutes
 
 
+# every clock time of a day, formatted once
+_HHMM = tuple(f"{minutes // 60:02d}:{minutes % 60:02d}" for minutes in range(24 * 60))
+
+
 def to_hhmm(minutes: int) -> str:
     """Format minutes since midnight as zero-padded "HH:MM"."""
     if not 0 <= minutes <= 24 * 60 - 1:
         raise InputError(f"minutes out of range: {minutes}")
-    return f"{minutes // 60:02d}:{minutes % 60:02d}"
+    return _HHMM[minutes]
 
 
 def is_hhmm(text) -> bool:

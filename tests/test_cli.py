@@ -155,6 +155,23 @@ def test_milp_command_outputs(tmp_path, bench):
         assert len(lp["rows"]) == expected, entry["uid"]
 
 
+def test_milp_zero_budget_still_gets_its_budget_row(tmp_path):
+    bench = tmp_path / "bench.jsonl"
+    assert run("generate", "--db", MICRO, "--difficulty", "easy", "--count", "4",
+               "--seed", "7", "--out", str(bench)) == 0
+    header, *lines = bench.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    budgeted = [r for r in records if r["skeleton"]["specs"][0]["kind"] == "budget"]
+    assert budgeted
+    budgeted[0]["skeleton"]["specs"][0]["value"] = "0"
+    bench.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+    out_dir = tmp_path / "milp"
+    assert run("milp", "--benchmark", str(bench), "--db", MICRO, "--out", str(out_dir)) == 0
+    models = json.loads((out_dir / "sizes.json").read_text())["models"]
+    rows = {entry["uid"]: entry["query_rows"] for entry in models}
+    assert rows[budgeted[0]["uid"]] == 1
+
+
 def test_milp_invalid_slots_is_usage_error(tmp_path, bench):
     code = run("milp", "--benchmark", str(bench), "--db", MICRO,
                "--slots-per-day", "-3", "--out", str(tmp_path / "m"))

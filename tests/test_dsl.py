@@ -273,6 +273,21 @@ def test_function_table_and_checker_agree_on_every_name():
         concept("no_such_function", [], context)
 
 
+def test_checker_and_concept_spell_an_arity_mismatch_alike():
+    context = ConceptContext(parse_plan(MINIMAL), None)
+    checked = 0
+    for name, (_, lo, hi) in FUNCTIONS.items():
+        for count in [hi + 1] + ([lo - 1] if lo > 0 else []):
+            [diag] = _arity_errors(f"return {name}({', '.join(['plan'] * count)})")
+            with pytest.raises(DslEvalError) as raised:
+                concept(name, [Decimal(1)] * count, context)
+            assert str(raised.value) == diag.message, name
+            want = f"{lo}" if lo == hi else f"{lo} to {hi}"
+            assert diag.message == f"{name} expects {want} argument(s), got {count}"
+            checked += 1
+    assert checked > len(FUNCTIONS)
+
+
 def test_non_boolean_return_coerces_false_with_warning(mini_dataset):
     plan = parse_plan(MINIMAL)
     outcome = run_constraint("return 5", plan, mini_dataset)

@@ -182,7 +182,7 @@ def test_poi_distance_identity_and_symmetry(mini_dataset):
 def test_unknown_concept_and_arity():
     with pytest.raises(DslEvalError, match="unknown concept"):
         concept("activty_cost", [{}], ctx(None))
-    with pytest.raises(DslEvalError, match="arguments"):
+    with pytest.raises(DslEvalError, match=r"^activity_cost expects 1 argument\(s\), got 2$"):
         concept("activity_cost", [{}, {}], ctx(None))
 
 

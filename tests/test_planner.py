@@ -9,7 +9,7 @@ from tripsmith.errors import ConfigError
 from tripsmith.evaluation import evaluate_plan, validate_env
 from tripsmith.plan import serialize_plan
 from tripsmith.sandbox import IntercityRoute, intercity_select, load_dataset
-from tripsmith.sandbox.transport import travel_minutes
+from tripsmith.sandbox.fares import travel_minutes
 from tripsmith.search import (
     EMPTY,
     ENV_ONLY_BEST,

@@ -7,6 +7,7 @@ route list, a regex parse per clock string.
 
 import csv
 import itertools
+import math
 import re
 import sys
 import threading
@@ -23,6 +24,7 @@ from tripsmith.sandbox import (
     is_open,
     load_city_data,
     nearby,
+    option_minutes,
 )
 from tripsmith.sandbox.database import POI_TABLES
 from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
@@ -62,6 +64,16 @@ def distance_recompute(db, start, end):
     lat1, lon1 = db.poi_coordinates[start]
     lat2, lon2 = db.poi_coordinates[end]
     return distance_km(float(lat1), float(lon1), float(lat2), float(lon2))
+
+
+def minutes_recompute(db, start, end, mode):
+    """Door-to-door minutes: ceil(distance * 60 / speed), plus both metro access walks."""
+    dist = distance_recompute(db, start, end)
+    fares = db.fares
+    speed = {"walk": fares.walk_speed_kmh, "metro": fares.metro_speed_kmh,
+             "taxi": fares.taxi_speed_kmh}[mode]
+    ride = int(math.ceil(dist * 60 / speed)) if dist > 0 else 0
+    return ride + (2 * fares.metro_access_minutes if mode == "metro" else 0)
 
 
 def intercity_scan(source, from_city, to_city, kind, earliest_leave):
@@ -168,6 +180,35 @@ def test_distance_unknown_position_is_not_cached(cities):
         with pytest.raises(NotFoundError):
             goto(db, "Nowhere", known, "09:00", "walk")
     assert ("Nowhere", known) not in db._distance_memo
+
+
+def test_transfer_memo_matches_recompute(cities):
+    for db in cities.values():
+        names = sorted(db.poi_coordinates)
+        assert db._transfer_memo == {}
+        for start, end, mode in itertools.product(names, names, MODES):
+            want = minutes_recompute(db, start, end, mode)
+            assert db.transfer_minutes(start, end, mode) == want
+            assert option_minutes(db, start, end, mode) == want      # from the memo
+            legs = goto(db, start, end, "06:00", mode)
+            assert to_minutes(legs[-1]["end_time"]) - to_minutes("06:00") == want
+        # one entry per (start, end, mode) asked, the bound of positions squared x modes
+        assert len(db._transfer_memo) == len(names) ** 2 * len(MODES)
+
+
+def test_unknown_mode_raises_and_stores_nothing(cities):
+    db = cities["Beta"]
+    start, end = sorted(db.poi_coordinates)[:2]
+    for _ in range(2):
+        with pytest.raises(NotFoundError, match="unknown transport mode 'bike'"):
+            db.transfer_minutes(start, end, "bike")
+        with pytest.raises(NotFoundError):
+            option_minutes(db, start, end, "bike")
+        with pytest.raises(NotFoundError):
+            goto(db, start, end, "09:00", "bike")
+        with pytest.raises(NotFoundError):
+            option_minutes(db, start, "Nowhere", "walk")
+    assert db._transfer_memo == {}
 
 
 # -- routes and records --------------------------------------------------------
@@ -289,9 +330,11 @@ def _workload(db, cities):
     return out
 
 
-def test_threads_sharing_one_database_agree_with_serial():
+def _agree_across_threads(workload):
+    """Four threads, each asking `workload` of one shared fresh mini set three
+    times, get the answers of one serial run on another fresh set."""
     serial_cities = _fresh("mini")
-    want = _workload(serial_cities["Beta"], serial_cities)
+    want = workload(serial_cities["Beta"], serial_cities)
 
     shared = _fresh("mini")
     results = [None] * 4
@@ -299,7 +342,7 @@ def test_threads_sharing_one_database_agree_with_serial():
 
     def worker(idx):
         try:
-            results[idx] = [_workload(shared["Beta"], shared) for _ in range(3)]
+            results[idx] = [workload(shared["Beta"], shared) for _ in range(3)]
         except Exception as exc:   # surfaced by the assertion below
             errors.append(exc)
 
@@ -317,3 +360,17 @@ def test_threads_sharing_one_database_agree_with_serial():
     assert errors == []
     for runs in results:
         assert runs == [want] * 3
+
+
+def test_threads_sharing_one_database_agree_with_serial():
+    _agree_across_threads(_workload)
+
+
+def _transfer_workload(db, cities):
+    names = sorted(db.poi_coordinates)
+    return [(option_minutes(db, start, end, mode), goto(db, start, end, "09:00", mode))
+            for start, end, mode in itertools.product(names, names, MODES)]
+
+
+def test_threads_sharing_one_transfer_memo_agree_with_serial():
+    _agree_across_threads(_transfer_workload)
