@@ -21,6 +21,11 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
+def quantize_km(km: float) -> Decimal:
+    """A float distance on the 3-digit grid: moved by at most 0.0005, order kept."""
+    return Decimal(repr(km)).quantize(DIST_QUANTUM)
+
+
 def distance_km(lat1: float, lon1: float, lat2: float, lon2: float) -> Decimal:
     """Haversine distance quantized to the package-wide 3-digit grid."""
-    return Decimal(repr(haversine_km(lat1, lon1, lat2, lon2))).quantize(DIST_QUANTUM)
+    return quantize_km(haversine_km(lat1, lon1, lat2, lon2))

@@ -1,6 +1,6 @@
 """Mixed-integer model builder, size contract, LP writer and toy solver."""
 
-from .build import MilpModel, Row, VarInfo, build_model
+from .build import MilpModel, VarInfo, build_model
 from .decode import decode_assignment
 from .lp_writer import emit_lp, render_lp
 from .params import (
@@ -19,7 +19,6 @@ __all__ = [
     "MilpParams",
     "MilpSlice",
     "ROW_CATEGORIES",
-    "Row",
     "SizeReport",
     "VAR_CATEGORIES",
     "VarInfo",

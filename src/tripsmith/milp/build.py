@@ -17,14 +17,16 @@ tested against each other.
 A model has hundreds of thousands of rows over a few tens of thousands of
 variables, so each variable name is spelled once per model, in a table
 indexed like the variable, and each (+1, name) and (-1, name) term is one
-shared tuple that every row referencing it reuses.
+shared tuple that every row referencing it reuses. A row is a plain tuple
+(name, terms, sense, rhs, category) of atoms and tuples of atoms, which the
+cycle collector stops tracking, so a large build does not pay for collector
+passes over its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import NamedTuple
 
 from ..errors import BuildError
 from ..evaluation.env_rules import MEAL_WINDOWS
@@ -33,16 +35,6 @@ from ..timeutil import to_minutes
 from .params import DAY_MINUTES, MilpParams, MilpSlice
 
 MIN_ATTRACTIONS_PER_DAY = 1
-
-
-class Row(NamedTuple):
-    """One constraint row: immutable, and a tuple, so cheap to make and unpack."""
-
-    name: str
-    terms: tuple            # ((coef, var), ...)
-    sense: str              # "<=", ">=", "="
-    rhs: object             # int | Decimal
-    category: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +49,7 @@ class VarInfo:
 @dataclass
 class MilpModel:
     variables: dict[str, VarInfo]
-    rows: list[Row]
+    rows: list[tuple]       # (name, ((coef, var), ...), "<=" | ">=" | "=", rhs, category)
     objective: tuple = ()
     check: dict[str, bool] = field(default_factory=dict)
     params: MilpParams | None = None
@@ -70,15 +62,15 @@ class MilpModel:
 
     def row_count_by_category(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for row in self.rows:
-            out[row.category] = out.get(row.category, 0) + 1
+        for _, _, _, _, category in self.rows:
+            out[category] = out.get(category, 0) + 1
         return out
 
     def validate_references(self) -> None:
-        for row in self.rows:
-            for _, var in row.terms:
+        for name, terms, _, _, _ in self.rows:
+            for _, var in terms:
                 if var not in self.variables:
-                    raise BuildError(f"row {row.name} references undeclared {var}")
+                    raise BuildError(f"row {name} references undeclared {var}")
 
 
 class _Family:
@@ -114,7 +106,7 @@ class _Builder:
         self.p = params
         self.budget = budget
         self.vars: dict[str, VarInfo] = {}
-        self.rows: list[Row] = []
+        self.rows: list[tuple] = []
         self.check: dict[str, bool] = {}
         # index layout: hotels, attractions, restaurants, stations, transit modes
         self.n_positions = params.total_num + params.trans_num
@@ -132,7 +124,7 @@ class _Builder:
         return _Family(names)
 
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
-        self.rows.append(Row(name, tuple(terms), sense, rhs, category))
+        self.rows.append((name, tuple(terms), sense, rhs, category))
 
     # index helpers
     def hotel_idx(self, h: int) -> int:
@@ -326,7 +318,7 @@ class _Builder:
         """Transition choice y[(i, j, mode, t)] linked to occupancy and events.
 
         The hot loop of the build: nearly every row of a model is made here,
-        so it appends `Row`s directly and names each row by the suffix
+        so it appends row tuples directly and names each row by the suffix
         "_{i}_{j}_{k}_{t}" of its y variable.
         """
         p = self.p
@@ -347,8 +339,8 @@ class _Builder:
                         six = (u_neg[i][t], ev_neg[t], mode[t1],
                                mode[t1], ev_neg[t1], u_neg[j][t2])
                         for link, ref in zip(link_names, six):
-                            append(Row(link + tag, (y, ref), "<=", 0, "urban"))
-                        append(Row("urb_ge" + tag, (y, *six), ">=", -5, "urban"))
+                            append((link + tag, (y, ref), "<=", 0, "urban"))
+                        append(("urb_ge" + tag, (y, *six), ">=", -5, "urban"))
         y_pos = self.y.plus
         for i in range(L):
             for t in range(T):

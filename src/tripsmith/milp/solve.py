@@ -31,10 +31,10 @@ class _Problem:
             self.domains.append((info.lo, info.hi))
         self.rows = []
         self.rows_by_var: list[list[int]] = [[] for _ in self.names]
-        for row in model.rows:
+        for name, row_terms, sense, rhs, _ in model.rows:
             ridx = len(self.rows)
-            terms = [(coef, self.index[var]) for coef, var in row.terms if coef != 0]
-            self.rows.append((terms, row.sense, row.rhs, row.name))
+            terms = [(coef, self.index[var]) for coef, var in row_terms if coef != 0]
+            self.rows.append((terms, sense, rhs, name))
             for _, vidx in terms:
                 self.rows_by_var[vidx].append(ridx)
 
@@ -99,15 +99,15 @@ class _Problem:
 def check_assignment(model: MilpModel, assignment: dict[str, int]) -> list[str]:
     """Names of rows the assignment violates (empty = all satisfied)."""
     violated = []
-    for row in model.rows:
-        total = sum(coef * assignment[var] for coef, var in row.terms)
+    for name, terms, sense, rhs, _ in model.rows:
+        total = sum(coef * assignment[var] for coef, var in terms)
         ok = (
-            total <= row.rhs if row.sense == "<=" else
-            total >= row.rhs if row.sense == ">=" else
-            total == row.rhs
+            total <= rhs if sense == "<=" else
+            total >= rhs if sense == ">=" else
+            total == rhs
         )
         if not ok:
-            violated.append(row.name)
+            violated.append(name)
     return violated
 
 

@@ -12,18 +12,37 @@ Layout on disk, one directory per city::
 Column headers are matched case-insensitively; the coordinate map covers all
 POIs plus stations.
 
+Converted at load, in one pass over each file: the reader picks one
+converter per column from the header and fills each row by column position,
+keeping `csv.DictReader`'s reading of repeated headers, short rows, extra
+fields and blank lines. Prices, costs, coordinates and recommended times
+become finite Decimals (a NaN or infinity is a bad number), bed counts and
+durations ints, and clock columns are checked "HH:MM" text; every other cell
+is stripped text. A cell that does not convert is a `LoadError` naming the
+file, the row's number (the header is 1, blank lines do not count) and the
+column.
+
 Indexed at load, as a by-product of the validation pass: every POI table by
 name, as the row's position in its table (`record`, `find`, `is_open` and
 the environment check look rows up there; the planner drops visited rows from
 a copy of a table by these positions), the intercity routes by id (the first
 route of a repeated id wins), and the routes of each (from city, to city)
-pair sorted by (departure, id), which `intercity_select` only filters.
+pair sorted by (departure, id), which `intercity_select` only filters. Each
+POI table also keeps its rows' coordinates as floats, in a list parallel to
+the rows, for `nearby`.
 
 Route departure and arrival become int minutes here, once; the plan record
 and the environment check format them with `to_hhmm`, so a non-padded "7:05"
 in the file reads "07:05" in a plan. POI opening hours stay the file's
 "HH:MM" text, because the benchmark's own tests compare that text, and the
 clock memo in `timeutil` keeps parsing it cheap.
+
+A cold `nearby` takes the float haversine of every row, drops the rows that
+cannot be in the answer, and quantises and sorts only the rest by (distance,
+name). Quantising moves a distance by at most 0.0005 km and never puts two
+distances in the opposite order, so a row whose float distance is more than
+0.002 km beyond the radius, or beyond the k-th nearest row, cannot enter the
+top k: the answer equals the quantise-everything scan.
 
 Memoised on first use, per database: `nearby` answers, keyed on (table,
 point, topk, dist); the quantised distance of each ordered pair of
@@ -52,7 +71,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from ..errors import IntegrityError, LoadError, NotFoundError, StateError
-from ..geo import distance_km
+from ..geo import distance_km, haversine_km, quantize_km
 from ..timeutil import is_hhmm, to_hhmm, to_minutes
 from .fares import MODES, FareConfig, load_fare_config, travel_minutes
 
@@ -77,9 +96,9 @@ _TABLE_COLUMNS = {
 _INTERCITY_COLUMNS = ("id", "kind", "from", "to", "begintime", "endtime", "duration", "cost")
 _POI_COLUMNS = ("name", "latitude", "longitude")
 
-_DECIMAL_COLUMNS = {"price", "cost", "latitude", "longitude", "recommendmintime", "recommendmaxtime"}
-_INT_COLUMNS = {"numbed", "duration"}
-_TIME_COLUMNS = {"opentime", "endtime", "begintime"}
+# over twice what quantising moves a distance, so that a row this much farther
+# than another has a strictly larger quantised distance (see the docstring)
+_DIST_SLACK = 0.002
 
 
 @dataclass(frozen=True)
@@ -141,6 +160,8 @@ class CityDatabase:
     fares: FareConfig = field(default_factory=FareConfig)
     # load-time indexes (see load_city_data); table -> name -> position in the table
     positions_by_name: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
+    # table -> (latitude, longitude) of each row as floats, parallel to the rows
+    float_points: dict[str, list[tuple[float, float]]] = field(default_factory=dict, repr=False)
     routes_by_id: dict[str, IntercityRoute] = field(default_factory=dict, repr=False)
     routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = field(
         default_factory=dict, repr=False)
@@ -205,46 +226,68 @@ class CityDatabase:
         return minutes
 
 
-def _convert(column: str, raw: str, where: str):
+def _number(raw: str) -> Decimal:
+    value = Decimal(raw.strip())
+    if not value.is_finite():
+        raise InvalidOperation(raw)
+    return value
+
+
+def _integer(raw: str) -> int:
+    return int(raw.strip())     # int() alone refuses blanks that str.strip() drops
+
+
+def _clock(raw: str) -> str:
     raw = raw.strip()
-    if column in _DECIMAL_COLUMNS:
-        try:
-            return Decimal(raw)
-        except InvalidOperation:
-            raise LoadError(f"{where}: bad number {raw!r} in column {column!r}") from None
-    if column in _INT_COLUMNS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise LoadError(f"{where}: bad integer {raw!r} in column {column!r}") from None
-    if column in _TIME_COLUMNS:
-        if not is_hhmm(raw):
-            raise LoadError(f"{where}: bad clock time {raw!r} in column {column!r}")
-        return raw
+    if not is_hhmm(raw):
+        raise ValueError(raw)
     return raw
 
 
+# the converter of each typed column; every other column is text, stripped
+_CONVERTERS = {
+    **dict.fromkeys(("price", "cost", "latitude", "longitude", "recommendmintime",
+                     "recommendmaxtime"), _number),
+    **dict.fromkeys(("numbed", "duration"), _integer),
+    **dict.fromkeys(("opentime", "endtime", "begintime"), _clock),
+}
+# what a load error calls a cell that a converter refuses
+_BAD_CELL = {_number: "number", _integer: "integer", _clock: "clock time"}
+_CELL_ERRORS = (ValueError, ArithmeticError)
+
+
 def _read_csv(path: Path, required: tuple[str, ...], table: str) -> list[dict]:
+    """The rows `csv.DictReader` reads, keyed by canonical column and converted."""
     if not path.exists():
         raise LoadError(f"missing table {table!r}: expected file {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise LoadError(f"{path}: empty file for table {table!r}")
-        canon = {name: name.strip().lower() for name in reader.fieldnames}
-        have = set(canon.values())
-        missing = [col for col in required if col not in have]
+        last_position = {raw: position for position, raw in enumerate(header)}
+        keys = [raw.strip().lower() for raw in last_position]
+        plan = [(key, position, _CONVERTERS.get(key, str.strip))
+                for key, position in zip(keys, last_position.values())]
+        missing = [col for col in required if col not in keys]
         if missing:
             raise LoadError(f"{path}: table {table!r} misses columns {missing}")
+        width = len(header)
         rows = []
-        for idx, raw_row in enumerate(reader, 2):
-            row = {}
-            for raw_key, value in raw_row.items():
-                if raw_key is None:
-                    continue
-                key = canon[raw_key]
-                row[key] = _convert(key, value or "", f"{path}:{idx}")
-            rows.append(row)
+        for idx, cells in enumerate(filter(None, reader), 2):
+            if len(cells) < width:
+                cells += [""] * (width - len(cells))
+            try:
+                values = [convert(cells[position]) for _, position, convert in plan]
+            except _CELL_ERRORS:
+                for key, position, convert in plan:     # name the first bad cell
+                    try:
+                        convert(cells[position])
+                    except _CELL_ERRORS:
+                        raise LoadError(f"{path}:{idx}: bad {_BAD_CELL[convert]} "
+                                        f"{cells[position].strip()!r} in column {key!r}") from None
+                raise
+            rows.append(dict(zip(keys, values)))
     return rows
 
 
@@ -257,10 +300,12 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
 
     tables = {}
     positions_by_name: dict[str, dict[str, int]] = {}
+    float_points: dict[str, list[tuple[float, float]]] = {}
     coords: dict[str, tuple[Decimal, Decimal]] = {}
     for table, required in _TABLE_COLUMNS.items():
         rows = _read_csv(city_dir / f"{table}.csv", required, table)
         by_name = positions_by_name[table] = {}
+        float_points[table] = [(float(row["latitude"]), float(row["longitude"])) for row in rows]
         for position, row in enumerate(rows):
             name = row["name"]
             if name in by_name:
@@ -333,6 +378,7 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         poi_coordinates=coords,
         fares=fares,
         positions_by_name=positions_by_name,
+        float_points=float_points,
         routes_by_id=routes_by_id,
         routes_by_pair=routes_by_pair,
     )
@@ -367,25 +413,50 @@ def next_page(session: QuerySession | None) -> list[dict]:
 
 
 def nearby(db: CityDatabase, table: str, point: tuple, topk: int, dist) -> list[dict]:
-    """Top-k records of a table within `dist` km of point, nearest first."""
+    """Top-k records of a table within `dist` km of point, nearest first.
+
+    A radius that is not a number > 0, or a point that is not two finite
+    numbers, raises `NotFoundError`."""
     if topk < 1:
         raise NotFoundError(f"topk must be >= 1, got {topk}")
-    dist = Decimal(str(dist))
-    if dist <= 0:
+    try:
+        dist = Decimal(str(dist))
+    except InvalidOperation:
+        raise NotFoundError(f"dist must be a number, got {dist!r}") from None
+    if dist.is_nan() or dist <= 0:
         raise NotFoundError(f"dist must be > 0, got {dist}")
-    lat, lon = (Decimal(str(point[0])), Decimal(str(point[1])))
+    try:
+        lat, lon = (Decimal(str(point[0])), Decimal(str(point[1])))
+        flat, flon = float(lat), float(lon)
+    except InvalidOperation:
+        flat = flon = math.nan
+    if not (math.isfinite(flat) and math.isfinite(flon)):
+        raise NotFoundError(f"point must be two finite numbers, got {point!r}")
     key = (table, lat, lon, topk, dist)
     found = db._nearby_memo.get(key)
     if found is None:
-        scored = []
-        for row in db.table(table):
-            d = distance_km(float(lat), float(lon),
-                            float(row["latitude"]), float(row["longitude"]))
-            if d <= dist:
-                scored.append((d, row["name"], row))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        found = db._nearby_memo[key] = tuple(row for _, _, row in scored[:topk])
+        found = db._nearby_memo[key] = _nearest(
+            db.table(table), db.float_points[table], flat, flon, topk, dist)
     return list(found)
+
+
+def _nearest(rows: list[dict], points: list, lat: float, lon: float, topk: int,
+             dist: Decimal) -> tuple[dict, ...]:
+    """The top-k rows by (quantised distance, name) within `dist`, quantising only
+    the rows that can be in the answer (see the module docstring)."""
+    km = [haversine_km(lat, lon, row_lat, row_lon) for row_lat, row_lon in points]
+    reach = float(dist) + _DIST_SLACK
+    near = [position for position, d in enumerate(km) if d <= reach]
+    if len(near) > topk:
+        reach = min(reach, sorted(km[position] for position in near)[topk - 1] + _DIST_SLACK)
+    scored = []
+    for position in near:
+        if km[position] <= reach:
+            d = quantize_km(km[position])
+            if d <= dist:
+                scored.append((d, rows[position]["name"], position))
+    scored.sort()
+    return tuple(rows[position] for _, _, position in scored[:topk])
 
 
 def is_open(db: CityDatabase, table: str, poi_id: str, time: str) -> bool:

@@ -65,7 +65,7 @@ class HeuristicRanker:
         if None in ranks:
             for index, candidate in enumerate(candidates):
                 if ranks[index] is None:
-                    terms = _candidate_terms(candidate)
+                    terms = _candidate_terms(candidate) if required else ()
                     miss = not any(req in term for req in required for term in terms)
                     rank = (_candidate_price(candidate), miss) if budgeted else miss
                     keys[id(candidate)] = ranks[index] = rank

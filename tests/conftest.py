@@ -64,12 +64,18 @@ def micro_dataset():
 
 
 @pytest.fixture(scope="session")
-def synth_dataset(tmp_path_factory):
-    """The benchmark's synthetic city set (bench/synth.py, seed 0)."""
+def synth_root(tmp_path_factory):
+    """The data root of the benchmark's synthetic city set (bench/synth.py, seed 0)."""
     spec = importlib.util.spec_from_file_location("tripsmith_bench_synth", SYNTH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return load_dataset(module.generate(tmp_path_factory.mktemp("synth"), seed=0))
+    return module.generate(tmp_path_factory.mktemp("synth"), seed=0)
+
+
+@pytest.fixture(scope="session")
+def synth_dataset(synth_root):
+    """The benchmark's synthetic city set, loaded."""
+    return load_dataset(synth_root)
 
 
 @pytest.fixture(scope="session")

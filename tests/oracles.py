@@ -7,8 +7,10 @@ published concept programs - and never calls the code paths it checks.
 
 from __future__ import annotations
 
+import csv
 import math
-from decimal import ROUND_HALF_EVEN, Decimal
+import re
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from fractions import Fraction
 
 
@@ -34,6 +36,59 @@ def nearby_reference(rows, point, topk, dist):
             scored.append((d, row["name"]))
     scored.sort()
     return [name for _, name in scored[:topk]]
+
+
+# -- table loading ------------------------------------------------------------
+
+CSV_DECIMAL_COLUMNS = {"price", "cost", "latitude", "longitude",
+                       "recommendmintime", "recommendmaxtime"}
+CSV_INT_COLUMNS = {"numbed", "duration"}
+CSV_CLOCK_COLUMNS = {"opentime", "endtime", "begintime"}
+_CLOCK_TEXT = re.compile(r"^(\d{1,2}):(\d{2})$")
+
+
+class CsvReferenceError(Exception):
+    """A cell the reference reader refuses; the message is the loader's."""
+
+
+def _reference_cell(key, text, where):
+    if key in CSV_DECIMAL_COLUMNS:
+        try:
+            number = Decimal(text)
+        except InvalidOperation:
+            number = None
+        if number is None or not number.is_finite():
+            raise CsvReferenceError(f"{where}: bad number {text!r} in column {key!r}")
+        return number
+    if key in CSV_INT_COLUMNS:
+        try:
+            return int(text)
+        except ValueError:
+            raise CsvReferenceError(f"{where}: bad integer {text!r} in column {key!r}") from None
+    if key in CSV_CLOCK_COLUMNS:
+        m = _CLOCK_TEXT.match(text)
+        if not m or int(m.group(1)) > 23 or int(m.group(2)) > 59:
+            raise CsvReferenceError(f"{where}: bad clock time {text!r} in column {key!r}")
+    return text
+
+
+def read_csv_reference(path):
+    """A sandbox table read with `csv.DictReader`, converted cell by cell.
+
+    Keys are the stripped lower-case headers; a cell missing from a short row
+    reads "", a field beyond the header is dropped, and rows are numbered as
+    DictReader yields them, from 2.
+    """
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line, raw_row in enumerate(csv.DictReader(fh), 2):
+            row = {}
+            for raw_key, value in raw_row.items():
+                if raw_key is not None:
+                    key = raw_key.strip().lower()
+                    row[key] = _reference_cell(key, (value or "").strip(), f"{path}:{line}")
+            rows.append(row)
+    return rows
 
 
 # -- metric formulas ----------------------------------------------------------

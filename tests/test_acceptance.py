@@ -233,7 +233,7 @@ def test_criterion_07_milp_sizes():
 
 def test_criterion_08_micro_solve_on_toys():
     """Feasible toy assignments satisfy every row; contradictions are proven."""
-    from tripsmith.milp import MilpModel, Row, VarInfo
+    from tripsmith.milp import MilpModel, VarInfo
 
     rng = random.Random(13)
     solved = 0
@@ -253,9 +253,9 @@ def test_criterion_08_micro_solve_on_toys():
     contradiction = MilpModel(
         variables={"u0": VarInfo("u0", "binary"), "u1": VarInfo("u1", "binary")},
         rows=[
-            Row("one", ((1, "u0"), (1, "u1")), "=", 1, "occupancy"),
-            Row("z0", ((1, "u0"),), "<=", 0, "occupancy"),
-            Row("z1", ((1, "u1"),), "<=", 0, "occupancy"),
+            ("one", ((1, "u0"), (1, "u1")), "=", 1, "occupancy"),
+            ("z0", ((1, "u0"),), "<=", 0, "occupancy"),
+            ("z1", ((1, "u1"),), "<=", 0, "occupancy"),
         ],
     )
     assert micro_solve(contradiction) is None

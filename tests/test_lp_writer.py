@@ -14,7 +14,6 @@ from tripsmith.milp import (
     DOWNSAMPLE,
     MilpModel,
     MilpParams,
-    Row,
     VarInfo,
     build_model,
     emit_lp,
@@ -63,8 +62,8 @@ def reference_render_lp(model: MilpModel, name: str = "itinerary") -> str:
     else:
         lines.append(" obj: 0")
     lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {_terms(row.terms)} {_SENSE[row.sense]} {_coef(row.rhs)}")
+    for row_name, terms, sense, rhs, _ in model.rows:
+        lines.append(f" {row_name}: {_terms(terms)} {_SENSE[sense]} {_coef(rhs)}")
     integers = [info for info in model.variables.values() if info.kind == "integer"]
     if integers:
         lines.append("Bounds")
@@ -104,24 +103,24 @@ def _dataset_model(dataset, days: int, slots_per_day: int, budget) -> MilpModel:
 
 
 def _hand_model(objective, rows) -> MilpModel:
-    names = {var for row in rows for _, var in row.terms} | {var for _, var in objective}
+    names = {var for _, terms, _, _, _ in rows for _, var in terms} | {var for _, var in objective}
     variables = {name: VarInfo(name, "binary") for name in sorted(names)}
     variables["n"] = VarInfo("n", "integer", 0, 7, "count")
     return MilpModel(variables=variables, rows=list(rows), objective=tuple(objective))
 
 
 HAND_ROWS = [
-    Row("decimal_one", ((Decimal("1.0"), "a"), (1, "b"), (Decimal("1.0"), "c")), "<=",
-        Decimal("1.0"), "query"),
-    Row("decimal_price", ((Decimal("12.50"), "a"), (Decimal("-0.5"), "b")), ">=",
-        Decimal("-0.5"), "query"),
-    Row("negative_first", ((Decimal("-0.5"), "a"), (-1, "b"), (-2, "c")), "=", -1, "query"),
-    Row("bool_coef", ((True, "a"), (1, "b"), (True, "c")), "<=", True, "query"),
-    Row("bool_after_int", ((1, "a"), (True, "b"), (-1, "c")), "<=", 1, "query"),
-    Row("zeros", ((0, "a"), (1, "b"), (Decimal("0.00"), "c"), (-1, "a")), "<=", 0, "query"),
-    Row("zero_first", ((0, "a"), (-3, "b")), "<=", 0, "query"),
-    Row("all_zero", ((0, "a"), (Decimal("0"), "b"), (False, "c")), "=", 0, "query"),
-    Row("big_coefs", ((25, "a"), (-49, "b"), (1000, "c")), "<=", 1049, "query"),
+    ("decimal_one", ((Decimal("1.0"), "a"), (1, "b"), (Decimal("1.0"), "c")), "<=",
+     Decimal("1.0"), "query"),
+    ("decimal_price", ((Decimal("12.50"), "a"), (Decimal("-0.5"), "b")), ">=",
+     Decimal("-0.5"), "query"),
+    ("negative_first", ((Decimal("-0.5"), "a"), (-1, "b"), (-2, "c")), "=", -1, "query"),
+    ("bool_coef", ((True, "a"), (1, "b"), (True, "c")), "<=", True, "query"),
+    ("bool_after_int", ((1, "a"), (True, "b"), (-1, "c")), "<=", 1, "query"),
+    ("zeros", ((0, "a"), (1, "b"), (Decimal("0.00"), "c"), (-1, "a")), "<=", 0, "query"),
+    ("zero_first", ((0, "a"), (-3, "b")), "<=", 0, "query"),
+    ("all_zero", ((0, "a"), (Decimal("0"), "b"), (False, "c")), "=", 0, "query"),
+    ("big_coefs", ((25, "a"), (-49, "b"), (1000, "c")), "<=", 1049, "query"),
 ]
 
 
@@ -137,15 +136,15 @@ def test_hand_built_models_match_reference(tmp_path, objective):
 
 def test_int_spelling_does_not_leak_into_equal_values(tmp_path):
     # an int coefficient seen first must not decide how an equal Decimal or bool is spelled
-    rows = [Row("ints", ((1, "a"), (1, "b"), (-1, "c")), "<=", 1, "query"),
-            Row("others", ((Decimal("1.0"), "a"), (True, "b"), (Decimal("-1.00"), "c")),
-                "<=", Decimal("1.0"), "query")]
+    rows = [("ints", ((1, "a"), (1, "b"), (-1, "c")), "<=", 1, "query"),
+            ("others", ((Decimal("1.0"), "a"), (True, "b"), (Decimal("-1.00"), "c")),
+             "<=", Decimal("1.0"), "query")]
     text = assert_same_lp(_hand_model((), rows), tmp_path)
     assert " others: 1.0 a + True b - 1.00 c <= 1.0\n" in text
 
 
 def test_model_with_no_rows_or_terms(tmp_path):
-    model = MilpModel(variables={}, rows=[Row("empty", (), "=", 0, "query")])
+    model = MilpModel(variables={}, rows=[("empty", (), "=", 0, "query")])
     text = assert_same_lp(model, tmp_path, name="bare")
     assert text == "\\ Problem: bare\nMinimize\n obj: 0\nSubject To\n empty: 0 zero = 0\nEnd\n"
 
@@ -161,7 +160,7 @@ def test_micro_and_mini_models_with_budget_match_reference(
         tmp_path, micro_dataset, mini_dataset, days, slots_per_day, budget):
     for dataset in (micro_dataset, mini_dataset):
         model = _dataset_model(dataset, days, slots_per_day, budget)
-        assert [row.category for row in model.rows].count("query") == 1
+        assert [category for *_, category in model.rows].count("query") == 1
         assert_same_lp(model, tmp_path)
 
 

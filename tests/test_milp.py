@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from decimal import Decimal
@@ -9,7 +10,6 @@ from tripsmith.milp import (
     DOWNSAMPLE,
     MilpModel,
     MilpParams,
-    Row,
     VarInfo,
     build_model,
     check_assignment,
@@ -94,7 +94,7 @@ def test_downsample_emission_under_ten_seconds():
 def test_trivial_params_sum_rows():
     params = MilpParams(1, 0, 0, 1, 1, 1, time_step=2)
     model = build_model(synthetic_slice(params), params)
-    one_rows = [row for row in model.rows if row.name.startswith("occ_one_")]
+    one_rows = [row for row in model.rows if row[0].startswith("occ_one_")]
     assert len(one_rows) == params.time_step
 
 
@@ -112,8 +112,8 @@ def test_zero_poi_categories_have_zero_counts():
 def test_undeclared_reference_is_build_error_naming_row_and_variable():
     model = MilpModel(
         variables={"x": VarInfo("x", "binary")},
-        rows=[Row("ok", ((1, "x"),), "<=", 1, "query"),
-              Row("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query")],
+        rows=[("ok", ((1, "x"),), "<=", 1, "query"),
+              ("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query")],
     )
     with pytest.raises(BuildError, match="row bad references undeclared ghost"):
         model.validate_references()
@@ -121,10 +121,15 @@ def test_undeclared_reference_is_build_error_naming_row_and_variable():
 
 def test_rows_are_immutable():
     params = MilpParams(1, 1, 1, 1, 1, 1, 4)
-    row = build_model(synthetic_slice(params), params).rows[0]
-    for field in ("name", "terms", "sense", "rhs", "category"):
-        with pytest.raises(AttributeError):
-            setattr(row, field, None)
+    rows = build_model(synthetic_slice(params), params).rows
+    for row in rows:
+        # a plain tuple of atoms: immutable, and untracked by the cycle collector
+        assert type(row) is tuple and len(row) == 5
+        with pytest.raises(TypeError):
+            row[0] = None
+    for _ in range(3):      # a collection untracks one level: term, terms, row
+        gc.collect()
+    assert not any(map(gc.is_tracked, rows))
 
 
 def test_every_build_validates_references(monkeypatch):
@@ -154,7 +159,7 @@ def test_lp_emission_is_byte_identical(tmp_path):
 def test_lp_empty_objective_header():
     model = MilpModel(
         variables={"x": VarInfo("x", "binary")},
-        rows=[Row("r0", ((1, "x"),), "<=", 1, "query")],
+        rows=[("r0", ((1, "x"),), "<=", 1, "query")],
     )
     text = render_lp(model)
     assert "Minimize\n obj: 0\n" in text
@@ -166,12 +171,12 @@ def test_lp_reader_roundtrip_matches_model(tmp_path):
     parsed = parse_lp(render_lp(model))
     assert len(parsed["rows"]) == len(model.rows)
     # row-by-row: same terms multiset, sense, rhs
-    for row in model.rows:
-        got_terms, got_sense, got_rhs = parsed["rows"][row.name]
-        want = tuple(sorted((Decimal(str(c)), v) for c, v in row.terms if c != 0))
-        assert got_terms == want, row.name
-        assert got_sense == row.sense
-        assert got_rhs == Decimal(str(row.rhs))
+    for name, terms, sense, rhs, _ in model.rows:
+        got_terms, got_sense, got_rhs = parsed["rows"][name]
+        want = tuple(sorted((Decimal(str(c)), v) for c, v in terms if c != 0))
+        assert got_terms == want, name
+        assert got_sense == sense
+        assert got_rhs == Decimal(str(rhs))
     binaries = {i.name for i in model.variables.values() if i.kind == "binary"}
     assert set(parsed["binaries"]) == binaries
 
@@ -192,9 +197,9 @@ def test_contradictory_rows_are_infeasible():
     model = MilpModel(
         variables={"u0": VarInfo("u0", "binary"), "u1": VarInfo("u1", "binary")},
         rows=[
-            Row("sum_one", ((1, "u0"), (1, "u1")), "=", 1, "occupancy"),
-            Row("u0_zero", ((1, "u0"),), "<=", 0, "occupancy"),
-            Row("u1_zero", ((1, "u1"),), "<=", 0, "occupancy"),
+            ("sum_one", ((1, "u0"), (1, "u1")), "=", 1, "occupancy"),
+            ("u0_zero", ((1, "u0"),), "<=", 0, "occupancy"),
+            ("u1_zero", ((1, "u1"),), "<=", 0, "occupancy"),
         ],
     )
     assert micro_solve(model) is None
@@ -245,7 +250,7 @@ def test_check_constants_pin_closed_slots():
     model = build_model(slice_, params)
     # 4-hour slots: only slot 2 ([08:00,12:00)) is fully inside the hours
     closed_rows = [row for row in model.rows
-                   if row.name.startswith("att_check_0_") and row.rhs == 0]
+                   if row[0].startswith("att_check_0_") and row[3] == 0]
     assert len(closed_rows) == params.time_step - 1
     assert model.check[f"u_{params.hotel_num}_2"] is True
 
@@ -266,7 +271,8 @@ def test_decoded_assignment_parses_as_plan():
 def test_budget_query_constraint_row():
     params = MilpParams(1, 1, 1, 1, 1, 1, 6)
     model = build_model(synthetic_slice(params), params, 800)
-    query_rows = [row for row in model.rows if row.category == "query"]
+    query_rows = [row for row in model.rows if row[4] == "query"]
     assert len(query_rows) == 1
-    assert query_rows[0].sense == "<="
-    assert query_rows[0].rhs == Decimal("800")
+    _, _, sense, rhs, _ = query_rows[0]
+    assert sense == "<="
+    assert rhs == Decimal("800")

@@ -15,7 +15,7 @@ from decimal import Decimal
 import pytest
 
 from tripsmith.sandbox import IntercityRoute, load_dataset
-from tripsmith.search import HeuristicRanker, initial_state
+from tripsmith.search import HeuristicRanker, initial_state, ranking
 from tripsmith.search.context import QueryContext
 from tripsmith.search.rules import outbound_routes, return_routes
 
@@ -159,3 +159,21 @@ def test_a_freed_row_never_lends_its_key_to_a_new_one():
         assert got == want
         del rows
         gc.collect()
+
+
+@pytest.mark.parametrize("kind", ["none", "budget"])
+def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
+    """Every row misses then, so the order comes without reading a term."""
+    dataset = load_dataset(FIXTURES / "mini")
+    ctx = _contexts(dataset)[kind]
+    assert not ctx.required_terms()
+
+    def refuse(candidate):
+        raise AssertionError("terms read for a query that names none")
+
+    monkeypatch.setattr(ranking, "_candidate_terms", refuse)
+    ranker = HeuristicRanker()
+    for table, rows in _tables(dataset).items():
+        for candidates in (rows, rows[::-1]):
+            got, want = _ids(ranker, candidates, ctx)
+            assert got == want, table

@@ -15,7 +15,7 @@ from decimal import Decimal
 
 import pytest
 
-from tripsmith.errors import InputError, NotFoundError
+from tripsmith.errors import InputError, LoadError, NotFoundError
 from tripsmith.geo import distance_km
 from tripsmith.sandbox import (
     MODES,
@@ -26,10 +26,11 @@ from tripsmith.sandbox import (
     nearby,
     option_minutes,
 )
-from tripsmith.sandbox.database import POI_TABLES
+from tripsmith.sandbox.database import POI_TABLES, _read_csv
 from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
 
 from .conftest import FIXTURES, micro_with_routes
+from .oracles import CsvReferenceError, read_csv_reference
 
 FIXTURE_SETS = ("micro", "mini")
 TOPKS = (1, 2, 3, 10)
@@ -48,16 +49,15 @@ def cities(request):
 
 # -- references ----------------------------------------------------------
 
-def nearby_scan(db, table, point, topk, dist):
-    dist = Decimal(str(dist))
+def scan_scored(db, table, point):
+    """(quantised distance, name, row) of every row of a table, nearest first."""
     lat, lon = Decimal(str(point[0])), Decimal(str(point[1]))
     scored = []
     for row in db.table(table):
         d = distance_km(float(lat), float(lon), float(row["latitude"]), float(row["longitude"]))
-        if d <= dist:
-            scored.append((d, row["name"], row))
+        scored.append((d, row["name"], row))
     scored.sort(key=lambda item: (item[0], item[1]))
-    return [row for _, _, row in scored[:topk]]
+    return scored
 
 
 def distance_recompute(db, start, end):
@@ -121,14 +121,44 @@ def probe_points(db):
 
 # -- nearby ----------------------------------------------------------------
 
-def test_nearby_matches_scan_everywhere(cities):
-    for db in cities.values():
-        for point, table, topk, dist in itertools.product(
-                probe_points(db), POI_TABLES, TOPKS, RADII):
-            want = nearby_scan(db, table, point, topk, dist)
-            for _ in range(2):      # cold, then answered from the memo
-                got = nearby(db, table, point, topk, dist)
-                assert [id(row) for row in got] == [id(row) for row in want]
+@pytest.mark.parametrize("fixture", ["micro", "mini", "synth"])
+def test_nearby_matches_scan_everywhere(request, fixture):
+    """Every probe point of micro and mini and every 20th of the synth set,
+    with the fixed radii and radii on a row's exact quantised distance, on a
+    fresh load, so that every first call is cold."""
+    root = request.getfixturevalue("synth_root") if fixture == "synth" else FIXTURES / fixture
+    stride = 20 if fixture == "synth" else 1
+    for city in sorted(path.name for path in root.iterdir() if path.is_dir()):
+        db = load_city_data(root, city)
+        for point, table in itertools.product(probe_points(db)[::stride], POI_TABLES):
+            scored = scan_scored(db, table, point)
+            on_rows = {scored[i][0] for i in (0, 2, 9, 39) if i < len(scored)}
+            for topk, radius in itertools.product(TOPKS, [*RADII, *sorted(on_rows)]):
+                dist = Decimal(str(radius))
+                if dist <= 0:
+                    continue
+                want = [row for d, _, row in scored if d <= dist][:topk]
+                for _ in range(2):      # cold, then answered from the memo
+                    got = nearby(db, table, point, topk, radius)
+                    assert [id(row) for row in got] == [id(row) for row in want]
+
+
+@pytest.mark.parametrize("point, dist", [
+    ((31.2, 121.4), "nan"),
+    ((31.2, 121.4), "-NaN"),
+    ((31.2, 121.4), "abc"),
+    ((31.2, 121.4), None),
+    (("x", 121.4), 2),
+    ((31.2, "nan"), 2),
+    (("inf", 121.4), 2),
+    ((float("nan"), 121.4), 2),
+    ((31.2, "1e400"), 2),
+])
+def test_nearby_refuses_what_is_not_a_radius_or_a_point(point, dist):
+    db = _fresh("micro")["Beta"]
+    with pytest.raises(NotFoundError):
+        nearby(db, "attractions", point, 3, dist)
+    assert not db._nearby_memo
 
 
 def test_nearby_result_mutation_does_not_leak(cities):
@@ -374,3 +404,81 @@ def _transfer_workload(db, cities):
 
 def test_threads_sharing_one_transfer_memo_agree_with_serial():
     _agree_across_threads(_transfer_workload)
+
+
+# -- loading -------------------------------------------------------------------
+
+def _typed(rows):
+    """Every cell with its key, type and exact spelling, in column order."""
+    return [[(key, type(value), repr(value)) for key, value in row.items()] for row in rows]
+
+
+def _write(tmp_path, text: str):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("fixture", ["micro", "mini", "synth"])
+def test_load_matches_a_dictreader_reference(request, fixture):
+    root = request.getfixturevalue("synth_root") if fixture == "synth" else FIXTURES / fixture
+    paths = sorted(root.glob("*/*.csv"))
+    assert len(paths) >= 10
+    for path in paths:
+        assert _typed(_read_csv(path, (), path.stem)) == _typed(read_csv_reference(path)), path
+    for city in sorted({path.parent.name for path in paths}):
+        db = load_city_data(root, city)
+        for table in POI_TABLES:
+            rows = db.table(table)
+            assert _typed(rows) == _typed(read_csv_reference(root / city / f"{table}.csv"))
+            assert db.float_points[table] == [
+                (float(row["latitude"]), float(row["longitude"])) for row in rows]
+
+
+@pytest.mark.parametrize("text", [
+    "Name,Price,Price\nA,1,2\n",                    # a repeated header reads its last field
+    "Name,Price,price,NAME\nA,1,2,B\n",             # headers equal once canonical
+    "Name,Type,Price\nA,x,1\nB,y,2\nC,z,3,4\n",     # an extra field is dropped
+    "Name,Type\nA,x\nB\n",                          # a short row reads ""
+    "Name,Price\n\nA,1\n\n\nB,2\n",                 # blank lines are skipped
+    "Name , PRICE ,Numbed,Opentime\n  A , 1.50 , 2 , 8:05 \n",
+    "Name,Price,Numbed\nA,\x1c1.5\u3000,\x1c2\x1f\n",      # blanks that int() alone refuses
+    'Name,Type,Price\n"A\nB","x, y",3\n',           # a quoted newline stays in its cell
+    "Name,Price\n",
+    "\nName,Price\n",                               # a blank first line is an empty header
+    "Name,Latitude\nA\n",                           # a short row's number reads ""
+    "Name,Price\n\n\nA,1\nB, x \n",                 # rows are counted past blank lines
+    "Name,Price,Numbed\nA,1,2,\nB,bad,worse\n",     # the first bad cell in column order
+    "Name,Price,price\nA,bad,1\n",
+    "Name,Price,Price\nA,bad,1\n",                  # the hidden field is never read
+], ids=["repeated", "canonical-twins", "extra", "short", "blank-lines", "spaces",
+        "unicode-blanks", "quoted-newline", "header-only", "blank-header", "short-number",
+        "count-past-blanks", "first-bad-cell", "twin-bad", "hidden-bad"])
+def test_odd_tables_read_as_dictreader_reads_them(tmp_path, text):
+    path = _write(tmp_path, text)
+    try:
+        want = _typed(read_csv_reference(path))
+    except CsvReferenceError as refused:
+        with pytest.raises(LoadError) as raised:
+            _read_csv(path, (), "t")
+        assert str(raised.value) == str(refused)
+    else:
+        assert _typed(_read_csv(path, (), "t")) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Name,Price\nA,1\nB,abc\n", "t.csv:3: bad number 'abc' in column 'price'"),
+    ("Name,Numbed\nA,2.5\n", "t.csv:2: bad integer '2.5' in column 'numbed'"),
+    ("Name,Opentime\nA,25:00\n", "t.csv:2: bad clock time '25:00' in column 'opentime'"),
+    ("Name,Cost\nA, NaN \n", "t.csv:2: bad number 'NaN' in column 'cost'"),
+    ("Name,Latitude\nA,-Infinity\n", "t.csv:2: bad number '-Infinity' in column 'latitude'"),
+    ("Name,Price\n\nA,1\n\nB,sNaN\n", "t.csv:3: bad number 'sNaN' in column 'price'"),
+    ("Name,Duration\nA\n", "t.csv:2: bad integer '' in column 'duration'"),
+    ("Name,Begintime\nA,7:5,extra\n", "t.csv:2: bad clock time '7:5' in column 'begintime'"),
+], ids=["number", "integer", "clock", "nan", "infinity", "after-blank-lines", "short-row",
+        "extra-field"])
+def test_load_errors_name_the_file_row_and_column(tmp_path, text, message):
+    path = _write(tmp_path, text)
+    with pytest.raises(LoadError) as raised:
+        _read_csv(path, (), "t")
+    assert str(raised.value) == str(tmp_path / message)
