@@ -22,7 +22,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import (
@@ -147,11 +146,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
         }
         return result, [{"uid": query.uid, **row} for row in trace_rows]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            pairs = list(pool.map(run_one, queries))
-    else:
-        pairs = [run_one(query) for query in queries]
+    pairs = [run_one(query) for query in queries]
     results = [result for result, _ in pairs]
     if tracing:
         with open(tracing, "w", encoding="utf-8") as fh:
@@ -162,8 +157,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
     manifest = RunManifest(
         command="plan",
         inputs={"benchmark": bench_header["manifest_hash"], "db": Path(args.db).name},
-        # jobs is an execution detail: results are merged in input order,
-        # so the artifact is the same regardless of parallelism
+        # jobs is left out: it does not change how the queries are searched
         config={"ranker": args.ranker, "budget_secs": _budget_value(args.budget_secs)},
         seed=args.seed,
         paths={"benchmark": str(args.benchmark), "db": str(args.db)},
@@ -334,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--ranker", choices=("heuristic", "llm", "replay"),
                       default="heuristic")
     plan.add_argument("--budget-secs", type=float, default=300.0)
-    plan.add_argument("--jobs", type=_positive_int, default=1)
+    plan.add_argument("--jobs", type=_positive_int, default=1,
+                      help="accepted for compatibility; queries are searched "
+                           "one at a time in input order, whatever its value")
     plan.add_argument("--seed", type=int, default=0)
     plan.add_argument("--llm-url", default="http://localhost:8000/v1/chat/completions")
     plan.add_argument("--llm-model", default="default")

@@ -56,10 +56,11 @@ bounded by the city's names (positions for `nearby`, positions squared for
 distances, positions squared times the 3 modes for transfers), not by how
 long a process runs. An unknown position or mode raises and stores nothing.
 
-Databases are immutable after load and safe to share between threads, as
-`plan --jobs` does; a memo write is one dict assignment of a value that only
-depends on the immutable tables and tariffs, so two threads racing on one key
-at worst compute the same answer twice. Query sessions are single-owner.
+Databases are immutable after load. `plan` searches its queries one at a
+time, so the memos one query fills serve the next. A memo write is one dict
+assignment of a value that only depends on the immutable tables and tariffs,
+so threads sharing one database would at worst compute an answer twice.
+Query sessions are single-owner.
 """
 
 from __future__ import annotations

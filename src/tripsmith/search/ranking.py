@@ -45,8 +45,10 @@ class HeuristicRanker:
     The key is (price, misses every required term) under a budget, else
     whether the row misses every required term. One stable sort by it gives
     the order of a stable split into matching rows and the rest, followed
-    by a stable price sort. Keys live for one `QueryContext` (the same
-    object, terms and budget use) and are held by `id()` together with
+    by a stable price sort. A query that names no required term needs no
+    memo: every row misses, so the order is the price order under a budget
+    and the input order otherwise. Keys live for one `QueryContext` (the
+    same object, terms and budget use) and are held by `id()` together with
     their row, so no id is reused. The memo is swapped as one tuple, so a
     ranker shared by threads stays correct.
     """
@@ -57,6 +59,8 @@ class HeuristicRanker:
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
         required = tuple(context.required_terms())
         budgeted = context.budget_limit is not None
+        if not required:
+            return sorted(candidates, key=_candidate_price) if budgeted else list(candidates)
         owner, owner_required, owner_budgeted, keys, pins = self._memo
         if owner is not context or owner_required != required or owner_budgeted != budgeted:
             keys, pins = {}, []
@@ -65,7 +69,7 @@ class HeuristicRanker:
         if None in ranks:
             for index, candidate in enumerate(candidates):
                 if ranks[index] is None:
-                    terms = _candidate_terms(candidate) if required else ()
+                    terms = _candidate_terms(candidate)
                     miss = not any(req in term for req in required for term in terms)
                     rank = (_candidate_price(candidate), miss) if budgeted else miss
                     keys[id(candidate)] = ranks[index] = rank

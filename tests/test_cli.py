@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -5,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from tripsmith.cli import main
+from tripsmith.genquery import certify, sample_skeleton
 from tripsmith.llm import FaultInjectingTransport, LlmRanker
-from tripsmith.manifest import RunManifest, read_jsonl
+from tripsmith.manifest import RunManifest, file_header, read_jsonl, write_jsonl
+from tripsmith.search import FULL_PASS, SearchConfig
 
 from .conftest import FIXTURES
 
@@ -85,14 +88,46 @@ def test_eval_empty_plans_is_usage_error(tmp_path, bench):
     assert code == 2
 
 
-def test_plan_with_jobs_matches_serial(tmp_path, bench):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    assert run("plan", "--benchmark", str(bench), "--db", MICRO,
-               "--budget-secs", "10", "--out", str(serial)) == 0
-    assert run("plan", "--benchmark", str(bench), "--db", MICRO,
-               "--budget-secs", "10", "--jobs", "3", "--out", str(parallel)) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+# Skeletons of the stream below that certify on the synthetic city set within
+# 44 ranker calls each: 1- and 2-day trips, with and without required terms.
+SYNTH_CERTIFIED = (8, 20, 34, 44, 88, 139)
+
+
+@pytest.fixture(scope="module")
+def synth_bench(synth_dataset, tmp_path_factory) -> Path:
+    """A benchmark file of the SYNTH_CERTIFIED queries (generate is slow there)."""
+    pairs = list(itertools.permutations(synth_dataset.city_names, 2))
+    cfg = SearchConfig(budget_seconds=60.0)
+    queries = []
+    for index in SYNTH_CERTIFIED:
+        origin, target = pairs[index % len(pairs)]
+        skeleton = sample_skeleton(synth_dataset, "medium" if index % 2 else "easy",
+                                   300 + index, origin=origin, target=target)
+        queries.append(certify(skeleton, synth_dataset, cfg, uid=f"q{index:04d}"))
+    assert None not in queries
+    assert any(q.skeleton.days == 2 for q in queries)
+    path = tmp_path_factory.mktemp("synth_bench") / "bench.jsonl"
+    manifest = RunManifest(command="generate", inputs={"db": "synth"}, config={}, seed=0)
+    write_jsonl(path, file_header("benchmark", manifest, count=len(queries),
+                                  difficulty="mixed"),
+                [q.as_dict() for q in queries])
+    return path
+
+
+def test_plan_with_jobs_matches_serial(tmp_path, bench, synth_root, synth_bench):
+    for name, root, benchmark in (("micro", MICRO, bench), ("synth", synth_root, synth_bench)):
+        outputs = []
+        for jobs in ("1", "3"):
+            plans = tmp_path / f"{name}-plans-{jobs}.jsonl"
+            trace = tmp_path / f"{name}-trace-{jobs}.jsonl"
+            assert run("plan", "--benchmark", str(benchmark), "--db", str(root),
+                       "--budget-secs", "10", "--jobs", jobs, "--trace", str(trace),
+                       "--out", str(plans)) == 0
+            outputs.append((plans.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1], name
+        assert outputs[0][1].count(b"\n") > 0, name
+    _, records = read_jsonl(tmp_path / "synth-plans-3.jsonl", "plans")
+    assert [r["status"] for r in records] == [FULL_PASS] * len(SYNTH_CERTIFIED)
 
 
 def test_plan_replay_ranker_degrades_without_transcript(tmp_path, bench):

@@ -163,7 +163,8 @@ def test_a_freed_row_never_lends_its_key_to_a_new_one():
 
 @pytest.mark.parametrize("kind", ["none", "budget"])
 def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
-    """Every row misses then, so the order comes without reading a term."""
+    """Every row misses then, so the order comes without reading a term or
+    filling the key memo."""
     dataset = load_dataset(FIXTURES / "mini")
     ctx = _contexts(dataset)[kind]
     assert not ctx.required_terms()
@@ -177,3 +178,4 @@ def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
         for candidates in (rows, rows[::-1]):
             got, want = _ids(ranker, candidates, ctx)
             assert got == want, table
+    assert ranker._memo == HeuristicRanker()._memo
