@@ -11,7 +11,7 @@ Every command writes a `<out>.manifest.json` sidecar and embeds the manifest
 hash in its output header; eval refuses plans built from a different
 benchmark. With a fixed seed and the heuristic ranker the whole pipeline is
 byte-deterministic (sidecar timestamps aside). Exit codes: 0 ok, 1 internal
-error, 2 usage error (bad arguments, inputs or data root).
+error, 2 usage error (bad arguments, inputs, data root or an unwritable output).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .evaluation import evaluate_plan, score
 from .genquery import CertifiedQuery, certify, context_from_skeleton, sample_skeleton
 from .llm import HttpTransport, LlmEndpoint, LlmRanker, ReplayTransport
 from .manifest import RunManifest, file_header, read_jsonl, record_line, write_jsonl
-from .milp import MilpParams, build_model, count_sizes, emit_lp, slice_from_dataset
+from .milp import MilpParams, count_sizes, slice_from_dataset, write_lp
 from .milp.params import DAY_MINUTES
 from .plan import plan_from_obj, serialize_plan
 from .sandbox import load_dataset
@@ -58,7 +58,14 @@ def _plan_record(plan) -> dict | None:
     return None if plan is None else json.loads(serialize_plan(plan))
 
 
+def _check_out_file(path) -> None:
+    """Refuse an output file that cannot be created, before any work is done."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise InputError(f"--out {path} is not a file in an existing directory")
+
+
 def cmd_generate(args) -> int:
+    _check_out_file(args.out)
     dataset = load_dataset(args.db)
     cfg = SearchConfig(budget_seconds=args.budget_secs)
     queries: list[CertifiedQuery] = []
@@ -118,6 +125,7 @@ def _make_ranker(args):
 
 
 def cmd_plan(args, ranker_factory=None) -> int:
+    _check_out_file(args.out)
     dataset = load_dataset(args.db)
     bench_header, queries = _read_queries(args.benchmark, dataset)
     if not queries:
@@ -172,6 +180,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_file(args.out)
     dataset = load_dataset(args.db)
     bench_header, queries = _read_queries(args.benchmark, dataset)
     plans_header, plan_records = read_jsonl(args.plans, "plans")
@@ -244,7 +253,6 @@ def cmd_milp(args) -> int:
     if min(args.hotels, args.attractions, args.restaurants) < 0:
         raise InputError("--hotels, --attractions and --restaurants must be >= 0")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         command="milp",
         inputs={"benchmark": bench_header["manifest_hash"], "db": Path(args.db).name},
@@ -252,7 +260,7 @@ def cmd_milp(args) -> int:
         seed=None,
         paths={"benchmark": str(args.benchmark), "db": str(args.db)},
     )
-    summaries = []
+    models = []
     for query in queries:
         sk = query.skeleton
         slice_ = slice_from_dataset(dataset, sk.origin, sk.target,
@@ -267,22 +275,25 @@ def cmd_milp(args) -> int:
             time_step=args.slots_per_day * sk.days,
             days=sk.days,
         )
+        params.validate()
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
-        model = build_model(slice_, params, budget)
-        lp_path = out_dir / f"{query.uid}.lp"
-        emit_lp(model, lp_path, name=query.uid)
+        models.append((query.uid, slice_, params, budget))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for uid, slice_, params, budget in models:
+        lp_path = out_dir / f"{uid}.lp"
+        counts = write_lp(slice_, params, budget, lp_path, name=uid)
         sizes = count_sizes(params)
-        entry = {
-            "uid": query.uid,
+        emitted = sum(counts.values())
+        summaries.append({
+            "uid": uid,
             "params": dataclasses.asdict(params),
             "sizes": sizes.as_dict(),
-            "emitted_rows": len(model.rows),
-            "query_rows": model.row_count_by_category().get("query", 0),
+            "emitted_rows": emitted,
+            "query_rows": counts.get("query", 0),
             "lp_file": lp_path.name,
-        }
-        summaries.append(entry)
-        print(f"{query.uid}: {len(model.rows)} rows, "
-              f"{len(model.variables)} variables -> {lp_path}")
+        })
+        print(f"{uid}: {emitted} rows, {sizes.variable_total} variables -> {lp_path}")
     report_path = out_dir / "sizes.json"
     report_path.write_text(
         json.dumps({"kind": "milp_sizes", "manifest_hash": manifest.hash,
@@ -372,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ConfigError, LoadError, IntegrityError) as exc:
+    except (InputError, ConfigError, LoadError, IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TripsmithError as exc:

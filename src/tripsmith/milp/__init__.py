@@ -2,7 +2,7 @@
 
 from .build import MilpModel, VarInfo, build_model
 from .decode import decode_assignment
-from .lp_writer import emit_lp, render_lp
+from .lp_writer import emit_lp, render_lp, write_lp
 from .params import (
     DOWNSAMPLE,
     MilpParams,
@@ -31,4 +31,5 @@ __all__ = [
     "render_lp",
     "slice_from_dataset",
     "synthetic_slice",
+    "write_lp",
 ]

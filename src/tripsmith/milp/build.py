@@ -21,12 +21,16 @@ shared tuple that every row referencing it reuses. A row is a plain tuple
 (name, terms, sense, rhs, category) of atoms and tuples of atoms, which the
 cycle collector stops tracking, so a large build does not pay for collector
 passes over its rows.
+
+The builder declares every variable, then passes each row in LP order to a
+sink with `append`: the model's row list, or lp_writer.write_lp's LP writer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 from ..errors import BuildError
 from ..evaluation.env_rules import MEAL_WINDOWS
@@ -37,8 +41,7 @@ from .params import DAY_MINUTES, MilpParams, MilpSlice
 MIN_ATTRACTIONS_PER_DAY = 1
 
 
-@dataclass(frozen=True, slots=True)
-class VarInfo:
+class VarInfo(NamedTuple):
     name: str
     kind: str               # "binary" | "integer"
     lo: int = 0
@@ -106,10 +109,10 @@ class _Builder:
         self.p = params
         self.budget = budget
         self.vars: dict[str, VarInfo] = {}
-        self.rows: list[tuple] = []
         self.check: dict[str, bool] = {}
         # index layout: hotels, attractions, restaurants, stations, transit modes
         self.n_positions = params.total_num + params.trans_num
+        self.declare_variables()
 
     # -- declarations -----------------------------------------------------
 
@@ -419,8 +422,9 @@ class _Builder:
             terms += [(poi["price"], name) for name in names]
         return terms
 
-    def build(self) -> MilpModel:
-        self.declare_variables()
+    def build(self, rows) -> MilpModel:
+        """Pass every row to `rows.append`; the model keeps `rows` as its rows."""
+        self.rows = rows
         self.occupancy_rows()
         self.hotel_rows()
         self.attraction_rows()
@@ -437,10 +441,11 @@ class _Builder:
             check=self.check,
             params=self.p,
         )
-        model.validate_references()
         return model
 
 
 def build_model(db_slice: MilpSlice, params: MilpParams, budget=None) -> MilpModel:
     """Instantiate the full model for one trip slice; a budget adds one cost row."""
-    return _Builder(db_slice, params, budget).build()
+    model = _Builder(db_slice, params, budget).build([])
+    model.validate_references()
+    return model

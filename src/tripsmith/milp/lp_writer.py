@@ -4,110 +4,153 @@ The file layout is fully deterministic - objective, constraint rows in build
 order, bounds for the integer counters, then Binaries/Generals sections - so
 emitting the same model twice yields identical bytes.
 
-`emit_lp` streams the lines into the open file instead of building the whole
-text first, and `render_lp` joins the same lines into one string. Within one
-file each int coefficient's leading and following prefix ("-1 ", " + 2 ")
-is spelled once; any other coefficient (a Decimal price, a bool) is spelled
-on every use, because `Decimal("1.0")` and `True` equal 1 and hash alike, so
-a cache keyed by value would write them as "1".
+One writer spells every file. For `write_lp` it is the builder's row sink:
+each row is spelled, checked and counted as it is made, and lines are written
+in joined chunks, so no row is held. `render_lp` passes a built model's rows
+through it. Each int coefficient's prefixes ("-1 ", " + 2 ") and int right-hand
+side's tail (" <= 0") are spelled once per file; any other value is spelled on
+every use, because `Decimal("1.0")` and `True` equal 1 and hash alike, so a
+cache keyed by value would write them as "1". Files are written beside their
+path and moved onto it when complete, so a failure leaves no truncated file.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
-from ..errors import TripsmithError
-from .build import MilpModel
+from ..errors import BuildError, InputError
+from .build import MilpModel, _Builder
+from .params import MilpParams, MilpSlice
+from .sizes import count_sizes
 
-_SENSE = {"<=": "<=", ">=": ">=", "=": "="}
 
-
-def _coef(value) -> str:
-    if isinstance(value, Decimal):
-        text = format(value, "f")
-    else:
-        text = str(value)
-    return text
+def _number(value) -> str:
+    return format(value, "f") if isinstance(value, Decimal) else str(value)
 
 
 def _prefixes(coef) -> tuple[str, str]:
     """The text before a variable with a nonzero `coef`: first in its row, and after it."""
     if coef < 0:
-        text = _coef(-coef)
+        text = _number(-coef)
         return f"-{text} ", f" - {text} "
-    text = _coef(coef)
+    text = _number(coef)
     return f"{text} ", f" + {text} "
 
 
-class _TermWriter:
-    """Spells term lists; int prefixes are cached for the life of one file."""
+def _objective(terms) -> str:
+    nonzero = [(coef, var) for coef, var in terms if coef]
+    text = "".join(_prefixes(coef)[k > 0] + var for k, (coef, var) in enumerate(nonzero))
+    return text or "0 " + terms[0][1]
 
-    def __init__(self):
-        self.lead: dict[int, str] = {}
-        self.follow: dict[int, str] = {}
 
-    def __call__(self, terms) -> str:
-        lead, follow = self.lead, self.follow
-        parts = []
-        prefixes = lead
+class _LpWriter:
+    """A row sink that writes the header on creation and the variable sections on `finish`."""
+
+    def __init__(self, write, variables: dict, objective, name: str):
+        self.write = write
+        self.variables = variables
+        self.counts: dict[str, int] = {}
+        self.lead, self.follow = {}, {}     # int coefficient -> its prefix
+        self.tails: dict[str, dict[int, str]] = {"<=": {}, ">=": {}, "=": {}}
+        obj = _objective(objective) if objective else "0"
+        self.lines = [f"\\ Problem: {name}\n", "Minimize\n", f" obj: {obj}\n", "Subject To\n"]
+
+    def append(self, row: tuple) -> None:
+        name, terms, sense, rhs, category = row
+        self.counts[category] = self.counts.get(category, 0) + 1
+        variables, follow = self.variables, self.follow
+        prefixes = self.lead
+        text = ""
         for coef, var in terms:
-            if type(coef) is int and coef:
+            if var not in variables:
+                raise BuildError(f"row {name} references undeclared {var}")
+            if type(coef) is int:
                 try:
-                    parts.append(prefixes[coef] + var)
+                    prefix = prefixes[coef]
                 except KeyError:
-                    lead[coef], follow[coef] = _prefixes(coef)
-                    parts.append(prefixes[coef] + var)
-            elif coef == 0:
-                continue
+                    if not coef:
+                        continue
+                    self.lead[coef], follow[coef] = _prefixes(coef)
+                    prefix = prefixes[coef]
+            elif coef:
+                prefix = _prefixes(coef)[prefixes is follow]
             else:
-                lead_text, follow_text = _prefixes(coef)
-                parts.append((follow_text if parts else lead_text) + var)
+                continue
+            text += prefix + var
             prefixes = follow
-        if not parts:
-            return "0 " + (terms[0][1] if terms else "zero")
-        return "".join(parts)
+        if type(rhs) is int:
+            tails = self.tails[sense]
+            tail = tails.get(rhs)
+            if tail is None:
+                tail = tails[rhs] = f" {sense} {rhs}\n"
+        else:
+            tail = f" {sense} {_number(rhs)}\n"
+        lines = self.lines
+        lines.append(f" {name}: {text or '0 ' + (terms[0][1] if terms else 'zero')}{tail}")
+        if len(lines) >= 4096:
+            self.write("".join(lines))
+            lines.clear()
+
+    def finish(self) -> None:
+        lines, infos = self.lines, self.variables.values()
+        integers = [info for info in infos if info.kind == "integer"]
+        if integers:
+            lines.append("Bounds\n")
+            lines += [f" {info.lo} <= {info.name} <= {info.hi}\n" for info in integers]
+        for title, kind in (("Binaries", "binary"), ("Generals", "integer")):
+            names = [info.name for info in infos if info.kind == kind]
+            if names:
+                lines.append(f"{title}\n")
+                lines += [" " + " ".join(names[k:k + 8]) + "\n" for k in range(0, len(names), 8)]
+        lines.append("End\n")
+        self.write("".join(lines))
 
 
-def _lines(model: MilpModel, name: str):
-    """Every line of the LP text, each ending in a newline."""
-    terms = _TermWriter()
-    yield f"\\ Problem: {name}\n"
-    yield "Minimize\n"
-    yield f" obj: {terms(model.objective)}\n" if model.objective else " obj: 0\n"
-    yield "Subject To\n"
-    for row_name, row_terms, sense, rhs, _ in model.rows:
-        yield f" {row_name}: {terms(row_terms)} {_SENSE[sense]} {_coef(rhs)}\n"
-    integers = [info for info in model.variables.values() if info.kind == "integer"]
-    if integers:
-        yield "Bounds\n"
-        for info in integers:
-            yield f" {info.lo} <= {info.name} <= {info.hi}\n"
-    binaries = [info.name for info in model.variables.values() if info.kind == "binary"]
-    if binaries:
-        yield "Binaries\n"
-        yield from _name_lines(binaries)
-    if integers:
-        yield "Generals\n"
-        yield from _name_lines([info.name for info in integers])
-    yield "End\n"
-
-
-def _name_lines(names: list[str]):
-    for start in range(0, len(names), 8):
-        yield " " + " ".join(names[start:start + 8]) + "\n"
+@contextmanager
+def _replacing(path: Path):
+    """A text file beside `path` that replaces `path` when the block completes."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(part, path)
+    except OSError as exc:
+        raise InputError(f"cannot write LP file {path}: {exc}") from None
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def render_lp(model: MilpModel, name: str = "itinerary") -> str:
-    return "".join(_lines(model, name))
+    parts: list[str] = []
+    writer = _LpWriter(parts.append, model.variables, model.objective, name)
+    for row in model.rows:
+        writer.append(row)
+    writer.finish()
+    return "".join(parts)
 
 
 def emit_lp(model: MilpModel, path: Path | str, name: str = "itinerary") -> Path:
-    """Stream the model to `path`; byte-stable across runs."""
+    """Write the model to `path`; byte-stable across runs."""
     path = Path(path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_lines(model, name))
-    except OSError as exc:
-        raise TripsmithError(f"cannot write LP file {path}: {exc}") from None
+    with _replacing(path) as fh:
+        fh.write(render_lp(model, name))
     return path
+
+
+def write_lp(db_slice: MilpSlice, params: MilpParams, budget, path: Path | str,
+             name: str = "itinerary") -> dict[str, int]:
+    """Build the model into `path` with no row list: `emit_lp(build_model(...))`'s bytes.
+
+    Returns the rows per category: a budget row's is "query", the rest match count_sizes."""
+    with _replacing(Path(path)) as fh:
+        builder = _Builder(db_slice, params, budget)
+        writer = _LpWriter(fh.write, builder.vars, builder.cost_terms(), name)
+        builder.build(writer)
+        writer.finish()
+        built = {category: n for category, n in writer.counts.items() if category != "query"}
+        if built != {category: n for category, n in count_sizes(params).constraints.items() if n}:
+            raise BuildError(f"{name}: rows per category {built} differ from count_sizes")
+    return writer.counts

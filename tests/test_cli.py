@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tripsmith import cli
 from tripsmith.cli import main
 from tripsmith.genquery import certify, sample_skeleton
 from tripsmith.llm import FaultInjectingTransport, LlmRanker
@@ -222,6 +223,16 @@ def test_milp_slots_beyond_one_minute_is_usage_error(tmp_path, bench, capsys, sl
     err = capsys.readouterr().err
     assert err == f"error: --slots-per-day must be between 1 and 1440, got {slots}\n"
     assert not (tmp_path / "m").exists()
+
+
+def test_milp_params_are_checked_before_any_output(tmp_path, bench, capsys):
+    # q0000 is a 2-day query (2 slots) and q0001 a 1-day query (1 slot)
+    out_dir = tmp_path / "m"
+    capsys.readouterr()
+    assert run("milp", "--benchmark", str(bench), "--db", MICRO,
+               "--slots-per-day", "1", "--out", str(out_dir)) == 2
+    assert capsys.readouterr().err == "error: time_step must be >= 2, got 1\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--hotels", "--attractions", "--restaurants"])
@@ -490,3 +501,45 @@ def test_missing_data_root_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert run("generate", "--db", str(missing), "--out", str(tmp_path / "out.jsonl")) == 2
     assert capsys.readouterr().err == f"error: data root is not a directory: {missing}\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "plan", "eval"])
+def test_out_in_a_missing_directory_is_usage_error_before_any_work(
+        tmp_path, bench, good_plans, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("certify", "dfs_search", "evaluate_plan"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "missing" / "out.jsonl"
+    source = {"generate": ["--db", MICRO],
+              "plan": ["--benchmark", str(bench), "--db", MICRO],
+              "eval": ["--benchmark", str(bench), "--plans",
+                       str(tmp_path / "good-plans.jsonl"), "--db", MICRO]}[command]
+    capsys.readouterr()
+    assert run(command, *source, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: --out {out} is not a file in an existing "
+                                       "directory\n")
+    assert not out.parent.exists()
+
+
+def test_milp_out_naming_a_file_is_usage_error(tmp_path, bench, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    capsys.readouterr()
+    assert run("milp", "--benchmark", str(bench), "--db", MICRO, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert out.read_text() == "kept\n"
+
+
+def test_milp_unwritable_lp_file_is_usage_error(tmp_path, bench, capsys):
+    out_dir = tmp_path / "m"
+    (out_dir / "q0000.lp").mkdir(parents=True)
+    capsys.readouterr()
+    assert run("milp", "--benchmark", str(bench), "--db", MICRO,
+               "--slots-per-day", "12", "--out", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write LP file {out_dir / 'q0000.lp'}: ")
+    assert err.count("\n") == 1
+    assert [path.name for path in out_dir.iterdir()] == ["q0000.lp"]

@@ -1,26 +1,33 @@
-"""The streaming LP writer against the string-building writer it replaced.
+"""The LP writer against the string-building writer it replaced.
 
 `reference_render_lp` is the earlier writer, kept verbatim: it formats every
 term anew and joins one big string. The current writer caches int prefixes
-per file and streams lines, and must produce the same bytes on every model.
+per file and writes chunks of lines, and must produce the same bytes on every
+model. `write_lp`, which builds a model straight into its file, must write
+the bytes of `emit_lp(build_model(...))`.
 """
 
 import hashlib
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 
+from tripsmith.errors import BuildError, InputError
 from tripsmith.milp import (
     DOWNSAMPLE,
     MilpModel,
     MilpParams,
     VarInfo,
     build_model,
+    count_sizes,
     emit_lp,
     render_lp,
     slice_from_dataset,
     synthetic_slice,
+    write_lp,
 )
+from tripsmith.milp.build import _Builder
 
 # -- reference writer -----------------------------------------------------------
 
@@ -88,10 +95,21 @@ def assert_same_lp(model: MilpModel, tmp_path, name: str = "itinerary") -> str:
     return want
 
 
+def assert_stream_matches(db_slice, params: MilpParams, budget, tmp_path) -> None:
+    """write_lp writes emit_lp(build_model(...))'s bytes and counts every row it writes."""
+    built = emit_lp(build_model(db_slice, params, budget), tmp_path / "built.lp", name="m")
+    counts = write_lp(db_slice, params, budget, tmp_path / "streamed.lp", name="m")
+    assert (tmp_path / "streamed.lp").read_bytes() == built.read_bytes()
+    want = {category: n for category, n in count_sizes(params).constraints.items() if n}
+    if budget is not None:
+        want["query"] = 1
+    assert counts == want
+
+
 # -- models ---------------------------------------------------------------------
 
 
-def _dataset_model(dataset, days: int, slots_per_day: int, budget) -> MilpModel:
+def _dataset_slice(dataset, days: int, slots_per_day: int):
     slice_ = slice_from_dataset(dataset, "Alpha", "Beta", 2, 10, 5)
     params = MilpParams(
         hotel_num=len(slice_.hotels), attr_num=len(slice_.attractions),
@@ -99,7 +117,11 @@ def _dataset_model(dataset, days: int, slots_per_day: int, budget) -> MilpModel:
         go_num=len(slice_.go_routes), back_num=len(slice_.back_routes),
         time_step=slots_per_day * days, days=days,
     )
-    return build_model(slice_, params, budget)
+    return slice_, params
+
+
+def _dataset_model(dataset, days: int, slots_per_day: int, budget) -> MilpModel:
+    return build_model(*_dataset_slice(dataset, days, slots_per_day), budget)
 
 
 def _hand_model(objective, rows) -> MilpModel:
@@ -151,6 +173,7 @@ def test_model_with_no_rows_or_terms(tmp_path):
 
 def test_downsample_model_matches_reference(tmp_path):
     assert_same_lp(build_model(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE), tmp_path)
+    assert_stream_matches(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE, None, tmp_path)
 
 
 @pytest.mark.parametrize("days, slots_per_day, budget", [
@@ -162,6 +185,7 @@ def test_micro_and_mini_models_with_budget_match_reference(
         model = _dataset_model(dataset, days, slots_per_day, budget)
         assert [category for *_, category in model.rows].count("query") == 1
         assert_same_lp(model, tmp_path)
+        assert_stream_matches(*_dataset_slice(dataset, days, slots_per_day), budget, tmp_path)
 
 
 def test_micro_lp_text_is_pinned(micro_dataset):
@@ -169,3 +193,68 @@ def test_micro_lp_text_is_pinned(micro_dataset):
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     # as the string-building writer rendered the same model
     assert digest == "fdc6801c322291e9dac3abe4b2b02345c1405a3e142d898b77aa10cb9b6386a5"
+
+
+@pytest.mark.parametrize("params", [
+    MilpParams(1, 1, 1, 1, 1, 1, 4),
+    MilpParams(2, 3, 2, 2, 3, 2, 12, days=2),
+    MilpParams(0, 0, 0, 1, 1, 1, 4),
+    MilpParams(0, 2, 0, 1, 2, 1, 6),
+    MilpParams(1, 0, 2, 2, 0, 0, 8, days=2),
+], ids=["one-each", "two-days", "no-pois", "attractions-only", "no-routes"])
+@pytest.mark.parametrize("budget", [None, 0, 640, Decimal("1234.50")])
+def test_streamed_synthetic_models_match_the_built_ones(tmp_path, params, budget):
+    assert_stream_matches(synthetic_slice(params, 5), params, budget, tmp_path)
+
+
+def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
+    params = MilpParams(1, 2, 1, 1, 1, 1, 6)
+    db_slice = synthetic_slice(params)
+    db_slice.hotels[0]["price"] = Decimal("1.0")
+    db_slice.attractions[0]["price"] = Decimal("-0.50")
+    db_slice.attractions[1]["price"] = Decimal("1")
+    assert_stream_matches(db_slice, params, Decimal("1.0"), tmp_path)
+    text = (tmp_path / "streamed.lp").read_text()
+    assert "1.0 hotel_0_0" in text and " - 0.50 attr_0 + 1 attr_1" in text
+    assert text.count(" <= 1.0\n") == 1
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    ("undeclared", BuildError, "row trn_ghost references undeclared ghost"),
+    ("disk", InputError, "cannot write LP file .*No space left on device"),
+    ("miscount", BuildError, "rows per category .* differ from count_sizes"),
+])
+def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault, error,
+                                                    message):
+    def transit_rows(builder):
+        if fault == "disk":
+            raise OSError(28, "No space left on device")
+        name = "ghost" if fault == "undeclared" else builder.event.names[0]
+        builder.row(f"trn_{name}", [(1, name)], "<=", 0, "transit")
+
+    monkeypatch.setattr(_Builder, "transit_rows", transit_rows)
+    params = MilpParams(2, 3, 2, 2, 2, 2, 24)       # urban rows fill several chunks first
+    path = tmp_path / "m.lp"
+    path.write_text("earlier\n")
+    with pytest.raises(error, match=message):
+        write_lp(synthetic_slice(params), params, None, path)
+    assert path.read_text() == "earlier\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_streamed_write_holds_no_row_list(tmp_path):
+    params = MilpParams(1, 2, 1, 1, 2, 2, 24)
+    db_slice = synthetic_slice(params)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for write in (lambda: emit_lp(build_model(db_slice, params), tmp_path / "built.lp"),
+                      lambda: write_lp(db_slice, params, None, tmp_path / "streamed.lp")):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    built_peak, streamed_peak = peaks
+    assert streamed_peak < built_peak / 2, peaks
