@@ -58,10 +58,10 @@ def _plan_record(plan) -> dict | None:
     return None if plan is None else json.loads(serialize_plan(plan))
 
 
-def _check_out_file(path) -> None:
+def _check_out_file(path, flag: str = "--out") -> None:
     """Refuse an output file that cannot be created, before any work is done."""
     if Path(path).is_dir() or not Path(path).parent.is_dir():
-        raise InputError(f"--out {path} is not a file in an existing directory")
+        raise InputError(f"{flag} {path} is not a file in an existing directory")
 
 
 def cmd_generate(args) -> int:
@@ -126,6 +126,9 @@ def _make_ranker(args):
 
 def cmd_plan(args, ranker_factory=None) -> int:
     _check_out_file(args.out)
+    tracing = getattr(args, "trace", None)
+    if tracing:
+        _check_out_file(tracing, "--trace")
     dataset = load_dataset(args.db)
     bench_header, queries = _read_queries(args.benchmark, dataset)
     if not queries:
@@ -133,34 +136,28 @@ def cmd_plan(args, ranker_factory=None) -> int:
     cfg = SearchConfig(budget_seconds=args.budget_secs)
     factory = ranker_factory or (lambda query: _make_ranker(args))
 
-    tracing = getattr(args, "trace", None)
-
-    def run_one(query: CertifiedQuery) -> tuple[dict, list[dict]]:
+    results: list[dict] = []
+    trace_rows: list[dict] = []
+    for query in queries:
         ctx = context_from_skeleton(query.skeleton)
         ranker = factory(query)
-        trace_rows: list[dict] = []
-        trace = trace_rows.append if tracing else None
+        trace = (lambda row: trace_rows.append({"uid": query.uid, **row})) if tracing else None
         outcome = dfs_search(query.dsl_sources, dataset, ranker, cfg, ctx, trace=trace)
         degradations = len(getattr(ranker, "degradation_events", ()))
         if degradations:
             logger.warning("query %s: %d llm degradation(s)", query.uid, degradations)
-        result = {
+        results.append({
             "uid": query.uid,
             "status": outcome.status,
             "plan": _plan_record(outcome.plan),
             "nodes_expanded": outcome.nodes_expanded,
             "constraints_passed": outcome.constraints_passed,
             "degradations": degradations,
-        }
-        return result, [{"uid": query.uid, **row} for row in trace_rows]
-
-    pairs = [run_one(query) for query in queries]
-    results = [result for result, _ in pairs]
+        })
     if tracing:
         with open(tracing, "w", encoding="utf-8") as fh:
-            for _, rows in pairs:
-                for row in rows:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+            for row in trace_rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     manifest = RunManifest(
         command="plan",
@@ -275,6 +272,10 @@ def cmd_milp(args) -> int:
             time_step=args.slots_per_day * sk.days,
             days=sk.days,
         )
+        if params.time_step < 2:
+            raise InputError(f"--slots-per-day {args.slots_per_day} gives query {query.uid} "
+                             f"{params.time_step} time slot over {sk.days} day; "
+                             "the model needs at least 2")
         params.validate()
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
         models.append((query.uid, slice_, params, budget))

@@ -2,7 +2,7 @@
 
 from .build import MilpModel, VarInfo, build_model
 from .decode import decode_assignment
-from .lp_writer import emit_lp, render_lp, write_lp
+from .lp_writer import render_lp, write_lp
 from .params import (
     DOWNSAMPLE,
     MilpParams,
@@ -26,7 +26,6 @@ __all__ = [
     "check_assignment",
     "count_sizes",
     "decode_assignment",
-    "emit_lp",
     "micro_solve",
     "render_lp",
     "slice_from_dataset",

@@ -23,7 +23,8 @@ cycle collector stops tracking, so a large build does not pay for collector
 passes over its rows.
 
 The builder declares every variable, then passes each row in LP order to a
-sink with `append`: the model's row list, or lp_writer.write_lp's LP writer.
+sink with `append`: `build_model` gives it a list and keeps that list as the
+model's rows, and lp_writer.write_lp gives it the LP writer, which holds no row.
 """
 
 from __future__ import annotations
@@ -56,18 +57,6 @@ class MilpModel:
     objective: tuple = ()
     check: dict[str, bool] = field(default_factory=dict)
     params: MilpParams | None = None
-
-    def var_count_by_category(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for info in self.variables.values():
-            out[info.category] = out.get(info.category, 0) + 1
-        return out
-
-    def row_count_by_category(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, _, _, _, category in self.rows:
-            out[category] = out.get(category, 0) + 1
-        return out
 
     def validate_references(self) -> None:
         for name, terms, _, _, _ in self.rows:
@@ -127,7 +116,7 @@ class _Builder:
         return _Family(names)
 
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
-        self.rows.append((name, tuple(terms), sense, rhs, category))
+        self.sink.append((name, tuple(terms), sense, rhs, category))
 
     # index helpers
     def hotel_idx(self, h: int) -> int:
@@ -328,7 +317,7 @@ class _Builder:
         T = p.time_step
         L, K = p.total_num, p.trans_num
         u_neg, ev_neg = self.u.minus, self.event.minus
-        append = self.rows.append
+        append = self.sink.append
         link_names = [f"urb_l{n}" for n in range(6)]
         for i in range(L):
             for j in range(L):
@@ -422,9 +411,9 @@ class _Builder:
             terms += [(poi["price"], name) for name in names]
         return terms
 
-    def build(self, rows) -> MilpModel:
-        """Pass every row to `rows.append`; the model keeps `rows` as its rows."""
-        self.rows = rows
+    def build(self, sink) -> None:
+        """Pass every row, in LP order, to `sink.append`."""
+        self.sink = sink
         self.occupancy_rows()
         self.hotel_rows()
         self.attraction_rows()
@@ -434,18 +423,15 @@ class _Builder:
         self.transit_rows()
         self.intercity_rows()
         self.query_rows()
-        model = MilpModel(
-            variables=self.vars,
-            rows=self.rows,
-            objective=tuple(self.cost_terms()),
-            check=self.check,
-            params=self.p,
-        )
-        return model
 
 
 def build_model(db_slice: MilpSlice, params: MilpParams, budget=None) -> MilpModel:
     """Instantiate the full model for one trip slice; a budget adds one cost row."""
-    model = _Builder(db_slice, params, budget).build([])
+    builder = _Builder(db_slice, params, budget)
+    rows: list[tuple] = []
+    builder.build(rows)
+    model = MilpModel(variables=builder.vars, rows=rows,
+                      objective=tuple(builder.cost_terms()), check=builder.check,
+                      params=params)
     model.validate_references()
     return model

@@ -4,14 +4,15 @@ The file layout is fully deterministic - objective, constraint rows in build
 order, bounds for the integer counters, then Binaries/Generals sections - so
 emitting the same model twice yields identical bytes.
 
-One writer spells every file. For `write_lp` it is the builder's row sink:
+One writer spells all LP text. For `write_lp` it is the builder's row sink:
 each row is spelled, checked and counted as it is made, and lines are written
-in joined chunks, so no row is held. `render_lp` passes a built model's rows
-through it. Each int coefficient's prefixes ("-1 ", " + 2 ") and int right-hand
-side's tail (" <= 0") are spelled once per file; any other value is spelled on
-every use, because `Decimal("1.0")` and `True` equal 1 and hash alike, so a
-cache keyed by value would write them as "1". Files are written beside their
-path and moved onto it when complete, so a failure leaves no truncated file.
+to the file in joined chunks, so no row is held. `render_lp` passes a built
+model's rows through it and returns the text. Each int coefficient's prefixes
+("-1 ", " + 2 ") and int right-hand side's tail (" <= 0") are spelled once
+per file; any other value is spelled on every use, because `Decimal("1.0")`
+and `True` equal 1 and hash alike, so a cache keyed by value would write them
+as "1". Files are written beside their path and moved onto it when complete,
+so a failure leaves no truncated file.
 """
 
 from __future__ import annotations
@@ -132,17 +133,9 @@ def render_lp(model: MilpModel, name: str = "itinerary") -> str:
     return "".join(parts)
 
 
-def emit_lp(model: MilpModel, path: Path | str, name: str = "itinerary") -> Path:
-    """Write the model to `path`; byte-stable across runs."""
-    path = Path(path)
-    with _replacing(path) as fh:
-        fh.write(render_lp(model, name))
-    return path
-
-
 def write_lp(db_slice: MilpSlice, params: MilpParams, budget, path: Path | str,
              name: str = "itinerary") -> dict[str, int]:
-    """Build the model into `path` with no row list: `emit_lp(build_model(...))`'s bytes.
+    """Build the model into `path` with no row list: `render_lp(build_model(...))`'s bytes.
 
     Returns the rows per category: a budget row's is "query", the rest match count_sizes."""
     with _replacing(Path(path)) as fh:

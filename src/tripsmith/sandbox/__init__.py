@@ -16,7 +16,7 @@ from .database import (
     select,
 )
 from .fares import MODES, FareConfig, load_fare_config
-from .transport import cars_for, goto, option_minutes, transfer_mode
+from .transport import cars_for, goto, transfer_mode
 
 
 class Dataset:
@@ -65,7 +65,6 @@ __all__ = [
     "load_fare_config",
     "nearby",
     "next_page",
-    "option_minutes",
     "select",
     "transfer_mode",
 ]

@@ -47,20 +47,17 @@ top k: the answer equals the quantise-everything scan.
 Memoised on first use, per database: `nearby` answers, keyed on (table,
 point, topk, dist); the quantised distance of each ordered pair of
 positions; and the door-to-door minutes of each (start, end, mode) transfer,
-which `goto`, `option_minutes` and the planner's arrival test share. Nothing
-is filled eagerly: every pair and every neighbour list of a 3-city synthetic
-set with 300 POIs per table is ~630 k haversine calls, over a second of load
-time, and a search asks for a small share of them. The planner asks `nearby`
+which `goto` and the planner's arrival test share. Nothing is filled
+eagerly: every pair and every neighbour list of a 3-city synthetic set with
+300 POIs per table is ~630 k haversine calls, over a second of load time,
+and a search asks for a small share of them. The planner asks `nearby`
 only at known positions, with one fixed radius and top-k, so every memo is
 bounded by the city's names (positions for `nearby`, positions squared for
 distances, positions squared times the 3 modes for transfers), not by how
 long a process runs. An unknown position or mode raises and stores nothing.
 
 Databases are immutable after load. `plan` searches its queries one at a
-time, so the memos one query fills serve the next. A memo write is one dict
-assignment of a value that only depends on the immutable tables and tariffs,
-so threads sharing one database would at worst compute an answer twice.
-Query sessions are single-owner.
+time, so the memos one query fills serve the next.
 """
 
 from __future__ import annotations
@@ -138,10 +135,6 @@ class QuerySession:
 
     rows: list[dict]
     cursor: int = 0
-
-    @property
-    def first_page(self) -> list[dict]:
-        return self.rows[:PAGE_SIZE]
 
     @property
     def page_count(self) -> int:

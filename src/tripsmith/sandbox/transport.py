@@ -44,15 +44,6 @@ def taxi_fare(distance: Decimal, fares) -> Decimal:
     return (fares.taxi_base_fare + fares.taxi_per_km * distance).quantize(Decimal("0.01"))
 
 
-def option_minutes(db: CityDatabase, start: str, end: str, mode: str) -> int:
-    """Door-to-door minutes of the `mode` option from `start` to `end`.
-
-    `goto` builds its legs around this figure; the planner decides on it
-    alone, before any leg is built. Both read the database's transfer memo.
-    """
-    return db.transfer_minutes(start, end, mode)
-
-
 def transfer_mode(legs: list) -> str:
     """Mode of a transfer's legs: the ride of a walk-metro-walk triple, else
     the single leg's mode; "" for any other number of legs."""

@@ -40,31 +40,28 @@ def _candidate_price(candidate) -> Decimal:
 
 
 class HeuristicRanker:
-    """Permute by a key computed once per row per search.
+    """Permute by a key computed once per row for each (required terms, budget use).
 
     The key is (price, misses every required term) under a budget, else
     whether the row misses every required term. One stable sort by it gives
     the order of a stable split into matching rows and the rest, followed
     by a stable price sort. A query that names no required term needs no
     memo: every row misses, so the order is the price order under a budget
-    and the input order otherwise. Keys live for one `QueryContext` (the
-    same object, terms and budget use) and are held by `id()` together with
-    their row, so no id is reused. The memo is swapped as one tuple, so a
-    ranker shared by threads stays correct.
+    and the input order otherwise. Two contexts with equal terms and budget
+    use share their keys. Keys are held by `id()`, and every keyed row is
+    kept in `_pins`, so no id is reused while the ranker lives.
     """
 
     def __init__(self):
-        self._memo = (None, (), False, {}, [])
+        self._keys: dict[tuple, dict[int, object]] = {}
+        self._pins: list = []
 
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
         required = tuple(context.required_terms())
         budgeted = context.budget_limit is not None
         if not required:
             return sorted(candidates, key=_candidate_price) if budgeted else list(candidates)
-        owner, owner_required, owner_budgeted, keys, pins = self._memo
-        if owner is not context or owner_required != required or owner_budgeted != budgeted:
-            keys, pins = {}, []
-            self._memo = (context, required, budgeted, keys, pins)
+        keys = self._keys.setdefault((required, budgeted), {})
         ranks = list(map(keys.get, map(id, candidates)))
         if None in ranks:
             for index, candidate in enumerate(candidates):
@@ -73,6 +70,6 @@ class HeuristicRanker:
                     miss = not any(req in term for req in required for term in terms)
                     rank = (_candidate_price(candidate), miss) if budgeted else miss
                     keys[id(candidate)] = ranks[index] = rank
-                    pins.append(candidate)
+                    self._pins.append(candidate)
         order = sorted(range(len(ranks)), key=ranks.__getitem__)
         return list(map(candidates.__getitem__, order))

@@ -22,7 +22,7 @@ from decimal import Decimal
 from ..errors import ConfigError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
-from ..sandbox import CityDatabase, IntercityRoute, cars_for, goto, option_minutes
+from ..sandbox import CityDatabase, IntercityRoute, cars_for, goto
 from ..timeutil import to_hhmm, to_minutes
 from .context import QueryContext
 
@@ -121,7 +121,7 @@ def arrival_minute(db: CityDatabase, start: str, end: str, start_minutes: int, m
     """
     if start == end:
         return start_minutes
-    return start_minutes + option_minutes(db, start, end, mode)
+    return start_minutes + db.transfer_minutes(start, end, mode)
 
 
 def pick_mode(db: CityDatabase, start: str, end: str, ctx: QueryContext) -> str:

@@ -231,7 +231,8 @@ def test_milp_params_are_checked_before_any_output(tmp_path, bench, capsys):
     capsys.readouterr()
     assert run("milp", "--benchmark", str(bench), "--db", MICRO,
                "--slots-per-day", "1", "--out", str(out_dir)) == 2
-    assert capsys.readouterr().err == "error: time_step must be >= 2, got 1\n"
+    assert capsys.readouterr().err == ("error: --slots-per-day 1 gives query q0001 1 time "
+                                       "slot over 1 day; the model needs at least 2\n")
     assert not out_dir.exists()
 
 
@@ -521,6 +522,23 @@ def test_out_in_a_missing_directory_is_usage_error_before_any_work(
     assert capsys.readouterr().err == (f"error: --out {out} is not a file in an existing "
                                        "directory\n")
     assert not out.parent.exists()
+
+
+def test_plan_trace_in_a_missing_directory_is_usage_error_before_any_work(
+        tmp_path, bench, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("search started before --trace was checked")
+
+    monkeypatch.setattr(cli, "dfs_search", no_work)
+    out = tmp_path / "plans.jsonl"
+    trace = tmp_path / "missing" / "trace.jsonl"
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run("plan", "--benchmark", str(bench), "--db", MICRO,
+               "--trace", str(trace), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: --trace {trace} is not a file in an existing "
+                                       "directory\n")
+    assert sorted(tmp_path.iterdir()) == before     # no plans, sidecar or trace
 
 
 def test_milp_out_naming_a_file_is_usage_error(tmp_path, bench, capsys):

@@ -4,7 +4,7 @@
 term anew and joins one big string. The current writer caches int prefixes
 per file and writes chunks of lines, and must produce the same bytes on every
 model. `write_lp`, which builds a model straight into its file, must write
-the bytes of `emit_lp(build_model(...))`.
+the bytes of `render_lp(build_model(...))`.
 """
 
 import hashlib
@@ -21,7 +21,6 @@ from tripsmith.milp import (
     VarInfo,
     build_model,
     count_sizes,
-    emit_lp,
     render_lp,
     slice_from_dataset,
     synthetic_slice,
@@ -87,19 +86,17 @@ def reference_render_lp(model: MilpModel, name: str = "itinerary") -> str:
     return "\n".join(lines) + "\n"
 
 
-def assert_same_lp(model: MilpModel, tmp_path, name: str = "itinerary") -> str:
+def assert_same_lp(model: MilpModel, name: str = "itinerary") -> str:
     want = reference_render_lp(model, name)
     assert render_lp(model, name) == want
-    path = emit_lp(model, tmp_path / "model.lp", name=name)
-    assert path.read_bytes() == want.encode("utf-8")
     return want
 
 
 def assert_stream_matches(db_slice, params: MilpParams, budget, tmp_path) -> None:
-    """write_lp writes emit_lp(build_model(...))'s bytes and counts every row it writes."""
-    built = emit_lp(build_model(db_slice, params, budget), tmp_path / "built.lp", name="m")
+    """write_lp writes render_lp(build_model(...))'s bytes and counts every row it writes."""
+    built = render_lp(build_model(db_slice, params, budget), name="m")
     counts = write_lp(db_slice, params, budget, tmp_path / "streamed.lp", name="m")
-    assert (tmp_path / "streamed.lp").read_bytes() == built.read_bytes()
+    assert (tmp_path / "streamed.lp").read_bytes() == built.encode("utf-8")
     want = {category: n for category, n in count_sizes(params).constraints.items() if n}
     if budget is not None:
         want["query"] = 1
@@ -152,27 +149,27 @@ HAND_ROWS = [
     ((0, "a"), (False, "b")),
     ((True, "a"), (-1, "b"), (Decimal("-0.5"), "c")),
 ])
-def test_hand_built_models_match_reference(tmp_path, objective):
-    assert_same_lp(_hand_model(objective, HAND_ROWS), tmp_path)
+def test_hand_built_models_match_reference(objective):
+    assert_same_lp(_hand_model(objective, HAND_ROWS))
 
 
-def test_int_spelling_does_not_leak_into_equal_values(tmp_path):
+def test_int_spelling_does_not_leak_into_equal_values():
     # an int coefficient seen first must not decide how an equal Decimal or bool is spelled
     rows = [("ints", ((1, "a"), (1, "b"), (-1, "c")), "<=", 1, "query"),
             ("others", ((Decimal("1.0"), "a"), (True, "b"), (Decimal("-1.00"), "c")),
              "<=", Decimal("1.0"), "query")]
-    text = assert_same_lp(_hand_model((), rows), tmp_path)
+    text = assert_same_lp(_hand_model((), rows))
     assert " others: 1.0 a + True b - 1.00 c <= 1.0\n" in text
 
 
-def test_model_with_no_rows_or_terms(tmp_path):
+def test_model_with_no_rows_or_terms():
     model = MilpModel(variables={}, rows=[("empty", (), "=", 0, "query")])
-    text = assert_same_lp(model, tmp_path, name="bare")
+    text = assert_same_lp(model, name="bare")
     assert text == "\\ Problem: bare\nMinimize\n obj: 0\nSubject To\n empty: 0 zero = 0\nEnd\n"
 
 
 def test_downsample_model_matches_reference(tmp_path):
-    assert_same_lp(build_model(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE), tmp_path)
+    assert_same_lp(build_model(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE))
     assert_stream_matches(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE, None, tmp_path)
 
 
@@ -184,7 +181,7 @@ def test_micro_and_mini_models_with_budget_match_reference(
     for dataset in (micro_dataset, mini_dataset):
         model = _dataset_model(dataset, days, slots_per_day, budget)
         assert [category for *_, category in model.rows].count("query") == 1
-        assert_same_lp(model, tmp_path)
+        assert_same_lp(model)
         assert_stream_matches(*_dataset_slice(dataset, days, slots_per_day), budget, tmp_path)
 
 
@@ -248,7 +245,7 @@ def test_streamed_write_holds_no_row_list(tmp_path):
     peaks = []
     tracemalloc.start()
     try:
-        for write in (lambda: emit_lp(build_model(db_slice, params), tmp_path / "built.lp"),
+        for write in (lambda: render_lp(build_model(db_slice, params)),
                       lambda: write_lp(db_slice, params, None, tmp_path / "streamed.lp")):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]

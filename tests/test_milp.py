@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -15,10 +16,10 @@ from tripsmith.milp import (
     check_assignment,
     count_sizes,
     decode_assignment,
-    emit_lp,
     micro_solve,
     render_lp,
     synthetic_slice,
+    write_lp,
 )
 from tripsmith.plan import serialize_plan, parse_plan
 
@@ -63,10 +64,10 @@ def test_count_sizes_matches_emission_on_random_configs():
         params = random_params(rng)
         sizes = count_sizes(params)
         model = build_model(synthetic_slice(params, trial), params)
-        assert model.row_count_by_category() == {
+        assert Counter(row[4] for row in model.rows) == {
             k: v for k, v in sizes.constraints.items() if v
         }, params
-        assert model.var_count_by_category() == {
+        assert Counter(info.category for info in model.variables.values()) == {
             k: v for k, v in sizes.variables.items() if v
         }, params
         assert len(model.rows) == sizes.constraint_total
@@ -105,7 +106,7 @@ def test_zero_poi_categories_have_zero_counts():
     assert sizes.constraints["attraction"] == 0
     assert sizes.constraints["restaurant"] == 0
     model = build_model(synthetic_slice(params), params)
-    categories = model.row_count_by_category()
+    categories = Counter(row[4] for row in model.rows)
     assert "hotel" not in categories and "attraction" not in categories
 
 
@@ -142,18 +143,17 @@ def test_every_build_validates_references(monkeypatch):
 
 def test_lp_row_count_equals_size_total(tmp_path):
     params = MilpParams(1, 1, 1, 1, 1, 1, 6)
-    model = build_model(synthetic_slice(params), params)
-    path = emit_lp(model, tmp_path / "toy.lp")
+    path = tmp_path / "toy.lp"
+    write_lp(synthetic_slice(params), params, None, path)
     parsed = parse_lp(path.read_text())
     assert len(parsed["rows"]) == count_sizes(params).constraint_total
 
 
 def test_lp_emission_is_byte_identical(tmp_path):
     params = MilpParams(1, 1, 1, 1, 2, 2, 6)
-    model = build_model(synthetic_slice(params), params)
-    first = emit_lp(model, tmp_path / "a.lp").read_bytes()
-    second = emit_lp(model, tmp_path / "b.lp").read_bytes()
-    assert first == second
+    for name in ("a.lp", "b.lp"):
+        write_lp(synthetic_slice(params), params, None, tmp_path / name)
+    assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
 
 
 def test_lp_empty_objective_header():
@@ -183,11 +183,10 @@ def test_lp_reader_roundtrip_matches_model(tmp_path):
 
 def test_unwritable_path_raises(tmp_path):
     params = MilpParams(1, 0, 0, 1, 1, 1, 4)
-    model = build_model(synthetic_slice(params), params)
     from tripsmith.errors import TripsmithError
 
     with pytest.raises(TripsmithError):
-        emit_lp(model, tmp_path / "no_dir" / "toy.lp")
+        write_lp(synthetic_slice(params), params, None, tmp_path / "no_dir" / "toy.lp")
 
 
 # -- micro solver -------------------------------------------------------------------

@@ -178,4 +178,48 @@ def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
         for candidates in (rows, rows[::-1]):
             got, want = _ids(ranker, candidates, ctx)
             assert got == want, table
-    assert ranker._memo == HeuristicRanker()._memo
+    assert ranker._keys == {} and ranker._pins == []
+
+
+def test_equal_contexts_share_their_keys(monkeypatch):
+    """Keys belong to (required terms, budget use), not to one context object:
+    a second context with equal terms and budget reads no terms."""
+    dataset = load_dataset(FIXTURES / "mini")
+    first = _contexts(dataset)["both"]
+    second = _contexts(dataset)["both"]
+    assert second is not first and second.required_terms() == first.required_terms()
+    ranker = HeuristicRanker()
+    tables = _tables(dataset)
+    for rows in tables.values():
+        ranker.rank(rows, initial_state(), first)
+
+    def refuse(candidate):
+        raise AssertionError("terms read again for equal terms and budget use")
+
+    monkeypatch.setattr(ranking, "_candidate_terms", refuse)
+    for table, rows in tables.items():
+        for candidates in (rows, rows[::-1]):
+            got, want = _ids(ranker, candidates, second)
+            assert got == want, table
+    assert len(ranker._keys) == 1
+
+
+def test_a_context_whose_terms_change_is_keyed_anew(monkeypatch):
+    dataset = load_dataset(FIXTURES / "mini")
+    rows = _tables(dataset)["restaurants"]
+    ctx = QueryContext("Alpha", "Beta", 1, 2, required_cuisines=[rows[0]["cuisinetype"]])
+    ranker = HeuristicRanker()
+    got, want = _ids(ranker, rows, ctx)
+    assert got == want
+    read = []
+    monkeypatch.setattr(ranking, "_candidate_terms",
+                        lambda candidate: read.append(candidate) or _terms(candidate))
+    for change in ({"required_cuisines": [rows[-1]["cuisinetype"]]},
+                   {"budget_limit": Decimal("100")}):
+        for field, value in change.items():
+            setattr(ctx, field, value)
+        read.clear()
+        got, want = _ids(ranker, rows, ctx)
+        assert got == want, change
+        assert list(map(id, read)) == list(map(id, rows)), change
+    assert len(ranker._keys) == 3

@@ -73,7 +73,7 @@ def test_overnight_hours_rejected(tmp_path):
 
 def test_select_by_name(beta):
     session = select(beta, "attractions", "name", lambda v: v == "Lakeview Tower")
-    assert [r["name"] for r in session.first_page] == ["Lakeview Tower"]
+    assert [r["name"] for r in session.rows[:PAGE_SIZE]] == ["Lakeview Tower"]
 
 
 def test_select_unknown_key(beta):

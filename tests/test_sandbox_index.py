@@ -24,7 +24,6 @@ from tripsmith.sandbox import (
     is_open,
     load_city_data,
     nearby,
-    option_minutes,
 )
 from tripsmith.sandbox.database import POI_TABLES, _read_csv
 from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
@@ -219,7 +218,7 @@ def test_transfer_memo_matches_recompute(cities):
         for start, end, mode in itertools.product(names, names, MODES):
             want = minutes_recompute(db, start, end, mode)
             assert db.transfer_minutes(start, end, mode) == want
-            assert option_minutes(db, start, end, mode) == want      # from the memo
+            assert db.transfer_minutes(start, end, mode) == want     # from the memo
             legs = goto(db, start, end, "06:00", mode)
             assert to_minutes(legs[-1]["end_time"]) - to_minutes("06:00") == want
         # one entry per (start, end, mode) asked, the bound of positions squared x modes
@@ -233,11 +232,9 @@ def test_unknown_mode_raises_and_stores_nothing(cities):
         with pytest.raises(NotFoundError, match="unknown transport mode 'bike'"):
             db.transfer_minutes(start, end, "bike")
         with pytest.raises(NotFoundError):
-            option_minutes(db, start, end, "bike")
-        with pytest.raises(NotFoundError):
             goto(db, start, end, "09:00", "bike")
         with pytest.raises(NotFoundError):
-            option_minutes(db, start, "Nowhere", "walk")
+            db.transfer_minutes(start, "Nowhere", "walk")
     assert db._transfer_memo == {}
 
 
@@ -398,7 +395,7 @@ def test_threads_sharing_one_database_agree_with_serial():
 
 def _transfer_workload(db, cities):
     names = sorted(db.poi_coordinates)
-    return [(option_minutes(db, start, end, mode), goto(db, start, end, "09:00", mode))
+    return [(db.transfer_minutes(start, end, mode), goto(db, start, end, "09:00", mode))
             for start, end, mode in itertools.product(names, names, MODES)]
 
 
