@@ -104,7 +104,11 @@ def _read_queries(path, dataset) -> tuple[dict, list[CertifiedQuery]]:
     """Header and queries of a benchmark file whose every city `dataset` loads."""
     header, records = read_jsonl(path, "benchmark")
     queries = [CertifiedQuery.from_dict(record) for record in records]
+    seen: set[str] = set()
     for query in queries:
+        if query.uid in seen:
+            raise InputError(f"{path}: query uid {query.uid!r} occurs more than once")
+        seen.add(query.uid)
         for city in (query.skeleton.origin, query.skeleton.target):
             if city not in dataset:
                 raise InputError(f"{path}: query {query.uid} names city {city!r}, "

@@ -2,7 +2,6 @@
 
 from .check import (
     Diagnostic,
-    check_program,
     check_source,
     check_syntax,
     is_clean,
@@ -14,20 +13,18 @@ from .interp import (
     run_constraint,
     run_program,
 )
-from .syntax import Program, parse, pretty
+from .syntax import Program, parse
 
 __all__ = [
     "ConstraintOutcome",
     "Diagnostic",
     "Program",
-    "check_program",
     "check_source",
     "check_syntax",
     "evaluate",
     "evaluate_source",
     "is_clean",
     "parse",
-    "pretty",
     "run_constraint",
     "run_program",
 ]

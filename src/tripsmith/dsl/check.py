@@ -80,11 +80,7 @@ class _Checker:
         if isinstance(node, S.UnaryOp):
             self.expr(node.operand, assigned)
             return
-        if isinstance(node, S.BinOp):
-            self.expr(node.left, assigned)
-            self.expr(node.right, assigned)
-            return
-        if isinstance(node, S.Compare):
+        if isinstance(node, (S.BinOp, S.Compare)):
             self.expr(node.left, assigned)
             self.expr(node.right, assigned)
             return
@@ -143,19 +139,6 @@ class _Checker:
         return False
 
 
-def check_program(program: S.Program) -> list[Diagnostic]:
-    checker = _Checker()
-    checker.block(program.statements, set(PREBOUND_NAMES))
-    if not checker.always_returns(program.statements):
-        last = program.statements[-1]
-        checker.diagnostics.append(
-            Diagnostic("error", last.line, last.col,
-                       "program can finish without reaching a return",
-                       hint="end with `return <expression>`")
-        )
-    return checker.diagnostics
-
-
 def check_source(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
     """(program, diagnostics) of one source; the program is None unless clean."""
     try:
@@ -163,7 +146,13 @@ def check_source(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
     except DslSyntaxError as exc:
         return None, [Diagnostic("error", exc.line, exc.col, str(exc),
                                  hint="fix the syntax before anything else is checked")]
-    diagnostics = check_program(program)
+    checker = _Checker()
+    checker.block(program.statements, set(PREBOUND_NAMES))
+    if not checker.always_returns(program.statements):
+        last = program.statements[-1]
+        checker.error(last, "program can finish without reaching a return",
+                      hint="end with `return <expression>`")
+    diagnostics = checker.diagnostics
     return (program if is_clean(diagnostics) else None), diagnostics
 
 

@@ -38,7 +38,7 @@ def _require_bool(value, node, what: str) -> bool:
 
 
 def _require_number(value, node, op: str) -> Decimal:
-    if isinstance(value, bool) or not isinstance(value, Decimal):
+    if not isinstance(value, Decimal):
         raise DslEvalError(f"operator {op!r} needs numbers, got {type_name(value)}",
                            node.line, node.col)
     return value
@@ -62,13 +62,8 @@ def _as_collection(value, node, what: str) -> list:
 
 
 def _equal(a, b) -> bool:
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if isinstance(a, Decimal) and isinstance(b, Decimal):
-        return a == b
-    if type(a) is type(b):
-        return a == b
-    return False
+    """DSL equality: values of different types are never equal, so True != 1."""
+    return type(a) is type(b) and a == b
 
 
 class _Interpreter:
@@ -133,9 +128,7 @@ class _Interpreter:
             raise DslEvalError(str(exc), node.line, node.col) from None
 
     def eval(self, node):
-        if isinstance(node, S.Num):
-            return node.value
-        if isinstance(node, (S.Str, S.Bool)):
+        if isinstance(node, (S.Num, S.Str, S.Bool)):
             return node.value
         if isinstance(node, S.Name):
             return self.lookup(node.id, node)
@@ -187,10 +180,7 @@ class _Interpreter:
             return _equal(left, right)
         if node.op == "!=":
             return not _equal(left, right)
-        both_numbers = (
-            isinstance(left, Decimal) and not isinstance(left, bool)
-            and isinstance(right, Decimal) and not isinstance(right, bool)
-        )
+        both_numbers = isinstance(left, Decimal) and isinstance(right, Decimal)
         both_text = isinstance(left, str) and isinstance(right, str)
         if not (both_numbers or both_text):
             raise DslEvalError(

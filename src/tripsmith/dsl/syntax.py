@@ -4,7 +4,8 @@ The language is a closed, indentation-structured expression language over the
 concept functions: assignments (including `+=` accumulation and a list-append
 effect), `for ... in` enumeration, `if`/`else` conditionals, `return`, boolean
 and arithmetic operators, comparisons (including `in` over collections) and a
-conditional expression. Anything else - loops other than `for`, function
+conditional expression. A `#` outside a string literal starts a comment that
+runs to the end of the line. Anything else - loops other than `for`, function
 definitions, imports, attribute access beyond `.append` - is rejected at parse
 time as outside the language.
 """
@@ -48,10 +49,10 @@ def tokenize(source: str) -> list[Token]:
         if "\t" in raw:
             raise DslSyntaxError("tab characters are not allowed; indent with spaces",
                                  lineno, raw.index("\t") + 1)
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
-        indent = len(stripped) - len(stripped.lstrip(" "))
+        indent = len(raw) - len(raw.lstrip(" "))
+        text = raw[indent:].rstrip()
+        if not text.split("#", 1)[0].strip():
+            continue    # blank or comment-only
         if indent > indents[-1]:
             indents.append(indent)
             tokens.append(Token("INDENT", "", lineno, 1))
@@ -61,7 +62,7 @@ def tokenize(source: str) -> list[Token]:
                 tokens.append(Token("DEDENT", "", lineno, 1))
             if indent != indents[-1]:
                 raise DslSyntaxError("unindent does not match any outer level", lineno, indent + 1)
-        _tokenize_line(stripped.lstrip(" "), lineno, indent, tokens)
+        _tokenize_line(text, lineno, indent, tokens)
         tokens.append(Token("NEWLINE", "", lineno, len(raw) + 1))
     while len(indents) > 1:
         indents.pop()
@@ -78,6 +79,8 @@ def _tokenize_line(text: str, lineno: int, offset: int, out: list[Token]) -> Non
         if ch == " ":
             i += 1
             continue
+        if ch == "#":
+            return      # a comment runs to the end of the line
         if ch in "'\"":
             end = text.find(ch, i + 1)
             if end < 0:
@@ -462,69 +465,3 @@ def parse(source: str) -> Program:
     """Parse constraint source text into a Program; raises DslSyntaxError."""
     return _Parser(tokenize(source)).parse_program()
 
-
-# -- pretty printer ------------------------------------------------------------
-
-_PRECEDENCE = {
-    "or": 1, "and": 2,
-    "in": 4, "<": 4, ">": 4, "<=": 4, ">=": 4, "==": 4, "!=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6,
-}
-
-
-def _fmt(node: Node, parent_prec: int = 0) -> str:
-    if isinstance(node, Num):
-        return format(node.value, "f")
-    if isinstance(node, Str):
-        return '"' + node.value + '"'
-    if isinstance(node, Bool):
-        return "True" if node.value else "False"
-    if isinstance(node, Name):
-        return node.id
-    if isinstance(node, ListLit):
-        return "[" + ", ".join(_fmt(item) for item in node.items) + "]"
-    if isinstance(node, Call):
-        return node.func + "(" + ", ".join(_fmt(arg) for arg in node.args) + ")"
-    if isinstance(node, UnaryOp):
-        prec = 3 if node.op == "not" else 7
-        sep = " " if node.op == "not" else ""
-        body = f"{node.op}{sep}{_fmt(node.operand, prec)}"
-        return f"({body})" if prec < parent_prec else body
-    if isinstance(node, (BinOp, Compare)):
-        prec = _PRECEDENCE[node.op]
-        body = f"{_fmt(node.left, prec)} {node.op} {_fmt(node.right, prec + 1)}"
-        return f"({body})" if prec < parent_prec else body
-    if isinstance(node, IfExp):
-        body = f"{_fmt(node.then, 1)} if {_fmt(node.cond, 1)} else {_fmt(node.orelse)}"
-        return f"({body})" if parent_prec > 0 else body
-    raise TypeError(f"not an expression node: {type(node).__name__}")
-
-
-def _fmt_block(statements: tuple, depth: int, out: list) -> None:
-    pad = "    " * depth
-    for stmt in statements:
-        if isinstance(stmt, Assign):
-            op = "+=" if stmt.augmented else "="
-            out.append(f"{pad}{stmt.target} {op} {_fmt(stmt.value)}")
-        elif isinstance(stmt, Append):
-            out.append(f"{pad}{stmt.target}.append({_fmt(stmt.value)})")
-        elif isinstance(stmt, Return):
-            out.append(f"{pad}return {_fmt(stmt.value)}")
-        elif isinstance(stmt, For):
-            out.append(f"{pad}for {stmt.var} in {_fmt(stmt.iterable)}:")
-            _fmt_block(stmt.body, depth + 1, out)
-        elif isinstance(stmt, If):
-            out.append(f"{pad}if {_fmt(stmt.cond)}:")
-            _fmt_block(stmt.body, depth + 1, out)
-            if stmt.orelse:
-                out.append(f"{pad}else:")
-                _fmt_block(stmt.orelse, depth + 1, out)
-        else:
-            raise TypeError(f"not a statement node: {type(stmt).__name__}")
-
-
-def pretty(program: Program) -> str:
-    """Canonical source text; parse(pretty(p)) is AST-identical to p."""
-    out: list = []
-    _fmt_block(program.statements, 0, out)
-    return "\n".join(out) + "\n"

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all tripsmith modules."""
+"""Exception hierarchy shared by all tripsmith modules.
+
+Every error the package raises on purpose derives from `TripsmithError`. The
+DSL's syntax and evaluation errors share `DslError`, which also carries the
+line and column its message points at.
+"""
 
 
 class TripsmithError(Exception):
@@ -34,25 +39,20 @@ class PlanParseError(TripsmithError):
 
 
 class DslError(TripsmithError):
-    """Base for DSL front-end and runtime errors."""
+    """Base for DSL front-end and runtime errors; each carries its 1-based position."""
+
+    def __init__(self, message, line=1, col=1):
+        super().__init__(message)
+        self.line = line
+        self.col = col
 
 
 class DslSyntaxError(DslError):
     """Source text could not be parsed into a program."""
 
-    def __init__(self, message, line=1, col=1):
-        super().__init__(message)
-        self.line = line
-        self.col = col
-
 
 class DslEvalError(DslError):
     """A program failed while being evaluated."""
-
-    def __init__(self, message, line=1, col=1):
-        super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 class ConfigError(TripsmithError):

@@ -26,7 +26,7 @@ def preference_value(plan, preference_source: str, db=None) -> Decimal:
         raise InputError("preference program does not check clean: "
                          + "; ".join(d.render() for d in diagnostics))
     value = evaluate(program, plan, db)
-    if isinstance(value, bool) or not isinstance(value, Decimal):
+    if not isinstance(value, Decimal):
         raise InputError("preference programs must return a number")
     return value
 

@@ -44,13 +44,16 @@ class CertifiedQuery:
         if not isinstance(raw, dict):
             raise InputError("benchmark record is not a JSON object")
         try:
-            return cls(
-                uid=raw["uid"],
-                skeleton=QuerySkeleton.from_dict(raw["skeleton"]),
-                dsl_sources=list(raw["dsl"]),
-                witness=plan_from_obj(raw["witness"]),
-                text=raw.get("text", ""),
-            )
+            uid = raw["uid"]
+            if not (isinstance(uid, str) and uid not in ("", ".", "..")
+                    and not any(ch in uid for ch in "/\\\0")):
+                raise ValueError("uid must be a non-empty string usable as a file name")
+            skeleton = QuerySkeleton.from_dict(raw["skeleton"])
+            dsl = raw["dsl"]
+            if not (isinstance(dsl, list) and all(isinstance(source, str) for source in dsl)):
+                raise ValueError("dsl must be a list of program texts")
+            return cls(uid=uid, skeleton=skeleton, dsl_sources=list(dsl),
+                       witness=plan_from_obj(raw["witness"]), text=raw.get("text", ""))
         except KeyError as exc:
             raise InputError(f"benchmark record {raw.get('uid', '?')!r} "
                              f"misses field {exc.args[0]!r}") from None

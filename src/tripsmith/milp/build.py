@@ -4,10 +4,10 @@ The traveler's position over discrete time slots is a one-hot matrix
 u[idx][t] (locations, stations and in-transit pseudo-locations); transitions
 are binary events linked to transport-choice variables y[(i, j, mode, t)].
 Visit counters for hotels, attractions and restaurants are derived from
-position-change conjunctions; openness is baked in as constant `check`
-profiles that pin u to zero in closed slots. Every implication is linearized
-with big-M = 1 where all variables are binary; the count constraints use
-integer bounds instead.
+position-change conjunctions; openness is baked in as `att_check_*` and
+`res_check_*` rows that pin u to zero in closed slots. Every implication is
+linearized with big-M = 1 where all variables are binary; the count
+constraints use integer bounds instead.
 
 Constraint rows carry a category label and a deterministic name, and for
 fixed parameters the number of rows per category is a closed form of the
@@ -29,7 +29,7 @@ model's rows, and lp_writer.write_lp gives it the LP writer, which holds no row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -55,7 +55,6 @@ class MilpModel:
     variables: dict[str, VarInfo]
     rows: list[tuple]       # (name, ((coef, var), ...), "<=" | ">=" | "=", rhs, category)
     objective: tuple = ()
-    check: dict[str, bool] = field(default_factory=dict)
     params: MilpParams | None = None
 
     def validate_references(self) -> None:
@@ -98,7 +97,6 @@ class _Builder:
         self.p = params
         self.budget = budget
         self.vars: dict[str, VarInfo] = {}
-        self.check: dict[str, bool] = {}
         # index layout: hotels, attractions, restaurants, stations, transit modes
         self.n_positions = params.total_num + params.trans_num
         self.declare_variables()
@@ -235,10 +233,8 @@ class _Builder:
             for t in range(p.time_step):
                 self.conjunction(self.zattr.plus[a][t], self.u.minus[idx][t], ev_neg[t],
                                  f"att_z_{a}_{t}", "attraction")
-                open_now = self.open_in_slot(poi, t)
-                self.check[self.u.names[idx][t]] = open_now
                 self.row(f"att_check_{a}_{t}", (self.u.plus[idx][t],), "<=",
-                         int(open_now), "attraction")
+                         int(self.open_in_slot(poi, t)), "attraction")
         for a in range(p.attr_num):
             terms = [self.attr.plus[a]] + self.zattr.minus[a]
             self.row(f"att_def_{a}", terms, "=", 0, "attraction")
@@ -262,10 +258,8 @@ class _Builder:
             for t in range(p.time_step):
                 self.conjunction(self.zrest.plus[r][t], self.u.minus[idx][t], ev_neg[t],
                                  f"res_z_{r}_{t}", "restaurant")
-                open_now = self.open_in_slot(poi, t)
-                self.check[self.u.names[idx][t]] = open_now
                 self.row(f"res_check_{r}_{t}", (self.u.plus[idx][t],), "<=",
-                         int(open_now), "restaurant")
+                         int(self.open_in_slot(poi, t)), "restaurant")
         for r in range(p.rest_num):
             for m in range(3 * p.days):
                 lo, hi = self.meal_slots(m)
@@ -431,7 +425,6 @@ def build_model(db_slice: MilpSlice, params: MilpParams, budget=None) -> MilpMod
     rows: list[tuple] = []
     builder.build(rows)
     model = MilpModel(variables=builder.vars, rows=rows,
-                      objective=tuple(builder.cost_terms()), check=builder.check,
-                      params=params)
+                      objective=tuple(builder.cost_terms()), params=params)
     model.validate_references()
     return model

@@ -17,9 +17,6 @@ from .build import MilpModel
 VARIABLE_LIMIT = 2000
 NODE_LIMIT = 500_000
 
-INFEASIBLE = "infeasible"
-FEASIBLE = "feasible"
-
 
 class _Problem:
     def __init__(self, model: MilpModel):

@@ -1,8 +1,11 @@
 """The functions constraint programs may call: concepts and set builtins.
 
 `FUNCTIONS` is the only list of callables; the checker and `concept()` read
-names and arities from it. Concepts over plans and sandbox data are total:
-absent optional fields fall back to 0, "", [] or -1 instead of raising, so a
+names and arities from it. A concept that reads one key of a record, one
+column of a sandbox row or one field summed over transport legs is built in
+`CONCEPT_REGISTRY` by a small factory from the key it reads, so each such
+rule is written once. Concepts over plans and sandbox data are total: absent
+optional fields fall back to 0, "", [] or -1 instead of raising, so a
 malformed plan yields a failed comparison rather than a crashed validator. The
 set builtins `list`, `uni`, `inter` and `diff` raise on a bad operand.
 
@@ -100,38 +103,40 @@ def dayactivities(ctx, plan, day):
     return list(days[index - 1].activities)
 
 
-# -- activity accessors ------------------------------------------------------
+# -- record accessors, each built from the key it reads -----------------------
 
-def activity_cost(ctx, activity):
-    return _num(_record_of(activity).get("cost", 0))
-
-
-def activity_position(ctx, activity):
-    return _record_of(activity).get("position", "")
+def _number_field(key):
+    def accessor(ctx, record):
+        return _num(_record_of(record).get(key, 0))
+    return accessor
 
 
-def activity_price(ctx, activity):
-    return _num(_record_of(activity).get("price", 0))
+def _text_field(key):
+    def accessor(ctx, record):
+        return _record_of(record).get(key, "")
+    return accessor
 
 
-def activity_type(ctx, activity):
-    return _record_of(activity).get("type", "")
+def _clock_field(key):
+    def accessor(ctx, record):
+        return _record_of(record).get(key, "") or ""
+    return accessor
 
 
-def activity_tickets(ctx, activity):
-    return _num(_record_of(activity).get("tickets", 0))
+def _station_city(key):
+    """The first loaded city whose name occurs in the record's `key` station."""
+    def accessor(ctx, record):
+        act = _record_of(record)
+        if key in act:
+            for city in ctx.city_list:
+                if city in act[key]:
+                    return city
+        return ""
+    return accessor
 
 
 def activity_transports(ctx, activity):
     return list(_record_of(activity).get("transports", []))
-
-
-def activity_start_time(ctx, activity):
-    return _record_of(activity).get("start_time", "") or ""
-
-
-def activity_end_time(ctx, activity):
-    return _record_of(activity).get("end_time", "") or ""
 
 
 def activity_time(ctx, activity):
@@ -140,36 +145,6 @@ def activity_time(ctx, activity):
     if start and end and is_hhmm(start) and is_hhmm(end):
         return _minutes_between(start, end)
     return MINUS_ONE
-
-
-def room_count(ctx, activity):
-    return _num(_record_of(activity).get("rooms", 0))
-
-
-def room_type(ctx, activity):
-    return _num(_record_of(activity).get("room_type", 0))
-
-
-def intercity_transport_type(ctx, activity):
-    return _record_of(activity).get("type", "")
-
-
-def intercity_transport_origin(ctx, activity):
-    act = _record_of(activity)
-    if "start" in act:
-        for city in ctx.city_list:
-            if city in act["start"]:
-                return city
-    return ""
-
-
-def intercity_transport_destination(ctx, activity):
-    act = _record_of(activity)
-    if "end" in act:
-        for city in ctx.city_list:
-            if city in act["end"]:
-                return city
-    return ""
 
 
 # -- sandbox-backed lookups --------------------------------------------------
@@ -192,46 +167,25 @@ def poi_distance(ctx, city, poi1, poi2):
         raise DslEvalError(str(exc)) from None
 
 
-def _poi_attribute(ctx, activity, city, table, column):
-    row = _row(ctx.city(str(city)), table, _record_of(activity).get("position", ""))
-    return "" if row is None else row[column]
-
-
-def restaurant_type(ctx, activity, city):
-    return _poi_attribute(ctx, activity, city, "restaurants", "cuisinetype")
-
-
-def attraction_type(ctx, activity, city):
-    return _poi_attribute(ctx, activity, city, "attractions", "type")
-
-
-def accommodation_type(ctx, activity, city):
-    return _poi_attribute(ctx, activity, city, "hotels", "featurehoteltype")
+def _poi_attribute(table, column):
+    """`column` of the `table` row named by the activity's position, or ""."""
+    def accessor(ctx, activity, city):
+        row = _row(ctx.city(str(city)), table, _record_of(activity).get("position", ""))
+        return "" if row is None else row[column]
+    return accessor
 
 
 # -- transport-leg accessors -------------------------------------------------
 
-def innercity_transport_cost(ctx, transports, mode=None):
-    total = ZERO
-    for leg in _legs_of(transports):
-        if mode is None or leg.get("mode", leg.get("type", "")) == mode:
-            total += _num(leg.get("cost", 0))
-    return total
-
-
-def innercity_transport_price(ctx, transports):
-    total = ZERO
-    for leg in _legs_of(transports):
-        total += _num(leg.get("price", 0))
-    return total
-
-
-def innercity_transport_distance(ctx, transports, mode=None):
-    total = ZERO
-    for leg in _legs_of(transports):
-        if mode is None or leg.get("mode", leg.get("type", "")) == mode:
-            total += _num(leg.get("distance", 0))
-    return total
+def _leg_total(key):
+    """Sum of `key` over the legs, or over the legs of one mode when given."""
+    def accessor(ctx, transports, mode=None):
+        total = ZERO
+        for leg in _legs_of(transports):
+            if mode is None or leg.get("mode", leg.get("type", "")) == mode:
+                total += _num(leg.get(key, 0))
+        return total
+    return accessor
 
 
 def innercity_transport_time(ctx, transports):
@@ -282,34 +236,34 @@ CONCEPT_REGISTRY: dict[str, tuple[Callable, int, int]] = {
     "allactivities": (allactivities, 1, 1),
     "allactivities_count": (allactivities_count, 1, 1),
     "dayactivities": (dayactivities, 2, 2),
-    "activity_cost": (activity_cost, 1, 1),
-    "activity_position": (activity_position, 1, 1),
-    "activity_price": (activity_price, 1, 1),
-    "activity_type": (activity_type, 1, 1),
-    "activity_tickets": (activity_tickets, 1, 1),
+    "activity_cost": (_number_field("cost"), 1, 1),
+    "activity_position": (_text_field("position"), 1, 1),
+    "activity_price": (_number_field("price"), 1, 1),
+    "activity_type": (_text_field("type"), 1, 1),
+    "activity_tickets": (_number_field("tickets"), 1, 1),
     "activity_transports": (activity_transports, 1, 1),
-    "activity_start_time": (activity_start_time, 1, 1),
-    "activity_end_time": (activity_end_time, 1, 1),
+    "activity_start_time": (_clock_field("start_time"), 1, 1),
+    "activity_end_time": (_clock_field("end_time"), 1, 1),
     "activity_time": (activity_time, 1, 1),
     "poi_recommend_time": (poi_recommend_time, 2, 2),
     "poi_distance": (poi_distance, 3, 3),
-    "innercity_transport_cost": (innercity_transport_cost, 1, 2),
-    "innercity_transport_price": (innercity_transport_price, 1, 1),
-    "innercity_transport_distance": (innercity_transport_distance, 1, 2),
+    "innercity_transport_cost": (_leg_total("cost"), 1, 2),
+    "innercity_transport_price": (_leg_total("price"), 1, 1),
+    "innercity_transport_distance": (_leg_total("distance"), 1, 2),
     "innercity_transport_time": (innercity_transport_time, 1, 1),
     "metro_tickets": (metro_tickets, 1, 1),
     "taxi_cars": (taxi_cars, 1, 1),
-    "room_count": (room_count, 1, 1),
-    "room_type": (room_type, 1, 1),
-    "restaurant_type": (restaurant_type, 2, 2),
-    "attraction_type": (attraction_type, 2, 2),
-    "accommodation_type": (accommodation_type, 2, 2),
+    "room_count": (_number_field("rooms"), 1, 1),
+    "room_type": (_number_field("room_type"), 1, 1),
+    "restaurant_type": (_poi_attribute("restaurants", "cuisinetype"), 2, 2),
+    "attraction_type": (_poi_attribute("attractions", "type"), 2, 2),
+    "accommodation_type": (_poi_attribute("hotels", "featurehoteltype"), 2, 2),
     "innercity_transport_type": (innercity_transport_type, 1, 1),
-    "intercity_transport_type": (intercity_transport_type, 1, 1),
+    "intercity_transport_type": (_text_field("type"), 1, 1),
     "innercity_transport_start_time": (innercity_transport_start_time, 1, 1),
     "innercity_transport_end_time": (innercity_transport_end_time, 1, 1),
-    "intercity_transport_origin": (intercity_transport_origin, 1, 1),
-    "intercity_transport_destination": (intercity_transport_destination, 1, 1),
+    "intercity_transport_origin": (_station_city("start"), 1, 1),
+    "intercity_transport_destination": (_station_city("end"), 1, 1),
 }
 
 # spelling used by several published constraint programs

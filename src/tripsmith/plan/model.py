@@ -40,7 +40,6 @@ _INT_KEYS = {"tickets", "rooms", "room_type", "cars", "duration"}
 
 # canonical key orders for serialization
 _PLAN_KEYS = ("people_number", "start_city", "target_city", "itinerary")
-_DAY_KEYS = ("day", "activities")
 _ACTIVITY_KEYS = (
     "type", "position", "start", "end", "TrainID", "FlightID",
     "start_time", "end_time", "price", "tickets", "rooms", "room_type",

@@ -410,18 +410,41 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
      "budget 'lots' is not a number"),
     (lambda r: r["witness"].pop("itinerary"), "missing mandatory field 'itinerary'"),
     (lambda r: r.update(witness=[]), "plan document must be a JSON object"),
-], ids=["days-text", "people-null", "budget-text", "witness-no-itinerary", "witness-list"])
+    (lambda r: r.update(uid="../x"), "uid must be a non-empty string usable as a file name"),
+    (lambda r: r.update(uid="a\\b"), "uid must be"),
+    (lambda r: r.update(uid=".."), "uid must be"),
+    (lambda r: r.update(uid="a\x00b"), "uid must be"),
+    (lambda r: r.update(uid=""), "uid must be"),
+    (lambda r: r.update(uid=7), "uid must be"),
+    (lambda r: r.update(dsl=[1]), "dsl must be a list of program texts"),
+    (lambda r: r.update(dsl="return True"), "dsl must be a list of program texts"),
+], ids=["days-text", "people-null", "budget-text", "witness-no-itinerary", "witness-list",
+        "uid-path", "uid-backslash", "uid-dotdot", "uid-nul", "uid-empty", "uid-number",
+        "dsl-number", "dsl-text"])
 @pytest.mark.parametrize("command", ["plan", "eval", "milp"])
 def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, capsys,
                                                   command, edit, detail):
     bad = _edit_first_query(bench, tmp_path, edit)
-    uid = json.loads(bench.read_text().splitlines()[1])["uid"]
+    uid = json.loads(bad.read_text().splitlines()[1])["uid"]
     capsys.readouterr()
     assert run_on_benchmark(command, bad, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: benchmark record {uid!r}: ")
     assert detail in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x.lp").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "eval", "milp"])
+def test_repeated_benchmark_uid_is_usage_error(tmp_path, bench, good_plans, capsys, command):
+    header, *lines = bench.read_text().splitlines()
+    uid = json.loads(lines[0])["uid"]
+    bad = tmp_path / "twice.jsonl"
+    bad.write_text("\n".join([header, *lines, lines[0]]) + "\n")
+    capsys.readouterr()
+    assert run_on_benchmark(command, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: query uid {uid!r} occurs more than once\n"
 
 
 def _reject_constant(name):

@@ -251,7 +251,8 @@ def test_check_constants_pin_closed_slots():
     closed_rows = [row for row in model.rows
                    if row[0].startswith("att_check_0_") and row[3] == 0]
     assert len(closed_rows) == params.time_step - 1
-    assert model.check[f"u_{params.hotel_num}_2"] is True
+    open_row = next(row for row in model.rows if row[0] == "att_check_0_2")
+    assert open_row[1:4] == (((1, f"u_{params.hotel_num}_2"),), "<=", 1)
 
 
 def test_decoded_assignment_parses_as_plan():

@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import pytest
 from hypothesis import given, settings
@@ -274,3 +274,93 @@ def test_packaged_schema_matches_parser_contract():
     from tripsmith.plan import ACTIVITY_TYPES
 
     assert set(enum) == set(ACTIVITY_TYPES)
+
+
+# One activity record with every key a record accessor reads, the same keys
+# all None, and per accessor its value on the full record, on {} and on the
+# None record. An exception class means the call raises it: a None number or
+# station escapes as a Python error, not a DslEvalError.
+FULL_RECORD = {
+    "type": "train", "position": "Hotpot Palace", "start": "Alpha Station",
+    "end": "Beta Station", "start_time": "06:30", "end_time": "08:10",
+    "price": Decimal("120.00"), "tickets": 2, "rooms": 1, "room_type": 2,
+    "cost": Decimal("240.00"), "transports": [{"mode": "walk"}],
+}
+NONE_RECORD = dict.fromkeys(FULL_RECORD)
+RECORD_ACCESSORS = {
+    "activity_cost": (Decimal("240.00"), Decimal(0), InvalidOperation),
+    "activity_price": (Decimal("120.00"), Decimal(0), InvalidOperation),
+    "activity_tickets": (Decimal(2), Decimal(0), InvalidOperation),
+    "room_count": (Decimal(1), Decimal(0), InvalidOperation),
+    "room_type": (Decimal(2), Decimal(0), InvalidOperation),
+    "activity_position": ("Hotpot Palace", "", None),
+    "activity_type": ("train", "", None),
+    "intercity_transport_type": ("train", "", None),
+    "activity_start_time": ("06:30", "", ""),
+    "activity_end_time": ("08:10", "", ""),
+    "activity_transports": ([{"mode": "walk"}], [], TypeError),
+    "intercity_transport_origin": ("Alpha", "", TypeError),
+    "intercity_transport_destination": ("Beta", "", TypeError),
+}
+POI_ACCESSORS = {
+    "restaurant_type": "Hotpot",
+    "attraction_type": "",
+    "accommodation_type": "",
+}
+
+
+def _same(value, expected):
+    return type(value) is type(expected) and value == expected
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_ACCESSORS))
+def test_record_accessor_values(name, mini_dataset):
+    context = ctx(parse_plan(MINIMAL), mini_dataset)
+    for record, expected in zip((FULL_RECORD, {}, NONE_RECORD), RECORD_ACCESSORS[name]):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                concept(name, [record], context)
+        else:
+            assert _same(concept(name, [record], context), expected), record
+    with pytest.raises(DslEvalError, match="expected an activity record as argument"):
+        concept(name, ["Hotpot Palace"], context)
+
+
+@pytest.mark.parametrize("name", sorted(POI_ACCESSORS))
+def test_poi_accessor_values(name, mini_dataset):
+    context = ctx(parse_plan(MINIMAL), mini_dataset)
+    assert _same(concept(name, [FULL_RECORD, "Beta"], context), POI_ACCESSORS[name])
+    assert _same(concept(name, [{}, "Beta"], context), "")
+    assert _same(concept(name, [NONE_RECORD, "Beta"], context), "")
+    with pytest.raises(DslEvalError, match="expected an activity record as argument"):
+        concept(name, [["Hotpot Palace"], "Beta"], context)
+    with pytest.raises(DslEvalError, match="city 'Gamma' is not loaded"):
+        concept(name, [FULL_RECORD, "Gamma"], context)
+
+
+LEGS = [
+    {"mode": "walk", "cost": Decimal(0), "price": Decimal(0), "distance": Decimal("0.5")},
+    {"type": "metro", "cost": Decimal(6), "price": Decimal(3), "distance": Decimal("4.2")},
+]
+
+
+@pytest.mark.parametrize("name, total, metro", [
+    ("innercity_transport_cost", Decimal(6), Decimal(6)),
+    ("innercity_transport_price", Decimal(3), None),
+    ("innercity_transport_distance", Decimal("4.7"), Decimal("4.2")),
+])
+def test_leg_total_values(name, total, metro):
+    context = ctx(None)
+    assert _same(concept(name, [LEGS], context), total)
+    assert _same(concept(name, [[{}]], context), Decimal(0))
+    assert _same(concept(name, [[]], context), Decimal(0))
+    with pytest.raises(InvalidOperation):
+        concept(name, [[dict.fromkeys(LEGS[0])]], context)
+    with pytest.raises(DslEvalError, match="expected a transport-leg list as argument"):
+        concept(name, [LEGS[0]], context)
+    if metro is None:
+        with pytest.raises(DslEvalError, match="expects 1 argument"):
+            concept(name, [LEGS, "metro"], context)
+    else:
+        assert _same(concept(name, [LEGS, "metro"], context), metro)
+        assert _same(concept(name, [LEGS, "taxi"], context), Decimal(0))

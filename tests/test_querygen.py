@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from tripsmith.dsl import check_syntax
@@ -5,12 +7,16 @@ from tripsmith.errors import InputError
 from tripsmith.evaluation import evaluate_plan
 from tripsmith.genquery import (
     CertifiedQuery,
+    ConstraintSpec,
     certify,
     context_from_skeleton,
     sample_skeleton,
     skeleton_to_dsl,
 )
+from tripsmith.sandbox import load_dataset
 from tripsmith.search import SearchConfig
+
+from .conftest import FIXTURES
 
 
 def test_easy_has_exactly_one_spec(micro_dataset):
@@ -92,6 +98,20 @@ def test_certified_witness_revalidates(micro_dataset):
         assert report.env.overall
         assert all(report.logical)
     assert done >= 20
+
+
+def test_hash_in_a_poi_name_is_part_of_the_name(tmp_path):
+    root = tmp_path / "micro"
+    shutil.copytree(FIXTURES / "micro", root)
+    table = root / "Beta" / "attractions.csv"
+    table.write_text(table.read_text().replace("Harbor Park,", "Harbor Park #1,"))
+    dataset = load_dataset(root)
+    skeleton = sample_skeleton(dataset, "easy", 0, origin="Alpha", target="Beta")
+    skeleton.specs = [ConstraintSpec("specific_poi", "Harbor Park #1")]
+    certified = certify(skeleton, dataset, SearchConfig(budget_seconds=10))
+    assert certified is not None
+    positions = [act.get("position") for act in certified.witness.all_activities()]
+    assert "Harbor Park #1" in positions
 
 
 def test_unsatisfiable_cuisine_is_rejected(micro_dataset):
