@@ -54,10 +54,6 @@ def _budget_value(seconds: float):
     return "inf" if seconds == math.inf else seconds
 
 
-def _plan_record(plan) -> dict | None:
-    return None if plan is None else json.loads(serialize_plan(plan))
-
-
 def _check_out_file(path, flag: str = "--out") -> None:
     """Refuse an output file that cannot be created, before any work is done."""
     if Path(path).is_dir() or not Path(path).parent.is_dir():
@@ -153,7 +149,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
         results.append({
             "uid": query.uid,
             "status": outcome.status,
-            "plan": _plan_record(outcome.plan),
+            "plan": None if outcome.plan is None else serialize_plan(outcome.plan),
             "nodes_expanded": outcome.nodes_expanded,
             "constraints_passed": outcome.constraints_passed,
             "degradations": degradations,

@@ -62,8 +62,13 @@ def _as_collection(value, node, what: str) -> list:
 
 
 def _equal(a, b) -> bool:
-    """DSL equality: values of different types are never equal, so True != 1."""
-    return type(a) is type(b) and a == b
+    """DSL equality: values of different types are never equal, so True != 1,
+    and two lists are equal when their elements are, pair by pair."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a == b
 
 
 class _Interpreter:

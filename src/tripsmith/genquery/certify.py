@@ -29,13 +29,11 @@ class CertifiedQuery:
     text: str = ""
 
     def as_dict(self) -> dict:
-        import json
-
         return {
             "uid": self.uid,
             "skeleton": self.skeleton.as_dict(),
             "dsl": list(self.dsl_sources),
-            "witness": json.loads(serialize_plan(self.witness)),
+            "witness": serialize_plan(self.witness),
             "text": self.text,
         }
 

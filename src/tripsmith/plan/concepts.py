@@ -4,10 +4,11 @@
 names and arities from it. A concept that reads one key of a record, one
 column of a sandbox row or one field summed over transport legs is built in
 `CONCEPT_REGISTRY` by a small factory from the key it reads, so each such
-rule is written once. Concepts over plans and sandbox data are total: absent
-optional fields fall back to 0, "", [] or -1 instead of raising, so a
-malformed plan yields a failed comparison rather than a crashed validator. The
-set builtins `list`, `uni`, `inter` and `diff` raise on a bad operand.
+rule is written once. Concepts are total over the plans `plan_from_obj`
+accepts, whose every present field has its `FIELDS` type: absent optional
+fields fall back to 0, "", [] or -1 instead of raising, so a wrong plan yields
+a failed comparison rather than a crashed validator. The set builtins `list`,
+`uni`, `inter` and `diff` raise on a bad operand.
 
 Numbers are Decimals throughout; times are "HH:MM" strings.
 """
@@ -117,12 +118,6 @@ def _text_field(key):
     return accessor
 
 
-def _clock_field(key):
-    def accessor(ctx, record):
-        return _record_of(record).get(key, "") or ""
-    return accessor
-
-
 def _station_city(key):
     """The first loaded city whose name occurs in the record's `key` station."""
     def accessor(ctx, record):
@@ -141,8 +136,8 @@ def activity_transports(ctx, activity):
 
 def activity_time(ctx, activity):
     act = _record_of(activity)
-    start, end = act.get("start_time"), act.get("end_time")
-    if start and end and is_hhmm(start) and is_hhmm(end):
+    start, end = act.get("start_time", ""), act.get("end_time", "")
+    if is_hhmm(start) and is_hhmm(end):
         return _minutes_between(start, end)
     return MINUS_ONE
 
@@ -242,8 +237,8 @@ CONCEPT_REGISTRY: dict[str, tuple[Callable, int, int]] = {
     "activity_type": (_text_field("type"), 1, 1),
     "activity_tickets": (_number_field("tickets"), 1, 1),
     "activity_transports": (activity_transports, 1, 1),
-    "activity_start_time": (_clock_field("start_time"), 1, 1),
-    "activity_end_time": (_clock_field("end_time"), 1, 1),
+    "activity_start_time": (_text_field("start_time"), 1, 1),
+    "activity_end_time": (_text_field("end_time"), 1, 1),
     "activity_time": (activity_time, 1, 1),
     "poi_recommend_time": (poi_recommend_time, 2, 2),
     "poi_distance": (poi_distance, 3, 3),

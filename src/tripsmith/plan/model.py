@@ -1,14 +1,20 @@
 """Itinerary document model.
 
-A plan is a JSON document: trip header plus an ordered list of day entries,
-each holding an ordered activity list. Activities stay as plain dicts so the
-concept library can read optional fields with defaults; the parser only
-enforces structure and types. Semantic rules (cost arithmetic, chronology,
-sandbox consistency) are the validator's job, not the parser's - a plan that
-parses is "delivered" even when it is wrong.
+A plan is a JSON record: the trip header (`people_number`, `start_city`,
+`target_city`) and an `itinerary` of day entries, each holding an ordered
+`activities` list; an activity may carry a list of inner-city `transports`
+legs. Activities and legs stay plain dicts. `FIELDS` is the one table of
+their scalar fields: each key is text, an integer, or an amount kept to a
+money or a distance quantum. `plan_from_obj` checks every present field
+against it, so a null or wrongly typed field is a `SchemaError` and the plan
+is not delivered; keys the table does not name pass through unchecked.
+`plan_schema.json` states the same contract for readers outside the package.
 
-Money is canonicalized to 2 fractional digits, distances to 3; serialization
-is canonical and byte-stable, so parse(serialize(p)) == p.
+Semantic rules (cost arithmetic, chronology, sandbox consistency) are the
+validator's job, not the parser's - a plan that parses is "delivered" even
+when it is wrong. `serialize_plan` turns a plan back into its JSON record,
+with money at 2 fractional digits and distances at 3; the artifact writers
+fix the key order.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
 from ..errors import PlanParseError, SchemaError
+from ..geo import DIST_QUANTUM
 
 ACTIVITY_TYPES = (
     "attraction",
@@ -32,23 +39,19 @@ MEAL_TYPES = ("breakfast", "lunch", "dinner")
 INTERCITY_TYPES = ("train", "airplane")
 
 MONEY_QUANTUM = Decimal("0.01")
-DIST_QUANTUM = Decimal("0.001")
 
-_MONEY_KEYS = {"price", "cost"}
-_DIST_KEYS = {"distance"}
-_INT_KEYS = {"tickets", "rooms", "room_type", "cars", "duration"}
+# activity and transport-leg field -> str (text), int, or the quantum an amount
+# of money or distance is kept to
+FIELDS: dict[str, type | Decimal] = {
+    **dict.fromkeys(("type", "mode", "position", "start", "end", "TrainID", "FlightID",
+                     "start_time", "end_time"), str),
+    **dict.fromkeys(("tickets", "rooms", "room_type", "cars", "duration"), int),
+    "price": MONEY_QUANTUM,
+    "cost": MONEY_QUANTUM,
+    "distance": DIST_QUANTUM,
+}
 
-# canonical key orders for serialization
 _PLAN_KEYS = ("people_number", "start_city", "target_city", "itinerary")
-_ACTIVITY_KEYS = (
-    "type", "position", "start", "end", "TrainID", "FlightID",
-    "start_time", "end_time", "price", "tickets", "rooms", "room_type",
-    "cars", "cost", "transports",
-)
-_LEG_KEYS = (
-    "mode", "start", "end", "start_time", "end_time",
-    "distance", "price", "tickets", "cars", "cost",
-)
 
 
 @dataclass
@@ -77,32 +80,33 @@ class Plan:
         return len(self.itinerary)
 
 
-def _canon_number(key: str, value, path: str):
-    if isinstance(value, bool):
-        raise SchemaError(f"{path}: field {key!r} must be a number, got a boolean")
-    try:
-        dec = value if isinstance(value, Decimal) else Decimal(str(value))
-    except InvalidOperation:
-        raise SchemaError(f"{path}: field {key!r} is not numeric: {value!r}") from None
-    if key in _INT_KEYS:
-        if dec != dec.to_integral_value():
+def _typed(key: str, value, kind, path: str):
+    """`value` of field `key` as `kind` types it (see `FIELDS`), or a SchemaError."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise SchemaError(f"{path}: field {key!r} must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
+        raise SchemaError(f"{path}: field {key!r} must be a number, got {value!r}")
+    number = value if isinstance(value, Decimal) else Decimal(str(value))
+    if not number.is_finite():
+        raise SchemaError(f"{path}: field {key!r} must be finite, got {value!r}")
+    if kind is int:
+        if number != number.to_integral_value():
             raise SchemaError(f"{path}: field {key!r} must be an integer, got {value!r}")
-        return int(dec)
-    if key in _MONEY_KEYS:
-        return dec.quantize(MONEY_QUANTUM)
-    if key in _DIST_KEYS:
-        return dec.quantize(DIST_QUANTUM)
-    return dec
+        return int(number)
+    try:
+        return number.quantize(kind)
+    except InvalidOperation:
+        raise SchemaError(f"{path}: field {key!r} is out of range: {value!r}") from None
 
 
-def _canon_scalars(obj: dict, path: str) -> dict:
-    out = {}
-    for key, value in obj.items():
-        if key in _MONEY_KEYS | _DIST_KEYS | _INT_KEYS:
-            out[key] = _canon_number(key, value, path)
-        else:
-            out[key] = value
-    return out
+def _record(obj, path: str, what: str) -> dict:
+    """A copy of activity or leg `obj` with every `FIELDS` field checked."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: {what} must be an object")
+    return {key: _typed(key, value, FIELDS[key], path) if key in FIELDS else value
+            for key, value in obj.items()}
 
 
 def _require(obj: dict, key: str, path: str):
@@ -125,13 +129,12 @@ def plan_from_obj(raw) -> Plan:
     if not isinstance(raw, dict):
         raise PlanParseError("plan document must be a JSON object")
 
-    people = _require(raw, "people_number", "$")
-    if isinstance(people, bool) or not isinstance(people, (int, Decimal)) or int(people) < 1:
-        raise SchemaError("$: people_number must be an integer >= 1")
-    start_city = _require(raw, "start_city", "$")
-    target_city = _require(raw, "target_city", "$")
-    if not isinstance(start_city, str) or not isinstance(target_city, str):
-        raise SchemaError("$: start_city/target_city must be strings")
+    people, start_city, target_city = (
+        _typed(key, _require(raw, key, "$"), kind, "$")
+        for key, kind in (("people_number", int), ("start_city", str), ("target_city", str))
+    )
+    if people < 1:
+        raise SchemaError(f"$: field 'people_number' must be at least 1, got {people}")
     itinerary = _require(raw, "itinerary", "$")
     if not isinstance(itinerary, list):
         raise SchemaError("$.itinerary: must be a list of day entries")
@@ -144,38 +147,31 @@ def plan_from_obj(raw) -> Plan:
         acts = _require(day_obj, "activities", path)
         if not isinstance(acts, list):
             raise SchemaError(f"{path}.activities: must be a list")
-        day_index = day_obj.get("day", i + 1)
-        if isinstance(day_index, Decimal):
-            day_index = int(day_index)
         parsed_acts = []
         for j, act in enumerate(acts):
             apath = f"{path}.activities[{j}]"
-            if not isinstance(act, dict):
-                raise SchemaError(f"{apath}: activity must be an object")
+            act = _record(act, apath, "activity")
             kind = _require(act, "type", apath)
             if kind not in ACTIVITY_TYPES:
                 raise SchemaError(
                     f"{apath}: unknown activity type {kind!r}; expected one of {ACTIVITY_TYPES}"
                 )
-            act = _canon_scalars(act, apath)
-            transports = act.get("transports", [])
-            if not isinstance(transports, list):
+            legs = act.get("transports", [])
+            if not isinstance(legs, list):
                 raise SchemaError(f"{apath}.transports: must be a list")
-            act["transports"] = [
-                _canon_scalars(leg, f"{apath}.transports[{k}]")
-                if isinstance(leg, dict)
-                else _bad_leg(f"{apath}.transports[{k}]")
-                for k, leg in enumerate(transports)
-            ]
-            if not act["transports"]:
-                del act["transports"]
+            if legs:
+                act["transports"] = [_record(leg, f"{apath}.transports[{k}]", "transport leg")
+                                     for k, leg in enumerate(legs)]
+            else:
+                act.pop("transports", None)
             parsed_acts.append(act)
         day_extras = {k: v for k, v in day_obj.items() if k not in ("day", "activities")}
-        days.append(DayPlan(day=int(day_index), activities=parsed_acts, extras=day_extras))
+        day = _typed("day", day_obj.get("day", i + 1), int, path)
+        days.append(DayPlan(day=day, activities=parsed_acts, extras=day_extras))
 
     extras = {k: v for k, v in raw.items() if k not in _PLAN_KEYS}
     return Plan(
-        people_number=int(people),
+        people_number=people,
         start_city=start_city,
         target_city=target_city,
         itinerary=days,
@@ -183,62 +179,32 @@ def plan_from_obj(raw) -> Plan:
     )
 
 
-def _bad_leg(path: str):
-    raise SchemaError(f"{path}: transport leg must be an object")
-
-
-def _emit(value) -> str:
-    if isinstance(value, Decimal):
-        return format(value, "f")
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return json.dumps(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, list):
-        return "[" + ", ".join(_emit(v) for v in value) + "]"
+def _json(value, quantum=None):
+    """`value` as JSON data: an amount on its quantum, record fields by `FIELDS`."""
     if isinstance(value, dict):
-        return _emit_obj(value, known=())
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        return {key: _json(item, FIELDS.get(key)) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json(item) for item in value]
+    if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
+        return value
+    if isinstance(quantum, Decimal):
+        value = Decimal(value).quantize(quantum)
+    if isinstance(value, Decimal):
+        # what its plain text reads back as: "12" an int, "12.50" a float
+        return int(value) if value.as_tuple().exponent >= 0 else float(value)
+    return value
 
 
-def _emit_obj(obj: dict, known: tuple[str, ...]) -> str:
-    keys = [k for k in known if k in obj]
-    keys += sorted(k for k in obj if k not in known)
-    parts = []
-    for key in keys:
-        value = obj[key]
-        if key == "transports" and isinstance(value, list):
-            body = "[" + ", ".join(_emit_obj(leg, _LEG_KEYS) for leg in value) + "]"
-        else:
-            if isinstance(value, (Decimal, int)) and not isinstance(value, bool):
-                if key in _MONEY_KEYS:
-                    value = Decimal(value).quantize(MONEY_QUANTUM)
-                elif key in _DIST_KEYS:
-                    value = Decimal(value).quantize(DIST_QUANTUM)
-            body = _emit(value)
-        parts.append(f"{json.dumps(key)}: {body}")
-    return "{" + ", ".join(parts) + "}"
-
-
-def serialize_plan(plan: Plan) -> str:
-    """Canonical one-plan-per-call JSON text (stable key order, LF-free)."""
-    days = []
-    for day in plan.itinerary:
-        acts = ", ".join(_emit_obj(act, _ACTIVITY_KEYS) for act in day.activities)
-        tail = "".join(
-            f', {json.dumps(k)}: {_emit(day.extras[k])}' for k in sorted(day.extras)
-        )
-        days.append(f'{{"day": {day.day}, "activities": [{acts}]{tail}}}')
-    tail = "".join(
-        f', {json.dumps(k)}: {_emit(plan.extras[k])}' for k in sorted(plan.extras)
-    )
-    return (
-        "{"
-        f'"people_number": {plan.people_number}, '
-        f'"start_city": {json.dumps(plan.start_city, ensure_ascii=False)}, '
-        f'"target_city": {json.dumps(plan.target_city, ensure_ascii=False)}, '
-        f'"itinerary": [{", ".join(days)}]{tail}'
-        "}"
-    )
+def serialize_plan(plan: Plan) -> dict:
+    """The plan as its JSON record; money and distances kept to their quantum."""
+    return {
+        "people_number": plan.people_number,
+        "start_city": plan.start_city,
+        "target_city": plan.target_city,
+        "itinerary": [
+            {"day": day.day, "activities": [_json(act) for act in day.activities],
+             **{key: _json(value) for key, value in day.extras.items()}}
+            for day in plan.itinerary
+        ],
+        **{key: _json(value) for key, value in plan.extras.items()},
+    }

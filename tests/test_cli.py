@@ -10,6 +10,7 @@ from tripsmith.cli import main
 from tripsmith.genquery import certify, sample_skeleton
 from tripsmith.llm import FaultInjectingTransport, LlmRanker
 from tripsmith.manifest import RunManifest, file_header, read_jsonl, write_jsonl
+from tripsmith.plan.model import FIELDS
 from tripsmith.search import FULL_PASS, SearchConfig
 
 from .conftest import FIXTURES
@@ -373,12 +374,18 @@ def _day_as_text(plan: dict) -> dict:
     return plan
 
 
+def _first_start_null(plan: dict) -> dict:
+    plan["itinerary"][0]["activities"][0]["start"] = None    # the outbound train
+    return plan
+
+
 @pytest.mark.parametrize("spoil, detail", [
     (lambda plan: {k: v for k, v in plan.items() if k != "itinerary"},
      "missing mandatory field 'itinerary'"),
-    (_day_as_text, "invalid literal for int()"),
+    (_day_as_text, "$.itinerary[0]: field 'day' must be a number, got 'one'"),
     (lambda plan: [], "plan document must be a JSON object"),
-], ids=["no-itinerary", "day-text", "plan-list"])
+    (_first_start_null, "$.itinerary[0].activities[0]: field 'start' must be a string, got None"),
+], ids=["no-itinerary", "day-text", "plan-list", "start-null"])
 def test_plans_record_with_a_bad_plan_is_usage_error(tmp_path, bench, good_plans, capsys,
                                                      spoil, detail):
     plans = tmp_path / "good-plans.jsonl"
@@ -392,6 +399,51 @@ def test_plans_record_with_a_bad_plan_is_usage_error(tmp_path, bench, good_plans
     assert f"{plans}:4: plans record {record['uid']!r}: " in err
     assert detail in err
     assert "internal error" not in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def planned(tmp_path_factory) -> tuple[Path, list[str]]:
+    """A micro benchmark and the lines of its plans file, made once for the module."""
+    root = tmp_path_factory.mktemp("planned")
+    bench, plans = root / "bench.jsonl", root / "plans.jsonl"
+    assert run("generate", "--db", MICRO, "--difficulty", "easy", "--count", "2",
+               "--seed", "7", "--out", str(bench)) == 0
+    assert run("plan", "--benchmark", str(bench), "--db", MICRO, "--out", str(plans)) == 0
+    return bench, plans.read_text().splitlines()
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("key", sorted(FIELDS))
+@pytest.mark.parametrize("level", ["activity", "leg"])
+def test_null_mistyped_or_missing_plan_field_never_crashes_eval(tmp_path, planned, capsys,
+                                                                level, key):
+    """A null or wrongly typed field is a usage error; a missing one may also score."""
+    bench, (header, *lines) = planned
+    for value in (None, {str: 7}.get(FIELDS[key], "7"), MISSING):
+        record = json.loads(lines[0])
+        activities = record["plan"]["itinerary"][0]["activities"]
+        if level == "activity":
+            fields = activities[0]
+        else:
+            fields = next(act for act in activities if "transports" in act)["transports"][0]
+        fields.pop(key, None)
+        if value is not MISSING:
+            fields[key] = value
+        (tmp_path / "good-plans.jsonl").write_text(
+            "\n".join([header, json.dumps(record), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        code = run_on_benchmark("eval", bench, tmp_path)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "internal error" not in err
+        if value is MISSING:
+            assert code in (0, 2)
+        else:
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"field {key!r} must be a" in err
 
 
 def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
@@ -410,6 +462,8 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
      "budget 'lots' is not a number"),
     (lambda r: r["witness"].pop("itinerary"), "missing mandatory field 'itinerary'"),
     (lambda r: r.update(witness=[]), "plan document must be a JSON object"),
+    (lambda r: r["witness"]["itinerary"][0]["activities"][0].update(start=None),
+     "field 'start' must be a string, got None"),
     (lambda r: r.update(uid="../x"), "uid must be a non-empty string usable as a file name"),
     (lambda r: r.update(uid="a\\b"), "uid must be"),
     (lambda r: r.update(uid=".."), "uid must be"),
@@ -419,6 +473,7 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
     (lambda r: r.update(dsl=[1]), "dsl must be a list of program texts"),
     (lambda r: r.update(dsl="return True"), "dsl must be a list of program texts"),
 ], ids=["days-text", "people-null", "budget-text", "witness-no-itinerary", "witness-list",
+        "witness-start-null",
         "uid-path", "uid-backslash", "uid-dotdot", "uid-nul", "uid-empty", "uid-number",
         "dsl-number", "dsl-text"])
 @pytest.mark.parametrize("command", ["plan", "eval", "milp"])

@@ -175,8 +175,14 @@ def test_string_comparison_is_codepoint_order(mini_dataset):
     ("[1, 2] == [1, 2]", True),
     ("2 in uni([1], [2])", True),
     ("[1, 2] in [uni([1], [2])]", False),
-    # elements inside a list compare by Python equality, not the DSL's rule
-    ("[1] == [True]", True),
+    # list elements compare by the same rule, at any depth
+    ("[1] == [True]", False),
+    ("[1] != [True]", True),
+    ("[[1], 2] == [[True], 2]", False),
+    ("[[1], 2] == [[1.0], 2]", True),
+    ("[1] == [1, 1]", False),
+    # a set is built with Python hashing, which merges True and 1
+    ("uni([True], [1]) == uni([1], [])", True),
 ])
 def test_equality_never_crosses_types(mini_dataset, expression, expected):
     plan = parse_plan(MINIMAL)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 
 import pytest
 
@@ -75,13 +76,14 @@ class _Capped:
 def _search(sources, dataset, ctx, cap, trace=None):
     outcome = dfs_search(sources, dataset, _Capped(cap), SearchConfig(budget_seconds=600),
                          ctx, trace=trace)
-    plan = None if outcome.plan is None else serialize_plan(outcome.plan)
+    plan = None if outcome.plan is None else json.dumps(serialize_plan(outcome.plan),
+                                                        sort_keys=True)
     return outcome.status, plan, outcome.nodes_expanded, outcome.constraints_passed
 
 
 @contextlib.contextmanager
 def _rejecting(monkeypatch, text):
-    """The environmental check also fails every plan whose text contains `text`."""
+    """The environmental check also fails every plan whose record text contains `text`."""
     if text is None:
         yield
         return
@@ -89,7 +91,7 @@ def _rejecting(monkeypatch, text):
 
     def check(plan, dataset):
         report = real(plan, dataset)
-        if text in serialize_plan(plan):
+        if text in json.dumps(serialize_plan(plan)):
             return EnvReport({**report.results, "rejected_by_test": False})
         return report
 

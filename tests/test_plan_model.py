@@ -1,5 +1,7 @@
+import json
 import random
 from decimal import Decimal, InvalidOperation
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,15 @@ from hypothesis import strategies as st
 
 from tripsmith.errors import PlanParseError, SchemaError
 from tripsmith.plan import (
+    ACTIVITY_TYPES,
     CONCEPT_REGISTRY,
     ConceptContext,
     concept,
     parse_plan,
+    plan_from_obj,
     serialize_plan,
 )
-from tripsmith.plan.model import DayPlan, Plan
+from tripsmith.plan.model import FIELDS, DayPlan, Plan
 from tripsmith.errors import DslEvalError
 
 from .oracles import haversine_reference
@@ -62,17 +66,22 @@ def test_parse_unknown_activity_type():
                    ' "itinerary": [{"activities": [{"type": "spaceship"}]}]}')
 
 
+def record_text(plan) -> str:
+    return json.dumps(serialize_plan(plan), sort_keys=True)
+
+
 def test_roundtrip_is_byte_stable():
-    once = serialize_plan(parse_plan(MINIMAL))
-    twice = serialize_plan(parse_plan(once))
+    once = record_text(parse_plan(MINIMAL))
+    twice = record_text(parse_plan(once))
     assert once == twice
+    assert serialize_plan(parse_plan(MINIMAL))["itinerary"][0]["activities"][0]["price"] == 120.0
 
 
 def test_unknown_fields_preserved():
     plan = parse_plan('{"people_number": 1, "start_city": "A", "target_city": "B",'
                       ' "itinerary": [], "note": "keep me"}')
     assert plan.extras == {"note": "keep me"}
-    assert '"note": "keep me"' in serialize_plan(plan)
+    assert serialize_plan(plan)["note"] == "keep me"
 
 
 # -- concept functions ---------------------------------------------------------
@@ -256,30 +265,99 @@ def test_serialize_random_plans_roundtrip(mini_dataset):
     rng = random.Random(7)
     for _ in range(20):
         plan = random_plan(mini_dataset, rng)
-        text = serialize_plan(plan)
-        again = serialize_plan(parse_plan(text))
-        assert text == again
+        text = record_text(plan)
+        assert record_text(parse_plan(text)) == text
 
 
-def test_packaged_schema_matches_parser_contract():
-    import json
-    from importlib import resources
+# -- the packaged schema states the parser's contract ----------------------------
 
-    schema = json.loads(
-        resources.files("tripsmith.plan").joinpath("plan_schema.json").read_text("utf-8")
-    )
-    assert set(schema["required"]) == {"people_number", "start_city",
-                                       "target_city", "itinerary"}
-    enum = schema["definitions"]["activity"]["properties"]["type"]["enum"]
-    from tripsmith.plan import ACTIVITY_TYPES
+SCHEMA = json.loads(
+    resources.files("tripsmith.plan").joinpath("plan_schema.json").read_text("utf-8")
+)
+JSON_TYPES = {str: "string", int: "integer"}    # any other FIELDS kind is a quantum
 
-    assert set(enum) == set(ACTIVITY_TYPES)
+
+def test_packaged_schema_types_every_field_as_the_parser_does():
+    definitions = SCHEMA["definitions"]
+    types = {key: spec["type"] for key, spec in definitions["fields"]["properties"].items()}
+    assert types == {key: JSON_TYPES.get(kind, "number") for key, kind in FIELDS.items()}
+    for record in ("activity", "leg"):
+        assert definitions[record]["allOf"] == [{"$ref": "#/definitions/fields"}]
+    activity = definitions["activity"]["properties"]
+    assert set(activity) == {"type", "transports"}
+    assert activity["type"]["enum"] == list(ACTIVITY_TYPES)
+    assert activity["transports"]["items"] == {"$ref": "#/definitions/leg"}
+
+
+def _full_document() -> dict:
+    """A plan with every property the schema names, at every level."""
+    fields = {key: {str: "x", int: 1}.get(kind, 1) for key, kind in FIELDS.items()}
+    activity = {**fields, "type": "train", "transports": [dict(fields)]}
+    return {"people_number": 1, "start_city": "A", "target_city": "B",
+            "itinerary": [{"day": 1, "activities": [activity]}]}
+
+
+def _level(document: dict, level: str) -> dict:
+    day = document["itinerary"][0]
+    return {"plan": document, "day": day, "activity": day["activities"][0],
+            "leg": day["activities"][0]["transports"][0]}[level]
+
+
+SCHEMA_LEVELS = {   # level -> (its properties, its required list)
+    "plan": (SCHEMA["properties"], SCHEMA["required"]),
+    "day": (SCHEMA["properties"]["itinerary"]["items"]["properties"],
+            SCHEMA["properties"]["itinerary"]["items"]["required"]),
+    "activity": ({**SCHEMA["definitions"]["fields"]["properties"],
+                  **SCHEMA["definitions"]["activity"]["properties"]},
+                 SCHEMA["definitions"]["activity"]["required"]),
+    "leg": (SCHEMA["definitions"]["fields"]["properties"],
+            SCHEMA["definitions"]["leg"].get("required", [])),
+}
+
+
+@pytest.mark.parametrize("level", sorted(SCHEMA_LEVELS))
+def test_packaged_schema_requires_what_the_parser_requires(level):
+    properties, required = SCHEMA_LEVELS[level]
+    assert set(_level(_full_document(), level)) == set(properties)
+    for key in properties:
+        document = _full_document()
+        del _level(document, level)[key]
+        if key in required:
+            with pytest.raises(SchemaError, match=f"missing mandatory field {key!r}"):
+                plan_from_obj(document)
+        else:
+            plan_from_obj(document)
+
+
+@pytest.mark.parametrize("key", sorted(FIELDS))
+@pytest.mark.parametrize("level", ["activity", "leg"])
+def test_null_or_mistyped_field_is_a_schema_error(key, level):
+    wrong = {str: 7}.get(FIELDS[key], "7")
+    for value in (None, wrong, True, [], {}):
+        document = _full_document()
+        _level(document, level)[key] = value
+        with pytest.raises(SchemaError, match=f"field {key!r} must be a "):
+            plan_from_obj(document)
+
+
+@pytest.mark.parametrize("key, value, detail", [
+    ("price", float("nan"), "must be finite"),
+    ("distance", float("inf"), "must be finite"),
+    ("cost", 1e30, "is out of range"),
+    ("tickets", 1.5, "must be an integer"),
+])
+def test_number_outside_its_kind_is_a_schema_error(key, value, detail):
+    document = _full_document()
+    _level(document, "activity")[key] = value
+    with pytest.raises(SchemaError, match=f"field {key!r} {detail}"):
+        plan_from_obj(document)
 
 
 # One activity record with every key a record accessor reads, the same keys
 # all None, and per accessor its value on the full record, on {} and on the
 # None record. An exception class means the call raises it: a None number or
-# station escapes as a Python error, not a DslEvalError.
+# station escapes as a Python error, not a DslEvalError. `plan_from_obj`
+# refuses the None record, so no parsed plan reaches those cells.
 FULL_RECORD = {
     "type": "train", "position": "Hotpot Palace", "start": "Alpha Station",
     "end": "Beta Station", "start_time": "06:30", "end_time": "08:10",
@@ -296,8 +374,8 @@ RECORD_ACCESSORS = {
     "activity_position": ("Hotpot Palace", "", None),
     "activity_type": ("train", "", None),
     "intercity_transport_type": ("train", "", None),
-    "activity_start_time": ("06:30", "", ""),
-    "activity_end_time": ("08:10", "", ""),
+    "activity_start_time": ("06:30", "", None),
+    "activity_end_time": ("08:10", "", None),
     "activity_transports": ([{"mode": "walk"}], [], TypeError),
     "intercity_transport_origin": ("Alpha", "", TypeError),
     "intercity_transport_destination": ("Beta", "", TypeError),

@@ -3,10 +3,10 @@
 Twelve sampled skeletons (easy and medium, every ordered city pair, one and
 two days) are searched with the heuristic ranker behind a node cap, so each
 outcome depends on the skeleton and the city set alone, never on the
-deadline. Each outcome - status, serialized plan, nodes expanded and
-constraints passed - must hash to its pin. A change that alters the search
-on purpose updates these pins and says why; a change that only makes the
-search cheaper must leave them alone.
+deadline. Each outcome - status, plan record, nodes expanded and constraints
+passed - must hash, as JSON text with sorted keys, to its pin. A change that
+alters the search on purpose updates these pins and says why; a change that
+only makes the search cheaper must leave them alone.
 """
 
 from __future__ import annotations
@@ -25,18 +25,18 @@ NODE_CAP = 150
 SKELETONS = 12
 
 PINS = {   # sha256 of [status, plan, nodes_expanded, constraints_passed]
-    0: "a6e34fdf172724090fa0544bb552fdf37053b1db6624a33a6ddf2568dad9fdcb",   # partial
-    1: "b107f8d7b189c8992c6703d857907bf177dcc2c41f1645ac42600c168e3a13d6",   # partial
-    2: "449bbd2850714288b235d2abffdbab0c856d7d0c26f54b7ba84d843b79ec5380",   # full_pass
-    3: "fc30ee12d524e80860915b13ea482a236feb77cfc7c016842cb4a53aa86ce165",   # partial
-    4: "681f6e1903bf207112998302fd9e192eb7ae8e6bd428956f2f5e5c1af733b535",   # partial
-    5: "53b81ad4ea679cea2c27147a64244d113cb51b20f840ce922937b4124c62b9fe",   # env_only_best
-    6: "3b4441fbe95b3345aaf9cd7cb7c048a64208376db41a03a325cc8e45806c0e58",   # partial
-    7: "97cbe5502ce3fdc60e2429319818fff2840cea3d12703b254ca4f9eb9fc48734",   # env_only_best
-    8: "f0abf868e99c8410c14be2133d581610c59f904a98e5612d834356284d827359",   # partial
-    9: "54a8d3ee9829a86220823ef7cdd4d8a107134c2be9501469f24ea768f76e10a7",   # partial
-    10: "93c837ea60ac8cc295ea936318e8f99b7cf2132ee4656decb2f660dc546c7f12",  # full_pass
-    11: "1c75ea5ee4658f20ca488d563f2c131db02073a01f2430f44d0e47c631cb7d38",  # env_only_best
+    0: "daad898f5ff43cdd3201aa55004496b6c8c1377454f187bf4c73383b5fc3ad72",   # partial
+    1: "07ceee65a0d9b6fb1a505bb65b3261356e14f28d8f8c093777e745a8b993a76d",   # partial
+    2: "6d55f01431f7808c27160307f677962c2faecb2109b64053bb1488c9586a6a64",   # full_pass
+    3: "f3b986811e98e4151366a657e7c1f2687f11620c302fa721b9674ee218458577",   # partial
+    4: "fe7b8665a7ebdc16e2d04a7b9fb361c439cc2859002531d6db3406b59cd2881c",   # partial
+    5: "c00e1126aab5b916dc859262ddff30f08556c37ca74e6d51a32c875edcf6d884",   # env_only_best
+    6: "b9f203d527a6f9ecd9f0b78dd8b875433eba0779abe7b055ce5090788ff685fc",   # partial
+    7: "1ca66909bfe2827e323a1c973005187d9a35557eaa71a97ce5ef7c790292458b",   # env_only_best
+    8: "c4ed83e1a253d6016ccd1092fd0d86678f9565c38c2cb4c4c000dffa7f97f919",   # partial
+    9: "5f4611fd5ee8f0df947b29b47dbe55aa1e4d56daad8c43b30e228cbec821853c",   # partial
+    10: "0297fc7324624503ed73857dc48459405b9a92595dd3b4f136fc02812746410f",  # full_pass
+    11: "4f32889dc37081fa42f73eba7efe7ab6125cb86831884c448097bb76d00efa89",  # env_only_best
 }
 
 
@@ -68,7 +68,7 @@ def _outcome(dataset, index: int) -> list:
 
 def test_synth_search_outcomes_match_their_pins(synth_dataset):
     outcomes = {index: _outcome(synth_dataset, index) for index in range(SKELETONS)}
-    digests = {index: hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+    digests = {index: hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()
                for index, outcome in outcomes.items()}
     assert digests == PINS
     # the pins cover every way a capped search that finds something can end
