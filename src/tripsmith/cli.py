@@ -112,16 +112,18 @@ def _read_queries(path, dataset) -> tuple[dict, list[CertifiedQuery]]:
     return header, queries
 
 
-def _make_ranker(args):
+def _ranker_factory(args):
+    """A fresh ranker for each query; a transcript is read and checked once, here."""
     if args.ranker == "heuristic":
-        return HeuristicRanker()
+        return lambda query: HeuristicRanker()
     if args.ranker == "replay":
         if not args.transcript:
             raise InputError("--transcript is required with --ranker replay")
-        return LlmRanker(ReplayTransport(args.transcript))
-    endpoint = LlmEndpoint(base_url=args.llm_url, model=args.llm_model,
-                           token_env=args.token_env)
-    return LlmRanker(HttpTransport(endpoint))
+        transport = ReplayTransport(args.transcript)
+    else:
+        transport = HttpTransport(LlmEndpoint(base_url=args.llm_url, model=args.llm_model,
+                                              token_env=args.token_env))
+    return lambda query: LlmRanker(transport)
 
 
 def cmd_plan(args, ranker_factory=None) -> int:
@@ -134,7 +136,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
     if not queries:
         raise InputError(f"{args.benchmark}: benchmark carries no queries")
     cfg = SearchConfig(budget_seconds=args.budget_secs)
-    factory = ranker_factory or (lambda query: _make_ranker(args))
+    factory = ranker_factory or _ranker_factory(args)
 
     results: list[dict] = []
     trace_rows: list[dict] = []

@@ -8,6 +8,12 @@ conditional expression. A `#` outside a string literal starts a comment that
 runs to the end of the line. Anything else - loops other than `for`, function
 definitions, imports, attribute access beyond `.append` - is rejected at parse
 time as outside the language.
+
+The parser, checker and interpreter recurse a few frames per nesting level,
+so a program nested past `MAX_NESTING` levels (open expressions, unary
+operators and blocks while parsing, then tree depth, which a long operator
+chain adds to) is a syntax error: the deepest accepted one runs well inside
+Python's default recursion limit, even at a search leaf.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from ..errors import DslSyntaxError
+
+MAX_NESTING = 50
 
 KEYWORDS = {"for", "in", "if", "else", "return", "not", "and", "or", "True", "False"}
 
@@ -226,6 +234,17 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """`parse()` one nesting level deeper; past MAX_NESTING the program is refused."""
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise DslSyntaxError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -331,12 +350,12 @@ class _Parser:
     def suite(self) -> list:
         # inline form: `if x: effect` on one line
         if not self.at("NEWLINE"):
-            return [self.statement()]
+            return [self.nested(self.statement)]
         self.advance()
         self.expect("INDENT")
         body = []
         while not self.at("DEDENT") and not self.at("EOF"):
-            body.append(self.statement())
+            body.append(self.nested(self.statement))
         self.expect("DEDENT")
         if not body:
             tok = self.peek()
@@ -355,6 +374,9 @@ class _Parser:
     # expressions --------------------------------------------------------
 
     def expression(self) -> Node:
+        return self.nested(self.conditional)
+
+    def conditional(self) -> Node:
         value = self.or_expr()
         if self.at("KEYWORD", "if"):
             tok = self.advance()
@@ -381,7 +403,7 @@ class _Parser:
     def not_expr(self) -> Node:
         if self.at("KEYWORD", "not"):
             tok = self.advance()
-            return UnaryOp("not", self.not_expr(), line=tok.line, col=tok.col)
+            return UnaryOp("not", self.nested(self.not_expr), line=tok.line, col=tok.col)
         return self.comparison()
 
     def comparison(self) -> Node:
@@ -412,10 +434,10 @@ class _Parser:
     def factor(self) -> Node:
         if self.at("OP", "-"):
             tok = self.advance()
-            return UnaryOp("-", self.factor(), line=tok.line, col=tok.col)
+            return UnaryOp("-", self.nested(self.factor), line=tok.line, col=tok.col)
         if self.at("OP", "+"):
             self.advance()
-            return self.factor()
+            return self.nested(self.factor)
         return self.atom()
 
     def atom(self) -> Node:
@@ -461,7 +483,24 @@ class _Parser:
                              tok.line, tok.col)
 
 
+def _check_height(program: Program) -> None:
+    """Refuse a tree with a path of more than MAX_NESTING nodes."""
+    stack = [(node, 1) for node in program.statements]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise DslSyntaxError(f"nested deeper than {MAX_NESTING} levels",
+                                 node.line, node.col)
+        for value in vars(node).values():
+            if isinstance(value, Node):
+                stack.append((value, depth + 1))
+            elif isinstance(value, tuple):
+                stack.extend((child, depth + 1) for child in value)
+
+
 def parse(source: str) -> Program:
     """Parse constraint source text into a Program; raises DslSyntaxError."""
-    return _Parser(tokenize(source)).parse_program()
+    program = _Parser(tokenize(source)).parse_program()
+    _check_height(program)
+    return program
 

@@ -9,14 +9,13 @@ a value, not an error: the caller simply samples another skeleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 from ..errors import InputError, PlanParseError, SchemaError
 from ..evaluation import evaluate_plan
-from ..plan.model import Plan, plan_from_obj, serialize_plan
+from ..plan.model import INTERCITY_TYPES, Plan, plan_from_obj, serialize_plan
 from ..sandbox import Dataset
 from ..search import FULL_PASS, HeuristicRanker, QueryContext, SearchConfig, dfs_search
-from .skeleton import QuerySkeleton
+from .skeleton import TERM_KINDS, QuerySkeleton
 from .templates import skeleton_to_dsl
 
 
@@ -60,32 +59,26 @@ class CertifiedQuery:
 
 
 def context_from_skeleton(skeleton: QuerySkeleton) -> QueryContext:
-    ctx = QueryContext(
-        origin=skeleton.origin,
-        target=skeleton.target,
-        days=skeleton.days,
-        people=skeleton.people,
-        raw_text=skeleton.describe(),
-    )
+    """What the search may exploit of a skeleton whose specs are typed."""
+    ctx = QueryContext(skeleton.origin, skeleton.target, skeleton.days, skeleton.people,
+                       raw_text=skeleton.describe())
+    terms = []
     for spec in skeleton.specs:
-        if spec.kind == "budget":
-            ctx.budget_limit = Decimal(str(spec.value))
-        elif spec.kind == "cuisine":
-            ctx.required_cuisines.append(str(spec.value))
-        elif spec.kind == "attraction_type":
-            ctx.required_attraction_types.append(str(spec.value))
-        elif spec.kind == "hotel_feature":
-            ctx.required_hotel_features.append(str(spec.value))
-        elif spec.kind == "specific_poi":
-            ctx.required_pois.append(str(spec.value))
+        if spec.kind in TERM_KINDS:
+            terms.append(spec.value)
+        elif spec.kind == "budget":
+            ctx.budget_limit = spec.value
         elif spec.kind == "transport_type":
-            if spec.value in ("train", "airplane"):
-                ctx.required_intercity_kind = str(spec.value)
+            if spec.value in INTERCITY_TYPES:
+                ctx.required_intercity_kind = spec.value
             else:
-                ctx.required_innercity_mode = str(spec.value)
+                ctx.required_innercity_mode = spec.value
         elif spec.kind == "rooms":
-            ctx.required_rooms = int(spec.value)
-            ctx.required_room_type = int(spec.extra["room_type"])
+            ctx.required_rooms = spec.value
+            ctx.required_room_type = spec.extra["room_type"]
+        else:
+            raise InputError(f"constraint kind {spec.kind!r} has no search context")
+    ctx.required_terms = tuple(terms)
     return ctx
 
 

@@ -12,9 +12,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from functools import partial
 
 from ..errors import InputError
-from ..sandbox import Dataset, intercity_select
+from ..plan.model import INTERCITY_TYPES
+from ..sandbox import MODES, Dataset, intercity_select
 
 EASY = "easy"
 MEDIUM = "medium"
@@ -28,6 +30,48 @@ CONSTRAINT_KINDS = (
     "rooms",
     "budget",
 )
+TRANSPORT_TYPES = INTERCITY_TYPES + MODES
+# kinds whose text value the planner looks for in candidate rows
+TERM_KINDS = ("cuisine", "attraction_type", "hotel_feature", "specific_poi")
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _budget(value) -> Decimal:
+    """A finite amount, given as a JSON number or as its text."""
+    try:
+        amount = Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"budget {value!r} is not a number") from None
+    if not amount.is_finite():
+        raise ValueError(f"budget {value!r} is not finite")
+    return amount
+
+
+def _transport(value) -> str:
+    if value not in TRANSPORT_TYPES:
+        raise ValueError(f"transport_type must be one of {', '.join(TRANSPORT_TYPES)}, "
+                         f"got {value!r}")
+    return value
+
+
+# kind -> reader of its value: every value reaches the planner typed
+_VALUES = {
+    "transport_type": _transport,
+    **{kind: partial(_text, f"{kind} value") for kind in TERM_KINDS},
+    "rooms": partial(_count, "rooms value"),
+    "budget": _budget,
+}
 
 
 @dataclass
@@ -37,28 +81,23 @@ class ConstraintSpec:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "value": _plain(self.value),
-                "extra": {k: _plain(v) for k, v in sorted(self.extra.items())}}
+        value = str(self.value) if isinstance(self.value, Decimal) else self.value
+        return {"kind": self.kind, "value": value, "extra": dict(self.extra)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ConstraintSpec":
-        value = raw["value"]
-        if raw["kind"] == "budget":
-            try:
-                value = Decimal(str(value))
-            except InvalidOperation:
-                raise ValueError(f"budget {value!r} is not a number") from None
-        elif raw["kind"] == "rooms":
-            value = int(value)
-        extra = {k: int(v) if k == "room_type" else v
-                 for k, v in raw.get("extra", {}).items()}
-        return cls(kind=raw["kind"], value=value, extra=extra)
-
-
-def _plain(value):
-    if isinstance(value, Decimal):
-        return str(value)
-    return value
+        """A spec whose value is typed by its kind; ValueError or KeyError if not."""
+        kind = raw["kind"]
+        if kind not in CONSTRAINT_KINDS:
+            raise ValueError(f"spec kind must be one of {', '.join(CONSTRAINT_KINDS)}, "
+                             f"got {kind!r}")
+        extra = raw.get("extra", {})
+        if not isinstance(extra, dict):
+            raise ValueError(f"{kind} extra must be an object, got {extra!r}")
+        value = _VALUES[kind](raw["value"])
+        if kind == "rooms":
+            extra = {**extra, "room_type": _count("room_type", extra["room_type"])}
+        return cls(kind=kind, value=value, extra=extra)
 
 
 @dataclass
@@ -70,29 +109,25 @@ class QuerySkeleton:
     specs: list[ConstraintSpec]
 
     def describe(self) -> str:
-        bits = [
-            f"Trip from {self.origin} to {self.target}",
-            f"{self.days} day(s), {self.people} traveller(s)",
-        ]
-        for spec in self.specs:
-            bits.append(f"{spec.kind}={spec.value}")
-        return "; ".join(bits)
+        return "; ".join([f"Trip from {self.origin} to {self.target}",
+                          f"{self.days} day(s), {self.people} traveller(s)",
+                          *(f"{spec.kind}={spec.value}" for spec in self.specs)])
 
     def as_dict(self) -> dict:
-        return {
-            "origin": self.origin,
-            "target": self.target,
-            "days": self.days,
-            "people": self.people,
-            "specs": [spec.as_dict() for spec in self.specs],
-        }
+        return {**vars(self), "specs": [spec.as_dict() for spec in self.specs]}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "QuerySkeleton":
+        """A skeleton with every field typed; ValueError or KeyError if not."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"skeleton must be an object, got {raw!r}")
+        specs = raw["specs"]
+        if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
+            raise ValueError(f"specs must be a list of objects, got {specs!r}")
         return cls(
-            origin=raw["origin"], target=raw["target"],
-            days=int(raw["days"]), people=int(raw["people"]),
-            specs=[ConstraintSpec.from_dict(s) for s in raw["specs"]],
+            origin=_text("origin", raw["origin"]), target=_text("target", raw["target"]),
+            days=_count("days", raw["days"]), people=_count("people", raw["people"]),
+            specs=[ConstraintSpec.from_dict(spec) for spec in specs],
         )
 
 
@@ -138,24 +173,36 @@ def sample_skeleton(
     origin: str | None = None,
     target: str | None = None,
 ) -> QuerySkeleton:
-    """Draw one skeleton; identical (dataset, difficulty, seed) => identical result."""
+    """Draw one skeleton; identical (dataset, difficulty, seed) => identical result.
+
+    A given `origin` or `target` is kept; a missing end is drawn from the
+    other loaded cities.
+    """
     if difficulty not in (EASY, MEDIUM):
         raise InputError(f"difficulty must be {EASY!r} or {MEDIUM!r}, got {difficulty!r}")
     cities = dataset.city_names
     if len(cities) < 2:
         raise InputError("need at least 2 loaded cities to sample queries")
+    for end, city in (("origin", origin), ("target", target)):
+        if city is not None and city not in dataset:
+            raise InputError(f"{end} {city!r} is not a loaded city")
+    if origin is not None and origin == target:
+        raise InputError(f"origin and target are both {origin!r}; a trip joins two cities")
     rng = random.Random(seed)
-    if origin is None or target is None:
+    if origin is None and target is None:
         origin, target = rng.sample(cities, 2)
+    elif origin is None:
+        origin = rng.choice([city for city in cities if city != target])
+    elif target is None:
+        target = rng.choice([city for city in cities if city != origin])
     days = rng.choice((1, 2))
     people = rng.randint(1, 4)
     want = 1 if difficulty == EASY else rng.randint(3, 5)
 
     db = dataset[target]
     specs: list[ConstraintSpec] = []
-    kinds = [k for k in CONSTRAINT_KINDS]
-    rng.shuffle(kinds)
-    pool = list(kinds)
+    pool = list(CONSTRAINT_KINDS)
+    rng.shuffle(pool)
     while len(specs) < want:
         if not pool:
             raise InputError(

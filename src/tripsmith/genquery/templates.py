@@ -7,6 +7,7 @@ literals so each query ships self-contained sources.
 from __future__ import annotations
 
 from ..errors import InputError
+from ..plan.model import INTERCITY_TYPES
 from .skeleton import ConstraintSpec, QuerySkeleton
 
 _BUDGET = """\
@@ -97,7 +98,7 @@ def spec_to_dsl(spec: ConstraintSpec) -> str:
     if spec.kind == "specific_poi":
         return _SPECIFIC_POI.format(value=spec.value)
     if spec.kind == "transport_type":
-        if spec.value in ("train", "airplane"):
+        if spec.value in INTERCITY_TYPES:
             return _INTERCITY_TYPE.format(value=spec.value)
         return _INNERCITY_MODE.format(value=spec.value)
     if spec.kind == "rooms":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
-from ..errors import TripsmithError
+from ..errors import InputError, TripsmithError
 
 
 class TransportError(TripsmithError):
@@ -77,17 +77,29 @@ class HttpTransport:
 
 
 class ReplayTransport:
-    """Serve replies recorded in a JSONL transcript, keyed by prompt hash."""
+    """Serve replies recorded in a JSONL transcript, keyed by prompt hash; a
+    missing file or a line that is not a JSON object with a string `hash` and
+    `reply` is an InputError."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
         self.replies: dict[str, str] = {}
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"transcript {self.path} cannot be read: {exc}") from None
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
                 record = json.loads(line)
-                self.replies[record["hash"]] = record["reply"]
+            except ValueError:
+                record = None
+            if not (isinstance(record, dict) and isinstance(record.get("hash"), str)
+                    and isinstance(record.get("reply"), str)):
+                raise InputError(f"{self.path}:{number}: transcript line is not a JSON "
+                                 "object with a string 'hash' and 'reply'")
+            self.replies[record["hash"]] = record["reply"]
 
     def complete(self, prompt: str) -> str:
         key = prompt_hash(prompt)

@@ -25,6 +25,7 @@ from decimal import Decimal, InvalidOperation
 
 from ..errors import PlanParseError, SchemaError
 from ..geo import DIST_QUANTUM
+from ..sandbox.fares import MONEY_QUANTUM
 
 ACTIVITY_TYPES = (
     "attraction",
@@ -37,8 +38,6 @@ ACTIVITY_TYPES = (
 )
 MEAL_TYPES = ("breakfast", "lunch", "dinner")
 INTERCITY_TYPES = ("train", "airplane")
-
-MONEY_QUANTUM = Decimal("0.01")
 
 # activity and transport-leg field -> str (text), int, or the quantum an amount
 # of money or distance is kept to

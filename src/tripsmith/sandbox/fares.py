@@ -17,6 +17,8 @@ from pathlib import Path
 from ..errors import LoadError
 
 MODES = ("walk", "metro", "taxi")
+# every money amount, in the sandbox and in a plan, is kept to this quantum
+MONEY_QUANTUM = Decimal("0.01")
 
 # rule -> test; is_finite() comes first because comparing a Decimal NaN raises
 _RULES = {

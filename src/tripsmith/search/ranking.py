@@ -57,7 +57,7 @@ class HeuristicRanker:
         self._pins: list = []
 
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
-        required = tuple(context.required_terms())
+        required = context.required_terms
         budgeted = context.budget_limit is not None
         if not required:
             return sorted(candidates, key=_candidate_price) if budgeted else list(candidates)

@@ -14,6 +14,7 @@ from tripsmith.plan.model import FIELDS
 from tripsmith.search import FULL_PASS, SearchConfig
 
 from .conftest import FIXTURES
+from .test_dsl import NESTING_FORMS
 
 MICRO = str(FIXTURES / "micro")
 
@@ -50,6 +51,28 @@ def test_generate_bad_difficulty_is_usage_error(tmp_path):
     code = run("generate", "--db", MICRO, "--difficulty", "impossible",
                "--out", str(tmp_path / "x.jsonl"))
     assert code == 2
+
+
+@pytest.mark.parametrize("ends", [("--origin", "Nope", "--target", "Beta"),
+                                  ("--target", "Nope"),
+                                  ("--origin", "Alpha", "--target", "Alpha")])
+def test_generate_refuses_bad_ends_before_any_search(tmp_path, capsys, monkeypatch, ends):
+    monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: pytest.fail("searched"))
+    out = tmp_path / "x.jsonl"
+    capsys.readouterr()
+    assert run("generate", "--db", MICRO, *ends, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_generate_keeps_a_lone_target(tmp_path):
+    out = tmp_path / "b.jsonl"
+    assert run("generate", "--db", MICRO, "--count", "3", "--seed", "5",
+               "--target", "Beta", "--out", str(out)) == 0
+    _, records = read_jsonl(out, "benchmark")
+    assert {(r["skeleton"]["origin"], r["skeleton"]["target"]) for r in records} \
+        == {("Alpha", "Beta")}
 
 
 def test_plan_and_eval_full_pipeline(tmp_path, bench):
@@ -142,6 +165,30 @@ def test_plan_replay_ranker_degrades_without_transcript(tmp_path, bench):
     _, records = read_jsonl(plans, "plans")
     assert all(r["status"] == "full_pass" for r in records)
     assert all(r["degradations"] >= 1 for r in records)
+
+
+@pytest.mark.parametrize("lines, where", [
+    (None, "cannot be read"),
+    (['{"hash": "a", "reply": "x"}', "", "{not json"], ":3: transcript line is not a JSON"),
+    (['{"hash": "a"}'], ":1: transcript line is not a JSON"),
+    (['{"reply": "x"}'], ":1: transcript line"),
+    (['{"hash": "a", "reply": 7}'], ":1: transcript line"),
+    (["[1]"], ":1: transcript line"),
+], ids=["missing", "not-json", "no-reply", "no-hash", "reply-number", "list"])
+def test_plan_refuses_a_bad_transcript_before_any_search(tmp_path, bench, capsys,
+                                                         monkeypatch, lines, where):
+    transcript = tmp_path / "transcript.jsonl"
+    if lines is not None:
+        transcript.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "dfs_search", lambda *args, **kwargs: pytest.fail("searched"))
+    plans = tmp_path / "plans.jsonl"
+    capsys.readouterr()
+    assert run("plan", "--benchmark", str(bench), "--db", MICRO, "--ranker", "replay",
+               "--transcript", str(transcript), "--out", str(plans)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(transcript) in err and where in err
+    assert err.count("\n") == 1
+    assert not plans.exists()
 
 
 def test_plan_replay_requires_transcript(tmp_path, bench):
@@ -456,8 +503,8 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
 
 
 @pytest.mark.parametrize("edit, detail", [
-    (lambda r: r["skeleton"].update(days="two"), "invalid literal for int()"),
-    (lambda r: r["skeleton"].update(people=None), "int() argument"),
+    (lambda r: r["skeleton"].update(days="two"), "days must be an integer >= 1, got 'two'"),
+    (lambda r: r["skeleton"].update(people=None), "people must be an integer >= 1, got None"),
     (lambda r: r["skeleton"]["specs"].append({"kind": "budget", "value": "lots"}),
      "budget 'lots' is not a number"),
     (lambda r: r["witness"].pop("itinerary"), "missing mandatory field 'itinerary'"),
@@ -488,6 +535,18 @@ def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, c
     assert detail in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.lp").exists()
+
+
+@pytest.mark.parametrize("form", NESTING_FORMS)
+def test_plan_refuses_a_program_nested_past_the_cap(tmp_path, bench, capsys, form):
+    bad = _edit_first_query(bench, tmp_path, lambda r: r.update(dsl=[NESTING_FORMS[form](400)]))
+    capsys.readouterr()
+    assert run("plan", "--benchmark", str(bad), "--db", MICRO,
+               "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: constraint does not check clean: ")
+    assert "nested deeper than" in err and err.count("\n") == 1
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["plan", "eval", "milp"])

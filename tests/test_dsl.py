@@ -11,8 +11,8 @@ from tripsmith.dsl import (
 )
 from tripsmith.dsl import interp
 from tripsmith.dsl.interp import evaluate
-from tripsmith.search import SearchConfig, dfs_search
-from tripsmith.errors import DslEvalError
+from tripsmith.search import FULL_PASS, SearchConfig, dfs_search
+from tripsmith.errors import DslEvalError, DslSyntaxError
 from tripsmith.plan import (
     CONCEPT_ALIASES,
     CONCEPT_REGISTRY,
@@ -217,6 +217,57 @@ def test_run_constraint_mixed(mini_dataset):
     outcomes = [run_constraint(source, plan, mini_dataset).passed
                 for source in (G.BUDGET, "return 1 == 2", "return 5")]
     assert outcomes == [True, False, False]
+
+
+# every way a program nests: each builds a program returning True at depth k
+NESTING_FORMS = {
+    "paren": lambda k: "return " + "(" * k + "True" + ")" * k,
+    "bracket": lambda k: "return " + "[" * k + "]" * k + " != 1",
+    "plus-paren": lambda k: "return " + "1 + (" * k + "1" + ")" * k + " > 0",
+    "call": lambda k: "return " + "uni(" * k + "[]" + ", [])" * k + " != 1",
+    "not": lambda k: "return " + "not " * (2 * (k // 2)) + "True",
+    "minus": lambda k: "return " + "- " * (2 * (k // 2)) + "1 > 0",
+    "chain": lambda k: "return " + " + ".join(["1"] * k) + " > 0",
+    "conditional": lambda k: "return " + "False if False else " * k + "True",
+    "blocks": lambda k: "".join("    " * i + "if True:\n" for i in range(k))
+                        + "    " * k + "x = 1\nreturn True\n",
+}
+
+
+def _deepest_accepted(make) -> int:
+    depth = 1
+    while True:
+        try:
+            parse(make(depth + 1))
+        except DslSyntaxError:
+            return depth
+        depth += 1
+
+
+@pytest.mark.parametrize("form", NESTING_FORMS)
+def test_nesting_past_the_cap_fails_the_check(form, mini_dataset):
+    source = NESTING_FORMS[form](400)
+    with pytest.raises(DslSyntaxError, match=f"nested deeper than {S.MAX_NESTING} levels"):
+        parse(source)
+    [diagnostic] = check_syntax(source)
+    assert diagnostic.severity == "error" and "nested deeper than" in diagnostic.message
+    outcome = run_constraint(source, parse_plan(MINIMAL), mini_dataset)
+    assert outcome.passed is False
+    assert [d.message for d in outcome.diagnostics] == [diagnostic.message]
+
+
+@pytest.mark.parametrize("form", NESTING_FORMS)
+def test_the_deepest_accepted_program_runs_at_a_search_leaf(form, micro_dataset):
+    """Parsing, checking and evaluating (at every leaf of a two-day search)
+    the deepest program the parser accepts stays under the default recursion
+    limit."""
+    depth = _deepest_accepted(NESTING_FORMS[form])
+    assert S.MAX_NESTING - 4 <= depth <= S.MAX_NESTING
+    source = NESTING_FORMS[form](depth)
+    assert check_syntax(source) == []
+    outcome = dfs_search([source], micro_dataset, None, SearchConfig(budget_seconds=60),
+                         micro_context(days=2))
+    assert outcome.status == FULL_PASS
 
 
 TOKENIZE_SOURCES = ["return True", "return 1 == 1", G.BUDGET]

@@ -140,6 +140,14 @@ def test_nl2dsl_recovers_after_feedback():
     assert session.clean
 
 
+def test_nl2dsl_feeds_back_a_reply_nested_past_the_cap():
+    replies = iter(["return " + "(" * 400 + "True" + ")" * 400, "return True"])
+    session = nl2dsl("anything", CallableTransport(lambda prompt: next(replies)))
+    assert [len(r.diagnostics) for r in session.rounds] == [1, 0]
+    assert "nested deeper than" in session.rounds[0].diagnostics[0].message
+    assert session.clean
+
+
 def test_nl2dsl_feedback_carries_diagnostics():
     prompts = []
 

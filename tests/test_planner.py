@@ -158,7 +158,7 @@ def test_heuristic_required_terms_first():
     candidates = [{"name": "x", "cuisinetype": "Noodles", "price": Decimal(1)},
                   {"name": "y", "cuisinetype": "Hotpot", "price": Decimal(2)},
                   {"name": "z", "cuisinetype": "Hotpot", "price": Decimal(3)}]
-    ctx = micro_context(required_cuisines=["Hotpot"])
+    ctx = micro_context(required_terms=("Hotpot",))
     ranked = ranker.rank(candidates, None, ctx)
     assert [c["name"] for c in ranked] == ["y", "z", "x"]
     assert sorted(map(id, ranked)) == sorted(map(id, candidates))  # permutation

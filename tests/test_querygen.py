@@ -25,6 +25,28 @@ def test_easy_has_exactly_one_spec(micro_dataset):
         assert len(skeleton.specs) == 1
 
 
+@pytest.mark.parametrize("end", ["origin", "target"])
+def test_a_lone_end_is_kept_and_the_other_drawn_from_the_rest(synth_dataset, end):
+    other = "target" if end == "origin" else "origin"
+    drawn = set()
+    for seed in range(20):
+        skeleton = sample_skeleton(synth_dataset, "easy", seed, **{end: "Arlen"})
+        assert getattr(skeleton, end) == "Arlen"
+        drawn.add(getattr(skeleton, other))
+    assert drawn == {"Brisa", "Corvo"}
+
+
+@pytest.mark.parametrize("ends, message", [
+    ({"origin": "Nope"}, "origin 'Nope' is not a loaded city"),
+    ({"origin": "Nope", "target": "Beta"}, "origin 'Nope' is not a loaded city"),
+    ({"origin": "Alpha", "target": "Nope"}, "target 'Nope' is not a loaded city"),
+    ({"origin": "Alpha", "target": "Alpha"}, "origin and target are both 'Alpha'"),
+])
+def test_an_unknown_or_repeated_end_is_an_input_error(micro_dataset, ends, message):
+    with pytest.raises(InputError, match=message):
+        sample_skeleton(micro_dataset, "easy", 0, **ends)
+
+
 def test_medium_has_three_to_five_specs(micro_dataset):
     for seed in range(10):
         skeleton = sample_skeleton(micro_dataset, "medium", seed)
@@ -131,7 +153,7 @@ def test_context_from_skeleton_maps_specs(micro_dataset):
     ]
     ctx = context_from_skeleton(skeleton)
     assert ctx.budget_limit == 4000
-    assert ctx.required_cuisines == ["Hotpot"]
+    assert ctx.required_terms == ("Hotpot",)
     assert ctx.required_intercity_kind == "train"
     assert ctx.required_rooms == 1 and ctx.required_room_type == 2
 

@@ -39,7 +39,7 @@ def _price(candidate) -> Decimal:
 
 
 def reference_rank(candidates: list, context: QueryContext) -> list:
-    required = context.required_terms()
+    required = context.required_terms
     ordered = list(candidates)
     if required:
         matching, rest = [], []
@@ -75,12 +75,9 @@ def _contexts(dataset) -> dict[str, QueryContext]:
     db = dataset["Beta"]
     ctx = QueryContext("Alpha", "Beta", 1, 2)
     routes = (return_routes(dataset, ctx)[-1], outbound_routes(dataset, ctx)[-1])
-    terms = {
-        "required_cuisines": [db.restaurants[-1]["cuisinetype"]],
-        "required_attraction_types": [db.attractions[-1]["type"]],
-        "required_hotel_features": [db.hotels[-1]["featurehoteltype"]],
-        "required_pois": [route.id for route in routes],
-    }
+    terms = {"required_terms": (db.restaurants[-1]["cuisinetype"], db.attractions[-1]["type"],
+                                db.hotels[-1]["featurehoteltype"],
+                                *(route.id for route in routes))}
     budget = {"budget_limit": Decimal("5000")}
     return {
         "none": QueryContext("Alpha", "Beta", 1, 2),
@@ -107,7 +104,7 @@ def test_rank_matches_partition_then_sort(kind, fixture):
 @pytest.mark.parametrize("fixture", ["micro", "mini"])
 def test_the_terms_hit_rows_of_every_table(fixture):
     dataset = load_dataset(FIXTURES / fixture)
-    required = _contexts(dataset)["terms"].required_terms()
+    required = _contexts(dataset)["terms"].required_terms
     for table, rows in _tables(dataset).items():
         assert any(req in term for row in rows for req in required for term in _terms(row)), \
             table
@@ -123,7 +120,7 @@ def test_one_ranker_follows_each_query():
         assert got == want
     # the same context object, given a new term and a budget between two calls
     ctx = QueryContext("Alpha", "Beta", 1, 2)
-    for change in ({}, {"required_cuisines": [rows[-1]["cuisinetype"]]},
+    for change in ({}, {"required_terms": (rows[-1]["cuisinetype"],)},
                    {"budget_limit": Decimal("100")}):
         for field, value in change.items():
             setattr(ctx, field, value)
@@ -150,7 +147,7 @@ def test_a_freed_row_never_lends_its_key_to_a_new_one():
     `id()` without its row, a new row at a freed address would take it."""
     base = _tables(load_dataset(FIXTURES / "mini"))["restaurants"]
     ctx = QueryContext("Alpha", "Beta", 1, 2, budget_limit=Decimal("100"),
-                       required_cuisines=[base[0]["cuisinetype"]])
+                       required_terms=(base[0]["cuisinetype"],))
     ranker = HeuristicRanker()
     for turn in range(20):
         rows = [dict(row, price=Decimal((index * 7 + turn * 3) % 5))
@@ -167,7 +164,7 @@ def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
     filling the key memo."""
     dataset = load_dataset(FIXTURES / "mini")
     ctx = _contexts(dataset)[kind]
-    assert not ctx.required_terms()
+    assert not ctx.required_terms
 
     def refuse(candidate):
         raise AssertionError("terms read for a query that names none")
@@ -187,7 +184,7 @@ def test_equal_contexts_share_their_keys(monkeypatch):
     dataset = load_dataset(FIXTURES / "mini")
     first = _contexts(dataset)["both"]
     second = _contexts(dataset)["both"]
-    assert second is not first and second.required_terms() == first.required_terms()
+    assert second is not first and second.required_terms == first.required_terms
     ranker = HeuristicRanker()
     tables = _tables(dataset)
     for rows in tables.values():
@@ -207,14 +204,14 @@ def test_equal_contexts_share_their_keys(monkeypatch):
 def test_a_context_whose_terms_change_is_keyed_anew(monkeypatch):
     dataset = load_dataset(FIXTURES / "mini")
     rows = _tables(dataset)["restaurants"]
-    ctx = QueryContext("Alpha", "Beta", 1, 2, required_cuisines=[rows[0]["cuisinetype"]])
+    ctx = QueryContext("Alpha", "Beta", 1, 2, required_terms=(rows[0]["cuisinetype"],))
     ranker = HeuristicRanker()
     got, want = _ids(ranker, rows, ctx)
     assert got == want
     read = []
     monkeypatch.setattr(ranking, "_candidate_terms",
                         lambda candidate: read.append(candidate) or _terms(candidate))
-    for change in ({"required_cuisines": [rows[-1]["cuisinetype"]]},
+    for change in ({"required_terms": (rows[-1]["cuisinetype"],)},
                    {"budget_limit": Decimal("100")}):
         for field, value in change.items():
             setattr(ctx, field, value)

@@ -256,3 +256,18 @@ def test_dataset_loads_both_cities():
     ds = load_dataset(FIXTURES / "mini")
     assert ds.city_names == ["Alpha", "Beta"]
     assert "Alpha" in ds and "Beta" in ds
+
+
+def test_each_quantum_is_spelled_once_in_the_package():
+    """Fares and plans round money to one quantum, and distances to another."""
+    import tripsmith
+    from tripsmith import geo
+    from tripsmith.plan import model
+    from tripsmith.sandbox import fares, transport
+
+    assert model.MONEY_QUANTUM is transport.MONEY_QUANTUM is fares.MONEY_QUANTUM
+    assert model.DIST_QUANTUM is geo.DIST_QUANTUM
+    root = Path(tripsmith.__file__).parent
+    for literal in ('Decimal("0.01")', 'Decimal("0.001")'):
+        homes = [path.name for path in root.rglob("*.py") if literal in path.read_text()]
+        assert len(homes) == 1, (literal, homes)
