@@ -1,4 +1,4 @@
-"""Constraint DSL: parser, static checker and interpreter."""
+"""Constraint DSL: parser, static checker and closure compiler."""
 
 from .check import (
     Diagnostic,

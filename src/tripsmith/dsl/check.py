@@ -10,12 +10,15 @@
 
 Each program is checked once: `check_source` parses it and returns the
 Program only when no diagnostic is an error, the precondition for evaluation;
-callers run that Program as often as they need without parsing it again.
+callers run that Program as often as they need without parsing it again. All
+callers share an LRU cache of the last `CHECK_CACHE_SIZE` texts checked, so a
+repeated text is parsed and compiled once; each gets its own diagnostics list.
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 from dataclasses import dataclass
 
 from ..errors import DslSyntaxError
@@ -24,6 +27,8 @@ from . import syntax as S
 
 # names bound by the runtime before the first statement executes
 PREBOUND_NAMES = ("plan",)
+
+CHECK_CACHE_SIZE = 128     # generated queries repeat a few dozen template texts
 
 
 @dataclass(frozen=True)
@@ -139,13 +144,13 @@ class _Checker:
         return False
 
 
-def check_source(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
-    """(program, diagnostics) of one source; the program is None unless clean."""
+@functools.lru_cache(maxsize=CHECK_CACHE_SIZE)
+def _checked(source: str) -> tuple[S.Program | None, tuple[Diagnostic, ...]]:
     try:
         program = S.parse(source)
     except DslSyntaxError as exc:
-        return None, [Diagnostic("error", exc.line, exc.col, str(exc),
-                                 hint="fix the syntax before anything else is checked")]
+        return None, (Diagnostic("error", exc.line, exc.col, str(exc),
+                                 hint="fix the syntax before anything else is checked"),)
     checker = _Checker()
     checker.block(program.statements, set(PREBOUND_NAMES))
     if not checker.always_returns(program.statements):
@@ -153,7 +158,13 @@ def check_source(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
         checker.error(last, "program can finish without reaching a return",
                       hint="end with `return <expression>`")
     diagnostics = checker.diagnostics
-    return (program if is_clean(diagnostics) else None), diagnostics
+    return (program if is_clean(diagnostics) else None), tuple(diagnostics)
+
+
+def check_source(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
+    """(program, diagnostics) of one source; the program is None unless clean."""
+    program, diagnostics = _checked(source)
+    return program, list(diagnostics)
 
 
 def check_syntax(source: str) -> list[Diagnostic]:

@@ -1,10 +1,13 @@
-"""Closed tree-walking interpreter for constraint programs.
+"""Compiler of constraint programs into closures, and the one way to run them.
 
-Programs are never handed to a general-purpose compiler: evaluation happens
-entirely inside this module, with strict typing (numbers are not truthy,
-division by zero is an error) and deterministic results. Numbers are Decimals;
-division rounds to 6 fractional digits, all other arithmetic is exact. Every
-call, builtin or concept, is resolved and arity-checked by `concept()`.
+Programs never reach a general-purpose compiler (no `exec`, no `eval`): the
+first `evaluate` of a Program turns each node into one closure over its
+children's and keeps the result on the Program; each call site is bound to
+its `FUNCTIONS` implementation then. Evaluation is strictly typed (numbers are
+not truthy, division by zero is an error) and deterministic. Numbers are
+Decimals; division rounds to 6 fractional digits, all other arithmetic is
+exact. A runtime error is a `DslEvalError` at its node's (line, col); a
+concept's own error is placed at its call.
 
 Each program is checked once (`check_source`); `run_program` then decides
 pass/fail for the search and the evaluator alike: only a boolean True passes,
@@ -13,16 +16,20 @@ and a runtime error or a non-boolean result fails the plan, not the run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import partial
 
 from ..errors import DslEvalError
-from ..plan.concepts import ConceptContext, concept, type_name
+from ..plan.concepts import ConceptContext, resolve, type_name
 from ..plan.model import Plan
 from . import syntax as S
 from .check import Diagnostic, check_source
 
 DIV_SCALE = Decimal("0.000001")
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ORDER = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 class _Returned(Exception):
@@ -42,6 +49,14 @@ def _require_number(value, node, op: str) -> Decimal:
         raise DslEvalError(f"operator {op!r} needs numbers, got {type_name(value)}",
                            node.line, node.col)
     return value
+
+
+def _lookup(env: dict, name: str, node):
+    try:
+        return env[name]
+    except KeyError:
+        raise DslEvalError(f"variable {name!r} is not assigned",
+                           node.line, node.col) from None
 
 
 def _scalar_key(value):
@@ -71,139 +86,156 @@ def _equal(a, b) -> bool:
     return a == b
 
 
-class _Interpreter:
-    def __init__(self, plan: Plan, dataset):
-        self.env: dict = {"plan": plan}
-        self.ctx = ConceptContext(plan, dataset)
+# Compiled nodes are closures, or functions with their node and children bound
+# by `partial`, of (env, ctx): the variables and the ConceptContext. A
+# statement returns nothing; `return` raises _Returned.
 
-    def run(self, program: S.Program):
-        try:
-            self.block(program.statements)
-        except _Returned as ret:
-            return ret.value
-        raise DslEvalError("program finished without returning a value")
+def _refused(message: str, ctx, *args):
+    raise DslEvalError(message)
 
-    def block(self, statements) -> None:
-        for stmt in statements:
-            self.statement(stmt)
 
-    def statement(self, stmt) -> None:
-        if isinstance(stmt, S.Assign):
-            value = self.eval(stmt.value)
-            if stmt.augmented:
-                current = self.lookup(stmt.target, stmt)
-                lhs = _require_number(current, stmt, "+=")
-                rhs = _require_number(value, stmt, "+=")
-                value = lhs + rhs
-            self.env[stmt.target] = value
-        elif isinstance(stmt, S.Append):
-            target = self.lookup(stmt.target, stmt)
-            if not isinstance(target, list):
-                raise DslEvalError(f"append target must be a list, got {type_name(target)}",
-                                   stmt.line, stmt.col)
-            target.append(self.eval(stmt.value))
-        elif isinstance(stmt, S.Return):
-            raise _Returned(self.eval(stmt.value))
-        elif isinstance(stmt, S.For):
-            items = _as_collection(self.eval(stmt.iterable), stmt, "loop collection")
-            for item in list(items):
-                self.env[stmt.var] = item
-                self.block(stmt.body)
-        elif isinstance(stmt, S.If):
-            cond = _require_bool(self.eval(stmt.cond), stmt, "if condition")
-            if cond:
-                self.block(stmt.body)
-            elif stmt.orelse:
-                self.block(stmt.orelse)
-        else:
-            raise TypeError(f"unhandled statement {type(stmt).__name__}")
+def _values(items: tuple, env: dict, ctx) -> list:
+    # a loop: a list comprehension is a function call of its own before 3.12
+    values = []
+    for item in items:
+        values.append(item(env, ctx))
+    return values
 
-    def lookup(self, name: str, node):
-        try:
-            return self.env[name]
-        except KeyError:
-            raise DslEvalError(f"variable {name!r} is not assigned",
-                               node.line, node.col) from None
 
-    def call(self, node: S.Call):
-        args = [self.eval(arg) for arg in node.args]
-        try:
-            return concept(node.func, args, self.ctx)
-        except DslEvalError as exc:
-            raise DslEvalError(str(exc), node.line, node.col) from None
+def _call(node: S.Call, impl, args: tuple, env: dict, ctx):
+    values = _values(args, env, ctx)
+    try:
+        return impl(ctx, *values)
+    except DslEvalError as exc:
+        raise DslEvalError(str(exc), node.line, node.col) from None
 
-    def eval(self, node):
-        if isinstance(node, (S.Num, S.Str, S.Bool)):
-            return node.value
-        if isinstance(node, S.Name):
-            return self.lookup(node.id, node)
-        if isinstance(node, S.ListLit):
-            return [self.eval(item) for item in node.items]
-        if isinstance(node, S.Call):
-            return self.call(node)
-        if isinstance(node, S.UnaryOp):
-            value = self.eval(node.operand)
-            if node.op == "not":
-                return not _require_bool(value, node, "operand of 'not'")
-            return -_require_number(value, node, "-")
-        if isinstance(node, S.BinOp):
-            return self.binop(node)
-        if isinstance(node, S.Compare):
-            return self.compare(node)
-        if isinstance(node, S.IfExp):
-            cond = _require_bool(self.eval(node.cond), node, "conditional-expression test")
-            return self.eval(node.then) if cond else self.eval(node.orelse)
-        raise TypeError(f"unhandled node {type(node).__name__}")
 
-    def binop(self, node: S.BinOp):
-        if node.op in ("and", "or"):
-            left = _require_bool(self.eval(node.left), node, f"operand of {node.op!r}")
-            if node.op == "and" and not left:
-                return False
-            if node.op == "or" and left:
-                return True
-            return _require_bool(self.eval(node.right), node, f"operand of {node.op!r}")
-        left = _require_number(self.eval(node.left), node, node.op)
-        right = _require_number(self.eval(node.right), node, node.op)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right == 0:
-            raise DslEvalError("division by zero", node.line, node.col)
-        return (left / right).quantize(DIV_SCALE, rounding=ROUND_HALF_EVEN)
+def _divide(node: S.BinOp, left, right, env: dict, ctx):
+    dividend = _require_number(left(env, ctx), node, "/")
+    divisor = _require_number(right(env, ctx), node, "/")
+    if divisor == 0:
+        raise DslEvalError("division by zero", node.line, node.col)
+    return (dividend / divisor).quantize(DIV_SCALE, rounding=ROUND_HALF_EVEN)
 
-    def compare(self, node: S.Compare):
-        left = self.eval(node.left)
-        right = self.eval(node.right)
-        if node.op == "in":
-            items = _as_collection(right, node, "right operand of 'in'")
-            return any(_equal(left, item) for item in items)
-        if node.op == "==":
-            return _equal(left, right)
-        if node.op == "!=":
-            return not _equal(left, right)
-        both_numbers = isinstance(left, Decimal) and isinstance(right, Decimal)
-        both_text = isinstance(left, str) and isinstance(right, str)
-        if not (both_numbers or both_text):
-            raise DslEvalError(
-                f"cannot order {type_name(left)} and {type_name(right)} with {node.op!r}",
-                node.line, node.col,
-            )
-        if node.op == "<":
-            return left < right
-        if node.op == ">":
-            return left > right
-        if node.op == "<=":
-            return left <= right
-        return left >= right
+
+def _ordered(node: S.Compare, left, right, env: dict, ctx):
+    a, b = left(env, ctx), right(env, ctx)
+    if not (isinstance(a, Decimal) and isinstance(b, Decimal)
+            or isinstance(a, str) and isinstance(b, str)):
+        raise DslEvalError(f"cannot order {type_name(a)} and {type_name(b)} with {node.op!r}",
+                           node.line, node.col)
+    return _ORDER[node.op](a, b)
+
+
+def _expression(node):
+    match node:
+        case S.Num() | S.Str() | S.Bool():
+            return lambda env, ctx: node.value
+        case S.Name():
+            return lambda env, ctx: _lookup(env, node.id, node)
+        case S.ListLit():
+            return partial(_values, tuple(map(_expression, node.items)))
+        case S.Call():
+            args = tuple(map(_expression, node.args))
+            try:
+                impl = resolve(node.func, len(args))
+            except DslEvalError as exc:     # raised where the call runs, after its arguments
+                impl = partial(_refused, str(exc))
+            return partial(_call, node, impl, args)
+        case S.UnaryOp():
+            operand, op = _expression(node.operand), node.op
+            if op == "not":
+                return lambda env, ctx: not _require_bool(operand(env, ctx), node,
+                                                          "operand of 'not'")
+            return lambda env, ctx: -_require_number(operand(env, ctx), node, op)
+        case S.IfExp():
+            cond, then, orelse = map(_expression, (node.cond, node.then, node.orelse))
+            test = "conditional-expression test"
+            return lambda env, ctx: (
+                then if _require_bool(cond(env, ctx), node, test) else orelse)(env, ctx)
+    # a BinOp or a Compare
+    left, right, op = _expression(node.left), _expression(node.right), node.op
+    if op in ("and", "or"):
+        what, decisive = f"operand of {op!r}", op == "or"    # decisive: decides alone
+        return lambda env, ctx: (
+            decisive if _require_bool(left(env, ctx), node, what) is decisive
+            else _require_bool(right(env, ctx), node, what))
+    if op in _ARITHMETIC:
+        return lambda env, ctx: _ARITHMETIC[op](_require_number(left(env, ctx), node, op),
+                                                _require_number(right(env, ctx), node, op))
+    if op == "in":
+        return lambda env, ctx: any(map(partial(_equal, left(env, ctx)), _as_collection(
+            right(env, ctx), node, "right operand of 'in'")))
+    if op == "==":
+        return lambda env, ctx: _equal(left(env, ctx), right(env, ctx))
+    if op == "!=":
+        return lambda env, ctx: not _equal(left(env, ctx), right(env, ctx))
+    return partial(_divide if op == "/" else _ordered, node, left, right)
+
+
+def _assign(stmt: S.Assign, value, env: dict, ctx) -> None:
+    result = value(env, ctx)
+    if stmt.augmented:
+        current = _lookup(env, stmt.target, stmt)
+        result = _require_number(current, stmt, "+=") + _require_number(result, stmt, "+=")
+    env[stmt.target] = result
+
+
+def _append(stmt: S.Append, value, env: dict, ctx) -> None:
+    target = _lookup(env, stmt.target, stmt)
+    if not isinstance(target, list):
+        raise DslEvalError(f"append target must be a list, got {type_name(target)}",
+                           stmt.line, stmt.col)
+    target.append(value(env, ctx))
+
+
+def _return(value, env: dict, ctx):
+    raise _Returned(value(env, ctx))
+
+
+def _loop(stmt: S.For, iterable, body, env: dict, ctx) -> None:
+    for item in list(_as_collection(iterable(env, ctx), stmt, "loop collection")):
+        env[stmt.var] = item
+        body(env, ctx)
+
+
+def _run(steps: tuple, env: dict, ctx) -> None:
+    for step in steps:
+        step(env, ctx)
+
+
+def _block(statements):
+    steps = tuple(map(_statement, statements))
+    return steps[0] if len(steps) == 1 else partial(_run, steps)
+
+
+def _statement(stmt):
+    match stmt:
+        case S.Assign():
+            return partial(_assign, stmt, _expression(stmt.value))
+        case S.Append():
+            return partial(_append, stmt, _expression(stmt.value))
+        case S.Return():
+            return partial(_return, _expression(stmt.value))
+        case S.For():
+            return partial(_loop, stmt, _expression(stmt.iterable), _block(stmt.body))
+    cond, body, orelse = _expression(stmt.cond), _block(stmt.body), _block(stmt.orelse)
+    return lambda env, ctx: (
+        body if _require_bool(cond(env, ctx), stmt, "if condition") else orelse)(env, ctx)
 
 
 def evaluate(program: S.Program, plan: Plan, db=None):
-    """Evaluate a checked program against (plan, dataset); returns its value."""
-    return _Interpreter(plan, db).run(program)
+    """Evaluate a program against (plan, dataset); returns its value.
+
+    The first evaluation compiles the program and keeps the result on it.
+    """
+    if program.compiled is None:
+        object.__setattr__(program, "compiled", _block(program.statements))
+    try:
+        program.compiled({"plan": plan}, ConceptContext(plan, db))
+    except _Returned as ret:
+        return ret.value
+    raise DslEvalError("program finished without returning a value")
 
 
 def evaluate_source(source: str, plan: Plan, db=None):

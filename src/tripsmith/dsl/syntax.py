@@ -9,10 +9,10 @@ runs to the end of the line. Anything else - loops other than `for`, function
 definitions, imports, attribute access beyond `.append` - is rejected at parse
 time as outside the language.
 
-The parser, checker and interpreter recurse a few frames per nesting level,
-so a program nested past `MAX_NESTING` levels (open expressions, unary
-operators and blocks while parsing, then tree depth, which a long operator
-chain adds to) is a syntax error: the deepest accepted one runs well inside
+The parser, the checker, the compiler and the compiled program recurse a few
+frames per nesting level, so a program nested past `MAX_NESTING` levels (open
+expressions, unary operators and blocks while parsing, then tree depth, which
+a long operator chain adds to) is a syntax error: the deepest accepted one runs well inside
 Python's default recursion limit, even at a search leaf.
 """
 
@@ -228,6 +228,8 @@ class Return(Node):
 @dataclass(frozen=True)
 class Program:
     statements: tuple
+    # the closure `dsl.interp.evaluate` compiles on first use, kept for every later one
+    compiled: object = field(default=None, compare=False, repr=False)
 
 
 class _Parser:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..dsl import check_source
 from ..errors import InputError, PlanParseError, SchemaError
 from ..evaluation import evaluate_plan
 from ..plan.model import INTERCITY_TYPES, Plan, plan_from_obj, serialize_plan
@@ -38,6 +39,7 @@ class CertifiedQuery:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CertifiedQuery":
+        """A record whose fields are typed and programs check clean; InputError if not."""
         if not isinstance(raw, dict):
             raise InputError("benchmark record is not a JSON object")
         try:
@@ -49,6 +51,11 @@ class CertifiedQuery:
             dsl = raw["dsl"]
             if not (isinstance(dsl, list) and all(isinstance(source, str) for source in dsl)):
                 raise ValueError("dsl must be a list of program texts")
+            for number, source in enumerate(dsl, 1):
+                program, diagnostics = check_source(source)
+                if program is None:
+                    first = next(d for d in diagnostics if d.severity == "error")
+                    raise ValueError(f"constraint {number}: {first.render()}")
             return cls(uid=uid, skeleton=skeleton, dsl_sources=list(dsl),
                        witness=plan_from_obj(raw["witness"]), text=raw.get("text", ""))
         except KeyError as exc:

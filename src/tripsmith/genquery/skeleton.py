@@ -36,8 +36,11 @@ TERM_KINDS = ("cuisine", "attraction_type", "hotel_feature", "specific_poi")
 
 
 def _text(name: str, value) -> str:
+    """A string without NUL, on which the ranker joins a row's terms."""
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
+    if "\0" in value:
+        raise ValueError(f"{name} must not contain a NUL character, got {value!r}")
     return value
 
 

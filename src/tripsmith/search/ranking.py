@@ -48,12 +48,15 @@ class HeuristicRanker:
     by a stable price sort. A query that names no required term needs no
     memo: every row misses, so the order is the price order under a budget
     and the input order otherwise. Two contexts with equal terms and budget
-    use share their keys. Keys are held by `id()`, and every keyed row is
-    kept in `_pins`, so no id is reused while the ranker lives.
+    use share their keys. Each row's key is kept as its ordinal among the
+    distinct keys, so a call sorts ints; a new key value renumbers them. Keys
+    are held by `id()`, and every keyed row is kept in `_pins`, so no id is
+    reused while the ranker lives.
     """
 
     def __init__(self):
-        self._keys: dict[tuple, dict[int, object]] = {}
+        # (terms, budget use) -> (ordinal by row id, row ids by key value)
+        self._keys: dict[tuple, tuple[dict[int, int], dict[object, list[int]]]] = {}
         self._pins: list = []
 
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
@@ -61,15 +64,25 @@ class HeuristicRanker:
         budgeted = context.budget_limit is not None
         if not required:
             return sorted(candidates, key=_candidate_price) if budgeted else list(candidates)
-        keys = self._keys.setdefault((required, budgeted), {})
-        ranks = list(map(keys.get, map(id, candidates)))
+        ordinals, rows_by_key = self._keys.setdefault((required, budgeted), ({}, {}))
+        ranks = list(map(ordinals.get, map(id, candidates)))
         if None in ranks:
-            for index, candidate in enumerate(candidates):
-                if ranks[index] is None:
-                    terms = _candidate_terms(candidate)
-                    miss = not any(req in term for req in required for term in terms)
-                    rank = (_candidate_price(candidate), miss) if budgeted else miss
-                    keys[id(candidate)] = ranks[index] = rank
+            renumber = False
+            for candidate, rank in zip(candidates, ranks):
+                if rank is None:
+                    # a required term holds no "\0" (the skeleton refuses it), so
+                    # it is in the joined terms exactly when it is in one of them
+                    joined = "\0".join(_candidate_terms(candidate))
+                    miss = not any(req in joined for req in required)
+                    key = (_candidate_price(candidate), miss) if budgeted else miss
+                    rows = rows_by_key.setdefault(key, [])
+                    renumber = renumber or not rows
+                    ordinals[id(candidate)] = ordinals[rows[0]] if rows else -1
+                    rows.append(id(candidate))
                     self._pins.append(candidate)
+            if renumber:
+                for ordinal, key in enumerate(sorted(rows_by_key)):
+                    ordinals.update(dict.fromkeys(rows_by_key[key], ordinal))
+            ranks = list(map(ordinals.__getitem__, map(id, candidates)))
         order = sorted(range(len(ranks)), key=ranks.__getitem__)
         return list(map(candidates.__getitem__, order))

@@ -240,6 +240,8 @@ def schedule_return(
     ctx: QueryContext,
 ) -> SearchState | None:
     """Last activity: ride home; rejected when the departure cannot be caught."""
+    if route.begin < state.clock:
+        return None     # no transfer arrives before the clock
     mode = pick_mode(db, state.position, route.from_station, ctx)
     if arrival_minute(db, state.position, route.from_station, state.clock, mode) > route.begin:
         return None

@@ -519,10 +519,12 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
     (lambda r: r.update(uid=7), "uid must be"),
     (lambda r: r.update(dsl=[1]), "dsl must be a list of program texts"),
     (lambda r: r.update(dsl="return True"), "dsl must be a list of program texts"),
+    (lambda r: r.update(dsl=["return True", "return ("]),
+     "constraint 2: <dsl>:1:9: error: expected an expression, found 'NEWLINE'"),
 ], ids=["days-text", "people-null", "budget-text", "witness-no-itinerary", "witness-list",
         "witness-start-null",
         "uid-path", "uid-backslash", "uid-dotdot", "uid-nul", "uid-empty", "uid-number",
-        "dsl-number", "dsl-text"])
+        "dsl-number", "dsl-text", "dsl-unclean"])
 @pytest.mark.parametrize("command", ["plan", "eval", "milp"])
 def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, capsys,
                                                   command, edit, detail):
@@ -540,11 +542,12 @@ def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, c
 @pytest.mark.parametrize("form", NESTING_FORMS)
 def test_plan_refuses_a_program_nested_past_the_cap(tmp_path, bench, capsys, form):
     bad = _edit_first_query(bench, tmp_path, lambda r: r.update(dsl=[NESTING_FORMS[form](400)]))
+    uid = json.loads(bad.read_text().splitlines()[1])["uid"]
     capsys.readouterr()
     assert run("plan", "--benchmark", str(bad), "--db", MICRO,
                "--out", str(tmp_path / "p.jsonl")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: constraint does not check clean: ")
+    assert err.startswith(f"error: benchmark record {uid!r}: constraint 1: <dsl>:")
     assert "nested deeper than" in err and err.count("\n") == 1
     assert not (tmp_path / "p.jsonl").exists()
 

@@ -9,7 +9,7 @@ from tripsmith.dsl import (
     parse,
     run_constraint,
 )
-from tripsmith.dsl import interp
+from tripsmith.dsl import check, interp
 from tripsmith.dsl.interp import evaluate
 from tripsmith.search import FULL_PASS, SearchConfig, dfs_search
 from tripsmith.errors import DslEvalError, DslSyntaxError
@@ -275,7 +275,9 @@ TOKENIZE_SOURCES = ["return True", "return 1 == 1", G.BUDGET]
 
 @pytest.fixture()
 def tokenized(monkeypatch):
-    """Every source text handed to the tokenizer, in call order."""
+    """Every source text handed to the tokenizer, in call order, from a cold
+    check cache."""
+    check._checked.cache_clear()
     seen = []
     real = S.tokenize
 
@@ -298,6 +300,28 @@ def test_run_constraint_tokenizes_its_source_once(tokenized, mini_dataset):
     for source in TOKENIZE_SOURCES:
         run_constraint(source, plan, mini_dataset)
     assert tokenized == TOKENIZE_SOURCES
+
+
+def test_a_second_search_over_the_same_sources_tokenizes_nothing(tokenized, micro_dataset):
+    for _ in range(2):
+        dfs_search(TOKENIZE_SOURCES, micro_dataset, None, SearchConfig(budget_seconds=10),
+                   micro_context())
+    plan = parse_plan(MINIMAL)
+    for source in TOKENIZE_SOURCES:
+        run_constraint(source, plan, micro_dataset)
+    assert tokenized == TOKENIZE_SOURCES
+
+
+def test_each_caller_gets_its_own_diagnostics():
+    first = check_syntax("return count")
+    first.clear()
+    assert len(check_syntax("return count")) == 1
+
+
+def test_the_check_cache_stays_within_its_bound():
+    for index in range(1000):
+        check_syntax(f"return {index} == {index}")
+    assert check._checked.cache_info().currsize <= check.CHECK_CACHE_SIZE == 128
 
 
 def test_constraint_eval_error_records_false(mini_dataset):
@@ -390,20 +414,26 @@ def test_evaluation_is_pure(mini_dataset):
 
 
 def test_concept_call_budget_is_quadratic(mini_dataset, monkeypatch):
+    """Calls are counted at the compiled call sites, each bound once per program."""
     calls = []
-    real = interp.concept
+    real = interp.resolve
 
-    def counting(name, args, ctx):
-        calls.append(name)
-        return real(name, args, ctx)
+    def counting(name, count):
+        impl = real(name, count)
 
-    monkeypatch.setattr(interp, "concept", counting)
+        def call(*args):
+            calls.append(name)
+            return impl(*args)
+        return call
+
+    monkeypatch.setattr(interp, "resolve", counting)
+    program = parse(G.AVERAGE_TRANSPORT_TIME)
     rng = random.Random(11)
     for _ in range(10):
         plan = random_plan(mini_dataset, rng)
         activity_count = sum(len(day.activities) for day in plan.itinerary)
         calls.clear()
-        evaluate(parse(G.AVERAGE_TRANSPORT_TIME), plan, mini_dataset)
+        evaluate(program, plan, mini_dataset)
         bound = max(activity_count * activity_count, 3 * activity_count + 3)
         assert 0 < len(calls) <= bound
 
@@ -433,3 +463,64 @@ def test_golden_corpus_against_oracles(mini_dataset):
     for plan in plans:
         got = evaluate_source(G.BUDGET, plan, mini_dataset)
         assert got == (oracles.budget_total_reference(plan) <= 5000)
+
+
+# every runtime error of the evaluator: (source, message, (line, col)); the
+# programs are parsed but not checked, so the checker's refusals reach it too
+RUNTIME_ERRORS = {
+    "unassigned-name": ("return y", "variable 'y' is not assigned", (1, 8)),
+    "unassigned-accumulator": ("x += 1\nreturn True", "variable 'x' is not assigned", (1, 1)),
+    "unassigned-append": ("xs.append(1)\nreturn True", "variable 'xs' is not assigned",
+                          (1, 1)),
+    "accumulate-text": ('x = "a"\nx += 1\nreturn True',
+                        "operator '+=' needs numbers, got text", (2, 1)),
+    "accumulate-list": ("x = 1\nx += list()\nreturn True",
+                        "operator '+=' needs numbers, got list", (2, 1)),
+    "append-number": ("x = 1\nx.append(2)\nreturn True",
+                      "append target must be a list, got number", (2, 1)),
+    "if-number": ("if 1:\n    x = 1\nreturn True", "if condition must be a boolean, got number",
+                  (1, 1)),
+    "not-number": ("return not 1", "operand of 'not' must be a boolean, got number", (1, 8)),
+    "and-left": ("return 1 and True", "operand of 'and' must be a boolean, got number",
+                 (1, 10)),
+    "and-right": ("return True and 1", "operand of 'and' must be a boolean, got number",
+                  (1, 13)),
+    "or-left": ('return "x" or True', "operand of 'or' must be a boolean, got text", (1, 12)),
+    "or-right": ("return False or list()", "operand of 'or' must be a boolean, got list",
+                 (1, 14)),
+    "conditional-test": ("return 1 if 2 else 3",
+                         "conditional-expression test must be a boolean, got number", (1, 10)),
+    "plus-text": ('return "a" + 1', "operator '+' needs numbers, got text", (1, 12)),
+    "times-right-text": ('return 2 * "a"', "operator '*' needs numbers, got text", (1, 10)),
+    "minus-bool": ("return 2 - True", "operator '-' needs numbers, got boolean", (1, 10)),
+    "divide-list": ("return list() / 2", "operator '/' needs numbers, got list", (1, 15)),
+    "negate-text": ('return -"a"', "operator '-' needs numbers, got text", (1, 8)),
+    "divide-by-zero": ("x = 1\nreturn x / 0", "division by zero", (2, 10)),
+    "order-mixed": ('return 1 < "a"', "cannot order number and text with '<'", (1, 10)),
+    "order-booleans": ("return True >= False", "cannot order boolean and boolean with '>='",
+                       (1, 13)),
+    "in-number": ("return 1 in 2", "right operand of 'in' must be a list or set, got number",
+                  (1, 10)),
+    "for-text": ('for x in "ab":\n    y = x\nreturn True',
+                 "loop collection must be a list or set, got text", (1, 1)),
+    "concept-error": ("x = 1\nreturn activity_cost(x) > 0",
+                      "expected an activity record as argument", (2, 8)),
+    "argument-error-keeps-its-place": ("return activity_cost(1 / 0)", "division by zero",
+                                       (1, 24)),
+    "unknown-function": ("return nope(1 / 0)", "division by zero", (1, 15)),
+    "unknown-function-called": ("return nope(1)", "unknown concept function 'nope'", (1, 8)),
+    "nested-in-loop": ("for act in allactivities(plan):\n    if activity_cost(act) > 0:\n"
+                       "        return act + 1\nreturn True",
+                       "operator '+' needs numbers, got record", (3, 20)),
+    "no-return": ("x = 1", "program finished without returning a value", (1, 1)),
+    "no-return-on-a-branch": ("if False:\n    return True",
+                              "program finished without returning a value", (1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", RUNTIME_ERRORS)
+def test_every_runtime_error_keeps_its_message_and_place(mini_dataset, name):
+    source, message, where = RUNTIME_ERRORS[name]
+    with pytest.raises(DslEvalError) as raised:
+        evaluate(parse(source), parse_plan(MINIMAL), mini_dataset)
+    assert (str(raised.value), (raised.value.line, raised.value.col)) == (message, where)

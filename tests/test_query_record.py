@@ -40,10 +40,10 @@ SKELETON_BREAKS = {
 }
 VALUE_BREAKS = {
     "transport_type": [None, 3, "boat", DELETE],
-    "cuisine": [None, 3, DELETE],
-    "attraction_type": [None, ["park"], DELETE],
-    "hotel_feature": [None, True, DELETE],
-    "specific_poi": [None, {}, DELETE],
+    "cuisine": [None, 3, "Hot\0pot", DELETE],
+    "attraction_type": [None, ["park"], "\0", DELETE],
+    "hotel_feature": [None, True, "Pool\0", DELETE],
+    "specific_poi": [None, {}, "Harbor\0Park", DELETE],
     "rooms": [None, "1", True, 0, DELETE],
     "budget": [None, [1], True, "lots", "NaN", "Infinity", DELETE],
 }

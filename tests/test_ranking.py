@@ -220,3 +220,23 @@ def test_a_context_whose_terms_change_is_keyed_anew(monkeypatch):
         assert got == want, change
         assert list(map(id, read)) == list(map(id, rows)), change
     assert len(ranker._keys) == 3
+
+
+@pytest.mark.parametrize("kind", ["terms", "both"])
+def test_ordinals_follow_rows_added_between_calls(kind):
+    """Rows join the memo between calls, with prices already seen (ties) and
+    prices below, between and above the known ones (new key values): every
+    order still matches the reference, and the ordinals stay dense ints."""
+    dataset = load_dataset(FIXTURES / "mini")
+    ctx = _contexts(dataset)[kind]
+    base = _tables(dataset)["restaurants"]
+    ranker = HeuristicRanker()
+    candidates = list(base[:2])
+    for turn, price in enumerate(["5", "3", "5", "7", "1", "3", "4.5", "7", "0", "5"]):
+        row = dict(base[turn % len(base)], price=Decimal(price))
+        candidates.insert(turn * 3 % (len(candidates) + 1), row)
+        for ordered in (candidates, candidates[::-1]):
+            got, want = _ids(ranker, ordered, ctx)
+            assert got == want, (turn, price)
+    [(ordinals, rows_by_key)] = ranker._keys.values()
+    assert sorted(set(ordinals.values())) == list(range(len(rows_by_key)))
