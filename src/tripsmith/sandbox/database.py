@@ -46,15 +46,17 @@ top k: the answer equals the quantise-everything scan.
 
 Memoised on first use, per database: `nearby` answers, keyed on (table,
 point, topk, dist); the quantised distance of each ordered pair of
-positions; and the door-to-door minutes of each (start, end, mode) transfer,
-which `goto` and the planner's arrival test share. Nothing is filled
+positions; the door-to-door minutes of each (start, end, mode) transfer,
+which `goto` and the planner's arrival test share; and in `order_memo` the
+ranker's orders of the attraction and restaurant tables. Nothing is filled
 eagerly: every pair and every neighbour list of a 3-city synthetic set with
 300 POIs per table is ~630 k haversine calls, over a second of load time,
 and a search asks for a small share of them. The planner asks `nearby`
-only at known positions, with one fixed radius and top-k, so every memo is
-bounded by the city's names (positions for `nearby`, positions squared for
+only at known positions, with one fixed radius and top-k, so every other memo
+is bounded by the city's names (positions for `nearby`, positions squared for
 distances, positions squared times the 3 modes for transfers), not by how
-long a process runs. An unknown position or mode raises and stores nothing.
+long a process runs; `search.ranking` bounds the orders. An unknown position
+or mode raises and stores nothing.
 
 Databases are immutable after load. `plan` searches its queries one at a
 time, so the memos one query fills serve the next.
@@ -166,6 +168,9 @@ class CityDatabase:
         default_factory=dict, init=False, repr=False, compare=False)
     _transfer_memo: dict[tuple[str, str, str], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # attractions | restaurants -> (required terms, budget use) -> ranked positions
+    order_memo: dict[str, dict] = field(default_factory=lambda: {"attractions": {},
+                                        "restaurants": {}}, init=False, repr=False, compare=False)
 
     def table(self, name: str) -> list[dict]:
         if name not in POI_TABLES:

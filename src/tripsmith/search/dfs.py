@@ -23,11 +23,12 @@ search's own history, so runs stay deterministic.
 Each search computes once what no state changes: the outbound and return
 route lists, the latest return departure (which `next_activity_type` gets as
 its fourth argument instead of selecting the return routes at every node) and
-the hotels of the required room type. An attraction or restaurant candidate
-list is a copy of the table with the visited rows deleted by their load-time
-positions. Every candidate list is a fresh list holding the same rows in the
-same order as a filter over the table would, so a ranker's input, and an LLM
-ranker's prompt, do not depend on how it was built.
+the hotels of the required room type. Every candidate list but a booked
+hotel's one row is a `ranking.TableView`: the rows a filter over its table
+would give, in table order, so an LLM ranker's prompt is the filter's. An
+attraction or restaurant view leaves out the visited rows by their load-time
+positions and ranks from the database's cached orders; a route or hotel view
+ranks from orders cached for this search only.
 
 The wall-clock budget is tested at node-expansion boundaries only, so the
 explored prefix is reproducible; elapsed time is reported but never affects
@@ -46,7 +47,7 @@ from ..evaluation import validate_env
 from ..plan.model import Plan
 from ..timeutil import to_hhmm
 from .context import QueryContext
-from .ranking import HeuristicRanker, Ranker
+from .ranking import MAX_BRANCHING, HeuristicRanker, Ranker, TableView
 from .rules import (
     ACCOMMODATION,
     ATTRACTION,
@@ -73,7 +74,6 @@ ENV_ONLY_BEST = "env_only_best"
 PARTIAL = "partial"
 EMPTY = "empty"
 
-MAX_BRANCHING = 10            # ranked candidates tried per expansion
 ENUMERATION_LIMIT = 100000    # most plans enumerate_complete_plans returns
 
 
@@ -108,6 +108,7 @@ class _Search:
         self.latest = latest_return(self.returns)
         room = ctx.required_room_type
         self.hotels = [row for row in self.db.hotels if room is None or row["numbed"] == room]
+        self.orders = {OUTBOUND: {}, RETURN: {}, ACCOMMODATION: {}}    # for this search only
         self.nodes = 0
         self.start = time.monotonic()
         self.best_env_plan: Plan | None = None
@@ -120,26 +121,23 @@ class _Search:
     def candidates(self, act_type: str, state: SearchState) -> list:
         """A fresh list of the candidates for `act_type`, in table order."""
         if act_type == OUTBOUND:
-            return list(self.outbound)
+            return TableView(self.outbound, self.orders[OUTBOUND])
         if act_type == RETURN:
-            return list(self.returns)
+            return TableView(self.returns, self.orders[RETURN])
         if act_type == ATTRACTION:
             return self.unvisited("attractions", state.visited_attractions)
         if act_type == ACCOMMODATION:
             if state.hotel_name:
                 return [self.db.record("hotels", state.hotel_name)]
-            return list(self.hotels)
+            return TableView(self.hotels, self.orders[ACCOMMODATION])
         # meals
         return self.unvisited("restaurants", state.visited_restaurants)
 
-    def unvisited(self, table: str, visited: frozenset) -> list:
-        """A copy of the table without the visited rows, which it deletes by position."""
-        rows = getattr(self.db, table).copy()
+    def unvisited(self, table: str, visited: frozenset) -> TableView:
+        """The table without the visited rows, left out by their positions."""
         positions = self.db.positions_by_name[table]
-        for position in sorted([positions[name] for name in visited if name in positions],
-                               reverse=True):
-            del rows[position]
-        return rows
+        removed = frozenset(positions[name] for name in visited if name in positions)
+        return TableView(getattr(self.db, table), self.db.order_memo[table], removed)
 
     def extend(self, act_type: str, state: SearchState, candidate):
         if act_type == OUTBOUND:

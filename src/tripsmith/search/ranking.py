@@ -1,26 +1,44 @@
 """Candidate ranking.
 
-A ranker permutes (never filters) the candidate list for one expansion step.
+A ranker returns the candidates to try for one expansion step, best first.
 The built-in heuristic mirrors how a frugal traveller would choose: anything
 matching a term the query asked for comes first, and when a budget is in play
 cheaper options are tried before expensive ones, a match breaking ties of
 price. All sorts are stable, so a run is reproducible from (query, database)
-alone.
+alone. A row's key depends only on the row, the required terms and the budget
+use, so rows taken from a table in table order sort as that subsequence of
+the whole table's order: the heuristic ranks a `TableView` by walking its
+table's cached order past the left-out rows.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
+from itertools import filterfalse, islice
 from typing import Protocol
 
 from ..sandbox import IntercityRoute
 from .context import QueryContext
 from .state import SearchState
 
+MAX_BRANCHING = 10      # ranked candidates the search tries per expansion
+ORDER_MEMO_SIZE = 256   # orders a table's cache keeps; the oldest goes first
+
 
 class Ranker(Protocol):
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
-        ...
+        """The candidates to try, best first; the search tries at most `MAX_BRANCHING`."""
+
+
+class TableView(list):
+    """The rows of `table` outside the `removed` positions, in table order, with
+    `orders`, the cache of the table's orders, which lives as long as the table."""
+
+    def __init__(self, table: list, orders: dict, removed: frozenset = frozenset()):
+        super().__init__(table)
+        for position in sorted(removed, reverse=True):
+            del self[position]
+        self.table, self.removed, self.orders = table, removed, orders
 
 
 def _candidate_terms(candidate) -> list[str]:
@@ -39,50 +57,38 @@ def _candidate_price(candidate) -> Decimal:
     return candidate.get("price", Decimal("0"))
 
 
+def _order(rows: list, required: tuple, budgeted: bool):
+    """The positions of `rows` in stable order by the heuristic's key: (price,
+    misses every required term) under a budget, else whether the row misses
+    every required term. With no required term every row misses."""
+    if not required:
+        if not budgeted:
+            return range(len(rows))
+        keys = list(map(_candidate_price, rows))
+    else:
+        keys = []
+        for row in rows:
+            # a required term holds no "\0" (the skeleton refuses it), so it
+            # is in the joined terms exactly when it is in one of them
+            joined = "\0".join(_candidate_terms(row))
+            miss = not any(req in joined for req in required)
+            keys.append((_candidate_price(row), miss) if budgeted else miss)
+    return sorted(range(len(rows)), key=keys.__getitem__)
+
+
 class HeuristicRanker:
-    """Permute by a key computed once per row for each (required terms, budget use).
-
-    The key is (price, misses every required term) under a budget, else
-    whether the row misses every required term. One stable sort by it gives
-    the order of a stable split into matching rows and the rest, followed
-    by a stable price sort. A query that names no required term needs no
-    memo: every row misses, so the order is the price order under a budget
-    and the input order otherwise. Two contexts with equal terms and budget
-    use share their keys. Each row's key is kept as its ordinal among the
-    distinct keys, so a call sorts ints; a new key value renumbers them. Keys
-    are held by `id()`, and every keyed row is kept in `_pins`, so no id is
-    reused while the ranker lives.
-    """
-
-    def __init__(self):
-        # (terms, budget use) -> (ordinal by row id, row ids by key value)
-        self._keys: dict[tuple, tuple[dict[int, int], dict[object, list[int]]]] = {}
-        self._pins: list = []
+    """On a `TableView`, the first `MAX_BRANCHING` rows of its table's cached
+    order that the view holds; on any other list, all of it in stable order."""
 
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
-        required = context.required_terms
-        budgeted = context.budget_limit is not None
-        if not required:
-            return sorted(candidates, key=_candidate_price) if budgeted else list(candidates)
-        ordinals, rows_by_key = self._keys.setdefault((required, budgeted), ({}, {}))
-        ranks = list(map(ordinals.get, map(id, candidates)))
-        if None in ranks:
-            renumber = False
-            for candidate, rank in zip(candidates, ranks):
-                if rank is None:
-                    # a required term holds no "\0" (the skeleton refuses it), so
-                    # it is in the joined terms exactly when it is in one of them
-                    joined = "\0".join(_candidate_terms(candidate))
-                    miss = not any(req in joined for req in required)
-                    key = (_candidate_price(candidate), miss) if budgeted else miss
-                    rows = rows_by_key.setdefault(key, [])
-                    renumber = renumber or not rows
-                    ordinals[id(candidate)] = ordinals[rows[0]] if rows else -1
-                    rows.append(id(candidate))
-                    self._pins.append(candidate)
-            if renumber:
-                for ordinal, key in enumerate(sorted(rows_by_key)):
-                    ordinals.update(dict.fromkeys(rows_by_key[key], ordinal))
-            ranks = list(map(ordinals.__getitem__, map(id, candidates)))
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)
-        return list(map(candidates.__getitem__, order))
+        key = (context.required_terms, context.budget_limit is not None)
+        if not isinstance(candidates, TableView):
+            return list(map(candidates.__getitem__, _order(candidates, *key)))
+        orders, table = candidates.orders, candidates.table
+        order = orders.get(key)
+        if order is None:
+            if len(orders) >= ORDER_MEMO_SIZE:
+                del orders[next(iter(orders))]
+            order = orders[key] = _order(table, *key)
+        kept = filterfalse(candidates.removed.__contains__, order)
+        return list(map(table.__getitem__, islice(kept, MAX_BRANCHING)))

@@ -19,6 +19,8 @@ from tripsmith.llm import (
     prompt_hash,
 )
 from tripsmith.search import HeuristicRanker, initial_state
+from tripsmith.search.context import QueryContext
+from tripsmith.search.ranking import MAX_BRANCHING, TableView
 
 from .conftest import micro_context
 
@@ -117,6 +119,31 @@ def test_rank_reads_each_prompt_once(monkeypatch):
     assert len(prompts) == 10
     assert prompts[0] != prompts[1]
     assert reads == ["tripsmith.llm", "tripsmith.llm"]    # one read per prompt file
+
+
+def test_a_view_prompts_as_its_rows_and_falls_back_to_the_heuristic_prefix(synth_dataset):
+    """The search hands rankers views: the model sees exactly the rows of a plain
+    list, a reply orders all of them, and the fallback is the heuristic's prefix."""
+    origin, target = synth_dataset.city_names[:2]
+    db = synth_dataset[target]
+    ctx = QueryContext(origin, target, 1, 2, budget_limit=Decimal(5000),
+                       required_terms=(db.restaurants[-1]["cuisinetype"],))
+    prompts, reply = [], ["no list"]
+    ranker = LlmRanker(CallableTransport(lambda prompt: prompts.append(prompt) or reply[0]))
+    for rows in (db.attractions, db.restaurants):
+        view = TableView(rows, {}, frozenset({0, 3, len(rows) - 1}))
+        heuristic = HeuristicRanker().rank(view, initial_state(), ctx)
+        assert len(heuristic) == MAX_BRANCHING
+        assert ranker.rank(view, initial_state(), ctx) == heuristic
+        assert ranker.rank(list(view), initial_state(), ctx)[:MAX_BRANCHING] == heuristic
+        assert prompts[-2] == prompts[-1]
+    assert len(ranker.degradation_events) == 4
+    reply[0] = f'RestaurantNameList: ["{db.restaurants[-3]["name"]}"]'
+    view = TableView(db.restaurants, {}, frozenset({0}))
+    from_view = ranker.rank(view, initial_state(), ctx)
+    assert from_view == ranker.rank(list(view), initial_state(), ctx)
+    assert from_view == [view[-3], *view[:-3], *view[-2:]]
+    assert prompts[-2] == prompts[-1] and len(ranker.degradation_events) == 4
 
 
 # -- nl2dsl -----------------------------------------------------------------------

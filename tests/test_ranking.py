@@ -1,25 +1,34 @@
-"""The heuristic ranker's per-search key memo.
+"""The heuristic ranker: its order, and the table orders it caches.
 
-`HeuristicRanker` sorts once by a key it remembers per row for one query.
-The reference below is the partition-then-sort it replaced: a stable split
-into rows that hit a required term and the rest, then, under a budget, a
-stable sort by price. Every order must match it, also when one ranker is
-reused across queries and across separately loaded datasets.
+The reference below is the partition-then-sort the ranker replaced: a stable
+split into rows that hit a required term and the rest, then, under a budget,
+a stable sort by price. Every order must match it, also when one ranker is
+reused across queries and across separately loaded datasets. On a
+`TableView`, the search's candidate list, the ranker returns the first
+`MAX_BRANCHING` rows of that order from an order of the whole table that the
+view's cache keeps per (required terms, budget use).
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import random
+import weakref
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
 from tripsmith.sandbox import IntercityRoute, load_dataset
-from tripsmith.search import HeuristicRanker, initial_state, ranking
+from tripsmith.search import HeuristicRanker, SearchConfig, dfs, dfs_search, initial_state, ranking
 from tripsmith.search.context import QueryContext
-from tripsmith.search.rules import outbound_routes, return_routes
+from tripsmith.search.ranking import MAX_BRANCHING, ORDER_MEMO_SIZE, TableView
+from tripsmith.search.rules import ACCOMMODATION, ATTRACTION, OUTBOUND, RETURN, outbound_routes, \
+    return_routes
 
 from .conftest import FIXTURES
+from .test_leaf_decision import FALSE, _Capped
 
 
 def _terms(candidate) -> list[str]:
@@ -58,7 +67,8 @@ def _ids(ranker, candidates: list, context: QueryContext) -> tuple[list, list]:
     return list(map(id, ranked)), list(map(id, reference_rank(candidates, context)))
 
 
-def _tables(dataset, origin="Alpha", target="Beta") -> dict[str, list]:
+def _tables(dataset) -> dict[str, list]:
+    origin, target = dataset.city_names[:2]
     ctx = QueryContext(origin, target, 1, 2)
     db = dataset[target]
     return {
@@ -72,19 +82,38 @@ def _tables(dataset, origin="Alpha", target="Beta") -> dict[str, list]:
 
 def _contexts(dataset) -> dict[str, QueryContext]:
     """No terms, terms only, budget only and both; the terms hit every table."""
-    db = dataset["Beta"]
-    ctx = QueryContext("Alpha", "Beta", 1, 2)
+    origin, target = dataset.city_names[:2]
+    db = dataset[target]
+    ctx = QueryContext(origin, target, 1, 2)
     routes = (return_routes(dataset, ctx)[-1], outbound_routes(dataset, ctx)[-1])
     terms = {"required_terms": (db.restaurants[-1]["cuisinetype"], db.attractions[-1]["type"],
                                 db.hotels[-1]["featurehoteltype"],
                                 *(route.id for route in routes))}
     budget = {"budget_limit": Decimal("5000")}
     return {
-        "none": QueryContext("Alpha", "Beta", 1, 2),
-        "terms": QueryContext("Alpha", "Beta", 1, 2, **terms),
-        "budget": QueryContext("Alpha", "Beta", 1, 2, **budget),
-        "both": QueryContext("Alpha", "Beta", 1, 2, **terms, **budget),
+        "none": QueryContext(origin, target, 1, 2),
+        "terms": QueryContext(origin, target, 1, 2, **terms),
+        "budget": QueryContext(origin, target, 1, 2, **budget),
+        "both": QueryContext(origin, target, 1, 2, **terms, **budget),
     }
+
+
+def _want(candidates: list, context: QueryContext) -> list:
+    """Object ids in the reference order; of a view, its first MAX_BRANCHING."""
+    ranked = reference_rank(list(candidates), context)
+    return list(map(id, ranked[:MAX_BRANCHING] if isinstance(candidates, TableView) else ranked))
+
+
+def _got(candidates: list, context: QueryContext, ranker=None) -> list:
+    return list(map(id, (ranker or HeuristicRanker()).rank(candidates, initial_state(), context)))
+
+
+def _reading(monkeypatch) -> list:
+    """The rows whose terms the ranker reads from now on, in reading order."""
+    read = []
+    monkeypatch.setattr(ranking, "_candidate_terms",
+                        lambda candidate: read.append(candidate) or _terms(candidate))
+    return read
 
 
 @pytest.mark.parametrize("kind", ["none", "terms", "budget", "both"])
@@ -158,85 +187,148 @@ def test_a_freed_row_never_lends_its_key_to_a_new_one():
         gc.collect()
 
 
+
+
+@pytest.fixture(params=["micro", "mini", "synth"])
+def dataset(request):
+    return request.getfixturevalue(f"{request.param}_dataset")
+
+
+def _removed_sets(size: int, rng):
+    """Positions to leave out of a table of `size` rows: none, all and random ones."""
+    yield frozenset()
+    yield frozenset(range(size))
+    for count in (1, 2, 3, 5, 8, 13, 40):
+        for _ in range(3):
+            yield frozenset(rng.sample(range(size), min(count, size)))
+
+
+@pytest.mark.parametrize("kind", ["none", "terms", "budget", "both"])
+def test_a_view_ranks_as_the_first_rows_of_the_reference(dataset, kind):
+    """On every table and with any positions left out, a view holds the table's
+    other rows in table order, and the ranker returns the first MAX_BRANCHING of
+    the reference order of those rows, from one cached order of the table."""
+    ctx = _contexts(dataset)[kind]
+    rng = random.Random(19)
+    ranker = HeuristicRanker()
+    for table, rows in _tables(dataset).items():
+        orders = {}
+        for removed in _removed_sets(len(rows), rng):
+            view = TableView(rows, orders, removed)
+            assert list(map(id, view)) == [id(row) for position, row in enumerate(rows)
+                                           if position not in removed]
+            assert _got(view, ctx, ranker) == _want(view, ctx), (table, sorted(removed))
+        assert list(orders) == [(ctx.required_terms, ctx.budget_limit is not None)]
+
+
+@pytest.mark.parametrize("kind", ["none", "terms", "budget", "both"])
+def test_the_search_candidates_rank_as_the_reference(dataset, kind):
+    """The search's own candidate lists: a visited row is left out by its
+    position, every list is a view, and each ranks as the reference's prefix."""
+    ctx = _contexts(dataset)[kind]
+    search = dfs._Search([], dataset, HeuristicRanker(), math.inf, ctx, prune_budget=False)
+    db = dataset[ctx.target]
+    rng = random.Random(23)
+    for act_type, rows, field in ((ATTRACTION, db.attractions, "visited_attractions"),
+                                  ("dinner", db.restaurants, "visited_restaurants")):
+        names = [row["name"] for row in rows]
+        for removed in _removed_sets(len(rows), rng):
+            visited = frozenset(names[position] for position in removed) | {"No Such Place"}
+            view = search.candidates(act_type, replace(initial_state(), **{field: visited}))
+            assert isinstance(view, TableView) and view.table is rows
+            assert list(map(id, view)) == [id(row) for row in rows if row["name"] not in visited]
+            assert _got(view, ctx) == _want(view, ctx), (act_type, sorted(removed))
+    for act_type in (OUTBOUND, RETURN, ACCOMMODATION):
+        view = search.candidates(act_type, initial_state())
+        assert isinstance(view, TableView) and not view.removed
+        assert _got(view, ctx) == _want(view, ctx), act_type
+
+
 @pytest.mark.parametrize("kind", ["none", "budget"])
 def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
-    """Every row misses then, so the order comes without reading a term or
-    filling the key memo."""
+    """Every row misses then, so neither a ranking, of a view or of any other
+    list, nor a whole search reads a term."""
     dataset = load_dataset(FIXTURES / "mini")
     ctx = _contexts(dataset)[kind]
     assert not ctx.required_terms
-
-    def refuse(candidate):
-        raise AssertionError("terms read for a query that names none")
-
-    monkeypatch.setattr(ranking, "_candidate_terms", refuse)
-    ranker = HeuristicRanker()
+    read = _reading(monkeypatch)
     for table, rows in _tables(dataset).items():
-        for candidates in (rows, rows[::-1]):
-            got, want = _ids(ranker, candidates, ctx)
-            assert got == want, table
-    assert ranker._keys == {} and ranker._pins == []
+        for candidates in (rows, rows[::-1], TableView(rows, {}, frozenset({0}))):
+            assert _got(candidates, ctx) == _want(candidates, ctx), table
+    dfs_search([FALSE], dataset, _Capped(200), SearchConfig(budget_seconds=600), ctx)
+    assert read == []
+    assert list(dataset["Beta"].order_memo["attractions"]) == [((), kind == "budget")]
 
 
 def test_equal_contexts_share_their_keys(monkeypatch):
-    """Keys belong to (required terms, budget use), not to one context object:
-    a second context with equal terms and budget reads no terms."""
+    """Orders belong to the database and to (required terms, budget use), not to
+    a context, a ranker or a search: a second search with equal terms and budget
+    use reads no term of an attraction or a restaurant, and ends as the first."""
     dataset = load_dataset(FIXTURES / "mini")
     first = _contexts(dataset)["both"]
     second = _contexts(dataset)["both"]
     assert second is not first and second.required_terms == first.required_terms
-    ranker = HeuristicRanker()
-    tables = _tables(dataset)
-    for rows in tables.values():
-        ranker.rank(rows, initial_state(), first)
-
-    def refuse(candidate):
-        raise AssertionError("terms read again for equal terms and budget use")
-
-    monkeypatch.setattr(ranking, "_candidate_terms", refuse)
-    for table, rows in tables.items():
-        for candidates in (rows, rows[::-1]):
-            got, want = _ids(ranker, candidates, second)
-            assert got == want, table
-    assert len(ranker._keys) == 1
+    cfg = SearchConfig(budget_seconds=600)
+    before = dfs_search([FALSE], dataset, _Capped(200), cfg, first)
+    memo = dataset["Beta"].order_memo
+    orders = {table: dict(memo[table]) for table in memo}
+    assert all(list(kept) == [(first.required_terms, True)] for kept in orders.values())
+    read = _reading(monkeypatch)
+    after = dfs_search([FALSE], dataset, _Capped(200), cfg, second)
+    rows = set(map(id, dataset["Beta"].attractions + dataset["Beta"].restaurants))
+    assert read and not rows & set(map(id, read))      # routes and hotels: per search
+    assert all(memo[table][key] is order
+               for table in memo for key, order in orders[table].items())
+    assert (after.status, after.nodes_expanded) == (before.status, before.nodes_expanded)
 
 
 def test_a_context_whose_terms_change_is_keyed_anew(monkeypatch):
+    """A change of required terms or of budget use computes a new order of the
+    whole table, reading each row's terms once; a key seen before reads none."""
     dataset = load_dataset(FIXTURES / "mini")
-    rows = _tables(dataset)["restaurants"]
+    rows = dataset["Beta"].restaurants
     ctx = QueryContext("Alpha", "Beta", 1, 2, required_terms=(rows[0]["cuisinetype"],))
-    ranker = HeuristicRanker()
-    got, want = _ids(ranker, rows, ctx)
-    assert got == want
-    read = []
-    monkeypatch.setattr(ranking, "_candidate_terms",
-                        lambda candidate: read.append(candidate) or _terms(candidate))
-    for change in ({"required_terms": (rows[-1]["cuisinetype"],)},
+    view = TableView(rows, {}, frozenset({1}))
+    read = _reading(monkeypatch)
+    for change in ({}, {"required_terms": (rows[-1]["cuisinetype"],)},
                    {"budget_limit": Decimal("100")}):
         for field, value in change.items():
             setattr(ctx, field, value)
         read.clear()
-        got, want = _ids(ranker, rows, ctx)
-        assert got == want, change
+        assert _got(view, ctx) == _want(view, ctx), change
         assert list(map(id, read)) == list(map(id, rows)), change
-    assert len(ranker._keys) == 3
+    assert len(view.orders) == 3
+    read.clear()
+    assert _got(view, ctx) == _want(view, ctx) and read == []
 
 
-@pytest.mark.parametrize("kind", ["terms", "both"])
-def test_ordinals_follow_rows_added_between_calls(kind):
-    """Rows join the memo between calls, with prices already seen (ties) and
-    prices below, between and above the known ones (new key values): every
-    order still matches the reference, and the ordinals stay dense ints."""
+def test_a_dataset_takes_its_orders_with_it():
+    """The orders live on the database: once a search is over and the dataset
+    dropped, nothing keeps the dataset alive."""
     dataset = load_dataset(FIXTURES / "mini")
-    ctx = _contexts(dataset)[kind]
-    base = _tables(dataset)["restaurants"]
-    ranker = HeuristicRanker()
-    candidates = list(base[:2])
-    for turn, price in enumerate(["5", "3", "5", "7", "1", "3", "4.5", "7", "0", "5"]):
-        row = dict(base[turn % len(base)], price=Decimal(price))
-        candidates.insert(turn * 3 % (len(candidates) + 1), row)
-        for ordered in (candidates, candidates[::-1]):
-            got, want = _ids(ranker, ordered, ctx)
-            assert got == want, (turn, price)
-    [(ordinals, rows_by_key)] = ranker._keys.values()
-    assert sorted(set(ordinals.values())) == list(range(len(rows_by_key)))
+    ctx = _contexts(dataset)["both"]
+    dfs_search([FALSE], dataset, _Capped(200), SearchConfig(budget_seconds=600), ctx)
+    assert dataset["Beta"].order_memo["restaurants"]
+    gone = weakref.ref(dataset)
+    del dataset
+    gc.collect()
+    assert gone() is None
+
+
+def test_a_table_keeps_at_most_its_bound_of_orders():
+    """1,000 distinct term tuples through one database: each table keeps the
+    newest ORDER_MEMO_SIZE orders, and every order stays exact."""
+    dataset = load_dataset(FIXTURES / "mini")
+    memo = dataset["Beta"].order_memo
+    budgets = [Decimal(100) if index % 3 else None for index in range(1000)]
+    for index, budget in enumerate(budgets):
+        ctx = QueryContext("Alpha", "Beta", 1, 2, required_terms=(f"Term {index}",),
+                           budget_limit=budget)
+        search = dfs._Search([], dataset, HeuristicRanker(), math.inf, ctx, prune_budget=False)
+        for act_type in (ATTRACTION, "lunch"):
+            view = search.candidates(act_type, initial_state())
+            assert _got(view, ctx) == _want(view, ctx)
+        assert all(len(orders) <= ORDER_MEMO_SIZE for orders in memo.values())
+    newest = [((f"Term {index}",), budgets[index] is not None)
+              for index in range(1000 - ORDER_MEMO_SIZE, 1000)]
+    assert all(list(orders) == newest for orders in memo.values())
