@@ -198,15 +198,13 @@ def cmd_eval(args) -> int:
     for query in queries:
         index = by_uid.get(query.uid)
         planned = plan_records[index] if index is not None else {}
-        plan = None
+        plan, notes = None, "no plan delivered"
         if planned.get("plan") is not None:
             try:
-                plan = plan_from_obj(planned["plan"])
+                plan, notes = plan_from_obj(planned["plan"]), ""
             except (ValueError, TypeError, SchemaError, PlanParseError) as exc:
-                raise InputError(f"{args.plans}:{record_line(args.plans, index)}: "
-                                 f"plans record {query.uid!r}: {exc}") from None
-        report = evaluate_plan(plan, query.dsl_sources, dataset,
-                               notes="" if plan else "no plan delivered")
+                notes = f"plan refused: {exc}"
+        report = evaluate_plan(plan, query.dsl_sources, dataset, notes=notes)
         reports.append(report)
         per_plan.append({"uid": query.uid, **report.as_dict()})
     try:

@@ -20,7 +20,7 @@ from typing import Callable
 
 from ..errors import DslEvalError, NotFoundError
 from ..sandbox import Dataset, transfer_mode
-from ..timeutil import is_hhmm, to_minutes
+from ..timeutil import clock_span
 from .model import Plan
 
 ZERO = Decimal("0")
@@ -66,8 +66,10 @@ def _legs_of(value) -> list:
     return value
 
 
-def _minutes_between(start: str, end: str) -> Decimal:
-    return Decimal(to_minutes(end) - to_minutes(start))
+def _minutes_between(start, end) -> Decimal:
+    """Minutes from clock time `start` to `end`, or -1 unless both are clock times."""
+    span = clock_span(start, end)
+    return MINUS_ONE if span is None else Decimal(span[1] - span[0])
 
 
 # -- plan-level accessors ----------------------------------------------------
@@ -98,7 +100,9 @@ def allactivities_count(ctx, plan):
 
 def dayactivities(ctx, plan, day):
     days = _plan_of(plan).itinerary
-    index = int(_num(day))
+    if not isinstance(day, Decimal):
+        raise DslEvalError(f"dayactivities expects a day number, got {type_name(day)}")
+    index = int(day)
     if not 1 <= index <= len(days):
         return []
     return list(days[index - 1].activities)
@@ -136,10 +140,7 @@ def activity_transports(ctx, activity):
 
 def activity_time(ctx, activity):
     act = _record_of(activity)
-    start, end = act.get("start_time", ""), act.get("end_time", "")
-    if is_hhmm(start) and is_hhmm(end):
-        return _minutes_between(start, end)
-    return MINUS_ONE
+    return _minutes_between(act.get("start_time", ""), act.get("end_time", ""))
 
 
 # -- sandbox-backed lookups --------------------------------------------------
@@ -187,11 +188,7 @@ def innercity_transport_time(ctx, transports):
     legs = _legs_of(transports)
     if not legs:
         return ZERO
-    start = legs[0].get("start_time", "")
-    end = legs[-1].get("end_time", "")
-    if not (is_hhmm(start) and is_hhmm(end)):
-        return MINUS_ONE
-    return _minutes_between(start, end)
+    return _minutes_between(legs[0].get("start_time", ""), legs[-1].get("end_time", ""))
 
 
 def innercity_transport_type(ctx, transports):

@@ -52,3 +52,11 @@ def is_hhmm(text) -> bool:
     except InputError:
         return False
     return True
+
+
+def clock_span(start, end) -> tuple[int, int] | None:
+    """`(start, end)` in minutes since midnight, or None unless both are clock times."""
+    try:
+        return to_minutes(start), to_minutes(end)
+    except InputError:
+        return None

@@ -433,20 +433,35 @@ def _first_start_null(plan: dict) -> dict:
     (lambda plan: [], "plan document must be a JSON object"),
     (_first_start_null, "$.itinerary[0].activities[0]: field 'start' must be a string, got None"),
 ], ids=["no-itinerary", "day-text", "plan-list", "start-null"])
-def test_plans_record_with_a_bad_plan_is_usage_error(tmp_path, bench, good_plans, capsys,
-                                                     spoil, detail):
+def test_plans_record_with_a_bad_plan_is_scored_undelivered(tmp_path, bench, good_plans, capsys,
+                                                            spoil, detail):
+    """A plan the parser refuses fails its own query only; the batch is scored."""
+    expected = _eval_reports(bench, tmp_path)
     plans = tmp_path / "good-plans.jsonl"
     header, *lines = plans.read_text().splitlines()
     record = json.loads(lines[1])
     record["plan"] = spoil(record["plan"])
     plans.write_text("\n".join([header, lines[0], "", json.dumps(record), *lines[2:]]) + "\n")
     capsys.readouterr()
-    assert run_on_benchmark("eval", bench, tmp_path) == 2
+    reports = _eval_reports(bench, tmp_path)
     err = capsys.readouterr().err
-    assert f"{plans}:4: plans record {record['uid']!r}: " in err
-    assert detail in err
     assert "internal error" not in err and "Traceback" not in err
-    assert err.count("\n") == 1
+    refused = reports.pop(record["uid"])
+    assert refused["delivered"] is False
+    assert refused["notes"].startswith("plan refused: ") and detail in refused["notes"]
+    del expected[record["uid"]]
+    assert reports == expected
+
+
+def _eval_reports(bench: Path, tmp_path) -> dict:
+    """uid -> report of an `eval` of good-plans.jsonl, which must exit 0."""
+    assert run_on_benchmark("eval", bench, tmp_path) == 0
+    return _written_reports(tmp_path)
+
+
+def _written_reports(tmp_path) -> dict:
+    out = json.loads((tmp_path / "eval.out").read_text())
+    return {report["uid"]: report for report in out["reports"]}
 
 
 @pytest.fixture(scope="module")
@@ -463,11 +478,21 @@ def planned(tmp_path_factory) -> tuple[Path, list[str]]:
 MISSING = object()
 
 
+@pytest.fixture(scope="module")
+def planned_reports(planned, tmp_path_factory) -> dict:
+    """uid -> `eval` report of the module's unedited plans."""
+    bench, lines = planned
+    root = tmp_path_factory.mktemp("planned-eval")
+    (root / "good-plans.jsonl").write_text("\n".join(lines) + "\n")
+    return _eval_reports(bench, root)
+
+
 @pytest.mark.parametrize("key", sorted(FIELDS))
 @pytest.mark.parametrize("level", ["activity", "leg"])
-def test_null_mistyped_or_missing_plan_field_never_crashes_eval(tmp_path, planned, capsys,
+def test_null_mistyped_or_missing_plan_field_never_crashes_eval(tmp_path, planned,
+                                                                planned_reports, capsys,
                                                                 level, key):
-    """A null or wrongly typed field is a usage error; a missing one may also score."""
+    """A null or wrongly typed field leaves that plan undelivered; a missing one may score."""
     bench, (header, *lines) = planned
     for value in (None, {str: 7}.get(FIELDS[key], "7"), MISSING):
         record = json.loads(lines[0])
@@ -488,9 +513,29 @@ def test_null_mistyped_or_missing_plan_field_never_crashes_eval(tmp_path, planne
         if value is MISSING:
             assert code in (0, 2)
         else:
-            assert code == 2
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert f"field {key!r} must be a" in err
+            assert code == 0
+            reports = _written_reports(tmp_path)
+            refused = reports.pop(record["uid"])
+            assert refused["delivered"] is False
+            assert f"field {key!r} must be a" in refused["notes"]
+            assert reports == {uid: report for uid, report in planned_reports.items()
+                               if uid != record["uid"]}
+
+
+@pytest.mark.parametrize("day", ['"x"', "True", "[1]"])
+def test_dayactivities_without_a_day_number_fails_the_plan_not_the_run(tmp_path, planned,
+                                                                       capsys, day):
+    bench, _ = planned
+    header, *lines = bench.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["dsl"].append(f"return dayactivities(plan, {day}) == list()")
+    edited, plans = tmp_path / "bench.jsonl", tmp_path / "plans.jsonl"
+    edited.write_text("\n".join([header, json.dumps(record), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert run("plan", "--benchmark", str(edited), "--db", MICRO, "--out", str(plans)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, records = read_jsonl(plans, "plans")
+    assert records[0]["uid"] == record["uid"] and records[0]["status"] != FULL_PASS
 
 
 def _edit_first_query(bench: Path, tmp_path, edit) -> Path:

@@ -244,6 +244,16 @@ def _deepest_accepted(make) -> int:
         depth += 1
 
 
+@pytest.mark.parametrize("day", ['"x"', "True", "[1]"])
+def test_dayactivities_needs_a_day_number(day, mini_dataset):
+    outcome = run_constraint(f"return dayactivities(plan, {day}) == list()",
+                             parse_plan(MINIMAL), mini_dataset)
+    assert outcome.passed is False
+    [diagnostic] = outcome.diagnostics
+    assert diagnostic.message.startswith("dayactivities expects a day number, got ")
+    assert (diagnostic.line, diagnostic.col) == (1, 8)
+
+
 @pytest.mark.parametrize("form", NESTING_FORMS)
 def test_nesting_past_the_cap_fails_the_check(form, mini_dataset):
     source = NESTING_FORMS[form](400)

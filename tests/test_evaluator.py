@@ -18,6 +18,7 @@ from tripsmith.evaluation import (
     validate_env,
 )
 from tripsmith.evaluation.env_rules import EnvReport
+from tripsmith.plan.model import plan_from_obj, serialize_plan
 
 from . import golden_programs as G
 from . import oracles
@@ -214,6 +215,19 @@ def test_transfer_past_midnight_fails_info_rule_without_raising(mini_dataset):
     assert report.notes["env.inner_city.info"] == "a walk leaving 23:50 arrives after 23:59"
     scored = evaluate_plan(plan, [G.BUDGET], mini_dataset)
     assert scored.delivered and not scored.env.overall
+
+
+def test_transfer_through_a_made_up_station_fails_only_the_info_rule(mini_dataset):
+    # the walk-metro-walk into Old Town Wall rerouted through Beta Airport:
+    # every leg keeps the sandbox's distance, price and times, not its endpoints
+    plan = build_base_plan(mini_dataset)
+    legs = plan.itinerary[0].activities[4]["transports"]
+    legs[0]["end"] = legs[1]["start"] = "Beta Airport"
+    for checked in (plan, plan_from_obj(serialize_plan(plan))):
+        report = validate_env(checked, mini_dataset)
+        assert report.failed_rules() == ["env.inner_city.info"]
+        assert report.notes == {
+            "env.inner_city.info": "leg endpoints must match the sandbox transfer"}
 
 
 def test_evaluate_plan_undelivered(mini_dataset):
