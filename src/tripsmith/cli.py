@@ -188,11 +188,16 @@ def cmd_eval(args) -> int:
     if plans_header.get("benchmark_hash") != bench_header.get("manifest_hash"):
         raise InputError("plans file was produced from a different benchmark "
                          "(manifest hashes do not match)")
+    by_uid = {}
     for index, record in enumerate(plan_records):
         if not isinstance(record, dict) or not isinstance(record.get("uid"), str):
             raise InputError(f"{args.plans}:{record_line(args.plans, index)}: "
                              "plans record carries no string 'uid'")
-    by_uid = {record["uid"]: index for index, record in enumerate(plan_records)}
+        first = by_uid.setdefault(record["uid"], index)
+        if first != index:
+            raise InputError(f"{args.plans}:{record_line(args.plans, index)}: plans record "
+                             f"repeats uid {record['uid']!r} of line "
+                             f"{record_line(args.plans, first)}")
     reports = []
     per_plan = []
     for query in queries:

@@ -100,6 +100,14 @@ def _priced(record: dict, count_key: str) -> bool:
     return count >= 1 and record.get("cost") == record.get("price", Decimal(0)) * count
 
 
+def route_fits(route, from_city: str, to_city: str, dataset: Dataset) -> bool:
+    """Whether a ride on `route` from `from_city` to `to_city` can pass the cross-city
+    rules: its stations carry both city names (`endpoints`; a fromcity/tocity column
+    need not) and its id names this very route (`valid_route`, `price_duration`)."""
+    return (from_city in route.from_station and to_city in route.to_station
+            and dataset.route(route.id) == route)
+
+
 def _position(act: dict, station_key: str) -> str:
     """Where an activity is: its `station_key` station for a ride, else its POI."""
     return act.get(station_key if act.get("type") in INTERCITY_TYPES else "position", "")
@@ -118,15 +126,6 @@ class _Check:
     def fail(self, rule: str, note: str) -> None:
         self.results[rule] = False
         self.notes.setdefault(rule, note)
-
-    def find_route(self, route_id: str):
-        if self.dataset is None or not route_id:
-            return None
-        for city in self.dataset.city_names:
-            route = self.dataset[city].routes_by_id.get(route_id)
-            if route is not None:
-                return route
-        return None
 
     def lookup(self, table: str, name: str):
         if self.target_db is None or not name:
@@ -156,7 +155,7 @@ class _Check:
             if act.get("type") not in INTERCITY_TYPES:
                 continue
             route_id = act.get("TrainID") or act.get("FlightID") or ""
-            route = self.find_route(route_id)
+            route = self.dataset.route(route_id) if self.dataset is not None else None
             if (
                 route is None
                 or route.kind != act.get("type")

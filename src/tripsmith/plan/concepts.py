@@ -102,6 +102,8 @@ def dayactivities(ctx, plan, day):
     days = _plan_of(plan).itinerary
     if not isinstance(day, Decimal):
         raise DslEvalError(f"dayactivities expects a day number, got {type_name(day)}")
+    if not day.is_finite() or day != day.to_integral_value():
+        raise DslEvalError(f"dayactivities expects a whole day number, got {day}")
     index = int(day)
     if not 1 <= index <= len(days):
         return []

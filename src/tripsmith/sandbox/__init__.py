@@ -35,6 +35,15 @@ class Dataset:
     def __contains__(self, city: str) -> bool:
         return city in self.cities
 
+    def route(self, route_id: str) -> IntercityRoute | None:
+        """The route a ride's id names: the first of that id over `city_names` (a
+        dataset may repeat an id); None for an empty or unknown id."""
+        for city in self.city_names if route_id else ():
+            route = self.cities[city].routes_by_id.get(route_id)
+            if route is not None:
+                return route
+        return None
+
 
 def load_dataset(root_path) -> Dataset:
     """Load every city directory found under the root."""

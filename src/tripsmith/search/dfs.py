@@ -2,20 +2,20 @@
 
 Children are explored in ranker order; a branch dies when no candidate can be
 scheduled. Completing a plan means placing the return transport; the first
-plan that passes the environmental check and every constraint program is
-returned immediately. On exhaustion or deadline expiry the best intermediate
-wins: an environment-passing plan with the most satisfied constraints (the
-first found among equals), else the longest partial prefix, else nothing.
+plan that passes every constraint program is returned immediately. On
+exhaustion or deadline expiry the best intermediate wins: a completed plan
+with the most satisfied constraints (the first found among equals), else the
+longest partial prefix, else nothing.
 
-A completed plan (a leaf) runs only the tests that can still change that
-result: the constraint programs first, then the environmental check. Once an
-environment-passing plan exists, a leaf that has failed too many programs to
-pass them all, or to beat the best count so far, can change neither the full
-pass nor the best intermediate; it is dropped before the remaining programs
-and the environmental check run. Until then every leaf runs every program and
-the check, so the longest-prefix fallback still sees each leaf that fails the
-check. Programs run in fail-first order: the one that last dropped a leaf
-moves to the front. A pass count does not depend on that order, and
+A completed plan (a leaf) is env-valid by construction: the rides come only
+from the routes the cross-city rules accept (`rules.outbound_routes`,
+`rules.return_routes`), and the `schedule_*` helpers refuse every extension
+that breaks an environmental rule. So the 25-rule check runs only in
+`certify` and `eval`, and a leaf is decided by its constraint programs alone.
+Once one leaf is decided, a leaf that has failed too many programs to pass
+them all, or to beat the best count so far, is dropped before the remaining
+programs run. Programs run in fail-first order: the one that last dropped a
+leaf moves to the front. A pass count does not depend on that order, and
 `run_program` folds every evaluation error into a failure, so the order
 changes only what a leaf costs, never its verdict; it follows from the
 search's own history, so runs stay deterministic.
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 from ..dsl import check_source, run_program
 from ..errors import InputError
-from ..evaluation import validate_env
 from ..plan.model import Plan
 from ..timeutil import to_hhmm
 from .context import QueryContext
@@ -111,8 +110,8 @@ class _Search:
         self.orders = {OUTBOUND: {}, RETURN: {}, ACCOMMODATION: {}}    # for this search only
         self.nodes = 0
         self.start = time.monotonic()
-        self.best_env_plan: Plan | None = None
-        self.best_env_passed = -1
+        self.best_plan: Plan | None = None
+        self.best_passed = -1
         self.best_partial: SearchState | None = None
 
     def elapsed(self) -> float:
@@ -148,23 +147,16 @@ class _Search:
             return schedule_hotel(state, candidate, self.db, self.ctx)
         return schedule_visit(state, candidate, act_type, self.db, self.ctx)
 
-    def note_partial(self, state: SearchState) -> None:
-        if self.best_partial is None or state.activity_count > self.best_partial.activity_count:
-            self.best_partial = state
-
     def finish_plan(self, state: SearchState):
         """Decide a completed plan; a full pass short-circuits the search.
 
-        The plan can change the outcome only by passing every program and the
-        environmental check, or by passing the check with more programs than
-        `best_env_passed`. Past `allowed` failures it can do neither, so it is
-        dropped before the remaining programs and the check run. While no
-        environment-passing plan exists `allowed` is the program count, and
-        every leaf is decided in full.
+        The plan can change the outcome only by passing every program, or by
+        passing more programs than `best_passed`. Past `allowed` failures
+        it can do neither, so it is dropped before the remaining programs run.
         """
         plan = state.to_plan(self.ctx)
         order = self.order
-        allowed = len(order) - self.best_env_passed - 1
+        allowed = len(order) - self.best_passed - 1
         failures = 0
         for index, program in enumerate(order):
             if run_program(program, plan, self.dataset).passed:
@@ -174,14 +166,11 @@ class _Search:
                 del order[index]
                 order.insert(0, program)
                 return None
-        if not validate_env(plan, self.dataset).overall:
-            self.note_partial(state)
-            return None
         if not failures:
             return plan
-        # at most `allowed` failures: strictly more passes than best_env_passed
-        self.best_env_passed = len(order) - failures
-        self.best_env_plan = plan
+        # at most `allowed` failures: strictly more passes than best_passed
+        self.best_passed = len(order) - failures
+        self.best_plan = plan
         return None
 
     def dfs(self, state: SearchState):
@@ -205,7 +194,8 @@ class _Search:
             })
         if act_type == FINISH:
             return self.finish_plan(state)
-        self.note_partial(state)
+        if self.best_partial is None or state.activity_count > self.best_partial.activity_count:
+            self.best_partial = state
         ranked = self.ranker.rank(self.candidates(act_type, state), state, self.ctx)
         for candidate in ranked[:MAX_BRANCHING]:
             child = self.extend(act_type, state, candidate)
@@ -221,9 +211,9 @@ class _Search:
         if found is not None:
             return SearchOutcome(FULL_PASS, found, self.nodes, elapsed,
                                  constraints_passed=len(self.programs))
-        if self.best_env_plan is not None:
-            return SearchOutcome(ENV_ONLY_BEST, self.best_env_plan, self.nodes, elapsed,
-                                 constraints_passed=max(self.best_env_passed, 0))
+        if self.best_plan is not None:
+            return SearchOutcome(ENV_ONLY_BEST, self.best_plan, self.nodes, elapsed,
+                                 constraints_passed=self.best_passed)
         if self.best_partial is not None and self.best_partial.activity_count > 0:
             return SearchOutcome(PARTIAL, self.best_partial.to_plan(self.ctx),
                                  self.nodes, elapsed)
@@ -239,7 +229,7 @@ def dfs_search(
     prune_budget: bool = True,
     trace=None,
 ) -> SearchOutcome:
-    """Search for a plan satisfying the environment and every constraint.
+    """Search for a plan satisfying every constraint; every plan it builds is env-valid.
 
     `trace`, when given, receives one record per expanded node (node id,
     chosen action, day, clock, position).

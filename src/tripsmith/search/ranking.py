@@ -26,6 +26,9 @@ ORDER_MEMO_SIZE = 256   # orders a table's cache keeps; the oldest goes first
 
 
 class Ranker(Protocol):
+    """Returns only rows of its `candidates`: whatever it picks, every search leaf is
+    env-valid by construction, and the env check runs in `certify` and `eval`."""
+
     def rank(self, candidates: list, state: SearchState, context: QueryContext) -> list:
         """The candidates to try, best first; the search tries at most `MAX_BRANCHING`."""
 

@@ -8,6 +8,7 @@ open, and otherwise keep sightseeing.
 
 from __future__ import annotations
 
+from ..evaluation.env_rules import route_fits
 from ..sandbox import CityDatabase, intercity_select, nearby
 from ..timeutil import to_minutes
 from .context import QueryContext
@@ -31,16 +32,19 @@ NEARBY_RADIUS_KM = 10.0
 NEARBY_TOPK = 10
 
 
+def _rides(dataset, from_city: str, to_city: str, kind: str | None) -> list:
+    """The routes from one city to the other that the cross-city rules accept;
+    the search takes no other, so each of its leaves passes those rules."""
+    return [route for route in intercity_select(dataset.cities, from_city, to_city, kind=kind)
+            if route_fits(route, from_city, to_city, dataset)]
+
+
 def return_routes(dataset, ctx: QueryContext):
-    return intercity_select(
-        dataset.cities, ctx.target, ctx.origin, kind=ctx.required_intercity_kind
-    )
+    return _rides(dataset, ctx.target, ctx.origin, ctx.required_intercity_kind)
 
 
 def outbound_routes(dataset, ctx: QueryContext):
-    return intercity_select(
-        dataset.cities, ctx.origin, ctx.target, kind=ctx.required_intercity_kind
-    )
+    return _rides(dataset, ctx.origin, ctx.target, ctx.required_intercity_kind)
 
 
 def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:

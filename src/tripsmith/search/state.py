@@ -6,11 +6,11 @@ backtracking is simply dropping a child. A state is only ever created through
 environmental rule - the partial plan is valid by construction.
 
 Each helper decides an extension on the arrival minute alone (`arrival_minute`:
-the clock plus the chosen mode's door-to-door minutes) and asks `goto` for
-the transfer legs, which the plan stores as they are plus the party's tickets
-or cars and cost, only for an extension it accepts. Most extensions a search tries are refused on that minute. An
-arrival past 23:59 needs no case of its own: no POI, hotel check-in or
-route departure is later than 23:59, so the arrival test refuses it.
+the clock plus the chosen mode's door-to-door minutes), which refuses most
+extensions a search tries, and asks `goto` for the transfer legs only for one
+it accepts; the plan stores them as they are plus the party's tickets or cars
+and cost. An arrival past 23:59 needs no case of its own: no POI, hotel
+check-in or route departure is later than 23:59, so the arrival test refuses it.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from tripsmith.plan.model import DayPlan, Plan
 from tripsmith.sandbox import load_dataset
+from tripsmith.search import HeuristicRanker
 from tripsmith.search.context import QueryContext
 from tripsmith.search.state import arrival_minute, transport_legs
 from tripsmith.timeutil import to_minutes
@@ -83,16 +84,33 @@ def beta(mini_dataset):
     return mini_dataset["Beta"]
 
 
+class NodeCapped:
+    """HeuristicRanker that ranks nothing after `cap` expansions, so a search
+    on the synthetic city set ends after a fixed amount of work."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.calls = 0
+        self.inner = HeuristicRanker()
+
+    def rank(self, candidates, state, ctx):
+        if self.calls >= self.cap:
+            return []
+        self.calls += 1
+        return self.inner.rank(candidates, state, ctx)
+
+
 def micro_context(days=1, people=2, **kwargs) -> QueryContext:
     return QueryContext(origin="Alpha", target="Beta", days=days, people=people, **kwargs)
 
 
-def micro_with_routes(tmp_path, *rows: str) -> Path:
-    """A copy of the micro fixture whose Alpha -> Beta routes are `rows` (CSV lines)."""
+def micro_with_routes(tmp_path, *rows: str,
+                      header: str = "ID,Kind,From,To,BeginTime,EndTime,Duration,Cost") -> Path:
+    """A copy of the micro fixture whose Alpha -> Beta routes are `rows` (CSV lines
+    under `header`)."""
     root = tmp_path / "micro"
     shutil.copytree(FIXTURES / "micro", root)
-    header = "ID,Kind,From,To,BeginTime,EndTime,Duration,Cost\n"
-    (root / "Alpha" / "intercity.csv").write_text(header + "".join(f"{row}\n" for row in rows))
+    (root / "Alpha" / "intercity.csv").write_text("".join(f"{row}\n" for row in (header, *rows)))
     return root
 
 

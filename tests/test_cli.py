@@ -416,6 +416,19 @@ def test_plans_record_without_uid_is_usage_error(tmp_path, bench, good_plans, ca
     assert "Traceback" not in err
 
 
+def test_plans_records_sharing_a_uid_is_usage_error(tmp_path, bench, good_plans, capsys):
+    """Neither record may win silently: the error names both lines."""
+    plans = tmp_path / "good-plans.jsonl"
+    header, *lines = plans.read_text().splitlines()
+    plans.write_text("\n".join([header, lines[0], lines[1], "", lines[0], *lines[2:]]) + "\n")
+    uid = json.loads(lines[0])["uid"]
+    capsys.readouterr()
+    assert run_on_benchmark("eval", bench, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {plans}:5: plans record repeats uid {uid!r} of line 2\n"
+    assert not (tmp_path / "eval.out").exists()
+
+
 def _day_as_text(plan: dict) -> dict:
     plan["itinerary"][0]["day"] = "one"
     return plan
@@ -449,6 +462,24 @@ def test_plans_record_with_a_bad_plan_is_scored_undelivered(tmp_path, bench, goo
     refused = reports.pop(record["uid"])
     assert refused["delivered"] is False
     assert refused["notes"].startswith("plan refused: ") and detail in refused["notes"]
+    del expected[record["uid"]]
+    assert reports == expected
+
+
+def test_eval_fails_a_plan_that_breaks_an_env_rule(tmp_path, bench, good_plans):
+    """The search never runs the env check on its plans; `eval` runs it on every plan."""
+    expected = _eval_reports(bench, tmp_path)
+    plans = tmp_path / "good-plans.jsonl"
+    header, *lines = plans.read_text().splitlines()
+    record = json.loads(lines[1])
+    outbound = record["plan"]["itinerary"][0]["activities"][0]
+    outbound["cost"] += 1                     # no longer price x tickets
+    plans.write_text("\n".join([header, lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    reports = _eval_reports(bench, tmp_path)
+    broken = reports.pop(record["uid"])
+    assert broken["delivered"] is True and broken["env"]["overall"] is False
+    assert [rule for rule, ok in broken["env"]["rules"].items() if not ok] == [
+        "env.cross_city.ticket_cost"]
     del expected[record["uid"]]
     assert reports == expected
 

@@ -515,6 +515,8 @@ RUNTIME_ERRORS = {
                  "loop collection must be a list or set, got text", (1, 1)),
     "concept-error": ("x = 1\nreturn activity_cost(x) > 0",
                       "expected an activity record as argument", (2, 8)),
+    "fractional-day": ("days = dayactivities(plan, 1.5)\nreturn True",
+                       "dayactivities expects a whole day number, got 1.5", (1, 8)),
     "argument-error-keeps-its-place": ("return activity_cost(1 / 0)", "division by zero",
                                        (1, 24)),
     "unknown-function": ("return nope(1 / 0)", "division by zero", (1, 15)),

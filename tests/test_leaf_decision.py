@@ -1,26 +1,24 @@
 """A search leaf is decided by the cheapest tests that can change the outcome.
 
-`_Search.finish_plan` runs the constraint programs first, in fail-first
-order, drops a leaf once it can neither pass them all nor beat the best
-environment-passing count so far, and runs the environmental check only on a
-leaf that got that far. The reference below is the eager decision it
-replaced: the environmental check first, then every program. Both must give
+`_Search.finish_plan` runs the constraint programs alone, in fail-first
+order, and drops a leaf once it can neither pass them all nor beat the best
+count so far. The reference below is the eager decision it replaced: the
+environmental check first, then every program, on every leaf. Both must give
 the same outcome (status, plan, nodes expanded, constraints passed) on the
 desk fixtures and on the benchmark's synthetic city set, for queries ending
-in each status, with leaves that fail the environmental check and with a
-program that raises `DslEvalError`.
+in each status and with a program that raises `DslEvalError`. That the
+search may skip the check at all is pinned in `test_env_by_construction`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 
 import pytest
 
-from tripsmith.dsl import check_source, run_program
-from tripsmith.evaluation.env_rules import EnvReport
+from tripsmith.dsl import run_program
+from tripsmith.evaluation import validate_env
 from tripsmith.genquery import sample_skeleton
 from tripsmith.genquery.certify import context_from_skeleton
 from tripsmith.genquery.templates import skeleton_to_dsl
@@ -30,13 +28,13 @@ from tripsmith.search import (
     ENV_ONLY_BEST,
     FULL_PASS,
     PARTIAL,
-    HeuristicRanker,
     QueryContext,
     SearchConfig,
     dfs,
     dfs_search,
 )
-from tripsmith.search.rules import FINISH
+
+from .conftest import NodeCapped
 
 # -- the eager reference ----------------------------------------------------------
 
@@ -44,69 +42,33 @@ from tripsmith.search.rules import FINISH
 def _eager_finish_plan(self, state):
     """Environmental check first, then every program, on every leaf."""
     plan = state.to_plan(self.ctx)
-    if not dfs.validate_env(plan, self.dataset).overall:
-        self.note_partial(state)
+    if not validate_env(plan, self.dataset).overall:
+        if self.best_partial is None or state.activity_count > self.best_partial.activity_count:
+            self.best_partial = state
         return None
-    passes = [dfs.run_program(program, plan, self.dataset).passed
-              for program in self.programs]
+    passes = [run_program(program, plan, self.dataset).passed for program in self.programs]
     if all(passes):
         return plan
-    if sum(passes) > self.best_env_passed:
-        self.best_env_passed = sum(passes)
-        self.best_env_plan = plan
+    if sum(passes) > self.best_passed:
+        self.best_passed = sum(passes)
+        self.best_plan = plan
     return None
 
 
-class _Capped:
-    """HeuristicRanker that ranks nothing after `cap` expansions, so a search
-    on the synthetic city set ends after a fixed amount of work."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.calls = 0
-        self.inner = HeuristicRanker()
-
-    def rank(self, candidates, state, ctx):
-        if self.calls >= self.cap:
-            return []
-        self.calls += 1
-        return self.inner.rank(candidates, state, ctx)
-
-
-def _search(sources, dataset, ctx, cap, trace=None):
-    outcome = dfs_search(sources, dataset, _Capped(cap), SearchConfig(budget_seconds=600),
-                         ctx, trace=trace)
+def _search(sources, dataset, ctx, cap):
+    outcome = dfs_search(sources, dataset, NodeCapped(cap), SearchConfig(budget_seconds=600),
+                         ctx)
     plan = None if outcome.plan is None else json.dumps(serialize_plan(outcome.plan),
                                                         sort_keys=True)
     return outcome.status, plan, outcome.nodes_expanded, outcome.constraints_passed
 
 
-@contextlib.contextmanager
-def _rejecting(monkeypatch, text):
-    """The environmental check also fails every plan whose record text contains `text`."""
-    if text is None:
-        yield
-        return
-    real = dfs.validate_env
-
-    def check(plan, dataset):
-        report = real(plan, dataset)
-        if text in json.dumps(serialize_plan(plan)):
-            return EnvReport({**report.results, "rejected_by_test": False})
-        return report
-
-    with monkeypatch.context() as patch:
-        patch.setattr(dfs, "validate_env", check)
-        yield
-
-
-def _both(monkeypatch, sources, dataset, ctx, cap=10_000, reject=None):
+def _both(monkeypatch, sources, dataset, ctx, cap=10_000):
     """The outcome of the search, after checking that the eager reference agrees."""
-    with _rejecting(monkeypatch, reject):
-        new = _search(sources, dataset, ctx, cap)
-        with monkeypatch.context() as patch:
-            patch.setattr(dfs._Search, "finish_plan", _eager_finish_plan)
-            old = _search(sources, dataset, ctx, cap)
+    new = _search(sources, dataset, ctx, cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(dfs._Search, "finish_plan", _eager_finish_plan)
+        old = _search(sources, dataset, ctx, cap)
     assert new == old
     return new
 
@@ -158,28 +120,24 @@ def _visits(position):
 
 
 MICRO_CASES = [
-    # (days, sources, env rejects plans containing, expected status)
-    (1, [_cuisine("Hotpot"), _cost_at_most(5000), _attractions_at_least(1)], None, FULL_PASS),
-    (2, [_attractions_at_least(2), _cuisine("Teahouse"), _cost_at_most(2000)], None, FULL_PASS),
-    (1, [_cuisine("Hotpot"), _cost_at_most(700), _attractions_at_least(2), FALSE], None,
+    # (days, sources, expected status)
+    (1, [_cuisine("Hotpot"), _cost_at_most(5000), _attractions_at_least(1)], FULL_PASS),
+    (2, [_attractions_at_least(2), _cuisine("Teahouse"), _cost_at_most(2000)], FULL_PASS),
+    (1, [_cuisine("Hotpot"), _cost_at_most(700), _attractions_at_least(2), FALSE],
      ENV_ONLY_BEST),
     (2, [FALSE, _visits("Stone Bridge"), _cuisine("Noodles"), _cost_at_most(1200),
-         _attractions_at_least(3)], None, ENV_ONLY_BEST),
+         _attractions_at_least(3)], ENV_ONLY_BEST),
     (1, [_raises_on("Noodle Corner"), _cuisine("Noodles"), _visits("Harbor Park"), FALSE],
-     None, ENV_ONLY_BEST),
-    (2, [_raises_on("Hotpot Alley"), _cuisine("Hotpot")], None, ENV_ONLY_BEST),
-    (1, [_cuisine("Hotpot"), _attractions_at_least(1), FALSE], "Hotpot Alley", ENV_ONLY_BEST),
-    (2, [_attractions_at_least(1), _cost_at_most(5000)], "Rest Inn", FULL_PASS),
-    (1, [_cuisine("Hotpot"), FALSE], "Beta", PARTIAL),
-    (2, [_raises_on("Tea Pavilion"), FALSE], "Alpha", PARTIAL),
+     ENV_ONLY_BEST),
+    (2, [_raises_on("Hotpot Alley"), _cuisine("Hotpot")], ENV_ONLY_BEST),
 ]
 
 
-@pytest.mark.parametrize("days, sources, reject, expected", MICRO_CASES)
+@pytest.mark.parametrize("days, sources, expected", MICRO_CASES)
 def test_leaf_decision_matches_eager_on_micro(monkeypatch, micro_dataset, days, sources,
-                                              reject, expected):
+                                              expected):
     ctx = QueryContext("Alpha", "Beta", days, 2)
-    assert _both(monkeypatch, sources, micro_dataset, ctx, reject=reject)[0] == expected
+    assert _both(monkeypatch, sources, micro_dataset, ctx)[0] == expected
 
 
 def test_leaf_decision_matches_eager_when_nothing_is_scheduled(monkeypatch, micro_dataset):
@@ -190,23 +148,18 @@ def test_leaf_decision_matches_eager_when_nothing_is_scheduled(monkeypatch, micr
 
 MINI_CASES = [
     ("Alpha", "Beta", 2, [_cuisine("Hotpot"), _visits("City Museum"), _cost_at_most(3000)],
-     None, FULL_PASS),
+     FULL_PASS),
     ("Alpha", "Beta", 2, [_visits("Lakeview Tower"), _cuisine("Cantonese"),
                           _attractions_at_least(4), _cost_at_most(1500), FALSE],
-     None, ENV_ONLY_BEST),
-    ("Beta", "Alpha", 2, [_cuisine("Teahouse"), _raises_on("Alpha Park"),
-                          _visits("Glass Bridge"), FALSE], "Clocktower Square",
      ENV_ONLY_BEST),
-    ("Beta", "Alpha", 1, [_cuisine("Dumplings"), FALSE], "Alpha Station", PARTIAL),
 ]
 
 
-@pytest.mark.parametrize("origin, target, days, sources, reject, expected", MINI_CASES)
+@pytest.mark.parametrize("origin, target, days, sources, expected", MINI_CASES)
 def test_leaf_decision_matches_eager_on_mini(monkeypatch, mini_dataset, origin, target, days,
-                                             sources, reject, expected):
+                                             sources, expected):
     ctx = QueryContext(origin, target, days, 3)
-    status = _both(monkeypatch, sources, mini_dataset, ctx, cap=2000, reject=reject)[0]
-    assert status == expected
+    assert _both(monkeypatch, sources, mini_dataset, ctx, cap=2000)[0] == expected
 
 
 def _synth_query(dataset, index):
@@ -219,68 +172,67 @@ def _synth_query(dataset, index):
 
 
 SYNTH_CASES = [
-    # (skeleton index, extra programs, env rejects plans containing, expected status)
-    (8, [], None, FULL_PASS),
-    (1, [], None, ENV_ONLY_BEST),
-    (5, [FALSE], None, ENV_ONLY_BEST),
-    (1, [], "Jade", ENV_ONLY_BEST),
-    (11, [], "Lotus", PARTIAL),
-    (0, [], None, PARTIAL),
+    # (skeleton index, extra programs, expected status)
+    (8, [], FULL_PASS),
+    (1, [], ENV_ONLY_BEST),
+    (5, [FALSE], ENV_ONLY_BEST),
+    (0, [], PARTIAL),
 ]
 
 
-@pytest.mark.parametrize("index, extra, reject, expected", SYNTH_CASES)
+@pytest.mark.parametrize("index, extra, expected", SYNTH_CASES)
 def test_leaf_decision_matches_eager_on_a_synthetic_city(monkeypatch, synth_dataset, index,
-                                                         extra, reject, expected):
+                                                         extra, expected):
     sources, ctx = _synth_query(synth_dataset, index)
-    status = _both(monkeypatch, sources + extra, synth_dataset, ctx, cap=200, reject=reject)[0]
-    assert status == expected
+    assert _both(monkeypatch, sources + extra, synth_dataset, ctx, cap=200)[0] == expected
 
 
-# -- the environmental check runs only where it can matter -----------------------------
+# -- a leaf runs only the programs that can still matter --------------------------------
 
 
-def test_env_check_runs_only_on_leaves_that_could_change_the_outcome(monkeypatch,
+def test_programs_run_fail_first_and_stop_once_a_leaf_cannot_matter(monkeypatch,
                                                                     synth_dataset):
     sources, ctx = _synth_query(synth_dataset, 5)
-    programs = [check_source(source)[0] for source in sources]
-    real = dfs.validate_env
-    searches = []
+    real = dfs.run_program
+    searches, runs, results = [], [], []
 
-    def check(plan, dataset):
-        passed = sum(run_program(program, plan, dataset).passed for program in programs)
-        report = real(plan, dataset)
-        searches[-1].checked.append((passed, report.overall))
-        return report
+    def counting(program, plan, dataset):
+        runs.append(program)
+        return real(program, plan, dataset)
 
     class Recording(dfs._Search):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.checked = []        # (pass count, env verdict) of each checked leaf
-            self.leaves = 0
+            self.decided = []     # (passes, best count before and after, new best, full pass)
             searches.append(self)
 
-    def count_leaves(row):
-        if row["action"] == FINISH:
-            searches[-1].leaves += 1
+        def finish_plan(self, state):
+            plan = state.to_plan(self.ctx)
+            passes = sum(real(program, plan, self.dataset).passed for program in self.programs)
+            before, best = self.best_passed, self.best_plan
+            found = super().finish_plan(state)
+            self.decided.append((passes, before, self.best_passed, self.best_plan is not best,
+                                 found is not None))
+            return found
 
-    monkeypatch.setattr(dfs, "validate_env", check)
+    monkeypatch.setattr(dfs, "run_program", counting)
     monkeypatch.setattr(dfs, "_Search", Recording)
-    runs = []
     for _ in range(2):
-        outcome = _search(sources, synth_dataset, ctx, 200, trace=count_leaves)
+        runs.clear()
+        outcome = _search(sources, synth_dataset, ctx, 200)
         search = searches[-1]
-        order = [next(i for i, p in enumerate(search.programs) if p is q)
-                 for q in search.order]
-        runs.append((outcome, order, search.checked, search.leaves))
-    assert runs[0] == runs[1]
-    outcome, order, checked, leaves = runs[0]
+        order = [next(i for i, p in enumerate(search.programs) if p is q) for q in search.order]
+        results.append((outcome, order, search.decided, len(runs)))
+    assert results[0] == results[1]
+    outcome, order, decided, run_count = results[0]
     assert outcome[0] == ENV_ONLY_BEST
-    best = -1
-    for passed, env_ok in checked:
-        # a full pass, or more passes than every environment-passing leaf before it
-        assert best == -1 or passed > best, (passed, best)
-        if env_ok:
-            best = passed
-    assert leaves >= 200 and len(checked) <= 5     # the eager decision checked every leaf
+    programs = len(searches[0].programs)
+    for passes, before, after, replaced, full in decided:
+        assert not full
+        # a leaf becomes the best exactly when it passes more programs than the best before it
+        assert replaced == (passes > before), (passes, before)
+        assert after == max(passes, before), (passes, before, after)
+    assert sum(replaced for _, _, _, replaced, _ in decided) >= 2
+    # the eager decision ran every program on every leaf
+    assert run_count < len(decided) * programs / 2, (run_count, len(decided))
     assert order != sorted(order)                  # a program moved to the front

@@ -1,10 +1,11 @@
+import importlib
 import shutil
 
 import pytest
 
 from tripsmith.dsl import check_syntax
 from tripsmith.errors import InputError
-from tripsmith.evaluation import evaluate_plan
+from tripsmith.evaluation import RULE_IDS, evaluate_plan
 from tripsmith.genquery import (
     CertifiedQuery,
     ConstraintSpec,
@@ -14,9 +15,9 @@ from tripsmith.genquery import (
     skeleton_to_dsl,
 )
 from tripsmith.sandbox import load_dataset
-from tripsmith.search import SearchConfig
+from tripsmith.search import FULL_PASS, SearchConfig, SearchOutcome
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, build_base_plan, corrupt_plan
 
 
 def test_easy_has_exactly_one_spec(micro_dataset):
@@ -120,6 +121,22 @@ def test_certified_witness_revalidates(micro_dataset):
         assert report.env.overall
         assert all(report.logical)
     assert done >= 20
+
+
+def test_certify_refuses_a_witness_that_fails_the_env_check(mini_dataset, monkeypatch):
+    """The search never runs the env check on its leaves; `certify` runs it on the
+    witness, so a witness that breaks any one rule is rejected."""
+    witness = []
+    monkeypatch.setattr(importlib.import_module("tripsmith.genquery.certify"), "dfs_search",
+                        lambda *args, **kwargs: SearchOutcome(FULL_PASS, witness[-1], 1, 0.0))
+    skeleton = sample_skeleton(mini_dataset, "easy", 0, origin="Alpha", target="Beta")
+    skeleton.specs = []
+    cfg = SearchConfig(budget_seconds=10)
+    witness.append(build_base_plan(mini_dataset))
+    assert certify(skeleton, mini_dataset, cfg) is not None
+    for rule in RULE_IDS:
+        witness.append(corrupt_plan(mini_dataset, rule))
+        assert certify(skeleton, mini_dataset, cfg) is None, rule
 
 
 def test_hash_in_a_poi_name_is_part_of_the_name(tmp_path):

@@ -27,8 +27,8 @@ from tripsmith.search.ranking import MAX_BRANCHING, ORDER_MEMO_SIZE, TableView
 from tripsmith.search.rules import ACCOMMODATION, ATTRACTION, OUTBOUND, RETURN, outbound_routes, \
     return_routes
 
-from .conftest import FIXTURES
-from .test_leaf_decision import FALSE, _Capped
+from .conftest import FIXTURES, NodeCapped
+from .test_leaf_decision import FALSE
 
 
 def _terms(candidate) -> list[str]:
@@ -255,7 +255,7 @@ def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
     for table, rows in _tables(dataset).items():
         for candidates in (rows, rows[::-1], TableView(rows, {}, frozenset({0}))):
             assert _got(candidates, ctx) == _want(candidates, ctx), table
-    dfs_search([FALSE], dataset, _Capped(200), SearchConfig(budget_seconds=600), ctx)
+    dfs_search([FALSE], dataset, NodeCapped(200), SearchConfig(budget_seconds=600), ctx)
     assert read == []
     assert list(dataset["Beta"].order_memo["attractions"]) == [((), kind == "budget")]
 
@@ -269,12 +269,12 @@ def test_equal_contexts_share_their_keys(monkeypatch):
     second = _contexts(dataset)["both"]
     assert second is not first and second.required_terms == first.required_terms
     cfg = SearchConfig(budget_seconds=600)
-    before = dfs_search([FALSE], dataset, _Capped(200), cfg, first)
+    before = dfs_search([FALSE], dataset, NodeCapped(200), cfg, first)
     memo = dataset["Beta"].order_memo
     orders = {table: dict(memo[table]) for table in memo}
     assert all(list(kept) == [(first.required_terms, True)] for kept in orders.values())
     read = _reading(monkeypatch)
-    after = dfs_search([FALSE], dataset, _Capped(200), cfg, second)
+    after = dfs_search([FALSE], dataset, NodeCapped(200), cfg, second)
     rows = set(map(id, dataset["Beta"].attractions + dataset["Beta"].restaurants))
     assert read and not rows & set(map(id, read))      # routes and hotels: per search
     assert all(memo[table][key] is order
@@ -307,7 +307,7 @@ def test_a_dataset_takes_its_orders_with_it():
     dropped, nothing keeps the dataset alive."""
     dataset = load_dataset(FIXTURES / "mini")
     ctx = _contexts(dataset)["both"]
-    dfs_search([FALSE], dataset, _Capped(200), SearchConfig(budget_seconds=600), ctx)
+    dfs_search([FALSE], dataset, NodeCapped(200), SearchConfig(budget_seconds=600), ctx)
     assert dataset["Beta"].order_memo["restaurants"]
     gone = weakref.ref(dataset)
     del dataset

@@ -35,8 +35,8 @@ from tripsmith.search.rules import (
 from tripsmith.search.state import initial_state, schedule_outbound
 from tripsmith.timeutil import to_minutes
 
-from .conftest import micro_context
-from .test_leaf_decision import FALSE, _Capped
+from .conftest import NodeCapped, micro_context
+from .test_leaf_decision import FALSE
 
 
 def _search(dataset, ctx):
@@ -111,13 +111,13 @@ def test_precomputed_latest_return_decides_like_three_arguments(monkeypatch, mic
     cfg = SearchConfig(budget_seconds=600)
     for dataset in (micro_dataset, mini_dataset):
         for ctx in _contexts(dataset):
-            dfs_search([FALSE], dataset, _Capped(300), cfg, ctx)
+            dfs_search([FALSE], dataset, NodeCapped(300), cfg, ctx)
     pairs = list(itertools.permutations(synth_dataset.city_names, 2))
     for index in range(6):
         origin, target = pairs[index % len(pairs)]
         skeleton = sample_skeleton(synth_dataset, "medium" if index % 2 else "easy",
                                    900 + index, origin=origin, target=target)
-        dfs_search(skeleton_to_dsl(skeleton) + [FALSE], synth_dataset, _Capped(100), cfg,
+        dfs_search(skeleton_to_dsl(skeleton) + [FALSE], synth_dataset, NodeCapped(100), cfg,
                    context_from_skeleton(skeleton))
     assert len(agreed) > 1000 and all(agreed)
 

@@ -19,7 +19,9 @@ from tripsmith.genquery import sample_skeleton
 from tripsmith.genquery.certify import context_from_skeleton
 from tripsmith.genquery.templates import skeleton_to_dsl
 from tripsmith.plan import serialize_plan
-from tripsmith.search import HeuristicRanker, SearchConfig, dfs_search
+from tripsmith.search import SearchConfig, dfs_search
+
+from .conftest import NodeCapped
 
 NODE_CAP = 150
 SKELETONS = 12
@@ -40,27 +42,12 @@ PINS = {   # sha256 of [status, plan, nodes_expanded, constraints_passed]
 }
 
 
-class _NodeCapped:
-    """HeuristicRanker that ranks nothing after `cap` expansions."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.calls = 0
-        self.inner = HeuristicRanker()
-
-    def rank(self, candidates, state, ctx):
-        if self.calls >= self.cap:
-            return []
-        self.calls += 1
-        return self.inner.rank(candidates, state, ctx)
-
-
 def _outcome(dataset, index: int) -> list:
     pairs = list(itertools.permutations(dataset.city_names, 2))
     origin, target = pairs[index % len(pairs)]
     skeleton = sample_skeleton(dataset, "medium" if index % 2 else "easy", 700 + index,
                                origin=origin, target=target)
-    outcome = dfs_search(skeleton_to_dsl(skeleton), dataset, _NodeCapped(NODE_CAP),
+    outcome = dfs_search(skeleton_to_dsl(skeleton), dataset, NodeCapped(NODE_CAP),
                          SearchConfig(budget_seconds=600), context_from_skeleton(skeleton))
     plan = None if outcome.plan is None else serialize_plan(outcome.plan)
     return [outcome.status, plan, outcome.nodes_expanded, outcome.constraints_passed]

@@ -21,6 +21,7 @@ KNOWN_ABSENT = [
     "tripsmith.search.dfs.check_syntax",
     "tripsmith.search.dfs.evaluate",
     "tripsmith.search.dfs.parse",
+    "tripsmith.search.dfs.validate_env",
 ]
 
 
