@@ -85,6 +85,8 @@ def _typed(key: str, value, kind, path: str):
         if not isinstance(value, str):
             raise SchemaError(f"{path}: field {key!r} must be a string, got {value!r}")
         return value
+    if kind is int and type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
         raise SchemaError(f"{path}: field {key!r} must be a number, got {value!r}")
     number = value if isinstance(value, Decimal) else Decimal(str(value))

@@ -31,24 +31,35 @@ pair sorted by (departure, id), which `intercity_select` only filters. Each
 POI table also keeps its rows' coordinates as floats, in a list parallel to
 the rows, for `nearby`.
 
-Route departure and arrival become int minutes here, once; the plan record
-and the environment check format them with `to_hhmm`, so a non-padded "7:05"
-in the file reads "07:05" in a plan. POI opening hours stay the file's
-"HH:MM" text, because the benchmark's own tests compare that text, and the
-clock memo in `timeutil` keeps parsing it cheap.
+Every clock cell is parsed once, here. Route departure and arrival become
+int minutes; the plan record and the environment check format them with
+`to_hhmm`, so a non-padded "7:05" in the file reads "07:05" in a plan. A POI
+row keeps its opening hours as the file's "HH:MM" text, which the
+benchmark's own tests compare; their minutes go in `open_minutes` and
+`close_minutes`, lists parallel to the rows of each table with hours. The
+overnight check, `is_open`, the planner's visit test (through `hours`), its
+open-attraction test and its closing-time prune read those ints.
 
-A cold `nearby` takes the float haversine of every row, drops the rows that
-cannot be in the answer, and quantises and sorts only the rest by (distance,
+A cold `nearby` walks the table's rows outward in latitude from the point,
+takes the float haversine of each, and stops on a side once the latitude
+difference alone puts every further row beyond the reach: a great-circle
+distance is at least 6371 km times the latitude difference in radians. The
+reach starts at the radius plus 0.002 km and, once k rows are within it,
+shrinks to the k-th nearest distance seen plus 0.002 km; the k nearest rows
+of the table are within every reach the walk uses, so it sees every row
+within the final one. Only those rows are quantised and sorted by (distance,
 name). Quantising moves a distance by at most 0.0005 km and never puts two
 distances in the opposite order, so a row whose float distance is more than
 0.002 km beyond the radius, or beyond the k-th nearest row, cannot enter the
-top k: the answer equals the quantise-everything scan.
+top k: the answer equals the quantise-everything scan. A point or a row past
+a pole bounds nothing, and then the walk measures every row.
 
-Memoised on first use, per database: `nearby` answers, keyed on (table,
-point, topk, dist); the quantised distance of each ordered pair of
-positions; the door-to-door minutes of each (start, end, mode) transfer,
-which `goto` and the planner's arrival test share; and in `order_memo` the
-ranker's orders of the attraction and restaurant tables. Nothing is filled
+Memoised on first use, per database: each POI table's rows in latitude
+order, for `nearby`; `nearby` answers, keyed on (table, point, topk, dist);
+the quantised distance of each ordered pair of positions; the door-to-door
+minutes of each (start, end, mode) transfer, which `goto` and the planner's
+arrival test share; and in `order_memo` the ranker's orders of the
+attraction and restaurant tables (`search.ranking.TableOrders`). Nothing is filled
 eagerly: every pair and every neighbour list of a 3-city synthetic set with
 300 POIs per table is ~630 k haversine calls, over a second of load time,
 and a search asks for a small share of them. The planner asks `nearby`
@@ -66,13 +77,15 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from heapq import heappush, heapreplace
 from pathlib import Path
 
-from ..errors import IntegrityError, LoadError, NotFoundError, StateError
-from ..geo import distance_km, haversine_km, quantize_km
-from ..timeutil import is_hhmm, to_hhmm, to_minutes
+from ..errors import InputError, IntegrityError, LoadError, NotFoundError, StateError
+from ..geo import EARTH_RADIUS_KM, distance_km, quantize_km
+from ..timeutil import to_hhmm, to_minutes
 from .fares import MODES, FareConfig, load_fare_config, travel_minutes
 
 PAGE_SIZE = 10
@@ -99,6 +112,10 @@ _POI_COLUMNS = ("name", "latitude", "longitude")
 # over twice what quantising moves a distance, so that a row this much farther
 # than another has a strictly larger quantised distance (see the docstring)
 _DIST_SLACK = 0.002
+# a great-circle distance is at least the latitude difference times this
+_KM_PER_DEGREE = EARTH_RADIUS_KM * math.pi / 180
+# far above the float error of either side of that bound
+_WINDOW_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,9 @@ class CityDatabase:
     positions_by_name: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
     # table -> (latitude, longitude) of each row as floats, parallel to the rows
     float_points: dict[str, list[tuple[float, float]]] = field(default_factory=dict, repr=False)
+    # table with visiting hours -> opening and closing minute of each row, parallel to the rows
+    open_minutes: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    close_minutes: dict[str, list[int]] = field(default_factory=dict, repr=False)
     routes_by_id: dict[str, IntercityRoute] = field(default_factory=dict, repr=False)
     routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = field(
         default_factory=dict, repr=False)
@@ -168,9 +188,12 @@ class CityDatabase:
         default_factory=dict, init=False, repr=False, compare=False)
     _transfer_memo: dict[tuple[str, str, str], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # attractions | restaurants -> (required terms, budget use) -> ranked positions
-    order_memo: dict[str, dict] = field(default_factory=lambda: {"attractions": {},
-                                        "restaurants": {}}, init=False, repr=False, compare=False)
+    # table -> the rows in latitude order (see latitude_index)
+    _latitude_index: dict[str, tuple[list[float], list[tuple]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # attractions | restaurants -> the ranker's orders of the table (search.ranking.TableOrders)
+    order_memo: dict[str, dict] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def table(self, name: str) -> list[dict]:
         if name not in POI_TABLES:
@@ -187,6 +210,29 @@ class CityDatabase:
         """The row called `name` in a POI table, or None."""
         position = self.positions_by_name[table].get(name)
         return None if position is None else getattr(self, table)[position]
+
+    def hours(self, table: str, row: dict) -> tuple[int, int]:
+        """Opening and closing minute of an attraction or restaurant row: the
+        load-time ints for a row of this table, a row from elsewhere's text parsed."""
+        position = self.positions_by_name[table].get(row["name"])
+        if position is not None and getattr(self, table)[position] is row:
+            return self.open_minutes[table][position], self.close_minutes[table][position]
+        return to_minutes(row["opentime"]), to_minutes(row["endtime"])
+
+    def latitude_index(self, table: str) -> tuple[list[float], list[tuple]]:
+        """A POI table's row latitudes in ascending order and, in that order, each
+        row's (position, latitude in radians, its cosine, longitude); built on
+        first use."""
+        index = self._latitude_index.get(table)
+        if index is None:
+            points = self.float_points[table]
+            order = sorted(range(len(points)), key=points.__getitem__)
+            radians = [math.radians(points[position][0]) for position in order]
+            index = self._latitude_index[table] = (
+                [points[position][0] for position in order],
+                [(position, rad, math.cos(rad), points[position][1])
+                 for position, rad in zip(order, radians)])
+        return index
 
     def coordinates(self, name: str) -> tuple[Decimal, Decimal]:
         try:
@@ -236,11 +282,8 @@ def _integer(raw: str) -> int:
     return int(raw.strip())     # int() alone refuses blanks that str.strip() drops
 
 
-def _clock(raw: str) -> str:
-    raw = raw.strip()
-    if not is_hhmm(raw):
-        raise ValueError(raw)
-    return raw
+def _clock(raw: str) -> int:
+    return to_minutes(raw)      # strips; the row keeps the stripped text (see _read_csv)
 
 
 # the converter of each typed column; every other column is text, stripped
@@ -252,11 +295,17 @@ _CONVERTERS = {
 }
 # what a load error calls a cell that a converter refuses
 _BAD_CELL = {_number: "number", _integer: "integer", _clock: "clock time"}
-_CELL_ERRORS = (ValueError, ArithmeticError)
+_CELL_ERRORS = (ValueError, ArithmeticError, InputError)
 
 
-def _read_csv(path: Path, required: tuple[str, ...], table: str) -> list[dict]:
-    """The rows `csv.DictReader` reads, keyed by canonical column and converted."""
+def _read_csv(path: Path, required: tuple[str, ...], table: str,
+              clocks: dict[str, list[int]] | None = None) -> list[dict]:
+    """The rows `csv.DictReader` reads, keyed by canonical column and converted.
+
+    A clock cell is parsed once: the row keeps its stripped text and, when
+    `clocks` is given, `clocks[column]` gets its minute, in row order."""
+    if clocks is None:
+        clocks = {}
     if not path.exists():
         raise LoadError(f"missing table {table!r}: expected file {path}")
     with path.open(newline="", encoding="utf-8") as fh:
@@ -271,6 +320,8 @@ def _read_csv(path: Path, required: tuple[str, ...], table: str) -> list[dict]:
         missing = [col for col in required if col not in keys]
         if missing:
             raise LoadError(f"{path}: table {table!r} misses columns {missing}")
+        timed = [(key, position, clocks.setdefault(key, []).append)
+                 for key, position, convert in plan if convert is _clock]
         width = len(header)
         rows = []
         for idx, cells in enumerate(filter(None, reader), 2):
@@ -286,7 +337,11 @@ def _read_csv(path: Path, required: tuple[str, ...], table: str) -> list[dict]:
                         raise LoadError(f"{path}:{idx}: bad {_BAD_CELL[convert]} "
                                         f"{cells[position].strip()!r} in column {key!r}") from None
                 raise
-            rows.append(dict(zip(keys, values)))
+            row = dict(zip(keys, values))
+            for key, position, record in timed:
+                record(row[key])
+                row[key] = cells[position].strip()
+            rows.append(row)
     return rows
 
 
@@ -300,22 +355,28 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
     tables = {}
     positions_by_name: dict[str, dict[str, int]] = {}
     float_points: dict[str, list[tuple[float, float]]] = {}
+    open_minutes: dict[str, list[int]] = {}
+    close_minutes: dict[str, list[int]] = {}
     coords: dict[str, tuple[Decimal, Decimal]] = {}
     for table, required in _TABLE_COLUMNS.items():
-        rows = _read_csv(city_dir / f"{table}.csv", required, table)
+        clocks: dict[str, list[int]] = {}
+        rows = _read_csv(city_dir / f"{table}.csv", required, table, clocks)
         by_name = positions_by_name[table] = {}
         float_points[table] = [(float(row["latitude"]), float(row["longitude"])) for row in rows]
+        timed = "opentime" in clocks and "endtime" in clocks
+        if timed:
+            opens = open_minutes[table] = clocks["opentime"]
+            closes = close_minutes[table] = clocks["endtime"]
         for position, row in enumerate(rows):
             name = row["name"]
             if name in by_name:
                 raise IntegrityError(f"duplicate {table[:-1]} name {name!r} in {city}")
             by_name[name] = position
-            if "opentime" in row and "endtime" in row:
-                if to_minutes(row["opentime"]) > to_minutes(row["endtime"]):
-                    raise IntegrityError(
-                        f"{city}/{table}: {name!r} has overnight hours "
-                        f"({row['opentime']}-{row['endtime']}), not supported"
-                    )
+            if timed and opens[position] > closes[position]:
+                raise IntegrityError(
+                    f"{city}/{table}: {name!r} has overnight hours "
+                    f"({row['opentime']}-{row['endtime']}), not supported"
+                )
             point = (row["latitude"], row["longitude"])
             if name in coords and coords[name] != point:
                 raise IntegrityError(f"{city}: {name!r} has conflicting coordinates")
@@ -329,7 +390,9 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         coords[row["name"]] = point
 
     routes = []
-    for row in _read_csv(city_dir / "intercity.csv", _INTERCITY_COLUMNS, "intercity"):
+    clocks = {}
+    intercity = _read_csv(city_dir / "intercity.csv", _INTERCITY_COLUMNS, "intercity", clocks)
+    for row, begin, end in zip(intercity, clocks["begintime"], clocks["endtime"]):
         kind = row["kind"].strip().lower()
         if kind not in ("train", "airplane"):
             raise IntegrityError(f"{city}/intercity: unknown kind {row['kind']!r}")
@@ -337,7 +400,6 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
             raise IntegrityError(
                 f"{city}/intercity: id {row['id']!r} prefix does not match kind {kind!r}"
             )
-        begin, end = to_minutes(row["begintime"]), to_minutes(row["endtime"])
         if end <= begin:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} must end after it begins")
         if row["cost"] <= 0:
@@ -378,6 +440,8 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         fares=fares,
         positions_by_name=positions_by_name,
         float_points=float_points,
+        open_minutes=open_minutes,
+        close_minutes=close_minutes,
         routes_by_id=routes_by_id,
         routes_by_pair=routes_by_pair,
     )
@@ -435,23 +499,56 @@ def nearby(db: CityDatabase, table: str, point: tuple, topk: int, dist) -> list[
     found = db._nearby_memo.get(key)
     if found is None:
         found = db._nearby_memo[key] = _nearest(
-            db.table(table), db.float_points[table], flat, flon, topk, dist)
+            db.table(table), db.latitude_index(table), flat, flon, topk, dist)
     return list(found)
 
 
-def _nearest(rows: list[dict], points: list, lat: float, lon: float, topk: int,
+def _nearest(rows: list[dict], index: tuple, lat: float, lon: float, topk: int,
              dist: Decimal) -> tuple[dict, ...]:
-    """The top-k rows by (quantised distance, name) within `dist`, quantising only
-    the rows that can be in the answer (see the module docstring)."""
-    km = [haversine_km(lat, lon, row_lat, row_lon) for row_lat, row_lon in points]
+    """The top-k rows by (quantised distance, name) within `dist`, taking the
+    haversine only of the rows inside the latitude window and quantising only
+    those that can be in the answer (see the module docstring)."""
+    lats, entries = index
     reach = float(dist) + _DIST_SLACK
-    near = [position for position, d in enumerate(km) if d <= reach]
-    if len(near) > topk:
-        reach = min(reach, sorted(km[position] for position in near)[topk - 1] + _DIST_SLACK)
+    p1 = math.radians(lat)
+    c1 = math.cos(p1)
+    sin, asin, sqrt, radians = math.sin, math.asin, math.sqrt, math.radians
+    near = []           # (km, position) of the rows within the reach when seen
+    nearest = []        # max-heap of the topk smallest km seen, negated
+    below = bisect_left(lats, lat) - 1
+    above = below + 1
+    # the bound holds for latitudes on the sphere; a point off it is scanned whole
+    bounded = -90 <= lat <= 90 and (not lats or (-90 <= lats[0] and lats[-1] <= 90))
+    window = math.inf
+    while True:
+        if bounded:
+            window = (reach + _WINDOW_SLACK) / _KM_PER_DEGREE
+        down = below >= 0 and lat - lats[below] <= window
+        up = above < len(lats) and lats[above] - lat <= window
+        if not (down or up):
+            break
+        if down and (not up or lat - lats[below] <= lats[above] - lat):
+            position, p2, c2, lon2 = entries[below]
+            below -= 1
+        else:
+            position, p2, c2, lon2 = entries[above]
+            above += 1
+        # geo.haversine_km(lat, lon, <the row's point>), term for term
+        km = 2 * EARTH_RADIUS_KM * asin(sqrt(
+            sin((p2 - p1) / 2) ** 2 + c1 * c2 * sin(radians(lon2 - lon) / 2) ** 2))
+        if km > reach:
+            continue
+        near.append((km, position))
+        if len(nearest) < topk:
+            heappush(nearest, -km)
+        elif km < -nearest[0]:
+            heapreplace(nearest, -km)
+        if len(nearest) == topk:
+            reach = min(reach, _DIST_SLACK - nearest[0])
     scored = []
-    for position in near:
-        if km[position] <= reach:
-            d = quantize_km(km[position])
+    for km, position in near:
+        if km <= reach:
+            d = quantize_km(km)
             if d <= dist:
                 scored.append((d, rows[position]["name"], position))
     scored.sort()
@@ -461,10 +558,10 @@ def _nearest(rows: list[dict], points: list, lat: float, lon: float, topk: int,
 def is_open(db: CityDatabase, table: str, poi_id: str, time: str) -> bool:
     """Whether the named POI is open at HH:MM; bounds inclusive."""
     row = db.record(table, poi_id)
-    if "opentime" not in row or "endtime" not in row:
+    if table not in db.close_minutes:
         return True  # hotels carry no visiting hours
-    t = to_minutes(time)
-    return to_minutes(row["opentime"]) <= t <= to_minutes(row["endtime"])
+    open_at, close_at = db.hours(table, row)
+    return open_at <= to_minutes(time) <= close_at
 
 
 def intercity_select(

@@ -30,6 +30,16 @@ attraction or restaurant view leaves out the visited rows by their load-time
 positions and ranks from the database's cached orders; a route or hotel view
 ranks from orders cached for this search only.
 
+The views are pruned before the `MAX_BRANCHING` cap, so that the cap spends
+its width only on candidates some `schedule_*` helper can accept. A return
+view leaves out the routes that depart before the clock (a prefix of the
+routes, which are sorted by departure), and an attraction or restaurant view
+the rows whose closing minute is at or before it: arrival is never earlier
+than the clock, and a visit needs a positive duration. The prune is sound, so
+it changes which rows the cap keeps, never what a helper accepts.
+`enumerate_complete_plans` does not prune, so that tests comparing the search
+with it do not rest on the prune.
+
 The wall-clock budget is tested at node-expansion boundaries only, so the
 explored prefix is reproducible; elapsed time is reported but never affects
 the result on desk-scale instances.
@@ -39,6 +49,8 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..dsl import check_source, run_program
@@ -46,7 +58,7 @@ from ..errors import InputError
 from ..plan.model import Plan
 from ..timeutil import to_hhmm
 from .context import QueryContext
-from .ranking import MAX_BRANCHING, HeuristicRanker, Ranker, TableView
+from .ranking import MAX_BRANCHING, HeuristicRanker, Ranker, TableOrders, TableView
 from .rules import (
     ACCOMMODATION,
     ATTRACTION,
@@ -91,7 +103,7 @@ class _TimeUp(Exception):
 
 class _Search:
     def __init__(self, programs, dataset, ranker, budget_seconds, ctx, prune_budget,
-                 trace=None):
+                 trace=None, prune_closed=True):
         self.programs = programs
         self.order = list(programs)     # fail-first: the last program to drop a leaf leads
         self.dataset = dataset
@@ -100,14 +112,24 @@ class _Search:
         self.ctx = ctx
         self.prune_budget = prune_budget
         self.trace = trace
-        self.db = dataset[ctx.target]
+        self.prune_closed = prune_closed
+        self.db = db = dataset[ctx.target]
         # what no state changes, computed once per search
         self.outbound = outbound_routes(dataset, ctx)
         self.returns = return_routes(dataset, ctx)
+        self.begins = [route.begin for route in self.returns]
         self.latest = latest_return(self.returns)
         room = ctx.required_room_type
-        self.hotels = [row for row in self.db.hotels if room is None or row["numbed"] == room]
-        self.orders = {OUTBOUND: {}, RETURN: {}, ACCOMMODATION: {}}    # for this search only
+        self.hotels = [row for row in db.hotels if room is None or row["numbed"] == room]
+        self.orders = {    # routes and hotels for this search only; POI tables per database
+            OUTBOUND: TableOrders(self.outbound),
+            RETURN: TableOrders(self.returns),
+            ACCOMMODATION: TableOrders(self.hotels),
+        }
+        for table in ("attractions", "restaurants"):
+            if table not in db.order_memo:
+                db.order_memo[table] = TableOrders(getattr(db, table))
+            self.orders[table] = db.order_memo[table]
         self.nodes = 0
         self.start = time.monotonic()
         self.best_plan: Plan | None = None
@@ -117,26 +139,31 @@ class _Search:
     def elapsed(self) -> float:
         return time.monotonic() - self.start
 
-    def candidates(self, act_type: str, state: SearchState) -> list:
-        """A fresh list of the candidates for `act_type`, in table order."""
+    def candidates(self, act_type: str, state: SearchState) -> Sequence:
+        """The candidates for `act_type`, in table order; in a pruning search,
+        without those that no `schedule_*` helper accepts at the state's clock."""
         if act_type == OUTBOUND:
-            return TableView(self.outbound, self.orders[OUTBOUND])
+            return TableView(self.orders[OUTBOUND])
         if act_type == RETURN:
-            return TableView(self.returns, self.orders[RETURN])
+            # the routes are sorted by departure: those leaving before the clock lead
+            gone = bisect_left(self.begins, state.clock) if self.prune_closed else 0
+            return TableView(self.orders[RETURN], frozenset(range(gone)))
         if act_type == ATTRACTION:
-            return self.unvisited("attractions", state.visited_attractions)
+            return self.unvisited("attractions", state.visited_attractions, state.clock)
         if act_type == ACCOMMODATION:
             if state.hotel_name:
                 return [self.db.record("hotels", state.hotel_name)]
-            return TableView(self.hotels, self.orders[ACCOMMODATION])
+            return TableView(self.orders[ACCOMMODATION])
         # meals
-        return self.unvisited("restaurants", state.visited_restaurants)
+        return self.unvisited("restaurants", state.visited_restaurants, state.clock)
 
-    def unvisited(self, table: str, visited: frozenset) -> TableView:
-        """The table without the visited rows, left out by their positions."""
+    def unvisited(self, table: str, visited: frozenset, clock: int) -> TableView:
+        """The table without the visited rows, left out by their positions, and in
+        a pruning search without the rows that close at or before `clock`."""
         positions = self.db.positions_by_name[table]
         removed = frozenset(positions[name] for name in visited if name in positions)
-        return TableView(getattr(self.db, table), self.db.order_memo[table], removed)
+        closes = self.db.close_minutes[table] if self.prune_closed else None
+        return TableView(self.orders[table], removed, closes, clock)
 
     def extend(self, act_type: str, state: SearchState, candidate):
         if act_type == OUTBOUND:
@@ -257,10 +284,11 @@ def enumerate_complete_plans(dataset, ctx: QueryContext) -> list[Plan]:
     """Every complete plan reachable by the extension rules, in tree order.
 
     Exhaustive counterpart of dfs_search used by tests and certification
-    audits: no ranking, no branching cap, no deadline, no pruning.
+    audits: no ranking, no branching cap, no deadline, no pruning of any kind.
     """
     plans: list[Plan] = []
-    search = _Search([], dataset, HeuristicRanker(), math.inf, ctx, prune_budget=False)
+    search = _Search([], dataset, HeuristicRanker(), math.inf, ctx, prune_budget=False,
+                     prune_closed=False)
 
     def walk(state: SearchState) -> None:
         if len(plans) >= ENUMERATION_LIMIT:

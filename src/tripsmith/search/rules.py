@@ -56,7 +56,8 @@ def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:
     for row in rows:
         if row["name"] in state.visited_attractions:
             continue
-        if to_minutes(row["opentime"]) <= now <= to_minutes(row["endtime"]):
+        open_at, close_at = db.hours("attractions", row)
+        if open_at <= now <= close_at:
             return False
     return True
 

@@ -144,8 +144,7 @@ def schedule_visit(
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
     arrival = arrival_minute(db, state.position, name, state.clock, mode)
-    open_at = to_minutes(row["opentime"])
-    close_at = to_minutes(row["endtime"])
+    open_at, close_at = db.hours("attractions" if act_type == "attraction" else "restaurants", row)
     if arrival < open_at or arrival > close_at:
         return None
 

@@ -33,15 +33,15 @@ PINS = {
         "trace.jsonl": "6c662396bae0d66a9c4f386ef03abb2f8c6bd514cde282dc2708f6f9fa96c67c",
     },
     ("micro", "medium"): {
-        "bench.jsonl": "3aaf48031e49e8bd2c0af45321d13994026b346d8e2735b2696946427899d91d",
+        "bench.jsonl": "43f0be1eacae4c85cb9148db45abbdb3d442efb8f941d5584fcade25c3b3c9b8",
         "eval.json": "7bbed17a0cfbd6e9f288dc2ef4260ca345b9075df81ebcdb282bbac1e22ffcd2",
         "milp/q0000.lp": "c5ad0f2dff28c17c6acc13eeffacaa20fed74f450486c5678753e12d3a686f4d",
         "milp/q0001.lp": "7a08082b72db7e80b4c7dbb4b27433151a27f64481fcc6ce7ba4c84197e1e3d2",
         "milp/q0002.lp": "bbb7f283ad90de9efbeb65a1c54ca6150ab7488d15bdf6c99ff1d84ea8a480f7",
         "milp/q0003.lp": "04cf2a0f7f6fc1ba272ad48ea628ac36cbcb464366177d3a14a4eee5fdf5ad99",
         "milp/sizes.json": "ae642266c3d8674aef19c3d4f8c2e97aa78d04ef28eb5d59b4c4441534bd91b4",
-        "plans.jsonl": "316efa67be4b8d5a300937c4f2871497ee715e1b1d2c6f43bf93ae7f80463144",
-        "trace.jsonl": "5485414bd6ead57e924f70eda4375d373d33e5388aeb08b898de7a8188ca6bcb",
+        "plans.jsonl": "767b4ffe0593f28d1a4e1f2c5ab14de55dba084c29fd181f0d17fc7a92abbe21",
+        "trace.jsonl": "acad4c7487734e69411237e6eabcb5f5c353061de7628f42447804e46d1645e8",
     },
     ("mini", "easy"): {
         "bench.jsonl": "0a90f4d8efba29930e49d8f625f85e376a49eba1861c437c6f6ad2bead736d4e",
@@ -50,10 +50,10 @@ PINS = {
         "trace.jsonl": "63ec7c9d6153a7064491a1597be8ea4356dd3ebc63ae9f30de2424a492ed8a13",
     },
     ("mini", "medium"): {
-        "bench.jsonl": "f8e6570fa9c935626b78df45acdaa2461dc306ada5ce58292e801ed067c0f8ff",
+        "bench.jsonl": "f66ad268e3baf3cb5a3877927a3c085c582ca4a5da348d3490bcfab52d5771b5",
         "eval.json": "7fbcf038444df9990dd57983905b9948e2e96ed13dd8d86dfb79a6dce1297310",
-        "plans.jsonl": "5015f15adc48ed91942489feed49184c5b64da8fdc8f0ed011f4a55122c1ac04",
-        "trace.jsonl": "cc5a4ab6677ced31a0b11262cc2790842e95dd9e9e24b2e2cd4880414660f859",
+        "plans.jsonl": "58267c138d3057a41a76b4ec73ebfe3543b980bbdb6735acf59b7931d82dd302",
+        "trace.jsonl": "43d0a03cf5de9150550736591e9a2976d3e3f5b2839f230b656464e8adaab3a3",
     },
 }
 

@@ -172,19 +172,19 @@ def _synth_query(dataset, index):
 
 
 SYNTH_CASES = [
-    # (skeleton index, extra programs, expected status)
-    (8, [], FULL_PASS),
-    (1, [], ENV_ONLY_BEST),
-    (5, [FALSE], ENV_ONLY_BEST),
-    (0, [], PARTIAL),
+    # (skeleton index, extra programs, node cap, expected status)
+    (8, [], 200, FULL_PASS),
+    (3, [], 200, ENV_ONLY_BEST),
+    (5, [FALSE], 200, ENV_ONLY_BEST),
+    (0, [], 10, PARTIAL),       # the cap comes before the first leaf
 ]
 
 
-@pytest.mark.parametrize("index, extra, expected", SYNTH_CASES)
+@pytest.mark.parametrize("index, extra, cap, expected", SYNTH_CASES)
 def test_leaf_decision_matches_eager_on_a_synthetic_city(monkeypatch, synth_dataset, index,
-                                                         extra, expected):
+                                                         extra, cap, expected):
     sources, ctx = _synth_query(synth_dataset, index)
-    assert _both(monkeypatch, sources + extra, synth_dataset, ctx, cap=200)[0] == expected
+    assert _both(monkeypatch, sources + extra, synth_dataset, ctx, cap=cap)[0] == expected
 
 
 # -- a leaf runs only the programs that can still matter --------------------------------
@@ -192,7 +192,9 @@ def test_leaf_decision_matches_eager_on_a_synthetic_city(monkeypatch, synth_data
 
 def test_programs_run_fail_first_and_stop_once_a_leaf_cannot_matter(monkeypatch,
                                                                     synth_dataset):
-    sources, ctx = _synth_query(synth_dataset, 5)
+    sources, ctx = _synth_query(synth_dataset, 69)
+    # the first leaf misses this attraction and a later one visits it: a second best
+    sources = sources + [_visits("Jade Harbor Gate")]
     real = dfs.run_program
     searches, runs, results = [], [], []
 

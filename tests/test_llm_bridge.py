@@ -20,7 +20,7 @@ from tripsmith.llm import (
 )
 from tripsmith.search import HeuristicRanker, initial_state
 from tripsmith.search.context import QueryContext
-from tripsmith.search.ranking import MAX_BRANCHING, TableView
+from tripsmith.search.ranking import MAX_BRANCHING, TableOrders, TableView
 
 from .conftest import micro_context
 
@@ -131,7 +131,7 @@ def test_a_view_prompts_as_its_rows_and_falls_back_to_the_heuristic_prefix(synth
     prompts, reply = [], ["no list"]
     ranker = LlmRanker(CallableTransport(lambda prompt: prompts.append(prompt) or reply[0]))
     for rows in (db.attractions, db.restaurants):
-        view = TableView(rows, {}, frozenset({0, 3, len(rows) - 1}))
+        view = TableView(TableOrders(rows), frozenset({0, 3, len(rows) - 1}))
         heuristic = HeuristicRanker().rank(view, initial_state(), ctx)
         assert len(heuristic) == MAX_BRANCHING
         assert ranker.rank(view, initial_state(), ctx) == heuristic
@@ -139,7 +139,7 @@ def test_a_view_prompts_as_its_rows_and_falls_back_to_the_heuristic_prefix(synth
         assert prompts[-2] == prompts[-1]
     assert len(ranker.degradation_events) == 4
     reply[0] = f'RestaurantNameList: ["{db.restaurants[-3]["name"]}"]'
-    view = TableView(db.restaurants, {}, frozenset({0}))
+    view = TableView(TableOrders(db.restaurants), frozenset({0}))
     from_view = ranker.rank(view, initial_state(), ctx)
     assert from_view == ranker.rank(list(view), initial_state(), ctx)
     assert from_view == [view[-3], *view[:-3], *view[-2:]]

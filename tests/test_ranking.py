@@ -1,12 +1,13 @@
 """The heuristic ranker: its order, and the table orders it caches.
 
-The reference below is the partition-then-sort the ranker replaced: a stable
-split into rows that hit a required term and the rest, then, under a budget,
-a stable sort by price. Every order must match it, also when one ranker is
-reused across queries and across separately loaded datasets. On a
-`TableView`, the search's candidate list, the ranker returns the first
-`MAX_BRANCHING` rows of that order from an order of the whole table that the
-view's cache keeps per (required terms, budget use).
+The reference below is one stable sort of every row by the heuristic's key:
+whether the row's name (a route's id) is a required term, then how many
+required terms the row hits, most first, then, under a budget, price. Every
+order must match it, also when one ranker is reused across queries and across
+separately loaded datasets. On a `TableView`, the search's candidate list,
+the ranker returns the first `MAX_BRANCHING` rows of that order from an order
+of the whole table that the table's `TableOrders` keeps per (required terms,
+budget use).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 from tripsmith.sandbox import IntercityRoute, load_dataset
 from tripsmith.search import HeuristicRanker, SearchConfig, dfs, dfs_search, initial_state, ranking
 from tripsmith.search.context import QueryContext
-from tripsmith.search.ranking import MAX_BRANCHING, ORDER_MEMO_SIZE, TableView
+from tripsmith.search.ranking import MAX_BRANCHING, ORDER_MEMO_SIZE, TableOrders, TableView
 from tripsmith.search.rules import ACCOMMODATION, ATTRACTION, OUTBOUND, RETURN, outbound_routes, \
     return_routes
 
@@ -47,18 +48,15 @@ def _price(candidate) -> Decimal:
     return candidate.get("price", Decimal("0"))
 
 
+def reference_key(candidate, required: tuple, budgeted: bool) -> tuple:
+    terms = _terms(candidate)
+    hits = sum(any(req in term for term in terms) for req in required)
+    return terms[0] not in required, -hits, _price(candidate) if budgeted else 0
+
+
 def reference_rank(candidates: list, context: QueryContext) -> list:
-    required = context.required_terms
-    ordered = list(candidates)
-    if required:
-        matching, rest = [], []
-        for candidate in candidates:
-            hit = any(req in term for req in required for term in _terms(candidate))
-            (matching if hit else rest).append(candidate)
-        ordered = matching + rest
-    if context.budget_limit is not None:
-        ordered = sorted(ordered, key=_price)
-    return ordered
+    required, budgeted = context.required_terms, context.budget_limit is not None
+    return sorted(candidates, key=lambda row: reference_key(row, required, budgeted))
 
 
 def _ids(ranker, candidates: list, context: QueryContext) -> tuple[list, list]:
@@ -187,11 +185,47 @@ def test_a_freed_row_never_lends_its_key_to_a_new_one():
         gc.collect()
 
 
-
-
 @pytest.fixture(params=["micro", "mini", "synth"])
 def dataset(request):
     return request.getfixturevalue(f"{request.param}_dataset")
+
+
+def _random_terms(rows: list, rng) -> tuple:
+    """One to four required terms: whole terms of the table's rows (names and ids
+    among them), pieces of them, repeats and terms that hit nothing."""
+    vocabulary = sorted({term for row in rows for term in _terms(row)})
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        term = rng.choice(vocabulary)
+        pick = rng.random()
+        if pick < 0.25:
+            start = rng.randrange(len(term))
+            term = term[start:start + rng.randint(1, 4)]
+        elif pick < 0.35:
+            term = "No Such Term"
+        elif pick < 0.45 and terms:
+            term = terms[-1]
+        terms.append(term)
+    return tuple(terms)
+
+
+def test_orders_equal_a_full_sort_by_the_key_on_random_terms(dataset):
+    """Each cached order, which sorts only the rows that hit a term and keeps
+    the others in the table's base order, equals one stable sort of every row
+    by the reference key."""
+    rng = random.Random(29)
+    compared = 0
+    for table, rows in _tables(dataset).items():
+        orders = TableOrders(rows)
+        for _ in range(90):
+            required = _random_terms(rows, rng)
+            for budgeted in (False, True):
+                want = sorted(range(len(rows)),
+                              key=lambda position: reference_key(rows[position], required,
+                                                                 budgeted))
+                assert list(orders.order(required, budgeted)) == want, (table, required)
+                compared += 1
+    assert compared == 5 * 90 * 2
 
 
 def _removed_sets(size: int, rng):
@@ -212,9 +246,9 @@ def test_a_view_ranks_as_the_first_rows_of_the_reference(dataset, kind):
     rng = random.Random(19)
     ranker = HeuristicRanker()
     for table, rows in _tables(dataset).items():
-        orders = {}
+        orders = TableOrders(rows)
         for removed in _removed_sets(len(rows), rng):
-            view = TableView(rows, orders, removed)
+            view = TableView(orders, removed)
             assert list(map(id, view)) == [id(row) for position, row in enumerate(rows)
                                            if position not in removed]
             assert _got(view, ctx, ranker) == _want(view, ctx), (table, sorted(removed))
@@ -253,7 +287,7 @@ def test_a_query_with_no_required_term_reads_no_terms(monkeypatch, kind):
     assert not ctx.required_terms
     read = _reading(monkeypatch)
     for table, rows in _tables(dataset).items():
-        for candidates in (rows, rows[::-1], TableView(rows, {}, frozenset({0}))):
+        for candidates in (rows, rows[::-1], TableView(TableOrders(rows), frozenset({0}))):
             assert _got(candidates, ctx) == _want(candidates, ctx), table
     dfs_search([FALSE], dataset, NodeCapped(200), SearchConfig(budget_seconds=600), ctx)
     assert read == []
@@ -284,17 +318,17 @@ def test_equal_contexts_share_their_keys(monkeypatch):
 
 def test_a_context_whose_terms_change_is_keyed_anew(monkeypatch):
     """A change of required terms or of budget use computes a new order of the
-    whole table, reading each row's terms once; a key seen before reads none."""
+    whole table; the table's terms are read once, each row once, by the first
+    order that needs them, and a key seen before reads none."""
     dataset = load_dataset(FIXTURES / "mini")
     rows = dataset["Beta"].restaurants
     ctx = QueryContext("Alpha", "Beta", 1, 2, required_terms=(rows[0]["cuisinetype"],))
-    view = TableView(rows, {}, frozenset({1}))
+    view = TableView(TableOrders(rows), frozenset({1}))
     read = _reading(monkeypatch)
     for change in ({}, {"required_terms": (rows[-1]["cuisinetype"],)},
                    {"budget_limit": Decimal("100")}):
         for field, value in change.items():
             setattr(ctx, field, value)
-        read.clear()
         assert _got(view, ctx) == _want(view, ctx), change
         assert list(map(id, read)) == list(map(id, rows)), change
     assert len(view.orders) == 3

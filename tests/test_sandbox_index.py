@@ -6,11 +6,14 @@ route list, a regex parse per clock string.
 """
 
 import csv
+import gc
 import itertools
 import math
+import random
 import re
 import sys
 import threading
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -140,6 +143,48 @@ def test_nearby_matches_scan_everywhere(request, fixture):
                 for _ in range(2):      # cold, then answered from the memo
                     got = nearby(db, table, point, topk, radius)
                     assert [id(row) for row in got] == [id(row) for row in want]
+
+
+@pytest.mark.parametrize("fixture, draws", [("micro", 600), ("mini", 600), ("synth", 1200)])
+def test_nearby_window_matches_scan_on_random_queries(request, fixture, draws):
+    """Random points on and off the POIs, top-k 1-400 and radii 0.5-100 km, each
+    on a fresh memo: the latitude window answers as the whole-table scan."""
+    root = request.getfixturevalue("synth_root") if fixture == "synth" else FIXTURES / fixture
+    rng = random.Random(31)
+    cities = sorted(path.name for path in root.iterdir() if path.is_dir())
+    dbs = [load_city_data(root, city) for city in cities]
+    for _ in range(draws):
+        db = rng.choice(dbs)
+        table = rng.choice(POI_TABLES)
+        lat, lon = rng.choice(list(db.poi_coordinates.values()))
+        point = (lat, lon) if rng.random() < 0.5 else (
+            round(float(lat) + rng.uniform(-0.2, 0.2), 6),
+            round(float(lon) + rng.uniform(-0.2, 0.2), 6))
+        topk = rng.randint(1, 400)
+        radius = round(rng.uniform(0.5, 100), rng.choice((0, 1, 3)))
+        want = [row for d, _, row in scan_scored(db, table, point) if d <= Decimal(str(radius))]
+        db._nearby_memo.clear()
+        got = nearby(db, table, point, topk, radius)
+        assert [id(row) for row in got] == [id(row) for row in want[:topk]]
+
+
+def test_nearby_off_the_sphere_scans_the_whole_table():
+    """A latitude past the pole bounds nothing, so every row is measured."""
+    db = _fresh("mini")["Beta"]
+    for point in ((200.0, 121.4), (-271.2, 121.4)):
+        for table in POI_TABLES:
+            want = [row for d, _, row in scan_scored(db, table, point) if d <= 20000]
+            assert nearby(db, table, point, 400, 20000) == want
+
+
+def test_a_database_takes_its_latitude_index_with_it():
+    db = _fresh("mini")["Beta"]
+    nearby(db, "attractions", (31.2, 121.4), 3, 2)
+    assert db.latitude_index("attractions") is db.latitude_index("attractions")
+    gone = weakref.ref(db)
+    del db
+    gc.collect()
+    assert gone() is None
 
 
 @pytest.mark.parametrize("point, dist", [
@@ -303,6 +348,17 @@ def test_is_open_matches_scan(cities):
                 assert is_open(db, table, row["name"], clock) is want
 
 
+def test_hours_read_the_load_time_minutes_of_a_tables_own_rows(cities):
+    db = cities["Beta"]
+    for table in ("attractions", "restaurants"):
+        for position, row in enumerate(db.table(table)):
+            assert db.hours(table, row) == (db.open_minutes[table][position],
+                                            db.close_minutes[table][position])
+            # a copy with other hours, as a caller may build, is read from its text
+            copy = dict(row, opentime="7:05", endtime=" 17:30 ")
+            assert db.hours(table, copy) == (to_minutes("07:05"), to_minutes("17:30"))
+
+
 # -- clock parsing --------------------------------------------------------------
 
 def _clock_spellings():
@@ -430,6 +486,11 @@ def test_load_matches_a_dictreader_reference(request, fixture):
             assert _typed(rows) == _typed(read_csv_reference(root / city / f"{table}.csv"))
             assert db.float_points[table] == [
                 (float(row["latitude"]), float(row["longitude"])) for row in rows]
+            if table == "hotels":
+                assert table not in db.open_minutes and table not in db.close_minutes
+                continue
+            assert db.open_minutes[table] == [clock_reference(row["opentime"]) for row in rows]
+            assert db.close_minutes[table] == [clock_reference(row["endtime"]) for row in rows]
 
 
 @pytest.mark.parametrize("text", [

@@ -1,9 +1,9 @@
 """What a search computes once answers as the per-expansion code it replaced.
 
 `_Search` takes the outbound and return route lists, the latest return
-departure and the room-type filtered hotels once per search, and builds each
-attraction or restaurant candidate list by deleting the visited rows, by
-position, from a copy of the table. The references below are the
+departure and the room-type filtered hotels once per search, and gives each
+attraction or restaurant candidate list as a view of the table that leaves
+the visited rows out by position. The references below are the
 straightforward forms: a fresh route selection, a comprehension over the
 whole table, and `next_activity_type` called with three arguments.
 """
@@ -79,14 +79,13 @@ def test_candidate_lists_by_deletion_equal_the_comprehension(dataset):
                 want = [row for row in table if row["name"] not in visited]
                 got = search.candidates(act_type, state)
                 assert list(map(id, got)) == list(map(id, want))
-                got.clear()                       # a fresh list: the table is untouched
-                assert list(map(id, search.candidates(act_type, state))) == list(map(id, want))
+                assert len(got) == len(want)
         state = initial_state()
         hotels = [row for row in db.hotels if ctx.required_room_type is None
                   or row["numbed"] == ctx.required_room_type]
         assert list(map(id, search.candidates(ACCOMMODATION, state))) == list(map(id, hotels))
-        assert search.candidates(OUTBOUND, state) == outbound_routes(dataset, ctx)
-        assert search.candidates(RETURN, state) == return_routes(dataset, ctx)
+        assert list(search.candidates(OUTBOUND, state)) == outbound_routes(dataset, ctx)
+        assert list(search.candidates(RETURN, state)) == return_routes(dataset, ctx)
         assert search.latest == max((r.begin for r in return_routes(dataset, ctx)), default=-1)
 
 

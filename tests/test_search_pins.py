@@ -3,7 +3,8 @@
 Twelve sampled skeletons (easy and medium, every ordered city pair, one and
 two days) are searched with the heuristic ranker behind a node cap, so each
 outcome depends on the skeleton and the city set alone, never on the
-deadline. Each outcome - status, plan record, nodes expanded and constraints
+deadline; skeleton 0 is searched once more behind a cap too small to reach a
+leaf. Each outcome - status, plan record, nodes expanded and constraints
 passed - must hash, as JSON text with sorted keys, to its pin. A change that
 alters the search on purpose updates these pins and says why; a change that
 only makes the search cheaper must leave them alone.
@@ -24,30 +25,32 @@ from tripsmith.search import SearchConfig, dfs_search
 from .conftest import NodeCapped
 
 NODE_CAP = 150
+EARLY_CAP = 5       # ends skeleton 0 before its first leaf
 SKELETONS = 12
 
 PINS = {   # sha256 of [status, plan, nodes_expanded, constraints_passed]
-    0: "daad898f5ff43cdd3201aa55004496b6c8c1377454f187bf4c73383b5fc3ad72",   # partial
-    1: "07ceee65a0d9b6fb1a505bb65b3261356e14f28d8f8c093777e745a8b993a76d",   # partial
+    0: "25650cfa559061941d8fdf8582623167327d3b248a39b31d42398cdc7454f575",   # full_pass
+    1: "f19c615b3791dfc37e539347dfac3e659d73b9fdf9bc8360ee8f15075be8c9d8",   # full_pass
     2: "6d55f01431f7808c27160307f677962c2faecb2109b64053bb1488c9586a6a64",   # full_pass
-    3: "f3b986811e98e4151366a657e7c1f2687f11620c302fa721b9674ee218458577",   # partial
-    4: "fe7b8665a7ebdc16e2d04a7b9fb361c439cc2859002531d6db3406b59cd2881c",   # partial
-    5: "c00e1126aab5b916dc859262ddff30f08556c37ca74e6d51a32c875edcf6d884",   # env_only_best
-    6: "b9f203d527a6f9ecd9f0b78dd8b875433eba0779abe7b055ce5090788ff685fc",   # partial
-    7: "1ca66909bfe2827e323a1c973005187d9a35557eaa71a97ce5ef7c790292458b",   # env_only_best
-    8: "c4ed83e1a253d6016ccd1092fd0d86678f9565c38c2cb4c4c000dffa7f97f919",   # partial
-    9: "5f4611fd5ee8f0df947b29b47dbe55aa1e4d56daad8c43b30e228cbec821853c",   # partial
+    3: "50c1158ea3977d2958b1773735b05d3d7df10e0843ecab6e47d5b185f9cd6a07",   # full_pass
+    4: "824f6a033583a4a5815d243915da57e6871df132adfd3e4b31c4d27e2cd9e49e",   # full_pass
+    5: "efa75fca585ec5c57ad1fe465bbfded65f2e667d8cf8d74368bd003401c28fc9",   # full_pass
+    6: "c565b12b8b9ef6f5d4fd89e213331737c55527bc3157c32f22afff70f4f070e1",   # full_pass
+    7: "bb7557bbeaa67daf2e683e0f11bfc6e3c8313a72855a7c182fc0017fc32c8244",   # env_only_best
+    8: "eddbac82b39b1eea478767491c13675b915de2f12c22d8e4b4e2b87fea42d1e4",   # full_pass
+    9: "749b03da3cc98982097e912752e68261f50c5e247998d106c2a6210cab663f56",   # full_pass
     10: "0297fc7324624503ed73857dc48459405b9a92595dd3b4f136fc02812746410f",  # full_pass
-    11: "4f32889dc37081fa42f73eba7efe7ab6125cb86831884c448097bb76d00efa89",  # env_only_best
+    11: "abb3938523ec266e559590f263fa00ac655092ca7f0adb9c542971f1040f6286",  # full_pass
+    "early": "25230c671653129261395cfd9e264e65e4edfac155df74c0149297576038b0f5",  # partial
 }
 
 
-def _outcome(dataset, index: int) -> list:
+def _outcome(dataset, index: int, cap: int = NODE_CAP) -> list:
     pairs = list(itertools.permutations(dataset.city_names, 2))
     origin, target = pairs[index % len(pairs)]
     skeleton = sample_skeleton(dataset, "medium" if index % 2 else "easy", 700 + index,
                                origin=origin, target=target)
-    outcome = dfs_search(skeleton_to_dsl(skeleton), dataset, NodeCapped(NODE_CAP),
+    outcome = dfs_search(skeleton_to_dsl(skeleton), dataset, NodeCapped(cap),
                          SearchConfig(budget_seconds=600), context_from_skeleton(skeleton))
     plan = None if outcome.plan is None else serialize_plan(outcome.plan)
     return [outcome.status, plan, outcome.nodes_expanded, outcome.constraints_passed]
@@ -55,6 +58,7 @@ def _outcome(dataset, index: int) -> list:
 
 def test_synth_search_outcomes_match_their_pins(synth_dataset):
     outcomes = {index: _outcome(synth_dataset, index) for index in range(SKELETONS)}
+    outcomes["early"] = _outcome(synth_dataset, 0, EARLY_CAP)
     digests = {index: hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()
                for index, outcome in outcomes.items()}
     assert digests == PINS
