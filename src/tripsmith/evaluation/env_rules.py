@@ -13,6 +13,10 @@ guard, under which a time rule holds vacuously unless both clocks parse;
 `_priced` is the "count >= 1 and cost = price x count" test of rides, visits,
 hotels, metro and taxi legs (a walk leg keeps a looser rule); and
 `check_poi_group` checks each of the three POI groups in one pass.
+
+A ride's id resolves through `Dataset.route` to the one route of that id under
+the data root (the loader refuses a repeated id), and a visit's opening hours
+are the load-time minutes of its row (`CityDatabase.hours`).
 """
 
 from __future__ import annotations
@@ -98,14 +102,6 @@ def _priced(record: dict, count_key: str) -> bool:
     """At least one ticket, room or car, and cost = price x that count."""
     count = record.get(count_key, 0)
     return count >= 1 and record.get("cost") == record.get("price", Decimal(0)) * count
-
-
-def route_fits(route, from_city: str, to_city: str, dataset: Dataset) -> bool:
-    """Whether a ride on `route` from `from_city` to `to_city` can pass the cross-city
-    rules: its stations carry both city names (`endpoints`; a fromcity/tocity column
-    need not) and its id names this very route (`valid_route`, `price_duration`)."""
-    return (from_city in route.from_station and to_city in route.to_station
-            and dataset.route(route.id) == route)
 
 
 def _position(act: dict, station_key: str) -> str:
@@ -263,10 +259,11 @@ class _Check:
                 if hotel:
                     if act.get("room_type", 0) != row["numbed"]:
                         self.fail(price_rule, f"room type at {name!r} must match the sandbox")
-                elif span is not None and not (to_minutes(row["opentime"]) <= span[0]
-                                               and span[1] <= to_minutes(row["endtime"])):
-                    self.fail(f"env.{group}.open_hours",
-                              f"visit to {name!r} falls outside its opening hours")
+                elif span is not None:
+                    open_at, close_at = self.target_db.hours(table, row)
+                    if not (open_at <= span[0] and span[1] <= close_at):
+                        self.fail(f"env.{group}.open_hours",
+                                  f"visit to {name!r} falls outside its opening hours")
             if kind in MEAL_WINDOWS and span is not None:
                 lo, hi = MEAL_WINDOWS[kind]
                 if not (lo <= span[0] and span[1] <= hi):

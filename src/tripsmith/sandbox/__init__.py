@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from ..errors import LoadError
+from ..errors import IntegrityError, LoadError
 from .database import (
     PAGE_SIZE,
     CityDatabase,
@@ -24,6 +24,13 @@ class Dataset:
 
     def __init__(self, cities: dict[str, CityDatabase]):
         self.cities = cities
+        # route id -> the one route of that id under the root
+        self.routes_by_id: dict[str, IntercityRoute] = {}
+        for city in self.city_names:
+            for route in cities[city].intercity_routes:
+                if self.routes_by_id.setdefault(route.id, route) is not route:
+                    raise IntegrityError(
+                        f"{city}/intercity: route id {route.id!r} is not unique under the root")
 
     @property
     def city_names(self) -> list[str]:
@@ -36,13 +43,8 @@ class Dataset:
         return city in self.cities
 
     def route(self, route_id: str) -> IntercityRoute | None:
-        """The route a ride's id names: the first of that id over `city_names` (a
-        dataset may repeat an id); None for an empty or unknown id."""
-        for city in self.city_names if route_id else ():
-            route = self.cities[city].routes_by_id.get(route_id)
-            if route is not None:
-                return route
-        return None
+        """The route a ride's id names; None for an empty or unknown id."""
+        return self.routes_by_id.get(route_id)
 
 
 def load_dataset(root_path) -> Dataset:

@@ -16,20 +16,23 @@ Converted at load, in one pass over each file: the reader picks one
 converter per column from the header and fills each row by column position,
 keeping `csv.DictReader`'s reading of repeated headers, short rows, extra
 fields and blank lines. Prices, costs, coordinates and recommended times
-become finite Decimals (a NaN or infinity is a bad number), bed counts and
-durations ints, and clock columns are checked "HH:MM" text; every other cell
-is stripped text. A cell that does not convert is a `LoadError` naming the
-file, the row's number (the header is 1, blank lines do not count) and the
-column.
+become finite Decimals (a NaN or infinity is a bad number, and so is a
+coordinate whose float overflows), bed counts and durations ints, and clock
+columns are checked "HH:MM" text; every other cell is stripped text. A cell
+that does not convert is a `LoadError` naming the file, the row's number (the
+header is 1, blank lines do not count) and the column.
+
+Every loaded route can be ridden: the loader refuses, as an `IntegrityError`,
+an intercity row with an empty id and one whose From station does not contain
+its from-city or whose To station its to-city (the FromCity/ToCity column, or
+else the station-name rule). `Dataset` refuses an id that two routes share,
+in one city or in two, so each id names one route of the data root.
 
 Indexed at load, as a by-product of the validation pass: every POI table by
 name, as the row's position in its table (`record`, `find`, `is_open` and
 the environment check look rows up there; the planner drops visited rows from
-a copy of a table by these positions), the intercity routes by id (the first
-route of a repeated id wins), and the routes of each (from city, to city)
-pair sorted by (departure, id), which `intercity_select` only filters. Each
-POI table also keeps its rows' coordinates as floats, in a list parallel to
-the rows, for `nearby`.
+a copy of a table by these positions), and the routes of each (from city, to
+city) pair sorted by (departure, id), which `intercity_select` only filters.
 
 Every clock cell is parsed once, here. Route departure and arrival become
 int minutes; the plan record and the environment check format them with
@@ -37,8 +40,9 @@ int minutes; the plan record and the environment check format them with
 row keeps its opening hours as the file's "HH:MM" text, which the
 benchmark's own tests compare; their minutes go in `open_minutes` and
 `close_minutes`, lists parallel to the rows of each table with hours. The
-overnight check, `is_open`, the planner's visit test (through `hours`), its
-open-attraction test and its closing-time prune read those ints.
+overnight check, `is_open`, the environment check's and the planner's visit
+tests (through `hours`), its open-attraction test and its closing-time prune
+read those ints.
 
 A cold `nearby` walks the table's rows outward in latitude from the point,
 takes the float haversine of each, and stops on a side once the latitude
@@ -54,11 +58,11 @@ distances in the opposite order, so a row whose float distance is more than
 top k: the answer equals the quantise-everything scan. A point or a row past
 a pole bounds nothing, and then the walk measures every row.
 
-Memoised on first use, per database: each POI table's rows in latitude
-order, for `nearby`; `nearby` answers, keyed on (table, point, topk, dist);
-the quantised distance of each ordered pair of positions; the door-to-door
-minutes of each (start, end, mode) transfer, which `goto` and the planner's
-arrival test share; and in `order_memo` the ranker's orders of the
+Memoised on first use, per database: each POI table's float coordinates in
+latitude order, for `nearby`; `nearby` answers, keyed on (table, point, topk,
+dist); the quantised distance of each ordered pair of positions; the
+door-to-door minutes of each (start, end, mode) transfer, which `goto` and the
+planner's arrival test share; and in `order_memo` the ranker's orders of the
 attraction and restaurant tables (`search.ranking.TableOrders`). Nothing is filled
 eagerly: every pair and every neighbour list of a 3-city synthetic set with
 300 POIs per table is ~630 k haversine calls, over a second of load time,
@@ -173,12 +177,9 @@ class CityDatabase:
     fares: FareConfig = field(default_factory=FareConfig)
     # load-time indexes (see load_city_data); table -> name -> position in the table
     positions_by_name: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
-    # table -> (latitude, longitude) of each row as floats, parallel to the rows
-    float_points: dict[str, list[tuple[float, float]]] = field(default_factory=dict, repr=False)
     # table with visiting hours -> opening and closing minute of each row, parallel to the rows
     open_minutes: dict[str, list[int]] = field(default_factory=dict, repr=False)
     close_minutes: dict[str, list[int]] = field(default_factory=dict, repr=False)
-    routes_by_id: dict[str, IntercityRoute] = field(default_factory=dict, repr=False)
     routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = field(
         default_factory=dict, repr=False)
     # first-use memos (see the module docstring)
@@ -225,7 +226,8 @@ class CityDatabase:
         first use."""
         index = self._latitude_index.get(table)
         if index is None:
-            points = self.float_points[table]
+            points = [(float(row["latitude"]), float(row["longitude"]))
+                      for row in self.table(table)]
             order = sorted(range(len(points)), key=points.__getitem__)
             radians = [math.radians(points[position][0]) for position in order]
             index = self._latitude_index[table] = (
@@ -278,6 +280,13 @@ def _number(raw: str) -> Decimal:
     return value
 
 
+def _coordinate(raw: str) -> Decimal:
+    value = _number(raw)
+    if not math.isfinite(float(value)):     # "1e400" is a finite Decimal
+        raise InvalidOperation(raw)
+    return value
+
+
 def _integer(raw: str) -> int:
     return int(raw.strip())     # int() alone refuses blanks that str.strip() drops
 
@@ -288,13 +297,14 @@ def _clock(raw: str) -> int:
 
 # the converter of each typed column; every other column is text, stripped
 _CONVERTERS = {
-    **dict.fromkeys(("price", "cost", "latitude", "longitude", "recommendmintime",
-                     "recommendmaxtime"), _number),
+    **dict.fromkeys(("price", "cost", "recommendmintime", "recommendmaxtime"), _number),
+    **dict.fromkeys(("latitude", "longitude"), _coordinate),
     **dict.fromkeys(("numbed", "duration"), _integer),
     **dict.fromkeys(("opentime", "endtime", "begintime"), _clock),
 }
 # what a load error calls a cell that a converter refuses
-_BAD_CELL = {_number: "number", _integer: "integer", _clock: "clock time"}
+_BAD_CELL = {_number: "number", _coordinate: "number", _integer: "integer",
+             _clock: "clock time"}
 _CELL_ERRORS = (ValueError, ArithmeticError, InputError)
 
 
@@ -354,7 +364,6 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
 
     tables = {}
     positions_by_name: dict[str, dict[str, int]] = {}
-    float_points: dict[str, list[tuple[float, float]]] = {}
     open_minutes: dict[str, list[int]] = {}
     close_minutes: dict[str, list[int]] = {}
     coords: dict[str, tuple[Decimal, Decimal]] = {}
@@ -362,7 +371,6 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         clocks: dict[str, list[int]] = {}
         rows = _read_csv(city_dir / f"{table}.csv", required, table, clocks)
         by_name = positions_by_name[table] = {}
-        float_points[table] = [(float(row["latitude"]), float(row["longitude"])) for row in rows]
         timed = "opentime" in clocks and "endtime" in clocks
         if timed:
             opens = open_minutes[table] = clocks["opentime"]
@@ -390,9 +398,12 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         coords[row["name"]] = point
 
     routes = []
+    routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = {}
     clocks = {}
     intercity = _read_csv(city_dir / "intercity.csv", _INTERCITY_COLUMNS, "intercity", clocks)
     for row, begin, end in zip(intercity, clocks["begintime"], clocks["endtime"]):
+        if not row["id"]:
+            raise IntegrityError(f"{city}/intercity: a route has an empty id")
         kind = row["kind"].strip().lower()
         if kind not in ("train", "airplane"):
             raise IntegrityError(f"{city}/intercity: unknown kind {row['kind']!r}")
@@ -404,26 +415,17 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} must end after it begins")
         if row["cost"] <= 0:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} has non-positive cost")
-        routes.append(
-            IntercityRoute(
-                id=row["id"],
-                kind=kind,
-                from_station=row["from"],
-                to_station=row["to"],
-                from_city=row.get("fromcity", "") or _city_of_station(row["from"], city),
-                to_city=row.get("tocity", "") or _city_of_station(row["to"], city),
-                begin=begin,
-                end=end,
-                duration=row["duration"],
-                cost=row["cost"],
-            )
-        )
-
-    routes_by_id: dict[str, IntercityRoute] = {}
-    routes_by_pair: dict[tuple[str, str], list[IntercityRoute]] = {}
-    for route in routes:
-        routes_by_id.setdefault(route.id, route)
-        routes_by_pair.setdefault((route.from_city, route.to_city), []).append(route)
+        from_city = row.get("fromcity", "") or _city_of_station(row["from"], city)
+        to_city = row.get("tocity", "") or _city_of_station(row["to"], city)
+        if from_city not in row["from"] or to_city not in row["to"]:
+            raise IntegrityError(f"{city}/intercity: the stations of {row['id']!r} do not "
+                                 f"carry its cities {from_city!r} and {to_city!r}")
+        route = IntercityRoute(
+            id=row["id"], kind=kind, from_station=row["from"], to_station=row["to"],
+            from_city=from_city, to_city=to_city, begin=begin, end=end,
+            duration=row["duration"], cost=row["cost"])
+        routes.append(route)
+        routes_by_pair.setdefault((from_city, to_city), []).append(route)
     for pair_routes in routes_by_pair.values():
         pair_routes.sort(key=lambda route: (route.begin, route.id))
 
@@ -439,10 +441,8 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
         poi_coordinates=coords,
         fares=fares,
         positions_by_name=positions_by_name,
-        float_points=float_points,
         open_minutes=open_minutes,
         close_minutes=close_minutes,
-        routes_by_id=routes_by_id,
         routes_by_pair=routes_by_pair,
     )
 

@@ -7,11 +7,12 @@ exhaustion or deadline expiry the best intermediate wins: a completed plan
 with the most satisfied constraints (the first found among equals), else the
 longest partial prefix, else nothing.
 
-A completed plan (a leaf) is env-valid by construction: the rides come only
-from the routes the cross-city rules accept (`rules.outbound_routes`,
-`rules.return_routes`), and the `schedule_*` helpers refuse every extension
-that breaks an environmental rule. So the 25-rule check runs only in
-`certify` and `eval`, and a leaf is decided by its constraint programs alone.
+A completed plan (a leaf) is env-valid by construction: every loaded route
+passes the cross-city rules (the loader refuses one whose stations do not
+carry its cities or whose id is not its own), and the `schedule_*` helpers
+refuse every extension that breaks an environmental rule. So the 25-rule
+check runs only in `certify` and `eval`, and a leaf is decided by its
+constraint programs alone.
 Once one leaf is decided, a leaf that has failed too many programs to pass
 them all, or to beat the best count so far, is dropped before the remaining
 programs run. Programs run in fail-first order: the one that last dropped a

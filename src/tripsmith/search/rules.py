@@ -4,11 +4,13 @@ Given a state, decide what kind of activity to try next. The order is fixed:
 head home when the trip end is reached, serve unscheduled meals inside their
 trigger windows, retreat to the hotel late at night or when nothing nearby is
 open, and otherwise keep sightseeing.
+
+The ride lists are `intercity_select`'s answers unfiltered: the loader admits
+only routes that pass the cross-city rules (see `sandbox.database`).
 """
 
 from __future__ import annotations
 
-from ..evaluation.env_rules import route_fits
 from ..sandbox import CityDatabase, intercity_select, nearby
 from ..timeutil import to_minutes
 from .context import QueryContext
@@ -32,19 +34,14 @@ NEARBY_RADIUS_KM = 10.0
 NEARBY_TOPK = 10
 
 
-def _rides(dataset, from_city: str, to_city: str, kind: str | None) -> list:
-    """The routes from one city to the other that the cross-city rules accept;
-    the search takes no other, so each of its leaves passes those rules."""
-    return [route for route in intercity_select(dataset.cities, from_city, to_city, kind=kind)
-            if route_fits(route, from_city, to_city, dataset)]
-
-
 def return_routes(dataset, ctx: QueryContext):
-    return _rides(dataset, ctx.target, ctx.origin, ctx.required_intercity_kind)
+    return intercity_select(dataset.cities, ctx.target, ctx.origin,
+                            kind=ctx.required_intercity_kind)
 
 
 def outbound_routes(dataset, ctx: QueryContext):
-    return _rides(dataset, ctx.origin, ctx.target, ctx.required_intercity_kind)
+    return intercity_select(dataset.cities, ctx.origin, ctx.target,
+                            kind=ctx.required_intercity_kind)
 
 
 def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:

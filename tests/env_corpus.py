@@ -43,8 +43,7 @@ def _pools(dataset) -> dict:
     """Values a mutation may give each text field, plus the money and count draws."""
     names = sorted({name for city in dataset.city_names
                     for name in dataset[city].poi_coordinates})
-    route_ids = sorted({rid for city in dataset.city_names
-                        for rid in dataset[city].routes_by_id})
+    route_ids = sorted(dataset.routes_by_id)
     clocks = [f"{h:02d}:{m:02d}" for h in range(5, 24) for m in (0, 10, 25, 30, 45)]
     clocks += ["24:00", "7:5", "ab", "", "23:59", "00:00"]
     return {

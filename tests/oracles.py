@@ -57,7 +57,9 @@ def _reference_cell(key, text, where):
             number = Decimal(text)
         except InvalidOperation:
             number = None
-        if number is None or not number.is_finite():
+        # a coordinate must also be a finite float
+        if (number is None or not number.is_finite()
+                or key in ("latitude", "longitude") and math.isinf(float(number))):
             raise CsvReferenceError(f"{where}: bad number {text!r} in column {key!r}")
         return number
     if key in CSV_INT_COLUMNS:

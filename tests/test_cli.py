@@ -692,12 +692,14 @@ def _spoiled_root(tmp_path, relative, old, new) -> Path:
     ("fares.cfg", "taxi_per_km = 2.5", "taxi_per_km = Infinity",
      "fares.cfg:9: taxi_per_km must be non-negative and finite, got 'Infinity'"),
     ("Beta/attractions.csv", ",40.00,", ",abc,", "attractions.csv:2: bad number 'abc'"),
+    ("Beta/attractions.csv", ",31.2060,", ",1e400,",
+     "attractions.csv:2: bad number '1e400' in column 'latitude'"),
     ("Beta/intercity.csv", ",120.00", ",NaN",
      "intercity.csv:2: bad number 'NaN' in column 'cost'"),
     ("Beta/attractions.csv", "Stone Bridge,", "Harbor Park,", "duplicate attraction name"),
 ], ids=["fare-decimal", "fare-int", "fare-zero-speed", "fare-nan-band", "fare-negative-speed",
-        "fare-negative-access", "fare-infinite-fare", "csv-number", "csv-nan-cost",
-        "csv-duplicate"])
+        "fare-negative-access", "fare-infinite-fare", "csv-number", "csv-float-overflow",
+        "csv-nan-cost", "csv-duplicate"])
 @pytest.mark.parametrize("command", ["generate", "plan"])
 def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative, old, new,
                                       detail):

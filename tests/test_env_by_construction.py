@@ -10,11 +10,11 @@ plans, and seeded random walks through `_Search.candidates` + `_Search.extend`
 on the benchmark's synthetic city set. A counterexample is a fault of the
 helper that built it, which must refuse that extension.
 
-The loader also accepts routes that no plan can ride past the cross-city
-rules: an empty route id; a repeated one, which the check resolves to the
-first route of that id; and a station name that does not carry its city, as
-a fromcity or tocity column allows. The search leaves such routes out; two
-micro variants pin that.
+The rides need no such care: the loader refuses every route that no plan
+could ride past the cross-city rules, so the search takes every route it
+selects. Micro variants with an empty route id, a repeated one (in one city
+or across two), and a station name that does not carry its city pin that
+each is a one-line load error.
 """
 
 from __future__ import annotations
@@ -22,17 +22,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from tripsmith.cli import main
+from tripsmith.errors import IntegrityError
 from tripsmith.evaluation import validate_env
 from tripsmith.sandbox import load_dataset
-from tripsmith.search import FULL_PASS, HeuristicRanker, QueryContext, SearchConfig, dfs
+from tripsmith.search import HeuristicRanker, QueryContext, dfs
 from tripsmith.search.rules import FINISH, next_activity_type
 from tripsmith.search.state import initial_state
 
-from .conftest import micro_with_routes
+from .conftest import FIXTURES, micro_with_routes
 
 MODES = (None, "walk", "metro", "taxi")
 KINDS = (None, "train", "airplane")
@@ -126,37 +130,50 @@ def test_random_walks_on_the_synthetic_city_set_pass_the_env_check(synth_dataset
     assert plans > WALKS // 2
 
 
-# (rows, header) of Alpha's intercity table; micro's Beta -> Alpha trains are G12, G14, G16
-QUIRKY_ROUTES = {
-    # the second G11 is not the route its id names; nor, as Alpha sorts first, is Beta's
-    # G12; and a ride with no id names no route
-    "ids": ((
-        ",train,Alpha Station,Beta Station,06:10,07:50,100,80.00",
-        "G11,train,Alpha Station,Beta Station,06:40,08:20,100,120.00",
-        "G11,train,Alpha Station,Beta Station,07:40,09:20,100,118.00",
-        "G12,train,Alpha Station,Beta Station,08:40,10:20,100,90.00",
-    ), "ID,Kind,From,To,BeginTime,EndTime,Duration,Cost"),
+_HEADER = "ID,Kind,From,To,BeginTime,EndTime,Duration,Cost"
+_G11 = "G11,train,Alpha Station,Beta Station,06:40,08:20,100,120.00"
+# (rows of Alpha's intercity table, its header, what the error names); micro's Beta ->
+# Alpha trains are G12, G14, G16
+UNRIDEABLE_ROUTES = {
+    "empty-id": ((_G11, ",train,Alpha Station,Beta Station,06:10,07:50,100,80.00"), _HEADER,
+                 "Alpha/intercity: a route has an empty id"),
+    "id-repeated-in-city": ((_G11, "G11,train,Alpha Station,Beta Station,07:40,09:20,100,118.00"),
+                            _HEADER, "Alpha/intercity: route id 'G11' is not unique"),
+    # Beta sorts after Alpha, so Beta's G12 is the second of the two
+    "id-repeated-across-cities": (
+        (_G11, "G12,train,Alpha Station,Beta Station,08:40,10:20,100,90.00"), _HEADER,
+        "Beta/intercity: route id 'G12' is not unique"),
     # "East Terminal" does not carry "Alpha", though the fromcity column names it
-    "city-columns": ((
-        "G11,train,Alpha Station,Beta Station,06:40,08:20,100,120.00,Alpha,Beta",
-        "G13,train,East Terminal,Beta Station,07:40,09:20,100,118.00,Alpha,Beta",
-    ), "ID,Kind,From,To,BeginTime,EndTime,Duration,Cost,FromCity,ToCity"),
+    "station-without-its-city": (
+        (f"{_G11},Alpha,Beta", "G13,train,East Terminal,Beta Station,07:40,09:20,100,118.00,"
+                               "Alpha,Beta"),
+        f"{_HEADER},FromCity,ToCity", "Alpha/intercity: the stations of 'G13' do not carry"),
+    # a station name without a space is read as the file's own city
+    "to-station-without-a-space": (
+        (_G11, "G13,train,Alpha Station,BetaStation,07:40,09:20,100,118.00"), _HEADER,
+        "Alpha/intercity: the stations of 'G13' do not carry its cities 'Alpha' and 'Alpha'"),
 }
 
 
-@pytest.mark.parametrize("quirk", sorted(QUIRKY_ROUTES))
-def test_routes_the_cross_city_rules_refuse_are_never_ridden(tmp_path, quirk):
-    rows, header = QUIRKY_ROUTES[quirk]
-    dataset = load_dataset(micro_with_routes(tmp_path, *rows, header=header))
-    plans = 0
-    failed = []
-    for ctx in _contexts("Alpha", "Beta", (1, 2), (2,), (None,)):
-        found = dfs.enumerate_complete_plans(dataset, ctx)
-        plans += len(found)
-        failed += _env_failures(found, dataset, ctx)
-    assert not failed, failed[:3]
-    assert plans > 500
-    ctx = QueryContext("Alpha", "Beta", 2, 2)
-    outcome = dfs.dfs_search([], dataset, None, SearchConfig(budget_seconds=600), ctx)
-    assert outcome.status == FULL_PASS
-    assert validate_env(outcome.plan, dataset).overall
+@pytest.fixture(scope="module")
+def micro_bench(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("bench") / "bench.jsonl"
+    assert main(["generate", "--db", str(FIXTURES / "micro"), "--count", "1",
+                 "--seed", "11", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("quirk", sorted(UNRIDEABLE_ROUTES))
+def test_routes_the_cross_city_rules_would_refuse_do_not_load(tmp_path, capsys, micro_bench,
+                                                              quirk):
+    rows, header, message = UNRIDEABLE_ROUTES[quirk]
+    root = micro_with_routes(tmp_path, *rows, header=header)
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}"):
+        load_dataset(root)
+    out = tmp_path / "plans.jsonl"
+    capsys.readouterr()
+    assert main(["plan", "--benchmark", str(micro_bench), "--db", str(root),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()

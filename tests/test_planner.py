@@ -199,7 +199,7 @@ def test_non_padded_route_clock_plans_padded(tmp_path):
     root = micro_with_routes(tmp_path,
                              "G11,train,Alpha Station,Beta Station,7:05,8:45,100,120.00")
     dataset = load_dataset(root)
-    route = dataset["Alpha"].routes_by_id["G11"]
+    route = dataset.route("G11")
     assert (route.begin, route.end) == (425, 525)
     outcome = dfs_search(["return True"], dataset, None, cfg(), micro_context())
     assert outcome.status == FULL_PASS        # the env check accepts the padded text

@@ -18,10 +18,11 @@ from decimal import Decimal
 
 import pytest
 
-from tripsmith.errors import InputError, LoadError, NotFoundError
+from tripsmith.errors import InputError, IntegrityError, LoadError, NotFoundError
 from tripsmith.geo import distance_km
 from tripsmith.sandbox import (
     MODES,
+    Dataset,
     goto,
     intercity_select,
     is_open,
@@ -296,19 +297,24 @@ def test_intercity_select_matches_scan(cities):
 
 
 def test_routes_by_id_is_first_match(cities):
+    dataset = Dataset(cities)
     for db in cities.values():
         for route in db.intercity_routes:
             first = next(r for r in db.intercity_routes if r.id == route.id)
-            assert db.routes_by_id[route.id] is first
+            assert dataset.routes_by_id[route.id] is first is route
+            assert dataset.route(route.id) is route
+    assert dataset.route("") is dataset.route("X9") is None
 
 
-def test_routes_by_id_keeps_the_first_of_a_repeated_id(tmp_path):
+def test_routes_by_id_refuses_a_repeated_id(tmp_path):
     root = micro_with_routes(tmp_path,
                              "G11,train,Alpha Station,Beta Station,06:40,08:20,100,120.00",
                              "G11,train,Alpha Station,Beta Station,07:40,09:20,100,118.00")
-    db = load_city_data(root, "Alpha")
-    assert [r.cost for r in db.intercity_routes] == [Decimal("120.00"), Decimal("118.00")]
-    assert db.routes_by_id["G11"] is db.intercity_routes[0]
+    cities = {city: load_city_data(root, city) for city in ("Alpha", "Beta")}
+    assert [r.cost for r in cities["Alpha"].intercity_routes] == [
+        Decimal("120.00"), Decimal("118.00")]
+    with pytest.raises(IntegrityError, match="^Alpha/intercity: route id 'G11' "):
+        Dataset(cities)
 
 
 @pytest.mark.parametrize("fixture", FIXTURE_SETS)
@@ -484,8 +490,10 @@ def test_load_matches_a_dictreader_reference(request, fixture):
         for table in POI_TABLES:
             rows = db.table(table)
             assert _typed(rows) == _typed(read_csv_reference(root / city / f"{table}.csv"))
-            assert db.float_points[table] == [
-                (float(row["latitude"]), float(row["longitude"])) for row in rows]
+            lats, entries = db.latitude_index(table)
+            assert [(lat, lon, position) for lat, (position, _, _, lon) in zip(lats, entries)] \
+                == sorted((float(row["latitude"]), float(row["longitude"]), position)
+                          for position, row in enumerate(rows))
             if table == "hotels":
                 assert table not in db.open_minutes and table not in db.close_minutes
                 continue
@@ -509,9 +517,10 @@ def test_load_matches_a_dictreader_reference(request, fixture):
     "Name,Price,Numbed\nA,1,2,\nB,bad,worse\n",     # the first bad cell in column order
     "Name,Price,price\nA,bad,1\n",
     "Name,Price,Price\nA,bad,1\n",                  # the hidden field is never read
+    "Name,Latitude,Longitude\nA,200,-1e308\n",      # off the sphere, yet finite floats
 ], ids=["repeated", "canonical-twins", "extra", "short", "blank-lines", "spaces",
         "unicode-blanks", "quoted-newline", "header-only", "blank-header", "short-number",
-        "count-past-blanks", "first-bad-cell", "twin-bad", "hidden-bad"])
+        "count-past-blanks", "first-bad-cell", "twin-bad", "hidden-bad", "off-the-sphere"])
 def test_odd_tables_read_as_dictreader_reads_them(tmp_path, text):
     path = _write(tmp_path, text)
     try:
@@ -530,11 +539,13 @@ def test_odd_tables_read_as_dictreader_reads_them(tmp_path, text):
     ("Name,Opentime\nA,25:00\n", "t.csv:2: bad clock time '25:00' in column 'opentime'"),
     ("Name,Cost\nA, NaN \n", "t.csv:2: bad number 'NaN' in column 'cost'"),
     ("Name,Latitude\nA,-Infinity\n", "t.csv:2: bad number '-Infinity' in column 'latitude'"),
+    ("Name,Latitude\nA,1e400\n", "t.csv:2: bad number '1e400' in column 'latitude'"),
+    ("Name,Longitude\nA,-1E+309\n", "t.csv:2: bad number '-1E+309' in column 'longitude'"),
     ("Name,Price\n\nA,1\n\nB,sNaN\n", "t.csv:3: bad number 'sNaN' in column 'price'"),
     ("Name,Duration\nA\n", "t.csv:2: bad integer '' in column 'duration'"),
     ("Name,Begintime\nA,7:5,extra\n", "t.csv:2: bad clock time '7:5' in column 'begintime'"),
-], ids=["number", "integer", "clock", "nan", "infinity", "after-blank-lines", "short-row",
-        "extra-field"])
+], ids=["number", "integer", "clock", "nan", "infinity", "float-overflow",
+        "float-overflow-negative", "after-blank-lines", "short-row", "extra-field"])
 def test_load_errors_name_the_file_row_and_column(tmp_path, text, message):
     path = _write(tmp_path, text)
     with pytest.raises(LoadError) as raised:
