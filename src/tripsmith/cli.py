@@ -24,16 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    InputError,
-    IntegrityError,
-    LoadError,
-    MetricError,
-    PlanParseError,
-    SchemaError,
-    TripsmithError,
-)
+from .errors import InputError, SchemaError, TripsmithError
 from .evaluation import evaluate_plan, score
 from .genquery import CertifiedQuery, certify, context_from_skeleton, sample_skeleton
 from .llm import HttpTransport, LlmEndpoint, LlmRanker, ReplayTransport
@@ -207,15 +198,12 @@ def cmd_eval(args) -> int:
         if planned.get("plan") is not None:
             try:
                 plan, notes = plan_from_obj(planned["plan"]), ""
-            except (ValueError, TypeError, SchemaError, PlanParseError) as exc:
+            except (ValueError, TypeError, SchemaError) as exc:
                 notes = f"plan refused: {exc}"
         report = evaluate_plan(plan, query.dsl_sources, dataset, notes=notes)
         reports.append(report)
         per_plan.append({"uid": query.uid, **report.as_dict()})
-    try:
-        summary = score(reports)
-    except MetricError as exc:
-        raise InputError(str(exc)) from None
+    summary = score(reports)
 
     manifest = RunManifest(
         command="eval",
@@ -389,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, ConfigError, LoadError, IntegrityError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TripsmithError as exc:

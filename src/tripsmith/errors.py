@@ -3,6 +3,13 @@
 Every error the package raises on purpose derives from `TripsmithError`. The
 DSL's syntax and evaluation errors share `DslError`, which also carries the
 line and column its message points at.
+
+An error's class says whose fault it is. Bad input, which the caller can fix,
+is an `InputError`: arguments and parameters, artifact files, and its
+subclasses for the data root (`LoadError`, `IntegrityError`) and for plan
+records (`SchemaError`). The command line reports an `InputError` (or an
+`OSError`) as one `error:` line and exit 2; any other error is a fault of the
+program and exits 1.
 """
 
 
@@ -10,32 +17,24 @@ class TripsmithError(Exception):
     """Base class for every error raised by this package."""
 
 
-class LoadError(TripsmithError):
+class InputError(TripsmithError):
+    """Caller supplied bad or inconsistent input (arguments, params, artifacts)."""
+
+
+class LoadError(InputError):
     """A data file is missing or unreadable."""
 
 
-class IntegrityError(TripsmithError):
+class IntegrityError(InputError):
     """Loaded data violates a structural invariant (duplicate names, bad hours)."""
+
+
+class SchemaError(InputError):
+    """A plan document is not a JSON object with every mandatory field typed."""
 
 
 class NotFoundError(TripsmithError):
     """A named POI, city or record does not exist."""
-
-
-class StateError(TripsmithError):
-    """An operation was called out of sequence (e.g. paging with no query)."""
-
-
-class SchemaError(TripsmithError):
-    """A plan document is structurally valid JSON but misses mandatory fields."""
-
-
-class PlanParseError(TripsmithError):
-    """A plan document is not parseable at all."""
-
-    def __init__(self, message, path=""):
-        super().__init__(message if not path else f"{path}: {message}")
-        self.path = path
 
 
 class DslError(TripsmithError):
@@ -55,21 +54,9 @@ class DslEvalError(DslError):
     """A program failed while being evaluated."""
 
 
-class ConfigError(TripsmithError):
-    """Invalid configuration value."""
-
-
-class InputError(TripsmithError):
-    """Caller supplied inconsistent inputs (mismatched sets, bad params)."""
-
-
 class BuildError(TripsmithError):
     """MILP model construction failed (params/slice mismatch)."""
 
 
 class SolveRefusedError(TripsmithError):
     """micro_solve refused a model above its size limit."""
-
-
-class MetricError(TripsmithError):
-    """Metrics are undefined for the given report set."""

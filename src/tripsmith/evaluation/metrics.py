@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
-from ..errors import MetricError
+from ..errors import InputError
 from .env_rules import ENV_RULE_COUNT, EnvReport, all_false_report
 
 METRIC_KEYS = ("dr", "epr_micro", "epr_macro", "lpr_micro", "lpr_macro", "c_lpr", "fpr")
@@ -94,11 +94,11 @@ class MetricSummary:
 def score(reports: list[EvalReport]) -> MetricSummary:
     """Aggregate one metric summary from per-plan reports."""
     if not reports:
-        raise MetricError("metrics are undefined for an empty report set")
+        raise InputError("metrics are undefined for an empty report set")
     total = len(reports)
     constraint_total = sum(len(r.logical) for r in reports)
     if constraint_total == 0:
-        raise MetricError("metrics are undefined when no plan has logical constraints")
+        raise InputError("metrics are undefined when no plan has logical constraints")
 
     delivered = sum(1 for r in reports if r.delivered)
     env_entry_passes = sum(sum(1 for ok in r.env.results.values() if ok) for r in reports)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..dsl import check_source
-from ..errors import InputError, PlanParseError, SchemaError
+from ..errors import InputError, SchemaError
 from ..evaluation import evaluate_plan
 from ..plan.model import INTERCITY_TYPES, Plan, plan_from_obj, serialize_plan
 from ..sandbox import Dataset
@@ -61,7 +61,7 @@ class CertifiedQuery:
         except KeyError as exc:
             raise InputError(f"benchmark record {raw.get('uid', '?')!r} "
                              f"misses field {exc.args[0]!r}") from None
-        except (ValueError, TypeError, SchemaError, PlanParseError) as exc:
+        except (ValueError, TypeError, SchemaError) as exc:
             raise InputError(f"benchmark record {raw.get('uid', '?')!r}: {exc}") from None
 
 

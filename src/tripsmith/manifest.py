@@ -64,7 +64,7 @@ def file_header(kind: str, manifest: RunManifest, **extra) -> dict:
 
 
 def read_jsonl(path: Path | str, expected_kind: str) -> tuple[dict, list[dict]]:
-    """Header + records of one artifact file, checking its kind."""
+    """Header + records of one artifact file, checking its kind and its manifest hash."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
@@ -83,6 +83,8 @@ def read_jsonl(path: Path | str, expected_kind: str) -> tuple[dict, list[dict]]:
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind != expected_kind:
         raise InputError(f"{path}: expected a {expected_kind!r} file, found {kind!r}")
+    if not isinstance(header.get("manifest_hash"), str):
+        raise InputError(f"{path}: header carries no string 'manifest_hash'")
     return header, objects[1:]
 
 

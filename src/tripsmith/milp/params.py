@@ -164,15 +164,13 @@ def slice_from_dataset(
     """Down-sample a loaded city, keeping table order.
 
     The first `*_cap` rows of each POI table, every route between the two
-    cities, and the target-side stations of those routes that have coordinates.
+    cities, and the target-side stations of those routes.
     """
     db = dataset[target]
     go = intercity_select(dataset.cities, origin, target)
     back = intercity_select(dataset.cities, target, origin)
-    stations = []
-    for name in [route.to_station for route in go] + [route.from_station for route in back]:
-        if name in db.poi_coordinates and name not in stations:
-            stations.append(name)
+    stations = list(dict.fromkeys([route.to_station for route in go]
+                                  + [route.from_station for route in back]))
     return MilpSlice(
         hotels=db.hotels[:hotel_cap],
         attractions=db.attractions[:attr_cap],

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
-from ..errors import PlanParseError, SchemaError
+from ..errors import SchemaError
 from ..geo import DIST_QUANTUM
 from ..sandbox.fares import MONEY_QUANTUM
 
@@ -121,14 +121,14 @@ def parse_plan(document: str) -> Plan:
     try:
         raw = json.loads(document, parse_float=Decimal)
     except json.JSONDecodeError as exc:
-        raise PlanParseError(f"invalid JSON: {exc.msg}", path=f"line {exc.lineno}") from None
+        raise SchemaError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
     return plan_from_obj(raw)
 
 
 def plan_from_obj(raw) -> Plan:
     """Build a Plan from an already-decoded JSON object."""
     if not isinstance(raw, dict):
-        raise PlanParseError("plan document must be a JSON object")
+        raise SchemaError("plan document must be a JSON object")
 
     people, start_city, target_city = (
         _typed(key, _require(raw, key, "$"), kind, "$")

@@ -31,6 +31,12 @@ class Dataset:
                 if self.routes_by_id.setdefault(route.id, route) is not route:
                     raise IntegrityError(
                         f"{city}/intercity: route id {route.id!r} is not unique under the root")
+                # a loaded city locates each of its stations that a route stops at
+                for end_city, station in ((route.from_city, route.from_station),
+                                          (route.to_city, route.to_station)):
+                    if end_city in cities and station not in cities[end_city].poi_coordinates:
+                        raise IntegrityError(f"{end_city}: station {station!r} of route "
+                                             f"{route.id!r} has no coordinates")
 
     @property
     def city_names(self) -> list[str]:

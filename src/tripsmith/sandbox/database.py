@@ -26,7 +26,9 @@ Every loaded route can be ridden: the loader refuses, as an `IntegrityError`,
 an intercity row with an empty id and one whose From station does not contain
 its from-city or whose To station its to-city (the FromCity/ToCity column, or
 else the station-name rule). `Dataset` refuses an id that two routes share,
-in one city or in two, so each id names one route of the data root.
+in one city or in two, so each id names one route of the data root. It also
+refuses a route station that its loaded city has no coordinates for (the From
+station in the from-city, the To station in the to-city).
 
 Indexed at load, as a by-product of the validation pass: every POI table by
 name, as the row's position in its table (`record`, `find`, `is_open` and
@@ -87,7 +89,7 @@ from decimal import Decimal, InvalidOperation
 from heapq import heappush, heapreplace
 from pathlib import Path
 
-from ..errors import InputError, IntegrityError, LoadError, NotFoundError, StateError
+from ..errors import InputError, IntegrityError, LoadError, NotFoundError
 from ..geo import EARTH_RADIUS_KM, distance_km, quantize_km
 from ..timeutil import to_hhmm, to_minutes
 from .fares import MODES, FareConfig, load_fare_config, travel_minutes
@@ -467,7 +469,7 @@ def select(db: CityDatabase, table: str, key: str, predicate) -> QuerySession:
 def next_page(session: QuerySession | None) -> list[dict]:
     """Serve the page at the session cursor and advance; [] past the end."""
     if session is None:
-        raise StateError("next_page called with no prior select result")
+        raise InputError("next_page called with no prior select result")
     start = session.cursor * PAGE_SIZE
     page = session.rows[start:start + PAGE_SIZE]
     if session.cursor < session.page_count:
@@ -478,8 +480,10 @@ def next_page(session: QuerySession | None) -> list[dict]:
 def nearby(db: CityDatabase, table: str, point: tuple, topk: int, dist) -> list[dict]:
     """Top-k records of a table within `dist` km of point, nearest first.
 
-    A radius that is not a number > 0, or a point that is not two finite
-    numbers, raises `NotFoundError`."""
+    A `topk` that is not an int >= 1, a radius that is not a number > 0, or a
+    point that is not two finite numbers, raises `NotFoundError`."""
+    if not isinstance(topk, int):
+        raise NotFoundError(f"topk must be an int, got {topk!r}")
     if topk < 1:
         raise NotFoundError(f"topk must be >= 1, got {topk}")
     try:
@@ -556,12 +560,15 @@ def _nearest(rows: list[dict], index: tuple, lat: float, lon: float, topk: int,
 
 
 def is_open(db: CityDatabase, table: str, poi_id: str, time: str) -> bool:
-    """Whether the named POI is open at HH:MM; bounds inclusive."""
+    """Whether the named POI is open at HH:MM; bounds inclusive.
+
+    A time that is not "HH:MM" raises `InputError`, for a hotel too."""
     row = db.record(table, poi_id)
+    minute = to_minutes(time)
     if table not in db.close_minutes:
         return True  # hotels carry no visiting hours
     open_at, close_at = db.hours(table, row)
-    return open_at <= to_minutes(time) <= close_at
+    return open_at <= minute <= close_at
 
 
 def intercity_select(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-from ..errors import ConfigError
+from ..errors import InputError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
 from ..sandbox import CityDatabase, IntercityRoute, cars_for, goto
@@ -39,7 +39,7 @@ class SearchConfig:
         # written so that NaN, which no deadline test would ever exceed, fails;
         # inf stays valid as an explicit "no deadline"
         if not self.budget_seconds > 0:
-            raise ConfigError("search budget must be positive")
+            raise InputError("search budget must be positive")
 
 
 @dataclass(frozen=True)

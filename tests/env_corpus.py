@@ -21,7 +21,7 @@ import json
 import random
 from unittest import mock
 
-from tripsmith.errors import PlanParseError, SchemaError
+from tripsmith.errors import SchemaError
 from tripsmith.evaluation import RULE_IDS, validate_env
 from tripsmith.plan.model import ACTIVITY_TYPES, FIELDS, plan_from_obj, serialize_plan
 from tripsmith.sandbox import load_dataset
@@ -133,7 +133,7 @@ def corpus() -> list[tuple[object, object]]:
                 _mutate(obj, rng, pools[id(dataset)])
             try:
                 out.append((plan_from_obj(obj), dataset))
-            except (SchemaError, PlanParseError):
+            except SchemaError:
                 pass
     return out
 

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from tripsmith import cli
+from tripsmith import cli, errors
 from tripsmith.cli import main
 from tripsmith.genquery import certify, sample_skeleton
-from tripsmith.llm import FaultInjectingTransport, LlmRanker
+from tripsmith.llm import FaultInjectingTransport, LlmRanker, TransportError
 from tripsmith.manifest import RunManifest, file_header, read_jsonl, write_jsonl
 from tripsmith.plan.model import FIELDS
 from tripsmith.search import FULL_PASS, SearchConfig
@@ -697,10 +697,13 @@ def _spoiled_root(tmp_path, relative, old, new) -> Path:
     ("Beta/intercity.csv", ",120.00", ",NaN",
      "intercity.csv:2: bad number 'NaN' in column 'cost'"),
     ("Beta/attractions.csv", "Stone Bridge,", "Harbor Park,", "duplicate attraction name"),
+    # Alpha's G11 arrives at Beta Station, which Beta's poi.csv then does not locate
+    ("Beta/poi.csv", "Beta Station,", "Beta Depot,",
+     "error: Beta: station 'Beta Station' of route 'G11' has no coordinates"),
 ], ids=["fare-decimal", "fare-int", "fare-zero-speed", "fare-nan-band", "fare-negative-speed",
         "fare-negative-access", "fare-infinite-fare", "csv-number", "csv-float-overflow",
-        "csv-nan-cost", "csv-duplicate"])
-@pytest.mark.parametrize("command", ["generate", "plan"])
+        "csv-nan-cost", "csv-duplicate", "station-unlocated"])
+@pytest.mark.parametrize("command", ["generate", "plan", "milp"])
 def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative, old, new,
                                       detail):
     root = str(_spoiled_root(tmp_path, relative, old, new))
@@ -713,6 +716,47 @@ def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative
     assert err.startswith("error: ") and err.count("\n") == 1
     assert detail in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [None, 5], ids=["missing", "number"])
+@pytest.mark.parametrize("command, artifact", [("plan", "benchmark"), ("eval", "benchmark"),
+                                               ("milp", "benchmark"), ("eval", "plans")])
+def test_header_without_a_string_manifest_hash_is_usage_error(tmp_path, bench, good_plans,
+                                                              capsys, command, artifact, value):
+    path = bench if artifact == "benchmark" else tmp_path / "good-plans.jsonl"
+    header, *lines = path.read_text().splitlines()
+    spoiled = json.loads(header)
+    if value is None:
+        del spoiled["manifest_hash"]
+    else:
+        spoiled["manifest_hash"] = value
+    path.write_text("\n".join([json.dumps(spoiled), *lines]) + "\n")
+    capsys.readouterr()
+    assert run_on_benchmark(command, bench, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {path}: header carries no string 'manifest_hash'\n"
+    assert not (tmp_path / f"{command}.out").exists()
+
+
+# every error class of the package, and the one the model transport defines
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, errors.TripsmithError)]
+ERROR_CLASSES.append(TransportError)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+def test_exit_2_is_exactly_an_input_error(monkeypatch, capsys, error):
+    """Bad input is one `error:` line and exit 2; every other error is a fault, exit 1."""
+    def fail(args):
+        raise error("spoiled")
+
+    monkeypatch.setattr(cli, "cmd_milp", fail)
+    capsys.readouterr()
+    code = run("milp", "--benchmark", "b.jsonl", "--db", "db", "--out", "out")
+    err = capsys.readouterr().err
+    if issubclass(error, errors.InputError):
+        assert (code, err) == (2, "error: spoiled\n")
+    else:
+        assert (code, err) == (1, "internal error: spoiled\n")
 
 
 def test_missing_data_root_is_usage_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tripsmith.errors import InputError, MetricError
+from tripsmith.errors import InputError
 from tripsmith.evaluation import (
     ENV_RULE_COUNT,
     RULE_IDS,
@@ -153,9 +153,9 @@ def test_single_undelivered_plan_zeroes_everything():
 
 
 def test_empty_report_set_is_an_error():
-    with pytest.raises(MetricError):
+    with pytest.raises(InputError, match="empty report set"):
         score([])
-    with pytest.raises(MetricError):
+    with pytest.raises(InputError, match="no plan has logical constraints"):
         score([make_report(True, [True] * 25, [])])
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripsmith.errors import PlanParseError, SchemaError
+from tripsmith.errors import SchemaError
 from tripsmith.plan import (
     ACTIVITY_TYPES,
     CONCEPT_REGISTRY,
@@ -56,7 +56,7 @@ def test_parse_missing_itinerary():
 
 
 def test_parse_malformed_document():
-    with pytest.raises(PlanParseError):
+    with pytest.raises(SchemaError, match="^line 1: invalid JSON: "):
         parse_plan("{not json")
 
 

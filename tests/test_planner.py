@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripsmith.errors import ConfigError
+from tripsmith.errors import InputError
 from tripsmith.evaluation import evaluate_plan, validate_env
 from tripsmith.plan import serialize_plan
 from tripsmith.sandbox import IntercityRoute, intercity_select, load_dataset
@@ -190,7 +190,7 @@ def test_search_empty_when_no_routes(micro_dataset):
 
 
 def test_search_rejects_bad_budget(micro_dataset):
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError, match="search budget must be positive"):
         dfs_search(["return True"], micro_dataset, None,
                    SearchConfig(budget_seconds=0), micro_context())
 
@@ -209,8 +209,6 @@ def test_non_padded_route_clock_plans_padded(tmp_path):
 
 
 def test_search_checks_constraints_first(micro_dataset):
-    from tripsmith.errors import InputError
-
     with pytest.raises(InputError):
         dfs_search(["while True: pass"], micro_dataset, None, cfg(), micro_context())
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tripsmith.errors import IntegrityError, LoadError, NotFoundError, StateError
+from tripsmith.errors import InputError, IntegrityError, LoadError, NotFoundError
 from tripsmith.sandbox import (
     PAGE_SIZE,
     goto,
@@ -125,7 +125,7 @@ def test_pagination_exact_multiple(tmp_path):
 
 
 def test_next_page_without_select():
-    with pytest.raises(StateError):
+    with pytest.raises(InputError, match="no prior select result"):
         next_page(None)
 
 
@@ -170,6 +170,13 @@ def test_is_open_bounds(beta):
 def test_is_open_unknown_poi(beta):
     with pytest.raises(NotFoundError):
         is_open(beta, "attractions", "Ghost Tower", "09:00")
+
+
+@pytest.mark.parametrize("table", ["attractions", "hotels"])
+def test_is_open_refuses_a_time_that_is_not_a_clock(beta, table):
+    name = beta.table(table)[0]["name"]
+    with pytest.raises(InputError, match="invalid clock time: 'garbage'"):
+        is_open(beta, table, name, "garbage")
 
 
 def _minutes(legs) -> int:

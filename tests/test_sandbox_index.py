@@ -206,6 +206,14 @@ def test_nearby_refuses_what_is_not_a_radius_or_a_point(point, dist):
     assert not db._nearby_memo
 
 
+@pytest.mark.parametrize("topk", [2.5, "3", None])
+def test_nearby_refuses_a_topk_that_is_not_an_int(topk):
+    db = _fresh("micro")["Beta"]
+    with pytest.raises(NotFoundError, match="topk must be an int"):
+        nearby(db, "attractions", (31.2, 121.4), topk, 2)
+    assert not db._nearby_memo
+
+
 def test_nearby_result_mutation_does_not_leak(cities):
     db = cities["Beta"]
     point = db.coordinates(db.attractions[0]["name"])
