@@ -179,11 +179,15 @@ def cmd_eval(args) -> int:
     if plans_header.get("benchmark_hash") != bench_header.get("manifest_hash"):
         raise InputError("plans file was produced from a different benchmark "
                          "(manifest hashes do not match)")
+    known = {query.uid for query in queries}
     by_uid = {}
     for index, record in enumerate(plan_records):
         if not isinstance(record, dict) or not isinstance(record.get("uid"), str):
             raise InputError(f"{args.plans}:{record_line(args.plans, index)}: "
                              "plans record carries no string 'uid'")
+        if record["uid"] not in known:
+            raise InputError(f"{args.plans}:{record_line(args.plans, index)}: plans record "
+                             f"names uid {record['uid']!r}, which the benchmark lacks")
         first = by_uid.setdefault(record["uid"], index)
         if first != index:
             raise InputError(f"{args.plans}:{record_line(args.plans, index)}: plans record "
@@ -240,6 +244,8 @@ def cmd_milp(args) -> int:
     if not 1 <= args.slots_per_day <= DAY_MINUTES:
         raise InputError(f"--slots-per-day must be between 1 and {DAY_MINUTES}, "
                          f"got {args.slots_per_day}")
+    if DAY_MINUTES % args.slots_per_day:
+        raise InputError(f"--slots-per-day must divide {DAY_MINUTES}, got {args.slots_per_day}")
     if min(args.hotels, args.attractions, args.restaurants) < 0:
         raise InputError("--hotels, --attractions and --restaurants must be >= 0")
     out_dir = Path(args.out)

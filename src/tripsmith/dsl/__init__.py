@@ -9,7 +9,6 @@ from .check import (
 from .interp import (
     ConstraintOutcome,
     evaluate,
-    evaluate_source,
     run_constraint,
     run_program,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "check_source",
     "check_syntax",
     "evaluate",
-    "evaluate_source",
     "is_clean",
     "parse",
     "run_constraint",

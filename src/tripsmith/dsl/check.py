@@ -8,11 +8,12 @@
 * variables used before any assignment,
 * programs that can finish without reaching a `return`.
 
-Each program is checked once: `check_source` parses it and returns the
-Program only when no diagnostic is an error, the precondition for evaluation;
-callers run that Program as often as they need without parsing it again. All
-callers share an LRU cache of the last `CHECK_CACHE_SIZE` texts checked, so a
-repeated text is parsed and compiled once; each gets its own diagnostics list.
+`check_program` is the one gate before a program runs: `dsl.interp.evaluate`
+runs no Program it reports an error for. `check_source` parses a text and
+returns the Program only when no diagnostic is an error; callers run that
+Program as often as they need without parsing it again. All callers share an
+LRU cache of the last `CHECK_CACHE_SIZE` texts checked, so a repeated text is
+parsed and compiled once; each gets its own diagnostics list.
 """
 
 from __future__ import annotations
@@ -144,6 +145,16 @@ class _Checker:
         return False
 
 
+def check_program(program: S.Program) -> list[Diagnostic]:
+    """The diagnostics of one parsed program; it may run only if none is an error."""
+    checker = _Checker()
+    checker.block(program.statements, set(PREBOUND_NAMES))
+    if not checker.always_returns(program.statements):
+        checker.error(program.statements[-1], "program can finish without reaching a return",
+                      hint="end with `return <expression>`")
+    return checker.diagnostics
+
+
 @functools.lru_cache(maxsize=CHECK_CACHE_SIZE)
 def _checked(source: str) -> tuple[S.Program | None, tuple[Diagnostic, ...]]:
     try:
@@ -151,13 +162,7 @@ def _checked(source: str) -> tuple[S.Program | None, tuple[Diagnostic, ...]]:
     except DslSyntaxError as exc:
         return None, (Diagnostic("error", exc.line, exc.col, str(exc),
                                  hint="fix the syntax before anything else is checked"),)
-    checker = _Checker()
-    checker.block(program.statements, set(PREBOUND_NAMES))
-    if not checker.always_returns(program.statements):
-        last = program.statements[-1]
-        checker.error(last, "program can finish without reaching a return",
-                      hint="end with `return <expression>`")
-    diagnostics = checker.diagnostics
+    diagnostics = check_program(program)
     return (program if is_clean(diagnostics) else None), tuple(diagnostics)
 
 

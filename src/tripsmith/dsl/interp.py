@@ -1,17 +1,19 @@
 """Compiler of constraint programs into closures, and the one way to run them.
 
 Programs never reach a general-purpose compiler (no `exec`, no `eval`): the
-first `evaluate` of a Program turns each node into one closure over its
-children's and keeps the result on the Program; each call site is bound to
-its `FUNCTIONS` implementation then. Evaluation is strictly typed (numbers are
+first `evaluate` of a Program runs the checker (`check_program`) on it, then
+turns each node into one closure over its children's and keeps the result on
+the Program; each call site is bound to its `FUNCTIONS` implementation then.
+The closures trust the checker, so a program it refuses never runs: each
+evaluation raises its first error. Evaluation is strictly typed (numbers are
 not truthy, division by zero is an error) and deterministic. Numbers are
 Decimals; division rounds to 6 fractional digits, all other arithmetic is
 exact. A runtime error is a `DslEvalError` at its node's (line, col); a
 concept's own error is placed at its call.
 
-Each program is checked once (`check_source`); `run_program` then decides
-pass/fail for the search and the evaluator alike: only a boolean True passes,
-and a runtime error or a non-boolean result fails the plan, not the run.
+`run_program` decides pass/fail for the search and the evaluator alike: only
+a boolean True passes, and a runtime error or a non-boolean result fails the
+plan, not the run.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 
 from ..errors import DslEvalError
-from ..plan.concepts import ConceptContext, resolve, type_name
+from ..plan.concepts import FUNCTIONS, ConceptContext, type_name
 from ..plan.model import Plan
 from . import syntax as S
-from .check import Diagnostic, check_source
+from .check import Diagnostic, check_program, check_source
 
 DIV_SCALE = Decimal("0.000001")
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -49,14 +51,6 @@ def _require_number(value, node, op: str) -> Decimal:
         raise DslEvalError(f"operator {op!r} needs numbers, got {type_name(value)}",
                            node.line, node.col)
     return value
-
-
-def _lookup(env: dict, name: str, node):
-    try:
-        return env[name]
-    except KeyError:
-        raise DslEvalError(f"variable {name!r} is not assigned",
-                           node.line, node.col) from None
 
 
 def _scalar_key(value):
@@ -89,10 +83,6 @@ def _equal(a, b) -> bool:
 # Compiled nodes are closures, or functions with their node and children bound
 # by `partial`, of (env, ctx): the variables and the ConceptContext. A
 # statement returns nothing; `return` raises _Returned.
-
-def _refused(message: str, ctx, *args):
-    raise DslEvalError(message)
-
 
 def _values(items: tuple, env: dict, ctx) -> list:
     # a loop: a list comprehension is a function call of its own before 3.12
@@ -132,16 +122,12 @@ def _expression(node):
         case S.Num() | S.Str() | S.Bool():
             return lambda env, ctx: node.value
         case S.Name():
-            return lambda env, ctx: _lookup(env, node.id, node)
+            return lambda env, ctx: env[node.id]
         case S.ListLit():
             return partial(_values, tuple(map(_expression, node.items)))
         case S.Call():
             args = tuple(map(_expression, node.args))
-            try:
-                impl = resolve(node.func, len(args))
-            except DslEvalError as exc:     # raised where the call runs, after its arguments
-                impl = partial(_refused, str(exc))
-            return partial(_call, node, impl, args)
+            return partial(_call, node, FUNCTIONS[node.func][0], args)
         case S.UnaryOp():
             operand, op = _expression(node.operand), node.op
             if op == "not":
@@ -176,13 +162,13 @@ def _expression(node):
 def _assign(stmt: S.Assign, value, env: dict, ctx) -> None:
     result = value(env, ctx)
     if stmt.augmented:
-        current = _lookup(env, stmt.target, stmt)
-        result = _require_number(current, stmt, "+=") + _require_number(result, stmt, "+=")
+        result = (_require_number(env[stmt.target], stmt, "+=")
+                  + _require_number(result, stmt, "+="))
     env[stmt.target] = result
 
 
 def _append(stmt: S.Append, value, env: dict, ctx) -> None:
-    target = _lookup(env, stmt.target, stmt)
+    target = env[stmt.target]
     if not isinstance(target, list):
         raise DslEvalError(f"append target must be a list, got {type_name(target)}",
                            stmt.line, stmt.col)
@@ -224,22 +210,27 @@ def _statement(stmt):
         body if _require_bool(cond(env, ctx), stmt, "if condition") else orelse)(env, ctx)
 
 
+def _refuse(error: Diagnostic, env: dict, ctx):
+    raise DslEvalError(error.message, error.line, error.col)
+
+
+def _compile(program: S.Program):
+    error = next((d for d in check_program(program) if d.severity == "error"), None)
+    return _block(program.statements) if error is None else partial(_refuse, error)
+
+
 def evaluate(program: S.Program, plan: Plan, db=None):
     """Evaluate a program against (plan, dataset); returns its value.
 
-    The first evaluation compiles the program and keeps the result on it.
+    The first evaluation checks and compiles the program and keeps the result
+    on it; a program with a checker error raises it before any of it runs.
     """
     if program.compiled is None:
-        object.__setattr__(program, "compiled", _block(program.statements))
+        object.__setattr__(program, "compiled", _compile(program))
     try:
         program.compiled({"plan": plan}, ConceptContext(plan, db))
     except _Returned as ret:
         return ret.value
-    raise DslEvalError("program finished without returning a value")
-
-
-def evaluate_source(source: str, plan: Plan, db=None):
-    return evaluate(S.parse(source), plan, db)
 
 
 @dataclass

@@ -62,6 +62,9 @@ class MilpParams:
         if self.slots_per_day > DAY_MINUTES:
             raise InputError(f"slots_per_day must be <= {DAY_MINUTES} (one-minute slots), "
                              f"got {self.slots_per_day}")
+        if DAY_MINUTES % self.slots_per_day:
+            raise InputError(f"slots_per_day must divide {DAY_MINUTES} (whole-minute slots), "
+                             f"got {self.slots_per_day}")
         if self.station_num < 1 and (self.go_num or self.back_num):
             raise InputError("routes need at least one station")
 

@@ -1,14 +1,14 @@
 """The functions constraint programs may call: concepts and set builtins.
 
-`FUNCTIONS` is the only list of callables; the checker and `resolve()` read
-names and arities from it. A concept that reads one key of a record, one
-column of a sandbox row or one field summed over transport legs is built in
-`CONCEPT_REGISTRY` by a small factory from the key it reads, so each such
-rule is written once. Concepts are total over the plans `plan_from_obj`
-accepts, whose every present field has its `FIELDS` type: absent optional
-fields fall back to 0, "", [] or -1 instead of raising, so a wrong plan yields
-a failed comparison rather than a crashed validator. The set builtins `list`,
-`uni`, `inter` and `diff` raise on a bad operand.
+`FUNCTIONS` is the only list of callables; the checker reads names and arities
+from it, and the compiler binds each checked call to its entry. A concept that
+reads one key of a record, one column of a sandbox row or one field summed
+over transport legs is built in `CONCEPT_REGISTRY` by a small factory from the
+key it reads, so each such rule is written once. Concepts are total over the
+plans `plan_from_obj` accepts, whose every present field has its `FIELDS`
+type: absent optional fields fall back to 0, "", [] or -1 instead of raising,
+so a wrong plan yields a failed comparison rather than a crashed validator.
+The set builtins `list`, `uni`, `inter` and `diff` raise on a bad operand.
 
 Numbers are Decimals throughout; times are "HH:MM" strings.
 """
@@ -323,25 +323,20 @@ FUNCTIONS: dict[str, tuple[Callable, int, int]] = {
 def arity_message(name: str, count: int) -> str:
     """How a call of `FUNCTIONS[name]` with `count` arguments misses its arity.
 
-    The checker's diagnostic and `resolve()`'s runtime error both read this
-    text; the checker's reaches `nl2dsl` repair prompts.
+    The checker's diagnostic and `concept()`'s error both read this text; the
+    checker's reaches `nl2dsl` repair prompts.
     """
     _, lo, hi = FUNCTIONS[name]
     expected = str(lo) if lo == hi else f"{lo} to {hi}"
     return f"{name} expects {expected} argument(s), got {count}"
 
 
-def resolve(name: str, count: int) -> Callable:
-    """What a call of `name` with `count` arguments runs; unknown names and bad arity raise."""
+def concept(name: str, args: list, ctx: ConceptContext):
+    """Dispatch one call through `FUNCTIONS`; unknown names and bad arity raise."""
     entry = FUNCTIONS.get(name)
     if entry is None:
         raise DslEvalError(f"unknown concept function {name!r}")
     impl, lo, hi = entry
-    if not lo <= count <= hi:
-        raise DslEvalError(arity_message(name, count))
-    return impl
-
-
-def concept(name: str, args: list, ctx: ConceptContext):
-    """Dispatch one call through `FUNCTIONS`; unknown names and bad arity raise."""
-    return resolve(name, len(args))(ctx, *args)
+    if not lo <= len(args) <= hi:
+        raise DslEvalError(arity_message(name, len(args)))
+    return impl(ctx, *args)

@@ -482,7 +482,7 @@ def nearby(db: CityDatabase, table: str, point: tuple, topk: int, dist) -> list[
 
     A `topk` that is not an int >= 1, a radius that is not a number > 0, or a
     point that is not two finite numbers, raises `NotFoundError`."""
-    if not isinstance(topk, int):
+    if not isinstance(topk, int) or isinstance(topk, bool):
         raise NotFoundError(f"topk must be an int, got {topk!r}")
     if topk < 1:
         raise NotFoundError(f"topk must be >= 1, got {topk}")

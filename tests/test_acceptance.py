@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from tripsmith.cli import main as cli_main
 from tripsmith.evaluation import evaluate_plan, score, validate_env
-from tripsmith.dsl import evaluate_source
 from tripsmith.genquery import certify, sample_skeleton
 from tripsmith.llm import FaultInjectingTransport, LlmRanker
 from tripsmith.manifest import read_jsonl
@@ -39,6 +38,7 @@ from tripsmith.search.state import schedule_visit
 from . import golden_programs as G
 from . import oracles
 from .conftest import FIXTURES, build_base_plan, corrupt_plan
+from .test_dsl import evaluate_checked
 from .test_evaluator import make_report, random_reports
 from .test_planner import state_at
 
@@ -92,7 +92,7 @@ def test_criterion_03_golden_corpus_zero_tolerance(mini_dataset):
     }
     for name, source in G.PREFERENCE_PROGRAMS.items():
         for plan in plans:
-            got = evaluate_source(source, plan, mini_dataset)
+            got = evaluate_checked(source, plan, mini_dataset)
             if name == "average_poi_distance":
                 want = oracles.average_poi_distance_reference(
                     plan, mini_dataset, "Riverside Pavilion")
@@ -101,17 +101,17 @@ def test_criterion_03_golden_corpus_zero_tolerance(mini_dataset):
             assert got == want, name
     for plan in plans:
         want = oracles.budget_total_reference(plan) <= 5000
-        assert evaluate_source(G.BUDGET, plan, mini_dataset) is want
+        assert evaluate_checked(G.BUDGET, plan, mini_dataset) is want
     # the -1 sentinels quoted from the listings
     from tripsmith.plan import parse_plan
 
     empty = parse_plan('{"people_number": 1, "start_city": "A",'
                        ' "target_city": "Beta", "itinerary": []}')
-    assert evaluate_source(G.AVERAGE_TRANSPORT_TIME, empty, mini_dataset) == Decimal(-1)
-    assert evaluate_source(G.RESTAURANT_TRANSPORT_TIME, empty, mini_dataset) == Decimal(-1)
-    assert evaluate_source(G.FOOD_COST_RATIO, empty, mini_dataset) == Decimal(-1)
-    assert evaluate_source(G.AVERAGE_POI_DISTANCE.format(poi="City Museum"),
-                           empty, mini_dataset) == Decimal(-1)
+    assert evaluate_checked(G.AVERAGE_TRANSPORT_TIME, empty, mini_dataset) == Decimal(-1)
+    assert evaluate_checked(G.RESTAURANT_TRANSPORT_TIME, empty, mini_dataset) == Decimal(-1)
+    assert evaluate_checked(G.FOOD_COST_RATIO, empty, mini_dataset) == Decimal(-1)
+    assert evaluate_checked(G.AVERAGE_POI_DISTANCE.format(poi="City Museum"),
+                            empty, mini_dataset) == Decimal(-1)
 
 
 def test_criterion_04_env_rules_flip_exactly(mini_dataset):

@@ -273,6 +273,16 @@ def test_milp_slots_beyond_one_minute_is_usage_error(tmp_path, bench, capsys, sl
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("slots", ["7", "1000"])
+def test_milp_slots_that_do_not_divide_a_day_is_usage_error(tmp_path, bench, capsys, slots):
+    capsys.readouterr()
+    code = run("milp", "--benchmark", str(bench), "--db", MICRO,
+               "--slots-per-day", slots, "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --slots-per-day must divide 1440, got {slots}\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_milp_params_are_checked_before_any_output(tmp_path, bench, capsys):
     # q0000 is a 2-day query (2 slots) and q0001 a 1-day query (1 slot)
     out_dir = tmp_path / "m"
@@ -426,6 +436,20 @@ def test_plans_records_sharing_a_uid_is_usage_error(tmp_path, bench, good_plans,
     assert run_on_benchmark("eval", bench, tmp_path) == 2
     err = capsys.readouterr().err
     assert err == f"error: {plans}:5: plans record repeats uid {uid!r} of line 2\n"
+    assert not (tmp_path / "eval.out").exists()
+
+
+def test_plans_record_of_a_uid_the_benchmark_lacks_is_usage_error(tmp_path, bench, good_plans,
+                                                                  capsys):
+    plans = tmp_path / "good-plans.jsonl"
+    header, *lines = plans.read_text().splitlines()
+    stray = {**json.loads(lines[0]), "uid": "zzz"}
+    plans.write_text("\n".join([header, *lines, json.dumps(stray)]) + "\n")
+    capsys.readouterr()
+    assert run_on_benchmark("eval", bench, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {plans}:{len(lines) + 2}: plans record names uid 'zzz', "
+                   "which the benchmark lacks\n")
     assert not (tmp_path / "eval.out").exists()
 
 

@@ -4,8 +4,8 @@ from decimal import Decimal
 import pytest
 
 from tripsmith.dsl import (
+    check_source,
     check_syntax,
-    evaluate_source,
     parse,
     run_constraint,
 )
@@ -48,6 +48,13 @@ for act in allactivities(plan):
                 ok = False
 return ok
 """
+
+
+def evaluate_checked(source, plan, db):
+    """Evaluate `source` as every runner does: only once it checks clean."""
+    program, diagnostics = check_source(source)
+    assert program is not None, diagnostics
+    return evaluate(program, plan, db)
 
 
 def test_parse_dining_loop_shape():
@@ -116,44 +123,44 @@ def test_diagnostic_render_format():
 
 def test_budget_program_true_under_5000(mini_dataset):
     plan = parse_plan(MINIMAL)   # 480 total
-    assert evaluate_source(G.BUDGET, plan, mini_dataset) is True
+    assert evaluate_checked(G.BUDGET, plan, mini_dataset) is True
     assert oracles.budget_total_reference(plan) == Decimal(480)
 
 
 def test_attraction_count_empty_plan(mini_dataset):
     plan = parse_plan('{"people_number": 1, "start_city": "A", "target_city": "Beta",'
                       ' "itinerary": []}')
-    assert evaluate_source(G.ATTRACTION_COUNT, plan, mini_dataset) == Decimal(0)
+    assert evaluate_checked(G.ATTRACTION_COUNT, plan, mini_dataset) == Decimal(0)
 
 
 def test_food_ratio_minus_one_on_zero_cost(mini_dataset):
     plan = parse_plan('{"people_number": 1, "start_city": "A", "target_city": "Beta",'
                       ' "itinerary": [{"activities": [{"type": "attraction",'
                       ' "position": "City Museum", "cost": 0}]}]}')
-    assert evaluate_source(G.FOOD_COST_RATIO, plan, mini_dataset) == Decimal(-1)
+    assert evaluate_checked(G.FOOD_COST_RATIO, plan, mini_dataset) == Decimal(-1)
 
 
 def test_division_by_zero_is_error(mini_dataset):
     plan = parse_plan(MINIMAL)
     with pytest.raises(DslEvalError, match="division by zero"):
-        evaluate_source("return 1 / 0", plan, mini_dataset)
+        evaluate_checked("return 1 / 0", plan, mini_dataset)
 
 
 def test_numbers_are_not_truthy(mini_dataset):
     plan = parse_plan(MINIMAL)
     with pytest.raises(DslEvalError, match="boolean"):
-        evaluate_source("x = 1\nif x: x = 2\nreturn True", plan, mini_dataset)
+        evaluate_checked("x = 1\nif x: x = 2\nreturn True", plan, mini_dataset)
     warnings = check_syntax("if 5: x = 1\nreturn True")
     assert any(d.severity == "warning" for d in warnings)
 
 
 def test_string_comparison_is_codepoint_order(mini_dataset):
     plan = parse_plan(MINIMAL)
-    assert evaluate_source('return "18:30" > "18:00"', plan, mini_dataset) is True
+    assert evaluate_checked('return "18:30" > "18:00"', plan, mini_dataset) is True
     # the outbound ride reaches Beta at 08:10, well before 18:00
-    assert evaluate_source(ARRIVED, plan, mini_dataset) is True
+    assert evaluate_checked(ARRIVED, plan, mini_dataset) is True
     late = MINIMAL.replace('"end_time": "08:10"', '"end_time": "19:10"')
-    assert evaluate_source(ARRIVED, parse_plan(late), mini_dataset) is False
+    assert evaluate_checked(ARRIVED, parse_plan(late), mini_dataset) is False
 
 
 @pytest.mark.parametrize("expression, expected", [
@@ -186,16 +193,16 @@ def test_string_comparison_is_codepoint_order(mini_dataset):
 ])
 def test_equality_never_crosses_types(mini_dataset, expression, expected):
     plan = parse_plan(MINIMAL)
-    assert evaluate_source(f"return {expression}", plan, mini_dataset) is expected
+    assert evaluate_checked(f"return {expression}", plan, mini_dataset) is expected
 
 
 def test_hash_inside_a_string_is_text(mini_dataset):
     source = 'return "A #1" == "A #1"'
     assert check_syntax(source) == []
     plan = parse_plan(MINIMAL)
-    assert evaluate_source(source + "  # a comment", plan, mini_dataset) is True
-    assert evaluate_source('x = "#"\n    # indented comment\n\nreturn x == "#"',
-                           plan, mini_dataset) is True
+    assert evaluate_checked(source + "  # a comment", plan, mini_dataset) is True
+    assert evaluate_checked('x = "#"\n    # indented comment\n\nreturn x == "#"',
+                            plan, mini_dataset) is True
     assert check_syntax('return "A #1') != []
 
 
@@ -209,7 +216,7 @@ def test_set_operations(mini_dataset):
         'only = diff(a, b)\n'
         'return "z" in u and "y" in both and "x" in only and not ("y" in only)\n'
     )
-    assert evaluate_source(source, plan, mini_dataset) is True
+    assert evaluate_checked(source, plan, mini_dataset) is True
 
 
 def test_run_constraint_mixed(mini_dataset):
@@ -365,7 +372,7 @@ def test_constraint_error_diagnostic_position_and_message(mini_dataset, source, 
 ])
 def test_unchecked_builtin_arity_is_eval_error(mini_dataset, source):
     with pytest.raises(DslEvalError, match="expects") as raised:
-        evaluate_source(source, parse_plan(MINIMAL), mini_dataset)
+        evaluate(parse(source), parse_plan(MINIMAL), mini_dataset)
     assert (raised.value.line, raised.value.col) == (1, 8)
 
 
@@ -423,29 +430,47 @@ def test_evaluation_is_pure(mini_dataset):
     assert len(values) == 1
 
 
-def test_concept_call_budget_is_quadratic(mini_dataset, monkeypatch):
-    """Calls are counted at the compiled call sites, each bound once per program."""
+@pytest.fixture
+def concept_calls(monkeypatch):
+    """The names of the functions programs call, counted through the
+    `FUNCTIONS` entries that each call site binds when its program compiles."""
     calls = []
-    real = interp.resolve
 
-    def counting(name, count):
-        impl = real(name, count)
-
+    def counting(name, impl):
         def call(*args):
             calls.append(name)
             return impl(*args)
         return call
 
-    monkeypatch.setattr(interp, "resolve", counting)
+    for name, (impl, lo, hi) in FUNCTIONS.items():
+        monkeypatch.setitem(FUNCTIONS, name, (counting(name, impl), lo, hi))
+    return calls
+
+
+@pytest.fixture
+def checker_runs(monkeypatch):
+    """The programs `evaluate` has handed to the checker's gate."""
+    runs = []
+    real = interp.check_program
+
+    def counting(program):
+        runs.append(program)
+        return real(program)
+
+    monkeypatch.setattr(interp, "check_program", counting)
+    return runs
+
+
+def test_concept_call_budget_is_quadratic(mini_dataset, concept_calls):
     program = parse(G.AVERAGE_TRANSPORT_TIME)
     rng = random.Random(11)
     for _ in range(10):
         plan = random_plan(mini_dataset, rng)
         activity_count = sum(len(day.activities) for day in plan.itinerary)
-        calls.clear()
+        concept_calls.clear()
         evaluate(program, plan, mini_dataset)
         bound = max(activity_count * activity_count, 3 * activity_count + 3)
-        assert 0 < len(calls) <= bound
+        assert 0 < len(concept_calls) <= bound
 
 
 GOLDEN_ORACLES = {
@@ -463,7 +488,7 @@ def test_golden_corpus_against_oracles(mini_dataset):
     plans = [random_plan(mini_dataset, rng) for _ in range(20)]
     for name, source in G.PREFERENCE_PROGRAMS.items():
         for plan in plans:
-            got = evaluate_source(source, plan, mini_dataset)
+            got = evaluate_checked(source, plan, mini_dataset)
             if name == "average_poi_distance":
                 want = oracles.average_poi_distance_reference(
                     plan, mini_dataset, "Riverside Pavilion")
@@ -471,16 +496,30 @@ def test_golden_corpus_against_oracles(mini_dataset):
                 want = GOLDEN_ORACLES[name](plan)
             assert got == want, (name, got, want)
     for plan in plans:
-        got = evaluate_source(G.BUDGET, plan, mini_dataset)
+        got = evaluate_checked(G.BUDGET, plan, mini_dataset)
         assert got == (oracles.budget_total_reference(plan) <= 5000)
 
 
-# every runtime error of the evaluator: (source, message, (line, col)); the
-# programs are parsed but not checked, so the checker's refusals reach it too
+def test_evaluate_gives_a_parsed_program_the_value_of_the_checked_one(mini_dataset,
+                                                                      checker_runs):
+    rng = random.Random(31)
+    plans = [random_plan(mini_dataset, rng) for _ in range(10)]
+    for source in (G.BUDGET, *G.PREFERENCE_PROGRAMS.values()):
+        parsed, (checked, _) = parse(source), check_source(source)
+        for plan in plans:
+            assert (evaluate(parsed, plan, mini_dataset)
+                    == evaluate(checked, plan, mini_dataset)), source
+        assert sum(run is parsed for run in checker_runs) == 1, source
+
+
+# every error `evaluate` raises: (source, message, (line, col)); the programs
+# are parsed but not checked, so the checker's refusals (CHECKER_REFUSALS)
+# reach `evaluate` too and are raised at entry
 RUNTIME_ERRORS = {
-    "unassigned-name": ("return y", "variable 'y' is not assigned", (1, 8)),
-    "unassigned-accumulator": ("x += 1\nreturn True", "variable 'x' is not assigned", (1, 1)),
-    "unassigned-append": ("xs.append(1)\nreturn True", "variable 'xs' is not assigned",
+    "unassigned-name": ("return y", "variable 'y' used before assignment", (1, 8)),
+    "unassigned-accumulator": ("x += 1\nreturn True", "variable 'x' used before assignment",
+                               (1, 1)),
+    "unassigned-append": ("xs.append(1)\nreturn True", "variable 'xs' used before assignment",
                           (1, 1)),
     "accumulate-text": ('x = "a"\nx += 1\nreturn True',
                         "operator '+=' needs numbers, got text", (2, 1)),
@@ -519,15 +558,18 @@ RUNTIME_ERRORS = {
                        "dayactivities expects a whole day number, got 1.5", (1, 8)),
     "argument-error-keeps-its-place": ("return activity_cost(1 / 0)", "division by zero",
                                        (1, 24)),
-    "unknown-function": ("return nope(1 / 0)", "division by zero", (1, 15)),
+    "unknown-function": ("return nope(1 / 0)", "unknown concept function 'nope'", (1, 8)),
     "unknown-function-called": ("return nope(1)", "unknown concept function 'nope'", (1, 8)),
     "nested-in-loop": ("for act in allactivities(plan):\n    if activity_cost(act) > 0:\n"
                        "        return act + 1\nreturn True",
                        "operator '+' needs numbers, got record", (3, 20)),
-    "no-return": ("x = 1", "program finished without returning a value", (1, 1)),
+    "no-return": ("x = 1", "program can finish without reaching a return", (1, 1)),
     "no-return-on-a-branch": ("if False:\n    return True",
-                              "program finished without returning a value", (1, 1)),
+                              "program can finish without reaching a return", (1, 1)),
 }
+CHECKER_REFUSALS = ("unassigned-name", "unassigned-accumulator", "unassigned-append",
+                    "unknown-function", "unknown-function-called", "no-return",
+                    "no-return-on-a-branch")
 
 
 @pytest.mark.parametrize("name", RUNTIME_ERRORS)
@@ -536,3 +578,16 @@ def test_every_runtime_error_keeps_its_message_and_place(mini_dataset, name):
     with pytest.raises(DslEvalError) as raised:
         evaluate(parse(source), parse_plan(MINIMAL), mini_dataset)
     assert (str(raised.value), (raised.value.line, raised.value.col)) == (message, where)
+
+
+@pytest.mark.parametrize("name", CHECKER_REFUSALS)
+def test_a_refused_program_raises_at_entry(mini_dataset, concept_calls, checker_runs, name):
+    """No part of it runs, not even a concept call on the line before its
+    fault, and the checker runs once however often it is evaluated."""
+    source, message, (line, col) = RUNTIME_ERRORS[name]
+    program = parse("acts = allactivities(plan)\n" + source)
+    for _ in range(2):
+        with pytest.raises(DslEvalError) as raised:
+            evaluate(program, parse_plan(MINIMAL), mini_dataset)
+        assert (str(raised.value), raised.value.line, raised.value.col) == (message, line + 1, col)
+    assert concept_calls == [] and len(checker_runs) == 1

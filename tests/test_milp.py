@@ -49,6 +49,11 @@ def test_params_validation():
         MilpParams(-1, 1, 1, 1, 1, 1, time_step=4).validate()
     with pytest.raises(InputError, match="slots_per_day must be <= 1440"):
         MilpParams(1, 1, 1, 1, 1, 1, time_step=2 * 2000, days=2).validate()
+    # minutes map to slots by `minutes // slot_minutes` and `minutes * spd // 1440`,
+    # which agree only when the slots per day divide 1440
+    for spd in (7, 1000):
+        with pytest.raises(InputError, match=f"slots_per_day must divide 1440.*got {spd}"):
+            MilpParams(1, 1, 1, 1, 1, 1, time_step=2 * spd, days=2).validate()
     MilpParams(1, 1, 1, 1, 1, 1, time_step=1440).validate()
 
 

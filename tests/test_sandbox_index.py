@@ -206,7 +206,7 @@ def test_nearby_refuses_what_is_not_a_radius_or_a_point(point, dist):
     assert not db._nearby_memo
 
 
-@pytest.mark.parametrize("topk", [2.5, "3", None])
+@pytest.mark.parametrize("topk", [2.5, "3", None, True])
 def test_nearby_refuses_a_topk_that_is_not_an_int(topk):
     db = _fresh("micro")["Beta"]
     with pytest.raises(NotFoundError, match="topk must be an int"):
