@@ -157,7 +157,7 @@ def cmd_plan(args, ranker_factory=None) -> int:
         inputs={"benchmark": bench_header["manifest_hash"], "db": Path(args.db).name},
         # jobs is left out: it does not change how the queries are searched
         config={"ranker": args.ranker, "budget_secs": _budget_value(args.budget_secs)},
-        seed=args.seed,
+        seed=None,
         paths={"benchmark": str(args.benchmark), "db": str(args.db)},
     )
     header = file_header("plans", manifest,
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--jobs", type=_positive_int, default=1,
                       help="accepted for compatibility; queries are searched "
                            "one at a time in input order, whatever its value")
-    plan.add_argument("--seed", type=int, default=0)
     plan.add_argument("--llm-url", default="http://localhost:8000/v1/chat/completions")
     plan.add_argument("--llm-model", default="default")
     plan.add_argument("--token-env", default="TRIPSMITH_LLM_TOKEN")

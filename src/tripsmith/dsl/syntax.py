@@ -9,11 +9,14 @@ runs to the end of the line. Anything else - loops other than `for`, function
 definitions, imports, attribute access beyond `.append` - is rejected at parse
 time as outside the language.
 
-The parser, the checker, the compiler and the compiled program recurse a few
-frames per nesting level, so a program nested past `MAX_NESTING` levels (open
-expressions, unary operators and blocks while parsing, then tree depth, which
-a long operator chain adds to) is a syntax error: the deepest accepted one runs well inside
-Python's default recursion limit, even at a search leaf.
+Operator precedence is stated once, as binding powers in `_POWER`, which two
+parser methods read (Pratt's top-down operator precedence), so a bracket level
+costs the parser six or seven frames. The parser, the checker, the compiler
+and the compiled program all recurse per nesting level, so a program nested
+past `MAX_NESTING` levels (open expressions, unary operators and blocks while
+parsing, then tree depth, which a long operator chain adds to) is a syntax
+error: the deepest accepted one runs well inside Python's default recursion
+limit, even at a search leaf.
 """
 
 from __future__ import annotations
@@ -34,11 +37,23 @@ FORBIDDEN_KEYWORDS = {
     "continue", "assert", "del", "raise", "elif", "None", "is", "print",
 }
 
+_DIGITS = frozenset("0123456789")    # a number is ASCII digits only
+
 _OPERATORS = (
     "+=", "==", "!=", "<=", ">=",
     "=", "<", ">", "+", "-", "*", "/",
     "(", ")", "[", "]", ",", ":", ".",
 )
+
+# binding power of each binary operator and of `not`: an operator takes as its
+# right operand everything that binds tighter; unary minus binds tightest
+_POWER = {
+    "or": 1, "and": 2, "not": 3,
+    "<": 4, ">": 4, "<=": 4, ">=": 4, "==": 4, "!=": 4, "in": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+_COMPARE = _POWER["in"]
+_UNARY = 7
 
 
 @dataclass(frozen=True)
@@ -96,9 +111,9 @@ def _tokenize_line(text: str, lineno: int, offset: int, out: list[Token]) -> Non
             out.append(Token("STRING", text[i + 1:end], lineno, col))
             i = end + 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+            while j < len(text) and (text[j] in _DIGITS or text[j] == "."):
                 j += 1
             lit = text[i:j]
             if lit.count(".") > 1:
@@ -124,6 +139,17 @@ def _tokenize_line(text: str, lineno: int, offset: int, out: list[Token]) -> Non
                 break
         else:
             raise DslSyntaxError(f"unexpected character {ch!r}", lineno, col)
+
+
+def quote(text: str) -> str | None:
+    """`text` as a string literal that reads back as `text`, in the quote mark
+    it lacks; None if it holds both marks, a tab or a line break, which no
+    literal can spell."""
+    if "\t" in text or "".join(text.splitlines()) != text:
+        return None
+    if '"' not in text:
+        return f'"{text}"'
+    return f"'{text}'" if "'" not in text else None
 
 
 # -- AST ----------------------------------------------------------------------
@@ -238,13 +264,13 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def nested(self, parse):
-        """`parse()` one nesting level deeper; past MAX_NESTING the program is refused."""
+    def nested(self, parse, *args):
+        """`parse(*args)` one nesting level deeper; past MAX_NESTING the program is refused."""
         if self.depth == MAX_NESTING:
             tok = self.peek()
             raise DslSyntaxError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
         self.depth += 1
-        node = parse()
+        node = parse(*args)
         self.depth -= 1
         return node
 
@@ -358,10 +384,7 @@ class _Parser:
         body = []
         while not self.at("DEDENT") and not self.at("EOF"):
             body.append(self.nested(self.statement))
-        self.expect("DEDENT")
-        if not body:
-            tok = self.peek()
-            raise DslSyntaxError("empty block", tok.line, tok.col)
+        self.expect("DEDENT")     # never empty: INDENT comes only before a line's tokens
         return body
 
     def end_of_statement(self) -> None:
@@ -379,68 +402,57 @@ class _Parser:
         return self.nested(self.conditional)
 
     def conditional(self) -> Node:
-        value = self.or_expr()
+        value = self.binary(0)
         if self.at("KEYWORD", "if"):
             tok = self.advance()
-            cond = self.or_expr()
+            cond = self.binary(0)
             self.expect("KEYWORD", "else")
             orelse = self.expression()
             return IfExp(cond, value, orelse, line=tok.line, col=tok.col)
         return value
 
-    def or_expr(self) -> Node:
-        node = self.and_expr()
-        while self.at("KEYWORD", "or"):
-            tok = self.advance()
-            node = BinOp("or", node, self.and_expr(), line=tok.line, col=tok.col)
-        return node
+    def binary(self, floor: int) -> Node:
+        """An operand and the binary operators after it that bind tighter than
+        `floor`, grouped from the left. A comparison takes only an arithmetic
+        left operand, so comparisons never chain."""
+        left = _POWER["not"] if self.at("KEYWORD", "not") else _UNARY    # what built `node`
+        node = self.prefix(floor)
+        while True:
+            tok = self.peek()
+            power = _POWER.get(tok.value, 0) if tok.kind in ("OP", "KEYWORD") else 0
+            if power <= floor or tok.value == "not" or (power == _COMPARE and left <= power):
+                return node
+            self.advance()
+            kind = Compare if power == _COMPARE else BinOp
+            node = kind(tok.value, node, self.binary(power), line=tok.line, col=tok.col)
+            left = power
 
-    def and_expr(self) -> Node:
-        node = self.not_expr()
-        while self.at("KEYWORD", "and"):
-            tok = self.advance()
-            node = BinOp("and", node, self.not_expr(), line=tok.line, col=tok.col)
-        return node
-
-    def not_expr(self) -> Node:
-        if self.at("KEYWORD", "not"):
-            tok = self.advance()
-            return UnaryOp("not", self.nested(self.not_expr), line=tok.line, col=tok.col)
-        return self.comparison()
-
-    def comparison(self) -> Node:
-        node = self.arith()
+    def prefix(self, floor: int) -> Node:
+        """`not` where a comparison may start (below `floor`), unary minus or
+        plus (which is dropped), else an atom."""
         tok = self.peek()
-        if tok.kind == "OP" and tok.value in ("<", ">", "<=", ">=", "==", "!="):
+        if floor < _COMPARE and self.at("KEYWORD", "not"):
             self.advance()
-            return Compare(tok.value, node, self.arith(), line=tok.line, col=tok.col)
-        if tok.kind == "KEYWORD" and tok.value == "in":
+            operand = self.nested(self.binary, _POWER["not"])
+            return UnaryOp("not", operand, line=tok.line, col=tok.col)
+        if tok.kind == "OP" and tok.value in ("-", "+"):
             self.advance()
-            return Compare("in", node, self.arith(), line=tok.line, col=tok.col)
-        return node
-
-    def arith(self) -> Node:
-        node = self.term()
-        while self.at("OP", "+") or self.at("OP", "-"):
-            tok = self.advance()
-            node = BinOp(tok.value, node, self.term(), line=tok.line, col=tok.col)
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.at("OP", "*") or self.at("OP", "/"):
-            tok = self.advance()
-            node = BinOp(tok.value, node, self.factor(), line=tok.line, col=tok.col)
-        return node
-
-    def factor(self) -> Node:
-        if self.at("OP", "-"):
-            tok = self.advance()
-            return UnaryOp("-", self.nested(self.factor), line=tok.line, col=tok.col)
-        if self.at("OP", "+"):
-            self.advance()
-            return self.nested(self.factor)
+            operand = self.nested(self.prefix, _UNARY)
+            if tok.value == "+":
+                return operand
+            return UnaryOp("-", operand, line=tok.line, col=tok.col)
         return self.atom()
+
+    def items(self, closer: str) -> tuple:
+        """Comma-separated expressions up to and including the `closer` token."""
+        items = []
+        if not self.at("OP", closer):
+            items.append(self.expression())
+            while self.at("OP", ","):
+                self.advance()
+                items.append(self.expression())
+        self.expect("OP", closer)
+        return tuple(items)
 
     def atom(self) -> Node:
         tok = self.peek()
@@ -457,14 +469,7 @@ class _Parser:
             self.advance()
             if self.at("OP", "("):
                 self.advance()
-                args = []
-                if not self.at("OP", ")"):
-                    args.append(self.expression())
-                    while self.at("OP", ","):
-                        self.advance()
-                        args.append(self.expression())
-                self.expect("OP", ")")
-                return Call(tok.value, tuple(args), line=tok.line, col=tok.col)
+                return Call(tok.value, self.items(")"), line=tok.line, col=tok.col)
             return Name(tok.value, line=tok.line, col=tok.col)
         if tok.kind == "OP" and tok.value == "(":
             self.advance()
@@ -473,14 +478,7 @@ class _Parser:
             return node
         if tok.kind == "OP" and tok.value == "[":
             self.advance()
-            items = []
-            if not self.at("OP", "]"):
-                items.append(self.expression())
-                while self.at("OP", ","):
-                    self.advance()
-                    items.append(self.expression())
-            self.expect("OP", "]")
-            return ListLit(tuple(items), line=tok.line, col=tok.col)
+            return ListLit(self.items("]"), line=tok.line, col=tok.col)
         raise DslSyntaxError(f"expected an expression, found {tok.value or tok.kind!r}",
                              tok.line, tok.col)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from functools import partial
 
+from ..dsl.syntax import quote
 from ..errors import InputError
 from ..plan.model import INTERCITY_TYPES
 from ..sandbox import MODES, Dataset, intercity_select
@@ -134,6 +135,21 @@ class QuerySkeleton:
         )
 
 
+# kind -> the (table, column) of the target city whose distinct values it draws;
+# like every text value, only those `quote` can spell
+_VOCABULARIES = {
+    "cuisine": ("restaurants", "cuisinetype"),
+    "attraction_type": ("attractions", "type"),
+    "hotel_feature": ("hotels", "featurehoteltype"),
+}
+
+
+def _spellable(values):
+    """The `values` that `quote` can spell. A column `quote` can spell joined
+    into one text holds none it cannot, so it usually takes one check."""
+    return values if quote("".join(values)) else list(filter(quote, values))
+
+
 def _spec_value(kind: str, rng: random.Random, db, dataset, origin, target,
                 days: int, people: int) -> ConstraintSpec | None:
     if kind == "transport_type":
@@ -143,19 +159,14 @@ def _spec_value(kind: str, rng: random.Random, db, dataset, origin, target,
         if not choices:
             return None
         return ConstraintSpec(kind, rng.choice(choices))
-    if kind == "cuisine":
-        vocab = sorted({row["cuisinetype"] for row in db.restaurants})
-        return ConstraintSpec(kind, rng.choice(vocab)) if vocab else None
-    if kind == "attraction_type":
-        vocab = sorted({row["type"] for row in db.attractions})
-        return ConstraintSpec(kind, rng.choice(vocab)) if vocab else None
-    if kind == "hotel_feature":
-        if days < 2:
-            return None            # hotels only appear on multi-day trips
-        vocab = sorted({row["featurehoteltype"] for row in db.hotels})
+    if kind == "hotel_feature" and days < 2:
+        return None                # hotels only appear on multi-day trips
+    if kind in _VOCABULARIES:
+        table, column = _VOCABULARIES[kind]
+        vocab = sorted(_spellable({row[column] for row in db.table(table)}))
         return ConstraintSpec(kind, rng.choice(vocab)) if vocab else None
     if kind == "specific_poi":
-        vocab = [row["name"] for row in db.attractions]
+        vocab = _spellable([row["name"] for row in db.attractions])
         return ConstraintSpec(kind, rng.choice(vocab)) if vocab else None
     if kind == "rooms":
         if days < 2 or not db.hotels:

@@ -22,13 +22,14 @@ columns are checked "HH:MM" text; every other cell is stripped text. A cell
 that does not convert is a `LoadError` naming the file, the row's number (the
 header is 1, blank lines do not count) and the column.
 
-Every loaded route can be ridden: the loader refuses, as an `IntegrityError`,
-an intercity row with an empty id and one whose From station does not contain
-its from-city or whose To station its to-city (the FromCity/ToCity column, or
-else the station-name rule). `Dataset` refuses an id that two routes share,
-in one city or in two, so each id names one route of the data root. It also
-refuses a route station that its loaded city has no coordinates for (the From
-station in the from-city, the To station in the to-city).
+Every loaded route can be ridden: a route leaves the city whose file lists
+it, and the loader refuses, as an `IntegrityError`, an intercity row with an
+empty id and one whose From station does not contain that city or whose To
+station its to-city (the ToCity column, or else the station-name rule).
+`Dataset` refuses an id that two routes share, in one city or in two, so each
+id names one route of the data root. It also refuses a route station that its
+loaded city has no coordinates for (the From station in the from-city, the To
+station in the to-city).
 
 Indexed at load, as a by-product of the validation pass: every POI table by
 name, as the row's position in its table (`record`, `find`, `is_open` and
@@ -320,7 +321,7 @@ def _read_csv(path: Path, required: tuple[str, ...], table: str,
         clocks = {}
     if not path.exists():
         raise LoadError(f"missing table {table!r}: expected file {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -417,17 +418,16 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} must end after it begins")
         if row["cost"] <= 0:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} has non-positive cost")
-        from_city = row.get("fromcity", "") or _city_of_station(row["from"], city)
         to_city = row.get("tocity", "") or _city_of_station(row["to"], city)
-        if from_city not in row["from"] or to_city not in row["to"]:
+        if city not in row["from"] or to_city not in row["to"]:
             raise IntegrityError(f"{city}/intercity: the stations of {row['id']!r} do not "
-                                 f"carry its cities {from_city!r} and {to_city!r}")
+                                 f"carry its cities {city!r} and {to_city!r}")
         route = IntercityRoute(
             id=row["id"], kind=kind, from_station=row["from"], to_station=row["to"],
-            from_city=from_city, to_city=to_city, begin=begin, end=end,
+            from_city=city, to_city=to_city, begin=begin, end=end,
             duration=row["duration"], cost=row["cost"])
         routes.append(route)
-        routes_by_pair.setdefault((from_city, to_city), []).append(route)
+        routes_by_pair.setdefault((city, to_city), []).append(route)
     for pair_routes in routes_by_pair.values():
         pair_routes.sort(key=lambda route: (route.begin, route.id))
 

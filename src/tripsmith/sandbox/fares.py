@@ -57,7 +57,7 @@ def load_fare_config(path: Path | str) -> FareConfig:
     if not path.exists():
         raise LoadError(f"fare config not found: {path}")
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -45,8 +45,6 @@ def outbound_routes(dataset, ctx: QueryContext):
 
 
 def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:
-    if not state.position:
-        return False
     point = db.coordinates(state.position)
     rows = nearby(db, "attractions", point, NEARBY_TOPK, NEARBY_RADIUS_KM)
     now = state.clock

@@ -60,10 +60,8 @@ class SearchState:
         return sum(len(day) for day in self.days)
 
     def with_activity(self, activity: dict, cost: Decimal, **changes) -> "SearchState":
-        days = list(self.days)
-        while len(days) < self.day:
-            days.append(())
-        days[self.day - 1] = days[self.day - 1] + (activity,)
+        days = list(self.days)     # one entry per day so far: len(days) == self.day
+        days[self.day - 1] += (activity,)
         return self.evolve(days=tuple(days), total_cost=self.total_cost + cost, **changes)
 
     def evolve(self, **changes) -> "SearchState":

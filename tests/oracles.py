@@ -79,10 +79,10 @@ def read_csv_reference(path):
 
     Keys are the stripped lower-case headers; a cell missing from a short row
     reads "", a field beyond the header is dropped, and rows are numbered as
-    DictReader yields them, from 2.
+    DictReader yields them, from 2. A leading byte-order mark is not text.
     """
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line, raw_row in enumerate(csv.DictReader(fh), 2):
             row = {}
             for raw_key, value in raw_row.items():

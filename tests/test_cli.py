@@ -404,8 +404,14 @@ def test_query_city_missing_from_db_is_usage_error(tmp_path, bench, good_plans, 
                                                     command):
     other = tmp_path / "other"
     other.mkdir()
-    for old, new in (("Alpha", "Gamma"), ("Beta", "Delta")):
+    renamed = {"Alpha": "Gamma", "Beta": "Delta"}
+    for old, new in renamed.items():
         shutil.copytree(Path(MICRO) / old, other / new)
+    for table in other.glob("*/*.csv"):     # a route leaves the city whose file lists it
+        text = table.read_text()
+        for old, new in renamed.items():
+            text = text.replace(old, new)
+        table.write_text(text)
     capsys.readouterr()
     assert run_on_benchmark(command, bench, tmp_path, db=str(other)) == 2
     err = capsys.readouterr().err
@@ -621,10 +627,15 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
     (lambda r: r.update(dsl="return True"), "dsl must be a list of program texts"),
     (lambda r: r.update(dsl=["return True", "return ("]),
      "constraint 2: <dsl>:1:9: error: expected an expression, found 'NEWLINE'"),
+    (lambda r: r.update(dsl=["return True", "return 1 == \u00b2"]),
+     "constraint 2: <dsl>:1:13: error: unexpected character '\u00b2'"),
+    (lambda r: r.update(dsl=["return 1 == \u0663"]),
+     "constraint 1: <dsl>:1:13: error: unexpected character '\u0663'"),
 ], ids=["days-text", "people-null", "budget-text", "witness-no-itinerary", "witness-list",
         "witness-start-null",
         "uid-path", "uid-backslash", "uid-dotdot", "uid-nul", "uid-empty", "uid-number",
-        "dsl-number", "dsl-text", "dsl-unclean"])
+        "dsl-number", "dsl-text", "dsl-unclean", "dsl-superscript-digit",
+        "dsl-arabic-indic-digit"])
 @pytest.mark.parametrize("command", ["plan", "eval", "milp"])
 def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, capsys,
                                                   command, edit, detail):
@@ -635,7 +646,7 @@ def test_mistyped_benchmark_record_is_usage_error(tmp_path, bench, good_plans, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: benchmark record {uid!r}: ")
     assert detail in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("\n") == 1
     assert not (tmp_path / "x.lp").exists()
 
 
@@ -724,9 +735,28 @@ def _spoiled_root(tmp_path, relative, old, new) -> Path:
     # Alpha's G11 arrives at Beta Station, which Beta's poi.csv then does not locate
     ("Beta/poi.csv", "Beta Station,", "Beta Depot,",
      "error: Beta: station 'Beta Station' of route 'G11' has no coordinates"),
+    ("Beta/intercity.csv", "G12,train,", "G12,bus,", "Beta/intercity: unknown kind 'bus'"),
+    ("Beta/intercity.csv", "G12,train,", "G12,airplane,",
+     "Beta/intercity: id 'G12' prefix does not match kind 'airplane'"),
+    ("Beta/intercity.csv", "19:00,20:40", "20:40,20:40",
+     "Beta/intercity: 'G12' must end after it begins"),
+    ("Beta/intercity.csv", ",120.00", ",0.00", "Beta/intercity: 'G12' has non-positive cost"),
+    # a restaurant named as an attraction, elsewhere
+    ("Beta/restaurants.csv", "Noodle Corner,", "Harbor Park,",
+     "Beta: 'Harbor Park' has conflicting coordinates"),
+    ("Beta/poi.csv", "Beta Station,", "Harbor Park,31.0,121.0\nBeta Station,",
+     "Beta: 'Harbor Park' has conflicting coordinates"),
+    ("Beta/hotels.csv", "Name,Featurehoteltype,", "Name,Feature,",
+     "hotels.csv: table 'hotels' misses columns ['featurehoteltype']"),
+    ("Beta/hotels.csv", "Name,Featurehoteltype,Latitude,Longitude,Price,Numbed\n"
+                        "Rest Inn,Pool,31.2030,121.4010,400.00,2\n"
+                        "Quiet Lodge,Spa,31.2050,121.4060,550.00,1\n", "",
+     "hotels.csv: empty file for table 'hotels'"),
 ], ids=["fare-decimal", "fare-int", "fare-zero-speed", "fare-nan-band", "fare-negative-speed",
         "fare-negative-access", "fare-infinite-fare", "csv-number", "csv-float-overflow",
-        "csv-nan-cost", "csv-duplicate", "station-unlocated"])
+        "csv-nan-cost", "csv-duplicate", "station-unlocated", "route-kind", "route-id-prefix",
+        "route-ends-at-its-start", "route-free", "coordinates-across-tables",
+        "coordinates-in-poi", "missing-column", "empty-table"])
 @pytest.mark.parametrize("command", ["generate", "plan", "milp"])
 def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative, old, new,
                                       detail):
@@ -739,6 +769,24 @@ def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert detail in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, detail", [
+    (None, "no such file: {path}"),
+    ("", "{path}: empty artifact file"),
+    ("\n  \n", "{path}: empty artifact file"),
+    ('{"kind": "plans", "manifest_hash": "0"}\n',
+     "{path}: expected a 'benchmark' file, found 'plans'"),
+    ("[1]\n", "{path}: expected a 'benchmark' file, found None"),
+], ids=["missing", "empty", "blank", "plans-file", "not-an-object"])
+def test_unreadable_benchmark_file_is_usage_error(tmp_path, capsys, text, detail):
+    path, out = tmp_path / "bench.jsonl", tmp_path / "plans.jsonl"
+    if text is not None:
+        path.write_text(text)
+    capsys.readouterr()
+    assert run("plan", "--benchmark", str(path), "--db", MICRO, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {detail.format(path=path)}\n"
     assert not out.exists()
 
 

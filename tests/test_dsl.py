@@ -1,4 +1,7 @@
+import ast
+import functools
 import random
+import sys
 from decimal import Decimal
 
 import pytest
@@ -25,7 +28,7 @@ from tripsmith.dsl import syntax as S
 
 from . import golden_programs as G
 from . import oracles
-from .conftest import micro_context
+from .conftest import build_base_plan, micro_context
 from .test_plan_model import MINIMAL, random_plan
 
 DINING = """\
@@ -287,6 +290,114 @@ def test_the_deepest_accepted_program_runs_at_a_search_leaf(form, micro_dataset)
     assert outcome.status == FULL_PASS
 
 
+@pytest.mark.parametrize("form", NESTING_FORMS)
+def test_the_deepest_accepted_program_parses_in_at_most_350_frames(form):
+    """Counted below this test's frame, so the stack a parse needs at the cap
+    leaves room under the default recursion limit of 1000."""
+    source = NESTING_FORMS[form](_deepest_accepted(NESTING_FORMS[form]))
+    here = sys._getframe()
+    deepest = 0
+
+    def count(frame, event, arg):
+        nonlocal deepest
+        depth = 0
+        while frame is not here:
+            frame, depth = frame.f_back, depth + 1
+        deepest = max(deepest, depth)
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        parse(source)
+    finally:
+        sys.settrace(previous)
+    assert 0 < deepest <= 350
+
+
+# one expression syntax for the DSL and for Python, by a grammar that may chain
+# comparisons or put `not` where Python refuses it; such texts are left out
+_GROUPING_ATOMS = ("a", "b", "c", "d")
+_GROUPING_BINARY = ("or", "and", "==", "!=", "<", ">", "<=", ">=", "in", "+", "-", "*", "/")
+_PYTHON_OPERATORS = {
+    ast.Or: "or", ast.And: "and", ast.Not: "not", ast.USub: "-", ast.Add: "+", ast.Sub: "-",
+    ast.Mult: "*", ast.Div: "/", ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.Gt: ">",
+    ast.LtE: "<=", ast.GtE: ">=", ast.In: "in",
+}
+
+
+def _random_expression(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return rng.choice(_GROUPING_ATOMS)
+    if roll < 0.6:
+        return (f"{_random_expression(rng, depth - 1)} {rng.choice(_GROUPING_BINARY)} "
+                f"{_random_expression(rng, depth - 1)}")
+    if roll < 0.8:
+        return rng.choice(("not ", "-", "+", "- ")) + _random_expression(rng, depth - 1)
+    if roll < 0.9:
+        return (f"{_random_expression(rng, depth - 1)} if {_random_expression(rng, depth - 1)}"
+                f" else {_random_expression(rng, depth - 1)}")
+    return f"({_random_expression(rng, depth - 1)})"
+
+
+def _grouping(node):
+    """A DSL expression as nested (operator, operands...) tuples over names."""
+    if isinstance(node, S.Name):
+        return node.id
+    if isinstance(node, (S.BinOp, S.Compare)):
+        return (node.op, _grouping(node.left), _grouping(node.right))
+    if isinstance(node, S.UnaryOp):
+        return (node.op, _grouping(node.operand))
+    assert isinstance(node, S.IfExp), node
+    return ("if", _grouping(node.cond), _grouping(node.then), _grouping(node.orelse))
+
+
+def _python_grouping(node):
+    """The same tuples from Python's own parse, with unary plus dropped."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.BoolOp):    # Python keeps `a or b or c` as one node
+        op = _PYTHON_OPERATORS[type(node.op)]
+        return functools.reduce(lambda left, right: (op, left, right),
+                                map(_python_grouping, node.values))
+    if isinstance(node, ast.BinOp):
+        return (_PYTHON_OPERATORS[type(node.op)], _python_grouping(node.left),
+                _python_grouping(node.right))
+    if isinstance(node, ast.Compare):
+        [op], [right] = node.ops, node.comparators
+        return (_PYTHON_OPERATORS[type(op)], _python_grouping(node.left), _python_grouping(right))
+    if isinstance(node, ast.UnaryOp):
+        if isinstance(node.op, ast.UAdd):
+            return _python_grouping(node.operand)
+        return (_PYTHON_OPERATORS[type(node.op)], _python_grouping(node.operand))
+    assert isinstance(node, ast.IfExp), node
+    return ("if", _python_grouping(node.test), _python_grouping(node.body),
+            _python_grouping(node.orelse))
+
+
+def _python_accepts(text):
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError:
+        return None
+    if any(isinstance(node, ast.Compare) and len(node.ops) > 1 for node in ast.walk(tree)):
+        return None
+    return tree.body
+
+
+def test_operators_group_as_python_groups_them():
+    rng = random.Random(2024)
+    compared = 0
+    while compared < 1000:
+        text = _random_expression(rng, rng.randint(1, 5))
+        python = _python_accepts(text)
+        if python is None:
+            continue
+        [statement] = parse(f"return {text}").statements
+        assert _grouping(statement.value) == _python_grouping(python), text
+        compared += 1
+
+
 TOKENIZE_SOURCES = ["return True", "return 1 == 1", G.BUDGET]
 
 
@@ -339,6 +450,76 @@ def test_the_check_cache_stays_within_its_bound():
     for index in range(1000):
         check_syntax(f"return {index} == {index}")
     assert check._checked.cache_info().currsize <= check.CHECK_CACHE_SIZE == 128
+
+
+# (source, message, (line, col)) of refusals the lexer and the statement parser make
+SYNTAX_ERRORS = {
+    "tab-indent": ("x = 1\n\treturn x", "tab characters are not allowed; indent with spaces",
+                   (2, 1)),
+    "tab-in-a-string": ('return "a\tb" == "c"',
+                        "tab characters are not allowed; indent with spaces", (1, 10)),
+    "unmatched-unindent": ("if True:\n    x = 1\n  return x",
+                           "unindent does not match any outer level", (3, 3)),
+    "empty-program": ("# nothing\n\n", "empty program", (1, 1)),
+    # a comment-only line opens no block, so the next line is no INDENT
+    "empty-block": ("if True:\n    # nothing\nreturn True", "expected 'INDENT', found 'return'",
+                    (3, 1)),
+    "stray-keyword": ("else:\n    return True", "unexpected keyword 'else'", (1, 1)),
+    "method-not-append": ("x = list()\nx.extend(1)\nreturn True",
+                          "construct not in DSL: method call .extend()", (2, 3)),
+    "token-after-statement": ("return 1 2", "unexpected '2' after statement", (1, 10)),
+    "chained-comparison": ("return 1 < 2 < 3", "unexpected '<' after statement", (1, 14)),
+    "bad-number": ("return 1.2.3 > 0", "bad number literal '1.2.3'", (1, 8)),
+    "unterminated-string": ('return "abc', "unterminated string literal", (1, 8)),
+    # a number is ASCII digits only
+    "superscript-digit": ("return 1 == \u00b2", "unexpected character '\u00b2'", (1, 13)),
+    "arabic-indic-digit": ("return 1 == \u0663", "unexpected character '\u0663'", (1, 13)),
+    "digit-after-a-number": ("return 1\u00b2 == 1", "unexpected character '\u00b2'", (1, 9)),
+}
+
+
+@pytest.mark.parametrize("name", SYNTAX_ERRORS)
+def test_every_syntax_error_keeps_its_message_and_place(name):
+    source, message, where = SYNTAX_ERRORS[name]
+    with pytest.raises(DslSyntaxError) as raised:
+        parse(source)
+    assert (str(raised.value), (raised.value.line, raised.value.col)) == (message, where)
+    [diagnostic] = check_syntax(source)
+    assert (diagnostic.message, (diagnostic.line, diagnostic.col)) == (message, where)
+
+
+@pytest.mark.parametrize("text", ["Noodles", 'Lanzhou "Hand" Noodles', "Xi'an Style", "A #1", ""])
+def test_quote_spells_a_text_that_reads_back(text):
+    literal = S.quote(text)
+    [statement] = parse(f"return {literal}").statements
+    assert statement.value == S.Str(text)
+    assert literal[0] == ('"' if '"' not in text else "'")
+
+
+@pytest.mark.parametrize("text", ["Say \"Xi'an\"", "Hand\nNoodles", "Hand\r\n", "A\u2028B",
+                                  "Tab\there"])
+def test_quote_refuses_a_text_no_literal_spells(text):
+    assert S.quote(text) is None
+
+
+def test_trip_and_leg_concepts_read_the_plan(mini_dataset):
+    plan = build_base_plan(mini_dataset)
+    acts = plan.all_activities()
+    legs = [act.get("transports", []) for act in acts]
+    source = (
+        "starts = list()\n"
+        "ends = list()\n"
+        "for act in allactivities(plan):\n"
+        "    starts.append(innercity_transport_start_time(activity_transports(act)))\n"
+        "    ends.append(innercity_transport_end_time(activity_transports(act)))\n"
+        "return [day_count(plan), people_count(plan), start_city(plan), starts, ends]\n"
+    )
+    assert evaluate_checked(source, plan, mini_dataset) == [
+        Decimal(2), Decimal(plan.people_number), "Alpha",
+        [leg[0]["start_time"] if leg else "" for leg in legs],
+        [leg[-1]["end_time"] if leg else "" for leg in legs],
+    ]
+    assert any(legs) and not all(legs)
 
 
 def test_constraint_eval_error_records_false(mini_dataset):

@@ -109,6 +109,7 @@ def _random_walk(dataset, ctx, rng):
         state = next((child for child in children if child is not None), None)
         if state is None:
             return None
+        assert len(state.days) == state.day     # `with_activity` appends to the last day
 
 
 def test_random_walks_on_the_synthetic_city_set_pass_the_env_check(synth_dataset):
@@ -143,11 +144,17 @@ UNRIDEABLE_ROUTES = {
     "id-repeated-across-cities": (
         (_G11, "G12,train,Alpha Station,Beta Station,08:40,10:20,100,90.00"), _HEADER,
         "Beta/intercity: route id 'G12' is not unique"),
-    # "East Terminal" does not carry "Alpha", though the fromcity column names it
+    # "East Terminal" does not carry "Alpha"; the FromCity column is not read, as a
+    # route's from-city is the city whose file lists it
     "station-without-its-city": (
         (f"{_G11},Alpha,Beta", "G13,train,East Terminal,Beta Station,07:40,09:20,100,118.00,"
                                "Alpha,Beta"),
         f"{_HEADER},FromCity,ToCity", "Alpha/intercity: the stations of 'G13' do not carry"),
+    # a Beta -> Alpha route listed under Alpha, which `intercity_select` would never
+    # offer from Beta
+    "from-station-of-another-city": (
+        (_G11, "G18,train,Beta Station,Alpha Station,21:00,22:40,100,90.00"), _HEADER,
+        "Alpha/intercity: the stations of 'G18' do not carry its cities 'Alpha' and 'Alpha'"),
     # a station name without a space is read as the file's own city
     "to-station-without-a-space": (
         (_G11, "G13,train,Alpha Station,BetaStation,07:40,09:20,100,118.00"), _HEADER,

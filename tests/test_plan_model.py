@@ -66,6 +66,21 @@ def test_parse_unknown_activity_type():
                    ' "itinerary": [{"activities": [{"type": "spaceship"}]}]}')
 
 
+@pytest.mark.parametrize("people, itinerary, message", [
+    (0, "[]", "$: field 'people_number' must be at least 1, got 0"),
+    (1, "{}", "$.itinerary: must be a list of day entries"),
+    (1, "[5]", "$.itinerary[0]: day entry must be an object"),
+    (1, '[{"activities": {}}]', "$.itinerary[0].activities: must be a list"),
+    (1, '[{"activities": [{"type": "attraction", "transports": {}}]}]',
+     "$.itinerary[0].activities[0].transports: must be a list"),
+], ids=["nobody", "itinerary-object", "day-number", "activities-object", "transports-object"])
+def test_parse_refuses_a_misshapen_document(people, itinerary, message):
+    with pytest.raises(SchemaError) as raised:
+        parse_plan(f'{{"people_number": {people}, "start_city": "A", "target_city": "B",'
+                   f' "itinerary": {itinerary}}}')
+    assert str(raised.value) == message
+
+
 def record_text(plan) -> str:
     return json.dumps(serialize_plan(plan), sort_keys=True)
 

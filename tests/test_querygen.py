@@ -1,9 +1,12 @@
+import csv
 import importlib
 import shutil
 
 import pytest
 
+from tripsmith.cli import main
 from tripsmith.dsl import check_syntax
+from tripsmith.dsl.syntax import quote
 from tripsmith.errors import InputError
 from tripsmith.evaluation import RULE_IDS, evaluate_plan
 from tripsmith.genquery import (
@@ -13,7 +16,10 @@ from tripsmith.genquery import (
     context_from_skeleton,
     sample_skeleton,
     skeleton_to_dsl,
+    spec_to_dsl,
 )
+from tripsmith.genquery import skeleton as skeleton_module
+from tripsmith.manifest import read_jsonl
 from tripsmith.sandbox import load_dataset
 from tripsmith.search import FULL_PASS, SearchConfig, SearchOutcome
 
@@ -151,6 +157,46 @@ def test_hash_in_a_poi_name_is_part_of_the_name(tmp_path):
     assert certified is not None
     positions = [act.get("position") for act in certified.witness.all_activities()]
     assert "Harbor Park #1" in positions
+
+
+@pytest.mark.parametrize("cuisine, args", [
+    ('Lanzhou "Hand" Noodles', ("--count", "3", "--seed", "0")),
+    ('Lanzhou "Hand" Noodles', ("--count", "3", "--seed", "1")),
+    ("Hand\nNoodles", ("--difficulty", "easy", "--count", "1", "--seed", "29")),
+], ids=["double-quote-seed-0", "double-quote-seed-1", "line-break"])
+def test_generate_spells_a_quoted_value_and_never_draws_a_line_break(tmp_path, cuisine, args):
+    """These seeds draw Noodle Corner's cuisine when it is spellable, so a `"` in it
+    must be spelled in single quotes; a line break no literal spells is not drawn."""
+    root = tmp_path / "micro"
+    shutil.copytree(FIXTURES / "micro", root)
+    table = root / "Beta" / "restaurants.csv"
+    rows = list(csv.reader(table.open(newline="")))
+    assert rows[1][:5:4] == ["Noodle Corner", "Noodles"]
+    rows[1][4] = cuisine
+    with table.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "bench.jsonl"
+    assert main(["generate", "--db", str(root), *args, "--out", str(out)]) == 0
+    _, records = read_jsonl(out, "benchmark")
+    assert len(records) == int(args[args.index("--count") + 1])
+    drawn = [spec["value"] for record in records for spec in record["skeleton"]["specs"]]
+    assert (cuisine in drawn) is (quote(cuisine) is not None)
+
+
+@pytest.mark.parametrize("values, kept", [
+    (["Plain", "Xi'an"], ["Plain", "Xi'an"]),
+    # each spellable, though the two quote marks meet when joined
+    (["Xi'an", 'Say "hi"'], ["Xi'an", 'Say "hi"']),
+    (["Plain", "Both \"'", "Line\nbreak", "Tab\tbed", "Xi'an"], ["Plain", "Xi'an"]),
+], ids=["all", "marks-apart", "some"])
+def test_the_sampler_keeps_exactly_the_values_quote_spells(values, kept):
+    assert skeleton_module._spellable(values) == kept == [v for v in values if quote(v)]
+
+
+@pytest.mark.parametrize("kind", ["cuisine", "specific_poi"])
+def test_a_template_refuses_a_value_no_literal_spells(kind):
+    with pytest.raises(InputError, match="has no string literal in the DSL"):
+        spec_to_dsl(ConstraintSpec(kind, "Hand\nNoodles"))
 
 
 def test_unsatisfiable_cuisine_is_rejected(micro_dataset):

@@ -1,4 +1,6 @@
+import codecs
 import csv
+import shutil
 from decimal import Decimal
 from pathlib import Path
 
@@ -35,6 +37,24 @@ def test_load_missing_table(tmp_path):
     (tmp_path / "Empty").mkdir()
     with pytest.raises(LoadError, match="attractions"):
         load_city_data(tmp_path, "Empty")
+
+
+def test_load_missing_city_directory(tmp_path):
+    with pytest.raises(LoadError) as raised:
+        load_city_data(tmp_path, "Nowhere")
+    assert str(raised.value) == f"no data directory for city 'Nowhere' under {tmp_path}"
+
+
+@pytest.mark.parametrize("relative", ["Beta/hotels.csv", "Beta/intercity.csv", "fares.cfg"])
+def test_a_byte_order_mark_loads_the_same_city(tmp_path, relative):
+    root = tmp_path / "micro"
+    shutil.copytree(FIXTURES / "micro", root)
+    path = root / relative
+    path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(codecs.BOM_UTF8)
+    marked, plain = load_city_data(root, "Beta"), load_city_data(FIXTURES / "micro", "Beta")
+    assert (marked.hotels, marked.intercity_routes, marked.fares) == \
+        (plain.hotels, plain.intercity_routes, plain.fares)
 
 
 def _write_city(root: Path, attractions_rows):

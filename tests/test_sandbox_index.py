@@ -526,9 +526,11 @@ def test_load_matches_a_dictreader_reference(request, fixture):
     "Name,Price,price\nA,bad,1\n",
     "Name,Price,Price\nA,bad,1\n",                  # the hidden field is never read
     "Name,Latitude,Longitude\nA,200,-1e308\n",      # off the sphere, yet finite floats
+    "\ufeffName,Price\nA,1\n",                      # a byte-order mark is not in the header
 ], ids=["repeated", "canonical-twins", "extra", "short", "blank-lines", "spaces",
         "unicode-blanks", "quoted-newline", "header-only", "blank-header", "short-number",
-        "count-past-blanks", "first-bad-cell", "twin-bad", "hidden-bad", "off-the-sphere"])
+        "count-past-blanks", "first-bad-cell", "twin-bad", "hidden-bad", "off-the-sphere",
+        "byte-order-mark"])
 def test_odd_tables_read_as_dictreader_reads_them(tmp_path, text):
     path = _write(tmp_path, text)
     try:
