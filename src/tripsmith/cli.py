@@ -169,6 +169,10 @@ def cmd_plan(args, ranker_factory=None) -> int:
     return 0
 
 
+def _trip(origin, target, days, people) -> str:
+    return f"{origin} -> {target}, {days} day(s), {people} traveller(s)"
+
+
 def cmd_eval(args) -> int:
     _check_out_file(args.out)
     dataset = load_dataset(args.db)
@@ -204,6 +208,14 @@ def cmd_eval(args) -> int:
                 plan, notes = plan_from_obj(planned["plan"]), ""
             except (ValueError, TypeError, SchemaError) as exc:
                 notes = f"plan refused: {exc}"
+        if plan is not None:
+            # a plan for another trip is refused like a malformed one
+            trip = (plan.start_city, plan.target_city, plan.day_count, plan.people_number)
+            skeleton = query.skeleton
+            asked = (skeleton.origin, skeleton.target, skeleton.days, skeleton.people)
+            if trip != asked:
+                plan, notes = None, (f"plan refused: it plans {_trip(*trip)}; "
+                                     f"the query asks {_trip(*asked)}")
         report = evaluate_plan(plan, query.dsl_sources, dataset, notes=notes)
         reports.append(report)
         per_plan.append({"uid": query.uid, **report.as_dict()})

@@ -10,10 +10,11 @@
 
 `check_program` is the one gate before a program runs: `dsl.interp.evaluate`
 runs no Program it reports an error for. `check_source` parses a text and
-returns the Program only when no diagnostic is an error; callers run that
-Program as often as they need without parsing it again. All callers share an
-LRU cache of the last `CHECK_CACHE_SIZE` texts checked, so a repeated text is
-parsed and compiled once; each gets its own diagnostics list.
+returns the Program only when no diagnostic is an error, marked `checked`, so
+`evaluate` does not check it again; callers run that Program as often as they
+need without parsing it again. All callers share an LRU cache of the last
+`CHECK_CACHE_SIZE` texts checked, so a repeated text is parsed, checked and
+compiled once; each gets its own diagnostics list.
 """
 
 from __future__ import annotations
@@ -163,7 +164,10 @@ def _checked(source: str) -> tuple[S.Program | None, tuple[Diagnostic, ...]]:
         return None, (Diagnostic("error", exc.line, exc.col, str(exc),
                                  hint="fix the syntax before anything else is checked"),)
     diagnostics = check_program(program)
-    return (program if is_clean(diagnostics) else None), tuple(diagnostics)
+    if not is_clean(diagnostics):
+        return None, tuple(diagnostics)
+    object.__setattr__(program, "checked", True)
+    return program, tuple(diagnostics)
 
 
 def check_source(source: str) -> tuple[S.Program | None, list[Diagnostic]]:

@@ -1,9 +1,10 @@
 """Compiler of constraint programs into closures, and the one way to run them.
 
 Programs never reach a general-purpose compiler (no `exec`, no `eval`): the
-first `evaluate` of a Program runs the checker (`check_program`) on it, then
-turns each node into one closure over its children's and keeps the result on
-the Program; each call site is bound to its `FUNCTIONS` implementation then.
+first `evaluate` of a Program runs the checker (`check_program`) on it, unless
+`check_source` already passed it, then turns each node into one closure over
+its children's and keeps the result on the Program; each call site is bound
+to its `FUNCTIONS` implementation then.
 The closures trust the checker, so a program it refuses never runs: each
 evaluation raises its first error. Evaluation is strictly typed (numbers are
 not truthy, division by zero is an error) and deterministic. Numbers are
@@ -215,15 +216,17 @@ def _refuse(error: Diagnostic, env: dict, ctx):
 
 
 def _compile(program: S.Program):
-    error = next((d for d in check_program(program) if d.severity == "error"), None)
+    diagnostics = () if program.checked else check_program(program)
+    error = next((d for d in diagnostics if d.severity == "error"), None)
     return _block(program.statements) if error is None else partial(_refuse, error)
 
 
 def evaluate(program: S.Program, plan: Plan, db=None):
     """Evaluate a program against (plan, dataset); returns its value.
 
-    The first evaluation checks and compiles the program and keeps the result
-    on it; a program with a checker error raises it before any of it runs.
+    The first evaluation checks (unless `check_source` did) and compiles the
+    program and keeps the result on it; a program with a checker error raises
+    it before any of it runs.
     """
     if program.compiled is None:
         object.__setattr__(program, "compiled", _compile(program))

@@ -256,6 +256,9 @@ class Program:
     statements: tuple
     # the closure `dsl.interp.evaluate` compiles on first use, kept for every later one
     compiled: object = field(default=None, compare=False, repr=False)
+    # set by `dsl.check.check_source` on a program without errors, which
+    # `evaluate` then compiles without checking it again
+    checked: bool = field(default=False, compare=False, repr=False)
 
 
 class _Parser:

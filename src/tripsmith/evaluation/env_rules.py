@@ -14,9 +14,10 @@ guard, under which a time rule holds vacuously unless both clocks parse;
 hotels, metro and taxi legs (a walk leg keeps a looser rule); and
 `check_poi_group` checks each of the three POI groups in one pass.
 
-A ride's id resolves through `Dataset.route` to the one route of that id under
-the data root (the loader refuses a repeated id), and a visit's opening hours
-are the load-time minutes of its row (`CityDatabase.hours`).
+A ride's id resolves through `Dataset.route` to its one route and its stations
+through `Dataset.station_cities` to their one cities (the loader refuses a
+repeated id or a station in two cities); a visit's opening hours are the
+load-time minutes of its row (`CityDatabase.hours`).
 """
 
 from __future__ import annotations
@@ -135,13 +136,12 @@ class _Check:
             self.fail("env.cross_city.endpoints", "plan has no activities")
         else:
             first, last = self.acts[0], self.acts[-1]
+            city = self.dataset.station_cities.get if self.dataset is not None else {}.get
             ok = (
                 first.get("type") in INTERCITY_TYPES
                 and last.get("type") in INTERCITY_TYPES
-                and self.plan.start_city in first.get("start", "")
-                and self.plan.target_city in first.get("end", "")
-                and self.plan.target_city in last.get("start", "")
-                and self.plan.start_city in last.get("end", "")
+                and city(first.get("start")) == city(last.get("end")) == self.plan.start_city
+                and city(first.get("end")) == city(last.get("start")) == self.plan.target_city
             )
             if not ok:
                 self.fail("env.cross_city.endpoints",

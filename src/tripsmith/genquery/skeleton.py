@@ -122,14 +122,17 @@ class QuerySkeleton:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "QuerySkeleton":
-        """A skeleton with every field typed; ValueError or KeyError if not."""
+        """A skeleton with every field typed and two cities; ValueError or KeyError if not."""
         if not isinstance(raw, dict):
             raise ValueError(f"skeleton must be an object, got {raw!r}")
+        origin, target = _text("origin", raw["origin"]), _text("target", raw["target"])
+        if origin == target:
+            raise ValueError(f"origin and target are both {origin!r}; a trip joins two cities")
         specs = raw["specs"]
         if not (isinstance(specs, list) and all(isinstance(spec, dict) for spec in specs)):
             raise ValueError(f"specs must be a list of objects, got {specs!r}")
         return cls(
-            origin=_text("origin", raw["origin"]), target=_text("target", raw["target"]),
+            origin=origin, target=target,
             days=_count("days", raw["days"]), people=_count("people", raw["people"]),
             specs=[ConstraintSpec.from_dict(spec) for spec in specs],
         )

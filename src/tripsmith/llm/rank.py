@@ -52,13 +52,12 @@ def parse_name_list(reply: str) -> list[str] | None:
     return None
 
 
-def merge_ranked_names(candidates: list, names: list[str]) -> list:
-    """Reorder candidates by the reply; unknown names are dropped, candidates
+def merge_ranked_names(candidates: list[dict], names: list[str]) -> list[dict]:
+    """Reorder candidate rows by the reply; unknown names are dropped, candidates
     the model forgot keep their original relative order at the tail."""
     by_name = {}
     for candidate in candidates:
-        key = candidate.get("name", "") if isinstance(candidate, dict) else candidate.id
-        by_name.setdefault(key, candidate)
+        by_name.setdefault(candidate.get("name", ""), candidate)
     picked = []
     seen = set()
     for name in names:
@@ -66,18 +65,16 @@ def merge_ranked_names(candidates: list, names: list[str]) -> list:
             picked.append(by_name[name])
             seen.add(name)
     for candidate in candidates:
-        key = candidate.get("name", "") if isinstance(candidate, dict) else candidate.id
+        key = candidate.get("name", "")
         if key not in seen:
             picked.append(candidate)
             seen.add(key)
     return picked
 
 
-def _rows_summary(candidates: list) -> str:
+def _rows_summary(candidates: list[dict]) -> str:
     lines = []
     for row in candidates:
-        if not isinstance(row, dict):
-            continue
         bits = [row.get("name", "")]
         for key in ("cuisinetype", "type", "featurehoteltype"):
             if key in row:

@@ -7,7 +7,8 @@ over transport legs is built in `CONCEPT_REGISTRY` by a small factory from the
 key it reads, so each such rule is written once. Concepts are total over the
 plans `plan_from_obj` accepts, whose every present field has its `FIELDS`
 type: absent optional fields fall back to 0, "", [] or -1 instead of raising,
-so a wrong plan yields a failed comparison rather than a crashed validator.
+so a wrong plan yields a failed comparison rather than a crashed validator;
+a station the sandbox does not place (`Dataset.station_cities`) reads "".
 The set builtins `list`, `uni`, `inter` and `diff` raise on a bad operand.
 
 Numbers are Decimals throughout; times are "HH:MM" strings.
@@ -33,10 +34,6 @@ class ConceptContext:
     def __init__(self, plan: Plan, dataset: Dataset | None):
         self.plan = plan
         self.dataset = dataset
-
-    @property
-    def city_list(self) -> list[str]:
-        return self.dataset.city_names if self.dataset else []
 
     def city(self, name: str):
         if self.dataset is None or name not in self.dataset:
@@ -125,14 +122,11 @@ def _text_field(key):
 
 
 def _station_city(key):
-    """The first loaded city whose name occurs in the record's `key` station."""
+    """The city `Dataset.station_cities` gives the record's `key` station, or ""."""
     def accessor(ctx, record):
-        act = _record_of(record)
-        if key in act:
-            for city in ctx.city_list:
-                if city in act[key]:
-                    return city
-        return ""
+        station = _record_of(record).get(key)
+        cities = ctx.dataset.station_cities if ctx.dataset is not None else {}
+        return cities.get(station, "") if isinstance(station, str) else ""
     return accessor
 
 

@@ -20,20 +20,26 @@ from .transport import cars_for, goto, transfer_mode
 
 
 class Dataset:
-    """All cities under one data root, loaded once and shared read-only."""
+    """All cities under one data root, loaded once and shared read-only; the
+    one home of a station's city, which no two routes may disagree on."""
 
     def __init__(self, cities: dict[str, CityDatabase]):
         self.cities = cities
         # route id -> the one route of that id under the root
         self.routes_by_id: dict[str, IntercityRoute] = {}
+        self.station_cities: dict[str, str] = {}
         for city in self.city_names:
             for route in cities[city].intercity_routes:
                 if self.routes_by_id.setdefault(route.id, route) is not route:
                     raise IntegrityError(
                         f"{city}/intercity: route id {route.id!r} is not unique under the root")
-                # a loaded city locates each of its stations that a route stops at
+                # each station is in one city, and a loaded city locates its stations
                 for end_city, station in ((route.from_city, route.from_station),
                                           (route.to_city, route.to_station)):
+                    placed = self.station_cities.setdefault(station, end_city)
+                    if placed != end_city:
+                        raise IntegrityError(f"{city}/intercity: route {route.id!r} puts "
+                                             f"{station!r} in {end_city!r}; it is in {placed!r}")
                     if end_city in cities and station not in cities[end_city].poi_coordinates:
                         raise IntegrityError(f"{end_city}: station {station!r} of route "
                                              f"{route.id!r} has no coordinates")

@@ -27,9 +27,10 @@ it, and the loader refuses, as an `IntegrityError`, an intercity row with an
 empty id and one whose From station does not contain that city or whose To
 station its to-city (the ToCity column, or else the station-name rule).
 `Dataset` refuses an id that two routes share, in one city or in two, so each
-id names one route of the data root. It also refuses a route station that its
-loaded city has no coordinates for (the From station in the from-city, the To
-station in the to-city).
+id names one route of the data root. It also refuses a station that two
+routes put in two cities, and a route station that its loaded city has no
+coordinates for (the From station in the from-city, the To station in the
+to-city).
 
 Indexed at load, as a by-product of the validation pass: every POI table by
 name, as the row's position in its table (`record`, `find`, `is_open` and

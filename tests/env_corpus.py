@@ -9,8 +9,9 @@ the rules that keeps every report the same keeps the digest.
 
     PYTHONPATH=src python -m tests.env_corpus
 
-prints the digest, the report count and how many reports fail each rule; a
-deliberate rule change re-pins `DIGEST` from that output.
+prints the digest, the report count and, per rule, how many reports fail it
+with the dataset and how many without one; a deliberate rule change re-pins
+`DIGEST` from that output.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from tripsmith.search.context import QueryContext
 from .conftest import FIXTURES, build_base_plan, corrupt_plan
 from .test_plan_model import random_plan
 
-DIGEST = "9637b76fe27732b48fdcc79cf1bcec4c57a83dd43e13200b4e064c107f81dd51"
+DIGEST = "88fc593bad86a109fa92a01380d652b2c8f4d98430a4c77ac812329c2bb1cf54"
 
 RANDOM_PLANS = 40
 ENUMERATED_PER_QUERY = 20
@@ -156,8 +157,12 @@ def main() -> None:
     rows = reports()
     print(f"digest {corpus_digest(rows)}")
     print(f"reports {len(rows)} (plans {len(rows) // 2})")
+    print("  with  without  rule")
     for rule in RULE_IDS:
-        print(f"{sum(not row['rules'][rule] for row in rows):6d}  {rule}")
+        # `reports` alternates the report with the dataset and the one without
+        with_db, without = (sum(not row["rules"][rule] for row in rows[half::2])
+                            for half in (0, 1))
+        print(f"{with_db:6d}  {without:7d}  {rule}")
 
 
 if __name__ == "__main__":

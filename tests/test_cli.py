@@ -496,6 +496,33 @@ def test_plans_record_with_a_bad_plan_is_scored_undelivered(tmp_path, bench, goo
     assert reports == expected
 
 
+def test_eval_refuses_a_plan_for_another_trip(tmp_path):
+    """A plan whose cities, days or party differ from its query's is not delivered."""
+    mini, bench = str(FIXTURES / "mini"), tmp_path / "bench.jsonl"
+    plans = tmp_path / "good-plans.jsonl"
+    assert run("generate", "--db", mini, "--difficulty", "easy", "--count", "6",
+               "--seed", "3", "--out", str(bench)) == 0
+    assert run("plan", "--benchmark", str(bench), "--db", mini, "--out", str(plans)) == 0
+    expected = _eval_reports(bench, tmp_path, mini)
+    header, *lines = plans.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    # q0002 (Alpha -> Beta) takes q0003's Beta -> Alpha plan; q0004 (2 days, 2
+    # travellers) takes q0001's plan for 1 day and 4 travellers
+    for taker, giver in ((2, 3), (4, 1)):
+        records[taker]["plan"] = records[giver]["plan"]
+    plans.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+    reports = _eval_reports(bench, tmp_path, mini)
+    for uid, notes in (
+            ("q0002", "plan refused: it plans Beta -> Alpha, 2 day(s), 1 traveller(s); "
+                      "the query asks Alpha -> Beta, 2 day(s), 1 traveller(s)"),
+            ("q0004", "plan refused: it plans Alpha -> Beta, 1 day(s), 4 traveller(s); "
+                      "the query asks Alpha -> Beta, 2 day(s), 2 traveller(s)")):
+        refused = reports.pop(uid)
+        assert refused["delivered"] is False and refused["notes"] == notes
+        assert expected.pop(uid)["delivered"] is True
+    assert reports == expected
+
+
 def test_eval_fails_a_plan_that_breaks_an_env_rule(tmp_path, bench, good_plans):
     """The search never runs the env check on its plans; `eval` runs it on every plan."""
     expected = _eval_reports(bench, tmp_path)
@@ -514,9 +541,9 @@ def test_eval_fails_a_plan_that_breaks_an_env_rule(tmp_path, bench, good_plans):
     assert reports == expected
 
 
-def _eval_reports(bench: Path, tmp_path) -> dict:
+def _eval_reports(bench: Path, tmp_path, db=MICRO) -> dict:
     """uid -> report of an `eval` of good-plans.jsonl, which must exit 0."""
-    assert run_on_benchmark("eval", bench, tmp_path) == 0
+    assert run_on_benchmark("eval", bench, tmp_path, db) == 0
     return _written_reports(tmp_path)
 
 
@@ -613,6 +640,8 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
     (lambda r: r["skeleton"].update(people=None), "people must be an integer >= 1, got None"),
     (lambda r: r["skeleton"]["specs"].append({"kind": "budget", "value": "lots"}),
      "budget 'lots' is not a number"),
+    (lambda r: r["skeleton"].update(origin="Alpha", target="Alpha"),
+     "origin and target are both 'Alpha'; a trip joins two cities"),
     (lambda r: r["witness"].pop("itinerary"), "missing mandatory field 'itinerary'"),
     (lambda r: r.update(witness=[]), "plan document must be a JSON object"),
     (lambda r: r["witness"]["itinerary"][0]["activities"][0].update(start=None),
@@ -631,8 +660,8 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
      "constraint 2: <dsl>:1:13: error: unexpected character '\u00b2'"),
     (lambda r: r.update(dsl=["return 1 == \u0663"]),
      "constraint 1: <dsl>:1:13: error: unexpected character '\u0663'"),
-], ids=["days-text", "people-null", "budget-text", "witness-no-itinerary", "witness-list",
-        "witness-start-null",
+], ids=["days-text", "people-null", "budget-text", "same-city", "witness-no-itinerary",
+        "witness-list", "witness-start-null",
         "uid-path", "uid-backslash", "uid-dotdot", "uid-nul", "uid-empty", "uid-number",
         "dsl-number", "dsl-text", "dsl-unclean", "dsl-superscript-digit",
         "dsl-arabic-indic-digit"])

@@ -693,6 +693,23 @@ def test_evaluate_gives_a_parsed_program_the_value_of_the_checked_one(mini_datas
         assert sum(run is parsed for run in checker_runs) == 1, source
 
 
+def test_a_program_from_check_source_is_checked_once(monkeypatch, mini_dataset):
+    """`check_source` runs the checker; `evaluate` trusts the program it returns."""
+    check._checked.cache_clear()
+    runs = []
+    real = check.check_program
+
+    def counting(program):
+        runs.append(program)
+        return real(program)
+
+    for module in (check, interp):
+        monkeypatch.setattr(module, "check_program", counting)
+    program, _ = check_source("return day_count(plan) == 1")
+    assert evaluate(program, parse_plan(MINIMAL), mini_dataset) is True
+    assert runs == [program]
+
+
 # every error `evaluate` raises: (source, message, (line, col)); the programs
 # are parsed but not checked, so the checker's refusals (CHECKER_REFUSALS)
 # reach `evaluate` too and are raised at entry

@@ -14,7 +14,11 @@ The rides need no such care: the loader refuses every route that no plan
 could ride past the cross-city rules, so the search takes every route it
 selects. Micro variants with an empty route id, a repeated one (in one city
 or across two), and a station name that does not carry its city pin that
-each is a one-line load error.
+each is a one-line load error. Which city a station is in is the loader's
+decision alone: on a copy of micro whose `Alpha` is `Betaville`, the station
+concepts and the endpoint rule read `Betaville` where a match of city names
+inside station names would read `Beta`, and a route that puts a station in a
+second city is a load error.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import pytest
 from tripsmith.cli import main
 from tripsmith.errors import IntegrityError
 from tripsmith.evaluation import validate_env
+from tripsmith.plan.concepts import ConceptContext, concept
 from tripsmith.sandbox import load_dataset
 from tripsmith.search import HeuristicRanker, QueryContext, dfs
 from tripsmith.search.rules import FINISH, next_activity_type
@@ -183,4 +188,45 @@ def test_routes_the_cross_city_rules_would_refuse_do_not_load(tmp_path, capsys, 
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _betaville(tmp_path) -> Path:
+    """The micro fixture with `Alpha` renamed `Betaville`, stations included, so
+    the name of the other city, `Beta`, is part of every Betaville station's."""
+    micro, root = FIXTURES / "micro", tmp_path / "betaville"
+    for path in sorted(filter(Path.is_file, micro.rglob("*"))):
+        out = root / str(path.relative_to(micro)).replace("Alpha", "Betaville")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(path.read_text().replace("Alpha", "Betaville"))
+    return root
+
+
+def test_a_station_is_in_the_one_city_the_sandbox_places_it_in(tmp_path, capsys):
+    root = _betaville(tmp_path)
+    dataset = load_dataset(root)
+    with mock.patch.object(dfs, "ENUMERATION_LIMIT", 1):
+        [plan] = dfs.enumerate_complete_plans(dataset, QueryContext("Betaville", "Beta", 1, 2))
+    outbound, inbound = plan.all_activities()[0], plan.all_activities()[-1]
+    assert (outbound["start"], inbound["end"]) == ("Betaville Station", "Betaville Station")
+    context = ConceptContext(plan, dataset)
+    assert [concept(name, [ride], context)
+            for ride in (outbound, inbound)
+            for name in ("intercity_transport_origin", "intercity_transport_destination")
+            ] == ["Betaville", "Beta", "Beta", "Betaville"]
+    assert validate_env(plan, dataset).overall
+    plan.start_city = "Beta"
+    assert validate_env(plan, dataset).failed_rules() == ["env.cross_city.endpoints"]
+
+    bench, out = tmp_path / "bench.jsonl", tmp_path / "plans.jsonl"
+    assert main(["generate", "--db", str(root), "--count", "1", "--seed", "11",
+                 "--out", str(bench)]) == 0
+    # listed under Beta, whose name the loader finds in "Betaville Station"
+    with open(root / "Beta" / "intercity.csv", "a", encoding="utf-8") as fh:
+        fh.write("G18,train,Betaville Station,Beta Station,21:00,22:40,100,90.00\n")
+    capsys.readouterr()
+    assert main(["plan", "--benchmark", str(bench), "--db", str(root), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: Beta/intercity: route 'G18' puts 'Betaville Station' in 'Beta'; "
+                   "it is in 'Betaville'\n")
     assert not out.exists()

@@ -370,8 +370,9 @@ def test_number_outside_its_kind_is_a_schema_error(key, value, detail):
 
 # One activity record with every key a record accessor reads, the same keys
 # all None, and per accessor its value on the full record, on {} and on the
-# None record. An exception class means the call raises it: a None number or
-# station escapes as a Python error, not a DslEvalError. `plan_from_obj`
+# None record. An exception class means the call raises it: a None number
+# escapes as a Python error, not a DslEvalError; a None station is a station
+# the sandbox does not place, so it reads "". `plan_from_obj`
 # refuses the None record, so no parsed plan reaches those cells.
 FULL_RECORD = {
     "type": "train", "position": "Hotpot Palace", "start": "Alpha Station",
@@ -392,8 +393,8 @@ RECORD_ACCESSORS = {
     "activity_start_time": ("06:30", "", None),
     "activity_end_time": ("08:10", "", None),
     "activity_transports": ([{"mode": "walk"}], [], TypeError),
-    "intercity_transport_origin": ("Alpha", "", TypeError),
-    "intercity_transport_destination": ("Beta", "", TypeError),
+    "intercity_transport_origin": ("Alpha", "", ""),
+    "intercity_transport_destination": ("Beta", "", ""),
 }
 POI_ACCESSORS = {
     "restaurant_type": "Hotpot",
