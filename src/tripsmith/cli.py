@@ -206,7 +206,7 @@ def cmd_eval(args) -> int:
         if planned.get("plan") is not None:
             try:
                 plan, notes = plan_from_obj(planned["plan"]), ""
-            except (ValueError, TypeError, SchemaError) as exc:
+            except SchemaError as exc:
                 notes = f"plan refused: {exc}"
         if plan is not None:
             # a plan for another trip is refused like a malformed one

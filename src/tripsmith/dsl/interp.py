@@ -27,6 +27,7 @@ from functools import partial
 from ..errors import DslEvalError
 from ..plan.concepts import FUNCTIONS, ConceptContext, type_name
 from ..plan.model import Plan
+from ..sandbox import Dataset
 from . import syntax as S
 from .check import Diagnostic, check_program, check_source
 
@@ -221,7 +222,7 @@ def _compile(program: S.Program):
     return _block(program.statements) if error is None else partial(_refuse, error)
 
 
-def evaluate(program: S.Program, plan: Plan, db=None):
+def evaluate(program: S.Program, plan: Plan, dataset: Dataset):
     """Evaluate a program against (plan, dataset); returns its value.
 
     The first evaluation checks (unless `check_source` did) and compiles the
@@ -231,7 +232,7 @@ def evaluate(program: S.Program, plan: Plan, db=None):
     if program.compiled is None:
         object.__setattr__(program, "compiled", _compile(program))
     try:
-        program.compiled({"plan": plan}, ConceptContext(plan, db))
+        program.compiled({"plan": plan}, ConceptContext(plan, dataset))
     except _Returned as ret:
         return ret.value
 
@@ -243,10 +244,10 @@ class ConstraintOutcome:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def run_program(program: S.Program, plan: Plan, db=None) -> ConstraintOutcome:
+def run_program(program: S.Program, plan: Plan, dataset: Dataset) -> ConstraintOutcome:
     """Run one checked constraint; failures count against the plan, not the run."""
     try:
-        value = evaluate(program, plan, db)
+        value = evaluate(program, plan, dataset)
     except DslEvalError as exc:
         return ConstraintOutcome(False, None,
                                  [Diagnostic("error", exc.line, exc.col, str(exc))])
@@ -260,9 +261,9 @@ def run_program(program: S.Program, plan: Plan, db=None) -> ConstraintOutcome:
     return ConstraintOutcome(value, value, [])
 
 
-def run_constraint(source: str, plan: Plan, db=None) -> ConstraintOutcome:
+def run_constraint(source: str, plan: Plan, dataset: Dataset) -> ConstraintOutcome:
     """Check and run one constraint source; an unclean source fails the plan."""
     program, diagnostics = check_source(source)
     if program is None:
         return ConstraintOutcome(False, None, diagnostics)
-    return run_program(program, plan, db)
+    return run_program(program, plan, dataset)

@@ -5,9 +5,9 @@ concept functions: assignments (including `+=` accumulation and a list-append
 effect), `for ... in` enumeration, `if`/`else` conditionals, `return`, boolean
 and arithmetic operators, comparisons (including `in` over collections) and a
 conditional expression. A `#` outside a string literal starts a comment that
-runs to the end of the line. Anything else - loops other than `for`, function
-definitions, imports, attribute access beyond `.append` - is rejected at parse
-time as outside the language.
+runs to the end of the line, and indentation is spaces only. Anything else -
+loops other than `for`, function definitions, imports, attribute access
+beyond `.append` - is rejected at parse time as outside the language.
 
 Operator precedence is stated once, as binding powers in `_POWER`, which two
 parser methods read (Pratt's top-down operator precedence), so a bracket level
@@ -69,10 +69,10 @@ def tokenize(source: str) -> list[Token]:
     indents = [0]
     lines = source.splitlines()
     for lineno, raw in enumerate(lines, 1):
-        if "\t" in raw:
-            raise DslSyntaxError("tab characters are not allowed; indent with spaces",
-                                 lineno, raw.index("\t") + 1)
         indent = len(raw) - len(raw.lstrip(" "))
+        if raw[indent:indent + 1] == "\t":
+            raise DslSyntaxError("tab characters are not allowed; indent with spaces",
+                                 lineno, indent + 1)
         text = raw[indent:].rstrip()
         if not text.split("#", 1)[0].strip():
             continue    # blank or comment-only
@@ -143,9 +143,9 @@ def _tokenize_line(text: str, lineno: int, offset: int, out: list[Token]) -> Non
 
 def quote(text: str) -> str | None:
     """`text` as a string literal that reads back as `text`, in the quote mark
-    it lacks; None if it holds both marks, a tab or a line break, which no
-    literal can spell."""
-    if "\t" in text or "".join(text.splitlines()) != text:
+    it lacks; None if it holds both marks or a line break, which no literal
+    can spell."""
+    if "".join(text.splitlines()) != text:
         return None
     if '"' not in text:
         return f'"{text}"'

@@ -4,6 +4,7 @@ from decimal import Decimal
 
 from ..dsl import run_constraint
 from ..plan.model import Plan
+from ..sandbox import Dataset
 from .env_rules import (
     ENV_RULE_COUNT,
     MEAL_WINDOWS,
@@ -25,11 +26,11 @@ from .preference import (
 def evaluate_plan(
     plan: Plan | None,
     constraint_sources: list[str],
-    dataset=None,
+    dataset: Dataset,
     preference_sources: dict[str, str] | None = None,
     notes: str = "",
 ) -> EvalReport:
-    """Full per-plan evaluation; `plan=None` means the plan was not delivered."""
+    """Full per-plan evaluation against the sandbox; `plan=None` means it was not delivered."""
     if plan is None:
         return EvalReport.undelivered(len(constraint_sources), notes=notes or "no plan")
     env = validate_env(plan, dataset)

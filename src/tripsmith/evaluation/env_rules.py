@@ -14,10 +14,11 @@ guard, under which a time rule holds vacuously unless both clocks parse;
 hotels, metro and taxi legs (a walk leg keeps a looser rule); and
 `check_poi_group` checks each of the three POI groups in one pass.
 
-A ride's id resolves through `Dataset.route` to its one route and its stations
-through `Dataset.station_cities` to their one cities (the loader refuses a
-repeated id or a station in two cities); a visit's opening hours are the
-load-time minutes of its row (`CityDatabase.hours`).
+Every rule consults the loaded `Dataset`: a ride's id resolves through
+`Dataset.route` to its one route and its stations through
+`Dataset.station_cities` to their one cities (the loader refuses a repeated
+id or a station in two cities); a visit's opening hours are the load-time
+minutes of its POI (`CityDatabase.hours`).
 """
 
 from __future__ import annotations
@@ -111,14 +112,13 @@ def _position(act: dict, station_key: str) -> str:
 
 
 class _Check:
-    def __init__(self, plan: Plan, dataset: Dataset | None):
+    def __init__(self, plan: Plan, dataset: Dataset):
         self.plan = plan
         self.dataset = dataset
         self.results = {rule: True for rule in RULE_IDS}
         self.notes: dict[str, str] = {}
         self.acts = plan.all_activities()
-        self.target_db = (dataset[plan.target_city]
-                          if dataset is not None and plan.target_city in dataset else None)
+        self.target_db = dataset[plan.target_city] if plan.target_city in dataset else None
 
     def fail(self, rule: str, note: str) -> None:
         self.results[rule] = False
@@ -136,7 +136,7 @@ class _Check:
             self.fail("env.cross_city.endpoints", "plan has no activities")
         else:
             first, last = self.acts[0], self.acts[-1]
-            city = self.dataset.station_cities.get if self.dataset is not None else {}.get
+            city = self.dataset.station_cities.get
             ok = (
                 first.get("type") in INTERCITY_TYPES
                 and last.get("type") in INTERCITY_TYPES
@@ -151,7 +151,7 @@ class _Check:
             if act.get("type") not in INTERCITY_TYPES:
                 continue
             route_id = act.get("TrainID") or act.get("FlightID") or ""
-            route = self.dataset.route(route_id) if self.dataset is not None else None
+            route = self.dataset.route(route_id)
             if (
                 route is None
                 or route.kind != act.get("type")
@@ -260,7 +260,7 @@ class _Check:
                     if act.get("room_type", 0) != row["numbed"]:
                         self.fail(price_rule, f"room type at {name!r} must match the sandbox")
                 elif span is not None:
-                    open_at, close_at = self.target_db.hours(table, row)
+                    open_at, close_at = self.target_db.hours(table, name)
                     if not (open_at <= span[0] and span[1] <= close_at):
                         self.fail(f"env.{group}.open_hours",
                                   f"visit to {name!r} falls outside its opening hours")
@@ -325,6 +325,6 @@ class _Check:
         return EnvReport(self.results, self.notes)
 
 
-def validate_env(plan: Plan, dataset: Dataset | None) -> EnvReport:
+def validate_env(plan: Plan, dataset: Dataset) -> EnvReport:
     """Evaluate all 25 rules; never raises on plan content."""
     return _Check(plan, dataset).run()

@@ -19,13 +19,13 @@ MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 
 
-def preference_value(plan, preference_source: str, db=None) -> Decimal:
+def preference_value(plan, preference_source: str, dataset) -> Decimal:
     """Check and run one preference program against a plan; numeric result expected."""
     program, diagnostics = check_source(preference_source)
     if program is None:
         raise InputError("preference program does not check clean: "
                          + "; ".join(d.render() for d in diagnostics))
-    value = evaluate(program, plan, db)
+    value = evaluate(program, plan, dataset)
     if not isinstance(value, Decimal):
         raise InputError("preference programs must return a number")
     return value

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 from ..errors import BuildError, InputError
-from ..sandbox import Dataset, IntercityRoute, intercity_select
+from ..sandbox import MODES, Dataset, IntercityRoute, intercity_select
 from ..timeutil import to_minutes
 
 DAY_MINUTES = 24 * 60
@@ -24,7 +24,7 @@ class MilpParams:
     back_num: int
     time_step: int            # total number of time slots over the whole trip
     days: int = 1
-    trans_num: int = 3        # walk, metro, taxi
+    trans_num: int = field(default=len(MODES), init=False)     # the sandbox's modes
 
     @property
     def loc_num(self) -> int:
@@ -53,8 +53,6 @@ class MilpParams:
                 raise InputError(f"{name} must be >= 0, got {value}")
         if self.days < 1:
             raise InputError(f"days must be >= 1, got {self.days}")
-        if self.trans_num < 1:
-            raise InputError(f"trans_num must be >= 1, got {self.trans_num}")
         if self.time_step < 2:
             raise InputError(f"time_step must be >= 2, got {self.time_step}")
         if self.time_step % self.days != 0:

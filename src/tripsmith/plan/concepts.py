@@ -29,14 +29,14 @@ MINUS_ONE = Decimal("-1")
 
 
 class ConceptContext:
-    """Everything a concept call may consult besides its arguments."""
+    """The plan and the loaded sandbox: all a concept call may consult besides its arguments."""
 
-    def __init__(self, plan: Plan, dataset: Dataset | None):
+    def __init__(self, plan: Plan, dataset: Dataset):
         self.plan = plan
         self.dataset = dataset
 
     def city(self, name: str):
-        if self.dataset is None or name not in self.dataset:
+        if name not in self.dataset:
             raise DslEvalError(f"city {name!r} is not loaded")
         return self.dataset[name]
 
@@ -125,8 +125,7 @@ def _station_city(key):
     """The city `Dataset.station_cities` gives the record's `key` station, or ""."""
     def accessor(ctx, record):
         station = _record_of(record).get(key)
-        cities = ctx.dataset.station_cities if ctx.dataset is not None else {}
-        return cities.get(station, "") if isinstance(station, str) else ""
+        return ctx.dataset.station_cities.get(station, "") if isinstance(station, str) else ""
     return accessor
 
 

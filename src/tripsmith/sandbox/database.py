@@ -23,18 +23,20 @@ that does not convert is a `LoadError` naming the file, the row's number (the
 header is 1, blank lines do not count) and the column.
 
 Every loaded route can be ridden: a route leaves the city whose file lists
-it, and the loader refuses, as an `IntegrityError`, an intercity row with an
-empty id and one whose From station does not contain that city or whose To
-station its to-city (the ToCity column, or else the station-name rule).
+it, and a station is in a city whose name and a space start the station's.
+The loader refuses, as an `IntegrityError`, an intercity row with an empty
+id and one whose From station is not in the file's city or whose To station
+is not in its to-city (the ToCity cell, else the To station's first word).
 `Dataset` refuses an id that two routes share, in one city or in two, so each
 id names one route of the data root. It also refuses a station that two
-routes put in two cities, and a route station that its loaded city has no
-coordinates for (the From station in the from-city, the To station in the
-to-city).
+routes put in two cities (a `Bay` route to `Bay Area Station` with no ToCity
+cell does, beside `Bay Area`'s own routes), and a route station that its
+loaded city has no coordinates for (the From station in the from-city, the
+To station in the to-city).
 
 Indexed at load, as a by-product of the validation pass: every POI table by
-name, as the row's position in its table (`record`, `find`, `is_open` and
-the environment check look rows up there; the planner drops visited rows from
+name, as the row's position in its table (`record`, `find`, `hours`, `is_open`
+and the env check look rows up there; the planner drops visited rows from
 a copy of a table by these positions), and the routes of each (from city, to
 city) pair sorted by (departure, id), which `intercity_select` only filters.
 
@@ -42,11 +44,11 @@ Every clock cell is parsed once, here. Route departure and arrival become
 int minutes; the plan record and the environment check format them with
 `to_hhmm`, so a non-padded "7:05" in the file reads "07:05" in a plan. A POI
 row keeps its opening hours as the file's "HH:MM" text, which the
-benchmark's own tests compare; their minutes go in `open_minutes` and
-`close_minutes`, lists parallel to the rows of each table with hours. The
-overnight check, `is_open`, the environment check's and the planner's visit
-tests (through `hours`), its open-attraction test and its closing-time prune
-read those ints.
+benchmark's own tests compare; their minutes, a POI's only hours, go in
+`open_minutes` and `close_minutes`, lists parallel to the rows of each table
+with hours, which `hours` reads by the POI's name. The overnight check,
+`is_open`, the environment check's and the planner's visit tests, its
+open-attraction test and its closing-time prune read those ints.
 
 A cold `nearby` walks the table's rows outward in latitude from the point,
 takes the float haversine of each, and stops on a side once the latitude
@@ -216,13 +218,11 @@ class CityDatabase:
         position = self.positions_by_name[table].get(name)
         return None if position is None else getattr(self, table)[position]
 
-    def hours(self, table: str, row: dict) -> tuple[int, int]:
-        """Opening and closing minute of an attraction or restaurant row: the
-        load-time ints for a row of this table, a row from elsewhere's text parsed."""
-        position = self.positions_by_name[table].get(row["name"])
-        if position is not None and getattr(self, table)[position] is row:
-            return self.open_minutes[table][position], self.close_minutes[table][position]
-        return to_minutes(row["opentime"]), to_minutes(row["endtime"])
+    def hours(self, table: str, name: str) -> tuple[int, int]:
+        """Opening and closing minute of the attraction or restaurant called
+        `name`: the load-time ints of its row."""
+        position = self.positions_by_name[table][name]
+        return self.open_minutes[table][position], self.close_minutes[table][position]
 
     def latitude_index(self, table: str) -> tuple[list[float], list[tuple]]:
         """A POI table's row latitudes in ascending order and, in that order, each
@@ -419,8 +419,8 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} must end after it begins")
         if row["cost"] <= 0:
             raise IntegrityError(f"{city}/intercity: {row['id']!r} has non-positive cost")
-        to_city = row.get("tocity", "") or _city_of_station(row["to"], city)
-        if city not in row["from"] or to_city not in row["to"]:
+        to_city = row.get("tocity", "") or row["to"].split(" ")[0]
+        if not (_belongs(row["from"], city) and _belongs(row["to"], to_city)):
             raise IntegrityError(f"{city}/intercity: the stations of {row['id']!r} do not "
                                  f"carry its cities {city!r} and {to_city!r}")
         route = IntercityRoute(
@@ -450,9 +450,9 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
     )
 
 
-def _city_of_station(station: str, default_city: str) -> str:
-    # Station names embed their city ("Alpha Station", "Beta Airport").
-    return station.split(" ")[0] if " " in station else default_city
+def _belongs(station: str, city: str) -> bool:
+    """Whether `station` is a station of `city` ("Beta Airport" of "Beta", not of "Bet")."""
+    return station.startswith(city + " ")
 
 
 def select(db: CityDatabase, table: str, key: str, predicate) -> QuerySession:
@@ -564,11 +564,11 @@ def is_open(db: CityDatabase, table: str, poi_id: str, time: str) -> bool:
     """Whether the named POI is open at HH:MM; bounds inclusive.
 
     A time that is not "HH:MM" raises `InputError`, for a hotel too."""
-    row = db.record(table, poi_id)
+    db.record(table, poi_id)
     minute = to_minutes(time)
     if table not in db.close_minutes:
         return True  # hotels carry no visiting hours
-    open_at, close_at = db.hours(table, row)
+    open_at, close_at = db.hours(table, poi_id)
     return open_at <= minute <= close_at
 
 

@@ -51,7 +51,7 @@ def _no_open_attraction(state: SearchState, db: CityDatabase) -> bool:
     for row in rows:
         if row["name"] in state.visited_attractions:
             continue
-        open_at, close_at = db.hours("attractions", row)
+        open_at, close_at = db.hours("attractions", row["name"])
         if open_at <= now <= close_at:
             return False
     return True

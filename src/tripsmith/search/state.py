@@ -142,7 +142,7 @@ def schedule_visit(
     name = row["name"]
     mode = pick_mode(db, state.position, name, ctx)
     arrival = arrival_minute(db, state.position, name, state.clock, mode)
-    open_at, close_at = db.hours("attractions" if act_type == "attraction" else "restaurants", row)
+    open_at, close_at = db.hours("attractions" if act_type == "attraction" else "restaurants", name)
     if arrival < open_at or arrival > close_at:
         return None
 

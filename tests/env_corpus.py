@@ -4,14 +4,13 @@ The corpus holds the conftest base plan, its 25 single-rule corruptions,
 random plans, the first plans `enumerate_complete_plans` reaches on the micro
 and mini fixtures, and seeded field mutations of all of these, each taken
 through `serialize_plan` -> `plan_from_obj`. `corpus_digest` hashes every
-`validate_env(...).as_dict()` with and without the dataset, so a refactor of
-the rules that keeps every report the same keeps the digest.
+`validate_env(plan, dataset).as_dict()`, so a refactor of the rules that keeps
+every report the same keeps the digest.
 
     PYTHONPATH=src python -m tests.env_corpus
 
-prints the digest, the report count and, per rule, how many reports fail it
-with the dataset and how many without one; a deliberate rule change re-pins
-`DIGEST` from that output.
+prints the digest, the report count and, per rule, how many reports fail it;
+a deliberate rule change re-pins `DIGEST` from that output.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from tripsmith.search.context import QueryContext
 from .conftest import FIXTURES, build_base_plan, corrupt_plan
 from .test_plan_model import random_plan
 
-DIGEST = "88fc593bad86a109fa92a01380d652b2c8f4d98430a4c77ac812329c2bb1cf54"
+DIGEST = "702c6b0d1e45faf7fed5fdc7168eb4a7defc85104d1b557f39b94a59f3996728"
 
 RANDOM_PLANS = 40
 ENUMERATED_PER_QUERY = 20
@@ -140,9 +139,8 @@ def corpus() -> list[tuple[object, object]]:
 
 
 def reports() -> list[dict]:
-    """Every corpus plan's env report with its dataset, then without one."""
-    return [validate_env(plan, db).as_dict()
-            for plan, dataset in corpus() for db in (dataset, None)]
+    """Every corpus plan's env report."""
+    return [validate_env(plan, dataset).as_dict() for plan, dataset in corpus()]
 
 
 def corpus_digest(rows: list[dict]) -> str:
@@ -156,13 +154,10 @@ def corpus_digest(rows: list[dict]) -> str:
 def main() -> None:
     rows = reports()
     print(f"digest {corpus_digest(rows)}")
-    print(f"reports {len(rows)} (plans {len(rows) // 2})")
-    print("  with  without  rule")
+    print(f"reports {len(rows)}")
+    print("failed  rule")
     for rule in RULE_IDS:
-        # `reports` alternates the report with the dataset and the one without
-        with_db, without = (sum(not row["rules"][rule] for row in rows[half::2])
-                            for half in (0, 1))
-        print(f"{with_db:6d}  {without:7d}  {rule}")
+        print(f"{sum(not row['rules'][rule] for row in rows):6d}  {rule}")
 
 
 if __name__ == "__main__":

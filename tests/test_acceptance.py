@@ -40,7 +40,7 @@ from . import oracles
 from .conftest import FIXTURES, build_base_plan, corrupt_plan
 from .test_dsl import evaluate_checked
 from .test_evaluator import make_report, random_reports
-from .test_planner import state_at
+from .test_planner import open_until_1730, state_at
 
 MICRO = str(FIXTURES / "micro")
 
@@ -179,7 +179,7 @@ def test_criterion_05_planner_complete_at_desk_scale(micro_dataset):
         assert not feasible, skeleton
 
 
-def test_criterion_06_planner_rules(micro_dataset):
+def test_criterion_06_planner_rules(micro_dataset, monkeypatch):
     """Lunch fires across [10:30, 12:30]; late nights head to the hotel;
     visits truncate at closing time."""
     for clock in ("10:30", "11:11", "12:30"):
@@ -192,8 +192,7 @@ def test_criterion_06_planner_rules(micro_dataset):
     assert next_activity_type(state, micro_dataset, ctx) == "accommodation"
 
     db = micro_dataset["Beta"]
-    row = dict(db.attractions[0])
-    row["opentime"], row["endtime"] = "07:00", "17:30"
+    row = open_until_1730(monkeypatch, db)
     state, ctx = state_at(micro_dataset, "16:45", position=row["name"])
     child = schedule_visit(state, row, "attraction", db, ctx)
     act = child.days[0][-1]

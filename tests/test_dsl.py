@@ -456,8 +456,11 @@ def test_the_check_cache_stays_within_its_bound():
 SYNTAX_ERRORS = {
     "tab-indent": ("x = 1\n\treturn x", "tab characters are not allowed; indent with spaces",
                    (2, 1)),
-    "tab-in-a-string": ('return "a\tb" == "c"',
-                        "tab characters are not allowed; indent with spaces", (1, 10)),
+    # a tab is refused where indentation is measured, after any spaces; elsewhere it is
+    # a character like another (see test_a_tab_in_a_string_literal_is_part_of_its_text)
+    "tab-after-spaces": ("if True:\n  \treturn True", "tab characters are not allowed; indent "
+                         "with spaces", (2, 3)),
+    "tab-between-tokens": ("return\t1 == 1", "unexpected character '\\t'", (1, 7)),
     "unmatched-unindent": ("if True:\n    x = 1\n  return x",
                            "unindent does not match any outer level", (3, 3)),
     "empty-program": ("# nothing\n\n", "empty program", (1, 1)),
@@ -488,7 +491,14 @@ def test_every_syntax_error_keeps_its_message_and_place(name):
     assert (diagnostic.message, (diagnostic.line, diagnostic.col)) == (message, where)
 
 
-@pytest.mark.parametrize("text", ["Noodles", 'Lanzhou "Hand" Noodles', "Xi'an Style", "A #1", ""])
+def test_a_tab_in_a_string_literal_is_part_of_its_text():
+    assert check_syntax('return "a\tb" == "c"') == []
+    [statement] = parse('return "a\tb"').statements
+    assert statement.value == S.Str("a\tb")
+
+
+@pytest.mark.parametrize("text", ["Noodles", 'Lanzhou "Hand" Noodles', "Xi'an Style", "A #1", "",
+                                  "Tab\there"])
 def test_quote_spells_a_text_that_reads_back(text):
     literal = S.quote(text)
     [statement] = parse(f"return {literal}").statements
@@ -496,8 +506,7 @@ def test_quote_spells_a_text_that_reads_back(text):
     assert literal[0] == ('"' if '"' not in text else "'")
 
 
-@pytest.mark.parametrize("text", ["Say \"Xi'an\"", "Hand\nNoodles", "Hand\r\n", "A\u2028B",
-                                  "Tab\there"])
+@pytest.mark.parametrize("text", ["Say \"Xi'an\"", "Hand\nNoodles", "Hand\r\n", "A\u2028B"])
 def test_quote_refuses_a_text_no_literal_spells(text):
     assert S.quote(text) is None
 

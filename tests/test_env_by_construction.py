@@ -13,12 +13,13 @@ helper that built it, which must refuse that extension.
 The rides need no such care: the loader refuses every route that no plan
 could ride past the cross-city rules, so the search takes every route it
 selects. Micro variants with an empty route id, a repeated one (in one city
-or across two), and a station name that does not carry its city pin that
-each is a one-line load error. Which city a station is in is the loader's
-decision alone: on a copy of micro whose `Alpha` is `Betaville`, the station
-concepts and the endpoint rule read `Betaville` where a match of city names
-inside station names would read `Beta`, and a route that puts a station in a
-second city is a load error.
+or across two), and a station name that does not start with its city's name
+pin that each is a one-line load error. Which city a station is in is the
+loader's decision alone: on a copy of micro whose `Alpha` is `Betaville`, the
+station concepts and the endpoint rule read `Betaville` where a match of city
+names inside station names would read `Beta`, and a Beta route out of a
+`Betaville` station is a load error; so is a station that two routes put in
+two cities, which a multi-word city (`Bay Area` beside `Bay`) can still reach.
 """
 
 from __future__ import annotations
@@ -160,10 +161,12 @@ UNRIDEABLE_ROUTES = {
     "from-station-of-another-city": (
         (_G11, "G18,train,Beta Station,Alpha Station,21:00,22:40,100,90.00"), _HEADER,
         "Alpha/intercity: the stations of 'G18' do not carry its cities 'Alpha' and 'Alpha'"),
-    # a station name without a space is read as the file's own city
+    # with no space, a To station's first word, its to-city, is its whole name, and no
+    # name starts with itself and a space
     "to-station-without-a-space": (
         (_G11, "G13,train,Alpha Station,BetaStation,07:40,09:20,100,118.00"), _HEADER,
-        "Alpha/intercity: the stations of 'G13' do not carry its cities 'Alpha' and 'Alpha'"),
+        "Alpha/intercity: the stations of 'G13' do not carry its cities 'Alpha' and "
+        "'BetaStation'"),
 }
 
 
@@ -191,20 +194,22 @@ def test_routes_the_cross_city_rules_would_refuse_do_not_load(tmp_path, capsys, 
     assert not out.exists()
 
 
-def _betaville(tmp_path) -> Path:
-    """The micro fixture with `Alpha` renamed `Betaville`, stations included, so
-    the name of the other city, `Beta`, is part of every Betaville station's."""
-    micro, root = FIXTURES / "micro", tmp_path / "betaville"
+def _renamed(tmp_path, **names: str) -> Path:
+    """The micro fixture with each city renamed as `names` maps it, stations included."""
+    micro, root = FIXTURES / "micro", tmp_path / "renamed"
     for path in sorted(filter(Path.is_file, micro.rglob("*"))):
-        out = root / str(path.relative_to(micro)).replace("Alpha", "Betaville")
+        where, text = str(path.relative_to(micro)), path.read_text()
+        for old, new in names.items():
+            where, text = where.replace(old, new), text.replace(old, new)
+        out = root / where
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(path.read_text().replace("Alpha", "Betaville"))
+        out.write_text(text)
     return root
 
 
-def test_a_station_is_in_the_one_city_the_sandbox_places_it_in(tmp_path, capsys):
-    root = _betaville(tmp_path)
-    dataset = load_dataset(root)
+def test_a_station_is_in_the_one_city_the_sandbox_places_it_in(tmp_path):
+    # the name of the other city, `Beta`, is part of every Betaville station's
+    dataset = load_dataset(_renamed(tmp_path, Alpha="Betaville"))
     with mock.patch.object(dfs, "ENUMERATION_LIMIT", 1):
         [plan] = dfs.enumerate_complete_plans(dataset, QueryContext("Betaville", "Beta", 1, 2))
     outbound, inbound = plan.all_activities()[0], plan.all_activities()[-1]
@@ -218,15 +223,44 @@ def test_a_station_is_in_the_one_city_the_sandbox_places_it_in(tmp_path, capsys)
     plan.start_city = "Beta"
     assert validate_env(plan, dataset).failed_rules() == ["env.cross_city.endpoints"]
 
-    bench, out = tmp_path / "bench.jsonl", tmp_path / "plans.jsonl"
-    assert main(["generate", "--db", str(root), "--count", "1", "--seed", "11",
-                 "--out", str(bench)]) == 0
-    # listed under Beta, whose name the loader finds in "Betaville Station"
-    with open(root / "Beta" / "intercity.csv", "a", encoding="utf-8") as fh:
-        fh.write("G18,train,Betaville Station,Beta Station,21:00,22:40,100,90.00\n")
+
+# (renamed cities, lines appended to <city>/<table>.csv, the one-line load error)
+MISPLACED_STATIONS = {
+    # "Betaville Airport" starts with "Beta" but not with "Beta "
+    "betaville-airport-under-beta": (
+        {"Alpha": "Betaville"},
+        {("Beta", "poi"): "Betaville Airport,31.2050,121.4050",
+         ("Beta", "intercity"): "F20,airplane,Betaville Airport,Betaville Station,"
+                                "21:00,22:40,100,90.00"},
+        "Beta/intercity: the stations of 'F20' do not carry its cities 'Beta' and "
+        "'Betaville'"),
+    "betaville-station-under-beta": (
+        {"Alpha": "Betaville"},
+        {("Beta", "intercity"): "G18,train,Betaville Station,Beta Station,"
+                                "21:00,22:40,100,90.00"},
+        "Beta/intercity: the stations of 'G18' do not carry its cities 'Beta' and 'Beta'"),
+    # Bay's routes, with no ToCity cell, go to "Bay Area Station" as a station of Bay
+    # (its first word); Bay Area's own routes leave from it
+    "bay-area-station-in-bay": (
+        {"Alpha": "Bay Area", "Beta": "Bay"},
+        {("Bay", "poi"): "Bay Area Station,30.6000,120.2000"},
+        "Bay Area/intercity: route 'G11' puts 'Bay Area Station' in 'Bay Area'; "
+        "it is in 'Bay'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPLACED_STATIONS))
+def test_a_station_its_city_does_not_name_does_not_load(tmp_path, capsys, micro_bench, case):
+    names, lines, message = MISPLACED_STATIONS[case]
+    root = _renamed(tmp_path, **names)
+    for (city, table), line in lines.items():
+        with open(root / city / f"{table}.csv", "a", encoding="utf-8") as fh:
+            fh.write(f"{line}\n")
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        load_dataset(root)
+    out = tmp_path / "plans.jsonl"
     capsys.readouterr()
-    assert main(["plan", "--benchmark", str(bench), "--db", str(root), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: Beta/intercity: route 'G18' puts 'Betaville Station' in 'Beta'; "
-                   "it is in 'Betaville'\n")
+    assert main(["plan", "--benchmark", str(micro_bench), "--db", str(root),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()

@@ -368,6 +368,52 @@ def test_number_outside_its_kind_is_a_schema_error(key, value, detail):
         plan_from_obj(document)
 
 
+# any value `json.loads` can give, NaN and infinities included
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+_DELETE = object()
+
+
+def _places(obj, out: dict) -> dict:
+    """Every value nested in a decoded JSON document, as (container, key), grouped
+    by the key's text, so that a rare key is as likely to be edited as a common one."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        out.setdefault(str(key), []).append((obj, key))
+        _places(value, out)
+    return out
+
+
+@given(seed=st.integers(0, 10_000), other=_JSON,
+       edits=st.lists(st.tuples(st.integers(0, 10**6), _SCALARS | _JSON | st.just(_DELETE)),
+                      max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_a_bad_document_is_only_ever_a_schema_error(mini_dataset, seed, other, edits):
+    # `eval` refuses a plan that raises SchemaError and catches nothing else; the
+    # documents are a plan record as `eval` reads it, with up to three values anywhere
+    # in it replaced or deleted, and any JSON value at all
+    document = json.loads(record_text(random_plan(mini_dataset, random.Random(seed))))
+    for where, value in edits:
+        places = _places(document, {})
+        if places:
+            group = places[sorted(places)[where % len(places)]]
+            container, key = group[where // len(places) % len(group)]
+            if value is _DELETE:
+                del container[key]
+            else:
+                container[key] = value
+    for raw in (document, other):
+        try:
+            plan_from_obj(raw)
+        except SchemaError:
+            pass
+
+
 # One activity record with every key a record accessor reads, the same keys
 # all None, and per accessor its value on the full record, on {} and on the
 # None record. An exception class means the call raises it: a None number

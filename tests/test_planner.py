@@ -95,11 +95,18 @@ def test_cascade_return_when_rides_would_be_lost(micro_dataset):
     assert next_activity_type(state, micro_dataset, ctx) == RETURN
 
 
-def test_schedule_truncates_at_closing(micro_dataset):
+def open_until_1730(monkeypatch, db) -> dict:
+    """The first attraction of `db`, its loaded hours set to 07:00-17:30 for one test."""
+    for minutes, clock in ((db.open_minutes, "07:00"), (db.close_minutes, "17:30")):
+        monkeypatch.setitem(minutes, "attractions",
+                            [to_minutes(clock), *minutes["attractions"][1:]])
+    return db.attractions[0]
+
+
+def test_schedule_truncates_at_closing(micro_dataset, monkeypatch):
     # paper rule: arriving 16:45 at a POI closing 17:30 ends the visit at 17:30
     db = micro_dataset["Beta"]
-    row = dict(db.attractions[0])
-    row["opentime"], row["endtime"] = "07:00", "17:30"
+    row = open_until_1730(monkeypatch, db)
     state, ctx = state_at(micro_dataset, "16:45", position=row["name"])
     child = schedule_visit(state, row, "attraction", db, ctx)
     act = child.days[0][-1]
@@ -107,10 +114,9 @@ def test_schedule_truncates_at_closing(micro_dataset):
     assert act["end_time"] == "17:30"
 
 
-def test_schedule_rejects_after_closing(micro_dataset):
+def test_schedule_rejects_after_closing(micro_dataset, monkeypatch):
     db = micro_dataset["Beta"]
-    row = dict(db.attractions[0])
-    row["opentime"], row["endtime"] = "07:00", "17:30"
+    row = open_until_1730(monkeypatch, db)
     state, ctx = state_at(micro_dataset, "17:31", position=row["name"])
     assert schedule_visit(state, row, "attraction", db, ctx) is None
 

@@ -366,11 +366,8 @@ def test_hours_read_the_load_time_minutes_of_a_tables_own_rows(cities):
     db = cities["Beta"]
     for table in ("attractions", "restaurants"):
         for position, row in enumerate(db.table(table)):
-            assert db.hours(table, row) == (db.open_minutes[table][position],
-                                            db.close_minutes[table][position])
-            # a copy with other hours, as a caller may build, is read from its text
-            copy = dict(row, opentime="7:05", endtime=" 17:30 ")
-            assert db.hours(table, copy) == (to_minutes("07:05"), to_minutes("17:30"))
+            assert db.hours(table, row["name"]) == (db.open_minutes[table][position],
+                                                    db.close_minutes[table][position])
 
 
 # -- clock parsing --------------------------------------------------------------
