@@ -271,6 +271,11 @@ def cmd_milp(args) -> int:
     models = []
     for query in queries:
         sk = query.skeleton
+        time_step = args.slots_per_day * sk.days
+        if time_step < 2:
+            raise InputError(f"--slots-per-day {args.slots_per_day} gives query {query.uid} "
+                             f"{time_step} time slot over {sk.days} day; "
+                             "the model needs at least 2")
         slice_ = slice_from_dataset(dataset, sk.origin, sk.target,
                                     args.hotels, args.attractions, args.restaurants)
         params = MilpParams(
@@ -280,14 +285,9 @@ def cmd_milp(args) -> int:
             station_num=len(slice_.stations),
             go_num=len(slice_.go_routes),
             back_num=len(slice_.back_routes),
-            time_step=args.slots_per_day * sk.days,
+            time_step=time_step,
             days=sk.days,
         )
-        if params.time_step < 2:
-            raise InputError(f"--slots-per-day {args.slots_per_day} gives query {query.uid} "
-                             f"{params.time_step} time slot over {sk.days} day; "
-                             "the model needs at least 2")
-        params.validate()
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
         models.append((query.uid, slice_, params, budget))
     out_dir.mkdir(parents=True, exist_ok=True)

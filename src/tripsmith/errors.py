@@ -55,7 +55,7 @@ class DslEvalError(DslError):
 
 
 class BuildError(TripsmithError):
-    """MILP model construction failed (params/slice mismatch)."""
+    """MILP model construction failed: a slice list of the wrong length, or an unknown station."""
 
 
 class SolveRefusedError(TripsmithError):

@@ -68,8 +68,12 @@ def read_jsonl(path: Path | str, expected_kind: str) -> tuple[dict, list[dict]]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     objects = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -77,6 +81,8 @@ def read_jsonl(path: Path | str, expected_kind: str) -> tuple[dict, list[dict]]:
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{number}: not valid JSON: {exc.msg} "
                              f"(column {exc.colno})") from None
+        except (ValueError, RecursionError) as exc:     # an over-long int, too deep a nesting
+            raise InputError(f"{path}:{number}: not valid JSON: {exc}") from None
     if not objects:
         raise InputError(f"{path}: empty artifact file")
     header = objects[0]

@@ -4,8 +4,9 @@ The traveler's position over discrete time slots is a one-hot matrix
 u[idx][t] (locations, stations and in-transit pseudo-locations); transitions
 are binary events linked to transport-choice variables y[(i, j, mode, t)].
 Visit counters for hotels, attractions and restaurants are derived from
-position-change conjunctions; openness is baked in as `att_check_*` and
-`res_check_*` rows that pin u to zero in closed slots. Every implication is
+position-change conjunctions; openness, from the slice's load-time minutes,
+is baked in as `att_check_*` and `res_check_*` rows that pin u to zero in
+closed slots. Every implication is
 linearized with big-M = 1 where all variables are binary; the count
 constraints use integer bounds instead.
 
@@ -36,7 +37,6 @@ from typing import NamedTuple
 from ..errors import BuildError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import MEAL_TYPES
-from ..timeutil import to_minutes
 from .params import DAY_MINUTES, MilpParams, MilpSlice
 
 MIN_ATTRACTIONS_PER_DAY = 1
@@ -62,6 +62,13 @@ class MilpModel:
             for _, var in terms:
                 if var not in self.variables:
                     raise BuildError(f"row {name} references undeclared {var}")
+
+
+def open_slots(hours: tuple[int, int], slot_minutes: int) -> list[int]:
+    """Per slot of a day, 1 if the (opening, closing) minutes cover it whole, else 0."""
+    opens, closes = hours
+    return [int(opens <= start and start + slot_minutes <= closes)
+            for start in range(0, DAY_MINUTES, slot_minutes)]
 
 
 class _Family:
@@ -91,7 +98,6 @@ def _flat(names: list):
 
 class _Builder:
     def __init__(self, slice_: MilpSlice, params: MilpParams, budget):
-        params.validate()
         slice_.check_against(params)
         self.s = slice_
         self.p = params
@@ -136,13 +142,6 @@ class _Builder:
     def slot_of(self, minutes: int, day: int = 0) -> int:
         slot = day * self.p.slots_per_day + minutes // self.p.slot_minutes
         return max(0, min(self.p.time_step - 1, slot))
-
-    def open_in_slot(self, row: dict, t: int) -> bool:
-        """Open for the whole slot (conservative)."""
-        spd = self.p.slots_per_day
-        start = (t % spd) * self.p.slot_minutes
-        end = start + self.p.slot_minutes
-        return to_minutes(row["opentime"]) <= start and end <= to_minutes(row["endtime"])
 
     # -- variables ----------------------------------------------------------
 
@@ -228,13 +227,13 @@ class _Builder:
     def attraction_rows(self) -> None:
         p = self.p
         ev_neg = self.event.minus
-        for a, poi in enumerate(self.s.attractions):
-            idx = self.attr_idx(a)
+        for a, hours in enumerate(self.s.attraction_hours):
+            idx, opens = self.attr_idx(a), open_slots(hours, p.slot_minutes)
             for t in range(p.time_step):
                 self.conjunction(self.zattr.plus[a][t], self.u.minus[idx][t], ev_neg[t],
                                  f"att_z_{a}_{t}", "attraction")
                 self.row(f"att_check_{a}_{t}", (self.u.plus[idx][t],), "<=",
-                         int(self.open_in_slot(poi, t)), "attraction")
+                         opens[t % p.slots_per_day], "attraction")
         for a in range(p.attr_num):
             terms = [self.attr.plus[a]] + self.zattr.minus[a]
             self.row(f"att_def_{a}", terms, "=", 0, "attraction")
@@ -253,13 +252,13 @@ class _Builder:
     def restaurant_rows(self) -> None:
         p = self.p
         ev_neg = self.event.minus
-        for r, poi in enumerate(self.s.restaurants):
-            idx = self.rest_idx(r)
+        for r, hours in enumerate(self.s.restaurant_hours):
+            idx, opens = self.rest_idx(r), open_slots(hours, p.slot_minutes)
             for t in range(p.time_step):
                 self.conjunction(self.zrest.plus[r][t], self.u.minus[idx][t], ev_neg[t],
                                  f"res_z_{r}_{t}", "restaurant")
                 self.row(f"res_check_{r}_{t}", (self.u.plus[idx][t],), "<=",
-                         int(self.open_in_slot(poi, t)), "restaurant")
+                         opens[t % p.slots_per_day], "restaurant")
         for r in range(p.rest_num):
             for m in range(3 * p.days):
                 lo, hi = self.meal_slots(m)

@@ -7,14 +7,13 @@ from decimal import Decimal
 
 from ..errors import BuildError, InputError
 from ..sandbox import MODES, Dataset, IntercityRoute, intercity_select
-from ..timeutil import to_minutes
 
 DAY_MINUTES = 24 * 60
 
 
 @dataclass(frozen=True)
 class MilpParams:
-    """Counts that fix every variable and constraint dimension."""
+    """Counts that fix every variable and constraint dimension, checked when built."""
 
     hotel_num: int
     attr_num: int
@@ -42,7 +41,7 @@ class MilpParams:
     def slot_minutes(self) -> int:
         return DAY_MINUTES // self.slots_per_day
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         counts = {
             "hotel_num": self.hotel_num, "attr_num": self.attr_num,
             "rest_num": self.rest_num, "station_num": self.station_num,
@@ -76,7 +75,8 @@ DOWNSAMPLE = MilpParams(
 
 @dataclass
 class MilpSlice:
-    """Exactly params-many POIs, stations and routes, in index order."""
+    """Exactly params-many POIs, stations and routes, in index order, and the
+    load-time (opening, closing) minutes of each attraction and restaurant row."""
 
     hotels: list[dict]
     attractions: list[dict]
@@ -84,6 +84,8 @@ class MilpSlice:
     stations: list[str]
     go_routes: list[IntercityRoute]
     back_routes: list[IntercityRoute]
+    attraction_hours: list[tuple[int, int]]
+    restaurant_hours: list[tuple[int, int]]
 
     def check_against(self, params: MilpParams) -> None:
         pairs = (
@@ -93,6 +95,8 @@ class MilpSlice:
             ("stations", len(self.stations), params.station_num),
             ("go routes", len(self.go_routes), params.go_num),
             ("back routes", len(self.back_routes), params.back_num),
+            ("attraction hours", len(self.attraction_hours), params.attr_num),
+            ("restaurant hours", len(self.restaurant_hours), params.rest_num),
         )
         for name, have, want in pairs:
             if have != want:
@@ -107,13 +111,12 @@ class MilpSlice:
         )
 
 
-def _route(route_id: str, kind: str, frm: str, to: str, begin: str, end: str,
-           cost: str) -> IntercityRoute:
-    begin_at, end_at = to_minutes(begin), to_minutes(end)
+def _route(route_id: str, frm: str, to: str, begin: int) -> IntercityRoute:
+    end = min(begin + 120, DAY_MINUTES - 1)
     return IntercityRoute(
-        id=route_id, kind=kind, from_station=frm, to_station=to,
+        id=route_id, kind="train", from_station=frm, to_station=to,
         from_city=frm.split(" ")[0], to_city=to.split(" ")[0],
-        begin=begin_at, end=end_at, duration=end_at - begin_at, cost=Decimal(cost),
+        begin=begin, end=end, duration=end - begin, cost=Decimal(120),
     )
 
 
@@ -126,36 +129,25 @@ def synthetic_slice(params: MilpParams, seed: int = 0) -> MilpSlice:
         {"name": f"Hotel {i}", "price": Decimal(300 + 50 * i), "numbed": 2}
         for i in range(params.hotel_num)
     ]
-    attractions = []
-    for i in range(params.attr_num):
-        open_h = rng.choice((7, 8, 9))
-        close_h = rng.choice((17, 18, 21, 22))
-        attractions.append({
-            "name": f"Attraction {i}",
-            "price": Decimal(30 + 5 * (i % 7)),
-            "opentime": f"{open_h:02d}:00", "endtime": f"{close_h:02d}:00",
-        })
+    attractions = [
+        {"name": f"Attraction {i}", "price": Decimal(30 + 5 * (i % 7))}
+        for i in range(params.attr_num)
+    ]
+    attraction_hours = [(60 * rng.choice((7, 8, 9)), 60 * rng.choice((17, 18, 21, 22)))
+                        for _ in range(params.attr_num)]
     restaurants = [
-        {
-            "name": f"Restaurant {i}",
-            "price": Decimal(25 + 5 * (i % 9)),
-            "opentime": "06:00", "endtime": "22:00",
-        }
+        {"name": f"Restaurant {i}", "price": Decimal(25 + 5 * (i % 9))}
         for i in range(params.rest_num)
     ]
     stations = [f"City Station {i}" for i in range(params.station_num)]
-    go_routes, back_routes = [], []
-    for i in range(params.go_num):
-        hour = 6 + (i % 6)
-        station = stations[i % len(stations)] if stations else "City Station 0"
-        go_routes.append(_route(f"G{2 * i + 1}", "train", "Away Station", station,
-                                f"{hour:02d}:00", f"{hour + 2:02d}:00", "120"))
-    for i in range(params.back_num):
-        hour = 18 + (i % 5)
-        station = stations[i % len(stations)] if stations else "City Station 0"
-        back_routes.append(_route(f"G{2 * i + 2}", "train", station, "Away Station",
-                                  f"{hour:02d}:00", f"{min(hour + 2, 23):02d}:{'59' if hour >= 22 else '00'}", "120"))
-    return MilpSlice(hotels, attractions, restaurants, stations, go_routes, back_routes)
+    ring = stations or ["City Station 0"]
+    go_routes = [_route(f"G{2 * i + 1}", "Away Station", ring[i % len(ring)], 60 * (6 + i % 6))
+                 for i in range(params.go_num)]
+    back_routes = [_route(f"G{2 * i + 2}", ring[i % len(ring)], "Away Station",
+                          60 * (18 + i % 5))
+                   for i in range(params.back_num)]
+    return MilpSlice(hotels, attractions, restaurants, stations, go_routes, back_routes,
+                     attraction_hours, [(360, 1320)] * params.rest_num)
 
 
 def slice_from_dataset(
@@ -168,6 +160,7 @@ def slice_from_dataset(
     cities, and the target-side stations of those routes.
     """
     db = dataset[target]
+    opens, closes = db.open_minutes, db.close_minutes
     go = intercity_select(dataset.cities, origin, target)
     back = intercity_select(dataset.cities, target, origin)
     stations = list(dict.fromkeys([route.to_station for route in go]
@@ -179,4 +172,6 @@ def slice_from_dataset(
         stations=stations,
         go_routes=go,
         back_routes=back,
+        attraction_hours=list(zip(opens["attractions"], closes["attractions"]))[:attr_cap],
+        restaurant_hours=list(zip(opens["restaurants"], closes["restaurants"]))[:rest_cap],
     )

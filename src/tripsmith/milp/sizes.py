@@ -45,7 +45,6 @@ class SizeReport:
 
 
 def count_sizes(params: MilpParams) -> SizeReport:
-    params.validate()
     H, A, R = params.hotel_num, params.attr_num, params.rest_num
     L, K = params.total_num, params.trans_num
     G, B = params.go_num, params.back_num

@@ -122,6 +122,8 @@ def parse_plan(document: str) -> Plan:
         raw = json.loads(document, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:     # an over-long int, too deep a nesting
+        raise SchemaError(f"invalid JSON: {exc}") from None
     return plan_from_obj(raw)
 
 

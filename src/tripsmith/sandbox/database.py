@@ -46,9 +46,9 @@ int minutes; the plan record and the environment check format them with
 row keeps its opening hours as the file's "HH:MM" text, which the
 benchmark's own tests compare; their minutes, a POI's only hours, go in
 `open_minutes` and `close_minutes`, lists parallel to the rows of each table
-with hours, which `hours` reads by the POI's name. The overnight check,
-`is_open`, the environment check's and the planner's visit tests, its
-open-attraction test and its closing-time prune read those ints.
+with hours, which `hours` reads by the POI's name. The overnight check, `is_open`,
+the env check's and the planner's visit tests, its open-attraction test, its
+closing-time prune and `milp.slice_from_dataset` read those ints.
 
 A cold `nearby` walks the table's rows outward in latitude from the point,
 takes the float haversine of each, and stops on a side once the latitude
@@ -322,40 +322,44 @@ def _read_csv(path: Path, required: tuple[str, ...], table: str,
         clocks = {}
     if not path.exists():
         raise LoadError(f"missing table {table!r}: expected file {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise LoadError(f"{path}: empty file for table {table!r}")
-        last_position = {raw: position for position, raw in enumerate(header)}
-        keys = [raw.strip().lower() for raw in last_position]
-        plan = [(key, position, _CONVERTERS.get(key, str.strip))
-                for key, position in zip(keys, last_position.values())]
-        missing = [col for col in required if col not in keys]
-        if missing:
-            raise LoadError(f"{path}: table {table!r} misses columns {missing}")
-        timed = [(key, position, clocks.setdefault(key, []).append)
-                 for key, position, convert in plan if convert is _clock]
-        width = len(header)
-        rows = []
-        for idx, cells in enumerate(filter(None, reader), 2):
-            if len(cells) < width:
-                cells += [""] * (width - len(cells))
-            try:
-                values = [convert(cells[position]) for _, position, convert in plan]
-            except _CELL_ERRORS:
-                for key, position, convert in plan:     # name the first bad cell
-                    try:
-                        convert(cells[position])
-                    except _CELL_ERRORS:
-                        raise LoadError(f"{path}:{idx}: bad {_BAD_CELL[convert]} "
-                                        f"{cells[position].strip()!r} in column {key!r}") from None
-                raise
-            row = dict(zip(keys, values))
-            for key, position, record in timed:
-                record(row[key])
-                row[key] = cells[position].strip()
-            rows.append(row)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise LoadError(f"{path}: empty file for table {table!r}")
+            last_position = {raw: position for position, raw in enumerate(header)}
+            keys = [raw.strip().lower() for raw in last_position]
+            plan = [(key, position, _CONVERTERS.get(key, str.strip))
+                    for key, position in zip(keys, last_position.values())]
+            missing = [col for col in required if col not in keys]
+            if missing:
+                raise LoadError(f"{path}: table {table!r} misses columns {missing}")
+            timed = [(key, position, clocks.setdefault(key, []).append)
+                     for key, position, convert in plan if convert is _clock]
+            width = len(header)
+            rows = []
+            for idx, cells in enumerate(filter(None, reader), 2):
+                if len(cells) < width:
+                    cells += [""] * (width - len(cells))
+                try:
+                    values = [convert(cells[position]) for _, position, convert in plan]
+                except _CELL_ERRORS:
+                    for key, position, convert in plan:     # name the first bad cell
+                        try:
+                            convert(cells[position])
+                        except _CELL_ERRORS:
+                            raise LoadError(f"{path}:{idx}: bad {_BAD_CELL[convert]} "
+                                            f"{cells[position].strip()!r} "
+                                            f"in column {key!r}") from None
+                    raise
+                row = dict(zip(keys, values))
+                for key, position, record in timed:
+                    record(row[key])
+                    row[key] = cells[position].strip()
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text: {exc}") from None
     return rows
 
 

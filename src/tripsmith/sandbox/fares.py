@@ -56,8 +56,12 @@ def load_fare_config(path: Path | str) -> FareConfig:
     path = Path(path)
     if not path.exists():
         raise LoadError(f"fare config not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -262,7 +262,6 @@ def dfs_search(
     `trace`, when given, receives one record per expanded node (node id,
     chosen action, day, clock, position).
     """
-    cfg.validate()
     programs = []
     for source in constraint_sources:
         program, diagnostics = check_source(source)

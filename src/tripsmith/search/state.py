@@ -35,7 +35,7 @@ DAY_END = to_minutes("23:59")             # latest clock a plan can express
 class SearchConfig:
     budget_seconds: float = 300.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # written so that NaN, which no deadline test would ever exceed, fails;
         # inf stays valid as an explicit "no deadline"
         if not self.budget_seconds > 0:

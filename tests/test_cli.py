@@ -386,6 +386,29 @@ def test_bad_json_line_is_usage_error(tmp_path, bench, good_plans, capsys, comma
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ['{"uid": ' + "1" * 5000 + "}", "[" * 100_000],
+                         ids=["int-past-the-digit-limit", "nested-past-the-recursion-limit"])
+@pytest.mark.parametrize("command", ["plan", "eval", "milp"])
+def test_json_the_decoder_raises_on_is_usage_error(tmp_path, bench, good_plans, capsys,
+                                                   command, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(bench.read_text().splitlines()[0] + "\n" + line + "\n")
+    capsys.readouterr()
+    assert run_on_benchmark(command, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: not valid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["plan", "eval", "milp"])
+def test_benchmark_not_utf8_is_usage_error(tmp_path, bench, good_plans, capsys, command):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(bench.read_bytes() + b'{"uid": "caf\xe9"}\n')
+    capsys.readouterr()
+    assert run_on_benchmark(command, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["plan", "eval"])
 def test_record_missing_a_field_is_usage_error(tmp_path, bench, good_plans, capsys, command):
     header, *lines = bench.read_text().splitlines()
@@ -729,6 +752,20 @@ def test_manifest_refuses_a_non_finite_value(tmp_path, value):
     with pytest.raises(ValueError):
         manifest.write_sidecar(tmp_path / "out.jsonl")
     assert not (tmp_path / "out.jsonl.manifest.json").exists()
+
+@pytest.mark.parametrize("relative", ["Alpha/attractions.csv", "fares.cfg"])
+def test_data_file_not_utf8_is_usage_error(tmp_path, capsys, relative):
+    root = tmp_path / "db"
+    shutil.copytree(MICRO, root)
+    path = root / relative
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n# caf\xe9\n", 1))
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run("generate", "--db", str(root), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ") and err.count("\n") == 1
+    assert not out.exists()
+
 
 def _spoiled_root(tmp_path, relative, old, new) -> Path:
     root = tmp_path / "db"

@@ -19,10 +19,16 @@ from tripsmith.milp import (
     decode_assignment,
     micro_solve,
     render_lp,
+    slice_from_dataset,
     synthetic_slice,
     write_lp,
 )
+from tripsmith.milp.build import open_slots
 from tripsmith.plan import serialize_plan, parse_plan
+from tripsmith.sandbox import load_dataset
+from tripsmith.timeutil import to_minutes
+
+from .conftest import FIXTURES
 
 from .lp_reader import parse_lp
 
@@ -42,19 +48,19 @@ def random_params(rng: random.Random) -> MilpParams:
 
 def test_params_validation():
     with pytest.raises(InputError):
-        MilpParams(1, 1, 1, 1, 1, 1, time_step=-4).validate()
+        MilpParams(1, 1, 1, 1, 1, 1, time_step=-4)
     with pytest.raises(InputError):
-        MilpParams(1, 1, 1, 1, 1, 1, time_step=5, days=2).validate()
+        MilpParams(1, 1, 1, 1, 1, 1, time_step=5, days=2)
     with pytest.raises(InputError):
-        MilpParams(-1, 1, 1, 1, 1, 1, time_step=4).validate()
+        MilpParams(-1, 1, 1, 1, 1, 1, time_step=4)
     with pytest.raises(InputError, match="slots_per_day must be <= 1440"):
-        MilpParams(1, 1, 1, 1, 1, 1, time_step=2 * 2000, days=2).validate()
+        MilpParams(1, 1, 1, 1, 1, 1, time_step=2 * 2000, days=2)
     # minutes map to slots by `minutes // slot_minutes` and `minutes * spd // 1440`,
     # which agree only when the slots per day divide 1440
     for spd in (7, 1000):
         with pytest.raises(InputError, match=f"slots_per_day must divide 1440.*got {spd}"):
-            MilpParams(1, 1, 1, 1, 1, 1, time_step=2 * spd, days=2).validate()
-    MilpParams(1, 1, 1, 1, 1, 1, time_step=1440).validate()
+            MilpParams(1, 1, 1, 1, 1, 1, time_step=2 * spd, days=2)
+    MilpParams(1, 1, 1, 1, 1, 1, time_step=1440)
 
 
 def test_slice_mismatch_is_build_error():
@@ -62,6 +68,48 @@ def test_slice_mismatch_is_build_error():
     short = synthetic_slice(MilpParams(1, 2, 2, 1, 1, 1, 4))
     with pytest.raises(BuildError, match="hotels"):
         build_model(short, params)
+
+
+@pytest.mark.parametrize("table", ["attraction", "restaurant"])
+def test_hours_shorter_than_rows_is_build_error(table):
+    slice_ = synthetic_slice(DOWNSAMPLE)
+    getattr(slice_, f"{table}_hours").pop()
+    with pytest.raises(BuildError, match=rf"slice carries \d+ {table} hours"):
+        build_model(slice_, DOWNSAMPLE)
+
+
+def _text_hours() -> list[tuple[tuple[int, int], str, str]]:
+    """(hours in the slice, opening text, closing text) of every attraction and
+    restaurant of the micro and mini slices and of the DOWNSAMPLE synthetic slice,
+    whose text is drawn as the synthetic rows once carried it."""
+    pairs = []
+    for name in ("micro", "mini"):
+        dataset = load_dataset(FIXTURES / name)
+        for origin, target in (("Alpha", "Beta"), ("Beta", "Alpha")):
+            slice_ = slice_from_dataset(dataset, origin, target, 0, 100, 100)
+            for rows, hours in ((slice_.attractions, slice_.attraction_hours),
+                                (slice_.restaurants, slice_.restaurant_hours)):
+                assert len(rows) == len(hours) > 0
+                pairs += [(pair, row["opentime"], row["endtime"])
+                          for pair, row in zip(hours, rows)]
+    slice_ = synthetic_slice(DOWNSAMPLE)
+    rng = random.Random(0)
+    for pair in slice_.attraction_hours:
+        open_h, close_h = rng.choice((7, 8, 9)), rng.choice((17, 18, 21, 22))
+        pairs.append((pair, f"{open_h:02d}:00", f"{close_h:02d}:00"))
+    pairs += [(pair, "06:00", "22:00") for pair in slice_.restaurant_hours]
+    return pairs
+
+
+def test_open_slots_match_the_rule_on_the_rows_text():
+    pairs = _text_hours()
+    divisors = [spd for spd in range(1, 1441) if 1440 % spd == 0]
+    for spd in divisors:
+        width = 1440 // spd
+        for hours, opentime, endtime in pairs:
+            want = [int(to_minutes(opentime) <= start and start + width <= to_minutes(endtime))
+                    for start in range(0, 1440, width)]
+            assert open_slots(hours, width) == want, (hours, spd)
 
 
 def test_count_sizes_matches_emission_on_random_configs():
@@ -250,8 +298,7 @@ def test_feasible_assignments_satisfy_every_row():
 def test_check_constants_pin_closed_slots():
     params = MilpParams(0, 1, 0, 1, 1, 1, time_step=6)
     slice_ = synthetic_slice(params, 0)
-    slice_.attractions[0]["opentime"] = "08:00"
-    slice_.attractions[0]["endtime"] = "12:00"
+    slice_.attraction_hours[0] = (480, 720)
     model = build_model(slice_, params)
     # 4-hour slots: only slot 2 ([08:00,12:00)) is fully inside the hours
     closed_rows = [row for row in model.rows

@@ -60,6 +60,13 @@ def test_parse_malformed_document():
         parse_plan("{not json")
 
 
+@pytest.mark.parametrize("document", ['{"people_number": ' + "1" * 5000 + "}", "[" * 100_000],
+                         ids=["int-past-the-digit-limit", "nested-past-the-recursion-limit"])
+def test_parse_refuses_json_that_the_decoder_raises_on(document):
+    with pytest.raises(SchemaError, match="^invalid JSON: "):
+        parse_plan(document)
+
+
 def test_parse_unknown_activity_type():
     with pytest.raises(SchemaError, match="spaceship"):
         parse_plan('{"people_number": 1, "start_city": "A", "target_city": "B",'
