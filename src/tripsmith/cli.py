@@ -29,7 +29,7 @@ from .evaluation import evaluate_plan, score
 from .genquery import CertifiedQuery, certify, context_from_skeleton, sample_skeleton
 from .llm import HttpTransport, LlmEndpoint, LlmRanker, ReplayTransport
 from .manifest import RunManifest, file_header, read_jsonl, record_line, write_jsonl
-from .milp import MilpParams, count_sizes, slice_from_dataset, write_lp
+from .milp import count_sizes, slice_from_dataset, write_lp
 from .milp.params import DAY_MINUTES
 from .plan import plan_from_obj, serialize_plan
 from .sandbox import load_dataset
@@ -276,25 +276,16 @@ def cmd_milp(args) -> int:
             raise InputError(f"--slots-per-day {args.slots_per_day} gives query {query.uid} "
                              f"{time_step} time slot over {sk.days} day; "
                              "the model needs at least 2")
-        slice_ = slice_from_dataset(dataset, sk.origin, sk.target,
-                                    args.hotels, args.attractions, args.restaurants)
-        params = MilpParams(
-            hotel_num=len(slice_.hotels),
-            attr_num=len(slice_.attractions),
-            rest_num=len(slice_.restaurants),
-            station_num=len(slice_.stations),
-            go_num=len(slice_.go_routes),
-            back_num=len(slice_.back_routes),
-            time_step=time_step,
-            days=sk.days,
-        )
+        slice_ = slice_from_dataset(dataset, sk.origin, sk.target, args.hotels,
+                                    args.attractions, args.restaurants, time_step, sk.days)
+        params = slice_.params      # refuses bad dimensions before any output is written
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
         models.append((query.uid, slice_, params, budget))
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = []
     for uid, slice_, params, budget in models:
         lp_path = out_dir / f"{uid}.lp"
-        counts = write_lp(slice_, params, budget, lp_path, name=uid)
+        counts = write_lp(slice_, budget, lp_path, name=uid)
         sizes = count_sizes(params)
         emitted = sum(counts.values())
         summaries.append({

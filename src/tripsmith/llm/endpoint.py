@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import time
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,12 +67,17 @@ class HttpTransport:
             try:
                 with urllib.request.urlopen(request, timeout=self.endpoint.timeout_seconds) as resp:
                     body = json.loads(resp.read().decode("utf-8"))
-                return body["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, TimeoutError, KeyError, ValueError, OSError) as exc:
+                content = body["choices"][0]["message"]["content"]
+                if isinstance(content, str):
+                    return content
+                raise TypeError(f"reply content is {type(content).__name__}, not text")
+            # URLError and TimeoutError are OSErrors; the rest, a body that is not a
+            # chat-completion object with a string content
+            except (OSError, ValueError, RecursionError, LookupError, TypeError) as exc:
                 last_error = exc
                 if attempt < self.endpoint.max_retries:
                     self._sleep(0.5 * (2 ** attempt))
-        raise TransportError(f"model endpoint unreachable: {last_error}")
+        raise TransportError(f"model endpoint gave no usable reply: {last_error}")
 
 
 class ReplayTransport:
@@ -93,7 +97,7 @@ class ReplayTransport:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 record = None
             if not (isinstance(record, dict) and isinstance(record.get("hash"), str)
                     and isinstance(record.get("reply"), str)):

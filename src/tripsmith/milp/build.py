@@ -10,10 +10,10 @@ closed slots. Every implication is
 linearized with big-M = 1 where all variables are binary; the count
 constraints use integer bounds instead.
 
-Constraint rows carry a category label and a deterministic name, and for
-fixed parameters the number of rows per category is a closed form of the
-parameters alone (see sizes.count_sizes) - the model and the formula are
-tested against each other.
+Every dimension is read from the builder's one input, a `MilpSlice`
+(`MilpSlice.params`). Rows carry a category label and a deterministic name,
+and the number of rows per category is a closed form of those dimensions
+(see sizes.count_sizes) - the model and the formula are tested against each other.
 
 A model has hundreds of thousands of rows over a few tens of thousands of
 variables, so each variable name is spelled once per model, in a table
@@ -37,7 +37,7 @@ from typing import NamedTuple
 from ..errors import BuildError
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import MEAL_TYPES
-from .params import DAY_MINUTES, MilpParams, MilpSlice
+from .params import DAY_MINUTES, MilpSlice
 
 MIN_ATTRACTIONS_PER_DAY = 1
 
@@ -55,7 +55,6 @@ class MilpModel:
     variables: dict[str, VarInfo]
     rows: list[tuple]       # (name, ((coef, var), ...), "<=" | ">=" | "=", rhs, category)
     objective: tuple = ()
-    params: MilpParams | None = None
 
     def validate_references(self) -> None:
         for name, terms, _, _, _ in self.rows:
@@ -97,14 +96,17 @@ def _flat(names: list):
 
 
 class _Builder:
-    def __init__(self, slice_: MilpSlice, params: MilpParams, budget):
-        slice_.check_against(params)
+    def __init__(self, slice_: MilpSlice, budget):
+        for table, rows, hours in (("attraction", slice_.attractions, slice_.attraction_hours),
+                                   ("restaurant", slice_.restaurants, slice_.restaurant_hours)):
+            if len(hours) != len(rows):
+                raise BuildError(f"slice carries {len(hours)} {table} hours for {len(rows)} rows")
         self.s = slice_
-        self.p = params
+        self.p = slice_.params
         self.budget = budget
         self.vars: dict[str, VarInfo] = {}
         # index layout: hotels, attractions, restaurants, stations, transit modes
-        self.n_positions = params.total_num + params.trans_num
+        self.n_positions = self.p.total_num + self.p.trans_num
         self.declare_variables()
 
     # -- declarations -----------------------------------------------------
@@ -418,12 +420,12 @@ class _Builder:
         self.query_rows()
 
 
-def build_model(db_slice: MilpSlice, params: MilpParams, budget=None) -> MilpModel:
+def build_model(db_slice: MilpSlice, budget=None) -> MilpModel:
     """Instantiate the full model for one trip slice; a budget adds one cost row."""
-    builder = _Builder(db_slice, params, budget)
+    builder = _Builder(db_slice, budget)
     rows: list[tuple] = []
     builder.build(rows)
     model = MilpModel(variables=builder.vars, rows=rows,
-                      objective=tuple(builder.cost_terms()), params=params)
+                      objective=tuple(builder.cost_terms()))
     model.validate_references()
     return model

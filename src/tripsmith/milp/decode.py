@@ -10,7 +10,6 @@ from __future__ import annotations
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
 from ..timeutil import to_hhmm
-from .build import MilpModel
 from .params import MilpParams, MilpSlice
 
 
@@ -22,14 +21,15 @@ def _slot_time(params: MilpParams, t: int, end: bool = False) -> str:
 
 
 def decode_assignment(
-    model: MilpModel,
-    assignment: dict[str, int],
     slice_: MilpSlice,
+    assignment: dict[str, int],
     origin: str,
     target: str,
     people: int = 1,
 ) -> Plan:
-    params = model.params
+    """The plan of a feasible `assignment` to the variables of `slice_`'s model,
+    read on the slice's own dimensions."""
+    params = slice_.params
     names = slice_.location_names()
     kinds: list[tuple[str, dict | None]] = []
     for row in slice_.hotels:

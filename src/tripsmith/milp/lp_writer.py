@@ -24,7 +24,7 @@ from pathlib import Path
 
 from ..errors import BuildError, InputError
 from .build import MilpModel, _Builder
-from .params import MilpParams, MilpSlice
+from .params import MilpSlice
 from .sizes import count_sizes
 
 
@@ -133,17 +133,18 @@ def render_lp(model: MilpModel, name: str = "itinerary") -> str:
     return "".join(parts)
 
 
-def write_lp(db_slice: MilpSlice, params: MilpParams, budget, path: Path | str,
+def write_lp(db_slice: MilpSlice, budget, path: Path | str,
              name: str = "itinerary") -> dict[str, int]:
-    """Build the model into `path` with no row list: `render_lp(build_model(...))`'s bytes.
+    """Write `db_slice`'s model to `path` with no row list: `render_lp(build_model(...))`'s bytes.
 
     Returns the rows per category: a budget row's is "query", the rest match count_sizes."""
     with _replacing(Path(path)) as fh:
-        builder = _Builder(db_slice, params, budget)
+        builder = _Builder(db_slice, budget)
         writer = _LpWriter(fh.write, builder.vars, builder.cost_terms(), name)
         builder.build(writer)
         writer.finish()
         built = {category: n for category, n in writer.counts.items() if category != "query"}
-        if built != {category: n for category, n in count_sizes(params).constraints.items() if n}:
+        sizes = count_sizes(builder.p).constraints
+        if built != {category: n for category, n in sizes.items() if n}:
             raise BuildError(f"{name}: rows per category {built} differ from count_sizes")
     return writer.counts

@@ -1,11 +1,11 @@
-"""Model dimensions and the POI slice the builder instantiates against."""
+"""Model dimensions, and the slice: the one description of a model instance."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from ..errors import BuildError, InputError
+from ..errors import InputError
 from ..sandbox import MODES, Dataset, IntercityRoute, intercity_select
 
 DAY_MINUTES = 24 * 60
@@ -75,8 +75,9 @@ DOWNSAMPLE = MilpParams(
 
 @dataclass
 class MilpSlice:
-    """Exactly params-many POIs, stations and routes, in index order, and the
-    load-time (opening, closing) minutes of each attraction and restaurant row."""
+    """One model instance: the POIs, stations and routes it instantiates, in
+    index order, the load-time (opening, closing) minutes of each attraction
+    and restaurant row, and the time grid. Its dimensions are read from it."""
 
     hotels: list[dict]
     attractions: list[dict]
@@ -86,21 +87,18 @@ class MilpSlice:
     back_routes: list[IntercityRoute]
     attraction_hours: list[tuple[int, int]]
     restaurant_hours: list[tuple[int, int]]
+    time_step: int            # total number of time slots over the whole trip
+    days: int
 
-    def check_against(self, params: MilpParams) -> None:
-        pairs = (
-            ("hotels", len(self.hotels), params.hotel_num),
-            ("attractions", len(self.attractions), params.attr_num),
-            ("restaurants", len(self.restaurants), params.rest_num),
-            ("stations", len(self.stations), params.station_num),
-            ("go routes", len(self.go_routes), params.go_num),
-            ("back routes", len(self.back_routes), params.back_num),
-            ("attraction hours", len(self.attraction_hours), params.attr_num),
-            ("restaurant hours", len(self.restaurant_hours), params.rest_num),
+    @property
+    def params(self) -> MilpParams:
+        """The slice's dimensions, checked as every `MilpParams` is."""
+        return MilpParams(
+            hotel_num=len(self.hotels), attr_num=len(self.attractions),
+            rest_num=len(self.restaurants), station_num=len(self.stations),
+            go_num=len(self.go_routes), back_num=len(self.back_routes),
+            time_step=self.time_step, days=self.days,
         )
-        for name, have, want in pairs:
-            if have != want:
-                raise BuildError(f"slice carries {have} {name}, params require {want}")
 
     def location_names(self) -> list[str]:
         return (
@@ -121,7 +119,7 @@ def _route(route_id: str, frm: str, to: str, begin: int) -> IntercityRoute:
 
 
 def synthetic_slice(params: MilpParams, seed: int = 0) -> MilpSlice:
-    """Deterministic synthetic slice for size and solver checks."""
+    """Deterministic synthetic slice of dimensions `params`, for size and solver checks."""
     import random
 
     rng = random.Random(seed)
@@ -147,14 +145,15 @@ def synthetic_slice(params: MilpParams, seed: int = 0) -> MilpSlice:
                           60 * (18 + i % 5))
                    for i in range(params.back_num)]
     return MilpSlice(hotels, attractions, restaurants, stations, go_routes, back_routes,
-                     attraction_hours, [(360, 1320)] * params.rest_num)
+                     attraction_hours, [(360, 1320)] * params.rest_num,
+                     params.time_step, params.days)
 
 
 def slice_from_dataset(
     dataset: Dataset, origin: str, target: str,
-    hotel_cap: int, attr_cap: int, rest_cap: int,
+    hotel_cap: int, attr_cap: int, rest_cap: int, time_step: int, days: int,
 ) -> MilpSlice:
-    """Down-sample a loaded city, keeping table order.
+    """Down-sample a loaded city onto `time_step` slots over `days` days, keeping table order.
 
     The first `*_cap` rows of each POI table, every route between the two
     cities, and the target-side stations of those routes.
@@ -174,4 +173,5 @@ def slice_from_dataset(
         back_routes=back,
         attraction_hours=list(zip(opens["attractions"], closes["attractions"]))[:attr_cap],
         restaurant_hours=list(zip(opens["restaurants"], closes["restaurants"]))[:rest_cap],
+        time_step=time_step, days=days,
     )

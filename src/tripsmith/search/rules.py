@@ -63,13 +63,12 @@ def latest_return(routes) -> int:
     return max((route.begin for route in routes), default=-1)
 
 
-def next_activity_type(state: SearchState, dataset, ctx: QueryContext,
-                       latest: int | None = None) -> str:
+def next_activity_type(state: SearchState, dataset, ctx: QueryContext, latest: int) -> str:
     """One of: finish, intercity_outbound, intercity_return, breakfast, lunch,
     dinner, accommodation, attraction.
 
     `latest` is `latest_return(return_routes(dataset, ctx))`, which a search
-    computes once; left out, it is computed here when the last day needs it.
+    computes once.
     """
     if state.finished:
         return FINISH
@@ -79,12 +78,9 @@ def next_activity_type(state: SearchState, dataset, ctx: QueryContext,
     db = dataset[ctx.target]
     last_day = state.day >= ctx.days
 
-    if last_day:
-        if latest is None:
-            latest = latest_return(return_routes(dataset, ctx))
-        # one more default activity would forfeit every return ride
-        if state.clock + DEFAULT_DURATION + TRANSFER_ALLOWANCE > latest:
-            return RETURN
+    # one more default activity on the last day would forfeit every return ride
+    if last_day and state.clock + DEFAULT_DURATION + TRANSFER_ALLOWANCE > latest:
+        return RETURN
 
     for meal, (lo, hi) in MEAL_TRIGGERS.items():
         if lo <= state.clock <= hi and meal not in state.meals_today:

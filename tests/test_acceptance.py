@@ -31,7 +31,6 @@ from tripsmith.search import (
     SearchConfig,
     dfs_search,
     enumerate_complete_plans,
-    next_activity_type,
 )
 from tripsmith.search.state import schedule_visit
 
@@ -40,7 +39,7 @@ from . import oracles
 from .conftest import FIXTURES, build_base_plan, corrupt_plan
 from .test_dsl import evaluate_checked
 from .test_evaluator import make_report, random_reports
-from .test_planner import open_until_1730, state_at
+from .test_planner import decide, open_until_1730, state_at
 
 MICRO = str(FIXTURES / "micro")
 
@@ -184,12 +183,12 @@ def test_criterion_06_planner_rules(micro_dataset, monkeypatch):
     visits truncate at closing time."""
     for clock in ("10:30", "11:11", "12:30"):
         state, ctx = state_at(micro_dataset, clock, days=2)
-        assert next_activity_type(state, micro_dataset, ctx) == "lunch"
+        assert decide(state, micro_dataset, ctx) == "lunch"
     state, ctx = state_at(micro_dataset, "22:30", days=2)
-    assert next_activity_type(state, micro_dataset, ctx) == "accommodation"
+    assert decide(state, micro_dataset, ctx) == "accommodation"
     state, ctx = state_at(micro_dataset, "15:00", days=2,
                           visited=("Harbor Park", "Stone Bridge"))
-    assert next_activity_type(state, micro_dataset, ctx) == "accommodation"
+    assert decide(state, micro_dataset, ctx) == "accommodation"
 
     db = micro_dataset["Beta"]
     row = open_until_1730(monkeypatch, db)
@@ -213,7 +212,7 @@ def test_criterion_07_milp_sizes():
             time_step=rng.choice((4, 6, 8)), days=1,
         )
         sizes = count_sizes(params)
-        model = build_model(synthetic_slice(params, trial), params)
+        model = build_model(synthetic_slice(params, trial))
         assert len(model.rows) == sizes.constraint_total
         assert Counter(row[4] for row in model.rows) == {
             k: v for k, v in sizes.constraints.items() if v}
@@ -221,7 +220,7 @@ def test_criterion_07_milp_sizes():
 
     start = time.monotonic()
     sizes = count_sizes(DOWNSAMPLE)
-    model = build_model(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE)
+    model = build_model(synthetic_slice(DOWNSAMPLE))
     render_lp(model)
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"emission took {elapsed:.1f}s"
@@ -243,7 +242,7 @@ def test_criterion_08_micro_solve_on_toys():
             station_num=1, go_num=rng.randint(1, 2), back_num=rng.randint(1, 2),
             time_step=rng.choice((6, 8)), days=1,
         )
-        model = build_model(synthetic_slice(params, trial), params)
+        model = build_model(synthetic_slice(params, trial))
         assignment = micro_solve(model)
         if assignment is not None:
             solved += 1

@@ -174,7 +174,8 @@ def test_plan_replay_ranker_degrades_without_transcript(tmp_path, bench):
     (['{"reply": "x"}'], ":1: transcript line"),
     (['{"hash": "a", "reply": 7}'], ":1: transcript line"),
     (["[1]"], ":1: transcript line"),
-], ids=["missing", "not-json", "no-reply", "no-hash", "reply-number", "list"])
+    (["[" * 100_000], ":1: transcript line is not a JSON"),
+], ids=["missing", "not-json", "no-reply", "no-hash", "reply-number", "list", "deep"])
 def test_plan_refuses_a_bad_transcript_before_any_search(tmp_path, bench, capsys,
                                                          monkeypatch, lines, where):
     transcript = tmp_path / "transcript.jsonl"

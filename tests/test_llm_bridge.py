@@ -254,3 +254,49 @@ def test_http_transport_never_sends_token_when_unset(monkeypatch):
     with pytest.raises(TransportError):
         transport.complete("hi")
     assert "Authorization" not in seen
+
+
+def _serving(monkeypatch, body: bytes) -> list:
+    """Make every HTTP request answer `body`; returns the list of requests made."""
+    import io
+    import urllib.request
+
+    calls = []
+
+    def fake_urlopen(request, timeout):
+        calls.append(request)
+        return io.BytesIO(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return calls
+
+
+def test_http_transport_returns_the_reply_content(monkeypatch):
+    body = {"choices": [{"message": {"role": "assistant", "content": "['Dumpling Den']"}}]}
+    _serving(monkeypatch, json.dumps(body).encode("utf-8"))
+    transport = HttpTransport(LlmEndpoint("http://example.invalid", "m"))
+    assert transport.complete("hi") == "['Dumpling Den']"
+
+
+@pytest.mark.parametrize("body", [
+    b"[1]",
+    b'{"choices": "x"}',
+    b'{"choices": []}',
+    b'{"choices": {"0": 1}}',
+    b"[" * 100_000,
+    b'{"choices": [{"message": {"content": null}}]}',
+    b'{"choices": [{"message": {"content": ["a"]}}]}',
+    b"not json",
+    b"\xff",
+], ids=["list", "choices-text", "no-choice", "choices-object", "deep", "null-content",
+        "list-content", "not-json", "not-utf8"])
+def test_a_malformed_model_reply_degrades_once(monkeypatch, body):
+    calls = _serving(monkeypatch, body)
+    transport = HttpTransport(LlmEndpoint("http://example.invalid", "m", max_retries=1),
+                              sleep=lambda s: None)
+    ranker = LlmRanker(transport)
+    ctx = micro_context()
+    ranked = ranker.rank(RESTAURANTS, initial_state(), ctx)
+    assert ranked == HeuristicRanker().rank(RESTAURANTS, initial_state(), ctx)
+    assert len(ranker.degradation_events) == 1
+    assert len(calls) == 2      # retried as an unreachable endpoint is

@@ -92,12 +92,13 @@ def assert_same_lp(model: MilpModel, name: str = "itinerary") -> str:
     return want
 
 
-def assert_stream_matches(db_slice, params: MilpParams, budget, tmp_path) -> None:
+def assert_stream_matches(db_slice, budget, tmp_path) -> None:
     """write_lp writes render_lp(build_model(...))'s bytes and counts every row it writes."""
-    built = render_lp(build_model(db_slice, params, budget), name="m")
-    counts = write_lp(db_slice, params, budget, tmp_path / "streamed.lp", name="m")
+    built = render_lp(build_model(db_slice, budget), name="m")
+    counts = write_lp(db_slice, budget, tmp_path / "streamed.lp", name="m")
     assert (tmp_path / "streamed.lp").read_bytes() == built.encode("utf-8")
-    want = {category: n for category, n in count_sizes(params).constraints.items() if n}
+    want = {category: n for category, n in count_sizes(db_slice.params).constraints.items()
+            if n}
     if budget is not None:
         want["query"] = 1
     assert counts == want
@@ -107,18 +108,11 @@ def assert_stream_matches(db_slice, params: MilpParams, budget, tmp_path) -> Non
 
 
 def _dataset_slice(dataset, days: int, slots_per_day: int):
-    slice_ = slice_from_dataset(dataset, "Alpha", "Beta", 2, 10, 5)
-    params = MilpParams(
-        hotel_num=len(slice_.hotels), attr_num=len(slice_.attractions),
-        rest_num=len(slice_.restaurants), station_num=len(slice_.stations),
-        go_num=len(slice_.go_routes), back_num=len(slice_.back_routes),
-        time_step=slots_per_day * days, days=days,
-    )
-    return slice_, params
+    return slice_from_dataset(dataset, "Alpha", "Beta", 2, 10, 5, slots_per_day * days, days)
 
 
 def _dataset_model(dataset, days: int, slots_per_day: int, budget) -> MilpModel:
-    return build_model(*_dataset_slice(dataset, days, slots_per_day), budget)
+    return build_model(_dataset_slice(dataset, days, slots_per_day), budget)
 
 
 def _hand_model(objective, rows) -> MilpModel:
@@ -169,8 +163,8 @@ def test_model_with_no_rows_or_terms():
 
 
 def test_downsample_model_matches_reference(tmp_path):
-    assert_same_lp(build_model(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE))
-    assert_stream_matches(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE, None, tmp_path)
+    assert_same_lp(build_model(synthetic_slice(DOWNSAMPLE)))
+    assert_stream_matches(synthetic_slice(DOWNSAMPLE), None, tmp_path)
 
 
 @pytest.mark.parametrize("days, slots_per_day, budget", [
@@ -182,7 +176,7 @@ def test_micro_and_mini_models_with_budget_match_reference(
         model = _dataset_model(dataset, days, slots_per_day, budget)
         assert [category for *_, category in model.rows].count("query") == 1
         assert_same_lp(model)
-        assert_stream_matches(*_dataset_slice(dataset, days, slots_per_day), budget, tmp_path)
+        assert_stream_matches(_dataset_slice(dataset, days, slots_per_day), budget, tmp_path)
 
 
 def test_micro_lp_text_is_pinned(micro_dataset):
@@ -201,7 +195,9 @@ def test_micro_lp_text_is_pinned(micro_dataset):
 ], ids=["one-each", "two-days", "no-pois", "attractions-only", "no-routes"])
 @pytest.mark.parametrize("budget", [None, 0, 640, Decimal("1234.50")])
 def test_streamed_synthetic_models_match_the_built_ones(tmp_path, params, budget):
-    assert_stream_matches(synthetic_slice(params, 5), params, budget, tmp_path)
+    db_slice = synthetic_slice(params, 5)
+    assert db_slice.params == params
+    assert_stream_matches(db_slice, budget, tmp_path)
 
 
 def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
@@ -210,7 +206,7 @@ def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
     db_slice.hotels[0]["price"] = Decimal("1.0")
     db_slice.attractions[0]["price"] = Decimal("-0.50")
     db_slice.attractions[1]["price"] = Decimal("1")
-    assert_stream_matches(db_slice, params, Decimal("1.0"), tmp_path)
+    assert_stream_matches(db_slice, Decimal("1.0"), tmp_path)
     text = (tmp_path / "streamed.lp").read_text()
     assert "1.0 hotel_0_0" in text and " - 0.50 attr_0 + 1 attr_1" in text
     assert text.count(" <= 1.0\n") == 1
@@ -234,7 +230,7 @@ def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault
     path = tmp_path / "m.lp"
     path.write_text("earlier\n")
     with pytest.raises(error, match=message):
-        write_lp(synthetic_slice(params), params, None, path)
+        write_lp(synthetic_slice(params), None, path)
     assert path.read_text() == "earlier\n"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -245,8 +241,8 @@ def test_streamed_write_holds_no_row_list(tmp_path):
     peaks = []
     tracemalloc.start()
     try:
-        for write in (lambda: render_lp(build_model(db_slice, params)),
-                      lambda: write_lp(db_slice, params, None, tmp_path / "streamed.lp")):
+        for write in (lambda: render_lp(build_model(db_slice)),
+                      lambda: write_lp(db_slice, None, tmp_path / "streamed.lp")):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             write()

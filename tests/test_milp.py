@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -7,6 +8,7 @@ from decimal import Decimal
 
 import pytest
 
+from tripsmith.cli import main
 from tripsmith.errors import BuildError, InputError, SolveRefusedError
 from tripsmith.milp import (
     DOWNSAMPLE,
@@ -63,11 +65,45 @@ def test_params_validation():
     MilpParams(1, 1, 1, 1, 1, 1, time_step=1440)
 
 
-def test_slice_mismatch_is_build_error():
-    params = MilpParams(2, 2, 2, 1, 1, 1, 4)
-    short = synthetic_slice(MilpParams(1, 2, 2, 1, 1, 1, 4))
-    with pytest.raises(BuildError, match="hotels"):
-        build_model(short, params)
+@pytest.mark.parametrize("params", [
+    DOWNSAMPLE,
+    MilpParams(1, 0, 0, 1, 1, 1, time_step=2),
+    MilpParams(0, 0, 0, 1, 1, 1, time_step=4),
+    MilpParams(1, 1, 1, 1, 1, 1, 4),
+    MilpParams(1, 1, 1, 1, 1, 1, 6),
+    MilpParams(1, 1, 1, 1, 2, 2, 6),
+    MilpParams(1, 2, 1, 1, 2, 2, 6),
+    MilpParams(1, 0, 0, 1, 1, 1, 4),
+    MilpParams(2, 10, 5, 5, 10, 10, 24),
+    MilpParams(0, 1, 0, 1, 1, 1, time_step=6),
+    MilpParams(1, 1, 0, 1, 1, 1, time_step=8),
+    MilpParams(0, 0, 0, 0, 0, 0, time_step=6, days=3),
+    *(random_params(random.Random(seed)) for seed in range(8)),
+])
+def test_synthetic_slice_has_the_dimensions_it_was_given(params):
+    assert synthetic_slice(params).params == params
+
+
+@pytest.mark.parametrize("fixture", ["micro", "mini"])
+def test_dataset_slice_dimensions_are_the_ones_milp_reports(tmp_path, fixture):
+    db = str(FIXTURES / fixture)
+    bench, out = tmp_path / "bench.jsonl", tmp_path / "milp"
+    assert main(["generate", "--db", db, "--difficulty", "easy", "--count", "4",
+                 "--seed", "7", "--out", str(bench)]) == 0
+    assert main(["milp", "--benchmark", str(bench), "--db", db, "--out", str(out)]) == 0
+    skeletons = {record["uid"]: record["skeleton"]
+                 for record in map(json.loads, bench.read_text().splitlines()[1:])}
+    models = json.loads((out / "sizes.json").read_text())["models"]
+    assert sorted(entry["uid"] for entry in models) == sorted(skeletons)
+    dataset = load_dataset(db)
+    for entry in models:
+        sk = skeletons[entry["uid"]]
+        # milp's defaults: 2 hotels, 10 attractions, 5 restaurants, 24 slots a day
+        slice_ = slice_from_dataset(dataset, sk["origin"], sk["target"], 2, 10, 5,
+                                    24 * sk["days"], sk["days"])
+        assert dataclasses.asdict(slice_.params) == entry["params"], entry["uid"]
+        grid = entry["params"]["days"], entry["params"]["time_step"]
+        assert grid == (sk["days"], 24 * sk["days"]), entry["uid"]
 
 
 @pytest.mark.parametrize("table", ["attraction", "restaurant"])
@@ -75,7 +111,7 @@ def test_hours_shorter_than_rows_is_build_error(table):
     slice_ = synthetic_slice(DOWNSAMPLE)
     getattr(slice_, f"{table}_hours").pop()
     with pytest.raises(BuildError, match=rf"slice carries \d+ {table} hours"):
-        build_model(slice_, DOWNSAMPLE)
+        build_model(slice_)
 
 
 def _text_hours() -> list[tuple[tuple[int, int], str, str]]:
@@ -86,7 +122,7 @@ def _text_hours() -> list[tuple[tuple[int, int], str, str]]:
     for name in ("micro", "mini"):
         dataset = load_dataset(FIXTURES / name)
         for origin, target in (("Alpha", "Beta"), ("Beta", "Alpha")):
-            slice_ = slice_from_dataset(dataset, origin, target, 0, 100, 100)
+            slice_ = slice_from_dataset(dataset, origin, target, 0, 100, 100, 24, 1)
             for rows, hours in ((slice_.attractions, slice_.attraction_hours),
                                 (slice_.restaurants, slice_.restaurant_hours)):
                 assert len(rows) == len(hours) > 0
@@ -117,7 +153,7 @@ def test_count_sizes_matches_emission_on_random_configs():
     for trial in range(8):
         params = random_params(rng)
         sizes = count_sizes(params)
-        model = build_model(synthetic_slice(params, trial), params)
+        model = build_model(synthetic_slice(params, trial))
         assert Counter(row[4] for row in model.rows) == {
             k: v for k, v in sizes.constraints.items() if v
         }, params
@@ -138,7 +174,7 @@ def test_downsample_sizes_match_published_scale():
 
 def test_downsample_emission_under_ten_seconds():
     start = time.monotonic()
-    model = build_model(synthetic_slice(DOWNSAMPLE), DOWNSAMPLE)
+    model = build_model(synthetic_slice(DOWNSAMPLE))
     text = render_lp(model)
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"emission took {elapsed:.1f}s"
@@ -148,7 +184,7 @@ def test_downsample_emission_under_ten_seconds():
 
 def test_trivial_params_sum_rows():
     params = MilpParams(1, 0, 0, 1, 1, 1, time_step=2)
-    model = build_model(synthetic_slice(params), params)
+    model = build_model(synthetic_slice(params))
     one_rows = [row for row in model.rows if row[0].startswith("occ_one_")]
     assert len(one_rows) == params.time_step
 
@@ -159,7 +195,7 @@ def test_zero_poi_categories_have_zero_counts():
     assert sizes.constraints["hotel"] == 0
     assert sizes.constraints["attraction"] == 0
     assert sizes.constraints["restaurant"] == 0
-    model = build_model(synthetic_slice(params), params)
+    model = build_model(synthetic_slice(params))
     categories = Counter(row[4] for row in model.rows)
     assert "hotel" not in categories and "attraction" not in categories
 
@@ -176,7 +212,7 @@ def test_undeclared_reference_is_build_error_naming_row_and_variable():
 
 def test_rows_are_immutable():
     params = MilpParams(1, 1, 1, 1, 1, 1, 4)
-    rows = build_model(synthetic_slice(params), params).rows
+    rows = build_model(synthetic_slice(params)).rows
     for row in rows:
         # a plain tuple of atoms: immutable, and untracked by the cycle collector
         assert type(row) is tuple and len(row) == 5
@@ -191,14 +227,14 @@ def test_every_build_validates_references(monkeypatch):
     checked = []
     monkeypatch.setattr(MilpModel, "validate_references", lambda model: checked.append(model))
     params = MilpParams(1, 1, 1, 1, 1, 1, 4)
-    model = build_model(synthetic_slice(params), params)
+    model = build_model(synthetic_slice(params))
     assert checked == [model]
 
 
 def test_lp_row_count_equals_size_total(tmp_path):
     params = MilpParams(1, 1, 1, 1, 1, 1, 6)
     path = tmp_path / "toy.lp"
-    write_lp(synthetic_slice(params), params, None, path)
+    write_lp(synthetic_slice(params), None, path)
     parsed = parse_lp(path.read_text())
     assert len(parsed["rows"]) == count_sizes(params).constraint_total
 
@@ -206,7 +242,7 @@ def test_lp_row_count_equals_size_total(tmp_path):
 def test_lp_emission_is_byte_identical(tmp_path):
     params = MilpParams(1, 1, 1, 1, 2, 2, 6)
     for name in ("a.lp", "b.lp"):
-        write_lp(synthetic_slice(params), params, None, tmp_path / name)
+        write_lp(synthetic_slice(params), None, tmp_path / name)
     assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
 
 
@@ -221,7 +257,7 @@ def test_lp_empty_objective_header():
 
 def test_lp_reader_roundtrip_matches_model(tmp_path):
     params = MilpParams(1, 2, 1, 1, 2, 2, 6)
-    model = build_model(synthetic_slice(params), params)
+    model = build_model(synthetic_slice(params))
     parsed = parse_lp(render_lp(model))
     assert len(parsed["rows"]) == len(model.rows)
     # row-by-row: same terms multiset, sense, rhs
@@ -240,7 +276,7 @@ def test_unwritable_path_raises(tmp_path):
     from tripsmith.errors import TripsmithError
 
     with pytest.raises(TripsmithError):
-        write_lp(synthetic_slice(params), params, None, tmp_path / "no_dir" / "toy.lp")
+        write_lp(synthetic_slice(params), None, tmp_path / "no_dir" / "toy.lp")
 
 
 # -- micro solver -------------------------------------------------------------------
@@ -260,7 +296,7 @@ def test_contradictory_rows_are_infeasible():
 
 def test_one_hotel_toy_is_feasible_and_one_hot():
     params = MilpParams(1, 0, 0, 1, 1, 1, time_step=4)
-    model = build_model(synthetic_slice(params, 3), params)
+    model = build_model(synthetic_slice(params, 3))
     assignment = micro_solve(model)
     assert assignment is not None
     assert check_assignment(model, assignment) == []
@@ -273,7 +309,7 @@ def test_one_hotel_toy_is_feasible_and_one_hot():
 
 def test_solver_refuses_oversized_models():
     params = MilpParams(2, 10, 5, 5, 10, 10, 24)
-    model = build_model(synthetic_slice(params), params)
+    model = build_model(synthetic_slice(params))
     with pytest.raises(SolveRefusedError):
         micro_solve(model)
 
@@ -287,7 +323,7 @@ def test_feasible_assignments_satisfy_every_row():
             station_num=1, go_num=rng.randint(1, 2), back_num=rng.randint(1, 2),
             time_step=rng.choice((6, 8)), days=1,
         )
-        model = build_model(synthetic_slice(params, trial), params)
+        model = build_model(synthetic_slice(params, trial))
         assignment = micro_solve(model)
         if assignment is not None:
             solved += 1
@@ -299,7 +335,7 @@ def test_check_constants_pin_closed_slots():
     params = MilpParams(0, 1, 0, 1, 1, 1, time_step=6)
     slice_ = synthetic_slice(params, 0)
     slice_.attraction_hours[0] = (480, 720)
-    model = build_model(slice_, params)
+    model = build_model(slice_)
     # 4-hour slots: only slot 2 ([08:00,12:00)) is fully inside the hours
     closed_rows = [row for row in model.rows
                    if row[0].startswith("att_check_0_") and row[3] == 0]
@@ -311,10 +347,10 @@ def test_check_constants_pin_closed_slots():
 def test_decoded_assignment_parses_as_plan():
     params = MilpParams(1, 1, 0, 1, 1, 1, time_step=8)
     slice_ = synthetic_slice(params, 1)
-    model = build_model(slice_, params)
+    model = build_model(slice_)
     assignment = micro_solve(model)
     assert assignment is not None
-    plan = decode_assignment(model, assignment, slice_, "Away", "City", people=1)
+    plan = decode_assignment(slice_, assignment, "Away", "City", people=1)
     text = json.dumps(serialize_plan(plan), sort_keys=True)
     assert json.dumps(serialize_plan(parse_plan(text)), sort_keys=True) == text
     kinds = [act["type"] for day in plan.itinerary for act in day.activities]
@@ -323,7 +359,7 @@ def test_decoded_assignment_parses_as_plan():
 
 def test_budget_query_constraint_row():
     params = MilpParams(1, 1, 1, 1, 1, 1, 6)
-    model = build_model(synthetic_slice(params), params, 800)
+    model = build_model(synthetic_slice(params), 800)
     query_rows = [row for row in model.rows if row[4] == "query"]
     assert len(query_rows) == 1
     _, _, sense, rhs, _ = query_rows[0]

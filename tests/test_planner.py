@@ -20,7 +20,15 @@ from tripsmith.search import (
     enumerate_complete_plans,
     next_activity_type,
 )
-from tripsmith.search.rules import ACCOMMODATION, ATTRACTION, FINISH, OUTBOUND, RETURN
+from tripsmith.search.rules import (
+    ACCOMMODATION,
+    ATTRACTION,
+    FINISH,
+    OUTBOUND,
+    RETURN,
+    latest_return,
+    return_routes,
+)
 from tripsmith.search.state import (
     initial_state,
     schedule_hotel,
@@ -35,6 +43,11 @@ from .conftest import micro_context, micro_with_routes
 
 def cfg() -> SearchConfig:
     return SearchConfig(budget_seconds=10)
+
+
+def decide(state, dataset, ctx) -> str:
+    """The next activity type, given the latest return departure a search computes."""
+    return next_activity_type(state, dataset, ctx, latest_return(return_routes(dataset, ctx)))
 
 
 def state_at(micro_dataset, clock: str, *, day=1, days=1,
@@ -55,44 +68,44 @@ def state_at(micro_dataset, clock: str, *, day=1, days=1,
 def test_cascade_lunch_throughout_window(micro_dataset):
     for clock in ("10:30", "11:00", "11:45", "12:30"):
         state, ctx = state_at(micro_dataset, clock, days=2)
-        assert next_activity_type(state, micro_dataset, ctx) == "lunch"
+        assert decide(state, micro_dataset, ctx) == "lunch"
 
 
 def test_cascade_lunch_already_scheduled(micro_dataset):
     state, ctx = state_at(micro_dataset, "11:00", days=2, meals=("lunch",))
-    assert next_activity_type(state, micro_dataset, ctx) == ATTRACTION
+    assert decide(state, micro_dataset, ctx) == ATTRACTION
 
 
 def test_cascade_hotel_after_cutoff(micro_dataset):
     state, ctx = state_at(micro_dataset, "22:30", days=2)
-    assert next_activity_type(state, micro_dataset, ctx) == ACCOMMODATION
+    assert decide(state, micro_dataset, ctx) == ACCOMMODATION
 
 
 def test_cascade_hotel_when_nothing_open(micro_dataset):
     # both micro attractions already visited; nothing nearby is schedulable
     state, ctx = state_at(micro_dataset, "15:00", days=2,
                           visited=("Harbor Park", "Stone Bridge"))
-    assert next_activity_type(state, micro_dataset, ctx) == ACCOMMODATION
+    assert decide(state, micro_dataset, ctx) == ACCOMMODATION
 
 
 def test_cascade_return_on_last_day_when_nothing_open(micro_dataset):
     state, ctx = state_at(micro_dataset, "15:00", days=1,
                           visited=("Harbor Park", "Stone Bridge"))
-    assert next_activity_type(state, micro_dataset, ctx) == RETURN
+    assert decide(state, micro_dataset, ctx) == RETURN
 
 
 def test_cascade_outbound_first_and_finish_last(micro_dataset):
     ctx = micro_context()
-    assert next_activity_type(initial_state(), micro_dataset, ctx) == OUTBOUND
+    assert decide(initial_state(), micro_dataset, ctx) == OUTBOUND
     state, ctx = state_at(micro_dataset, "21:00")
     object.__setattr__(state, "finished", True)
-    assert next_activity_type(state, micro_dataset, ctx) == FINISH
+    assert decide(state, micro_dataset, ctx) == FINISH
 
 
 def test_cascade_return_when_rides_would_be_lost(micro_dataset):
     # latest ride home leaves 21:50; with 90 min + 30 min slack, 20:00 is too late
     state, ctx = state_at(micro_dataset, "20:00", days=1)
-    assert next_activity_type(state, micro_dataset, ctx) == RETURN
+    assert decide(state, micro_dataset, ctx) == RETURN
 
 
 def open_until_1730(monkeypatch, db) -> dict:

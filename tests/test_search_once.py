@@ -5,7 +5,8 @@ departure and the room-type filtered hotels once per search, and gives each
 attraction or restaurant candidate list as a view of the table that leaves
 the visited rows out by position. The references below are the
 straightforward forms: a fresh route selection, a comprehension over the
-whole table, and `next_activity_type` called with three arguments.
+whole table, and `next_activity_type` given a latest return departure
+computed afresh at every node.
 """
 
 from __future__ import annotations
@@ -94,18 +95,18 @@ def _latest_checked(monkeypatch):
     real = next_activity_type
     agreed = []
 
-    def both(state, dataset, ctx, latest=None):
-        assert latest is not None
+    def both(state, dataset, ctx, latest):
         action = real(state, dataset, ctx, latest)
-        agreed.append(action == real(state, dataset, ctx))
+        fresh = latest_return(return_routes(dataset, ctx))
+        agreed.append(action == real(state, dataset, ctx, fresh))
         return action
 
     monkeypatch.setattr(dfs, "next_activity_type", both)
     return agreed
 
 
-def test_precomputed_latest_return_decides_like_three_arguments(monkeypatch, micro_dataset,
-                                                               mini_dataset, synth_dataset):
+def test_precomputed_latest_return_decides_like_a_fresh_one(monkeypatch, micro_dataset,
+                                                           mini_dataset, synth_dataset):
     agreed = _latest_checked(monkeypatch)
     cfg = SearchConfig(budget_seconds=600)
     for dataset in (micro_dataset, mini_dataset):
@@ -121,7 +122,7 @@ def test_precomputed_latest_return_decides_like_three_arguments(monkeypatch, mic
     assert len(agreed) > 1000 and all(agreed)
 
 
-def test_no_return_route_heads_home_either_way(micro_dataset):
+def test_no_return_route_heads_home_at_once(micro_dataset):
     # micro has trains only: no airplane ever leaves for home
     ctx = micro_context(days=1, required_intercity_kind="airplane")
     assert latest_return(return_routes(micro_dataset, ctx)) == -1
@@ -129,5 +130,4 @@ def test_no_return_route_heads_home_either_way(micro_dataset):
                            "Alpha", "Beta", to_minutes("06:40"), to_minutes("08:20"), 100,
                            micro_dataset["Beta"].intercity_routes[0].cost)
     state = schedule_outbound(initial_state(), route, ctx)
-    assert next_activity_type(state, micro_dataset, ctx) == RETURN
     assert next_activity_type(state, micro_dataset, ctx, -1) == RETURN
