@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import random
 import time
@@ -244,6 +245,24 @@ def test_lp_emission_is_byte_identical(tmp_path):
     for name in ("a.lp", "b.lp"):
         write_lp(synthetic_slice(params), None, tmp_path / name)
     assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
+
+
+@pytest.mark.parametrize("params, budget, digest", [
+    (DOWNSAMPLE, None, "e4fa95e10ee9546328fdae4b5d46ebb986914ae5329f05a3e8393143678c2972"),
+    (DOWNSAMPLE, 800, "e8bb00575759b537eb531b8f71182b3967f816fc4a4443654d5ddd72a64d2e4e"),
+    (MilpParams(2, 3, 2, 2, 3, 3, 48, days=2), Decimal("1234.50"),
+     "9b0ae6542163a9be9ac6c87728b373f8d4202b2af8dbb9a4452682797cd5a7a3"),
+    (MilpParams(0, 0, 0, 1, 1, 1, 4), None,
+     "48bf98d2eaa349de86f43fcfc752b15c01da53d88abb0679b11f3175f92efdf2"),
+], ids=["downsample", "downsample-budget", "two-days-budget", "no-pois"])
+def test_synthetic_lp_bytes_are_pinned(tmp_path, params, budget, digest):
+    """What the builder emits, pinned where the fixtures do not reach: a
+    hundred routes each way, drawn opening hours, several days and no POIs.
+    A refactor of the builder keeps these bytes; a model change re-pins them
+    and says why."""
+    path = tmp_path / "model.lp"
+    write_lp(synthetic_slice(params, 3), budget, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_lp_empty_objective_header():
