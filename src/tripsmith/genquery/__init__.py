@@ -1,6 +1,6 @@
 """Benchmark synthesis: skeleton sampling, constraint emission, certification."""
 
-from .certify import CertifiedQuery, certify, context_from_skeleton, render_query_text
+from .certify import CertifiedQuery, certify, context_from_skeleton
 from .skeleton import (
     CONSTRAINT_KINDS,
     EASY,
@@ -19,7 +19,6 @@ __all__ = [
     "MEDIUM",
     "QuerySkeleton",
     "certify",
-    "render_query_text",
     "context_from_skeleton",
     "sample_skeleton",
     "skeleton_to_dsl",

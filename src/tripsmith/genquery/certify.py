@@ -89,29 +89,6 @@ def context_from_skeleton(skeleton: QuerySkeleton) -> QueryContext:
     return ctx
 
 
-def render_query_text(skeleton: QuerySkeleton, transport=None) -> str:
-    """Optional natural-language paraphrase of a skeleton.
-
-    With a transport the model rewrites the symbolic description; any failure
-    (or no transport at all) falls back to the deterministic description, so
-    rendering can never block generation.
-    """
-    base = skeleton.describe()
-    if transport is None:
-        return base
-    from ..llm.endpoint import TransportError
-
-    prompt = (
-        "Rewrite this travel request as one natural sentence a person would "
-        f"say, keeping every requirement: {base}"
-    )
-    try:
-        reply = transport.complete(prompt).strip()
-    except TransportError:
-        return base
-    return reply or base
-
-
 def certify(
     skeleton: QuerySkeleton,
     dataset: Dataset,

@@ -34,6 +34,10 @@ CONSTRAINT_KINDS = (
 TRANSPORT_TYPES = INTERCITY_TYPES + MODES
 # kinds whose text value the planner looks for in candidate rows
 TERM_KINDS = ("cuisine", "attraction_type", "hotel_feature", "specific_poi")
+# the most travellers, and the most rooms, of one query: a plan multiplies a
+# price or fare (at most sandbox.fares.MONEY_LIMIT) by them, and must still
+# keep the product to the cent
+MAX_PARTY = 1000
 
 
 def _text(name: str, value) -> str:
@@ -48,6 +52,13 @@ def _text(name: str, value) -> str:
 def _count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _party(name: str, value) -> int:
+    """A number of travellers or rooms: from 1 to MAX_PARTY."""
+    if _count(name, value) > MAX_PARTY:
+        raise ValueError(f"{name} must be at most {MAX_PARTY}, got {value!r}")
     return value
 
 
@@ -73,7 +84,7 @@ def _transport(value) -> str:
 _VALUES = {
     "transport_type": _transport,
     **{kind: partial(_text, f"{kind} value") for kind in TERM_KINDS},
-    "rooms": partial(_count, "rooms value"),
+    "rooms": partial(_party, "rooms value"),
     "budget": _budget,
 }
 
@@ -133,7 +144,7 @@ class QuerySkeleton:
             raise ValueError(f"specs must be a list of objects, got {specs!r}")
         return cls(
             origin=origin, target=target,
-            days=_count("days", raw["days"]), people=_count("people", raw["people"]),
+            days=_count("days", raw["days"]), people=_party("people", raw["people"]),
             specs=[ConstraintSpec.from_dict(spec) for spec in specs],
         )
 

@@ -3,15 +3,21 @@
 The traveler's position over discrete time slots is a one-hot matrix
 u[idx][t] (locations, stations and in-transit pseudo-locations); transitions
 are binary events linked to transport-choice variables y[(i, j, mode, t)].
-Visit counters for hotels, attractions and restaurants are derived from
-position-change conjunctions; openness, from the slice's load-time minutes,
-is baked in as `att_check_*` and `res_check_*` rows that pin u to zero in
-closed slots. Every implication is
-linearized with big-M = 1 where all variables are binary; the count
-constraints use integer bounds instead.
+Visit counters for hotels, attractions and restaurants are derived by one
+stay rule (`stay_rows`): z[n][t] = u[first+n][t] AND event[t], where the
+table's rows sit at positions `first` on. For attractions and restaurants,
+openness from the slice's load-time minutes is baked in by the same rule as
+`att_check_*` and `res_check_*` rows that pin u to zero in closed slots.
+Every implication is linearized with big-M = 1 where all variables are
+binary; the count constraints use integer bounds instead.
 
 Every dimension is read from the builder's one input, a `MilpSlice`
-(`MilpSlice.params`). Rows carry a category label and a deterministic name,
+(`MilpSlice.params`). The positions of u are laid out as hotels, attractions,
+restaurants, stations, then the in-transit modes, and each offset is read from
+those params where it is used: `hotel_num`, `hotel_num + attr_num`, and
+`total_num + k` for mode k. The variable names are spelled here only, in the
+families that `declare_variables` builds; the decoder reads them from there.
+Rows carry a category label and a deterministic name,
 and the number of rows per category is a closed form of those dimensions
 (see sizes.count_sizes) - the model and the formula are tested against each other.
 
@@ -124,19 +130,6 @@ class _Builder:
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
         self.sink.append((name, tuple(terms), sense, rhs, category))
 
-    # index helpers
-    def hotel_idx(self, h: int) -> int:
-        return h
-
-    def attr_idx(self, a: int) -> int:
-        return self.p.hotel_num + a
-
-    def rest_idx(self, r: int) -> int:
-        return self.p.hotel_num + self.p.attr_num + r
-
-    def mode_idx(self, k: int) -> int:
-        return self.p.total_num + k
-
     def day_slots(self, d: int) -> range:
         spd = self.p.slots_per_day
         return range(d * spd, (d + 1) * spd)
@@ -208,14 +201,25 @@ class _Builder:
         self.row(f"{prefix}_le2", (z, b), "<=", 0, category)
         self.row(f"{prefix}_ge", (z, a, b), ">=", -1, category)
 
-    def hotel_rows(self) -> None:
+    def stay_rows(self, z: _Family, first: int, prefix: str, category: str,
+                  hours=None) -> None:
+        """The stay rule of one POI table, whose rows sit at positions `first`
+        on: z[n][t] = u[first+n][t] AND event[t]; with the table's `hours`,
+        also the `{prefix}_check_*` row that pins u to 0 in a closed slot."""
         p = self.p
         ev_neg = self.event.minus
-        for h in range(p.hotel_num):
-            u_neg = self.u.minus[self.hotel_idx(h)]
+        for n, z_pos in enumerate(z.plus):
+            u_pos, u_neg = self.u.plus[first + n], self.u.minus[first + n]
+            opens = None if hours is None else open_slots(hours[n], p.slot_minutes)
             for t in range(p.time_step):
-                self.conjunction(self.zhotel.plus[h][t], u_neg[t], ev_neg[t],
-                                 f"hot_z_{h}_{t}", "hotel")
+                self.conjunction(z_pos[t], u_neg[t], ev_neg[t], f"{prefix}_z_{n}_{t}", category)
+                if opens is not None:
+                    self.row(f"{prefix}_check_{n}_{t}", (u_pos[t],), "<=",
+                             opens[t % p.slots_per_day], category)
+
+    def hotel_rows(self) -> None:
+        p = self.p
+        self.stay_rows(self.zhotel, 0, "hot", "hotel")
         for h in range(p.hotel_num):
             for d in range(p.days):
                 terms = [self.hotel.plus[h][d]]
@@ -228,14 +232,7 @@ class _Builder:
 
     def attraction_rows(self) -> None:
         p = self.p
-        ev_neg = self.event.minus
-        for a, hours in enumerate(self.s.attraction_hours):
-            idx, opens = self.attr_idx(a), open_slots(hours, p.slot_minutes)
-            for t in range(p.time_step):
-                self.conjunction(self.zattr.plus[a][t], self.u.minus[idx][t], ev_neg[t],
-                                 f"att_z_{a}_{t}", "attraction")
-                self.row(f"att_check_{a}_{t}", (self.u.plus[idx][t],), "<=",
-                         opens[t % p.slots_per_day], "attraction")
+        self.stay_rows(self.zattr, p.hotel_num, "att", "attraction", self.s.attraction_hours)
         for a in range(p.attr_num):
             terms = [self.attr.plus[a]] + self.zattr.minus[a]
             self.row(f"att_def_{a}", terms, "=", 0, "attraction")
@@ -253,14 +250,8 @@ class _Builder:
 
     def restaurant_rows(self) -> None:
         p = self.p
-        ev_neg = self.event.minus
-        for r, hours in enumerate(self.s.restaurant_hours):
-            idx, opens = self.rest_idx(r), open_slots(hours, p.slot_minutes)
-            for t in range(p.time_step):
-                self.conjunction(self.zrest.plus[r][t], self.u.minus[idx][t], ev_neg[t],
-                                 f"res_z_{r}_{t}", "restaurant")
-                self.row(f"res_check_{r}_{t}", (self.u.plus[idx][t],), "<=",
-                         opens[t % p.slots_per_day], "restaurant")
+        self.stay_rows(self.zrest, p.hotel_num + p.attr_num, "res", "restaurant",
+                       self.s.restaurant_hours)
         for r in range(p.rest_num):
             for m in range(3 * p.days):
                 lo, hi = self.meal_slots(m)
@@ -276,10 +267,10 @@ class _Builder:
         """A meal is only needed when the traveler is in town for its window."""
         p = self.p
         big_m = p.time_step + 1
-        dep_terms = [(-self.route_slot(b, go=False), name)
-                     for b, name in enumerate(self.interback.names)]
-        arr_terms = [(self.route_slot(g, go=True), name)
-                     for g, name in enumerate(self.intergo.names)]
+        dep_terms = [(-self.route_slot(route, go=False), name)
+                     for route, name in zip(self.s.back_routes, self.interback.names)]
+        arr_terms = [(self.route_slot(route, go=True), name)
+                     for route, name in zip(self.s.go_routes, self.intergo.names)]
         for m, need in enumerate(self.needeat.names):
             a_m, b_m = self.meal_slots(m)
             terms = [(big_m, need)] + dep_terms
@@ -287,11 +278,11 @@ class _Builder:
             terms = [(big_m, need)] + arr_terms
             self.row(f"meal_arr_{m}", terms, "<=", big_m + b_m - 1, "meal")
 
-    def route_slot(self, index: int, go: bool) -> int:
+    def route_slot(self, route, go: bool) -> int:
+        """The slot an outbound ride arrives in on the first day, or a return
+        ride departs in on the last."""
         if go:
-            route = self.s.go_routes[index]
             return self.slot_of(route.end, day=0)
-        route = self.s.back_routes[index]
         return self.slot_of(route.begin, day=self.p.days - 1)
 
     def route_station_idx(self, route, go: bool) -> int:
@@ -317,7 +308,7 @@ class _Builder:
         for i in range(L):
             for j in range(L):
                 for k in range(K):
-                    mode = u_neg[self.mode_idx(k)]
+                    mode = u_neg[L + k]
                     y_names, y_pos = self.y.names[i][j][k], self.y.plus[i][j][k]
                     for t in range(T):
                         y, tag = y_pos[t], y_names[t][1:]
@@ -347,7 +338,7 @@ class _Builder:
         y_pos = self.y.plus
         for i in range(L):
             for k in range(p.trans_num):
-                mode = self.u.minus[self.mode_idx(k)]
+                mode = self.u.minus[L + k]
                 for t in range(p.time_step):
                     t1 = min(t + 1, p.time_step - 1)
                     dep = [y_pos[i][j][k][t] for j in range(L)]
@@ -356,35 +347,30 @@ class _Builder:
                     self.row(f"trn_arr_{i}_{k}_{t}", arr + [mode[t1]], "<=", 0, "transit")
 
     def intercity_rows(self) -> None:
-        """Exactly one ride each way; station presence tied to the chosen ride."""
+        """Exactly one ride each way; station presence tied to the chosen ride.
+
+        An outbound ride pins its arrival station at its arrival slot and
+        keeps the traveler out of town before it; a return ride pins its
+        departure station at its departure slot and keeps them out after it.
+        """
         p = self.p
         u_pos = self.u.plus
-        go, back = self.intergo, self.interback
-        if p.go_num:
-            self.row("int_go_one", go.plus, "=", 1, "intercity")
-        if p.back_num:
-            self.row("int_back_one", back.plus, "=", 1, "intercity")
-
-        for g, route in enumerate(self.s.go_routes):
-            arr = self.route_slot(g, go=True)
-            station = self.route_station_idx(route, go=True)
-            self.row(f"int_gopin_{g}", (u_pos[station][arr], go.minus[g]),
-                     ">=", 0, "intercity")
-            for t in range(p.time_step):
-                before = 1 if t < arr else 0
-                terms = [u_pos[i][t] for i in range(p.loc_num)]
-                terms.append((before, go.names[g]))
-                self.row(f"int_goex_{g}_{t}", terms, "<=", 1, "intercity")
-        for b, route in enumerate(self.s.back_routes):
-            dep = self.route_slot(b, go=False)
-            station = self.route_station_idx(route, go=False)
-            self.row(f"int_backpin_{b}", (u_pos[station][dep], back.minus[b]),
-                     ">=", 0, "intercity")
-            for t in range(p.time_step):
-                after = 1 if t > dep else 0
-                terms = [u_pos[i][t] for i in range(p.loc_num)]
-                terms.append((after, back.names[b]))
-                self.row(f"int_backex_{b}_{t}", terms, "<=", 1, "intercity")
+        directions = ((self.intergo, self.s.go_routes, "go", True),
+                      (self.interback, self.s.back_routes, "back", False))
+        for family, routes, tag, _ in directions:
+            if routes:
+                self.row(f"int_{tag}_one", family.plus, "=", 1, "intercity")
+        for family, routes, tag, go in directions:
+            for r, route in enumerate(routes):
+                slot = self.route_slot(route, go)
+                station = self.route_station_idx(route, go)
+                self.row(f"int_{tag}pin_{r}", (u_pos[station][slot], family.minus[r]),
+                         ">=", 0, "intercity")
+                for t in range(p.time_step):
+                    away = int(t < slot if go else t > slot)
+                    terms = [u_pos[i][t] for i in range(p.loc_num)]
+                    terms.append((away, family.names[r]))
+                    self.row(f"int_{tag}ex_{r}_{t}", terms, "<=", 1, "intercity")
 
     def query_rows(self) -> None:
         if self.budget is None:

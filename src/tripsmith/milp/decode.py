@@ -10,6 +10,7 @@ from __future__ import annotations
 from ..evaluation.env_rules import MEAL_WINDOWS
 from ..plan.model import DayPlan, Plan
 from ..timeutil import to_hhmm
+from .build import _Builder
 from .params import MilpParams, MilpSlice
 
 
@@ -20,6 +21,11 @@ def _slot_time(params: MilpParams, t: int, end: bool = False) -> str:
     return to_hhmm(minutes)
 
 
+def _first_set(names, assignment: dict[str, int]) -> int | None:
+    """The index of the first of `names` that `assignment` sets, or None."""
+    return next((r for r, name in enumerate(names) if assignment.get(name, 0)), None)
+
+
 def decode_assignment(
     slice_: MilpSlice,
     assignment: dict[str, int],
@@ -28,31 +34,26 @@ def decode_assignment(
     people: int = 1,
 ) -> Plan:
     """The plan of a feasible `assignment` to the variables of `slice_`'s model,
-    read on the slice's own dimensions."""
-    params = slice_.params
-    names = slice_.location_names()
-    kinds: list[tuple[str, dict | None]] = []
-    for row in slice_.hotels:
-        kinds.append(("accommodation", row))
-    for row in slice_.attractions:
-        kinds.append(("attraction", row))
-    for row in slice_.restaurants:
-        kinds.append(("meal", row))
-    for station in slice_.stations:
-        kinds.append(("station", None))
+    read on the slice's own dimensions.
 
-    occupied: list[int | None] = []
-    for t in range(params.time_step):
-        where = None
-        for i in range(len(names)):
-            if assignment.get(f"u_{i}_{t}", 0):
-                where = i
-                break
-        occupied.append(where)
+    The variable names are read from the families that the model's builder
+    declares for `slice_`, and the positions are taken in the builder's
+    layout: hotels, attractions, restaurants, then stations.
+    """
+    builder = _Builder(slice_, None)
+    params = builder.p
+    kinds: list[tuple[str, dict | None]] = (
+        [("accommodation", row) for row in slice_.hotels]
+        + [("attraction", row) for row in slice_.attractions]
+        + [("meal", row) for row in slice_.restaurants]
+        + [("station", None)] * len(slice_.stations))
+    located = builder.u.names[:len(kinds)]
+    occupied = [_first_set([names[t] for names in located], assignment)
+                for t in range(params.time_step)]
 
     days = [DayPlan(day=d + 1, activities=[]) for d in range(params.days)]
 
-    go = next((g for g in range(params.go_num) if assignment.get(f"intergo_{g}", 0)), None)
+    go = _first_set(builder.intergo.names, assignment)
     if go is not None:
         days[0].activities.append(slice_.go_routes[go].activity(people))
 
@@ -91,7 +92,7 @@ def decode_assignment(
         days[day].activities.append(activity)
         t = end + 1
 
-    back = next((b for b in range(params.back_num) if assignment.get(f"interback_{b}", 0)), None)
+    back = _first_set(builder.interback.names, assignment)
     if back is not None:
         days[-1].activities.append(slice_.back_routes[back].activity(people))
 

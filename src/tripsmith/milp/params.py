@@ -100,14 +100,6 @@ class MilpSlice:
             time_step=self.time_step, days=self.days,
         )
 
-    def location_names(self) -> list[str]:
-        return (
-            [row["name"] for row in self.hotels]
-            + [row["name"] for row in self.attractions]
-            + [row["name"] for row in self.restaurants]
-            + list(self.stations)
-        )
-
 
 def _route(route_id: str, frm: str, to: str, begin: int) -> IntercityRoute:
     end = min(begin + 120, DAY_MINUTES - 1)

@@ -16,8 +16,9 @@ Converted at load, in one pass over each file: the reader picks one
 converter per column from the header and fills each row by column position,
 keeping `csv.DictReader`'s reading of repeated headers, short rows, extra
 fields and blank lines. Prices, costs, coordinates and recommended times
-become finite Decimals (a NaN or infinity is a bad number, and so is a
-coordinate whose float overflows), bed counts and durations ints, and clock
+become finite Decimals (a NaN or infinity is a bad number, and so are a
+coordinate whose float overflows and a price or cost beyond `MONEY_LIMIT`
+either way), bed counts and durations ints, and clock
 columns are checked "HH:MM" text; every other cell is stripped text. A cell
 that does not convert is a `LoadError` naming the file, the row's number (the
 header is 1, blank lines do not count) and the column.
@@ -96,7 +97,7 @@ from pathlib import Path
 from ..errors import InputError, IntegrityError, LoadError, NotFoundError
 from ..geo import EARTH_RADIUS_KM, distance_km, quantize_km
 from ..timeutil import to_hhmm, to_minutes
-from .fares import MODES, FareConfig, load_fare_config, travel_minutes
+from .fares import MODES, MONEY_LIMIT, FareConfig, load_fare_config, travel_minutes
 
 PAGE_SIZE = 10
 
@@ -284,6 +285,13 @@ def _number(raw: str) -> Decimal:
     return value
 
 
+def _money(raw: str) -> Decimal:
+    value = _number(raw)
+    if abs(value) > MONEY_LIMIT:
+        raise InvalidOperation(raw)
+    return value
+
+
 def _coordinate(raw: str) -> Decimal:
     value = _number(raw)
     if not math.isfinite(float(value)):     # "1e400" is a finite Decimal
@@ -301,14 +309,15 @@ def _clock(raw: str) -> int:
 
 # the converter of each typed column; every other column is text, stripped
 _CONVERTERS = {
-    **dict.fromkeys(("price", "cost", "recommendmintime", "recommendmaxtime"), _number),
+    **dict.fromkeys(("price", "cost"), _money),
+    **dict.fromkeys(("recommendmintime", "recommendmaxtime"), _number),
     **dict.fromkeys(("latitude", "longitude"), _coordinate),
     **dict.fromkeys(("numbed", "duration"), _integer),
     **dict.fromkeys(("opentime", "endtime", "begintime"), _clock),
 }
 # what a load error calls a cell that a converter refuses
-_BAD_CELL = {_number: "number", _coordinate: "number", _integer: "integer",
-             _clock: "clock time"}
+_BAD_CELL = {_number: "number", _money: "number", _coordinate: "number",
+             _integer: "integer", _clock: "clock time"}
 _CELL_ERRORS = (ValueError, ArithmeticError, InputError)
 
 

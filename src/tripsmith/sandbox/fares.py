@@ -4,7 +4,13 @@ The sandbox keeps all tariffs in one config object so fixtures can pin them;
 a `fares.cfg` file at the data root (simple `key = value` lines) overrides the
 defaults below. `travel_minutes` turns a distance into minutes at a speed;
 `CityDatabase.transfer_minutes` memoises a transfer's minutes per (start,
-end, mode).
+end, mode). `metro_fare` and `taxi_fare` price a ride of a distance.
+
+Every amount is kept to the cent, and a Decimal keeps 28 digits, so the
+loader bounds what enters: a tariff set whose fare for the longest trip on
+Earth exceeds `MONEY_LIMIT` is refused, as is a money cell beyond it (see
+database.py). A plan multiplies such an amount by at most `MAX_PARTY`
+travellers or rooms (genquery/skeleton.py), far inside 28 digits.
 """
 
 from __future__ import annotations
@@ -15,10 +21,15 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from ..errors import LoadError
+from ..geo import EARTH_RADIUS_KM
 
 MODES = ("walk", "metro", "taxi")
 # every money amount, in the sandbox and in a plan, is kept to this quantum
 MONEY_QUANTUM = Decimal("0.01")
+# the largest amount, either way, of a money cell or of one ride's fare
+MONEY_LIMIT = Decimal(10) ** 9
+# the longest great-circle distance, half the Earth's circumference, rounded up
+LONGEST_TRIP_KM = Decimal(math.ceil(math.pi * EARTH_RADIUS_KM))
 
 # rule -> test; is_finite() comes first because comparing a Decimal NaN raises
 _RULES = {
@@ -78,7 +89,31 @@ def load_fare_config(path: Path | str) -> FareConfig:
             raise LoadError(f"{path}:{lineno}: bad number {val!r} for {key!r}") from None
         if not _RULES[rule](values[key]):
             raise LoadError(f"{path}:{lineno}: {key} must be {rule}, got {val!r}")
-    return FareConfig(**values)
+    fares = FareConfig(**values)
+    for mode, fare in (("metro", metro_fare), ("taxi", taxi_fare)):
+        try:
+            within = fare(LONGEST_TRIP_KM, fares) <= MONEY_LIMIT
+        except ArithmeticError:     # more digits than a Decimal keeps to the cent
+            within = False
+        if not within:
+            raise LoadError(f"{path}: the {mode} fare of a {LONGEST_TRIP_KM} km ride "
+                            f"must be at most {MONEY_LIMIT}")
+    return fares
+
+
+def metro_fare(distance: Decimal, fares: FareConfig) -> Decimal:
+    """Flat per started distance band, per ticket."""
+    if distance <= 0:
+        return Decimal("0")
+    bands = int(math.ceil(distance / fares.metro_band_km))
+    return (fares.metro_fare_per_band * bands).quantize(MONEY_QUANTUM)
+
+
+def taxi_fare(distance: Decimal, fares: FareConfig) -> Decimal:
+    """Base plus per-km, per car."""
+    if distance <= 0:
+        return Decimal("0")
+    return (fares.taxi_base_fare + fares.taxi_per_km * distance).quantize(MONEY_QUANTUM)
 
 
 def travel_minutes(distance: Decimal, speed_kmh: Decimal) -> int:

@@ -22,7 +22,7 @@ from decimal import Decimal
 
 from ..timeutil import to_hhmm, to_minutes
 from .database import CityDatabase
-from .fares import MONEY_QUANTUM
+from .fares import metro_fare, taxi_fare
 
 TAXI_SEATS = 4
 
@@ -30,19 +30,6 @@ TAXI_SEATS = 4
 def cars_for(people: int) -> int:
     """Cars a party needs: a taxi seats TAXI_SEATS travellers."""
     return math.ceil(people / TAXI_SEATS)
-
-
-def metro_fare(distance: Decimal, fares) -> Decimal:
-    if distance <= 0:
-        return Decimal("0")
-    bands = int(math.ceil(distance / fares.metro_band_km))
-    return (fares.metro_fare_per_band * bands).quantize(MONEY_QUANTUM)
-
-
-def taxi_fare(distance: Decimal, fares) -> Decimal:
-    if distance <= 0:
-        return Decimal("0")
-    return (fares.taxi_base_fare + fares.taxi_per_km * distance).quantize(MONEY_QUANTUM)
 
 
 def transfer_mode(legs: list) -> str:

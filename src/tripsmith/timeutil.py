@@ -46,14 +46,6 @@ def to_hhmm(minutes: int) -> str:
     return _HHMM[minutes]
 
 
-def is_hhmm(text) -> bool:
-    try:
-        to_minutes(text)
-    except InputError:
-        return False
-    return True
-
-
 def clock_span(start, end) -> tuple[int, int] | None:
     """`(start, end)` in minutes since midnight, or None unless both are clock times."""
     try:

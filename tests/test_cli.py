@@ -662,6 +662,11 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
 @pytest.mark.parametrize("edit, detail", [
     (lambda r: r["skeleton"].update(days="two"), "days must be an integer >= 1, got 'two'"),
     (lambda r: r["skeleton"].update(people=None), "people must be an integer >= 1, got None"),
+    (lambda r: r["skeleton"].update(people=10**27),
+     f"people must be at most 1000, got {10**27}"),
+    (lambda r: r["skeleton"]["specs"].append(
+        {"kind": "rooms", "value": 10**27, "extra": {"room_type": 1}}),
+     f"rooms value must be at most 1000, got {10**27}"),
     (lambda r: r["skeleton"]["specs"].append({"kind": "budget", "value": "lots"}),
      "budget 'lots' is not a number"),
     (lambda r: r["skeleton"].update(origin="Alpha", target="Alpha"),
@@ -684,8 +689,8 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
      "constraint 2: <dsl>:1:13: error: unexpected character '\u00b2'"),
     (lambda r: r.update(dsl=["return 1 == \u0663"]),
      "constraint 1: <dsl>:1:13: error: unexpected character '\u0663'"),
-], ids=["days-text", "people-null", "budget-text", "same-city", "witness-no-itinerary",
-        "witness-list", "witness-start-null",
+], ids=["days-text", "people-null", "people-huge", "rooms-huge", "budget-text", "same-city",
+        "witness-no-itinerary", "witness-list", "witness-start-null",
         "uid-path", "uid-backslash", "uid-dotdot", "uid-nul", "uid-empty", "uid-number",
         "dsl-number", "dsl-text", "dsl-unclean", "dsl-superscript-digit",
         "dsl-arabic-indic-digit"])
@@ -793,7 +798,16 @@ def _spoiled_root(tmp_path, relative, old, new) -> Path:
      "fares.cfg:6: metro_access_minutes must be non-negative, got '-3'"),
     ("fares.cfg", "taxi_per_km = 2.5", "taxi_per_km = Infinity",
      "fares.cfg:9: taxi_per_km must be non-negative and finite, got 'Infinity'"),
+    # a fare that cannot be kept to the cent at the longest distance
+    ("fares.cfg", "metro_band_km = 6", "metro_band_km = 1e-28",
+     "fares.cfg: the metro fare of a 20016 km ride must be at most 1000000000"),
+    ("fares.cfg", "metro_fare_per_band = 3", "metro_fare_per_band = 1e30",
+     "fares.cfg: the metro fare of a 20016 km ride must be at most 1000000000"),
+    ("fares.cfg", "taxi_base_fare = 10", "taxi_base_fare = 1e30",
+     "fares.cfg: the taxi fare of a 20016 km ride must be at most 1000000000"),
     ("Beta/attractions.csv", ",40.00,", ",abc,", "attractions.csv:2: bad number 'abc'"),
+    ("Beta/attractions.csv", ",40.00,", ",1e30,",
+     "attractions.csv:2: bad number '1e30' in column 'price'"),
     ("Beta/attractions.csv", ",31.2060,", ",1e400,",
      "attractions.csv:2: bad number '1e400' in column 'latitude'"),
     ("Beta/intercity.csv", ",120.00", ",NaN",
@@ -820,7 +834,8 @@ def _spoiled_root(tmp_path, relative, old, new) -> Path:
                         "Quiet Lodge,Spa,31.2050,121.4060,550.00,1\n", "",
      "hotels.csv: empty file for table 'hotels'"),
 ], ids=["fare-decimal", "fare-int", "fare-zero-speed", "fare-nan-band", "fare-negative-speed",
-        "fare-negative-access", "fare-infinite-fare", "csv-number", "csv-float-overflow",
+        "fare-negative-access", "fare-infinite-fare", "fare-tiny-band", "fare-huge-metro",
+        "fare-huge-taxi", "csv-number", "csv-huge-price", "csv-float-overflow",
         "csv-nan-cost", "csv-duplicate", "station-unlocated", "route-kind", "route-id-prefix",
         "route-ends-at-its-start", "route-free", "coordinates-across-tables",
         "coordinates-in-poi", "missing-column", "empty-table"])

@@ -36,7 +36,7 @@ from tripsmith.search.state import (
     schedule_return,
     schedule_visit,
 )
-from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
+from tripsmith.timeutil import clock_span, to_hhmm, to_minutes
 
 from .conftest import micro_context, micro_with_routes
 
@@ -384,6 +384,6 @@ def test_schedule_helpers_never_raise_on_late_clocks(
     legs = act.get("transports", [])
     stamps = [act["start_time"], act["end_time"]]
     stamps += [t for leg in legs for t in (leg["start_time"], leg["end_time"])]
-    assert all(is_hhmm(t) for t in stamps)
+    assert all(clock_span(t, t) for t in stamps)
     if legs:
         assert legs[0]["start_time"] == to_hhmm(clock)

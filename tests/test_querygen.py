@@ -230,19 +230,3 @@ def test_certified_query_serialization_roundtrip(micro_dataset):
     assert back.skeleton == certified.skeleton
     assert back.dsl_sources == certified.dsl_sources
     assert back.as_dict() == raw
-
-
-def test_render_query_text_paraphrase_and_fallback(micro_dataset):
-    from tripsmith.genquery import render_query_text
-    from tripsmith.llm import CallableTransport, TransportError
-
-    skeleton = sample_skeleton(micro_dataset, "easy", 4, origin="Alpha", target="Beta")
-    assert render_query_text(skeleton) == skeleton.describe()
-    assert render_query_text(
-        skeleton, CallableTransport(lambda p: "A cosy weekend away.")
-    ) == "A cosy weekend away."
-
-    def boom(prompt):
-        raise TransportError("down")
-
-    assert render_query_text(skeleton, CallableTransport(boom)) == skeleton.describe()

@@ -290,9 +290,9 @@ def test_each_quantum_is_spelled_once_in_the_package():
     import tripsmith
     from tripsmith import geo
     from tripsmith.plan import model
-    from tripsmith.sandbox import fares, transport
+    from tripsmith.sandbox import fares
 
-    assert model.MONEY_QUANTUM is transport.MONEY_QUANTUM is fares.MONEY_QUANTUM
+    assert model.MONEY_QUANTUM is fares.MONEY_QUANTUM
     assert model.DIST_QUANTUM is geo.DIST_QUANTUM
     root = Path(tripsmith.__file__).parent
     for literal in ('Decimal("0.01")', 'Decimal("0.001")'):

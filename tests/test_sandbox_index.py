@@ -30,7 +30,7 @@ from tripsmith.sandbox import (
     nearby,
 )
 from tripsmith.sandbox.database import POI_TABLES, _read_csv
-from tripsmith.timeutil import is_hhmm, to_hhmm, to_minutes
+from tripsmith.timeutil import clock_span, to_hhmm, to_minutes
 
 from .conftest import FIXTURES, micro_with_routes
 from .oracles import CsvReferenceError, read_csv_reference
@@ -387,7 +387,7 @@ MALFORMED = ("", " ", "24:00", "23:60", "7", "07:5", "007:00", "07:00:00", "ab:c
 def test_to_minutes_matches_reference():
     for text in itertools.chain(_clock_spellings(), _clock_spellings()):
         assert to_minutes(text) == clock_reference(text)
-        assert is_hhmm(text)
+        assert clock_span(text, text) == (clock_reference(text),) * 2
 
 
 @pytest.mark.parametrize("text", MALFORMED)
@@ -395,14 +395,14 @@ def test_to_minutes_malformed_still_raises(text):
     for _ in range(2):      # a failed parse is never cached
         with pytest.raises(InputError):
             to_minutes(text)
-        assert not is_hhmm(text)
+        assert clock_span(text, "00:00") is None
 
 
 @pytest.mark.parametrize("value", [None, 480, 8.0, b"08:00", ("08", "00"), ["08:00"]])
 def test_to_minutes_non_str_raises(value):
     with pytest.raises(InputError):
         to_minutes(value)
-    assert not is_hhmm(value)
+    assert clock_span(value, "00:00") is None
 
 
 # -- shared across threads ---------------------------------------------------------
