@@ -197,7 +197,7 @@ class _Check:
         mode = transfer_mode(legs)
         try:
             sandbox_legs = goto(self.target_db, legs[0]["start"], legs[-1]["end"],
-                                legs[0]["start_time"], mode)
+                                _span(legs[0])[0], mode)
         except InputError:
             self.fail("env.inner_city.info",
                       f"a {mode} leaving {legs[0]['start_time']} arrives after 23:59")

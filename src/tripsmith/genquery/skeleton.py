@@ -38,6 +38,9 @@ TERM_KINDS = ("cuisine", "attraction_type", "hotel_feature", "specific_poi")
 # price or fare (at most sandbox.fares.MONEY_LIMIT) by them, and must still
 # keep the product to the cent
 MAX_PARTY = 1000
+# the most days of one query: a year. The exact model grows with the days (over
+# 69 million rows for a year on a small slice), so a longer trip is refused
+MAX_DAYS = 366
 
 
 def _text(name: str, value) -> str:
@@ -55,11 +58,14 @@ def _count(name: str, value) -> int:
     return value
 
 
-def _party(name: str, value) -> int:
-    """A number of travellers or rooms: from 1 to MAX_PARTY."""
-    if _count(name, value) > MAX_PARTY:
-        raise ValueError(f"{name} must be at most {MAX_PARTY}, got {value!r}")
+def _at_most(limit: int, name: str, value) -> int:
+    """A count from 1 to `limit`."""
+    if _count(name, value) > limit:
+        raise ValueError(f"{name} must be at most {limit}, got {value!r}")
     return value
+
+
+_party = partial(_at_most, MAX_PARTY)   # a number of travellers or rooms
 
 
 def _budget(value) -> Decimal:
@@ -144,7 +150,8 @@ class QuerySkeleton:
             raise ValueError(f"specs must be a list of objects, got {specs!r}")
         return cls(
             origin=origin, target=target,
-            days=_count("days", raw["days"]), people=_party("people", raw["people"]),
+            days=_at_most(MAX_DAYS, "days", raw["days"]),
+            people=_party("people", raw["people"]),
             specs=[ConstraintSpec.from_dict(spec) for spec in specs],
         )
 

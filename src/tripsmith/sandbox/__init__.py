@@ -3,18 +3,7 @@
 from pathlib import Path
 
 from ..errors import IntegrityError, LoadError
-from .database import (
-    PAGE_SIZE,
-    CityDatabase,
-    IntercityRoute,
-    QuerySession,
-    intercity_select,
-    is_open,
-    load_city_data,
-    nearby,
-    next_page,
-    select,
-)
+from .database import CityDatabase, IntercityRoute, intercity_select, load_city_data, nearby
 from .fares import MODES, FareConfig, load_fare_config
 from .transport import cars_for, goto, transfer_mode
 
@@ -72,22 +61,17 @@ def load_dataset(root_path) -> Dataset:
 
 
 __all__ = [
-    "PAGE_SIZE",
     "MODES",
     "CityDatabase",
     "Dataset",
     "FareConfig",
     "IntercityRoute",
-    "QuerySession",
     "cars_for",
     "goto",
     "intercity_select",
-    "is_open",
     "load_city_data",
     "load_dataset",
     "load_fare_config",
     "nearby",
-    "next_page",
-    "select",
     "transfer_mode",
 ]

@@ -1,4 +1,5 @@
-"""File-backed city database with the tool-style query surface.
+"""File-backed city database: the loaded tables of one city, `nearby` and
+`intercity_select`.
 
 Layout on disk, one directory per city::
 
@@ -21,7 +22,8 @@ coordinate whose float overflows and a price or cost beyond `MONEY_LIMIT`
 either way), bed counts and durations ints, and clock
 columns are checked "HH:MM" text; every other cell is stripped text. A cell
 that does not convert is a `LoadError` naming the file, the row's number (the
-header is 1, blank lines do not count) and the column.
+header is 1, blank lines do not count) and the column. A hotel with fewer
+than 1 bed is an `IntegrityError`: a party's rooms divide by its beds.
 
 Every loaded route can be ridden: a route leaves the city whose file lists
 it, and a station is in a city whose name and a space start the station's.
@@ -36,8 +38,8 @@ loaded city has no coordinates for (the From station in the from-city, the
 To station in the to-city).
 
 Indexed at load, as a by-product of the validation pass: every POI table by
-name, as the row's position in its table (`record`, `find`, `hours`, `is_open`
-and the env check look rows up there; the planner drops visited rows from
+name, as the row's position in its table (`record`, `find`, `hours` and the
+env check look rows up there; the planner drops visited rows from
 a copy of a table by these positions), and the routes of each (from city, to
 city) pair sorted by (departure, id), which `intercity_select` only filters.
 
@@ -47,8 +49,8 @@ int minutes; the plan record and the environment check format them with
 row keeps its opening hours as the file's "HH:MM" text, which the
 benchmark's own tests compare; their minutes, a POI's only hours, go in
 `open_minutes` and `close_minutes`, lists parallel to the rows of each table
-with hours, which `hours` reads by the POI's name. The overnight check, `is_open`,
-the env check's and the planner's visit tests, its open-attraction test, its
+with hours, which `hours` reads by the POI's name. The overnight check, the
+env check's and the planner's visit tests, its open-attraction test, its
 closing-time prune and `milp.slice_from_dataset` read those ints.
 
 A cold `nearby` walks the table's rows outward in latitude from the point,
@@ -98,8 +100,6 @@ from ..errors import InputError, IntegrityError, LoadError, NotFoundError
 from ..geo import EARTH_RADIUS_KM, distance_km, quantize_km
 from ..timeutil import to_hhmm, to_minutes
 from .fares import MODES, MONEY_LIMIT, FareConfig, load_fare_config, travel_minutes
-
-PAGE_SIZE = 10
 
 POI_TABLES = ("attractions", "restaurants", "hotels")
 
@@ -157,18 +157,6 @@ class IntercityRoute:
             "tickets": people,
             "cost": self.cost * people,
         }
-
-
-@dataclass
-class QuerySession:
-    """Single-owner cursor over one select() result, paged by 10 rows."""
-
-    rows: list[dict]
-    cursor: int = 0
-
-    @property
-    def page_count(self) -> int:
-        return math.ceil(len(self.rows) / PAGE_SIZE)
 
 
 @dataclass
@@ -402,6 +390,9 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
                     f"{city}/{table}: {name!r} has overnight hours "
                     f"({row['opentime']}-{row['endtime']}), not supported"
                 )
+            if table == "hotels" and row["numbed"] < 1:
+                raise IntegrityError(f"{city}/hotels: {name!r} has {row['numbed']} beds, "
+                                     f"fewer than 1")
             point = (row["latitude"], row["longitude"])
             if name in coords and coords[name] != point:
                 raise IntegrityError(f"{city}: {name!r} has conflicting coordinates")
@@ -466,29 +457,6 @@ def load_city_data(root_path: Path | str, city: str) -> CityDatabase:
 def _belongs(station: str, city: str) -> bool:
     """Whether `station` is a station of `city` ("Beta Airport" of "Beta", not of "Bet")."""
     return station.startswith(city + " ")
-
-
-def select(db: CityDatabase, table: str, key: str, predicate) -> QuerySession:
-    """Filter a POI table by predicate over one column, newest session."""
-    rows = db.table(table)
-    valid = set(_TABLE_COLUMNS[table])
-    if key not in valid:
-        raise NotFoundError(
-            f"unknown key {key!r} for table {table!r}; valid keys: {sorted(valid)}"
-        )
-    matched = [row for row in rows if predicate(row[key])]
-    return QuerySession(rows=matched)
-
-
-def next_page(session: QuerySession | None) -> list[dict]:
-    """Serve the page at the session cursor and advance; [] past the end."""
-    if session is None:
-        raise InputError("next_page called with no prior select result")
-    start = session.cursor * PAGE_SIZE
-    page = session.rows[start:start + PAGE_SIZE]
-    if session.cursor < session.page_count:
-        session.cursor += 1
-    return page
 
 
 def nearby(db: CityDatabase, table: str, point: tuple, topk: int, dist) -> list[dict]:
@@ -573,33 +541,16 @@ def _nearest(rows: list[dict], index: tuple, lat: float, lon: float, topk: int,
     return tuple(rows[position] for _, _, position in scored[:topk])
 
 
-def is_open(db: CityDatabase, table: str, poi_id: str, time: str) -> bool:
-    """Whether the named POI is open at HH:MM; bounds inclusive.
-
-    A time that is not "HH:MM" raises `InputError`, for a hotel too."""
-    db.record(table, poi_id)
-    minute = to_minutes(time)
-    if table not in db.close_minutes:
-        return True  # hotels carry no visiting hours
-    open_at, close_at = db.hours(table, poi_id)
-    return open_at <= minute <= close_at
-
-
 def intercity_select(
     dbs: dict[str, CityDatabase],
     from_city: str,
     to_city: str,
     kind: str | None = None,
-    earliest_leave: str = "00:00",
 ) -> list[IntercityRoute]:
-    """Routes from one city to another departing at or after `earliest_leave`."""
+    """Routes from one city to another, of `kind` when given, by (departure, id)."""
     try:
         source = dbs[from_city]
     except KeyError:
         raise NotFoundError(f"city {from_city!r} is not loaded") from None
-    earliest = to_minutes(earliest_leave)
-    return [
-        route
-        for route in source.routes_by_pair.get((from_city, to_city), ())
-        if route.begin >= earliest and (kind is None or route.kind == kind)
-    ]
+    return [route for route in source.routes_by_pair.get((from_city, to_city), ())
+            if kind is None or route.kind == kind]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 
-from ..timeutil import to_hhmm, to_minutes
+from ..timeutil import to_hhmm
 from .database import CityDatabase
 from .fares import metro_fare, taxi_fare
 
@@ -48,17 +48,16 @@ def _leg(mode: str, start: str, end: str, t0: int, t1: int,
             "end_time": to_hhmm(t1), "distance": distance, "price": price}
 
 
-def goto(db: CityDatabase, start: str, end: str, start_time: str, mode: str) -> list[dict]:
-    """The legs of one `mode` transfer from `start` to `end` leaving at `start_time`.
+def goto(db: CityDatabase, start: str, end: str, t0: int, mode: str) -> list[dict]:
+    """The legs of one `mode` transfer from `start` to `end` leaving at minute `t0`.
 
     Each leg is a fresh plan-leg dict (mode, start, end, start_time,
-    end_time, distance in km, price per ticket or per car); the caller may
-    add its party fields to it. Raises InputError when the transfer would
-    arrive after 23:59.
+    end_time as "HH:MM", distance in km, price per ticket or per car); the
+    caller may add its party fields to it. Raises InputError when `t0` is not
+    a minute of the day or the transfer would arrive after 23:59.
     """
     minutes = db.transfer_minutes(start, end, mode)
     dist = db.distance(start, end)
-    t0 = to_minutes(start_time)
     fares = db.fares
 
     if mode == "walk":

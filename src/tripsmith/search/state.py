@@ -99,7 +99,7 @@ def transport_legs(
     """
     if start == end:
         return [], Decimal("0")
-    legs = goto(db, start, end, to_hhmm(start_minutes), mode)
+    legs = goto(db, start, end, start_minutes, mode)
     total = Decimal("0")
     for leg in legs:
         if leg["mode"] == "taxi":

@@ -242,7 +242,7 @@ def average_poi_distance_reference(plan, dataset, target_poi):
     total = Decimal(0)
     count = 0
     for poi in pois:
-        [walk] = goto(db, target_poi, poi, "00:00", "walk")
+        [walk] = goto(db, target_poi, poi, 0, "walk")
         total += walk["distance"]
         count += 1
     if count > 0:

@@ -49,7 +49,7 @@ def _reference_transfer(db, start, end, clock, mode, people):
     if start == end:
         return [], clock, Decimal("0")
     try:
-        sandbox_legs = goto(db, start, end, to_hhmm(clock), mode)
+        sandbox_legs = goto(db, start, end, clock, mode)
     except InputError:
         return None
     legs = []

@@ -661,6 +661,7 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
 
 @pytest.mark.parametrize("edit, detail", [
     (lambda r: r["skeleton"].update(days="two"), "days must be an integer >= 1, got 'two'"),
+    (lambda r: r["skeleton"].update(days=10**6), "days must be at most 366, got 1000000"),
     (lambda r: r["skeleton"].update(people=None), "people must be an integer >= 1, got None"),
     (lambda r: r["skeleton"].update(people=10**27),
      f"people must be at most 1000, got {10**27}"),
@@ -689,7 +690,7 @@ def _edit_first_query(bench: Path, tmp_path, edit) -> Path:
      "constraint 2: <dsl>:1:13: error: unexpected character '\u00b2'"),
     (lambda r: r.update(dsl=["return 1 == \u0663"]),
      "constraint 1: <dsl>:1:13: error: unexpected character '\u0663'"),
-], ids=["days-text", "people-null", "people-huge", "rooms-huge", "budget-text", "same-city",
+], ids=["days-text", "days-huge", "people-null", "people-huge", "rooms-huge", "budget-text", "same-city",
         "witness-no-itinerary", "witness-list", "witness-start-null",
         "uid-path", "uid-backslash", "uid-dotdot", "uid-nul", "uid-empty", "uid-number",
         "dsl-number", "dsl-text", "dsl-unclean", "dsl-superscript-digit",
@@ -833,12 +834,19 @@ def _spoiled_root(tmp_path, relative, old, new) -> Path:
                         "Rest Inn,Pool,31.2030,121.4010,400.00,2\n"
                         "Quiet Lodge,Spa,31.2050,121.4060,550.00,1\n", "",
      "hotels.csv: empty file for table 'hotels'"),
+    ("Beta/hotels.csv", "Rest Inn,Pool,31.2030,121.4010,400.00,2",
+     "Rest Inn,Pool,31.2030,121.4010,400.00,0",
+     "error: Beta/hotels: 'Rest Inn' has 0 beds, fewer than 1"),
+    ("Beta/hotels.csv", "Rest Inn,Pool,31.2030,121.4010,400.00,2",
+     "Rest Inn,Pool,31.2030,121.4010,400.00,-2",
+     "error: Beta/hotels: 'Rest Inn' has -2 beds, fewer than 1"),
 ], ids=["fare-decimal", "fare-int", "fare-zero-speed", "fare-nan-band", "fare-negative-speed",
         "fare-negative-access", "fare-infinite-fare", "fare-tiny-band", "fare-huge-metro",
         "fare-huge-taxi", "csv-number", "csv-huge-price", "csv-float-overflow",
         "csv-nan-cost", "csv-duplicate", "station-unlocated", "route-kind", "route-id-prefix",
         "route-ends-at-its-start", "route-free", "coordinates-across-tables",
-        "coordinates-in-poi", "missing-column", "empty-table"])
+        "coordinates-in-poi", "missing-column", "empty-table", "hotel-no-bed",
+        "hotel-negative-beds"])
 @pytest.mark.parametrize("command", ["generate", "plan", "milp"])
 def test_bad_data_root_is_usage_error(tmp_path, bench, capsys, command, relative, old, new,
                                       detail):

@@ -5,6 +5,11 @@ under `src/`, `tests/` or `bench/` names outside its own definition is dead
 code: delete it rather than keep a second copy of a rule alive. Names are
 counted as words over all those files at once, so a mention in a docstring or
 a string (a trace-hook path, a `__all__` entry) counts as a use.
+
+A public one must also have a caller that is not a test: code under `src/`
+that reads it (a docstring, an `__init__` import or an `__all__` entry is not
+code), or a mention under `bench/`. A name that only tests call is declared in
+`TEST_ONLY` with the reason it is kept; an API that has neither goes.
 """
 
 import ast
@@ -16,10 +21,26 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tripsmith"
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# public names that only tests call, with the reason each is kept
+TEST_ONLY = {
+    "CallableTransport": "criterion 11's harness: a model transport from a function",
+    "FaultInjectingTransport": "criterion 11's harness: injects model-call faults",
+    "RecordingTransport": "criterion 11's harness: records model calls",
+    "preference_ranking": "the paper's preference axis: ranks plans by one preference",
+    "aggregate_rankings": "the paper's preference axis: joins the per-preference ranks",
+    "nl2dsl": "the paper's NL-to-DSL step: query text to checked programs",
+    "enumerate_complete_plans": "the unpruned search, the oracle of the pruned one",
+    "micro_solve": "criterion 08: the desk-scale exact solver",
+    "synthetic_slice": "criterion 07 and the pinned LP bytes: a slice of given dimensions",
+    "DOWNSAMPLE": "criterion 07: the published-scale model dimensions",
+    "decode_assignment": "the oracle of the exact model's decoded plans (ROADMAP direction 4)",
+    "parse_plan": "the plan-text reader of the DSL and plan-model tests",
+}
 
-def _defined_names(tree: ast.Module):
-    """(name, line) of each function, class and assigned name at module level."""
-    for node in tree.body:
+
+def _defined_names(statements: list[ast.stmt]):
+    """(name, line) of each function, class and assigned name the statements define."""
+    for node in statements:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -38,10 +59,42 @@ def test_every_module_level_name_is_used():
         text = path.read_text(encoding="utf-8")
         words.update(WORD.findall(text))
         if PACKAGE in path.parents:
-            for name, line in _defined_names(ast.parse(text)):
+            for name, line in _defined_names(ast.parse(text).body):
                 if not (name.startswith("__") and name.endswith("__")):
                     site = f"{path.relative_to(ROOT)}:{line} {name}"
                     sites.setdefault(name, []).append(site)
     dead = sorted(site for name, where in sites.items()
                   if words[name] <= len(where) for site in where)
     assert not dead, "used nowhere but in their definition: " + ", ".join(dead)
+
+
+def _code_uses(tree: ast.Module) -> set[str]:
+    """Names the module reads as code, outside the statement that defines each."""
+    used = set()
+    for statement in tree.body:
+        read = {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+        used |= read - {name for name, _ in _defined_names([statement])}
+    return used
+
+
+def test_test_only_names_are_declared():
+    used: set[str] = set()
+    sites: dict[str, list[str]] = {}    # public name -> where it is defined
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _code_uses(tree)
+        for name, line in _defined_names(tree.body):
+            if not name.startswith("_"):
+                sites.setdefault(name, []).append(f"{path.relative_to(ROOT)}:{line} {name}")
+    bench = {word for path in (ROOT / "bench").rglob("*.py")
+             for word in WORD.findall(path.read_text(encoding="utf-8"))}
+    called = used | bench
+    undeclared = sorted(site for name, where in sites.items()
+                        if name not in called and name not in TEST_ONLY for site in where)
+    assert not undeclared, ("no code under src/ or bench/ calls these; declare each in "
+                            "TEST_ONLY with its reason, or delete it: " + ", ".join(undeclared))
+    stale = sorted(name for name in TEST_ONLY if name not in sites or name in called)
+    assert not stale, ("TEST_ONLY names these, which are undefined or have a caller: "
+                       + ", ".join(stale))

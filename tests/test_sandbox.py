@@ -6,17 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from tripsmith.errors import InputError, IntegrityError, LoadError, NotFoundError
+from tripsmith.errors import IntegrityError, LoadError, NotFoundError
 from tripsmith.sandbox import (
-    PAGE_SIZE,
     goto,
     intercity_select,
-    is_open,
     load_city_data,
     load_dataset,
     nearby,
-    next_page,
-    select,
     transfer_mode,
 )
 from tripsmith.timeutil import to_minutes
@@ -91,64 +87,6 @@ def test_overnight_hours_rejected(tmp_path):
         load_city_data(tmp_path, "Dup")
 
 
-def test_select_by_name(beta):
-    session = select(beta, "attractions", "name", lambda v: v == "Lakeview Tower")
-    assert [r["name"] for r in session.rows[:PAGE_SIZE]] == ["Lakeview Tower"]
-
-
-def test_select_unknown_key(beta):
-    with pytest.raises(NotFoundError, match="bus"):
-        select(beta, "attractions", "bus", lambda v: True)
-
-
-def test_select_every_record_by_name(beta):
-    for table in ("attractions", "restaurants", "hotels"):
-        for row in beta.table(table):
-            session = select(beta, table, "name", lambda v, n=row["name"]: v == n)
-            assert session.rows == [row]
-
-
-def _paged_city(tmp_path) -> object:
-    """A city whose restaurant table holds 23 Hotpot rows."""
-    city = tmp_path / "Paged"
-    city.mkdir()
-    rows = ["Name,Latitude,Longitude,Price,Cuisinetype,Opentime,Endtime,Recommendedfood"]
-    for i in range(23):
-        rows.append(f"Pot {i:02d},31.{i:02d},121.0,50,Hotpot,06:00,22:00,stew")
-    (city / "restaurants.csv").write_text("\n".join(rows) + "\n")
-    (city / "attractions.csv").write_text(
-        "Name,Type,Latitude,Longitude,Opentime,Endtime,Price,Recommendmintime,Recommendmaxtime\n"
-    )
-    (city / "hotels.csv").write_text("Name,Featurehoteltype,Latitude,Longitude,Price,Numbed\n")
-    (city / "intercity.csv").write_text("ID,Kind,From,To,BeginTime,EndTime,Duration,Cost\n")
-    (city / "poi.csv").write_text("Name,Latitude,Longitude\n")
-    return load_city_data(tmp_path, "Paged")
-
-
-def test_pagination(tmp_path):
-    db = _paged_city(tmp_path)
-    session = select(db, "restaurants", "cuisinetype", lambda v: v == "Hotpot")
-    assert len(session.rows) == 23
-    assert session.page_count == 3
-    pages = [next_page(session) for _ in range(4)]
-    assert [len(p) for p in pages] == [10, 10, 3, 0]
-    flattened = [row for page in pages for row in page]
-    assert flattened == session.rows
-
-
-def test_pagination_exact_multiple(tmp_path):
-    db = _paged_city(tmp_path)
-    session = select(db, "restaurants", "name", lambda v: v < "Pot 10")
-    assert len(session.rows) == PAGE_SIZE
-    assert len(next_page(session)) == 10
-    assert next_page(session) == []
-
-
-def test_next_page_without_select():
-    with pytest.raises(InputError, match="no prior select result"):
-        next_page(None)
-
-
 def test_nearby_identity(beta):
     point = beta.coordinates("Old Town Wall")
     rows = nearby(beta, "attractions", point, topk=1, dist=1)
@@ -180,25 +118,6 @@ def test_nearby_subset_and_sorted(beta):
     assert dists == sorted(dists)
 
 
-def test_is_open_bounds(beta):
-    assert is_open(beta, "attractions", "Lakeview Tower", "09:00")
-    assert is_open(beta, "attractions", "Lakeview Tower", "17:30")   # inclusive
-    assert not is_open(beta, "attractions", "Lakeview Tower", "17:31")
-    assert not is_open(beta, "attractions", "Lakeview Tower", "07:59")
-
-
-def test_is_open_unknown_poi(beta):
-    with pytest.raises(NotFoundError):
-        is_open(beta, "attractions", "Ghost Tower", "09:00")
-
-
-@pytest.mark.parametrize("table", ["attractions", "hotels"])
-def test_is_open_refuses_a_time_that_is_not_a_clock(beta, table):
-    name = beta.table(table)[0]["name"]
-    with pytest.raises(InputError, match="invalid clock time: 'garbage'"):
-        is_open(beta, table, name, "garbage")
-
-
 def _minutes(legs) -> int:
     return to_minutes(legs[-1]["end_time"]) - to_minutes(legs[0]["start_time"])
 
@@ -208,7 +127,7 @@ def _price(legs) -> Decimal:
 
 
 def test_goto_identity(beta):
-    legs = goto(beta, "Beta Station", "Beta Station", "09:00", "walk")
+    legs = goto(beta, "Beta Station", "Beta Station", 9 * 60, "walk")
     assert len(legs) == 1
     assert legs[0]["distance"] == Decimal("0.000")
     assert _minutes(legs) == 0
@@ -219,7 +138,7 @@ def test_goto_walk_time_matches_haversine(beta):
     lat1, lon1 = beta.coordinates("Beta Station")
     lat2, lon2 = beta.coordinates("Old Town Wall")
     km = haversine_reference(float(lat1), float(lon1), float(lat2), float(lon2))
-    [leg] = goto(beta, "Beta Station", "Old Town Wall", "09:00", "walk")
+    [leg] = goto(beta, "Beta Station", "Old Town Wall", 9 * 60, "walk")
     assert abs(float(leg["distance"]) - km) < 1e-3
     # 5 km/h, whole minutes rounded up
     import math
@@ -241,14 +160,14 @@ def test_goto_two_km_walk_is_24_minutes(tmp_path):
     (city / "intercity.csv").write_text("ID,Kind,From,To,BeginTime,EndTime,Duration,Cost\n")
     (city / "poi.csv").write_text("Name,Latitude,Longitude\n")
     db = load_city_data(tmp_path, "Flat")
-    legs = goto(db, "A", "B", "09:00", "walk")
+    legs = goto(db, "A", "B", 9 * 60, "walk")
     assert legs[0]["distance"] == Decimal("2.000")
     assert _minutes(legs) == 24
     assert legs[0]["end_time"] == "09:24"
 
 
 def test_goto_metro_has_three_legs(beta):
-    legs = goto(beta, "Beta Station", "Old Town Wall", "09:00", "metro")
+    legs = goto(beta, "Beta Station", "Old Town Wall", 9 * 60, "metro")
     assert transfer_mode(legs) == "metro"
     assert [leg["mode"] for leg in legs] == ["walk", "metro", "walk"]
     assert (legs[0]["start"], legs[-1]["end"]) == ("Beta Station", "Old Town Wall")
@@ -259,21 +178,21 @@ def test_goto_metro_has_three_legs(beta):
 
 
 def test_goto_deterministic(beta):
-    first = goto(beta, "Beta Station", "City Museum", "10:15", "taxi")
-    second = goto(beta, "Beta Station", "City Museum", "10:15", "taxi")
+    first = goto(beta, "Beta Station", "City Museum", 10 * 60 + 15, "taxi")
+    second = goto(beta, "Beta Station", "City Museum", 10 * 60 + 15, "taxi")
     assert first == second
     assert first[0] is not second[0]     # fresh dicts: a caller may extend its own
 
 
 def test_goto_unknown_position(beta):
     with pytest.raises(NotFoundError):
-        goto(beta, "Beta Station", "Nowhere", "09:00", "walk")
+        goto(beta, "Beta Station", "Nowhere", 9 * 60, "walk")
 
 
 def test_intercity_select_filters_and_sorts(mini_dataset):
-    routes = intercity_select(mini_dataset.cities, "Alpha", "Beta", "train", "07:00")
-    assert [r.id for r in routes] == ["G103", "G105"]
-    assert intercity_select(mini_dataset.cities, "Alpha", "Beta", "train", "23:59") == []
+    routes = intercity_select(mini_dataset.cities, "Alpha", "Beta", "train")
+    assert [r.id for r in routes] == ["G101", "G103", "G105"]
+    assert intercity_select(mini_dataset.cities, "Alpha", "Gamma") == []
     everything = intercity_select(mini_dataset.cities, "Alpha", "Beta")
     begins = [r.begin for r in everything]
     assert begins == sorted(begins)

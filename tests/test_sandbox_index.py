@@ -25,12 +25,11 @@ from tripsmith.sandbox import (
     Dataset,
     goto,
     intercity_select,
-    is_open,
     load_city_data,
     nearby,
 )
 from tripsmith.sandbox.database import POI_TABLES, _read_csv
-from tripsmith.timeutil import clock_span, to_hhmm, to_minutes
+from tripsmith.timeutil import clock_span, to_minutes
 
 from .conftest import FIXTURES, micro_with_routes
 from .oracles import CsvReferenceError, read_csv_reference
@@ -79,13 +78,11 @@ def minutes_recompute(db, start, end, mode):
     return ride + (2 * fares.metro_access_minutes if mode == "metro" else 0)
 
 
-def intercity_scan(source, from_city, to_city, kind, earliest_leave):
-    earliest = clock_reference(earliest_leave)
+def intercity_scan(source, from_city, to_city, kind):
     found = [
         route for route in source.intercity_routes
         if route.from_city == from_city and route.to_city == to_city
         and (kind is None or route.kind == kind)
-        and route.begin >= earliest
     ]
     found.sort(key=lambda r: (r.begin, r.id))
     return found
@@ -246,10 +243,10 @@ def test_distance_and_goto_match_recompute(cities):
             want = distance_recompute(db, start, end)
             assert db.distance(start, end) == want
             assert db.distance(start, end) == want      # from the memo
-            for mode, clock in itertools.product(MODES, ("06:00", "12:34", "20:00")):
-                warm = goto(db, start, end, clock, mode)
+            for mode, t0 in itertools.product(MODES, (6 * 60, 12 * 60 + 34, 20 * 60)):
+                warm = goto(db, start, end, t0, mode)
                 db._distance_memo.clear()
-                cold = goto(db, start, end, clock, mode)
+                cold = goto(db, start, end, t0, mode)
                 assert warm == cold
                 assert warm[-1 if mode != "metro" else 1]["distance"] == want
 
@@ -261,7 +258,7 @@ def test_distance_unknown_position_is_not_cached(cities):
         with pytest.raises(NotFoundError):
             db.distance(known, "Nowhere")
         with pytest.raises(NotFoundError):
-            goto(db, "Nowhere", known, "09:00", "walk")
+            goto(db, "Nowhere", known, 9 * 60, "walk")
     assert ("Nowhere", known) not in db._distance_memo
 
 
@@ -273,8 +270,8 @@ def test_transfer_memo_matches_recompute(cities):
             want = minutes_recompute(db, start, end, mode)
             assert db.transfer_minutes(start, end, mode) == want
             assert db.transfer_minutes(start, end, mode) == want     # from the memo
-            legs = goto(db, start, end, "06:00", mode)
-            assert to_minutes(legs[-1]["end_time"]) - to_minutes("06:00") == want
+            legs = goto(db, start, end, 6 * 60, mode)
+            assert to_minutes(legs[-1]["end_time"]) - 6 * 60 == want
         # one entry per (start, end, mode) asked, the bound of positions squared x modes
         assert len(db._transfer_memo) == len(names) ** 2 * len(MODES)
 
@@ -286,7 +283,7 @@ def test_unknown_mode_raises_and_stores_nothing(cities):
         with pytest.raises(NotFoundError, match="unknown transport mode 'bike'"):
             db.transfer_minutes(start, end, "bike")
         with pytest.raises(NotFoundError):
-            goto(db, start, end, "09:00", "bike")
+            goto(db, start, end, 9 * 60, "bike")
         with pytest.raises(NotFoundError):
             db.transfer_minutes(start, "Nowhere", "walk")
     assert db._transfer_memo == {}
@@ -298,10 +295,8 @@ def test_intercity_select_matches_scan(cities):
     names = sorted(cities)
     for from_city, to_city in itertools.product(names, repeat=2):
         for kind in (None, "train", "airplane"):
-            for clock in CLOCKS + ("23:59",):
-                want = intercity_scan(cities[from_city], from_city, to_city, kind, clock)
-                got = intercity_select(cities, from_city, to_city, kind, clock)
-                assert got == want
+            want = intercity_scan(cities[from_city], from_city, to_city, kind)
+            assert intercity_select(cities, from_city, to_city, kind) == want
 
 
 def test_routes_by_id_is_first_match(cities):
@@ -352,14 +347,13 @@ def test_record_matches_scan(cities):
 
 
 def test_is_open_matches_scan(cities):
-    db = cities["Beta"]
-    for table in ("attractions", "restaurants"):
-        for row in db.table(table):
-            for minutes in range(0, 24 * 60, 7):
-                clock = to_hhmm(minutes)
-                want = (clock_reference(row["opentime"]) <= minutes
-                        <= clock_reference(row["endtime"]))
-                assert is_open(db, table, row["name"], clock) is want
+    """`hours` gives every timed row's opening and closing minute, as a parse of its text."""
+    for db in cities.values():
+        for table in ("attractions", "restaurants"):
+            assert db.table(table)
+            for row in db.table(table):
+                want = (clock_reference(row["opentime"]), clock_reference(row["endtime"]))
+                assert db.hours(table, row["name"]) == want
 
 
 def test_hours_read_the_load_time_minutes_of_a_tables_own_rows(cities):
@@ -415,10 +409,9 @@ def _workload(db, cities):
         for table in POI_TABLES:
             out.append([row["name"] for row in nearby(db, table, point, 3, 2)])
     for start, end in itertools.product(names, repeat=2):
-        out.append(goto(db, start, end, "09:00", "metro"))
-    for clock in CLOCKS:
-        out.append([r.id for r in intercity_select(cities, "Beta", "Alpha", None, clock)])
-        out.append(to_minutes(clock))
+        out.append(goto(db, start, end, 9 * 60, "metro"))
+    out.append([r.id for r in intercity_select(cities, "Beta", "Alpha")])
+    out.extend(to_minutes(clock) for clock in CLOCKS)
     for table in POI_TABLES:
         out.extend(db.record(table, row["name"])["name"] for row in db.table(table))
     return out
@@ -462,7 +455,7 @@ def test_threads_sharing_one_database_agree_with_serial():
 
 def _transfer_workload(db, cities):
     names = sorted(db.poi_coordinates)
-    return [(db.transfer_minutes(start, end, mode), goto(db, start, end, "09:00", mode))
+    return [(db.transfer_minutes(start, end, mode), goto(db, start, end, 9 * 60, mode))
             for start, end, mode in itertools.product(names, names, MODES)]
 
 
