@@ -29,7 +29,7 @@ from .evaluation import evaluate_plan, score
 from .genquery import CertifiedQuery, certify, context_from_skeleton, sample_skeleton
 from .llm import HttpTransport, LlmEndpoint, LlmRanker, ReplayTransport
 from .manifest import RunManifest, file_header, read_jsonl, record_line, write_jsonl
-from .milp import count_sizes, slice_from_dataset, write_lp
+from .milp import MAX_VARIABLES, count_sizes, slice_from_dataset, write_lp
 from .milp.params import DAY_MINUTES
 from .plan import plan_from_obj, serialize_plan
 from .sandbox import load_dataset
@@ -279,14 +279,18 @@ def cmd_milp(args) -> int:
         slice_ = slice_from_dataset(dataset, sk.origin, sk.target, args.hotels,
                                     args.attractions, args.restaurants, time_step, sk.days)
         params = slice_.params      # refuses bad dimensions before any output is written
+        sizes = count_sizes(params)
+        if sizes.variable_total > MAX_VARIABLES:
+            raise InputError(f"query {query.uid} needs {sizes.variable_total} variables at "
+                             f"--slots-per-day {args.slots_per_day}; milp builds at most "
+                             f"{MAX_VARIABLES}")
         budget = next((spec.value for spec in sk.specs if spec.kind == "budget"), None)
-        models.append((query.uid, slice_, params, budget))
+        models.append((query.uid, slice_, params, sizes, budget))
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = []
-    for uid, slice_, params, budget in models:
+    for uid, slice_, params, sizes, budget in models:
         lp_path = out_dir / f"{uid}.lp"
         counts = write_lp(slice_, budget, lp_path, name=uid)
-        sizes = count_sizes(params)
         emitted = sum(counts.values())
         summaries.append({
             "uid": uid,

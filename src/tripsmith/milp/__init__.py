@@ -10,11 +10,12 @@ from .params import (
     slice_from_dataset,
     synthetic_slice,
 )
-from .sizes import ROW_CATEGORIES, VAR_CATEGORIES, SizeReport, count_sizes
+from .sizes import MAX_VARIABLES, ROW_CATEGORIES, VAR_CATEGORIES, SizeReport, count_sizes
 from .solve import check_assignment, micro_solve
 
 __all__ = [
     "DOWNSAMPLE",
+    "MAX_VARIABLES",
     "MilpModel",
     "MilpParams",
     "MilpSlice",

@@ -30,15 +30,22 @@ cycle collector stops tracking, so a large build does not pay for collector
 passes over its rows.
 
 The builder declares every variable, then passes each row in LP order to a
-sink with `append`: `build_model` gives it a list and keeps that list as the
-model's rows, and lp_writer.write_lp gives it the LP writer, which holds no row.
+sink. Most families pass one row at a time with `append`. The urban and
+transit families, nearly every row of a model, pass theirs by shape with
+`extend_shape`: a `_Shape` is one form of row over an instance's shared
+terms, whose LP text one f-string spells and whose row tuples a function
+beside it makes, and the builder checks such a family's names against the
+declared variables once rather than term by term. `build_model`'s sink, a
+`_RowList`, keeps the row tuples as the model's rows; lp_writer.write_lp's
+sink is the LP writer, which writes the text and holds no row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import NamedTuple
+from itertools import chain, count, filterfalse, repeat
+from typing import Callable, NamedTuple
 
 from ..errors import BuildError
 from ..evaluation.env_rules import MEAL_WINDOWS
@@ -93,12 +100,96 @@ def _signed(coef: int, names: list) -> list:
             for item in names]
 
 
-def _flat(names: list):
-    for item in names:
-        if isinstance(item, list):
-            yield from _flat(item)
-        else:
-            yield item
+def _flat(names: list) -> list:
+    """The names of a family in index order; a family nests to one depth throughout."""
+    while names and isinstance(names[0], list):
+        names = list(chain.from_iterable(names))
+    return names
+
+
+def _ahead(terms: list, n: int) -> list:
+    """terms[t + n] for each slot t, the last slot standing for any slot past it."""
+    return terms[n:] + terms[-1:] * n
+
+
+class _Shape(NamedTuple):
+    """One form of row over an instance's shared terms: `text(*terms)` spells
+    its `size` rows as LP lines, writing out the coefficients the terms carry,
+    and `rows(*terms)` makes the same rows as tuples."""
+
+    category: str
+    size: int
+    text: Callable[..., str]
+    rows: Callable[..., tuple]
+
+
+def _link_text(y, a, b, c, d, e) -> str:
+    tag, y, a, b, c, d, e = y[1][1:], y[1], a[1], b[1], c[1], d[1], e[1]
+    return (f" urb_l0{tag}: 1 {y} - 1 {a} <= 0\n urb_l1{tag}: 1 {y} - 1 {b} <= 0\n"
+            f" urb_l2{tag}: 1 {y} - 1 {c} <= 0\n urb_l3{tag}: 1 {y} - 1 {c} <= 0\n"
+            f" urb_l4{tag}: 1 {y} - 1 {d} <= 0\n urb_l5{tag}: 1 {y} - 1 {e} <= 0\n"
+            f" urb_ge{tag}: 1 {y} - 1 {a} - 1 {b} - 1 {c} - 1 {c} - 1 {d} - 1 {e} >= -5\n")
+
+
+def _link_rows(y, a, b, c, d, e) -> tuple:
+    tag, six = y[1][1:], (a, b, c, c, d, e)
+    return (*[(f"urb_l{n}{tag}", (y, ref), "<=", 0, "urban") for n, ref in enumerate(six)],
+            (f"urb_ge{tag}", (y, *six), ">=", -5, "urban"))
+
+
+def _sum_text(terms) -> str:
+    return " + 1 ".join([name for _, name in terms])
+
+
+def _flow_text(i, t, outs, ins, u, e, u2, e1) -> str:
+    out, inn = _sum_text(outs), _sum_text(ins)
+    return (f" urb_outu_{i}_{t}: 1 {out} - 1 {u[1]} <= 0\n"
+            f" urb_oute_{i}_{t}: 1 {out} - 1 {e[1]} <= 0\n"
+            f" urb_inu_{i}_{t}: 1 {inn} - 1 {u2[1]} <= 0\n"
+            f" urb_ine_{i}_{t}: 1 {inn} - 1 {e1[1]} <= 0\n")
+
+
+def _flow_rows(i, t, outs, ins, u, e, u2, e1) -> tuple:
+    return ((f"urb_outu_{i}_{t}", (*outs, u), "<=", 0, "urban"),
+            (f"urb_oute_{i}_{t}", (*outs, e), "<=", 0, "urban"),
+            (f"urb_inu_{i}_{t}", (*ins, u2), "<=", 0, "urban"),
+            (f"urb_ine_{i}_{t}", (*ins, e1), "<=", 0, "urban"))
+
+
+# Per y[(i, j, mode, t)] with terms (+y, -u[i][t], -event[t], -u[mode][t+1],
+# -event[t+1], -u[j][t+2]): y implies each condition (urb_l0..urb_l5, the mode
+# twice) and their conjunction implies y (urb_ge). Each row is named by the
+# suffix "_{i}_{j}_{k}_{t}" of its y variable.
+_URBAN_LINKS = _Shape("urban", 7, _link_text, _link_rows)
+# Per location i and slot t: at most one ride leaves i at t, and only if the
+# traveler is at i with an event at t (urb_outu, urb_oute); at most one ride
+# reaches i from t, and only if they are at i at t+2 after an event at t+1
+# (urb_inu, urb_ine).
+_URBAN_FLOWS = _Shape("urban", 4, _flow_text, _flow_rows)
+
+
+def _ride_text(i, k, t, deps, arrs, m) -> str:
+    return (f" trn_dep_{i}_{k}_{t}: 1 {_sum_text(deps)} - 1 {m[1]} <= 0\n"
+            f" trn_arr_{i}_{k}_{t}: 1 {_sum_text(arrs)} - 1 {m[1]} <= 0\n")
+
+
+def _ride_rows(i, k, t, deps, arrs, m) -> tuple:
+    return ((f"trn_dep_{i}_{k}_{t}", (*deps, m), "<=", 0, "transit"),
+            (f"trn_arr_{i}_{k}_{t}", (*arrs, m), "<=", 0, "transit"))
+
+
+# Per location i, mode k and slot t: a ride out of i (trn_dep) or into i
+# (trn_arr) by mode k at t has the traveler in mode k at t+1.
+_TRANSIT = _Shape("transit", 2, _ride_text, _ride_rows)
+
+
+class _RowList(list):
+    """`build_model`'s sink: every row as its tuple."""
+
+    def extend_shape(self, shape: _Shape, instances) -> None:
+        rows = shape.rows
+        for terms in instances:
+            self.extend(rows(*terms))
 
 
 class _Builder:
@@ -129,6 +220,14 @@ class _Builder:
 
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
         self.sink.append((name, tuple(terms), sense, rhs, category))
+
+    def check_declared(self, category: str, *families: _Family) -> None:
+        """Refuse a name of `families` missing from `vars`: a family whose rows
+        go to the sink by shape has its names checked here, once, not per term."""
+        names = chain.from_iterable(_flat(family.names) for family in families)
+        missing = next(filterfalse(self.vars.__contains__, names), None)
+        if missing is not None:
+            raise BuildError(f"{category} rows reference undeclared {missing}")
 
     def day_slots(self, d: int) -> range:
         spd = self.p.slots_per_day
@@ -296,55 +395,47 @@ class _Builder:
         """Transition choice y[(i, j, mode, t)] linked to occupancy and events.
 
         The hot loop of the build: nearly every row of a model is made here,
-        so it appends row tuples directly and names each row by the suffix
-        "_{i}_{j}_{k}_{t}" of its y variable.
+        so the rows go to the sink by shape (`_URBAN_LINKS` per y variable,
+        `_URBAN_FLOWS` per location and slot) with `extend_shape`, and the
+        names they read are checked once here rather than term by term.
         """
-        p = self.p
-        T = p.time_step
-        L, K = p.total_num, p.trans_num
-        u_neg, ev_neg = self.u.minus, self.event.minus
-        append = self.sink.append
-        link_names = [f"urb_l{n}" for n in range(6)]
-        for i in range(L):
-            for j in range(L):
-                for k in range(K):
-                    mode = u_neg[L + k]
-                    y_names, y_pos = self.y.names[i][j][k], self.y.plus[i][j][k]
-                    for t in range(T):
-                        y, tag = y_pos[t], y_names[t][1:]
-                        t1 = min(t + 1, T - 1)
-                        t2 = min(t + 2, T - 1)
-                        six = (u_neg[i][t], ev_neg[t], mode[t1],
-                               mode[t1], ev_neg[t1], u_neg[j][t2])
-                        for link, ref in zip(link_names, six):
-                            append((link + tag, (y, ref), "<=", 0, "urban"))
-                        append(("urb_ge" + tag, (y, *six), ">=", -5, "urban"))
-        y_pos = self.y.plus
-        for i in range(L):
-            for t in range(T):
-                out_terms = tuple(y_pos[i][j][k][t] for j in range(L) for k in range(K))
-                in_terms = tuple(y_pos[j][i][k][t] for j in range(L) for k in range(K))
-                t1 = min(t + 1, T - 1)
-                t2 = min(t + 2, T - 1)
-                self.row(f"urb_outu_{i}_{t}", (*out_terms, u_neg[i][t]), "<=", 0, "urban")
-                self.row(f"urb_oute_{i}_{t}", (*out_terms, ev_neg[t]), "<=", 0, "urban")
-                self.row(f"urb_inu_{i}_{t}", (*in_terms, u_neg[i][t2]), "<=", 0, "urban")
-                self.row(f"urb_ine_{i}_{t}", (*in_terms, ev_neg[t1]), "<=", 0, "urban")
+        L, K = self.p.total_num, self.p.trans_num
+        u_neg, ev_neg, y_pos = self.u.minus, self.event.minus, self.y.plus
+        self.check_declared("urban", self.y, self.u, self.event)
+        ev1 = _ahead(ev_neg, 1)
+        modes1 = [_ahead(u_neg[L + k], 1) for k in range(K)]
+        u2 = [_ahead(u_neg[i], 2) for i in range(L)]
+
+        def links():
+            for i in range(L):
+                for j in range(L):
+                    for k in range(K):
+                        yield from zip(y_pos[i][j][k], u_neg[i], ev_neg, modes1[k], ev1, u2[j])
+
+        def flows():
+            for i in range(L):
+                outs = zip(*[y_pos[i][j][k] for j in range(L) for k in range(K)])
+                ins = zip(*[y_pos[j][i][k] for j in range(L) for k in range(K)])
+                yield from zip(repeat(i), count(), outs, ins, u_neg[i], ev_neg, u2[i], ev1)
+
+        self.sink.extend_shape(_URBAN_LINKS, links())
+        self.sink.extend_shape(_URBAN_FLOWS, flows())
 
     def transit_rows(self) -> None:
         """Aggregated mode-occupancy coupling for departures and arrivals."""
-        p = self.p
-        L = p.total_num
-        y_pos = self.y.plus
-        for i in range(L):
-            for k in range(p.trans_num):
-                mode = self.u.minus[L + k]
-                for t in range(p.time_step):
-                    t1 = min(t + 1, p.time_step - 1)
-                    dep = [y_pos[i][j][k][t] for j in range(L)]
-                    arr = [y_pos[j][i][k][t] for j in range(L)]
-                    self.row(f"trn_dep_{i}_{k}_{t}", dep + [mode[t1]], "<=", 0, "transit")
-                    self.row(f"trn_arr_{i}_{k}_{t}", arr + [mode[t1]], "<=", 0, "transit")
+        L, K = self.p.total_num, self.p.trans_num
+        y_pos, u_neg = self.y.plus, self.u.minus
+        self.check_declared("transit", self.y, self.u)
+
+        def rides():
+            for i in range(L):
+                for k in range(K):
+                    deps = zip(*[y_pos[i][j][k] for j in range(L)])
+                    arrs = zip(*[y_pos[j][i][k] for j in range(L)])
+                    yield from zip(repeat(i), repeat(k), count(), deps, arrs,
+                                   _ahead(u_neg[L + k], 1))
+
+        self.sink.extend_shape(_TRANSIT, rides())
 
     def intercity_rows(self) -> None:
         """Exactly one ride each way; station presence tied to the chosen ride.
@@ -393,7 +484,7 @@ class _Builder:
         return terms
 
     def build(self, sink) -> None:
-        """Pass every row, in LP order, to `sink.append`."""
+        """Pass every row, in LP order, to `sink.append`, or by shape to `sink.extend_shape`."""
         self.sink = sink
         self.occupancy_rows()
         self.hotel_rows()
@@ -409,7 +500,7 @@ class _Builder:
 def build_model(db_slice: MilpSlice, budget=None) -> MilpModel:
     """Instantiate the full model for one trip slice; a budget adds one cost row."""
     builder = _Builder(db_slice, budget)
-    rows: list[tuple] = []
+    rows = _RowList()
     builder.build(rows)
     model = MilpModel(variables=builder.vars, rows=rows,
                       objective=tuple(builder.cost_terms()))

@@ -4,15 +4,20 @@ The file layout is fully deterministic - objective, constraint rows in build
 order, bounds for the integer counters, then Binaries/Generals sections - so
 emitting the same model twice yields identical bytes.
 
-One writer spells all LP text. For `write_lp` it is the builder's row sink:
-each row is spelled, checked and counted as it is made, and lines are written
-to the file in joined chunks, so no row is held. `render_lp` passes a built
-model's rows through it and returns the text. Each int coefficient's prefixes
-("-1 ", " + 2 ") and int right-hand side's tail (" <= 0") are spelled once
-per file; any other value is spelled on every use, because `Decimal("1.0")`
-and `True` equal 1 and hash alike, so a cache keyed by value would write them
-as "1". Files are written beside their path and moved onto it when complete,
-so a failure leaves no truncated file.
+For `write_lp` the writer is the builder's row sink, and lines are written to
+the file in joined chunks of about `CHUNK_CHARS` characters, so no row is
+held. A row passed to `append` is spelled, checked and counted as it is made;
+the rows of a shaped family come to `extend_shape` as the text of their
+`_Shape` (see build.py), already checked by the builder, and are counted per
+instance. `render_lp` passes a built model's rows through `append` and
+returns the text.
+
+In `append`, each int coefficient's prefixes ("-1 ", " + 2 ") and int
+right-hand side's tail (" <= 0") are spelled once per file; any other value
+is spelled on every use, because `Decimal("1.0")` and `True` equal 1 and hash
+alike, so a cache keyed by value would write them as "1". Files are written
+beside their path and moved onto it when complete, so a failure leaves no
+truncated file.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from ..errors import BuildError, InputError
 from .build import MilpModel, _Builder
 from .params import MilpSlice
 from .sizes import count_sizes
+
+CHUNK_CHARS = 1 << 18   # characters of row text held before a write
 
 
 def _number(value) -> str:
@@ -58,6 +65,7 @@ class _LpWriter:
         self.tails: dict[str, dict[int, str]] = {"<=": {}, ">=": {}, "=": {}}
         obj = _objective(objective) if objective else "0"
         self.lines = [f"\\ Problem: {name}\n", "Minimize\n", f" obj: {obj}\n", "Subject To\n"]
+        self.held = 0       # characters of rows in `lines`
 
     def append(self, row: tuple) -> None:
         name, terms, sense, rhs, category = row
@@ -89,11 +97,26 @@ class _LpWriter:
                 tail = tails[rhs] = f" {sense} {rhs}\n"
         else:
             tail = f" {sense} {_number(rhs)}\n"
-        lines = self.lines
-        lines.append(f" {name}: {text or '0 ' + (terms[0][1] if terms else 'zero')}{tail}")
-        if len(lines) >= 4096:
-            self.write("".join(lines))
-            lines.clear()
+        self.hold(f" {name}: {text or '0 ' + (terms[0][1] if terms else 'zero')}{tail}")
+
+    def extend_shape(self, shape, instances) -> None:
+        """Write `shape.text` of each instance; the builder has checked their names."""
+        text, hold = shape.text, self.hold
+        n = 0
+        for terms in instances:
+            hold(text(*terms))
+            n += 1
+        if n:
+            self.counts[shape.category] = self.counts.get(shape.category, 0) + n * shape.size
+
+    def hold(self, text: str) -> None:
+        """Keep `text` for the next write, which comes once CHUNK_CHARS are held."""
+        self.lines.append(text)
+        self.held += len(text)
+        if self.held >= CHUNK_CHARS:
+            self.write("".join(self.lines))
+            self.lines.clear()
+            self.held = 0
 
     def finish(self) -> None:
         lines, infos = self.lines, self.variables.values()

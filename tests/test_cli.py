@@ -10,7 +10,9 @@ from tripsmith.cli import main
 from tripsmith.genquery import certify, sample_skeleton
 from tripsmith.llm import FaultInjectingTransport, LlmRanker, TransportError
 from tripsmith.manifest import RunManifest, file_header, read_jsonl, write_jsonl
+from tripsmith.milp import DOWNSAMPLE, MAX_VARIABLES, count_sizes, slice_from_dataset
 from tripsmith.plan.model import FIELDS
+from tripsmith.sandbox import load_dataset
 from tripsmith.search import FULL_PASS, SearchConfig
 
 from .conftest import FIXTURES
@@ -292,6 +294,33 @@ def test_milp_params_are_checked_before_any_output(tmp_path, bench, capsys):
                "--slots-per-day", "1", "--out", str(out_dir)) == 2
     assert capsys.readouterr().err == ("error: --slots-per-day 1 gives query q0001 1 time "
                                        "slot over 1 day; the model needs at least 2\n")
+    assert not out_dir.exists()
+
+
+def test_milp_refuses_a_model_over_the_variable_bound_before_any_output(tmp_path, bench,
+                                                                      capsys):
+    # the shortest trip whose model, at 60 slots a day, has more variables than the
+    # bound: unguarded, the build would peak near the bound's 420 MiB, not beyond
+    skeleton = read_jsonl(bench, "benchmark")[1][0]["skeleton"]
+    dataset = load_dataset(MICRO)
+
+    def variables(days: int) -> int:
+        slice_ = slice_from_dataset(dataset, skeleton["origin"], skeleton["target"],
+                                    2, 10, 5, 60 * days, days)
+        return count_sizes(slice_.params).variable_total
+
+    days = next(days for days in range(1, 367) if variables(days) > MAX_VARIABLES)
+    assert variables(days - 1) <= MAX_VARIABLES < variables(days) < 1.05 * MAX_VARIABLES
+    assert count_sizes(DOWNSAMPLE).variable_total <= MAX_VARIABLES
+    bad = _edit_first_query(bench, tmp_path, lambda r: r["skeleton"].update(days=days))
+    uid = json.loads(bad.read_text().splitlines()[1])["uid"]
+    out_dir = tmp_path / "m"
+    capsys.readouterr()
+    assert run("milp", "--benchmark", str(bad), "--db", MICRO,
+               "--slots-per-day", "60", "--out", str(out_dir)) == 2
+    assert capsys.readouterr().err == (
+        f"error: query {uid} needs {variables(days)} variables at --slots-per-day 60; "
+        f"milp builds at most {MAX_VARIABLES}\n")
     assert not out_dir.exists()
 
 

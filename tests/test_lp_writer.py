@@ -192,7 +192,10 @@ def test_micro_lp_text_is_pinned(micro_dataset):
     MilpParams(0, 0, 0, 1, 1, 1, 4),
     MilpParams(0, 2, 0, 1, 2, 1, 6),
     MilpParams(1, 0, 2, 2, 0, 0, 8, days=2),
-], ids=["one-each", "two-days", "no-pois", "attractions-only", "no-routes"])
+    MilpParams(1, 1, 1, 1, 1, 1, 2),
+    MilpParams(0, 0, 0, 0, 0, 0, 4),
+], ids=["one-each", "two-days", "no-pois", "attractions-only", "no-routes",
+        "two-slots", "no-locations"])
 @pytest.mark.parametrize("budget", [None, 0, 640, Decimal("1234.50")])
 def test_streamed_synthetic_models_match_the_built_ones(tmp_path, params, budget):
     db_slice = synthetic_slice(params, 5)
@@ -216,6 +219,7 @@ def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
     ("undeclared", BuildError, "row trn_ghost references undeclared ghost"),
     ("disk", InputError, "cannot write LP file .*No space left on device"),
     ("miscount", BuildError, "rows per category .* differ from count_sizes"),
+    ("undeclared-urban", BuildError, "urban rows reference undeclared y_1_0_2_5$"),
 ])
 def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault, error,
                                                     message):
@@ -225,7 +229,15 @@ def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault
         name = "ghost" if fault == "undeclared" else builder.event.names[0]
         builder.row(f"trn_{name}", [(1, name)], "<=", 0, "transit")
 
-    monkeypatch.setattr(_Builder, "transit_rows", transit_rows)
+    def build_without_a_y(builder, sink):
+        del builder.vars[builder.y.names[1][0][2][5]]
+        build(builder, sink)
+
+    build = _Builder.build
+    if fault == "undeclared-urban":
+        monkeypatch.setattr(_Builder, "build", build_without_a_y)
+    else:
+        monkeypatch.setattr(_Builder, "transit_rows", transit_rows)
     params = MilpParams(2, 3, 2, 2, 2, 2, 24)       # urban rows fill several chunks first
     path = tmp_path / "m.lp"
     path.write_text("earlier\n")
