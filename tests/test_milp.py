@@ -254,15 +254,77 @@ def test_lp_emission_is_byte_identical(tmp_path):
      "9b0ae6542163a9be9ac6c87728b373f8d4202b2af8dbb9a4452682797cd5a7a3"),
     (MilpParams(0, 0, 0, 1, 1, 1, 4), None,
      "48bf98d2eaa349de86f43fcfc752b15c01da53d88abb0679b11f3175f92efdf2"),
-], ids=["downsample", "downsample-budget", "two-days-budget", "no-pois"])
+    (MilpParams(1, 1, 1, 1, 1, 1, 2), None,
+     "4e158af986397dd83fe67dbd481e275fa8652f79411d7d4c12d158cd11df3f6f"),
+    (MilpParams(1, 2, 1, 2, 2, 2, 3), None,
+     "02a7d7e423c82e3ee1a4da04827ff16a3604ff0d607042456f41b73e7e0a1417"),
+], ids=["downsample", "downsample-budget", "two-days-budget", "no-pois", "two-slots",
+        "three-slots"])
 def test_synthetic_lp_bytes_are_pinned(tmp_path, params, budget, digest):
     """What the builder emits, pinned where the fixtures do not reach: a
-    hundred routes each way, drawn opening hours, several days and no POIs.
+    hundred routes each way, drawn opening hours, several days, no POIs, and
+    two or three slots, where every t+1 and t+2 of a ride is the last slot.
     A refactor of the builder keeps these bytes; a model change re-pins them
     and says why."""
     path = tmp_path / "model.lp"
     write_lp(synthetic_slice(params, 3), budget, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _ride_rows_by_oracle(params: MilpParams) -> dict:
+    """The urban and transit rows of a model of dimensions `params`, as
+    `parse_lp` reads them, spelled here from the model's definition: a ride
+    y_i_j_k_t leaves i at t after an event, is in mode k at t+1 with an event
+    there, and is at j at t+2, each slot past the last standing for the last."""
+    L, K, T = params.total_num, params.trans_num, params.time_step
+    one, less = Decimal(1), Decimal(-1)
+    zero, five = Decimal(0), Decimal(-5)
+
+    def row(plus, minus, sense="<=", rhs=zero):
+        return (tuple(sorted([(one, name) for name in plus] + [(less, name) for name in minus])),
+                sense, rhs)
+
+    rows = {}
+    for t in range(T):
+        t1, t2 = min(t + 1, T - 1), min(t + 2, T - 1)
+        for i in range(L):
+            for j in range(L):
+                for k in range(K):
+                    tag = f"_{i}_{j}_{k}_{t}"
+                    y = f"y{tag}"
+                    six = (f"u_{i}_{t}", f"event_{t}", f"u_{L + k}_{t1}", f"u_{L + k}_{t1}",
+                           f"event_{t1}", f"u_{j}_{t2}")
+                    for n, name in enumerate(six):
+                        rows[f"urb_l{n}{tag}"] = row([y], [name])
+                    rows[f"urb_ge{tag}"] = row([y], six, ">=", five)
+            outs = [f"y_{i}_{j}_{k}_{t}" for j in range(L) for k in range(K)]
+            ins = [f"y_{j}_{i}_{k}_{t}" for j in range(L) for k in range(K)]
+            rows[f"urb_outu_{i}_{t}"] = row(outs, [f"u_{i}_{t}"])
+            rows[f"urb_oute_{i}_{t}"] = row(outs, [f"event_{t}"])
+            rows[f"urb_inu_{i}_{t}"] = row(ins, [f"u_{i}_{t2}"])
+            rows[f"urb_ine_{i}_{t}"] = row(ins, [f"event_{t1}"])
+            for k in range(K):
+                mode = [f"u_{L + k}_{t1}"]
+                rows[f"trn_dep_{i}_{k}_{t}"] = row(
+                    [f"y_{i}_{j}_{k}_{t}" for j in range(L)], mode)
+                rows[f"trn_arr_{i}_{k}_{t}"] = row(
+                    [f"y_{j}_{i}_{k}_{t}" for j in range(L)], mode)
+    return rows
+
+
+@pytest.mark.parametrize("params", [
+    MilpParams(1, 1, 1, 1, 1, 1, 2), MilpParams(1, 2, 1, 2, 2, 2, 3),
+    MilpParams(1, 0, 1, 1, 1, 1, 4, days=2),
+], ids=["two-slots", "three-slots", "two-days"])
+def test_ride_rows_name_the_slots_the_oracle_names(tmp_path, params):
+    path = tmp_path / "model.lp"
+    write_lp(synthetic_slice(params), None, path)
+    rows = parse_lp(path.read_text())["rows"]
+    want = _ride_rows_by_oracle(params)
+    got = {name: rows[name] for name in rows if name.startswith(("urb_", "trn_"))}
+    assert got.keys() == want.keys()
+    wrong = [name for name in want if got[name] != want[name]]
+    assert not wrong, f"{len(wrong)} rows differ from the oracle, first {wrong[0]}"
 
 
 def test_lp_empty_objective_header():
