@@ -22,18 +22,18 @@ and the number of rows per category is a closed form of those dimensions
 (see sizes.count_sizes) - the model and the formula are tested against each other.
 
 A model has hundreds of thousands of rows over a few tens of thousands of
-variables, so each variable name is spelled once per model, in a table
-indexed like the variable, and each (+1, name) and (-1, name) term is one
-shared tuple that every row referencing it reuses. A row is a plain tuple
-(name, terms, sense, rhs, category) of atoms and tuples of atoms, which the
-cycle collector stops tracking, so a large build does not pay for collector
-passes over its rows.
+variables, so each variable name is spelled once per model, in a family: a
+table of names indexed like the variable. A row spells its own coefficients
+where it is written, as (coef, name) terms or in its shape's text. A row is a
+plain tuple (name, terms, sense, rhs, category) of atoms and tuples of atoms,
+which the cycle collector stops tracking, so a large build does not pay for
+collector passes over its rows.
 
 The builder declares every variable, then passes each row in LP order to a
 sink. Most families pass one row at a time with `append`. The urban and
 transit families, nearly every row of a model, pass theirs by shape with
-`extend_shape`: a `_Shape` is one form of row over an instance's shared
-terms, whose LP text one f-string spells and whose row tuples a function
+`extend_shape`: a `_Shape` is one form of row over an instance's variable
+names, whose LP text one f-string spells and whose row tuples a function
 beside it makes, and the builder checks such a family's names against the
 declared variables once rather than term by term. `build_model`'s sink, a
 `_RowList`, keeps the row tuples as the model's rows; lp_writer.write_lp's
@@ -83,23 +83,6 @@ def open_slots(hours: tuple[int, int], slot_minutes: int) -> list[int]:
             for start in range(0, DAY_MINUTES, slot_minutes)]
 
 
-class _Family:
-    """One variable family: its names, nested by index, and their ±1 terms."""
-
-    __slots__ = ("names", "plus", "minus")
-
-    def __init__(self, names: list):
-        self.names = names
-        self.plus = _signed(1, names)
-        self.minus = _signed(-1, names)
-
-
-def _signed(coef: int, names: list) -> list:
-    """(coef, name) for every name, nested as `names` is."""
-    return [_signed(coef, item) if isinstance(item, list) else (coef, item)
-            for item in names]
-
-
 def _flat(names: list) -> list:
     """The names of a family in index order; a family nests to one depth throughout."""
     while names and isinstance(names[0], list):
@@ -107,15 +90,15 @@ def _flat(names: list) -> list:
     return names
 
 
-def _ahead(terms: list, n: int) -> list:
-    """terms[t + n] for each slot t, the last slot standing for any slot past it."""
-    return terms[n:] + terms[-1:] * n
+def _ahead(names: list, n: int) -> list:
+    """names[t + n] for each slot t, the last slot standing for any slot past it."""
+    return names[n:] + names[-1:] * n
 
 
 class _Shape(NamedTuple):
-    """One form of row over an instance's shared terms: `text(*terms)` spells
-    its `size` rows as LP lines, writing out the coefficients the terms carry,
-    and `rows(*terms)` makes the same rows as tuples."""
+    """One form of row over an instance's variable names: `text(*names)` spells
+    its `size` rows as LP lines, and `rows(*names)` makes the same rows as
+    tuples; each spells the coefficients of its form."""
 
     category: str
     size: int
@@ -124,7 +107,7 @@ class _Shape(NamedTuple):
 
 
 def _link_text(y, a, b, c, d, e) -> str:
-    tag, y, a, b, c, d, e = y[1][1:], y[1], a[1], b[1], c[1], d[1], e[1]
+    tag = y[1:]
     return (f" urb_l0{tag}: 1 {y} - 1 {a} <= 0\n urb_l1{tag}: 1 {y} - 1 {b} <= 0\n"
             f" urb_l2{tag}: 1 {y} - 1 {c} <= 0\n urb_l3{tag}: 1 {y} - 1 {c} <= 0\n"
             f" urb_l4{tag}: 1 {y} - 1 {d} <= 0\n urb_l5{tag}: 1 {y} - 1 {e} <= 0\n"
@@ -132,32 +115,33 @@ def _link_text(y, a, b, c, d, e) -> str:
 
 
 def _link_rows(y, a, b, c, d, e) -> tuple:
-    tag, six = y[1][1:], (a, b, c, c, d, e)
-    return (*[(f"urb_l{n}{tag}", (y, ref), "<=", 0, "urban") for n, ref in enumerate(six)],
-            (f"urb_ge{tag}", (y, *six), ">=", -5, "urban"))
+    tag, ride, six = y[1:], (1, y), [(-1, name) for name in (a, b, c, c, d, e)]
+    return (*[(f"urb_l{n}{tag}", (ride, ref), "<=", 0, "urban") for n, ref in enumerate(six)],
+            (f"urb_ge{tag}", (ride, *six), ">=", -5, "urban"))
 
 
-def _sum_text(terms) -> str:
-    return " + 1 ".join([name for _, name in terms])
+def _sum_text(names) -> str:
+    return " + 1 ".join(names)
 
 
 def _flow_text(i, t, outs, ins, u, e, u2, e1) -> str:
     out, inn = _sum_text(outs), _sum_text(ins)
-    return (f" urb_outu_{i}_{t}: 1 {out} - 1 {u[1]} <= 0\n"
-            f" urb_oute_{i}_{t}: 1 {out} - 1 {e[1]} <= 0\n"
-            f" urb_inu_{i}_{t}: 1 {inn} - 1 {u2[1]} <= 0\n"
-            f" urb_ine_{i}_{t}: 1 {inn} - 1 {e1[1]} <= 0\n")
+    return (f" urb_outu_{i}_{t}: 1 {out} - 1 {u} <= 0\n"
+            f" urb_oute_{i}_{t}: 1 {out} - 1 {e} <= 0\n"
+            f" urb_inu_{i}_{t}: 1 {inn} - 1 {u2} <= 0\n"
+            f" urb_ine_{i}_{t}: 1 {inn} - 1 {e1} <= 0\n")
 
 
 def _flow_rows(i, t, outs, ins, u, e, u2, e1) -> tuple:
-    return ((f"urb_outu_{i}_{t}", (*outs, u), "<=", 0, "urban"),
-            (f"urb_oute_{i}_{t}", (*outs, e), "<=", 0, "urban"),
-            (f"urb_inu_{i}_{t}", (*ins, u2), "<=", 0, "urban"),
-            (f"urb_ine_{i}_{t}", (*ins, e1), "<=", 0, "urban"))
+    outs, ins = [(1, name) for name in outs], [(1, name) for name in ins]
+    return ((f"urb_outu_{i}_{t}", (*outs, (-1, u)), "<=", 0, "urban"),
+            (f"urb_oute_{i}_{t}", (*outs, (-1, e)), "<=", 0, "urban"),
+            (f"urb_inu_{i}_{t}", (*ins, (-1, u2)), "<=", 0, "urban"),
+            (f"urb_ine_{i}_{t}", (*ins, (-1, e1)), "<=", 0, "urban"))
 
 
-# Per y[(i, j, mode, t)] with terms (+y, -u[i][t], -event[t], -u[mode][t+1],
-# -event[t+1], -u[j][t+2]): y implies each condition (urb_l0..urb_l5, the mode
+# Per y[(i, j, mode, t)] with names (y, u[i][t], event[t], u[mode][t+1],
+# event[t+1], u[j][t+2]): y implies each condition (urb_l0..urb_l5, the mode
 # twice) and their conjunction implies y (urb_ge). Each row is named by the
 # suffix "_{i}_{j}_{k}_{t}" of its y variable.
 _URBAN_LINKS = _Shape("urban", 7, _link_text, _link_rows)
@@ -169,13 +153,13 @@ _URBAN_FLOWS = _Shape("urban", 4, _flow_text, _flow_rows)
 
 
 def _ride_text(i, k, t, deps, arrs, m) -> str:
-    return (f" trn_dep_{i}_{k}_{t}: 1 {_sum_text(deps)} - 1 {m[1]} <= 0\n"
-            f" trn_arr_{i}_{k}_{t}: 1 {_sum_text(arrs)} - 1 {m[1]} <= 0\n")
+    return (f" trn_dep_{i}_{k}_{t}: 1 {_sum_text(deps)} - 1 {m} <= 0\n"
+            f" trn_arr_{i}_{k}_{t}: 1 {_sum_text(arrs)} - 1 {m} <= 0\n")
 
 
 def _ride_rows(i, k, t, deps, arrs, m) -> tuple:
-    return ((f"trn_dep_{i}_{k}_{t}", (*deps, m), "<=", 0, "transit"),
-            (f"trn_arr_{i}_{k}_{t}", (*arrs, m), "<=", 0, "transit"))
+    return ((f"trn_dep_{i}_{k}_{t}", (*[(1, y) for y in deps], (-1, m)), "<=", 0, "transit"),
+            (f"trn_arr_{i}_{k}_{t}", (*[(1, y) for y in arrs], (-1, m)), "<=", 0, "transit"))
 
 
 # Per location i, mode k and slot t: a ride out of i (trn_dep) or into i
@@ -188,8 +172,8 @@ class _RowList(list):
 
     def extend_shape(self, shape: _Shape, instances) -> None:
         rows = shape.rows
-        for terms in instances:
-            self.extend(rows(*terms))
+        for names in instances:
+            self.extend(rows(*names))
 
 
 class _Builder:
@@ -208,23 +192,23 @@ class _Builder:
 
     # -- declarations -----------------------------------------------------
 
-    def binaries(self, names: list, category: str) -> _Family:
+    def binaries(self, names: list, category: str) -> list:
         for name in _flat(names):
             self.vars[name] = VarInfo(name, "binary", 0, 1, category)
-        return _Family(names)
+        return names
 
-    def integers(self, names: list, hi: int, category: str) -> _Family:
+    def integers(self, names: list, hi: int, category: str) -> list:
         for name in _flat(names):
             self.vars[name] = VarInfo(name, "integer", 0, hi, category)
-        return _Family(names)
+        return names
 
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
         self.sink.append((name, tuple(terms), sense, rhs, category))
 
-    def check_declared(self, category: str, *families: _Family) -> None:
+    def check_declared(self, category: str, *families: list) -> None:
         """Refuse a name of `families` missing from `vars`: a family whose rows
         go to the sink by shape has its names checked here, once, not per term."""
-        names = chain.from_iterable(_flat(family.names) for family in families)
+        names = chain.from_iterable(_flat(family) for family in families)
         missing = next(filterfalse(self.vars.__contains__, names), None)
         if missing is not None:
             raise BuildError(f"{category} rows reference undeclared {missing}")
@@ -240,7 +224,7 @@ class _Builder:
     # -- variables ----------------------------------------------------------
 
     def declare_variables(self) -> None:
-        """Declare every family in LP order and keep its name and term tables."""
+        """Declare every family in LP order and keep its table of names."""
         p = self.p
         T = p.time_step
         P, L, K = self.n_positions, p.total_num, p.trans_num
@@ -275,45 +259,44 @@ class _Builder:
     def occupancy_rows(self) -> None:
         """One place at a time; changes only on events; events move exactly 2."""
         T = self.p.time_step
-        u_pos, u_neg = self.u.plus, self.u.minus
-        ev_neg = self.event.minus
+        u, delta, event = self.u, self.delta, self.event
         for i in range(self.n_positions):
             for t in range(T - 1):
-                up = self.delta.plus[i][t]
-                ut, ut1 = u_pos[i][t], u_pos[i][t + 1]
-                nut, nut1 = u_neg[i][t], u_neg[i][t + 1]
-                self.row(f"occ_dup_{i}_{t}", (up, ut, nut1), ">=", 0, "occupancy")
-                self.row(f"occ_ddn_{i}_{t}", (up, nut, ut1), ">=", 0, "occupancy")
-                self.row(f"occ_evup_{i}_{t}", (ut1, nut, ev_neg[t]), "<=", 0, "occupancy")
-                self.row(f"occ_evdn_{i}_{t}", (ut, nut1, ev_neg[t]), "<=", 0, "occupancy")
+                up, ev = (1, delta[i][t]), (-1, event[t])
+                ut, ut1 = u[i][t], u[i][t + 1]
+                self.row(f"occ_dup_{i}_{t}", (up, (1, ut), (-1, ut1)), ">=", 0, "occupancy")
+                self.row(f"occ_ddn_{i}_{t}", (up, (-1, ut), (1, ut1)), ">=", 0, "occupancy")
+                self.row(f"occ_evup_{i}_{t}", ((1, ut1), (-1, ut), ev), "<=", 0, "occupancy")
+                self.row(f"occ_evdn_{i}_{t}", ((1, ut), (-1, ut1), ev), "<=", 0, "occupancy")
         for t in range(T - 1):
-            terms = [self.delta.plus[i][t] for i in range(self.n_positions)]
-            terms.append((-2, self.event.names[t]))
+            terms = [(1, delta[i][t]) for i in range(self.n_positions)]
+            terms.append((-2, event[t]))
             self.row(f"occ_change_{t}", terms, "=", 0, "occupancy")
         for t in range(T):
-            terms = [u_pos[i][t] for i in range(self.n_positions)]
+            terms = [(1, u[i][t]) for i in range(self.n_positions)]
             self.row(f"occ_one_{t}", terms, "=", 1, "occupancy")
 
-    def conjunction(self, z: tuple, a: tuple, b: tuple, prefix: str, category: str) -> None:
-        """z = a AND b via three rows (big-M = 1, all binary); z is a +1 term, a and b -1."""
+    def conjunction(self, z: str, a: str, b: str, prefix: str, category: str) -> None:
+        """z = a AND b via three rows (big-M = 1, all binary)."""
+        z, a, b = (1, z), (-1, a), (-1, b)
         self.row(f"{prefix}_le1", (z, a), "<=", 0, category)
         self.row(f"{prefix}_le2", (z, b), "<=", 0, category)
         self.row(f"{prefix}_ge", (z, a, b), ">=", -1, category)
 
-    def stay_rows(self, z: _Family, first: int, prefix: str, category: str,
+    def stay_rows(self, z: list, first: int, prefix: str, category: str,
                   hours=None) -> None:
         """The stay rule of one POI table, whose rows sit at positions `first`
         on: z[n][t] = u[first+n][t] AND event[t]; with the table's `hours`,
         also the `{prefix}_check_*` row that pins u to 0 in a closed slot."""
         p = self.p
-        ev_neg = self.event.minus
-        for n, z_pos in enumerate(z.plus):
-            u_pos, u_neg = self.u.plus[first + n], self.u.minus[first + n]
+        event = self.event
+        for n, stays in enumerate(z):
+            u = self.u[first + n]
             opens = None if hours is None else open_slots(hours[n], p.slot_minutes)
             for t in range(p.time_step):
-                self.conjunction(z_pos[t], u_neg[t], ev_neg[t], f"{prefix}_z_{n}_{t}", category)
+                self.conjunction(stays[t], u[t], event[t], f"{prefix}_z_{n}_{t}", category)
                 if opens is not None:
-                    self.row(f"{prefix}_check_{n}_{t}", (u_pos[t],), "<=",
+                    self.row(f"{prefix}_check_{n}_{t}", ((1, u[t]),), "<=",
                              opens[t % p.slots_per_day], category)
 
     def hotel_rows(self) -> None:
@@ -321,11 +304,11 @@ class _Builder:
         self.stay_rows(self.zhotel, 0, "hot", "hotel")
         for h in range(p.hotel_num):
             for d in range(p.days):
-                terms = [self.hotel.plus[h][d]]
-                terms += [self.zhotel.minus[h][t] for t in self.day_slots(d)]
+                terms = [(1, self.hotel[h][d])]
+                terms += [(-1, self.zhotel[h][t]) for t in self.day_slots(d)]
                 self.row(f"hot_def_{h}_{d}", terms, "=", 0, "hotel")
         for d in range(p.days):
-            terms = [self.hotel.plus[h][d] for h in range(p.hotel_num)]
+            terms = [(1, self.hotel[h][d]) for h in range(p.hotel_num)]
             if terms:
                 self.row(f"hot_one_{d}", terms, "=", 1, "hotel")
 
@@ -333,11 +316,11 @@ class _Builder:
         p = self.p
         self.stay_rows(self.zattr, p.hotel_num, "att", "attraction", self.s.attraction_hours)
         for a in range(p.attr_num):
-            terms = [self.attr.plus[a]] + self.zattr.minus[a]
+            terms = [(1, self.attr[a])] + [(-1, name) for name in self.zattr[a]]
             self.row(f"att_def_{a}", terms, "=", 0, "attraction")
         if p.attr_num:
-            self.row("att_min", self.attr.plus, ">=", MIN_ATTRACTIONS_PER_DAY * p.days,
-                     "attraction")
+            self.row("att_min", [(1, name) for name in self.attr], ">=",
+                     MIN_ATTRACTIONS_PER_DAY * p.days, "attraction")
 
     def meal_slots(self, m: int) -> tuple[int, int]:
         day, kind = divmod(m, 3)
@@ -354,12 +337,13 @@ class _Builder:
         for r in range(p.rest_num):
             for m in range(3 * p.days):
                 lo, hi = self.meal_slots(m)
-                terms = [self.rest.plus[r][m]] + self.zrest.minus[r][lo:hi + 1]
+                terms = [(1, self.rest[r][m])]
+                terms += [(-1, name) for name in self.zrest[r][lo:hi + 1]]
                 self.row(f"res_def_{r}_{m}", terms, "=", 0, "restaurant")
         if p.rest_num:
             for m in range(3 * p.days):
-                terms = [self.rest.plus[r][m] for r in range(p.rest_num)]
-                terms.append(self.needeat.minus[m])
+                terms = [(1, self.rest[r][m]) for r in range(p.rest_num)]
+                terms.append((-1, self.needeat[m]))
                 self.row(f"res_need_{m}", terms, "<=", 0, "restaurant")
 
     def meal_rows(self) -> None:
@@ -367,10 +351,10 @@ class _Builder:
         p = self.p
         big_m = p.time_step + 1
         dep_terms = [(-self.route_slot(route, go=False), name)
-                     for route, name in zip(self.s.back_routes, self.interback.names)]
+                     for route, name in zip(self.s.back_routes, self.interback)]
         arr_terms = [(self.route_slot(route, go=True), name)
-                     for route, name in zip(self.s.go_routes, self.intergo.names)]
-        for m, need in enumerate(self.needeat.names):
+                     for route, name in zip(self.s.go_routes, self.intergo)]
+        for m, need in enumerate(self.needeat):
             a_m, b_m = self.meal_slots(m)
             terms = [(big_m, need)] + dep_terms
             self.row(f"meal_dep_{m}", terms, "<=", big_m - a_m - 1, "meal")
@@ -400,23 +384,23 @@ class _Builder:
         names they read are checked once here rather than term by term.
         """
         L, K = self.p.total_num, self.p.trans_num
-        u_neg, ev_neg, y_pos = self.u.minus, self.event.minus, self.y.plus
-        self.check_declared("urban", self.y, self.u, self.event)
-        ev1 = _ahead(ev_neg, 1)
-        modes1 = [_ahead(u_neg[L + k], 1) for k in range(K)]
-        u2 = [_ahead(u_neg[i], 2) for i in range(L)]
+        u, event, y = self.u, self.event, self.y
+        self.check_declared("urban", y, u, event)
+        ev1 = _ahead(event, 1)
+        modes1 = [_ahead(u[L + k], 1) for k in range(K)]
+        u2 = [_ahead(u[i], 2) for i in range(L)]
 
         def links():
             for i in range(L):
                 for j in range(L):
                     for k in range(K):
-                        yield from zip(y_pos[i][j][k], u_neg[i], ev_neg, modes1[k], ev1, u2[j])
+                        yield from zip(y[i][j][k], u[i], event, modes1[k], ev1, u2[j])
 
         def flows():
             for i in range(L):
-                outs = zip(*[y_pos[i][j][k] for j in range(L) for k in range(K)])
-                ins = zip(*[y_pos[j][i][k] for j in range(L) for k in range(K)])
-                yield from zip(repeat(i), count(), outs, ins, u_neg[i], ev_neg, u2[i], ev1)
+                outs = zip(*[y[i][j][k] for j in range(L) for k in range(K)])
+                ins = zip(*[y[j][i][k] for j in range(L) for k in range(K)])
+                yield from zip(repeat(i), count(), outs, ins, u[i], event, u2[i], ev1)
 
         self.sink.extend_shape(_URBAN_LINKS, links())
         self.sink.extend_shape(_URBAN_FLOWS, flows())
@@ -424,16 +408,16 @@ class _Builder:
     def transit_rows(self) -> None:
         """Aggregated mode-occupancy coupling for departures and arrivals."""
         L, K = self.p.total_num, self.p.trans_num
-        y_pos, u_neg = self.y.plus, self.u.minus
-        self.check_declared("transit", self.y, self.u)
+        u, y = self.u, self.y
+        self.check_declared("transit", y, u)
 
         def rides():
             for i in range(L):
                 for k in range(K):
-                    deps = zip(*[y_pos[i][j][k] for j in range(L)])
-                    arrs = zip(*[y_pos[j][i][k] for j in range(L)])
+                    deps = zip(*[y[i][j][k] for j in range(L)])
+                    arrs = zip(*[y[j][i][k] for j in range(L)])
                     yield from zip(repeat(i), repeat(k), count(), deps, arrs,
-                                   _ahead(u_neg[L + k], 1))
+                                   _ahead(u[L + k], 1))
 
         self.sink.extend_shape(_TRANSIT, rides())
 
@@ -445,22 +429,22 @@ class _Builder:
         departure station at its departure slot and keeps them out after it.
         """
         p = self.p
-        u_pos = self.u.plus
+        u = self.u
         directions = ((self.intergo, self.s.go_routes, "go", True),
                       (self.interback, self.s.back_routes, "back", False))
         for family, routes, tag, _ in directions:
             if routes:
-                self.row(f"int_{tag}_one", family.plus, "=", 1, "intercity")
+                self.row(f"int_{tag}_one", [(1, name) for name in family], "=", 1, "intercity")
         for family, routes, tag, go in directions:
             for r, route in enumerate(routes):
                 slot = self.route_slot(route, go)
                 station = self.route_station_idx(route, go)
-                self.row(f"int_{tag}pin_{r}", (u_pos[station][slot], family.minus[r]),
+                self.row(f"int_{tag}pin_{r}", ((1, u[station][slot]), (-1, family[r])),
                          ">=", 0, "intercity")
                 for t in range(p.time_step):
                     away = int(t < slot if go else t > slot)
-                    terms = [u_pos[i][t] for i in range(p.loc_num)]
-                    terms.append((away, family.names[r]))
+                    terms = [(1, u[i][t]) for i in range(p.loc_num)]
+                    terms.append((away, family[r]))
                     self.row(f"int_{tag}ex_{r}_{t}", terms, "<=", 1, "intercity")
 
     def query_rows(self) -> None:
@@ -471,15 +455,15 @@ class _Builder:
 
     def cost_terms(self) -> list:
         terms = []
-        for route, name in zip(self.s.go_routes, self.intergo.names):
+        for route, name in zip(self.s.go_routes, self.intergo):
             terms.append((route.cost, name))
-        for route, name in zip(self.s.back_routes, self.interback.names):
+        for route, name in zip(self.s.back_routes, self.interback):
             terms.append((route.cost, name))
-        for poi, name in zip(self.s.attractions, self.attr.names):
+        for poi, name in zip(self.s.attractions, self.attr):
             terms.append((poi["price"], name))
-        for poi, names in zip(self.s.restaurants, self.rest.names):
+        for poi, names in zip(self.s.restaurants, self.rest):
             terms += [(poi["price"], name) for name in names]
-        for poi, names in zip(self.s.hotels, self.hotel.names):
+        for poi, names in zip(self.s.hotels, self.hotel):
             terms += [(poi["price"], name) for name in names]
         return terms
 

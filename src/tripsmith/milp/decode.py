@@ -47,13 +47,13 @@ def decode_assignment(
         + [("attraction", row) for row in slice_.attractions]
         + [("meal", row) for row in slice_.restaurants]
         + [("station", None)] * len(slice_.stations))
-    located = builder.u.names[:len(kinds)]
+    located = builder.u[:len(kinds)]
     occupied = [_first_set([names[t] for names in located], assignment)
                 for t in range(params.time_step)]
 
     days = [DayPlan(day=d + 1, activities=[]) for d in range(params.days)]
 
-    go = _first_set(builder.intergo.names, assignment)
+    go = _first_set(builder.intergo, assignment)
     if go is not None:
         days[0].activities.append(slice_.go_routes[go].activity(people))
 
@@ -92,7 +92,7 @@ def decode_assignment(
         days[day].activities.append(activity)
         t = end + 1
 
-    back = _first_set(builder.interback.names, assignment)
+    back = _first_set(builder.interback, assignment)
     if back is not None:
         days[-1].activities.append(slice_.back_routes[back].activity(people))
 

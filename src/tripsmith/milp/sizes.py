@@ -20,9 +20,9 @@ ROW_CATEGORIES = (
     "occupancy", "hotel", "attraction", "restaurant",
     "meal", "urban", "transit", "intercity",
 )
-# The most variables a model may have. A build holds its variables' names and
-# terms but no row: peak RSS grows by about 0.4 KB per variable (a 1,099,284-
-# variable model peaked at 448 MiB), so a model at the bound needs about 420 MiB.
+# The most variables a model may have. A build holds its variables' names but
+# no row: peak RSS grows by about 0.25 KB per variable (a 549,684-variable
+# model peaked at 161 MiB), so a model at the bound needs about 270 MiB.
 MAX_VARIABLES = 1_000_000
 
 

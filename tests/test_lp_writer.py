@@ -226,11 +226,11 @@ def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault
     def transit_rows(builder):
         if fault == "disk":
             raise OSError(28, "No space left on device")
-        name = "ghost" if fault == "undeclared" else builder.event.names[0]
+        name = "ghost" if fault == "undeclared" else builder.event[0]
         builder.row(f"trn_{name}", [(1, name)], "<=", 0, "transit")
 
     def build_without_a_y(builder, sink):
-        del builder.vars[builder.y.names[1][0][2][5]]
+        del builder.vars[builder.y[1][0][2][5]]
         build(builder, sink)
 
     build = _Builder.build
@@ -263,3 +263,21 @@ def test_streamed_write_holds_no_row_list(tmp_path):
         tracemalloc.stop()
     built_peak, streamed_peak = peaks
     assert streamed_peak < built_peak / 2, peaks
+
+
+def test_write_lp_peak_grows_by_under_256_bytes_a_variable(tmp_path):
+    """`MAX_VARIABLES` assumes a model's peak memory grows by about 0.25 KB
+    a variable: a model of twice the slots must not cost more per variable."""
+    points = []
+    for slots in (12, 24):
+        params = MilpParams(2, 10, 5, 5, 20, 20, slots)
+        db_slice = synthetic_slice(params)
+        tracemalloc.start()
+        try:
+            write_lp(db_slice, None, tmp_path / "model.lp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points.append((count_sizes(params).variable_total, peak))
+    (few, low), (many, high) = points
+    assert (high - low) / (many - few) < 256, points
