@@ -92,11 +92,14 @@ def assert_same_lp(model: MilpModel, name: str = "itinerary") -> str:
     return want
 
 
-def assert_stream_matches(db_slice, budget, tmp_path) -> None:
-    """write_lp writes render_lp(build_model(...))'s bytes and counts every row it writes."""
+def assert_stream_matches(db_slice, budget, tmp_path, digest=None) -> None:
+    """write_lp writes render_lp(build_model(...))'s bytes, of sha256 `digest`,
+    and counts every row it writes."""
     built = render_lp(build_model(db_slice, budget), name="m")
     counts = write_lp(db_slice, budget, tmp_path / "streamed.lp", name="m")
     assert (tmp_path / "streamed.lp").read_bytes() == built.encode("utf-8")
+    if digest is not None:
+        assert hashlib.sha256(built.encode("utf-8")).hexdigest() == digest
     want = {category: n for category, n in count_sizes(db_slice.params).constraints.items()
             if n}
     if budget is not None:
@@ -167,16 +170,32 @@ def test_downsample_model_matches_reference(tmp_path):
     assert_stream_matches(synthetic_slice(DOWNSAMPLE), None, tmp_path)
 
 
+# sha256 of write_lp(<fixture> Alpha -> Beta slice, budget, name="m"), per (days, budget)
+FIXTURE_PINS = {
+    (1, 800): {
+        "micro": "b3587b106e97f098d85b5de902ab43eb3e6257eacd86bd19d1451d73554d4fe8",
+        "mini": "468a58f7780e168e1fa4c11a1d2692fec0ffa00a07ae6d463028e9c01595990a"},
+    (2, Decimal("1234.50")): {
+        "micro": "122936e6177bddfc3daa5567b0b02a8e6acae22dc9c7b1869b9028fd906ce759",
+        "mini": "3a1abb4dc08a079b6ef49d11a577dfeaa56c3004a0505f73a248c765df104ced"},
+    (3, 95): {
+        "micro": "00a1959219dc82e209ad6c34d4e518a84e6f219999934f963cfd9a91b0665e18",
+        "mini": "5e77dcfebc62c00cd221a85c61aedf337d90032f1a888165d3ca9cd33587938b"},
+}
+
+
 @pytest.mark.parametrize("days, slots_per_day, budget", [
     (1, 24, 800), (2, 12, Decimal("1234.50")), (3, 6, 95),
 ])
 def test_micro_and_mini_models_with_budget_match_reference(
         tmp_path, micro_dataset, mini_dataset, days, slots_per_day, budget):
-    for dataset in (micro_dataset, mini_dataset):
+    pins = FIXTURE_PINS[days, budget]
+    for fixture, dataset in (("micro", micro_dataset), ("mini", mini_dataset)):
         model = _dataset_model(dataset, days, slots_per_day, budget)
         assert [category for *_, category in model.rows].count("query") == 1
         assert_same_lp(model)
-        assert_stream_matches(_dataset_slice(dataset, days, slots_per_day), budget, tmp_path)
+        assert_stream_matches(_dataset_slice(dataset, days, slots_per_day), budget, tmp_path,
+                              pins[fixture])
 
 
 def test_micro_lp_text_is_pinned(micro_dataset):
@@ -186,21 +205,69 @@ def test_micro_lp_text_is_pinned(micro_dataset):
     assert digest == "fdc6801c322291e9dac3abe4b2b02345c1405a3e142d898b77aa10cb9b6386a5"
 
 
-@pytest.mark.parametrize("params", [
-    MilpParams(1, 1, 1, 1, 1, 1, 4),
-    MilpParams(2, 3, 2, 2, 3, 2, 12, days=2),
-    MilpParams(0, 0, 0, 1, 1, 1, 4),
-    MilpParams(0, 2, 0, 1, 2, 1, 6),
-    MilpParams(1, 0, 2, 2, 0, 0, 8, days=2),
-    MilpParams(1, 1, 1, 1, 1, 1, 2),
-    MilpParams(0, 0, 0, 0, 0, 0, 4),
-], ids=["one-each", "two-days", "no-pois", "attractions-only", "no-routes",
-        "two-slots", "no-locations"])
+SYNTHETIC = {
+    "one-each": MilpParams(1, 1, 1, 1, 1, 1, 4),
+    "two-days": MilpParams(2, 3, 2, 2, 3, 2, 12, days=2),
+    "no-pois": MilpParams(0, 0, 0, 1, 1, 1, 4),
+    "attractions-only": MilpParams(0, 2, 0, 1, 2, 1, 6),
+    "no-routes": MilpParams(1, 0, 2, 2, 0, 0, 8, days=2),
+    "two-slots": MilpParams(1, 1, 1, 1, 1, 1, 2),
+    "no-locations": MilpParams(0, 0, 0, 0, 0, 0, 4),
+}
+# sha256 of write_lp(synthetic_slice(SYNTHETIC[shape], 5), budget, name="m"), per shape and budget
+SYNTHETIC_PINS = {
+    "one-each": {
+        None: "da88baaaee57550532a13fff9f41c8d83faa6dbfd4870407b4ea02ec4ebc60c0",
+        0: "c63b9b78cd1f7e98ce01ee4e9d29950978ff9248b02514c115dc4ed705120910",
+        640: "ff443f983d6d83db16213ed1eb95c185ad92f42431906e4bad67ee7817ab04e5",
+        Decimal("1234.50"): "2026066d08e1fc6ca7ff4825f4bda1251cd6c9bafa4c2b8a59c8bb5293939646",
+    },
+    "two-days": {
+        None: "c439381002619dc5e6fb2e7ce8d5aec353c138985dc533febe9e4097c6daddc8",
+        0: "f0e024a39f53600e30ed204b8f4ec3abe659fa9c67a70b41c624254ea49293fb",
+        640: "caa0d4d005c777580f55d54c41b021c9f387931cd4fc6461a51497dd52d8a6fa",
+        Decimal("1234.50"): "6c6ff2c176e79918c867ab8db1c93fa5d29dc2eb4a1ed2dd87bba41d9631c3e4",
+    },
+    "no-pois": {
+        None: "5b01b1ed722bfd413c2da735a6eff515c617055677a48ae41e4edfcc2baf945b",
+        0: "bd8eaaaec4125f4bd87ebd2a4ba49460e1bdb7a9ab55fd6b29ea72f0df8a8488",
+        640: "d84223d00525ca3b803d68bd2c6c5be05e75153ca52bed0fac8f86cfe8b3391b",
+        Decimal("1234.50"): "bef45235cbc852b5230fe19ecef8f59e8d41ae689b685734dfe8b2c8d4c4b1cf",
+    },
+    "attractions-only": {
+        None: "09da7f67637e68caa1db9d733f7c33b47450b8d81b5cf939b33ac55a484fcb41",
+        0: "c38c24eb6d59a92cf47bddf7ca98d87e089683b483865381e4c48e5314319f87",
+        640: "bda923f9531e31c61276cb5fbfe2988ed1832fefa1a6153d98d6001cbc46b10f",
+        Decimal("1234.50"): "e393438617d1700046adef4092aa03f3acfb6bb210bba58b67c5e012a6df5428",
+    },
+    "no-routes": {
+        None: "8e1ea86c1afe8846cfdcfa29414bfb716c4acdb3a69a563b030fee63f11e4fc3",
+        0: "a1826a1b0b85190d9485eafe2bef22c401aed67b1c8204b1d076e24cfd3a2b61",
+        640: "d4d2b76ed0e70012d30470206f9fb967a586805dbb10c804c0775749cfb046e3",
+        Decimal("1234.50"): "b4b6bc0a1600de4f6d3d43b1481e3ad7082725448b5a5706de3282ca69f44799",
+    },
+    "two-slots": {
+        None: "0225e61adf6731a271882815955dbaf3aa28498fca970a32651e71e05689ed2e",
+        0: "41215c978acf4b2cc4c5610e7ca3d48aea9f873a2cf55d725be31b57b9dccf41",
+        640: "6c641c8c6fc7327cab1760151ed1e042f881fb15ab43da1fa3f960f9a8718d7a",
+        Decimal("1234.50"): "d112235acde28f95870c4f6b900c75f3de939adfb982bbb7f23e1cf12c1bf74d",
+    },
+    "no-locations": {
+        None: "dc9df39b4b4cc82d54565ef3932a0c66630bca016b94a746f00762cd5ab3d5af",
+        0: "d5710cb8fa216f7298342d86773812c62f9be3c1cbb11dc835659becb974093f",
+        640: "ddf2adb2be3fd32894cc1e1b919aa52ecddd56328182aa870b1ff6a413ef97a7",
+        Decimal("1234.50"): "1d4c49d87e281bfdabc98189ee391fcff75e5bb8df57a95ccf0dfd13f097ea3e",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", SYNTHETIC)
 @pytest.mark.parametrize("budget", [None, 0, 640, Decimal("1234.50")])
-def test_streamed_synthetic_models_match_the_built_ones(tmp_path, params, budget):
+def test_streamed_synthetic_models_match_the_built_ones(tmp_path, shape, budget):
+    params = SYNTHETIC[shape]
     db_slice = synthetic_slice(params, 5)
     assert db_slice.params == params
-    assert_stream_matches(db_slice, budget, tmp_path)
+    assert_stream_matches(db_slice, budget, tmp_path, SYNTHETIC_PINS[shape][budget])
 
 
 def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
