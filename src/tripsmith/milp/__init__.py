@@ -1,8 +1,8 @@
 """Mixed-integer model builder, size contract, LP writer and toy solver."""
 
-from .build import MilpModel, VarInfo, build_model
+from .build import VarInfo
 from .decode import decode_assignment
-from .lp_writer import render_lp, write_lp
+from .lp_writer import write_lp
 from .params import (
     DOWNSAMPLE,
     MilpParams,
@@ -11,7 +11,7 @@ from .params import (
     synthetic_slice,
 )
 from .sizes import MAX_VARIABLES, ROW_CATEGORIES, VAR_CATEGORIES, SizeReport, count_sizes
-from .solve import check_assignment, micro_solve
+from .solve import MilpModel, check_assignment, micro_solve
 
 __all__ = [
     "DOWNSAMPLE",
@@ -23,12 +23,10 @@ __all__ = [
     "SizeReport",
     "VAR_CATEGORIES",
     "VarInfo",
-    "build_model",
     "check_assignment",
     "count_sizes",
     "decode_assignment",
     "micro_solve",
-    "render_lp",
     "slice_from_dataset",
     "synthetic_slice",
     "write_lp",

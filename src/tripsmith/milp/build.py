@@ -24,25 +24,20 @@ and the number of rows per category is a closed form of those dimensions
 A model has hundreds of thousands of rows over a few tens of thousands of
 variables, so each variable name is spelled once per model, in a family: a
 table of names indexed like the variable. A row spells its own coefficients
-where it is written, as (coef, name) terms or in its shape's text. A row is a
-plain tuple (name, terms, sense, rhs, category) of atoms and tuples of atoms,
-which the cycle collector stops tracking, so a large build does not pay for
-collector passes over its rows.
+where it is written, as (coef, name) terms or in its shape's text.
 
-The builder declares every variable, then passes each row in LP order to a
-sink. Most families pass one row at a time with `append`. The urban and
-transit families, nearly every row of a model, pass theirs by shape with
-`extend_shape`: a `_Shape` is one form of row over an instance's variable
-names, whose LP text one f-string spells and whose row tuples a function
-beside it makes, and the builder checks such a family's names against the
-declared variables once rather than term by term. `build_model`'s sink, a
-`_RowList`, keeps the row tuples as the model's rows; lp_writer.write_lp's
-sink is the LP writer, which writes the text and holds no row.
+The builder declares every variable, then passes each row in LP order to its
+one sink, the LP writer of lp_writer.write_lp, which writes the text and holds
+no row. Most families pass one row at a time with `append`, as a tuple
+(name, terms, sense, rhs, category). The urban and transit families, nearly
+every row of a model, pass theirs by shape with `extend_shape`: a `_Shape` is
+one form of row over an instance's variable names, whose LP text one f-string
+spells, and the builder checks such a family's names against the declared
+variables once rather than term by term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, count, filterfalse, repeat
 from typing import Callable, NamedTuple
@@ -61,19 +56,6 @@ class VarInfo(NamedTuple):
     lo: int = 0
     hi: int = 1
     category: str = ""
-
-
-@dataclass
-class MilpModel:
-    variables: dict[str, VarInfo]
-    rows: list[tuple]       # (name, ((coef, var), ...), "<=" | ">=" | "=", rhs, category)
-    objective: tuple = ()
-
-    def validate_references(self) -> None:
-        for name, terms, _, _, _ in self.rows:
-            for _, var in terms:
-                if var not in self.variables:
-                    raise BuildError(f"row {name} references undeclared {var}")
 
 
 def open_slots(hours: tuple[int, int], slot_minutes: int) -> list[int]:
@@ -97,13 +79,11 @@ def _ahead(names: list, n: int) -> list:
 
 class _Shape(NamedTuple):
     """One form of row over an instance's variable names: `text(*names)` spells
-    its `size` rows as LP lines, and `rows(*names)` makes the same rows as
-    tuples; each spells the coefficients of its form."""
+    its `size` rows as LP lines, coefficients included."""
 
     category: str
     size: int
     text: Callable[..., str]
-    rows: Callable[..., tuple]
 
 
 def _link_text(y, a, b, c, d, e) -> str:
@@ -112,12 +92,6 @@ def _link_text(y, a, b, c, d, e) -> str:
             f" urb_l2{tag}: 1 {y} - 1 {c} <= 0\n urb_l3{tag}: 1 {y} - 1 {c} <= 0\n"
             f" urb_l4{tag}: 1 {y} - 1 {d} <= 0\n urb_l5{tag}: 1 {y} - 1 {e} <= 0\n"
             f" urb_ge{tag}: 1 {y} - 1 {a} - 1 {b} - 1 {c} - 1 {c} - 1 {d} - 1 {e} >= -5\n")
-
-
-def _link_rows(y, a, b, c, d, e) -> tuple:
-    tag, ride, six = y[1:], (1, y), [(-1, name) for name in (a, b, c, c, d, e)]
-    return (*[(f"urb_l{n}{tag}", (ride, ref), "<=", 0, "urban") for n, ref in enumerate(six)],
-            (f"urb_ge{tag}", (ride, *six), ">=", -5, "urban"))
 
 
 def _sum_text(names) -> str:
@@ -132,24 +106,16 @@ def _flow_text(i, t, outs, ins, u, e, u2, e1) -> str:
             f" urb_ine_{i}_{t}: 1 {inn} - 1 {e1} <= 0\n")
 
 
-def _flow_rows(i, t, outs, ins, u, e, u2, e1) -> tuple:
-    outs, ins = [(1, name) for name in outs], [(1, name) for name in ins]
-    return ((f"urb_outu_{i}_{t}", (*outs, (-1, u)), "<=", 0, "urban"),
-            (f"urb_oute_{i}_{t}", (*outs, (-1, e)), "<=", 0, "urban"),
-            (f"urb_inu_{i}_{t}", (*ins, (-1, u2)), "<=", 0, "urban"),
-            (f"urb_ine_{i}_{t}", (*ins, (-1, e1)), "<=", 0, "urban"))
-
-
 # Per y[(i, j, mode, t)] with names (y, u[i][t], event[t], u[mode][t+1],
 # event[t+1], u[j][t+2]): y implies each condition (urb_l0..urb_l5, the mode
 # twice) and their conjunction implies y (urb_ge). Each row is named by the
 # suffix "_{i}_{j}_{k}_{t}" of its y variable.
-_URBAN_LINKS = _Shape("urban", 7, _link_text, _link_rows)
+_URBAN_LINKS = _Shape("urban", 7, _link_text)
 # Per location i and slot t: at most one ride leaves i at t, and only if the
 # traveler is at i with an event at t (urb_outu, urb_oute); at most one ride
 # reaches i from t, and only if they are at i at t+2 after an event at t+1
 # (urb_inu, urb_ine).
-_URBAN_FLOWS = _Shape("urban", 4, _flow_text, _flow_rows)
+_URBAN_FLOWS = _Shape("urban", 4, _flow_text)
 
 
 def _ride_text(i, k, t, deps, arrs, m) -> str:
@@ -157,23 +123,9 @@ def _ride_text(i, k, t, deps, arrs, m) -> str:
             f" trn_arr_{i}_{k}_{t}: 1 {_sum_text(arrs)} - 1 {m} <= 0\n")
 
 
-def _ride_rows(i, k, t, deps, arrs, m) -> tuple:
-    return ((f"trn_dep_{i}_{k}_{t}", (*[(1, y) for y in deps], (-1, m)), "<=", 0, "transit"),
-            (f"trn_arr_{i}_{k}_{t}", (*[(1, y) for y in arrs], (-1, m)), "<=", 0, "transit"))
-
-
 # Per location i, mode k and slot t: a ride out of i (trn_dep) or into i
 # (trn_arr) by mode k at t has the traveler in mode k at t+1.
-_TRANSIT = _Shape("transit", 2, _ride_text, _ride_rows)
-
-
-class _RowList(list):
-    """`build_model`'s sink: every row as its tuple."""
-
-    def extend_shape(self, shape: _Shape, instances) -> None:
-        rows = shape.rows
-        for names in instances:
-            self.extend(rows(*names))
+_TRANSIT = _Shape("transit", 2, _ride_text)
 
 
 class _Builder:
@@ -203,7 +155,7 @@ class _Builder:
         return names
 
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
-        self.sink.append((name, tuple(terms), sense, rhs, category))
+        self.sink.append((name, terms, sense, rhs, category))
 
     def check_declared(self, category: str, *families: list) -> None:
         """Refuse a name of `families` missing from `vars`: a family whose rows
@@ -479,14 +431,3 @@ class _Builder:
         self.transit_rows()
         self.intercity_rows()
         self.query_rows()
-
-
-def build_model(db_slice: MilpSlice, budget=None) -> MilpModel:
-    """Instantiate the full model for one trip slice; a budget adds one cost row."""
-    builder = _Builder(db_slice, budget)
-    rows = _RowList()
-    builder.build(rows)
-    model = MilpModel(variables=builder.vars, rows=rows,
-                      objective=tuple(builder.cost_terms()))
-    model.validate_references()
-    return model

@@ -4,13 +4,11 @@ The file layout is fully deterministic - objective, constraint rows in build
 order, bounds for the integer counters, then Binaries/Generals sections - so
 emitting the same model twice yields identical bytes.
 
-For `write_lp` the writer is the builder's row sink, and lines are written to
-the file in joined chunks of about `CHUNK_CHARS` characters, so no row is
-held. A row passed to `append` is spelled, checked and counted as it is made;
-the rows of a shaped family come to `extend_shape` as the text of their
-`_Shape` (see build.py), already checked by the builder, and are counted per
-instance. `render_lp` passes a built model's rows through `append` and
-returns the text.
+The writer is the builder's one row sink, and lines are written to the file
+in joined chunks of about `CHUNK_CHARS` characters, so no row is held. A row
+passed to `append` is spelled, checked and counted as it is made; the rows of
+a shaped family come to `extend_shape` as the text of their `_Shape` (see
+build.py), already checked by the builder, and are counted per instance.
 
 In `append`, each int coefficient's prefixes ("-1 ", " + 2 ") and int
 right-hand side's tail (" <= 0") are spelled once per file; any other value
@@ -28,7 +26,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from ..errors import BuildError, InputError
-from .build import MilpModel, _Builder
+from .build import _Builder
 from .params import MilpSlice
 from .sizes import count_sizes
 
@@ -147,18 +145,10 @@ def _replacing(path: Path):
         part.unlink(missing_ok=True)
 
 
-def render_lp(model: MilpModel, name: str = "itinerary") -> str:
-    parts: list[str] = []
-    writer = _LpWriter(parts.append, model.variables, model.objective, name)
-    for row in model.rows:
-        writer.append(row)
-    writer.finish()
-    return "".join(parts)
-
-
 def write_lp(db_slice: MilpSlice, budget, path: Path | str,
              name: str = "itinerary") -> dict[str, int]:
-    """Write `db_slice`'s model to `path` with no row list: `render_lp(build_model(...))`'s bytes.
+    """Write `db_slice`'s model, with a budget row when `budget` is set, to
+    `path` as it is built, holding no row list.
 
     Returns the rows per category: a budget row's is "query", the rest match count_sizes."""
     with _replacing(Path(path)) as fh:

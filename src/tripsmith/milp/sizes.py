@@ -1,9 +1,10 @@
 """Closed-form variable and constraint counts.
 
 These formulas are the executable size contract: for any parameters,
-`count_sizes(params)` must equal what `build_model` actually emits, category
-by category (tested). Query-specific rows (a budget bound) sit outside the
-structural contract and are reported by the model itself.
+`count_sizes(params)` must equal the rows `write_lp` writes, category by
+category (it refuses a model that differs). Query-specific rows (a budget
+bound) sit outside the structural contract, and `write_lp` counts them as
+"query".
 """
 
 from __future__ import annotations

@@ -9,13 +9,23 @@ variables.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from decimal import Decimal
 
 from ..errors import SolveRefusedError
-from .build import MilpModel
+from .build import VarInfo
 
 VARIABLE_LIMIT = 2000
 NODE_LIMIT = 500_000
+
+
+@dataclass
+class MilpModel:
+    """A model as the solver takes it: the variables it tries in order, and its rows."""
+
+    variables: dict[str, VarInfo]
+    rows: list[tuple]       # (name, ((coef, var), ...), "<=" | ">=" | "=", rhs, category)
+    objective: tuple = ()
 
 
 class _Problem:

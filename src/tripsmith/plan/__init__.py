@@ -5,7 +5,6 @@ from .concepts import (
     CONCEPT_REGISTRY,
     FUNCTIONS,
     ConceptContext,
-    concept,
 )
 from .model import (
     ACTIVITY_TYPES,
@@ -28,7 +27,6 @@ __all__ = [
     "INTERCITY_TYPES",
     "MEAL_TYPES",
     "Plan",
-    "concept",
     "parse_plan",
     "plan_from_obj",
     "serialize_plan",

@@ -316,20 +316,9 @@ FUNCTIONS: dict[str, tuple[Callable, int, int]] = {
 def arity_message(name: str, count: int) -> str:
     """How a call of `FUNCTIONS[name]` with `count` arguments misses its arity.
 
-    The checker's diagnostic and `concept()`'s error both read this text; the
-    checker's reaches `nl2dsl` repair prompts.
+    The checker's diagnostic reads this text, and it reaches `nl2dsl` repair
+    prompts; a program whose calls miss their arity never runs.
     """
     _, lo, hi = FUNCTIONS[name]
     expected = str(lo) if lo == hi else f"{lo} to {hi}"
     return f"{name} expects {expected} argument(s), got {count}"
-
-
-def concept(name: str, args: list, ctx: ConceptContext):
-    """Dispatch one call through `FUNCTIONS`; unknown names and bad arity raise."""
-    entry = FUNCTIONS.get(name)
-    if entry is None:
-        raise DslEvalError(f"unknown concept function {name!r}")
-    impl, lo, hi = entry
-    if not lo <= len(args) <= hi:
-        raise DslEvalError(arity_message(name, len(args)))
-    return impl(ctx, *args)

@@ -254,7 +254,6 @@ def dfs_search(
     ranker: Ranker | None,
     cfg: SearchConfig,
     ctx: QueryContext,
-    prune_budget: bool = True,
     trace=None,
 ) -> SearchOutcome:
     """Search for a plan satisfying every constraint; every plan it builds is env-valid.
@@ -272,7 +271,7 @@ def dfs_search(
             )
         programs.append(program)
     search = _Search(programs, dataset, ranker or HeuristicRanker(), cfg.budget_seconds,
-                     ctx, prune_budget, trace)
+                     ctx, prune_budget=True, trace=trace)
     try:
         found = search.dfs(initial_state())
     except _TimeUp:

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import re
+import tempfile
 from decimal import Decimal
+from pathlib import Path
+
+from tripsmith.milp import MilpModel, write_lp
+from tripsmith.milp.build import _Builder
 
 _TERM = re.compile(r"([+-])\s*([\d.]+)\s+([A-Za-z_][A-Za-z0-9_]*)")
 
@@ -62,3 +67,28 @@ def parse_lp(text: str) -> dict:
         "binaries": sorted(binaries),
         "generals": sorted(generals),
     }
+
+
+# a row's category, by the first part of its name
+_CATEGORIES = {"occ": "occupancy", "hot": "hotel", "att": "attraction", "res": "restaurant",
+               "meal": "meal", "urb": "urban", "trn": "transit", "int": "intercity",
+               "qry": "query"}
+
+
+def _int_if_integral(value: Decimal):
+    return int(value) if value == value.to_integral_value() else value
+
+
+def read_model(db_slice, budget=None) -> MilpModel:
+    """The model `write_lp` writes for `db_slice`, as a solver reads its file:
+    rows in file order, each term's and right side's integral value as an int,
+    and the variables as the builder declares them, in its order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lp"
+        write_lp(db_slice, budget, path)
+        parsed = parse_lp(path.read_text())
+    rows = [(name, tuple((_int_if_integral(coef), var) for coef, var in terms), sense,
+             _int_if_integral(rhs), _CATEGORIES[name.split("_")[0]])
+            for name, (terms, sense, rhs) in parsed["rows"].items()]
+    objective = tuple((_int_if_integral(coef), var) for coef, var in parsed["objective"])
+    return MilpModel(_Builder(db_slice, budget).vars, rows, objective)

@@ -7,7 +7,6 @@ nowhere else.
 
 import random
 import time
-from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,13 +17,14 @@ from tripsmith.llm import FaultInjectingTransport, LlmRanker
 from tripsmith.manifest import read_jsonl
 from tripsmith.milp import (
     DOWNSAMPLE,
+    MilpModel,
     MilpParams,
-    build_model,
+    VarInfo,
     check_assignment,
     count_sizes,
     micro_solve,
-    render_lp,
     synthetic_slice,
+    write_lp,
 )
 from tripsmith.search import (
     FULL_PASS,
@@ -37,6 +37,7 @@ from tripsmith.search.state import schedule_visit
 from . import golden_programs as G
 from . import oracles
 from .conftest import FIXTURES, build_base_plan, corrupt_plan
+from .lp_reader import parse_lp, read_model
 from .test_dsl import evaluate_checked
 from .test_evaluator import make_report, random_reports
 from .test_planner import decide, open_until_1730, state_at
@@ -200,9 +201,10 @@ def test_criterion_06_planner_rules(micro_dataset, monkeypatch):
     assert schedule_visit(state, row, "attraction", db, ctx) is None
 
 
-def test_criterion_07_milp_sizes():
-    """Closed-form counts equal emission; downsample scale matches the
-    published 36k-variable / 320k-constraint order within 20%."""
+def test_criterion_07_milp_sizes(tmp_path):
+    """Closed-form counts equal what `milp` writes; downsample scale matches
+    the published 36k-variable / 320k-constraint order within 20%."""
+    path = tmp_path / "model.lp"
     rng = random.Random(7)
     for trial in range(3):
         params = MilpParams(
@@ -212,28 +214,26 @@ def test_criterion_07_milp_sizes():
             time_step=rng.choice((4, 6, 8)), days=1,
         )
         sizes = count_sizes(params)
-        model = build_model(synthetic_slice(params, trial))
-        assert len(model.rows) == sizes.constraint_total
-        assert Counter(row[4] for row in model.rows) == {
-            k: v for k, v in sizes.constraints.items() if v}
-        assert len(model.variables) == sizes.variable_total
+        counts = write_lp(synthetic_slice(params, trial), None, path)
+        parsed = parse_lp(path.read_text())
+        assert len(parsed["rows"]) == sum(counts.values()) == sizes.constraint_total
+        assert counts == {k: v for k, v in sizes.constraints.items() if v}
+        assert len(parsed["binaries"]) + len(parsed["generals"]) == sizes.variable_total
 
     start = time.monotonic()
     sizes = count_sizes(DOWNSAMPLE)
-    model = build_model(synthetic_slice(DOWNSAMPLE))
-    render_lp(model)
+    counts = write_lp(synthetic_slice(DOWNSAMPLE), None, path)
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"emission took {elapsed:.1f}s"
     assert sizes.variables["y"] == 34848          # 22^2 * 3 * 24, exact
     assert 28800 <= sizes.variable_total <= 43200          # 36k +- 20%
     assert 256000 <= sizes.constraint_total <= 384000      # 320k +- 20%
-    assert len(model.rows) == sizes.constraint_total
+    assert sum(counts.values()) == sizes.constraint_total
 
 
 def test_criterion_08_micro_solve_on_toys():
-    """Feasible toy assignments satisfy every row; contradictions are proven."""
-    from tripsmith.milp import MilpModel, VarInfo
-
+    """Feasible toy assignments satisfy every row of the written model;
+    contradictions are proven."""
     rng = random.Random(13)
     solved = 0
     for trial in range(20):
@@ -242,7 +242,7 @@ def test_criterion_08_micro_solve_on_toys():
             station_num=1, go_num=rng.randint(1, 2), back_num=rng.randint(1, 2),
             time_step=rng.choice((6, 8)), days=1,
         )
-        model = build_model(synthetic_slice(params, trial))
+        model = read_model(synthetic_slice(params, trial))
         assignment = micro_solve(model)
         if assignment is not None:
             solved += 1

@@ -36,7 +36,7 @@ import pytest
 from tripsmith.cli import main
 from tripsmith.errors import IntegrityError
 from tripsmith.evaluation import validate_env
-from tripsmith.plan.concepts import ConceptContext, concept
+from tripsmith.plan.concepts import FUNCTIONS, ConceptContext
 from tripsmith.sandbox import load_dataset
 from tripsmith.search import HeuristicRanker, QueryContext, dfs
 from tripsmith.search.rules import FINISH, next_activity_type
@@ -215,7 +215,7 @@ def test_a_station_is_in_the_one_city_the_sandbox_places_it_in(tmp_path):
     outbound, inbound = plan.all_activities()[0], plan.all_activities()[-1]
     assert (outbound["start"], inbound["end"]) == ("Betaville Station", "Betaville Station")
     context = ConceptContext(plan, dataset)
-    assert [concept(name, [ride], context)
+    assert [FUNCTIONS[name][0](context, ride)
             for ride in (outbound, inbound)
             for name in ("intercity_transport_origin", "intercity_transport_destination")
             ] == ["Betaville", "Beta", "Beta", "Betaville"]

@@ -2,9 +2,10 @@
 
 `reference_render_lp` is the earlier writer, kept verbatim: it formats every
 term anew and joins one big string. The current writer caches int prefixes
-per file and writes chunks of lines, and must produce the same bytes on every
-model. `write_lp`, which builds a model straight into its file, must write
-the bytes of `render_lp(build_model(...))`.
+per file and writes chunks of lines, and must spell every hand-built row as
+it does. The files `write_lp` writes are pinned by digest, taken when a
+built model's rows, the current writer and the reference writer agreed on
+each of them byte for byte.
 """
 
 import hashlib
@@ -15,18 +16,16 @@ import pytest
 
 from tripsmith.errors import BuildError, InputError
 from tripsmith.milp import (
-    DOWNSAMPLE,
     MilpModel,
     MilpParams,
     VarInfo,
-    build_model,
     count_sizes,
-    render_lp,
     slice_from_dataset,
     synthetic_slice,
     write_lp,
 )
 from tripsmith.milp.build import _Builder
+from tripsmith.milp.lp_writer import _LpWriter
 
 # -- reference writer -----------------------------------------------------------
 
@@ -86,20 +85,26 @@ def reference_render_lp(model: MilpModel, name: str = "itinerary") -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_lp(model: MilpModel, name: str = "itinerary") -> str:
+    """The LP text of `model`, each row passed to `_LpWriter.append`."""
+    parts: list[str] = []
+    writer = _LpWriter(parts.append, model.variables, model.objective, name)
+    for row in model.rows:
+        writer.append(row)
+    writer.finish()
+    return "".join(parts)
+
+
 def assert_same_lp(model: MilpModel, name: str = "itinerary") -> str:
     want = reference_render_lp(model, name)
     assert render_lp(model, name) == want
     return want
 
 
-def assert_stream_matches(db_slice, budget, tmp_path, digest=None) -> None:
-    """write_lp writes render_lp(build_model(...))'s bytes, of sha256 `digest`,
-    and counts every row it writes."""
-    built = render_lp(build_model(db_slice, budget), name="m")
+def assert_stream_pinned(db_slice, budget, tmp_path, digest) -> None:
+    """write_lp writes bytes of sha256 `digest` and counts every row it writes."""
     counts = write_lp(db_slice, budget, tmp_path / "streamed.lp", name="m")
-    assert (tmp_path / "streamed.lp").read_bytes() == built.encode("utf-8")
-    if digest is not None:
-        assert hashlib.sha256(built.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / "streamed.lp").read_bytes()).hexdigest() == digest
     want = {category: n for category, n in count_sizes(db_slice.params).constraints.items()
             if n}
     if budget is not None:
@@ -112,10 +117,6 @@ def assert_stream_matches(db_slice, budget, tmp_path, digest=None) -> None:
 
 def _dataset_slice(dataset, days: int, slots_per_day: int):
     return slice_from_dataset(dataset, "Alpha", "Beta", 2, 10, 5, slots_per_day * days, days)
-
-
-def _dataset_model(dataset, days: int, slots_per_day: int, budget) -> MilpModel:
-    return build_model(_dataset_slice(dataset, days, slots_per_day), budget)
 
 
 def _hand_model(objective, rows) -> MilpModel:
@@ -165,11 +166,6 @@ def test_model_with_no_rows_or_terms():
     assert text == "\\ Problem: bare\nMinimize\n obj: 0\nSubject To\n empty: 0 zero = 0\nEnd\n"
 
 
-def test_downsample_model_matches_reference(tmp_path):
-    assert_same_lp(build_model(synthetic_slice(DOWNSAMPLE)))
-    assert_stream_matches(synthetic_slice(DOWNSAMPLE), None, tmp_path)
-
-
 # sha256 of write_lp(<fixture> Alpha -> Beta slice, budget, name="m"), per (days, budget)
 FIXTURE_PINS = {
     (1, 800): {
@@ -187,20 +183,18 @@ FIXTURE_PINS = {
 @pytest.mark.parametrize("days, slots_per_day, budget", [
     (1, 24, 800), (2, 12, Decimal("1234.50")), (3, 6, 95),
 ])
-def test_micro_and_mini_models_with_budget_match_reference(
+def test_micro_and_mini_models_with_budget_are_pinned(
         tmp_path, micro_dataset, mini_dataset, days, slots_per_day, budget):
     pins = FIXTURE_PINS[days, budget]
     for fixture, dataset in (("micro", micro_dataset), ("mini", mini_dataset)):
-        model = _dataset_model(dataset, days, slots_per_day, budget)
-        assert [category for *_, category in model.rows].count("query") == 1
-        assert_same_lp(model)
-        assert_stream_matches(_dataset_slice(dataset, days, slots_per_day), budget, tmp_path,
-                              pins[fixture])
+        assert_stream_pinned(_dataset_slice(dataset, days, slots_per_day), budget, tmp_path,
+                             pins[fixture])
 
 
-def test_micro_lp_text_is_pinned(micro_dataset):
-    text = render_lp(_dataset_model(micro_dataset, 2, 12, 800), name="micro")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+def test_micro_lp_text_is_pinned(tmp_path, micro_dataset):
+    path = tmp_path / "micro.lp"
+    write_lp(_dataset_slice(micro_dataset, 2, 12), 800, path, name="micro")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
     # as the string-building writer rendered the same model
     assert digest == "fdc6801c322291e9dac3abe4b2b02345c1405a3e142d898b77aa10cb9b6386a5"
 
@@ -263,11 +257,11 @@ SYNTHETIC_PINS = {
 
 @pytest.mark.parametrize("shape", SYNTHETIC)
 @pytest.mark.parametrize("budget", [None, 0, 640, Decimal("1234.50")])
-def test_streamed_synthetic_models_match_the_built_ones(tmp_path, shape, budget):
+def test_streamed_synthetic_models_are_pinned(tmp_path, shape, budget):
     params = SYNTHETIC[shape]
     db_slice = synthetic_slice(params, 5)
     assert db_slice.params == params
-    assert_stream_matches(db_slice, budget, tmp_path, SYNTHETIC_PINS[shape][budget])
+    assert_stream_pinned(db_slice, budget, tmp_path, SYNTHETIC_PINS[shape][budget])
 
 
 def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
@@ -276,7 +270,8 @@ def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
     db_slice.hotels[0]["price"] = Decimal("1.0")
     db_slice.attractions[0]["price"] = Decimal("-0.50")
     db_slice.attractions[1]["price"] = Decimal("1")
-    assert_stream_matches(db_slice, Decimal("1.0"), tmp_path)
+    assert_stream_pinned(db_slice, Decimal("1.0"), tmp_path,
+                         "9d2a842e2e5cc3eb3cf61cc38f2114a8050581be55668ea9d9993ebc149c2f01")
     text = (tmp_path / "streamed.lp").read_text()
     assert "1.0 hotel_0_0" in text and " - 0.50 attr_0 + 1 attr_1" in text
     assert text.count(" <= 1.0\n") == 1
@@ -312,24 +307,6 @@ def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault
         write_lp(synthetic_slice(params), None, path)
     assert path.read_text() == "earlier\n"
     assert list(tmp_path.iterdir()) == [path]
-
-
-def test_streamed_write_holds_no_row_list(tmp_path):
-    params = MilpParams(1, 2, 1, 1, 2, 2, 24)
-    db_slice = synthetic_slice(params)
-    peaks = []
-    tracemalloc.start()
-    try:
-        for write in (lambda: render_lp(build_model(db_slice)),
-                      lambda: write_lp(db_slice, None, tmp_path / "streamed.lp")):
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            write()
-            peaks.append(tracemalloc.get_traced_memory()[1] - start)
-    finally:
-        tracemalloc.stop()
-    built_peak, streamed_peak = peaks
-    assert streamed_peak < built_peak / 2, peaks
 
 
 def test_write_lp_peak_grows_by_under_256_bytes_a_variable(tmp_path):

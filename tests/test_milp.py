@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import hashlib
 import json
 import random
@@ -16,24 +15,23 @@ from tripsmith.milp import (
     MilpModel,
     MilpParams,
     VarInfo,
-    build_model,
     check_assignment,
     count_sizes,
     decode_assignment,
     micro_solve,
-    render_lp,
     slice_from_dataset,
     synthetic_slice,
     write_lp,
 )
-from tripsmith.milp.build import open_slots
+from tripsmith.milp.build import _Builder, open_slots
+from tripsmith.milp.lp_writer import _LpWriter
 from tripsmith.plan import serialize_plan, parse_plan
 from tripsmith.sandbox import load_dataset
 from tripsmith.timeutil import to_minutes
 
 from .conftest import FIXTURES
 
-from .lp_reader import parse_lp
+from .lp_reader import parse_lp, read_model
 
 
 def random_params(rng: random.Random) -> MilpParams:
@@ -108,11 +106,11 @@ def test_dataset_slice_dimensions_are_the_ones_milp_reports(tmp_path, fixture):
 
 
 @pytest.mark.parametrize("table", ["attraction", "restaurant"])
-def test_hours_shorter_than_rows_is_build_error(table):
+def test_hours_shorter_than_rows_is_build_error(tmp_path, table):
     slice_ = synthetic_slice(DOWNSAMPLE)
     getattr(slice_, f"{table}_hours").pop()
     with pytest.raises(BuildError, match=rf"slice carries \d+ {table} hours"):
-        build_model(slice_)
+        write_lp(slice_, None, tmp_path / "model.lp")
 
 
 def _text_hours() -> list[tuple[tuple[int, int], str, str]]:
@@ -154,7 +152,7 @@ def test_count_sizes_matches_emission_on_random_configs():
     for trial in range(8):
         params = random_params(rng)
         sizes = count_sizes(params)
-        model = build_model(synthetic_slice(params, trial))
+        model = read_model(synthetic_slice(params, trial))
         assert Counter(row[4] for row in model.rows) == {
             k: v for k, v in sizes.constraints.items() if v
         }, params
@@ -173,19 +171,20 @@ def test_downsample_sizes_match_published_scale():
     assert 320000 * 0.8 <= sizes.constraint_total <= 320000 * 1.2
 
 
-def test_downsample_emission_under_ten_seconds():
+def test_downsample_emission_under_ten_seconds(tmp_path):
+    path = tmp_path / "model.lp"
     start = time.monotonic()
-    model = build_model(synthetic_slice(DOWNSAMPLE))
-    text = render_lp(model)
+    counts = write_lp(synthetic_slice(DOWNSAMPLE), None, path)
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"emission took {elapsed:.1f}s"
-    assert len(model.rows) == count_sizes(DOWNSAMPLE).constraint_total
-    assert text.count("\n") > len(model.rows)
+    rows = sum(counts.values())
+    assert rows == count_sizes(DOWNSAMPLE).constraint_total
+    assert path.read_text().count("\n") > rows
 
 
 def test_trivial_params_sum_rows():
     params = MilpParams(1, 0, 0, 1, 1, 1, time_step=2)
-    model = build_model(synthetic_slice(params))
+    model = read_model(synthetic_slice(params))
     one_rows = [row for row in model.rows if row[0].startswith("occ_one_")]
     assert len(one_rows) == params.time_step
 
@@ -196,40 +195,16 @@ def test_zero_poi_categories_have_zero_counts():
     assert sizes.constraints["hotel"] == 0
     assert sizes.constraints["attraction"] == 0
     assert sizes.constraints["restaurant"] == 0
-    model = build_model(synthetic_slice(params))
+    model = read_model(synthetic_slice(params))
     categories = Counter(row[4] for row in model.rows)
     assert "hotel" not in categories and "attraction" not in categories
 
 
 def test_undeclared_reference_is_build_error_naming_row_and_variable():
-    model = MilpModel(
-        variables={"x": VarInfo("x", "binary")},
-        rows=[("ok", ((1, "x"),), "<=", 1, "query"),
-              ("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query")],
-    )
+    writer = _LpWriter([].append, {"x": VarInfo("x", "binary")}, (), "m")
+    writer.append(("ok", ((1, "x"),), "<=", 1, "query"))
     with pytest.raises(BuildError, match="row bad references undeclared ghost"):
-        model.validate_references()
-
-
-def test_rows_are_immutable():
-    params = MilpParams(1, 1, 1, 1, 1, 1, 4)
-    rows = build_model(synthetic_slice(params)).rows
-    for row in rows:
-        # a plain tuple of atoms: immutable, and untracked by the cycle collector
-        assert type(row) is tuple and len(row) == 5
-        with pytest.raises(TypeError):
-            row[0] = None
-    for _ in range(3):      # a collection untracks one level: term, terms, row
-        gc.collect()
-    assert not any(map(gc.is_tracked, rows))
-
-
-def test_every_build_validates_references(monkeypatch):
-    checked = []
-    monkeypatch.setattr(MilpModel, "validate_references", lambda model: checked.append(model))
-    params = MilpParams(1, 1, 1, 1, 1, 1, 4)
-    model = build_model(synthetic_slice(params))
-    assert checked == [model]
+        writer.append(("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query"))
 
 
 def test_lp_row_count_equals_size_total(tmp_path):
@@ -327,29 +302,28 @@ def test_ride_rows_name_the_slots_the_oracle_names(tmp_path, params):
     assert not wrong, f"{len(wrong)} rows differ from the oracle, first {wrong[0]}"
 
 
-def test_lp_empty_objective_header():
-    model = MilpModel(
-        variables={"x": VarInfo("x", "binary")},
-        rows=[("r0", ((1, "x"),), "<=", 1, "query")],
-    )
-    text = render_lp(model)
-    assert "Minimize\n obj: 0\n" in text
+def test_lp_empty_objective_header(tmp_path):
+    path = tmp_path / "model.lp"
+    write_lp(synthetic_slice(MilpParams(0, 0, 0, 0, 0, 0, 4)), None, path)
+    assert "Minimize\n obj: 0\n" in path.read_text()
 
 
 def test_lp_reader_roundtrip_matches_model(tmp_path):
     params = MilpParams(1, 2, 1, 1, 2, 2, 6)
-    model = build_model(synthetic_slice(params))
-    parsed = parse_lp(render_lp(model))
-    assert len(parsed["rows"]) == len(model.rows)
-    # row-by-row: same terms multiset, sense, rhs
-    for name, terms, sense, rhs, _ in model.rows:
-        got_terms, got_sense, got_rhs = parsed["rows"][name]
-        want = tuple(sorted((Decimal(str(c)), v) for c, v in terms if c != 0))
-        assert got_terms == want, name
-        assert got_sense == sense
-        assert got_rhs == Decimal(str(rhs))
-    binaries = {i.name for i in model.variables.values() if i.kind == "binary"}
-    assert set(parsed["binaries"]) == binaries
+    db_slice = synthetic_slice(params)
+    path = tmp_path / "model.lp"
+    counts = write_lp(db_slice, 800, path)
+    parsed = parse_lp(path.read_text())
+    assert len(parsed["rows"]) == sum(counts.values())
+    builder = _Builder(db_slice, 800)
+    cost = sorted((Decimal(str(c)), v) for c, v in builder.cost_terms() if c != 0)
+    assert parsed["objective"] == cost
+    assert parsed["rows"]["qry_budget"] == (tuple(cost), "<=", Decimal(800))
+    for kind, section in (("binary", "binaries"), ("integer", "generals")):
+        names = sorted(i.name for i in builder.vars.values() if i.kind == kind)
+        assert parsed[section] == names
+    assert parsed["bounds"] == [f"{i.lo} <= {i.name} <= {i.hi}"
+                                for i in builder.vars.values() if i.kind == "integer"]
 
 
 def test_unwritable_path_raises(tmp_path):
@@ -377,7 +351,7 @@ def test_contradictory_rows_are_infeasible():
 
 def test_one_hotel_toy_is_feasible_and_one_hot():
     params = MilpParams(1, 0, 0, 1, 1, 1, time_step=4)
-    model = build_model(synthetic_slice(params, 3))
+    model = read_model(synthetic_slice(params, 3))
     assignment = micro_solve(model)
     assert assignment is not None
     assert check_assignment(model, assignment) == []
@@ -390,8 +364,8 @@ def test_one_hotel_toy_is_feasible_and_one_hot():
 
 def test_solver_refuses_oversized_models():
     params = MilpParams(2, 10, 5, 5, 10, 10, 24)
-    model = build_model(synthetic_slice(params))
-    with pytest.raises(SolveRefusedError):
+    model = MilpModel(_Builder(synthetic_slice(params), None).vars, [])
+    with pytest.raises(SolveRefusedError, match="at most 2000 variables"):
         micro_solve(model)
 
 
@@ -404,7 +378,7 @@ def test_feasible_assignments_satisfy_every_row():
             station_num=1, go_num=rng.randint(1, 2), back_num=rng.randint(1, 2),
             time_step=rng.choice((6, 8)), days=1,
         )
-        model = build_model(synthetic_slice(params, trial))
+        model = read_model(synthetic_slice(params, trial))
         assignment = micro_solve(model)
         if assignment is not None:
             solved += 1
@@ -416,7 +390,7 @@ def test_check_constants_pin_closed_slots():
     params = MilpParams(0, 1, 0, 1, 1, 1, time_step=6)
     slice_ = synthetic_slice(params, 0)
     slice_.attraction_hours[0] = (480, 720)
-    model = build_model(slice_)
+    model = read_model(slice_)
     # 4-hour slots: only slot 2 ([08:00,12:00)) is fully inside the hours
     closed_rows = [row for row in model.rows
                    if row[0].startswith("att_check_0_") and row[3] == 0]
@@ -428,7 +402,7 @@ def test_check_constants_pin_closed_slots():
 def test_decoded_assignment_parses_as_plan():
     params = MilpParams(1, 1, 0, 1, 1, 1, time_step=8)
     slice_ = synthetic_slice(params, 1)
-    model = build_model(slice_)
+    model = read_model(slice_)
     assignment = micro_solve(model)
     assert assignment is not None
     plan = decode_assignment(slice_, assignment, "Away", "City", people=1)
@@ -440,7 +414,7 @@ def test_decoded_assignment_parses_as_plan():
 
 def test_budget_query_constraint_row():
     params = MilpParams(1, 1, 1, 1, 1, 1, 6)
-    model = build_model(synthetic_slice(params), 800)
+    model = read_model(synthetic_slice(params), 800)
     query_rows = [row for row in model.rows if row[4] == "query"]
     assert len(query_rows) == 1
     _, _, sense, rhs, _ = query_rows[0]

@@ -9,8 +9,10 @@ a string (a trace-hook path, a `__all__` entry) counts as a use.
 A public one must also have a caller that is not a test: code under `src/`
 that reads it (a docstring, an `__init__` import or an `__all__` entry is not
 code), or a mention under `bench/`. A read inside the definition of a name
-that only tests reach is no caller. A name that only tests call is declared in
-`TEST_ONLY` with the reason it is kept; an API that has neither goes.
+that only tests reach is no caller, and nor is a read of a name that the
+enclosing function binds, which reads its local. A name that only tests call
+is declared in `TEST_ONLY` with the reason it is kept; an API that has neither
+goes.
 """
 
 import ast
@@ -32,6 +34,7 @@ TEST_ONLY = {
     "nl2dsl": "the paper's NL-to-DSL step: query text to checked programs",
     "enumerate_complete_plans": "the unpruned search, the oracle of the pruned one",
     "micro_solve": "criterion 08: the desk-scale exact solver",
+    "MilpModel": "reached only through micro_solve: the model it solves, read from an LP file",
     "synthetic_slice": "criterion 07 and the pinned LP bytes: a slice of given dimensions",
     "DOWNSAMPLE": "criterion 07: the published-scale model dimensions",
     "decode_assignment": "the oracle of the exact model's decoded plans (ROADMAP direction 4)",
@@ -79,15 +82,34 @@ def test_every_module_level_name_is_used():
     assert not dead, "used nowhere but in their definition: " + ", ".join(dead)
 
 
+def _bound_names(function) -> set[str]:
+    """The names a function binds: its arguments and its assignment targets."""
+    args = function.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return ({arg.arg for arg in params if arg is not None}
+            | {node.id for node in ast.walk(function)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)})
+
+
+def _reads(node: ast.AST, bound: frozenset = frozenset()):
+    """The names read as code under `node`, but for a name that an enclosing
+    function binds, whose reads are of that local."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | _bound_names(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, bound)
+
+
 def _statement_reads(tree: ast.Module):
     """(names defined, names read as code) of each module-level statement,
     the names it defines left out of what it reads."""
     for statement in tree.body:
         defined = {name for name, _ in _defined_names([statement])}
-        read = {node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(statement)
-                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-        yield defined, read - defined
+        yield defined, set(_reads(statement)) - defined
 
 
 def test_test_only_names_are_declared():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripsmith.dsl import check_syntax
 from tripsmith.errors import SchemaError
 from tripsmith.plan import (
     ACTIVITY_TYPES,
     CONCEPT_REGISTRY,
+    FUNCTIONS,
     ConceptContext,
-    concept,
     parse_plan,
     plan_from_obj,
     serialize_plan,
@@ -110,12 +111,12 @@ def test_unknown_fields_preserved():
 
 def test_activity_time_90_minutes():
     act = {"start_time": "10:00", "end_time": "11:30"}
-    assert concept("activity_time", [act], ctx(None)) == Decimal(90)
+    assert FUNCTIONS["activity_time"][0](ctx(None), act) == Decimal(90)
 
 
 def test_activity_time_missing_gives_minus_one():
-    assert concept("activity_time", [{"start_time": "10:00"}], ctx(None)) == Decimal(-1)
-    assert concept("activity_time", [{}], ctx(None)) == Decimal(-1)
+    assert FUNCTIONS["activity_time"][0](ctx(None), {"start_time": "10:00"}) == Decimal(-1)
+    assert FUNCTIONS["activity_time"][0](ctx(None), {}) == Decimal(-1)
 
 
 def test_innercity_transport_time_span():
@@ -123,76 +124,75 @@ def test_innercity_transport_time_span():
         {"start_time": "09:00", "end_time": "09:10"},
         {"start_time": "09:10", "end_time": "09:24"},
     ]
-    assert concept("innercity_transport_time", [legs], ctx(None)) == Decimal(24)
-    assert concept("innercity_transport_time", [[]], ctx(None)) == Decimal(0)
+    assert FUNCTIONS["innercity_transport_time"][0](ctx(None), legs) == Decimal(24)
+    assert FUNCTIONS["innercity_transport_time"][0](ctx(None), []) == Decimal(0)
 
 
 def test_intercity_origin_needs_loaded_cities(mini_dataset):
     plan = parse_plan(MINIMAL)
     act = plan.itinerary[0].activities[0]
-    assert concept("intercity_transport_origin", [act], ctx(plan, mini_dataset)) == "Alpha"
-    assert concept("intercity_transport_destination", [act], ctx(plan, mini_dataset)) == "Beta"
-    assert concept("intercity_transport_origin", [{}], ctx(plan, mini_dataset)) == ""
+    assert FUNCTIONS["intercity_transport_origin"][0](ctx(plan, mini_dataset), act) == "Alpha"
+    assert FUNCTIONS["intercity_transport_destination"][0](ctx(plan, mini_dataset), act) == "Beta"
+    assert FUNCTIONS["intercity_transport_origin"][0](ctx(plan, mini_dataset), {}) == ""
 
 
 def test_metro_tickets_reads_middle_leg():
     legs = [{"tickets": 2}, {"tickets": 3}, {"tickets": 2}]
-    assert concept("metro_tickets", [legs], ctx(None)) == Decimal(3)
-    assert concept("metro_tickets", [[{"tickets": 2}]], ctx(None)) == Decimal(0)
+    assert FUNCTIONS["metro_tickets"][0](ctx(None), legs) == Decimal(3)
+    assert FUNCTIONS["metro_tickets"][0](ctx(None), [{"tickets": 2}]) == Decimal(0)
 
 
 def test_taxi_cars_reads_first_leg():
-    assert concept("taxi_cars", [[{"cars": 2}]], ctx(None)) == Decimal(2)
-    assert concept("taxi_cars", [[]], ctx(None)) == Decimal(0)
+    assert FUNCTIONS["taxi_cars"][0](ctx(None), [{"cars": 2}]) == Decimal(2)
+    assert FUNCTIONS["taxi_cars"][0](ctx(None), []) == Decimal(0)
 
 
 def test_innercity_transport_type_shapes():
     triple = [{"mode": "walk"}, {"mode": "metro"}, {"mode": "walk"}]
-    assert concept("innercity_transport_type", [triple], ctx(None)) == "metro"
-    assert concept("innercity_transport_type", [[{"mode": "taxi"}]], ctx(None)) == "taxi"
-    assert concept("innercity_transport_type", [[{}, {}]], ctx(None)) == ""
+    assert FUNCTIONS["innercity_transport_type"][0](ctx(None), triple) == "metro"
+    assert FUNCTIONS["innercity_transport_type"][0](ctx(None), [{"mode": "taxi"}]) == "taxi"
+    assert FUNCTIONS["innercity_transport_type"][0](ctx(None), [{}, {}]) == ""
 
 
 def test_innercity_transport_cost_mode_filter():
     legs = [{"mode": "walk", "cost": Decimal(0)},
             {"mode": "metro", "cost": Decimal(6)},
             {"mode": "walk", "cost": Decimal(0)}]
-    assert concept("innercity_transport_cost", [legs], ctx(None)) == Decimal(6)
-    assert concept("innercity_transport_cost", [legs, "metro"], ctx(None)) == Decimal(6)
-    assert concept("innercity_transport_cost", [legs, "walk"], ctx(None)) == Decimal(0)
+    assert FUNCTIONS["innercity_transport_cost"][0](ctx(None), legs) == Decimal(6)
+    assert FUNCTIONS["innercity_transport_cost"][0](ctx(None), legs, "metro") == Decimal(6)
+    assert FUNCTIONS["innercity_transport_cost"][0](ctx(None), legs, "walk") == Decimal(0)
 
 
 def test_poi_lookup_types_empty_when_absent(mini_dataset):
     plan = parse_plan(MINIMAL)
     context = ctx(plan, mini_dataset)
     meal = {"position": "Hotpot Palace"}
-    assert concept("restaurant_type", [meal, "Beta"], context) == "Hotpot"
-    assert concept("restaurant_type", [{"position": "Nope"}, "Beta"], context) == ""
+    assert FUNCTIONS["restaurant_type"][0](context, meal, "Beta") == "Hotpot"
+    assert FUNCTIONS["restaurant_type"][0](context, {"position": "Nope"}, "Beta") == ""
     sight = {"position": "Lakeview Tower"}
-    assert concept("attraction_type", [sight, "Beta"], context) == "viewpoint"
-    assert concept("attraction_type", [{"position": ""}, "Beta"], context) == ""
+    assert FUNCTIONS["attraction_type"][0](context, sight, "Beta") == "viewpoint"
+    assert FUNCTIONS["attraction_type"][0](context, {"position": ""}, "Beta") == ""
     stay = {"position": "Harbor Hotel"}
-    assert concept("accommodation_type", [stay, "Beta"], context) == "Pool"
-    assert concept("accommodation_type", [meal, "Beta"], context) == ""
-    assert concept("restaurant_type", [{"position": ["Hotpot Palace"]}, "Beta"], context) == ""
+    assert FUNCTIONS["accommodation_type"][0](context, stay, "Beta") == "Pool"
+    assert FUNCTIONS["accommodation_type"][0](context, meal, "Beta") == ""
+    assert FUNCTIONS["restaurant_type"][0](context, {"position": ["Hotpot Palace"]}, "Beta") == ""
 
 
 def test_poi_recommend_time(mini_dataset):
     plan = parse_plan(MINIMAL)
-    minutes = concept("poi_recommend_time", ["Beta", "Lakeview Tower"],
-                      ctx(plan, mini_dataset))
+    minutes = FUNCTIONS["poi_recommend_time"][0](ctx(plan, mini_dataset), "Beta", "Lakeview Tower")
     assert minutes == Decimal(60)
-    absent = concept("poi_recommend_time", ["Beta", "Nope"], ctx(plan, mini_dataset))
+    absent = FUNCTIONS["poi_recommend_time"][0](ctx(plan, mini_dataset), "Beta", "Nope")
     assert absent == Decimal(-1)
     for not_a_name in (Decimal(3), [], {"position": "Lakeview Tower"}):
-        got = concept("poi_recommend_time", ["Beta", not_a_name], ctx(plan, mini_dataset))
+        got = FUNCTIONS["poi_recommend_time"][0](ctx(plan, mini_dataset), "Beta", not_a_name)
         assert got == Decimal(-1)
 
 
 def test_poi_distance_matches_haversine(mini_dataset):
     plan = parse_plan(MINIMAL)
     context = ctx(plan, mini_dataset)
-    got = concept("poi_distance", ["Beta", "Beta Station", "Old Town Wall"], context)
+    got = FUNCTIONS["poi_distance"][0](context, "Beta", "Beta Station", "Old Town Wall")
     beta = mini_dataset["Beta"]
     lat1, lon1 = beta.coordinates("Beta Station")
     lat2, lon2 = beta.coordinates("Old Town Wall")
@@ -203,18 +203,18 @@ def test_poi_distance_matches_haversine(mini_dataset):
 def test_poi_distance_identity_and_symmetry(mini_dataset):
     plan = parse_plan(MINIMAL)
     context = ctx(plan, mini_dataset)
-    zero = concept("poi_distance", ["Beta", "City Museum", "City Museum"], context)
+    zero = FUNCTIONS["poi_distance"][0](context, "Beta", "City Museum", "City Museum")
     assert zero == Decimal("0.000")
-    ab = concept("poi_distance", ["Beta", "City Museum", "Lakeview Tower"], context)
-    ba = concept("poi_distance", ["Beta", "Lakeview Tower", "City Museum"], context)
+    ab = FUNCTIONS["poi_distance"][0](context, "Beta", "City Museum", "Lakeview Tower")
+    ba = FUNCTIONS["poi_distance"][0](context, "Beta", "Lakeview Tower", "City Museum")
     assert ab == ba
 
 
 def test_unknown_concept_and_arity():
-    with pytest.raises(DslEvalError, match="unknown concept"):
-        concept("activty_cost", [{}], ctx(None))
-    with pytest.raises(DslEvalError, match=r"^activity_cost expects 1 argument\(s\), got 2$"):
-        concept("activity_cost", [{}, {}], ctx(None))
+    [unknown] = check_syntax("return activty_cost(plan)")
+    assert unknown.message == "unknown concept function 'activty_cost'"
+    [arity] = check_syntax("return activity_cost(plan, plan)")
+    assert arity.message == "activity_cost expects 1 argument(s), got 2"
 
 
 # -- generated-plan properties ---------------------------------------------------
@@ -274,10 +274,10 @@ def test_activity_counts_agree(seed):
     dataset = load_dataset(FIXTURES / "mini")
     plan = random_plan(dataset, random.Random(seed))
     context = ctx(plan, dataset)
-    total = concept("allactivities_count", [plan], context)
-    assert total == Decimal(len(concept("allactivities", [plan], context)))
+    total = FUNCTIONS["allactivities_count"][0](context, plan)
+    assert total == Decimal(len(FUNCTIONS["allactivities"][0](context, plan)))
     per_day = sum(
-        len(concept("dayactivities", [plan, Decimal(d + 1)], context))
+        len(FUNCTIONS["dayactivities"][0](context, plan, Decimal(d + 1)))
         for d in range(plan.day_count)
     )
     assert Decimal(per_day) == total
@@ -466,23 +466,23 @@ def test_record_accessor_values(name, mini_dataset):
     for record, expected in zip((FULL_RECORD, {}, NONE_RECORD), RECORD_ACCESSORS[name]):
         if isinstance(expected, type):
             with pytest.raises(expected):
-                concept(name, [record], context)
+                FUNCTIONS[name][0](context, record)
         else:
-            assert _same(concept(name, [record], context), expected), record
+            assert _same(FUNCTIONS[name][0](context, record), expected), record
     with pytest.raises(DslEvalError, match="expected an activity record as argument"):
-        concept(name, ["Hotpot Palace"], context)
+        FUNCTIONS[name][0](context, "Hotpot Palace")
 
 
 @pytest.mark.parametrize("name", sorted(POI_ACCESSORS))
 def test_poi_accessor_values(name, mini_dataset):
     context = ctx(parse_plan(MINIMAL), mini_dataset)
-    assert _same(concept(name, [FULL_RECORD, "Beta"], context), POI_ACCESSORS[name])
-    assert _same(concept(name, [{}, "Beta"], context), "")
-    assert _same(concept(name, [NONE_RECORD, "Beta"], context), "")
+    assert _same(FUNCTIONS[name][0](context, FULL_RECORD, "Beta"), POI_ACCESSORS[name])
+    assert _same(FUNCTIONS[name][0](context, {}, "Beta"), "")
+    assert _same(FUNCTIONS[name][0](context, NONE_RECORD, "Beta"), "")
     with pytest.raises(DslEvalError, match="expected an activity record as argument"):
-        concept(name, [["Hotpot Palace"], "Beta"], context)
+        FUNCTIONS[name][0](context, ["Hotpot Palace"], "Beta")
     with pytest.raises(DslEvalError, match="city 'Gamma' is not loaded"):
-        concept(name, [FULL_RECORD, "Gamma"], context)
+        FUNCTIONS[name][0](context, FULL_RECORD, "Gamma")
 
 
 LEGS = [
@@ -498,16 +498,15 @@ LEGS = [
 ])
 def test_leg_total_values(name, total, metro):
     context = ctx(None)
-    assert _same(concept(name, [LEGS], context), total)
-    assert _same(concept(name, [[{}]], context), Decimal(0))
-    assert _same(concept(name, [[]], context), Decimal(0))
+    assert _same(FUNCTIONS[name][0](context, LEGS), total)
+    assert _same(FUNCTIONS[name][0](context, [{}]), Decimal(0))
+    assert _same(FUNCTIONS[name][0](context, []), Decimal(0))
     with pytest.raises(InvalidOperation):
-        concept(name, [[dict.fromkeys(LEGS[0])]], context)
+        FUNCTIONS[name][0](context, [dict.fromkeys(LEGS[0])])
     with pytest.raises(DslEvalError, match="expected a transport-leg list as argument"):
-        concept(name, [LEGS[0]], context)
+        FUNCTIONS[name][0](context, LEGS[0])
     if metro is None:
-        with pytest.raises(DslEvalError, match="expects 1 argument"):
-            concept(name, [LEGS, "metro"], context)
+        assert FUNCTIONS[name][1:] == (1, 1)    # the checker refuses a mode argument
     else:
-        assert _same(concept(name, [LEGS, "metro"], context), metro)
-        assert _same(concept(name, [LEGS, "taxi"], context), Decimal(0))
+        assert _same(FUNCTIONS[name][0](context, LEGS, "metro"), metro)
+        assert _same(FUNCTIONS[name][0](context, LEGS, "taxi"), Decimal(0))

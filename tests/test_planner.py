@@ -1,10 +1,12 @@
 import json
+import math
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripsmith.dsl import check_source
 from tripsmith.errors import InputError
 from tripsmith.evaluation import evaluate_plan, validate_env
 from tripsmith.plan import serialize_plan
@@ -20,6 +22,7 @@ from tripsmith.search import (
     enumerate_complete_plans,
     next_activity_type,
 )
+from tripsmith.search import dfs
 from tripsmith.search.rules import (
     ACCOMMODATION,
     ATTRACTION,
@@ -262,6 +265,8 @@ def test_search_matches_enumeration_on_micro(micro_dataset):
 
 
 def test_pruning_never_changes_the_accept_set(micro_dataset):
+    """dfs_search, which cuts a state over the budget, accepts what the same
+    search without that cut accepts."""
     budget_programs = [
         ('total_cost = 0\nfor act in allactivities(plan):\n'
          '    total_cost += activity_cost(act)\n'
@@ -273,10 +278,10 @@ def test_pruning_never_changes_the_accept_set(micro_dataset):
         for source in budget_programs:
             ctx = micro_context(days=days)
             ctx.budget_limit = Decimal(source.rsplit(" ", 1)[1])
-            pruned = dfs_search([source], micro_dataset, None, cfg(), ctx,
-                                prune_budget=True)
-            free = dfs_search([source], micro_dataset, None, cfg(), ctx,
-                              prune_budget=False)
+            pruned = dfs_search([source], micro_dataset, None, cfg(), ctx)
+            search = dfs._Search([check_source(source)[0]], micro_dataset, HeuristicRanker(),
+                                 math.inf, ctx, prune_budget=False)
+            free = search.outcome(search.dfs(initial_state()))
             assert (pruned.status == FULL_PASS) == (free.status == FULL_PASS)
             if pruned.status == FULL_PASS:
                 assert pruned.plan == free.plan

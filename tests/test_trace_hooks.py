@@ -17,6 +17,7 @@ KNOWN_ABSENT = [
     "tripsmith.cli.build_model",
     "tripsmith.cli.emit_lp",
     "tripsmith.dsl.interp.check_syntax",
+    "tripsmith.milp.lp_writer.render_lp",
     "tripsmith.plan.concepts.goto",
     "tripsmith.search.dfs.check_syntax",
     "tripsmith.search.dfs.evaluate",
@@ -44,4 +45,4 @@ def test_every_trace_hook_resolves_but_the_known_absent_ones(monkeypatch):
     assert absent == KNOWN_ABSENT
     # so these spans have no live hook at all, and always read zero
     assert set(tracing.SPAN_NAMES) - tracer.installed == {
-        "dsl.check_syntax", "milp.build_model", "milp.emit_lp"}
+        "dsl.check_syntax", "milp.build_model", "milp.emit_lp", "milp.render_lp"}
