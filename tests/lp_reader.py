@@ -1,4 +1,5 @@
-"""Minimal independent reader for the emitted LP dialect (test-only)."""
+"""Minimal independent reader for the emitted LP dialect (test-only), and
+the model that `micro_solve` takes, read back from a written file."""
 
 from __future__ import annotations
 
