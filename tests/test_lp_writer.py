@@ -16,6 +16,7 @@ import pytest
 
 from tripsmith.errors import BuildError, InputError
 from tripsmith.milp import (
+    DOWNSAMPLE,
     MilpModel,
     MilpParams,
     VarInfo,
@@ -25,7 +26,9 @@ from tripsmith.milp import (
     write_lp,
 )
 from tripsmith.milp.build import _Builder
-from tripsmith.milp.lp_writer import _LpWriter
+from tripsmith.milp.lp_writer import CHUNK_CHARS, _LpWriter
+
+from .lp_reader import read_model
 
 # -- reference writer -----------------------------------------------------------
 
@@ -164,6 +167,13 @@ def test_model_with_no_rows_or_terms():
     model = MilpModel(variables={}, rows=[("empty", (), "=", 0, "query")])
     text = assert_same_lp(model, name="bare")
     assert text == "\\ Problem: bare\nMinimize\n obj: 0\nSubject To\n empty: 0 zero = 0\nEnd\n"
+
+
+def test_downsample_model_matches_reference():
+    """The rows of the published-scale model, read back from the file that
+    `write_lp` writes, are spelled by `_LpWriter.append` as the reference
+    writer spells them."""
+    assert_same_lp(read_model(synthetic_slice(DOWNSAMPLE)))
 
 
 # sha256 of write_lp(<fixture> Alpha -> Beta slice, budget, name="m"), per (days, budget)
@@ -307,6 +317,28 @@ def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault
         write_lp(synthetic_slice(params), None, path)
     assert path.read_text() == "earlier\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_streamed_write_holds_no_row_list(tmp_path):
+    """Beyond the builder's declared variables, `write_lp` holds a chunk of
+    row text at a time: a model of about three times the rows needs no more
+    than CHUNK_CHARS / 2 bytes of it over a smaller one, and less than its file."""
+    extras = []
+    for params in (MilpParams(1, 2, 1, 1, 2, 2, 24), MilpParams(2, 3, 2, 2, 3, 2, 24, days=2)):
+        db_slice = synthetic_slice(params)
+        path = tmp_path / "streamed.lp"
+        tracemalloc.start()
+        try:
+            _Builder(db_slice, None).cost_terms()
+            declared = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            counts = write_lp(db_slice, None, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extras.append((sum(counts.values()), peak - declared, path.stat().st_size))
+    (few, low, _), (many, high, size) = extras
+    assert many > 2 * few and high - low < CHUNK_CHARS // 2 and high < size, extras
 
 
 def test_write_lp_peak_grows_by_under_256_bytes_a_variable(tmp_path):

@@ -23,7 +23,7 @@ from tripsmith.milp import (
     synthetic_slice,
     write_lp,
 )
-from tripsmith.milp.build import _Builder, open_slots
+from tripsmith.milp.build import _Builder, _flat, open_slots
 from tripsmith.milp.lp_writer import _LpWriter
 from tripsmith.plan import serialize_plan, parse_plan
 from tripsmith.sandbox import load_dataset
@@ -205,6 +205,34 @@ def test_undeclared_reference_is_build_error_naming_row_and_variable():
     writer.append(("ok", ((1, "x"),), "<=", 1, "query"))
     with pytest.raises(BuildError, match="row bad references undeclared ghost"):
         writer.append(("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query"))
+
+
+def test_every_build_validates_references(tmp_path, monkeypatch):
+    """Every name a written row reads is checked against the declared
+    variables: by `_LpWriter.append` term by term, or, for the urban and
+    transit families that go by shape, by `check_declared` once."""
+    checked: dict[str, set] = {}
+    appended: set = set()
+    check_declared, append = _Builder.check_declared, _LpWriter.append
+
+    def record_families(builder, category, *families):
+        checked.setdefault(category, set()).update(*map(_flat, families))
+        check_declared(builder, category, *families)
+
+    def record_row(writer, row):
+        appended.update(var for _, var in row[1])
+        append(writer, row)
+
+    monkeypatch.setattr(_Builder, "check_declared", record_families)
+    monkeypatch.setattr(_LpWriter, "append", record_row)
+    path = tmp_path / "model.lp"
+    write_lp(synthetic_slice(MilpParams(1, 1, 1, 1, 1, 1, 4)), 800, path)
+    assert set(checked) == {"urban", "transit"}
+    rows = parse_lp(path.read_text())["rows"]
+    by_shape = {"urb": checked["urban"], "trn": checked["transit"]}
+    for name, (terms, _, _) in rows.items():
+        assert {var for _, var in terms} <= by_shape.get(name.split("_")[0], appended), name
+    assert {name.split("_")[0] for name in rows} > set(by_shape)
 
 
 def test_lp_row_count_equals_size_total(tmp_path):

@@ -112,6 +112,17 @@ def _statement_reads(tree: ast.Module):
         yield defined, set(_reads(statement)) - defined
 
 
+def test_a_read_of_a_local_is_no_read_of_the_module_name():
+    tree = ast.parse("def concept(name):\n    return name\n"
+                     "def by_argument(concept):\n    return concept(1)\n"
+                     "def by_assignment():\n    concept = make()\n    return concept(2)\n"
+                     "by_lambda = lambda concept: concept(3)\n"
+                     "def caller():\n    return concept(4)\n")
+    assert list(_statement_reads(tree)) == [
+        ({"concept"}, set()), ({"by_argument"}, set()), ({"by_assignment"}, {"make"}),
+        ({"by_lambda"}, set()), ({"caller"}, {"concept"})]
+
+
 def test_test_only_names_are_declared():
     statements = []
     sites: dict[str, list[str]] = {}    # public name -> where it is defined
