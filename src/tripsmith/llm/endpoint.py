@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import time
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
@@ -51,6 +50,10 @@ class HttpTransport:
         self._sleep = sleep
 
     def complete(self, prompt: str) -> str:
+        # imported here: urllib.request pulls in http.client, ssl and email,
+        # which no offline command needs
+        import urllib.request
+
         payload = json.dumps({
             "model": self.endpoint.model,
             "messages": [{"role": "user", "content": prompt}],

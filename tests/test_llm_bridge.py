@@ -1,10 +1,14 @@
 import json
 import random
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import tripsmith
 from tripsmith.llm import (
     CallableTransport,
     FaultInjectingTransport,
@@ -269,6 +273,17 @@ def _serving(monkeypatch, body: bytes) -> list:
 
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     return calls
+
+
+def test_importing_the_cli_loads_no_http_client():
+    """Only `HttpTransport.complete` needs urllib.request (and with it http.client
+    and ssl), so a command that never posts to an endpoint does not import them."""
+    src = str(Path(tripsmith.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import tripsmith.cli; "
+             "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_http_transport_returns_the_reply_content(monkeypatch):
