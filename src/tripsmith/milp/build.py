@@ -23,8 +23,12 @@ and the number of rows per category is a closed form of those dimensions
 
 A model has hundreds of thousands of rows over a few tens of thousands of
 variables, so each variable name is spelled once per model, in a family: a
-table of names indexed like the variable. A row spells its own coefficients
-where it is written, as (coef, name) terms or in its shape's text.
+table of names indexed like the variable. A per-slot name is its family's
+prefix joined to the slot's number, which is spelled once per model. The
+variables of a family share one `VarInfo`, entered for all its names in one
+step, and the name itself is the key in the builder's table. A row spells its
+own coefficients where it is written, as (coef, name) terms or in its shape's
+text.
 
 The builder declares every variable, then passes each row in LP order to its
 one sink, the LP writer of lp_writer.write_lp, which writes the text and holds
@@ -51,7 +55,9 @@ MIN_ATTRACTIONS_PER_DAY = 1
 
 
 class VarInfo(NamedTuple):
-    name: str
+    """What the LP file says of a variable besides its name, which is its key in
+    the model's table: one object serves every variable of a family."""
+
     kind: str               # "binary" | "integer"
     lo: int = 0
     hi: int = 1
@@ -70,6 +76,11 @@ def _flat(names: list) -> list:
     while names and isinstance(names[0], list):
         names = list(chain.from_iterable(names))
     return names
+
+
+def _per_slot(prefix: str, slots: list) -> list:
+    """The names `prefix` + slot, for each slot's spelled number."""
+    return [prefix + slot for slot in slots]
 
 
 def _ahead(names: list, n: int) -> list:
@@ -145,13 +156,11 @@ class _Builder:
     # -- declarations -----------------------------------------------------
 
     def binaries(self, names: list, category: str) -> list:
-        for name in _flat(names):
-            self.vars[name] = VarInfo(name, "binary", 0, 1, category)
+        self.vars.update(dict.fromkeys(_flat(names), VarInfo("binary", 0, 1, category)))
         return names
 
     def integers(self, names: list, hi: int, category: str) -> list:
-        for name in _flat(names):
-            self.vars[name] = VarInfo(name, "integer", 0, hi, category)
+        self.vars.update(dict.fromkeys(_flat(names), VarInfo("integer", 0, hi, category)))
         return names
 
     def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
@@ -180,26 +189,26 @@ class _Builder:
         p = self.p
         T = p.time_step
         P, L, K = self.n_positions, p.total_num, p.trans_num
-        self.u = self.binaries(
-            [[f"u_{i}_{t}" for t in range(T)] for i in range(P)], "u")
+        slots = [str(t) for t in range(T)]
+        self.u = self.binaries([_per_slot(f"u_{i}_", slots) for i in range(P)], "u")
         self.delta = self.binaries(
-            [[f"delta_{i}_{t}" for t in range(T - 1)] for i in range(P)], "delta")
-        self.event = self.binaries([f"event_{t}" for t in range(T)], "event")
+            [_per_slot(f"delta_{i}_", slots[:-1]) for i in range(P)], "delta")
+        self.event = self.binaries(_per_slot("event_", slots), "event")
         self.hotel = self.integers(
             [[f"hotel_{h}_{d}" for d in range(p.days)] for h in range(p.hotel_num)],
             p.slots_per_day, "hotel")
         self.zhotel = self.binaries(
-            [[f"zhotel_{h}_{t}" for t in range(T)] for h in range(p.hotel_num)], "zhotel")
+            [_per_slot(f"zhotel_{h}_", slots) for h in range(p.hotel_num)], "zhotel")
         self.attr = self.integers([f"attr_{a}" for a in range(p.attr_num)], T, "attr")
         self.zattr = self.binaries(
-            [[f"zattr_{a}_{t}" for t in range(T)] for a in range(p.attr_num)], "zattr")
+            [_per_slot(f"zattr_{a}_", slots) for a in range(p.attr_num)], "zattr")
         self.rest = self.integers(
             [[f"rest_{r}_{m}" for m in range(3 * p.days)] for r in range(p.rest_num)],
             T, "rest")
         self.zrest = self.binaries(
-            [[f"zrest_{r}_{t}" for t in range(T)] for r in range(p.rest_num)], "zrest")
+            [_per_slot(f"zrest_{r}_", slots) for r in range(p.rest_num)], "zrest")
         self.y = self.binaries(
-            [[[[f"y_{i}_{j}_{k}_{t}" for t in range(T)] for k in range(K)]
+            [[[_per_slot(f"y_{i}_{j}_{k}_", slots) for k in range(K)]
               for j in range(L)] for i in range(L)], "y")
         self.needeat = self.binaries([f"needeat_{m}" for m in range(3 * p.days)], "needeat")
         self.intergo = self.binaries([f"intergo_{g}" for g in range(p.go_num)], "intergo")

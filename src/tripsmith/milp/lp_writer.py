@@ -8,7 +8,9 @@ The writer is the builder's one row sink, and lines are written to the file
 in joined chunks of about `CHUNK_CHARS` characters, so no row is held. A row
 passed to `append` is spelled, checked and counted as it is made; the rows of
 a shaped family come to `extend_shape` as the text of their `_Shape` (see
-build.py), already checked by the builder, and are counted per instance.
+build.py), already checked by the builder. Their texts are joined in batches
+of about `CHUNK_CHARS` characters before they are held, and counted per
+instance.
 
 In `append`, each int coefficient's prefixes ("-1 ", " + 2 ") and int
 right-hand side's tail (" <= 0") are spelled once per file; any other value
@@ -23,6 +25,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from decimal import Decimal
+from itertools import chain, islice, starmap
 from pathlib import Path
 
 from ..errors import BuildError, InputError
@@ -98,14 +101,21 @@ class _LpWriter:
         self.hold(f" {name}: {text or '0 ' + (terms[0][1] if terms else 'zero')}{tail}")
 
     def extend_shape(self, shape, instances) -> None:
-        """Write `shape.text` of each instance; the builder has checked their names."""
-        text, hold = shape.text, self.hold
+        """Write `shape.text` of each instance; the builder has checked their names.
+
+        The texts are held in joined batches of about CHUNK_CHARS characters,
+        as many instances as the first instance's text fits."""
+        texts = starmap(shape.text, instances)
+        first = next(texts, None)
+        if first is None:
+            return
+        batch = max(1, CHUNK_CHARS // len(first))
+        texts = chain([first], texts)
         n = 0
-        for terms in instances:
-            hold(text(*terms))
-            n += 1
-        if n:
-            self.counts[shape.category] = self.counts.get(shape.category, 0) + n * shape.size
+        while chunk := list(islice(texts, batch)):
+            self.hold("".join(chunk))
+            n += len(chunk)
+        self.counts[shape.category] = self.counts.get(shape.category, 0) + n * shape.size
 
     def hold(self, text: str) -> None:
         """Keep `text` for the next write, which comes once CHUNK_CHARS are held."""
@@ -117,13 +127,13 @@ class _LpWriter:
             self.held = 0
 
     def finish(self) -> None:
-        lines, infos = self.lines, self.variables.values()
-        integers = [info for info in infos if info.kind == "integer"]
+        lines, items = self.lines, self.variables.items()
+        integers = [(name, info) for name, info in items if info.kind == "integer"]
         if integers:
             lines.append("Bounds\n")
-            lines += [f" {info.lo} <= {info.name} <= {info.hi}\n" for info in integers]
+            lines += [f" {info.lo} <= {name} <= {info.hi}\n" for name, info in integers]
         for title, kind in (("Binaries", "binary"), ("Generals", "integer")):
-            names = [info.name for info in infos if info.kind == kind]
+            names = [name for name, info in items if info.kind == kind]
             if names:
                 lines.append(f"{title}\n")
                 lines += [" " + " ".join(names[k:k + 8]) + "\n" for k in range(0, len(names), 8)]
