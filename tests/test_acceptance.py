@@ -250,7 +250,7 @@ def test_criterion_08_micro_solve_on_toys():
     assert solved >= 10
 
     contradiction = MilpModel(
-        variables={"u0": VarInfo("u0", "binary"), "u1": VarInfo("u1", "binary")},
+        variables={"u0": VarInfo("binary"), "u1": VarInfo("binary")},
         rows=[
             ("one", ((1, "u0"), (1, "u1")), "=", 1, "occupancy"),
             ("z0", ((1, "u0"),), "<=", 0, "occupancy"),

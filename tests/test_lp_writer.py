@@ -72,18 +72,19 @@ def reference_render_lp(model: MilpModel, name: str = "itinerary") -> str:
     lines.append("Subject To")
     for row_name, terms, sense, rhs, _ in model.rows:
         lines.append(f" {row_name}: {_terms(terms)} {_SENSE[sense]} {_coef(rhs)}")
-    integers = [info for info in model.variables.values() if info.kind == "integer"]
+    integers = [(name, info) for name, info in model.variables.items()
+                if info.kind == "integer"]
     if integers:
         lines.append("Bounds")
-        for info in integers:
-            lines.append(f" {info.lo} <= {info.name} <= {info.hi}")
-    binaries = [info.name for info in model.variables.values() if info.kind == "binary"]
+        for name, info in integers:
+            lines.append(f" {info.lo} <= {name} <= {info.hi}")
+    binaries = [name for name, info in model.variables.items() if info.kind == "binary"]
     if binaries:
         lines.append("Binaries")
         lines.extend(" " + " ".join(chunk) for chunk in _chunks(binaries, 8))
     if integers:
         lines.append("Generals")
-        lines.extend(" " + " ".join(chunk) for chunk in _chunks([i.name for i in integers], 8))
+        lines.extend(" " + " ".join(chunk) for chunk in _chunks([n for n, _ in integers], 8))
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -124,8 +125,8 @@ def _dataset_slice(dataset, days: int, slots_per_day: int):
 
 def _hand_model(objective, rows) -> MilpModel:
     names = {var for _, terms, _, _, _ in rows for _, var in terms} | {var for _, var in objective}
-    variables = {name: VarInfo(name, "binary") for name in sorted(names)}
-    variables["n"] = VarInfo("n", "integer", 0, 7, "count")
+    variables = {name: VarInfo("binary") for name in sorted(names)}
+    variables["n"] = VarInfo("integer", 0, 7, "count")
     return MilpModel(variables=variables, rows=list(rows), objective=tuple(objective))
 
 

@@ -201,7 +201,7 @@ def test_zero_poi_categories_have_zero_counts():
 
 
 def test_undeclared_reference_is_build_error_naming_row_and_variable():
-    writer = _LpWriter([].append, {"x": VarInfo("x", "binary")}, (), "m")
+    writer = _LpWriter([].append, {"x": VarInfo("binary")}, (), "m")
     writer.append(("ok", ((1, "x"),), "<=", 1, "query"))
     with pytest.raises(BuildError, match="row bad references undeclared ghost"):
         writer.append(("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query"))
@@ -348,10 +348,10 @@ def test_lp_reader_roundtrip_matches_model(tmp_path):
     assert parsed["objective"] == cost
     assert parsed["rows"]["qry_budget"] == (tuple(cost), "<=", Decimal(800))
     for kind, section in (("binary", "binaries"), ("integer", "generals")):
-        names = sorted(i.name for i in builder.vars.values() if i.kind == kind)
+        names = sorted(name for name, i in builder.vars.items() if i.kind == kind)
         assert parsed[section] == names
-    assert parsed["bounds"] == [f"{i.lo} <= {i.name} <= {i.hi}"
-                                for i in builder.vars.values() if i.kind == "integer"]
+    assert parsed["bounds"] == [f"{i.lo} <= {name} <= {i.hi}"
+                                for name, i in builder.vars.items() if i.kind == "integer"]
 
 
 def test_unwritable_path_raises(tmp_path):
@@ -367,7 +367,7 @@ def test_unwritable_path_raises(tmp_path):
 
 def test_contradictory_rows_are_infeasible():
     model = MilpModel(
-        variables={"u0": VarInfo("u0", "binary"), "u1": VarInfo("u1", "binary")},
+        variables={"u0": VarInfo("binary"), "u1": VarInfo("binary")},
         rows=[
             ("sum_one", ((1, "u0"), (1, "u1")), "=", 1, "occupancy"),
             ("u0_zero", ((1, "u0"),), "<=", 0, "occupancy"),
