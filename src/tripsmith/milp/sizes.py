@@ -22,8 +22,8 @@ ROW_CATEGORIES = (
     "meal", "urban", "transit", "intercity",
 )
 # The most variables a model may have. A build holds its variables' names but
-# no row: peak RSS grows by about 0.25 KB per variable (a 549,684-variable
-# model peaked at 161 MiB), so a model at the bound needs about 270 MiB.
+# no row: peak RSS grows by about 0.16 KB per variable (a 549,684-variable
+# model peaked at 108 MiB), so a model at the bound needs about 175 MiB.
 MAX_VARIABLES = 1_000_000
 
 

@@ -25,7 +25,7 @@ from tripsmith.milp import (
     synthetic_slice,
     write_lp,
 )
-from tripsmith.milp.build import _Builder
+from tripsmith.milp.build import _Builder, _Shape
 from tripsmith.milp.lp_writer import CHUNK_CHARS, _LpWriter
 
 from .lp_reader import read_model
@@ -342,8 +342,8 @@ def test_streamed_write_holds_no_row_list(tmp_path):
     assert many > 2 * few and high - low < CHUNK_CHARS // 2 and high < size, extras
 
 
-def test_write_lp_peak_grows_by_under_256_bytes_a_variable(tmp_path):
-    """`MAX_VARIABLES` assumes a model's peak memory grows by about 0.25 KB
+def test_write_lp_peak_grows_by_under_160_bytes_a_variable(tmp_path):
+    """`MAX_VARIABLES` assumes a model's peak memory grows by about 0.16 KB
     a variable: a model of twice the slots must not cost more per variable."""
     points = []
     for slots in (12, 24):
@@ -357,4 +357,57 @@ def test_write_lp_peak_grows_by_under_256_bytes_a_variable(tmp_path):
             tracemalloc.stop()
         points.append((count_sizes(params).variable_total, peak))
     (few, low), (many, high) = points
-    assert (high - low) / (many - few) < 256, points
+    assert (high - low) / (many - few) < 160, points
+
+
+def _growing_text(n: int, tag: str) -> str:
+    return f" g_{tag}_{n}: 1 v_{tag}_{n} - 1 w_{n} <= 0\n g2_{tag}_{n}: 1 w_{n} >= 0\n"
+
+
+# instance texts grow with their numbers' digits, as a model's rows do with
+# its indices, so the batches that follow the first one hold longer texts
+GROWING = _Shape("urban", 2, _growing_text)
+HEADER = "\\ Problem: m\nMinimize\n obj: 0\nSubject To\n"
+
+
+def _shape_written(instances) -> tuple[str, dict]:
+    parts: list[str] = []
+    writer = _LpWriter(parts.append, {}, (), "m")
+    writer.extend_shape(GROWING, iter(instances))
+    counts = dict(writer.counts)
+    writer.finish()
+    text = "".join(parts)
+    assert text.startswith(HEADER) and text.endswith("End\n")
+    return text[len(HEADER):-len("End\n")], counts
+
+
+@pytest.mark.parametrize("count", [1, 2, 50_000])
+def test_extend_shape_writes_each_instance_once_in_order(count):
+    instances = [(n, "abc"[n % 3]) for n in range(count)]
+    body, counts = _shape_written(instances)
+    assert body == "".join(_growing_text(*i) for i in instances)
+    assert counts == {"urban": 2 * count}
+
+
+def test_extend_shape_batches_hold_about_a_chunk():
+    """The first instance sets the batch, so each batch holds about
+    CHUNK_CHARS characters, and no more than its texts' growth allows."""
+    instances = [(n, "abc"[n % 3]) for n in range(50_000)]
+    held = []
+    writer = _LpWriter([].append, {}, (), "m")
+    writer.hold = held.append
+    writer.extend_shape(GROWING, iter(instances))
+    first = len(_growing_text(*instances[0]))
+    growth = len(_growing_text(*instances[-1])) / first
+    assert len(held) > 2
+    assert held[0] == "".join(_growing_text(*i) for i in instances[:CHUNK_CHARS // first])
+    assert all(len(text) <= CHUNK_CHARS * growth for text in held), growth
+
+
+def test_extend_shape_of_no_instance_writes_and_counts_nothing():
+    parts: list[str] = []
+    writer = _LpWriter(parts.append, {}, (), "m")
+    lines = list(writer.lines)
+    writer.extend_shape(GROWING, iter(()))
+    assert parts == [] and writer.lines == lines and writer.held == 0
+    assert writer.counts == {}

@@ -200,6 +200,16 @@ def test_zero_poi_categories_have_zero_counts():
     assert "hotel" not in categories and "attraction" not in categories
 
 
+def test_each_family_shares_one_var_info():
+    """A model holds one `VarInfo` per declared family, not one per variable."""
+    params = MilpParams(2, 3, 2, 2, 3, 2, 24, days=2)
+    variables = _Builder(synthetic_slice(params), None).vars
+    infos = {id(info): info for info in variables.values()}
+    families = {k: v for k, v in count_sizes(params).variables.items() if v}
+    assert sorted(info.category for info in infos.values()) == sorted(families)
+    assert len(variables) == sum(families.values())
+
+
 def test_undeclared_reference_is_build_error_naming_row_and_variable():
     writer = _LpWriter([].append, {"x": VarInfo("binary")}, (), "m")
     writer.append(("ok", ((1, "x"),), "<=", 1, "query"))
