@@ -218,6 +218,8 @@ SYNTHETIC = {
     "no-routes": MilpParams(1, 0, 2, 2, 0, 0, 8, days=2),
     "two-slots": MilpParams(1, 1, 1, 1, 1, 1, 2),
     "no-locations": MilpParams(0, 0, 0, 0, 0, 0, 4),
+    # every meal window is empty, and the outbound arrival slot 0 drops its term
+    "one-slot-a-day": MilpParams(1, 1, 1, 1, 1, 1, 2, days=2),
 }
 # sha256 of write_lp(synthetic_slice(SYNTHETIC[shape], 5), budget, name="m"), per shape and budget
 SYNTHETIC_PINS = {
@@ -262,6 +264,12 @@ SYNTHETIC_PINS = {
         0: "d5710cb8fa216f7298342d86773812c62f9be3c1cbb11dc835659becb974093f",
         640: "ddf2adb2be3fd32894cc1e1b919aa52ecddd56328182aa870b1ff6a413ef97a7",
         Decimal("1234.50"): "1d4c49d87e281bfdabc98189ee391fcff75e5bb8df57a95ccf0dfd13f097ea3e",
+    },
+    "one-slot-a-day": {
+        None: "4b38472d4dfbadb553d3cfa532dfc24d06da2a74efee8ffdcb079c28f6229701",
+        0: "a6e1f9ad9bab5d2fac858fc6a36b9158cc45df34894276db987b8ecd60a83a9e",
+        640: "8286c0a7b68afc28951a487b30373c164de0b0e0029f4c4c04eafd0bcd356539",
+        Decimal("1234.50"): "2af0c0a0ae98ddc8a563c352e49cac29247d10ebfce39d50c981f65174d0f2c0",
     },
 }
 
