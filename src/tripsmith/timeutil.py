@@ -11,7 +11,8 @@ import re
 
 from .errors import InputError
 
-_TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
+# ASCII digits only: `\d` alone also matches other scripts' digits, as in "٠٧:٣٠"
+_TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})$", re.ASCII)
 
 
 def to_minutes(text: str) -> int:

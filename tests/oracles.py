@@ -44,7 +44,7 @@ CSV_DECIMAL_COLUMNS = {"price", "cost", "latitude", "longitude",
                        "recommendmintime", "recommendmaxtime"}
 CSV_INT_COLUMNS = {"numbed", "duration"}
 CSV_CLOCK_COLUMNS = {"opentime", "endtime", "begintime"}
-_CLOCK_TEXT = re.compile(r"^(\d{1,2}):(\d{2})$")
+_CLOCK_TEXT = re.compile(r"^([0-9]{1,2}):([0-9]{2})$")
 
 
 class CsvReferenceError(Exception):

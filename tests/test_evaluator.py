@@ -70,6 +70,15 @@ def test_multi_day_without_hotel_fails(mini_dataset):
     assert report.results["env.accommodation.required"] is False
 
 
+def test_a_visit_clocked_in_non_ascii_digits_has_no_duration(mini_dataset):
+    plan = build_base_plan(mini_dataset)
+    visit = next(act for act in plan.itinerary[0].activities if act["type"] == "attraction")
+    arabic_indic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    visit["start_time"] = visit["start_time"].translate(arabic_indic)
+    visit["end_time"] = visit["end_time"].translate(arabic_indic)
+    assert validate_env(plan, mini_dataset).failed_rules() == ["env.time.duration"]
+
+
 def test_repeated_attraction_fails(mini_dataset):
     plan = corrupt_plan(mini_dataset, "env.attractions.no_repeat")
     report = validate_env(plan, mini_dataset)

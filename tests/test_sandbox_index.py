@@ -95,7 +95,7 @@ def record_scan(db, table, name):
     return None
 
 
-_CLOCK = re.compile(r"^(\d{1,2}):(\d{2})$")
+_CLOCK = re.compile(r"^([0-9]{1,2}):([0-9]{2})$")
 
 
 def clock_reference(text):
@@ -375,7 +375,7 @@ def _clock_spellings():
 
 
 MALFORMED = ("", " ", "24:00", "23:60", "7", "07:5", "007:00", "07:00:00", "ab:cd",
-             "-1:00", "07-00", "99:99")
+             "-1:00", "07-00", "99:99", "٠٧:٣٠", "７:05")
 
 
 def test_to_minutes_matches_reference():
@@ -544,8 +544,10 @@ def test_odd_tables_read_as_dictreader_reads_them(tmp_path, text):
     ("Name,Price\n\nA,1\n\nB,sNaN\n", "t.csv:3: bad number 'sNaN' in column 'price'"),
     ("Name,Duration\nA\n", "t.csv:2: bad integer '' in column 'duration'"),
     ("Name,Begintime\nA,7:5,extra\n", "t.csv:2: bad clock time '7:5' in column 'begintime'"),
+    ("Name,Opentime\nA,٠٨:٠٠\n", "t.csv:2: bad clock time '٠٨:٠٠' in column 'opentime'"),
 ], ids=["number", "integer", "clock", "nan", "infinity", "float-overflow",
-        "float-overflow-negative", "after-blank-lines", "short-row", "extra-field"])
+        "float-overflow-negative", "after-blank-lines", "short-row", "extra-field",
+        "non-ascii-clock"])
 def test_load_errors_name_the_file_row_and_column(tmp_path, text, message):
     path = _write(tmp_path, text)
     with pytest.raises(LoadError) as raised:
