@@ -26,25 +26,24 @@ variables, so each variable name is spelled once per model, in a family: a
 table of names indexed like the variable. A per-slot name is its family's
 prefix joined to the slot's number, which is spelled once per model. The
 variables of a family share one `VarInfo`, entered for all its names in one
-step, and the name itself is the key in the builder's table. A row spells its
-own coefficients where it is written, as (coef, name) terms or in its shape's
-text.
+step, and the name itself is the key in the builder's table.
 
-The builder declares every variable, then passes each row in LP order to its
-one sink, the LP writer of lp_writer.write_lp, which writes the text and holds
-no row. Most families pass one row at a time with `append`, as a tuple
-(name, terms, sense, rhs, category). The urban and transit families, nearly
-every row of a model, pass theirs by shape with `extend_shape`: a `_Shape` is
-one form of row over an instance's variable names, whose LP text one f-string
-spells, and the builder checks such a family's names against the declared
-variables once rather than term by term.
+The builder declares every variable, then passes each family of rows in LP
+order to its one sink, the LP writer of lp_writer.write_lp, which writes the
+text and holds no row. A family (`_Rows`) is a stream of LP text with its
+category, the rows each text holds and the variable families its rows read,
+whose names the builder checks against the declared variables once per build
+rather than term by term. Most families spell each row from (coef, name)
+terms with `_row_text`. The hot ones spell theirs with one f-string apiece:
+the urban and transit rows, nearly every row of a model, the occupancy steps,
+and the intercity exclusions, which read one in-town sum per slot.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import chain, count, filterfalse, repeat
-from typing import Callable, NamedTuple
+from itertools import chain, count, filterfalse, repeat, starmap
+from typing import Iterable, NamedTuple
 
 from ..errors import BuildError
 from ..evaluation.env_rules import MEAL_WINDOWS
@@ -88,15 +87,60 @@ def _ahead(names: list, n: int) -> list:
     return names[n:] + names[-1:] * n
 
 
-class _Shape(NamedTuple):
-    """One form of row over an instance's variable names: `text(*names)` spells
-    its `size` rows as LP lines, coefficients included."""
+class _Rows(NamedTuple):
+    """One family of rows: `texts` spell them as LP lines, `size` rows to a
+    text, and every name they read is in one of the variable families `reads`."""
 
     category: str
     size: int
-    text: Callable[..., str]
+    texts: Iterable[str]
+    reads: tuple
 
 
+def _number(value) -> str:
+    return format(value, "f") if isinstance(value, Decimal) else str(value)
+
+
+def _row_text(name: str, terms, sense: str = "", rhs=0) -> str:
+    """The LP line of row `name`, or of the objective when it has no `sense`.
+
+    Each (coef, var) term is written in order with its sign, a Decimal in
+    fixed point; a zero one is dropped, and a row with none left reads "0"
+    times its first name."""
+    text = "".join(f" - {_number(-coef)} {var}" if coef < 0 else f" + {_number(coef)} {var}"
+                   for coef, var in terms if coef)
+    if not text:
+        text = "0 " + (terms[0][1] if terms else "zero")
+    elif text[1] == "+":
+        text = text[3:]
+    else:
+        text = "-" + text[3:]
+    tail = f" {sense} {_number(rhs)}" if sense else ""
+    return f" {name}: {text}{tail}\n"
+
+
+def _conjunction(z: str, a: str, b: str, prefix: str) -> tuple:
+    """z = a AND b via three rows (big-M = 1, all binary)."""
+    z, a, b = (1, z), (-1, a), (-1, b)
+    return (_row_text(f"{prefix}_le1", (z, a), "<=", 0),
+            _row_text(f"{prefix}_le2", (z, b), "<=", 0),
+            _row_text(f"{prefix}_ge", (z, a, b), ">=", -1))
+
+
+# Per position i and slot t, with names (delta[i][t], u[i][t], u[i][t+1],
+# event[t]): a change of u at i sets delta (occ_dup, occ_ddn), and u changes
+# only on an event (occ_evup, occ_evdn).
+def _step_text(i, t, d, u, u1, e) -> str:
+    return (f" occ_dup_{i}_{t}: 1 {d} + 1 {u} - 1 {u1} >= 0\n"
+            f" occ_ddn_{i}_{t}: 1 {d} - 1 {u} + 1 {u1} >= 0\n"
+            f" occ_evup_{i}_{t}: 1 {u1} - 1 {u} - 1 {e} <= 0\n"
+            f" occ_evdn_{i}_{t}: 1 {u} - 1 {u1} - 1 {e} <= 0\n")
+
+
+# Per y[(i, j, mode, t)] with names (y, u[i][t], event[t], u[mode][t+1],
+# event[t+1], u[j][t+2]): y implies each condition (urb_l0..urb_l5, the mode
+# twice) and their conjunction implies y (urb_ge). Each row is named by the
+# suffix "_{i}_{j}_{k}_{t}" of its y variable.
 def _link_text(y, a, b, c, d, e) -> str:
     tag = y[1:]
     return (f" urb_l0{tag}: 1 {y} - 1 {a} <= 0\n urb_l1{tag}: 1 {y} - 1 {b} <= 0\n"
@@ -109,6 +153,10 @@ def _sum_text(names) -> str:
     return " + 1 ".join(names)
 
 
+# Per location i and slot t: at most one ride leaves i at t, and only if the
+# traveler is at i with an event at t (urb_outu, urb_oute); at most one ride
+# reaches i from t, and only if they are at i at t+2 after an event at t+1
+# (urb_inu, urb_ine).
 def _flow_text(i, t, outs, ins, u, e, u2, e1) -> str:
     out, inn = _sum_text(outs), _sum_text(ins)
     return (f" urb_outu_{i}_{t}: 1 {out} - 1 {u} <= 0\n"
@@ -117,26 +165,11 @@ def _flow_text(i, t, outs, ins, u, e, u2, e1) -> str:
             f" urb_ine_{i}_{t}: 1 {inn} - 1 {e1} <= 0\n")
 
 
-# Per y[(i, j, mode, t)] with names (y, u[i][t], event[t], u[mode][t+1],
-# event[t+1], u[j][t+2]): y implies each condition (urb_l0..urb_l5, the mode
-# twice) and their conjunction implies y (urb_ge). Each row is named by the
-# suffix "_{i}_{j}_{k}_{t}" of its y variable.
-_URBAN_LINKS = _Shape("urban", 7, _link_text)
-# Per location i and slot t: at most one ride leaves i at t, and only if the
-# traveler is at i with an event at t (urb_outu, urb_oute); at most one ride
-# reaches i from t, and only if they are at i at t+2 after an event at t+1
-# (urb_inu, urb_ine).
-_URBAN_FLOWS = _Shape("urban", 4, _flow_text)
-
-
+# Per location i, mode k and slot t: a ride out of i (trn_dep) or into i
+# (trn_arr) by mode k at t has the traveler in mode k at t+1.
 def _ride_text(i, k, t, deps, arrs, m) -> str:
     return (f" trn_dep_{i}_{k}_{t}: 1 {_sum_text(deps)} - 1 {m} <= 0\n"
             f" trn_arr_{i}_{k}_{t}: 1 {_sum_text(arrs)} - 1 {m} <= 0\n")
-
-
-# Per location i, mode k and slot t: a ride out of i (trn_dep) or into i
-# (trn_arr) by mode k at t has the traveler in mode k at t+1.
-_TRANSIT = _Shape("transit", 2, _ride_text)
 
 
 class _Builder:
@@ -149,6 +182,7 @@ class _Builder:
         self.p = slice_.params
         self.budget = budget
         self.vars: dict[str, VarInfo] = {}
+        self.checked: dict[int, list] = {}     # the families check_declared passed, by id
         # index layout: hotels, attractions, restaurants, stations, transit modes
         self.n_positions = self.p.total_num + self.p.trans_num
         self.declare_variables()
@@ -163,13 +197,12 @@ class _Builder:
         self.vars.update(dict.fromkeys(_flat(names), VarInfo("integer", 0, hi, category)))
         return names
 
-    def row(self, name: str, terms, sense: str, rhs, category: str) -> None:
-        self.sink.append((name, terms, sense, rhs, category))
-
     def check_declared(self, category: str, *families: list) -> None:
-        """Refuse a name of `families` missing from `vars`: a family whose rows
-        go to the sink by shape has its names checked here, once, not per term."""
-        names = chain.from_iterable(_flat(family) for family in families)
+        """Refuse a name of `families` missing from `vars`, naming the rows of
+        `category` that read it; each family is checked once, not per term."""
+        fresh = [family for family in families if id(family) not in self.checked]
+        self.checked.update((id(family), family) for family in fresh)
+        names = chain.from_iterable(_flat(family) for family in fresh)
         missing = next(filterfalse(self.vars.__contains__, names), None)
         if missing is not None:
             raise BuildError(f"{category} rows reference undeclared {missing}")
@@ -217,35 +250,21 @@ class _Builder:
 
     # -- constraint groups ---------------------------------------------------
 
-    def occupancy_rows(self) -> None:
+    def occupancy_rows(self):
         """One place at a time; changes only on events; events move exactly 2."""
         T = self.p.time_step
         u, delta, event = self.u, self.delta, self.event
-        for i in range(self.n_positions):
-            for t in range(T - 1):
-                up, ev = (1, delta[i][t]), (-1, event[t])
-                ut, ut1 = u[i][t], u[i][t + 1]
-                self.row(f"occ_dup_{i}_{t}", (up, (1, ut), (-1, ut1)), ">=", 0, "occupancy")
-                self.row(f"occ_ddn_{i}_{t}", (up, (-1, ut), (1, ut1)), ">=", 0, "occupancy")
-                self.row(f"occ_evup_{i}_{t}", ((1, ut1), (-1, ut), ev), "<=", 0, "occupancy")
-                self.row(f"occ_evdn_{i}_{t}", ((1, ut), (-1, ut1), ev), "<=", 0, "occupancy")
-        for t in range(T - 1):
-            terms = [(1, delta[i][t]) for i in range(self.n_positions)]
-            terms.append((-2, event[t]))
-            self.row(f"occ_change_{t}", terms, "=", 0, "occupancy")
-        for t in range(T):
-            terms = [(1, u[i][t]) for i in range(self.n_positions)]
-            self.row(f"occ_one_{t}", terms, "=", 1, "occupancy")
+        steps = (zip(repeat(i), count(), delta[i], u[i], u[i][1:], event)
+                 for i in range(self.n_positions))
+        yield _Rows("occupancy", 4, starmap(_step_text, chain.from_iterable(steps)),
+                    (u, delta, event))
+        changes = (_row_text(f"occ_change_{t}", [(1, names[t]) for names in delta]
+                             + [(-2, event[t])], "=", 0) for t in range(T - 1))
+        ones = (_row_text(f"occ_one_{t}", [(1, names[t]) for names in u], "=", 1)
+                for t in range(T))
+        yield _Rows("occupancy", 1, chain(changes, ones), (u, delta, event))
 
-    def conjunction(self, z: str, a: str, b: str, prefix: str, category: str) -> None:
-        """z = a AND b via three rows (big-M = 1, all binary)."""
-        z, a, b = (1, z), (-1, a), (-1, b)
-        self.row(f"{prefix}_le1", (z, a), "<=", 0, category)
-        self.row(f"{prefix}_le2", (z, b), "<=", 0, category)
-        self.row(f"{prefix}_ge", (z, a, b), ">=", -1, category)
-
-    def stay_rows(self, z: list, first: int, prefix: str, category: str,
-                  hours=None) -> None:
+    def stay_rows(self, z: list, first: int, prefix: str, hours=None):
         """The stay rule of one POI table, whose rows sit at positions `first`
         on: z[n][t] = u[first+n][t] AND event[t]; with the table's `hours`,
         also the `{prefix}_check_*` row that pins u to 0 in a closed slot."""
@@ -255,33 +274,41 @@ class _Builder:
             u = self.u[first + n]
             opens = None if hours is None else open_slots(hours[n], p.slot_minutes)
             for t in range(p.time_step):
-                self.conjunction(stays[t], u[t], event[t], f"{prefix}_z_{n}_{t}", category)
+                yield from _conjunction(stays[t], u[t], event[t], f"{prefix}_z_{n}_{t}")
                 if opens is not None:
-                    self.row(f"{prefix}_check_{n}_{t}", ((1, u[t]),), "<=",
-                             opens[t % p.slots_per_day], category)
+                    yield _row_text(f"{prefix}_check_{n}_{t}", ((1, u[t]),), "<=",
+                                    opens[t % p.slots_per_day])
 
-    def hotel_rows(self) -> None:
+    def hotel_rows(self):
         p = self.p
-        self.stay_rows(self.zhotel, 0, "hot", "hotel")
-        for h in range(p.hotel_num):
-            for d in range(p.days):
-                terms = [(1, self.hotel[h][d])]
-                terms += [(-1, self.zhotel[h][t]) for t in self.day_slots(d)]
-                self.row(f"hot_def_{h}_{d}", terms, "=", 0, "hotel")
-        for d in range(p.days):
-            terms = [(1, self.hotel[h][d]) for h in range(p.hotel_num)]
-            if terms:
-                self.row(f"hot_one_{d}", terms, "=", 1, "hotel")
+        hotel, zhotel = self.hotel, self.zhotel
 
-    def attraction_rows(self) -> None:
+        def rows():
+            yield from self.stay_rows(zhotel, 0, "hot")
+            for h, stays in enumerate(zhotel):
+                for d in range(p.days):
+                    terms = [(1, hotel[h][d])] + [(-1, stays[t]) for t in self.day_slots(d)]
+                    yield _row_text(f"hot_def_{h}_{d}", terms, "=", 0)
+            if hotel:
+                for d in range(p.days):
+                    yield _row_text(f"hot_one_{d}", [(1, days[d]) for days in hotel], "=", 1)
+
+        yield _Rows("hotel", 1, rows(), (self.u, self.event, zhotel, hotel))
+
+    def attraction_rows(self):
         p = self.p
-        self.stay_rows(self.zattr, p.hotel_num, "att", "attraction", self.s.attraction_hours)
-        for a in range(p.attr_num):
-            terms = [(1, self.attr[a])] + [(-1, name) for name in self.zattr[a]]
-            self.row(f"att_def_{a}", terms, "=", 0, "attraction")
-        if p.attr_num:
-            self.row("att_min", [(1, name) for name in self.attr], ">=",
-                     MIN_ATTRACTIONS_PER_DAY * p.days, "attraction")
+        attr, zattr = self.attr, self.zattr
+
+        def rows():
+            yield from self.stay_rows(zattr, p.hotel_num, "att", self.s.attraction_hours)
+            for a, stays in enumerate(zattr):
+                terms = [(1, attr[a])] + [(-1, name) for name in stays]
+                yield _row_text(f"att_def_{a}", terms, "=", 0)
+            if attr:
+                yield _row_text("att_min", [(1, name) for name in attr], ">=",
+                                MIN_ATTRACTIONS_PER_DAY * p.days)
+
+        yield _Rows("attraction", 1, rows(), (self.u, self.event, zattr, attr))
 
     def meal_slots(self, m: int) -> tuple[int, int]:
         day, kind = divmod(m, 3)
@@ -291,36 +318,42 @@ class _Builder:
         hi = day * spd + hi_m * spd // DAY_MINUTES - 1
         return lo, min(hi, self.p.time_step - 1)
 
-    def restaurant_rows(self) -> None:
+    def restaurant_rows(self):
         p = self.p
-        self.stay_rows(self.zrest, p.hotel_num + p.attr_num, "res", "restaurant",
-                       self.s.restaurant_hours)
-        for r in range(p.rest_num):
-            for m in range(3 * p.days):
-                lo, hi = self.meal_slots(m)
-                terms = [(1, self.rest[r][m])]
-                terms += [(-1, name) for name in self.zrest[r][lo:hi + 1]]
-                self.row(f"res_def_{r}_{m}", terms, "=", 0, "restaurant")
-        if p.rest_num:
-            for m in range(3 * p.days):
-                terms = [(1, self.rest[r][m]) for r in range(p.rest_num)]
-                terms.append((-1, self.needeat[m]))
-                self.row(f"res_need_{m}", terms, "<=", 0, "restaurant")
+        rest, zrest, needeat = self.rest, self.zrest, self.needeat
 
-    def meal_rows(self) -> None:
+        def rows():
+            yield from self.stay_rows(zrest, p.hotel_num + p.attr_num, "res",
+                                      self.s.restaurant_hours)
+            for r, stays in enumerate(zrest):
+                for m in range(3 * p.days):
+                    lo, hi = self.meal_slots(m)
+                    terms = [(1, rest[r][m])] + [(-1, name) for name in stays[lo:hi + 1]]
+                    yield _row_text(f"res_def_{r}_{m}", terms, "=", 0)
+            if rest:
+                for m, need in enumerate(needeat):
+                    terms = [(1, meals[m]) for meals in rest] + [(-1, need)]
+                    yield _row_text(f"res_need_{m}", terms, "<=", 0)
+
+        yield _Rows("restaurant", 1, rows(), (self.u, self.event, zrest, rest, needeat))
+
+    def meal_rows(self):
         """A meal is only needed when the traveler is in town for its window."""
-        p = self.p
-        big_m = p.time_step + 1
+        big_m = self.p.time_step + 1
         dep_terms = [(-self.route_slot(route, go=False), name)
                      for route, name in zip(self.s.back_routes, self.interback)]
         arr_terms = [(self.route_slot(route, go=True), name)
                      for route, name in zip(self.s.go_routes, self.intergo)]
-        for m, need in enumerate(self.needeat):
-            a_m, b_m = self.meal_slots(m)
-            terms = [(big_m, need)] + dep_terms
-            self.row(f"meal_dep_{m}", terms, "<=", big_m - a_m - 1, "meal")
-            terms = [(big_m, need)] + arr_terms
-            self.row(f"meal_arr_{m}", terms, "<=", big_m + b_m - 1, "meal")
+
+        def rows():
+            for m, need in enumerate(self.needeat):
+                a_m, b_m = self.meal_slots(m)
+                yield _row_text(f"meal_dep_{m}", [(big_m, need)] + dep_terms, "<=",
+                                big_m - a_m - 1)
+                yield _row_text(f"meal_arr_{m}", [(big_m, need)] + arr_terms, "<=",
+                                big_m + b_m - 1)
+
+        yield _Rows("meal", 1, rows(), (self.needeat, self.intergo, self.interback))
 
     def route_slot(self, route, go: bool) -> int:
         """The slot an outbound ride arrives in on the first day, or a return
@@ -336,26 +369,20 @@ class _Builder:
         except ValueError:
             raise BuildError(f"route {route.id} uses unknown station {name!r}") from None
 
-    def urban_rows(self) -> None:
+    def urban_rows(self):
         """Transition choice y[(i, j, mode, t)] linked to occupancy and events.
 
         The hot loop of the build: nearly every row of a model is made here,
-        so the rows go to the sink by shape (`_URBAN_LINKS` per y variable,
-        `_URBAN_FLOWS` per location and slot) with `extend_shape`, and the
-        names they read are checked once here rather than term by term.
+        seven per y variable (`_link_text`) and four per location and slot
+        (`_flow_text`).
         """
         L, K = self.p.total_num, self.p.trans_num
         u, event, y = self.u, self.event, self.y
-        self.check_declared("urban", y, u, event)
         ev1 = _ahead(event, 1)
         modes1 = [_ahead(u[L + k], 1) for k in range(K)]
         u2 = [_ahead(u[i], 2) for i in range(L)]
-
-        def links():
-            for i in range(L):
-                for j in range(L):
-                    for k in range(K):
-                        yield from zip(y[i][j][k], u[i], event, modes1[k], ev1, u2[j])
+        links = (zip(y[i][j][k], u[i], event, modes1[k], ev1, u2[j])
+                 for i in range(L) for j in range(L) for k in range(K))
 
         def flows():
             for i in range(L):
@@ -363,14 +390,13 @@ class _Builder:
                 ins = zip(*[y[j][i][k] for j in range(L) for k in range(K)])
                 yield from zip(repeat(i), count(), outs, ins, u[i], event, u2[i], ev1)
 
-        self.sink.extend_shape(_URBAN_LINKS, links())
-        self.sink.extend_shape(_URBAN_FLOWS, flows())
+        yield _Rows("urban", 7, starmap(_link_text, chain.from_iterable(links)), (y, u, event))
+        yield _Rows("urban", 4, starmap(_flow_text, flows()), (y, u, event))
 
-    def transit_rows(self) -> None:
+    def transit_rows(self):
         """Aggregated mode-occupancy coupling for departures and arrivals."""
         L, K = self.p.total_num, self.p.trans_num
         u, y = self.u, self.y
-        self.check_declared("transit", y, u)
 
         def rides():
             for i in range(L):
@@ -380,39 +406,47 @@ class _Builder:
                     yield from zip(repeat(i), repeat(k), count(), deps, arrs,
                                    _ahead(u[L + k], 1))
 
-        self.sink.extend_shape(_TRANSIT, rides())
+        yield _Rows("transit", 2, starmap(_ride_text, rides()), (y, u))
 
-    def intercity_rows(self) -> None:
+    def intercity_rows(self):
         """Exactly one ride each way; station presence tied to the chosen ride.
 
         An outbound ride pins its arrival station at its arrival slot and
         keeps the traveler out of town before it; a return ride pins its
         departure station at its departure slot and keeps them out after it.
+        Each route's text is its pin row and one exclusion row per slot, over
+        the slot's in-town sum, which is spelled once for every route.
         """
-        p = self.p
-        u = self.u
+        p, u = self.p, self.u
+        reads = (u, self.intergo, self.interback)
         directions = ((self.intergo, self.s.go_routes, "go", True),
                       (self.interback, self.s.back_routes, "back", False))
-        for family, routes, tag, _ in directions:
-            if routes:
-                self.row(f"int_{tag}_one", [(1, name) for name in family], "=", 1, "intercity")
-        for family, routes, tag, go in directions:
-            for r, route in enumerate(routes):
-                slot = self.route_slot(route, go)
-                station = self.route_station_idx(route, go)
-                self.row(f"int_{tag}pin_{r}", ((1, u[station][slot]), (-1, family[r])),
-                         ">=", 0, "intercity")
-                for t in range(p.time_step):
-                    away = int(t < slot if go else t > slot)
-                    terms = [(1, u[i][t]) for i in range(p.loc_num)]
-                    terms.append((away, family[r]))
-                    self.row(f"int_{tag}ex_{r}_{t}", terms, "<=", 1, "intercity")
+        ones = (_row_text(f"int_{tag}_one", [(1, name) for name in family], "=", 1)
+                for family, routes, tag, _ in directions if routes)
+        town = [" + ".join(f"1 {names[t]}" for names in u[:p.loc_num])
+                for t in range(p.time_step)]
 
-    def query_rows(self) -> None:
-        if self.budget is None:
-            return
-        terms = self.cost_terms()
-        self.row("qry_budget", terms, "<=", Decimal(str(self.budget)), "query")
+        def routes():
+            for family, routes, tag, go in directions:
+                for r, (route, ride) in enumerate(zip(routes, family)):
+                    slot = self.route_slot(route, go)
+                    station = self.route_station_idx(route, go)
+                    rows = [_row_text(f"int_{tag}pin_{r}", ((1, u[station][slot]), (-1, ride)),
+                                      ">=", 0)]
+                    for t, inside in enumerate(town):
+                        if t < slot if go else t > slot:
+                            inside = f"{inside} + 1 {ride}" if inside else f"1 {ride}"
+                        rows.append(f" int_{tag}ex_{r}_{t}: {inside or '0 ' + ride} <= 1\n")
+                    yield "".join(rows)
+
+        yield _Rows("intercity", 1, ones, reads)
+        yield _Rows("intercity", p.time_step + 1, routes(), reads)
+
+    def query_rows(self):
+        if self.budget is not None:
+            budget = _row_text("qry_budget", self.cost_terms(), "<=", Decimal(str(self.budget)))
+            yield _Rows("query", 1, [budget], (self.intergo, self.interback, self.attr,
+                                               self.rest, self.hotel))
 
     def cost_terms(self) -> list:
         terms = []
@@ -429,14 +463,10 @@ class _Builder:
         return terms
 
     def build(self, sink) -> None:
-        """Pass every row, in LP order, to `sink.append`, or by shape to `sink.extend_shape`."""
-        self.sink = sink
-        self.occupancy_rows()
-        self.hotel_rows()
-        self.attraction_rows()
-        self.restaurant_rows()
-        self.meal_rows()
-        self.urban_rows()
-        self.transit_rows()
-        self.intercity_rows()
-        self.query_rows()
+        """Pass each family of rows, in LP order, to `sink.extend` once the
+        names it reads are checked."""
+        for rows in chain(self.occupancy_rows(), self.hotel_rows(), self.attraction_rows(),
+                          self.restaurant_rows(), self.meal_rows(), self.urban_rows(),
+                          self.transit_rows(), self.intercity_rows(), self.query_rows()):
+            self.check_declared(rows.category, *rows.reads)
+            sink.extend(rows.category, rows.size, rows.texts)

@@ -4,55 +4,27 @@ The file layout is fully deterministic - objective, constraint rows in build
 order, bounds for the integer counters, then Binaries/Generals sections - so
 emitting the same model twice yields identical bytes.
 
-The writer is the builder's one row sink, and lines are written to the file
-in joined chunks of about `CHUNK_CHARS` characters, so no row is held. A row
-passed to `append` is spelled, checked and counted as it is made; the rows of
-a shaped family come to `extend_shape` as the text of their `_Shape` (see
-build.py), already checked by the builder. Their texts are joined in batches
-of about `CHUNK_CHARS` characters before they are held, and counted per
-instance.
-
-In `append`, each int coefficient's prefixes ("-1 ", " + 2 ") and int
-right-hand side's tail (" <= 0") are spelled once per file; any other value
-is spelled on every use, because `Decimal("1.0")` and `True` equal 1 and hash
-alike, so a cache keyed by value would write them as "1". Files are written
-beside their path and moved onto it when complete, so a failure leaves no
-truncated file.
+The writer is the builder's one row sink, and every row reaches it as LP text:
+`extend` takes a family's texts (see build.py), whose names the builder has
+checked, holds them in joined batches of about `CHUNK_CHARS` characters, and
+counts their rows. Lines are written to the file in chunks of about that
+size, so no row is held. Files are written beside their path and moved onto
+it when complete, so a failure leaves no truncated file.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from decimal import Decimal
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from pathlib import Path
 
 from ..errors import BuildError, InputError
-from .build import _Builder
+from .build import _Builder, _row_text
 from .params import MilpSlice
 from .sizes import count_sizes
 
 CHUNK_CHARS = 1 << 18   # characters of row text held before a write
-
-
-def _number(value) -> str:
-    return format(value, "f") if isinstance(value, Decimal) else str(value)
-
-
-def _prefixes(coef) -> tuple[str, str]:
-    """The text before a variable with a nonzero `coef`: first in its row, and after it."""
-    if coef < 0:
-        text = _number(-coef)
-        return f"-{text} ", f" - {text} "
-    text = _number(coef)
-    return f"{text} ", f" + {text} "
-
-
-def _objective(terms) -> str:
-    nonzero = [(coef, var) for coef, var in terms if coef]
-    text = "".join(_prefixes(coef)[k > 0] + var for k, (coef, var) in enumerate(nonzero))
-    return text or "0 " + terms[0][1]
 
 
 class _LpWriter:
@@ -62,50 +34,16 @@ class _LpWriter:
         self.write = write
         self.variables = variables
         self.counts: dict[str, int] = {}
-        self.lead, self.follow = {}, {}     # int coefficient -> its prefix
-        self.tails: dict[str, dict[int, str]] = {"<=": {}, ">=": {}, "=": {}}
-        obj = _objective(objective) if objective else "0"
-        self.lines = [f"\\ Problem: {name}\n", "Minimize\n", f" obj: {obj}\n", "Subject To\n"]
+        obj = _row_text("obj", objective) if objective else " obj: 0\n"
+        self.lines = [f"\\ Problem: {name}\n", "Minimize\n", obj, "Subject To\n"]
         self.held = 0       # characters of rows in `lines`
 
-    def append(self, row: tuple) -> None:
-        name, terms, sense, rhs, category = row
-        self.counts[category] = self.counts.get(category, 0) + 1
-        variables, follow = self.variables, self.follow
-        prefixes = self.lead
-        text = ""
-        for coef, var in terms:
-            if var not in variables:
-                raise BuildError(f"row {name} references undeclared {var}")
-            if type(coef) is int:
-                try:
-                    prefix = prefixes[coef]
-                except KeyError:
-                    if not coef:
-                        continue
-                    self.lead[coef], follow[coef] = _prefixes(coef)
-                    prefix = prefixes[coef]
-            elif coef:
-                prefix = _prefixes(coef)[prefixes is follow]
-            else:
-                continue
-            text += prefix + var
-            prefixes = follow
-        if type(rhs) is int:
-            tails = self.tails[sense]
-            tail = tails.get(rhs)
-            if tail is None:
-                tail = tails[rhs] = f" {sense} {rhs}\n"
-        else:
-            tail = f" {sense} {_number(rhs)}\n"
-        self.hold(f" {name}: {text or '0 ' + (terms[0][1] if terms else 'zero')}{tail}")
-
-    def extend_shape(self, shape, instances) -> None:
-        """Write `shape.text` of each instance; the builder has checked their names.
+    def extend(self, category: str, size: int, texts) -> None:
+        """Write each of `texts`, `size` rows of `category` apiece.
 
         The texts are held in joined batches of about CHUNK_CHARS characters,
-        as many instances as the first instance's text fits."""
-        texts = starmap(shape.text, instances)
+        as many texts as the first one fits."""
+        texts = iter(texts)
         first = next(texts, None)
         if first is None:
             return
@@ -115,7 +53,7 @@ class _LpWriter:
         while chunk := list(islice(texts, batch)):
             self.hold("".join(chunk))
             n += len(chunk)
-        self.counts[shape.category] = self.counts.get(shape.category, 0) + n * shape.size
+        self.counts[category] = self.counts.get(category, 0) + n * size
 
     def hold(self, text: str) -> None:
         """Keep `text` for the next write, which comes once CHUNK_CHARS are held."""
