@@ -1,11 +1,12 @@
 """The LP writer against the string-building writer it replaced.
 
 `reference_render_lp` is the earlier writer, kept verbatim: it formats every
-term anew and joins one big string. The current writer caches int prefixes
-per file and writes chunks of lines, and must spell every hand-built row as
-it does. The files `write_lp` writes are pinned by digest, taken when a
-built model's rows, the current writer and the reference writer agreed on
-each of them byte for byte.
+term anew and joins one big string. The current writer takes each row as LP
+text and writes chunks of lines; the builder's generic speller `_row_text`,
+which spells every row but the hot families' f-strings, must spell every
+hand-built row and objective as the reference does. The files `write_lp`
+writes are pinned by digest, taken when a built model's rows, the current
+writer and the reference writer agreed on each of them byte for byte.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from tripsmith.milp import (
     synthetic_slice,
     write_lp,
 )
-from tripsmith.milp.build import _Builder, _Shape
+from tripsmith.milp.build import _Builder, _row_text, _Rows
 from tripsmith.milp.lp_writer import CHUNK_CHARS, _LpWriter
 
 from .lp_reader import read_model
@@ -90,11 +91,11 @@ def reference_render_lp(model: MilpModel, name: str = "itinerary") -> str:
 
 
 def render_lp(model: MilpModel, name: str = "itinerary") -> str:
-    """The LP text of `model`, each row passed to `_LpWriter.append`."""
+    """The LP text of `model`, each row spelled by `_row_text` and passed to `_LpWriter.extend`."""
     parts: list[str] = []
     writer = _LpWriter(parts.append, model.variables, model.objective, name)
-    for row in model.rows:
-        writer.append(row)
+    for row_name, terms, sense, rhs, category in model.rows:
+        writer.extend(category, 1, [_row_text(row_name, terms, sense, rhs)])
     writer.finish()
     return "".join(parts)
 
@@ -172,8 +173,8 @@ def test_model_with_no_rows_or_terms():
 
 def test_downsample_model_matches_reference():
     """The rows of the published-scale model, read back from the file that
-    `write_lp` writes, are spelled by `_LpWriter.append` as the reference
-    writer spells them."""
+    `write_lp` writes, are spelled by `_row_text` as the reference writer
+    spells them."""
     assert_same_lp(read_model(synthetic_slice(DOWNSAMPLE)))
 
 
@@ -297,7 +298,7 @@ def test_streamed_decimal_budget_row_keeps_decimal_spelling(tmp_path):
 
 
 @pytest.mark.parametrize("fault, error, message", [
-    ("undeclared", BuildError, "row trn_ghost references undeclared ghost"),
+    ("undeclared", BuildError, "transit rows reference undeclared ghost$"),
     ("disk", InputError, "cannot write LP file .*No space left on device"),
     ("miscount", BuildError, "rows per category .* differ from count_sizes"),
     ("undeclared-urban", BuildError, "urban rows reference undeclared y_1_0_2_5$"),
@@ -308,7 +309,7 @@ def test_a_stream_failing_partway_leaves_no_lp_file(tmp_path, monkeypatch, fault
         if fault == "disk":
             raise OSError(28, "No space left on device")
         name = "ghost" if fault == "undeclared" else builder.event[0]
-        builder.row(f"trn_{name}", [(1, name)], "<=", 0, "transit")
+        yield _Rows("transit", 1, [f" trn_{name}: 1 {name} <= 0\n"], ([name],))
 
     def build_without_a_y(builder, sink):
         del builder.vars[builder.y[1][0][2][5]]
@@ -372,16 +373,19 @@ def _growing_text(n: int, tag: str) -> str:
     return f" g_{tag}_{n}: 1 v_{tag}_{n} - 1 w_{n} <= 0\n g2_{tag}_{n}: 1 w_{n} >= 0\n"
 
 
-# instance texts grow with their numbers' digits, as a model's rows do with
-# its indices, so the batches that follow the first one hold longer texts
-GROWING = _Shape("urban", 2, _growing_text)
+# the texts grow with their numbers' digits, as a model's rows do with its
+# indices, so the batches that follow the first one hold longer texts
 HEADER = "\\ Problem: m\nMinimize\n obj: 0\nSubject To\n"
 
 
-def _shape_written(instances) -> tuple[str, dict]:
+def _growing(instances):
+    return (_growing_text(*instance) for instance in instances)
+
+
+def _extended(instances) -> tuple[str, dict]:
     parts: list[str] = []
     writer = _LpWriter(parts.append, {}, (), "m")
-    writer.extend_shape(GROWING, iter(instances))
+    writer.extend("urban", 2, _growing(instances))
     counts = dict(writer.counts)
     writer.finish()
     text = "".join(parts)
@@ -390,21 +394,21 @@ def _shape_written(instances) -> tuple[str, dict]:
 
 
 @pytest.mark.parametrize("count", [1, 2, 50_000])
-def test_extend_shape_writes_each_instance_once_in_order(count):
+def test_extend_writes_each_text_once_in_order(count):
     instances = [(n, "abc"[n % 3]) for n in range(count)]
-    body, counts = _shape_written(instances)
+    body, counts = _extended(instances)
     assert body == "".join(_growing_text(*i) for i in instances)
     assert counts == {"urban": 2 * count}
 
 
-def test_extend_shape_batches_hold_about_a_chunk():
-    """The first instance sets the batch, so each batch holds about
+def test_extend_batches_hold_about_a_chunk():
+    """The first text sets the batch, so each batch holds about
     CHUNK_CHARS characters, and no more than its texts' growth allows."""
     instances = [(n, "abc"[n % 3]) for n in range(50_000)]
     held = []
     writer = _LpWriter([].append, {}, (), "m")
     writer.hold = held.append
-    writer.extend_shape(GROWING, iter(instances))
+    writer.extend("urban", 2, _growing(instances))
     first = len(_growing_text(*instances[0]))
     growth = len(_growing_text(*instances[-1])) / first
     assert len(held) > 2
@@ -412,10 +416,10 @@ def test_extend_shape_batches_hold_about_a_chunk():
     assert all(len(text) <= CHUNK_CHARS * growth for text in held), growth
 
 
-def test_extend_shape_of_no_instance_writes_and_counts_nothing():
+def test_extend_of_no_text_writes_and_counts_nothing():
     parts: list[str] = []
     writer = _LpWriter(parts.append, {}, (), "m")
     lines = list(writer.lines)
-    writer.extend_shape(GROWING, iter(()))
+    writer.extend("urban", 2, iter(()))
     assert parts == [] and writer.lines == lines and writer.held == 0
     assert writer.counts == {}

@@ -24,14 +24,13 @@ from tripsmith.milp import (
     write_lp,
 )
 from tripsmith.milp.build import _Builder, _flat, open_slots
-from tripsmith.milp.lp_writer import _LpWriter
 from tripsmith.plan import serialize_plan, parse_plan
 from tripsmith.sandbox import load_dataset
 from tripsmith.timeutil import to_minutes
 
 from .conftest import FIXTURES
 
-from .lp_reader import parse_lp, read_model
+from .lp_reader import _CATEGORIES, parse_lp, read_model
 
 
 def random_params(rng: random.Random) -> MilpParams:
@@ -211,38 +210,44 @@ def test_each_family_shares_one_var_info():
 
 
 def test_undeclared_reference_is_build_error_naming_row_and_variable():
-    writer = _LpWriter([].append, {"x": VarInfo("binary")}, (), "m")
-    writer.append(("ok", ((1, "x"),), "<=", 1, "query"))
-    with pytest.raises(BuildError, match="row bad references undeclared ghost"):
-        writer.append(("bad", ((1, "x"), (-1, "ghost")), "<=", 0, "query"))
+    builder = _Builder(synthetic_slice(MilpParams(1, 1, 1, 1, 1, 1, 4)), None)
+    builder.check_declared("query", builder.attr, builder.hotel)
+    with pytest.raises(BuildError, match="^query rows reference undeclared ghost$"):
+        builder.check_declared("query", [[builder.rest[0][0], "ghost"]])
 
 
 def test_every_build_validates_references(tmp_path, monkeypatch):
     """Every name a written row reads is checked against the declared
-    variables: by `_LpWriter.append` term by term, or, for the urban and
-    transit families that go by shape, by `check_declared` once."""
+    variables by `check_declared`, under the row's category, and each
+    declared name is looked up once per build."""
     checked: dict[str, set] = {}
-    appended: set = set()
-    check_declared, append = _Builder.check_declared, _LpWriter.append
+    looked: Counter = Counter()
+    check_declared, declare_variables = _Builder.check_declared, _Builder.declare_variables
+
+    class Lookups(dict):
+        def __contains__(self, name):
+            looked[name] += 1
+            return super().__contains__(name)
 
     def record_families(builder, category, *families):
         checked.setdefault(category, set()).update(*map(_flat, families))
         check_declared(builder, category, *families)
 
-    def record_row(writer, row):
-        appended.update(var for _, var in row[1])
-        append(writer, row)
+    def declare_counted(builder):
+        builder.vars = Lookups()
+        declare_variables(builder)
 
     monkeypatch.setattr(_Builder, "check_declared", record_families)
-    monkeypatch.setattr(_LpWriter, "append", record_row)
+    monkeypatch.setattr(_Builder, "declare_variables", declare_counted)
+    params = MilpParams(1, 1, 1, 1, 1, 1, 4)
     path = tmp_path / "model.lp"
-    write_lp(synthetic_slice(MilpParams(1, 1, 1, 1, 1, 1, 4)), 800, path)
-    assert set(checked) == {"urban", "transit"}
+    counts = write_lp(synthetic_slice(params), 800, path)
+    assert set(checked) == set(counts)
     rows = parse_lp(path.read_text())["rows"]
-    by_shape = {"urb": checked["urban"], "trn": checked["transit"]}
     for name, (terms, _, _) in rows.items():
-        assert {var for _, var in terms} <= by_shape.get(name.split("_")[0], appended), name
-    assert {name.split("_")[0] for name in rows} > set(by_shape)
+        assert {var for _, var in terms} <= checked[_CATEGORIES[name.split("_")[0]]], name
+    assert len(looked) == count_sizes(params).variable_total
+    assert set(looked.values()) == {1}
 
 
 def test_lp_row_count_equals_size_total(tmp_path):
