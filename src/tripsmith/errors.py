@@ -55,7 +55,9 @@ class DslEvalError(DslError):
 
 
 class BuildError(TripsmithError):
-    """MILP model construction failed: a slice list of the wrong length, or an unknown station."""
+    """MILP model construction failed: a row family reads an undeclared variable
+    name, the rows written per category differ from `count_sizes`, a slice
+    carries a list of the wrong length, or a route uses an unknown station."""
 
 
 class SolveRefusedError(TripsmithError):
